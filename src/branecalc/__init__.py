@@ -35,7 +35,6 @@ from .dga_models import (
     sphere_model,
     sub_model,
     tensor_model,
-    transposition_morphisms,
 )
 from .cohomology import (
     CohomologyBasis,

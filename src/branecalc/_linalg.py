@@ -15,22 +15,11 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 
-def zeros(n: int, m: int) -> Mat:
-    return [[F0] * m for _ in range(n)]
-
-
-def identity(n: int) -> Mat:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = F1
-    return out
-
-
 def mat_mul(a: Mat, b: Mat) -> Mat:
     if not a or not b:
         return []
     n, k, m = len(a), len(b), len(b[0])
-    out = zeros(n, m)
+    out = [[F0] * m for _ in range(n)]
     for i in range(n):
         ai = a[i]
         oi = out[i]
@@ -93,16 +82,11 @@ def solve(a: Mat, b: Vec) -> Vec | None:
     ncols = len(a[0]) if a else 0
     aug = [list(a[i]) + [Fraction(b[i])] for i in range(n)]
     red, pivots = rref(aug, ncols)
-    # rows reduced past ncols columns may leave inconsistent tail rows
-    used = len(red)
-    for i in range(used):
-        if all(red[i][c] == 0 for c in range(ncols)) and red[i][ncols]:
-            return None
-    # rref() above stops scanning at ncols, so re-check leftover rows
     x = [F0] * ncols
     for i, p in enumerate(pivots):
         x[p] = red[i][ncols]
-    # verify (cheap insurance against the tail-row subtlety)
+    # rref() stops scanning at ncols, so an inconsistent system shows up
+    # only when the candidate is substituted back
     for i in range(n):
         s = sum((c * v for c, v in zip(a[i], x) if c and v), F0)
         if s != b[i]:
@@ -114,7 +98,8 @@ def inverse(a: Mat) -> Mat:
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("not square")
-    aug = [list(a[i]) + identity(n)[i] for i in range(n)]
+    aug = [list(row) + [F1 if j == i else F0 for j in range(n)]
+           for i, row in enumerate(a)]
     red, pivots = rref(aug, n)
     if len(pivots) != n:
         raise ValueError("singular matrix")

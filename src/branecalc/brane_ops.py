@@ -1,7 +1,22 @@
 """The brane product/coproduct pipelines and the diagram checkers.
 
-Both operations are computed on cohomology by composing induced maps of the
-gluing pipelines, inverting the leftward quasi-isomorphisms degreewise.
+Each operation is a zigzag of maps between gluing models, declared as a list
+of steps and evaluated on cohomology degree by degree: a rightward step
+contributes its induced map, a leftward step is a quasi-isomorphism whose
+induced map is inverted, and one step is a shriek ⊗ id, which shifts the
+degree.  Write M_{S^k} for the sphere model, D for the k-disk model (semifree
+over M_{S^(k-1)}), G = D ⊗_{M_{S^(k-1)}} D for the glued double disk and P for
+the path model of ∧V over ∧V⊗².  Then, with ← marking the inverted steps,
+
+* product μ∨ (k ≥ 2):
+  M_{S^k} ←glue G →identify M_{S^k} ⊗_{∧V} M_{S^k}
+  ←collapse P ⊗_{∧V⊗²} M_{S^k}⊗² →δ!⊗id M_{S^k}⊗²;
+* coproduct δ∨ (k = 2):
+  M_{S^k}⊗² →identify ∧V ⊗_{M_{S^1}} G ←collapse D ⊗_{M_{S^1}} G
+  →γ!⊗id G →glue M_{S^k},
+  where γ! exists because M → M^{S^1} has finite codimension.
+
+Every morphism is fixed by generator provenance alone (see _gluing_map).
 
 Sign conventions fixed here (and verified by the chain-map checks and the
 golden tests):
@@ -19,13 +34,17 @@ golden tests):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable
 
 from . import _linalg as la
-from .gca_core import Element, Monomial
-from .cohomology import class_vector, cohomology_basis, induced_map
+from .gca_core import Element, translate
+from .cohomology import (
+    class_vector,
+    cohomology_basis,
+    induced_map,
+    invert_on_cohomology,
+)
 from .dga_models import (
     DgaModel,
     DgaMorphism,
@@ -33,7 +52,6 @@ from .dga_models import (
     base_change,
     disk_model,
     morphism_phi,
-    path_model,
     relative_tensor,
     sphere_model,
     tensor_model,
@@ -60,25 +78,22 @@ Pair = tuple[Label, Label]
 @dataclass
 class KunnethIndex:
     """Per-degree translation between H(A⊗A) coordinates and pairs of
-    H(A)-classes."""
+    H(A)-classes, through the two inclusions A → A⊗A of tensor_model."""
 
-    state: DgaModel
-    square: DgaModel
-    left_names: dict[str, str]
-    right_names: dict[str, str]
+    left: DgaMorphism
+    right: DgaMorphism
     _cache: dict[int, tuple[list[Pair], list[list[Fraction]]]] = field(
         default_factory=dict
     )
+    _columns: dict[Pair, list[Fraction]] = field(default_factory=dict)
 
-    def _push(self, e: Element, side: str) -> Element:
-        names = self.left_names if side == "L" else self.right_names
-        gid_map = {
-            self.state.algebra.gen(src).gid: self.square.algebra.gen(dst).gid
-            for src, dst in names.items()
-        }
-        from .gca_core import translate
+    @property
+    def state(self) -> DgaModel:
+        return self.left.source
 
-        return translate(e, self.square.algebra, gid_map)
+    @property
+    def square(self) -> DgaModel:
+        return self.left.target
 
     def pairs(self, n: int) -> tuple[list[Pair], list[list[Fraction]]]:
         """All Künneth pairs of total degree n plus the matrix taking
@@ -87,24 +102,24 @@ class KunnethIndex:
         if cached is not None:
             return cached
         labels: list[Pair] = []
-        cols: list[list[Fraction]] = []
         hsq = cohomology_basis(self.square, n)
         for da in range(n + 1):
             ha = cohomology_basis(self.state, da)
             hb = cohomology_basis(self.state, n - da)
             for ia, ra in enumerate(ha.representatives):
                 for ib, rb in enumerate(hb.representatives):
-                    labels.append(((da, ia), (n - da, ib)))
-                    elem = self._push(ra, "L") * self._push(rb, "R")
-                    cols.append(class_vector(self.square, n, elem))
+                    lab = ((da, ia), (n - da, ib))
+                    labels.append(lab)
+                    elem = self.left(ra) * self.right(rb)
+                    self._columns[lab] = class_vector(self.square, n, elem)
         if len(labels) != hsq.dimension:
             raise ModelError(
                 f"Künneth dimension mismatch in degree {n}: "
                 f"{len(labels)} pairs vs dim {hsq.dimension}"
             )
         if labels:
-            mat = [[cols[j][i] for j in range(len(labels))]
-                   for i in range(hsq.dimension)]
+            cols = [self._columns[lab] for lab in labels]
+            mat = [[col[i] for col in cols] for i in range(hsq.dimension)]
             inv = la.inverse(mat)
         else:
             inv = []
@@ -118,20 +133,122 @@ class KunnethIndex:
         return {lab: c for lab, c in zip(labels, coords) if c}
 
     def pair_vector(self, pair: Pair) -> list[Fraction]:
-        (da, ia), (db, ib) = pair
-        ra = cohomology_basis(self.state, da).representatives[ia]
-        rb = cohomology_basis(self.state, db).representatives[ib]
-        elem = self._push(ra, "L") * self._push(rb, "R")
-        return class_vector(self.square, da + db, elem)
+        """The H(A⊗A) coordinates of the class of a⊗b."""
+        (da, _), (db, _) = pair
+        self.pairs(da + db)
+        return self._columns[pair]
 
 
-def _kunneth(state: DgaModel, square: DgaModel) -> KunnethIndex:
-    left = {}
-    right = {}
-    for g in state.algebra.generators:
-        left[g.name] = g.name + "@L"
-        right[g.name] = g.name + "@R"
-    return KunnethIndex(state, square, left, right)
+# ---------------------------------------------------------------------------
+# zigzags
+
+
+@dataclass(frozen=True)
+class Step:
+    """One arrow of a zigzag.  A forward step contributes the induced map
+    of map, shifted by map.degree; a backward step is a quasi-isomorphism
+    pointing the other way, whose induced map is inverted."""
+
+    stage: str
+    map: DgaMorphism | ModuleMap
+    forward: bool = True
+
+
+def evaluate_zigzag(steps: list[Step], n: int) -> list[list[Fraction]]:
+    """Matrix of the composite of the steps on H^n of the first model."""
+    out = None
+    for step in steps:
+        f = step.map
+        if step.forward:
+            m = induced_map(f, f.source, f.target, n, shift=f.degree)
+            n += f.degree
+        else:
+            try:
+                m = invert_on_cohomology(f, f.source, f.target, n)
+            except ModelError as exc:
+                raise ModelError(f"{step.stage}: {exc}") from None
+        out = m if out is None else la.mat_mul(m, out)
+    return out
+
+
+# Where _gluing_map sends the left ("L") and right ("R") copies of the top
+# suspension s^k v: to (factor of the target generator, sign), or to 0 when
+# absent.  _IDENTIFY reverses the orientation of the second hemisphere.
+_IDENTIFY = {"L": ("L", 1), "R": ("R", -1)}
+_COLLAPSE = {"L": ("L", 1), "R": ("R", 1)}
+_GLUE = {"R": (None, -1)}
+
+
+def _gluing_map(src: DgaModel, dst: DgaModel, top: int, tops: dict) -> DgaMorphism:
+    """The chain map src → dst fixed by generator provenance.
+
+    A base generator goes to dst's base generator of the same origin, so
+    the two copies of ∧V in ∧V⊗² multiply together; the tensor copies of
+    s^top v go where tops says; every other suspension (lower shifts, the
+    path model's sV, a fresh disk's s^top V) goes to 0.
+    """
+    by_prov = {g.prov: g.gid for g in dst.algebra.generators}
+    images: dict[int, Element] = {}
+    for g in src.algebra.generators:
+        p = g.prov
+        if p.kind == "base":
+            target, sign = replace(p, factor=None), 1
+        elif p.shift == top and p.factor in tops:
+            factor, sign = tops[p.factor]
+            target = replace(p, factor=factor)
+        else:
+            images[g.gid] = dst.algebra.zero()
+            continue
+        images[g.gid] = dst.algebra.generator_element(by_prov[target]) * sign
+    f = DgaMorphism(src, dst, images)
+    f.check_chain()
+    return f
+
+
+def _gid(e: Element) -> int:
+    """The generator id of a generator element."""
+    return next(iter(e.terms))[0][0]
+
+
+def _shriek_tensor_id(F: ModuleMap, N: DgaModel, max_degree: int) -> ModuleMap:
+    """F ⊗ id: F.source ⊗_B N → N, on fiber monomials of degree ≤ max_degree.
+
+    F is a shriek over its base B: F.base_images sends each base generator
+    of F.source to a generator of F.target, and N is semifree over a copy of
+    F.target.  The inclusions of relative_tensor carry each base generator
+    into the glued model and into N, which fixes the translation
+    F.target → N.
+    """
+    glued, inc_f, inc_n = relative_tensor(F.source, N)
+    f_gid = {g: _gid(img) for g, img in inc_f.images.items()}
+    n_gid = {g: _gid(img) for g, img in inc_n.images.items()}
+    glued_to_n = {new: g for g, new in n_gid.items()}
+    to_n = {
+        _gid(F.base_images[b]): glued_to_n[f_gid[b]] for b in F.source.base_gids
+    }
+    base_images = {
+        g: N.algebra.generator_element(glued_to_n[g]) for g in glued.base_gids
+    }
+    images = {}
+    for a, value in F.images.items():
+        value_n = translate(value, N.algebra, to_n)
+        for d in range(max_degree - F.source.algebra.monomial_degree(a) + 1):
+            for b in fiber_basis(N, d):
+                sign, mono = glued.algebra.normalize(
+                    [(f_gid[g], e) for g, e in a] + [(n_gid[g], e) for g, e in b]
+                )
+                images[mono] = value_n * N.algebra.monomial_element(b, sign)
+    return ModuleMap(glued, N, F.degree, base_images, images)
+
+
+def _sphere_and_double_disk(
+    V: DgaModel, disk: DgaModel, k: int
+) -> tuple[KunnethIndex, DgaModel, DgaMorphism]:
+    """The Künneth index of M_{S^k}⊗², the double disk G and glue: G → M_{S^k}."""
+    state = sphere_model(V, k + 1)
+    _, left, right = tensor_model(state, state)
+    double, _, _ = relative_tensor(disk, disk)
+    return KunnethIndex(left, right), double, _gluing_map(double, state, k, _GLUE)
 
 
 # ---------------------------------------------------------------------------
@@ -156,29 +273,6 @@ class BraneOperation:
         return repr(cohomology_basis(self.state, n).representatives[i])
 
 
-def _name_images(src: DgaModel, dst: DgaModel, rules) -> DgaMorphism:
-    """Build a morphism from name-based generator rules.
-
-    rules(gen) returns (target name or None, sign).
-    """
-    images = {}
-    for g in src.algebra.generators:
-        nm, sign = rules(g)
-        if nm is None:
-            images[g.gid] = dst.algebra.zero()
-        else:
-            images[g.gid] = dst.algebra.generator_element(nm) * sign
-    f = DgaMorphism(src, dst, images)
-    f.check_chain()
-    return f
-
-
-def _mono_translate(src: DgaModel, dst: DgaModel, mono: Monomial) -> Element:
-    raw = [(dst.algebra.gen(src.algebra.gen(g).name).gid, e) for g, e in mono]
-    sign, m = dst.algebra.normalize(raw)
-    return dst.algebra.monomial_element(m, sign)
-
-
 def brane_product_dual(
     V: DgaModel,
     k: int,
@@ -189,89 +283,32 @@ def brane_product_dual(
     if k < 2:
         raise ModelError("the product pipeline needs k ≥ 2")
     info = info or gorenstein_info(V, k)
-    disk = disk_model(V, k)
-    state = sphere_model(V, k + 1)  # M_{S^k}: generators v, s{k}_v
-    A3, _, _ = relative_tensor(disk, disk)
-    A4, _, _ = relative_tensor(state, sphere_model(V, k + 1))
-    square, _, _ = tensor_model(state, state)
-    ds = shriek_delta_semipure(V, max_degree + max(info.m, 0))
-    A6, _, _ = relative_tensor(ds.path, square)
-
-    sk = f"s{k}_"
-    s_lo = f"s{k - 1}_"
-
-    def p1(g):
-        if g.name.startswith(sk):
-            return (None, 1) if g.prov.factor == "L" else (g.name[:-2], -1)
-        if g.name.startswith(s_lo):
-            return None, 1
-        return g.name, 1
-
-    def p2(g):
-        if g.name.startswith(sk):
-            return g.name, 1 if g.prov.factor == "L" else -1
-        if g.name.startswith(s_lo):
-            return None, 1
-        return g.name, 1
-
-    def p3(g):
-        if g.name.startswith("s1_") and g.prov.shift == 1 and not g.name.startswith(sk):
-            return None, 1
-        if g.name.endswith(("@L", "@R")) and g.prov.kind == "base":
-            return g.name[:-2], 1
-        return g.name, 1
-
-    P1 = _name_images(A3, state, p1)
-    P2 = _name_images(A3, A4, p2)
-    P3 = _name_images(A6, A4, p3)
-
-    # P4 = δ! ⊗ id on A6 = M_P ⊗_{∧V⊗²} (M_{S^k} ⊗ M_{S^k})
-    base_images = {
-        gid: square.algebra.generator_element(A6.algebra.gen(gid).name)
-        for gid in A6.base_gids
-    }
-    s1_gids = {
-        g.gid for g in A6.algebra.generators
-        if g.prov.kind == "susp" and g.prov.shift == 1
-    }
-    images: dict[Monomial, Element] = {}
-    for n in range(max_degree + 1):
-        for mono in fiber_basis(A6, n):
-            s1_part = tuple((g, e) for g, e in mono if g in s1_gids)
-            sk_part = tuple((g, e) for g, e in mono if g not in s1_gids)
-            key_raw = [
-                (ds.path.algebra.gen(A6.algebra.gen(g).name).gid, e)
-                for g, e in s1_part
-            ]
-            sgn, key = ds.path.algebra.normalize(key_raw)
-            val = ds.map.images.get(key)
-            if val is None or sgn == 0:
-                continue
-            val_sq = (
-                _elem_translate(val, square) * sgn
-                * _mono_translate(A6, square, sk_part)
-            )
-            if not val_sq.is_zero():
-                images[mono] = val_sq
-    P4 = ModuleMap(A6, square, ds.map.degree, base_images, images)
-
-    kun = _kunneth(state, square)
+    kun, double, glue = _sphere_and_double_disk(V, disk_model(V, k), k)
+    state, square = kun.state, kun.square
+    spheres, _, _ = relative_tensor(state, sphere_model(V, k + 1))
+    # δ! has degree r and leading fiber monomial Π s1_x; the solve covers one
+    # fiber degree past both the table and that monomial, so that every
+    # D(f) = 0 equation the table depends on is written
+    lead = sum(g.degree - 1 for g in V.algebra.generators if not g.is_odd)
+    r = sum(g.degree for g in V.algebra.generators if g.is_odd) - lead
+    delta = shriek_delta_semipure(V, max(r, 0) + max(max_degree, lead) + 1)
+    shriek = _shriek_tensor_id(delta, square, max_degree)
+    steps = [
+        Step("double disk vs sphere identification", glue, forward=False),
+        Step("double disk vs sphere pair identification",
+             _gluing_map(double, spheres, k, _IDENTIFY)),
+        Step("path-model quasi-isomorphism",
+             _gluing_map(shriek.source, spheres, k, _COLLAPSE), forward=False),
+        Step("δ! ⊗ id", shriek),
+    ]
     table: dict[Label, dict[Pair, Fraction]] = {}
-    r = ds.map.degree
     for n in range(max_degree + 1):
         dim = cohomology_basis(state, n).dimension
         if dim == 0:
             continue
-        m1 = induced_map(P1, A3, state, n)
-        m1i = _invert(m1, n, "double disk vs sphere identification")
-        m2 = induced_map(P2, A3, A4, n)
-        m3 = induced_map(P3, A6, A4, n)
-        m3i = _invert(m3, n, "path-model quasi-isomorphism")
-        m4 = induced_map(P4, A6, square, n, shift=r)
-        mu_n = la.mat_mul(m4, la.mat_mul(m3i, la.mat_mul(m2, m1i)))
+        mu_n = evaluate_zigzag(steps, n)
         for i in range(dim):
-            col = [mu_n[t][i] for t in range(len(mu_n))]
-            table[(n, i)] = kun.to_pairs(n + r, col)
+            table[(n, i)] = kun.to_pairs(n + r, [row[i] for row in mu_n])
     return BraneOperation(
         "product-dual", info, r, max_degree, state, square, kun, table
     )
@@ -290,123 +327,34 @@ def brane_coproduct_dual(
             "(closed-form constant-maps shriek)"
         )
     info = info or gorenstein_info(V, k)
-    gs = shriek_gamma_pure(V)
-    disk, sphere = gs.disk, gs.sphere
-    state = sphere_model(V, k + 1)
-    square, _, _ = tensor_model(state, state)
-    A3, _, _ = relative_tensor(disk, disk)
-    phi = morphism_phi(sphere)
-    B3, _ = base_change(A3, phi)
-    B4, _, _ = relative_tensor(disk, A3)
-
-    def c2(g):
-        if g.prov.kind == "susp":
-            # s2_v@L ↦ s2_v@L ; s2_v@R ↦ -s2_v@R (orientation reversal)
-            return g.name, 1 if g.name.endswith("@L") else -1
-        return g.name[:-2], 1
-
-    def c3(g):
-        if g.prov.kind == "susp" and g.prov.shift == 1:
-            return None, 1
-        if g.prov.kind == "susp" and g.prov.factor is None:
-            return None, 1  # the fresh disk's s2 generators
-        if g.prov.kind == "susp":
-            return g.name, 1
-        return g.name, 1
-
-    def c5(g):
-        if g.prov.kind == "susp" and g.prov.shift == 1:
-            return None, 1
-        if g.prov.kind == "susp":
-            if g.name.endswith("@L"):
-                return None, 1
-            return g.name[:-2], -1
-        return g.name, 1
-
-    C2 = _name_images(square, B3, c2)
-    C3 = _name_images(B4, B3, c3)
-    C5 = _name_images(A3, state, c5)
-
-    # C4 = γ! ⊗ id on B4 = M_{D^k} ⊗_{M_{S^(k-1)}} A3
-    base_images = {
-        gid: A3.algebra.generator_element(B4.algebra.gen(gid).name)
-        for gid in B4.base_gids
-    }
-    fresh_gids = {
-        g.gid for g in B4.algebra.generators
-        if g.prov.kind == "susp" and g.prov.shift == 2 and g.prov.factor is None
-    }
-    r = gs.map.degree
-    images: dict[Monomial, Element] = {}
-    for n in range(max_degree + 1):
-        for mono in fiber_basis(B4, n):
-            fresh = tuple((g, e) for g, e in mono if g in fresh_gids)
-            rest = tuple((g, e) for g, e in mono if g not in fresh_gids)
-            key_raw = [
-                (disk.algebra.gen(B4.algebra.gen(g).name).gid, e)
-                for g, e in fresh
-            ]
-            sgn, key = disk.algebra.normalize(key_raw)
-            val = gs.map.images.get(key)
-            if val is None or sgn == 0:
-                continue
-            val_a3 = (
-                _elem_translate(val, A3) * sgn
-                * _mono_translate(B4, A3, rest)
-            )
-            if not val_a3.is_zero():
-                images[mono] = val_a3
-    C4 = ModuleMap(B4, A3, r, base_images, images)
-
-    kun = _kunneth(state, square)
+    gamma = shriek_gamma_pure(V)
+    kun, double, glue = _sphere_and_double_disk(V, gamma.source, k)
+    state, square = kun.state, kun.square
+    collapsed, _ = base_change(double, morphism_phi(gamma.target))
+    shriek = _shriek_tensor_id(gamma, double, max_degree)
+    r = gamma.degree
+    steps = [
+        Step("sphere square vs double disk identification",
+             _gluing_map(square, collapsed, k, _IDENTIFY)),
+        Step("disk-factor quasi-isomorphism",
+             _gluing_map(shriek.source, collapsed, k, _COLLAPSE), forward=False),
+        Step("γ! ⊗ id", shriek),
+        Step("double disk vs sphere identification", glue),
+    ]
     table: dict[Pair, dict[Label, Fraction]] = {}
     for n in range(max_degree + 1):
         labels, _ = kun.pairs(n)
         if not labels:
             continue
-        out_dim = cohomology_basis(state, n + r).dimension if n + r >= 0 else 0
-        if out_dim == 0:
-            for lab in labels:
-                table[lab] = {}
-            continue
-        mc2 = induced_map(C2, square, B3, n)
-        mc3 = induced_map(C3, B4, B3, n)
-        mc3i = _invert(mc3, n, "disk-factor quasi-isomorphism")
-        mc4 = induced_map(C4, B4, A3, n, shift=r)
-        mc5 = induced_map(C5, A3, state, n + r)
-        delta_n = la.mat_mul(mc5, la.mat_mul(mc4, la.mat_mul(mc3i, mc2)))
+        # with nothing in the target degree, δ∨ vanishes without evaluation
+        nonzero = cohomology_basis(state, n + r).dimension
+        delta_n = evaluate_zigzag(steps, n) if nonzero else []
         for lab in labels:
-            vec = kun.pair_vector(lab)
-            out = la.mat_vec(delta_n, vec)
-            table[lab] = {
-                (n + r, i): c for i, c in enumerate(out) if c
-            }
+            out = la.mat_vec(delta_n, kun.pair_vector(lab))
+            table[lab] = {(n + r, i): c for i, c in enumerate(out) if c}
     return BraneOperation(
         "coproduct-dual", info, r, max_degree, state, square, kun, table
     )
-
-
-def _elem_translate(e: Element, dst: DgaModel) -> Element:
-    gid_map = {}
-    for mono in e.terms:
-        for g, _ in mono:
-            if g not in gid_map:
-                gid_map[g] = dst.algebra.gen(e.algebra.gen(g).name).gid
-    from .gca_core import translate
-
-    return translate(e, dst.algebra, gid_map)
-
-
-def _invert(mat: list[list[Fraction]], n: int, what: str) -> list[list[Fraction]]:
-    if len(mat) != (len(mat[0]) if mat else 0):
-        raise ModelError(
-            f"{what} is not invertible on H^{n} "
-            f"(shape {len(mat)}×{len(mat[0]) if mat else 0})"
-        )
-    try:
-        return la.inverse(mat)
-    except ValueError:
-        raise ModelError(f"{what} is singular on H^{n}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +369,6 @@ class HomologyOperation:
     # coproduct: table[c][(a, b)] = coefficient of σa∨⊗σb∨ in δ(σc∨)
     table: dict
     source: BraneOperation
-
-    def shifted_degree(self, label: Label) -> int:
-        return label[0] - self.info.m
 
 
 def dualize_to_homology(op: BraneOperation, info: GorensteinInfo | None = None) -> HomologyOperation:

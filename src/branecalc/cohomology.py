@@ -154,30 +154,31 @@ def invert_on_cohomology(
     tgt: DgaModel,
     n: int,
 ) -> list[list[Fraction]]:
-    """Inverse of the induced map H^n(src) -> H^n(tgt) of a quasi-iso."""
+    """Inverse of the induced map H^n(src) -> H^n(tgt) of a quasi-iso.
+
+    When the induced map is not invertible, the ModelError names the degree,
+    the matrix shape (dim H^n(tgt) × dim H^n(src)) and its rank.
+    """
     m = induced_map(apply, src, tgt, n)
-    if len(m) != (len(m[0]) if m else 0):
-        raise ModelError(
-            f"induced map in degree {n} is not square "
-            f"({len(m)}×{len(m[0]) if m else 0}); not a quasi-isomorphism"
-        )
-    try:
-        return la.inverse(m)
-    except ValueError:
-        raise ModelError(
-            f"induced map in degree {n} is singular; not a quasi-isomorphism"
-        ) from None
+    rows = cohomology_basis(tgt, n).dimension
+    cols = cohomology_basis(src, n).dimension
+    if rows == cols:
+        try:
+            return la.inverse(m)
+        except ValueError:
+            pass
+    rank = len(la.rref(m, cols)[1])
+    raise ModelError(
+        f"induced map on H^{n} is not invertible (shape {rows}×{cols}, "
+        f"rank {rank}); not a quasi-isomorphism"
+    )
 
 
 def is_quasi_iso(f, max_degree: int) -> bool:
     """Check a DgaMorphism induces isomorphisms on H^n for n <= max_degree."""
-    for n in range(max_degree + 1):
-        m = induced_map(f, f.source, f.target, n)
-        if len(m) != (len(m[0]) if m else 0):
-            return False
-        if m:
-            try:
-                la.inverse(m)
-            except ValueError:
-                return False
+    try:
+        for n in range(max_degree + 1):
+            invert_on_cohomology(f, f.source, f.target, n)
+    except ModelError:
+        return False
     return True

@@ -20,14 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from .gca_core import (
     Element,
-    Generator,
     GradedAlgebra,
     Monomial,
-    ONE,
     Provenance,
     tensor,
     translate,
@@ -79,10 +77,6 @@ class Derivation:
         return out
 
 
-def extend_derivation(theta: Derivation, e: Element) -> Element:
-    return theta(e)
-
-
 def _apply_algebra_map(
     e: Element, images: dict[int, Element], target: GradedAlgebra
 ) -> Element:
@@ -109,6 +103,7 @@ class DgaMorphism:
     source: "DgaModel"
     target: "DgaModel"
     images: dict[int, Element]
+    degree: ClassVar[int] = 0
 
     def __call__(self, e: Element) -> Element:
         return _apply_algebra_map(e, self.images, self.target.algebra)
@@ -671,36 +666,3 @@ def loop_transposition(path: DgaModel) -> DgaMorphism:
     t = DgaMorphism(path, path, images)
     t.check_chain()
     return t
-
-
-def suspension_negation(M: DgaModel, shifts: Iterable[int]) -> DgaMorphism:
-    """Automorphism negating the suspension generators with given shifts."""
-    wanted = set(shifts)
-    alg = M.algebra
-    images: dict[int, Element] = {}
-    for g in alg.generators:
-        e = alg.generator_element(g.gid)
-        images[g.gid] = -e if (g.prov.kind == "susp" and g.prov.shift in wanted) else e
-    t = DgaMorphism(M, M, images)
-    t.check_chain()
-    return t
-
-
-def transposition_morphisms(M: DgaModel) -> tuple[DgaMorphism, DgaMorphism]:
-    """(t, t̃) for the recognized shapes.
-
-    For a path model: t is the factor swap on the base square ∧V⊗² and t̃
-    extends the swap to ∧sV by negation.  For a sphere/disk pair shape the
-    two maps negate s^(k-1)- resp. both suspension levels.
-    """
-    kinds = {(g.prov.kind, g.prov.shift) for g in M.algebra.generators}
-    susp_shifts = sorted(s for k, s in kinds if k == "susp")
-    if any(g.name.endswith(("@L", "@R")) for g in M.algebra.generators
-           if g.prov.kind == "base"):
-        base, _ = base_model(M)
-        return square_transposition(base), loop_transposition(M)
-    if len(susp_shifts) in (1, 2):
-        t = suspension_negation(M, susp_shifts[:1])
-        t_tilde = suspension_negation(M, susp_shifts)
-        return t, t_tilde
-    raise ModelError("unrecognized model shape for transpositions")

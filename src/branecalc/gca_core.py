@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
 Monomial = tuple  # tuple[tuple[int, int], ...], sorted by generator id
@@ -258,12 +258,6 @@ class Element:
         if len(degs) > 1:
             raise ValueError(f"element is not homogeneous: degrees {sorted(degs)}")
         return degs.pop()
-
-    def homogeneous_part(self, n: int) -> "Element":
-        alg = self.algebra
-        return Element(
-            alg, {m: c for m, c in self.terms.items() if alg.monomial_degree(m) == n}
-        )
 
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.terms.get(mono, Fraction(0))

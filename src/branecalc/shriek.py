@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import _linalg as la
 from .gca_core import Element, GradedAlgebra, Monomial, ONE, Provenance
-from .cohomology import class_vector, element_vector
+from .cohomology import class_vector
 from .dga_models import (
     Derivation,
     DgaModel,
@@ -33,7 +33,6 @@ from .dga_models import (
     ModelError,
     disk_model,
     loop_transposition,
-    make_model,
     path_model,
     quotient,
     sphere_model,
@@ -210,15 +209,8 @@ def is_semi_pure(V: DgaModel) -> bool:
 # γ! — the constant-maps shriek (k = 2)
 
 
-@dataclass
-class GammaShriek:
-    map: ModuleMap
-    disk: DgaModel
-    sphere: DgaModel
-
-
-def shriek_gamma_pure(V: DgaModel) -> GammaShriek:
-    """γ! on the disk model over the sphere model (k = 2 shape).
+def shriek_gamma_pure(V: DgaModel) -> ModuleMap:
+    """γ! from the disk model to the sphere model (k = 2 shape).
 
     Nonzero only on the full product of the odd suspensions:
     γ!(s2_y_1 ⋯ s2_y_q) = s1_x_1 ⋯ s1_x_p; fiber monomials containing any
@@ -247,23 +239,15 @@ def shriek_gamma_pure(V: DgaModel) -> GammaShriek:
         gid: sphere.algebra.generator_element(disk.algebra.gen(gid).name)
         for gid in disk.base_gids
     }
-    gamma = ModuleMap(disk, sphere, degree, base_images, {key: value})
-    return GammaShriek(gamma, disk, sphere)
+    return ModuleMap(disk, sphere, degree, base_images, {key: value})
 
 
 # ---------------------------------------------------------------------------
 # δ! — the diagonal shriek
 
 
-@dataclass
-class DeltaShriek:
-    map: ModuleMap
-    path: DgaModel
-    square: DgaModel
-
-
-def shriek_delta_semipure(V: DgaModel, cutoff: int) -> DeltaShriek:
-    """δ! on the path model over ∧V⊗², solved from D(f) = 0 up to cutoff."""
+def shriek_delta_semipure(V: DgaModel, cutoff: int) -> ModuleMap:
+    """δ! from the path model to ∧V⊗², solved from D(f) = 0 up to cutoff."""
     from .dga_models import is_minimal
 
     if not is_semi_pure(V):
@@ -401,8 +385,7 @@ def shriek_delta_semipure(V: DgaModel, cutoff: int) -> DeltaShriek:
         val = {t: c for t, c in val.items() if c}
         if val:
             images[mono] = Element(sq, val)
-    f = ModuleMap(path, square, r, base_images, images)
-    return DeltaShriek(f, path, square)
+    return ModuleMap(path, square, r, base_images, images)
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +428,11 @@ def gamma_evaluation(V: DgaModel) -> tuple[Element, list[Fraction], DgaModel]:
     evens = [g.name for g in V.algebra.generators if not g.is_odd]
     odds = [g.name for g in V.algebra.generators if g.is_odd]
     kill = evens + odds + [f"s1_{nm}" for nm in odds]
-    Q, proj = quotient(gs.sphere, kill)
-    z = gs.disk.algebra.one()
+    Q, proj = quotient(gs.target, kill)
+    z = gs.source.algebra.one()
     for nm in odds:
-        z = z * gs.disk.algebra.generator_element(f"s2_{nm}")
-    ev, vec = evaluation_pairing(gs.map, z, proj, Q)
+        z = z * gs.source.algebra.generator_element(f"s2_{nm}")
+    ev, vec = evaluation_pairing(gs, z, proj, Q)
     return ev, vec, Q
 
 
@@ -477,8 +460,7 @@ def delta_evaluation(
     V: DgaModel, cutoff: int, F: ModuleMap | None = None
 ) -> tuple[Element, list[Fraction], DgaModel]:
     """Pair δ! against [Π s1_x_i]; expected class [y_1⋯y_q] ≠ 0."""
-    ds = shriek_delta_semipure(V, cutoff) if F is None else None
-    f = F if F is not None else ds.map
+    f = shriek_delta_semipure(V, cutoff) if F is None else F
     square = f.target
     to_q, VQ = _square_to_quotient(square, V)
     z = f.source.algebra.one()
@@ -506,17 +488,16 @@ def _ratio(v: Sequence[Fraction], w: Sequence[Fraction]) -> Fraction:
 
 def transposition_sign_loop(V: DgaModel, cutoff: int) -> int:
     """ev([t∘f∘t̃] ⊗ [Π s_x_i]) / ev([f] ⊗ [Π s_x_i]); equals (-1)^(p+q)."""
-    ds = shriek_delta_semipure(V, cutoff)
-    f = ds.map
-    t = square_transposition(ds.square)
-    t_tilde = loop_transposition(ds.path)
+    f = shriek_delta_semipure(V, cutoff)
+    t = square_transposition(f.target)
+    t_tilde = loop_transposition(f.source)
     g_images = {
-        mono: t(f(t_tilde(ds.path.algebra.monomial_element(mono))))
+        mono: t(f(t_tilde(f.source.algebra.monomial_element(mono))))
         for mono in f.images
     }
     # conjugation by involutions covering each other keeps base-linearity
     # with the same identity base action
-    g = ModuleMap(ds.path, ds.square, f.degree, f.base_images, g_images)
+    g = ModuleMap(f.source, f.target, f.degree, f.base_images, g_images)
     _, vec_f, _ = delta_evaluation(V, cutoff, F=f)
     _, vec_g, _ = delta_evaluation(V, cutoff, F=g)
     c = _ratio(vec_f, vec_g)

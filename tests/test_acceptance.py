@@ -185,10 +185,10 @@ def test_criterion_5_shriek_cocycles_and_evaluation():
         V = build()
         name = V.algebra.name
         gs = shriek_gamma_pure(V)
-        if cocycle_defects(gs.map, cut):
+        if cocycle_defects(gs, cut):
             failures.append(f"D(γ!) ≠ 0 for {name}")
         ds = shriek_delta_semipure(V, cut)
-        if cocycle_defects(ds.map, cut - max(ds.map.degree, 0)):
+        if cocycle_defects(ds, cut - max(ds.degree, 0)):
             failures.append(f"D(δ!) ≠ 0 for {name}")
         for label, (ev, vec, _) in (
             ("γ", gamma_evaluation(V)),

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,12 +14,14 @@ from branecalc import (
     coproduct_double_composite,
     dualize_to_homology,
     gorenstein_info,
+    parse_model,
 )
 
 from conftest import build_s3, coassociative, frobenius
 
 F1 = Fraction(1)
 L1, LW, LX, LXW = (0, 0), (1, 0), (3, 0), (4, 0)
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def test_product_dual_golden_table(s3_product):
@@ -167,3 +170,25 @@ def test_explicit_info_overrides_are_threaded(s3):
     assert prod.info.m == 5
     hop = dualize_to_homology(prod, info)
     assert hop.info.m_bar == 1
+
+
+# Every model file, plus S4 with an m override of the right parity (m enters
+# the dualization signs, never the dual-level tables).
+TRUNCATION_CASES = [
+    pytest.param(p.read_text(), id=p.stem) for p in sorted(MODELS.glob("*.model"))
+] + [pytest.param((MODELS / "s4.model").read_text() + "info m = 2\n", id="s4-m2")]
+REFERENCE_DEGREE = 4
+
+
+@pytest.mark.parametrize("text", TRUNCATION_CASES)
+def test_truncated_tables_are_rows_of_the_reference_table(text):
+    mf = parse_model(text)
+    info = gorenstein_info(mf.model, 2, m=mf.info.get("m"), m_bar=mf.info.get("mbar"))
+    for build, degree in (
+        (brane_product_dual, lambda c: c[0]),
+        (brane_coproduct_dual, lambda pair: pair[0][0] + pair[1][0]),
+    ):
+        ref = build(mf.model, 2, info, REFERENCE_DEGREE).table
+        for d in range(REFERENCE_DEGREE):
+            want = {key: row for key, row in ref.items() if degree(key) <= d}
+            assert build(mf.model, 2, info, d).table == want, (build.__name__, d)

@@ -1,10 +1,14 @@
+import hashlib
+import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from branecalc.cli import ParseError, main, parse_model, print_model
 
+ROOT = Path(__file__).resolve().parent.parent
 S3 = "algebra S3\ngen x 3\n"
 S4 = "algebra S4\ngen x 4\ngen y 7\nd y = x^2\n"
 
@@ -132,6 +136,20 @@ def test_brane_product_tsv_is_byte_identical(s3_file, capsys):
     _, second, _ = run(argv, capsys)
     assert first == second
     assert "0\t1\t1\tx\t1" in first
+
+
+@pytest.mark.parametrize(
+    "op", ["product-s3-d8", "coproduct-s3-d8", "product-s4-d6", "coproduct-s4-d6"]
+)
+def test_table_ops_match_benchmark_references(op, capsys, monkeypatch):
+    # the exit code and stdout digest that branebench/references.json
+    # recorded for the benchmark's fast table commands
+    with open(ROOT / "branebench" / "references.json", encoding="utf-8") as fh:
+        ref = json.load(fh)[op]
+    monkeypatch.chdir(ROOT)
+    code, out, _ = run(ref["command"].split(), capsys)
+    assert code == ref["exit"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ref["stdout_sha256"]
 
 
 def test_brane_coproduct_values(s3_file, capsys):

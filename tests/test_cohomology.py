@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from branecalc import (
+    DgaMorphism,
     ModelError,
     class_vector,
     cohomology_basis,
@@ -10,9 +11,11 @@ from branecalc import (
     induced_map,
     invert_on_cohomology,
     is_quasi_iso,
+    make_model,
     morphism_eps_tilde,
     sphere_model,
 )
+from branecalc.brane_ops import Step, evaluate_zigzag
 
 from conftest import build_s4
 
@@ -87,3 +90,25 @@ def test_induced_map_and_inverse_round_trip(s4):
         assert composed == [
             [Fraction(i == j) for j in range(dim)] for i in range(dim)
         ]
+
+
+def test_singular_inversion_names_degree_shape_and_rank(s3):
+    zero = DgaMorphism(s3, s3, {s3.algebra.gen("x").gid: s3.algebra.zero()})
+    with pytest.raises(ModelError) as exc:
+        invert_on_cohomology(zero, s3, s3, 3)
+    msg = str(exc.value)
+    assert "H^3" in msg and "1×1" in msg and "rank 0" in msg
+    assert not is_quasi_iso(zero, 3)
+    # inside a zigzag the message also names the stage
+    with pytest.raises(ModelError, match=r"^x to zero: induced map on H\^3"):
+        evaluate_zigzag([Step("x to zero", zero, forward=False)], 3)
+
+
+def test_map_onto_zero_cohomology_is_not_invertible(s3):
+    # x ↦ x = d(w) kills the class of x: H^3 goes from dim 1 to dim 0
+    cone = make_model([("w", 2), ("x", 3)], {"w": {((1, 1),): 1}})
+    f = DgaMorphism(s3, cone, {s3.algebra.gen("x").gid: cone.gen_elem("x")})
+    f.check_chain()
+    with pytest.raises(ModelError, match="0×1"):
+        invert_on_cohomology(f, s3, cone, 3)
+    assert not is_quasi_iso(f, 3)

@@ -48,15 +48,15 @@ def test_purity_classification(s3, s4):
 
 def test_gamma_shriek_is_a_cocycle(s4):
     gs = shriek_gamma_pure(s4)
-    assert cocycle_defects(gs.map, 10) == []
+    assert cocycle_defects(gs, 10) == []
     # γ!(s2_y) = s1_x, and γ! vanishes on monomials containing s2_x
-    s2y = gs.disk.algebra.gen("s2_y").gid
-    assert gs.map(gs.disk.algebra.generator_element(s2y)) == gs.sphere.gen_elem(
+    s2y = gs.source.algebra.gen("s2_y").gid
+    assert gs(gs.source.algebra.generator_element(s2y)) == gs.target.gen_elem(
         "s1_x"
     )
-    s2x = gs.disk.gen_elem("s2_x")
-    assert gs.map(s2x).is_zero()
-    assert gs.map(s2x * gs.disk.gen_elem("s2_y")).is_zero()
+    s2x = gs.source.gen_elem("s2_x")
+    assert gs(s2x).is_zero()
+    assert gs(s2x * gs.source.gen_elem("s2_y")).is_zero()
 
 
 def test_gamma_shriek_rejects_impure_models():
@@ -77,23 +77,23 @@ def test_gamma_evaluation_is_nonzero(s3, s4):
 
 def test_delta_shriek_leading_term_s3(s3):
     ds = shriek_delta_semipure(s3, 10)
-    f1 = ds.map(ds.path.algebra.one())
-    sq = ds.square
+    f1 = ds(ds.source.algebra.one())
+    sq = ds.target
     assert f1 == sq.gen_elem("x@R") - sq.gen_elem("x@L")
     # powers of the suspension generator die (odd base, no correction needed)
-    assert ds.map(ds.path.gen_elem("s1_x")).is_zero()
+    assert ds(ds.source.gen_elem("s1_x")).is_zero()
 
 
 def test_delta_shriek_is_a_cocycle(s3, s4):
     for V, cut in ((s3, 10), (s4, 12)):
         ds = shriek_delta_semipure(V, cut)
-        assert cocycle_defects(ds.map, cut - max(ds.map.degree, 0)) == []
+        assert cocycle_defects(ds, cut - max(ds.degree, 0)) == []
 
 
 def test_delta_shriek_leading_term_s4(s4):
     ds = shriek_delta_semipure(s4, 12)
-    sq = ds.square
-    lead = ds.map(ds.path.gen_elem("s1_x"))
+    sq = ds.target
+    lead = ds(ds.source.gen_elem("s1_x"))
     diff = lead - (sq.gen_elem("y@R") - sq.gen_elem("y@L"))
     # any correction lies in the ideal generated by y@L·y@R
     for mono in diff.terms:
