@@ -1,7 +1,25 @@
-"""Plain rational-pivot Gaussian elimination over fractions.Fraction.
+"""Exact sparse Gaussian elimination over fractions.Fraction.
 
-Matrices are lists of rows; rows are lists of Fraction.  Everything here is
-exact and deterministic (first nonzero pivot in column order).
+A sparse row is a dict {column: nonzero Fraction}.  The one elimination
+routine is ``Echelon``: a pivot map {pivot column: row} of a row space,
+grown one row at a time.  Every row in it has 1 at its pivot and 0 at every
+other pivot column (the rows are fully reduced), so
+
+* ``reduce`` gives a row's normal form modulo the space: zero at every pivot
+  column, and unique, because two such forms differ by a vector of the space
+  that vanishes on all pivot columns;
+* ``insert`` reduces a row and, when something is left, makes its first
+  nonzero column a new pivot, scales it to 1 and clears that column from the
+  other rows.
+
+Only columns below ``ncols`` may become pivots.  Columns from ``ncols`` on
+ride along as a tail: an augmented row [a | b] records b for every
+combination of rows, which is how ``solve`` and ``inverse`` read their
+answers and how the cohomology code records coordinates.
+
+The RREF of a row space is unique, so the dense interface below (lists of
+rows of Fraction, as the callers use it) returns exactly what a dense
+column-by-column reduction would, whatever order the rows arrive in.
 """
 
 from __future__ import annotations
@@ -10,9 +28,63 @@ from fractions import Fraction
 
 Vec = list
 Mat = list
+Row = dict  # {column: nonzero Fraction}
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+
+
+def sparse(v: Vec) -> Row:
+    return {j: Fraction(x) for j, x in enumerate(v) if x}
+
+
+def _sub_multiple(out: Row, f: Fraction, row: Row) -> None:
+    """out -= f * row, in place, keeping out free of zeros."""
+    for j, x in row.items():
+        cur = out.get(j)
+        if cur is None:
+            out[j] = -f * x
+        else:
+            v = cur - f * x
+            if v:
+                out[j] = v
+            else:
+                del out[j]
+
+
+class Echelon:
+    """A row space as a pivot map {pivot column: fully reduced row}."""
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.rows: dict[int, Row] = {}
+
+    def reduce(self, row: Row) -> Row:
+        """The normal form of row modulo the space, as a new row."""
+        out = dict(row)
+        rows = self.rows
+        # subtracting a fully reduced row touches no other pivot column, so
+        # one pass over the pivot columns row starts with is enough
+        for p in [j for j in row if j in rows]:
+            _sub_multiple(out, out[p], rows[p])
+        return out
+
+    def insert(self, row: Row) -> None:
+        """Add row to the space; a row that reduces to zero in the columns
+        below ncols adds no pivot."""
+        red = self.reduce(row)
+        head = [j for j in red if j < self.ncols]
+        if not head:
+            return
+        p = min(head)
+        inv = F1 / red[p]
+        if inv != F1:
+            red = {j: x * inv for j, x in red.items()}
+        for other in self.rows.values():
+            f = other.get(p)
+            if f:
+                _sub_multiple(other, f, red)
+        self.rows[p] = red
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -38,58 +110,48 @@ def mat_vec(a: Mat, v: Vec) -> Vec:
 
 
 def rref(rows: Mat, ncols: int | None = None) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form; returns (rref rows, pivot column list)."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if ncols is None:
-        ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = F1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    """Reduced row echelon form; returns (rref rows, pivot column list).
+
+    Pivots are sought in the first ncols columns only (default: all)."""
+    width = len(rows[0]) if rows else 0
+    ech = Echelon(width if ncols is None else ncols)
+    for r in rows:
+        ech.insert(sparse(r))
+    pivots = sorted(ech.rows)
+    return [[ech.rows[p].get(j, F0) for j in range(width)] for p in pivots], pivots
 
 
 def nullspace(rows: Mat, ncols: int) -> list[Vec]:
     """Basis of the kernel of the matrix (rows act on column vectors)."""
     red, pivots = rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
+    pivot_set = set(pivots)
     basis: list[Vec] = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
         v = [F0] * ncols
         v[f] = F1
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
+        for row, p in zip(red, pivots):
+            if row[f]:
+                v[p] = -row[f]
         basis.append(v)
     return basis
 
 
 def solve(a: Mat, b: Vec) -> Vec | None:
     """One solution of A x = b with free variables set to 0; None if none."""
-    n = len(a)
     ncols = len(a[0]) if a else 0
-    aug = [list(a[i]) + [Fraction(b[i])] for i in range(n)]
-    red, pivots = rref(aug, ncols)
+    eqs = [sparse(row) for row in a]
+    ech = Echelon(ncols)
+    for eq, rhs in zip(eqs, b):
+        ech.insert({**eq, ncols: Fraction(rhs)} if rhs else eq)
     x = [F0] * ncols
-    for i, p in enumerate(pivots):
-        x[p] = red[i][ncols]
-    # rref() stops scanning at ncols, so an inconsistent system shows up
-    # only when the candidate is substituted back
-    for i in range(n):
-        s = sum((c * v for c, v in zip(a[i], x) if c and v), F0)
-        if s != b[i]:
+    for p, row in ech.rows.items():
+        x[p] = row.get(ncols, F0)
+    # pivots stop at column ncols, so an inconsistent system shows up only
+    # when the candidate is substituted back
+    for eq, rhs in zip(eqs, b):
+        if sum((c * x[j] for j, c in eq.items()), F0) != rhs:
             return None
     return x
 
@@ -98,9 +160,9 @@ def inverse(a: Mat) -> Mat:
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("not square")
-    aug = [list(row) + [F1 if j == i else F0 for j in range(n)]
-           for i, row in enumerate(a)]
-    red, pivots = rref(aug, n)
-    if len(pivots) != n:
+    ech = Echelon(n)
+    for i, row in enumerate(a):
+        ech.insert({**sparse(row), n + i: F1})
+    if len(ech.rows) != n:
         raise ValueError("singular matrix")
-    return [row[n:] for row in red]
+    return [[ech.rows[p].get(n + j, F0) for j in range(n)] for p in range(n)]

@@ -59,6 +59,7 @@ from .dga_models import (
 from .shriek import (
     GorensteinInfo,
     ModuleMap,
+    delta_cutoff,
     fiber_basis,
     gorenstein_info,
     shriek_delta_semipure,
@@ -286,12 +287,8 @@ def brane_product_dual(
     kun, double, glue = _sphere_and_double_disk(V, disk_model(V, k), k)
     state, square = kun.state, kun.square
     spheres, _, _ = relative_tensor(state, sphere_model(V, k + 1))
-    # δ! has degree r and leading fiber monomial Π s1_x; the solve covers one
-    # fiber degree past both the table and that monomial, so that every
-    # D(f) = 0 equation the table depends on is written
-    lead = sum(g.degree - 1 for g in V.algebra.generators if not g.is_odd)
-    r = sum(g.degree for g in V.algebra.generators if g.is_odd) - lead
-    delta = shriek_delta_semipure(V, max(r, 0) + max(max_degree, lead) + 1)
+    delta = shriek_delta_semipure(V, delta_cutoff(V, max_degree))
+    r = delta.degree
     shriek = _shriek_tensor_id(delta, square, max_degree)
     steps = [
         Step("double disk vs sphere identification", glue, forward=False),

@@ -1,8 +1,17 @@
 """Degreewise exact cohomology: bases, class vectors, induced maps.
 
-Everything is plain rational Gaussian elimination on the canonical monomial
-bases, so representative choices are deterministic (echelon pivots in
-monomial order) and reproducible bit-for-bit.
+Cochains are sparse rows over the canonical monomial basis of a degree, and
+all elimination goes through ``_linalg.Echelon``.  ``cohomology_basis``
+makes one pass: it inserts the coboundaries, then reduces each cocycle of
+the kernel basis modulo the coboundaries and the representatives chosen so
+far; a nonzero normal form, scaled to lead with 1, is the next
+representative and is inserted in turn.  Normal forms are unique, so the
+representatives are deterministic (echelon pivots in monomial order) and
+reproducible bit-for-bit.
+
+The pivot map is kept in the ``CohomologyBasis``.  Each representative's row
+carries a coordinate column, so ``class_vector`` reduces a cocycle against
+it and reads the class's coordinates off what is left.
 """
 
 from __future__ import annotations
@@ -29,13 +38,6 @@ def element_vector(M: DgaModel, n: int, e: Element) -> list[Fraction]:
     return v
 
 
-def vector_element(M: DgaModel, n: int, v: list[Fraction]) -> Element:
-    basis = M.algebra.basis(n)
-    return Element(
-        M.algebra, {m: Fraction(c) for m, c in zip(basis, v) if c}
-    )
-
-
 def d_matrix(M: DgaModel, n: int) -> list[list[Fraction]]:
     """Matrix of d: degree n -> degree n+1 (rows: target basis)."""
     src = M.algebra.basis(n)
@@ -55,10 +57,10 @@ def d_matrix(M: DgaModel, n: int) -> list[list[Fraction]]:
 class CohomologyBasis:
     degree: int
     representatives: list[Element]
-    # echelon of the coboundary space plus internal solve data
-    _boundary_rows: list[list[Fraction]]
-    _rep_vectors: list[list[Fraction]]
-    _dim_cochains: int
+    # pivot map of the coboundaries plus the representatives; a
+    # representative's row carries 1 in tail column dim + j, so every row's
+    # tail holds its coordinates in the representatives
+    _echelon: la.Echelon
 
     @property
     def dimension(self) -> int:
@@ -66,50 +68,38 @@ class CohomologyBasis:
 
 
 def cohomology_basis(M: DgaModel, n: int) -> CohomologyBasis:
-    cached = M.cohomology_cache.get(n)
+    # add_generator changes every cochain space, so entries are keyed on the
+    # generator count too
+    key = (n, len(M.algebra.generators))
+    cached = M.cohomology_cache.get(key)
     if cached is not None:
         return cached
-    dim = len(M.algebra.basis(n))
-    dn = d_matrix(M, n)
-    cocycles = la.nullspace(dn, dim) if dim else []
-    boundaries: list[list[Fraction]] = []
+    basis = M.algebra.basis(n)
+    dim = len(basis)
+    cocycles = la.nullspace(d_matrix(M, n), dim) if dim else []
+    ech = la.Echelon(dim)
     if n >= 1 and dim:
-        prev = M.algebra.basis(n - 1)
-        for mono in prev:
+        for mono in M.algebra.basis(n - 1):
             img = M.d(M.algebra.monomial_element(mono))
-            if not img.is_zero():
-                boundaries.append(element_vector(M, n, img))
-    b_ech, _ = la.rref(boundaries, dim)
-    # pick cocycles independent modulo the boundaries, echelon-reduced
-    span = [list(r) for r in b_ech]
-    reps: list[list[Fraction]] = []
+            ech.insert(la.sparse(element_vector(M, n, img)))
+    # a cocycle's normal form modulo coboundaries + earlier representatives,
+    # scaled to lead with 1, is the next representative
+    reps: list[la.Row] = []
     for z in cocycles:
-        red = _reduce_against(z, span)
-        if any(red):
-            lead = next(i for i, c in enumerate(red) if c)
-            red = [c / red[lead] for c in red]
-            span.append(red)
-            span, _ = la.rref(span, dim)
-            reps.append(red)
-    basis = CohomologyBasis(
+        red = ech.reduce(la.sparse(z))
+        head = [j for j in red if j < dim]
+        if head:
+            lead = red[min(head)]
+            rep = {j: red[j] / lead for j in head}
+            ech.insert({**rep, dim + len(reps): la.F1})
+            reps.append(rep)
+    h = CohomologyBasis(
         n,
-        [vector_element(M, n, r) for r in reps],
-        [list(r) for r in b_ech],
-        reps,
-        dim,
+        [Element(M.algebra, {basis[j]: r[j] for j in sorted(r)}) for r in reps],
+        ech,
     )
-    M.cohomology_cache[n] = basis
-    return basis
-
-
-def _reduce_against(v: list[Fraction], echelon: list[list[Fraction]]) -> list[Fraction]:
-    out = list(v)
-    for row in echelon:
-        lead = next((i for i, c in enumerate(row) if c), None)
-        if lead is not None and out[lead]:
-            f = out[lead] / row[lead]
-            out = [a - f * b for a, b in zip(out, row)]
-    return out
+    M.cohomology_cache[key] = h
+    return h
 
 
 def class_vector(M: DgaModel, n: int, e: Element) -> list[Fraction]:
@@ -117,19 +107,15 @@ def class_vector(M: DgaModel, n: int, e: Element) -> list[Fraction]:
     if not M.d(e).is_zero():
         raise ModelError(f"element is not a cocycle in degree {n}: {e!r}")
     h = cohomology_basis(M, n)
-    v = element_vector(M, n, e)
-    if not any(v):
-        return [F0] * h.dimension
-    ncols = len(h._boundary_rows) + h.dimension
-    # solve [boundaries | representatives] * c = v
-    rows = []
-    for i in range(h._dim_cochains):
-        row = [b[i] for b in h._boundary_rows] + [r[i] for r in h._rep_vectors]
-        rows.append(row)
-    sol = la.solve(rows, v)
-    if sol is None:
-        raise ModelError("cocycle does not lie in boundaries + representatives span")
-    return sol[len(h._boundary_rows):]
+    dim = h._echelon.ncols
+    # e - Σ c_p row_p leaves 0 below dim and -(coordinates of e) in the tail
+    red = h._echelon.reduce(la.sparse(element_vector(M, n, e)))
+    coords = [F0] * h.dimension
+    for j, c in red.items():
+        if j < dim:
+            raise ModelError("cocycle does not lie in boundaries + representatives span")
+        coords[j - dim] = -c
+    return coords
 
 
 def induced_map(

@@ -25,15 +25,12 @@ from typing import ClassVar, Iterable, Sequence
 from .gca_core import (
     Element,
     GradedAlgebra,
+    ModelError,
     Monomial,
     Provenance,
     tensor,
     translate,
 )
-
-
-class ModelError(Exception):
-    """A model-level failure (bad shape, d² ≠ 0, unstable ideal, ...)."""
 
 
 # ---------------------------------------------------------------------------

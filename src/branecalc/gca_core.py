@@ -23,6 +23,10 @@ Monomial = tuple  # tuple[tuple[int, int], ...], sorted by generator id
 ONE: Monomial = ()
 
 
+class ModelError(Exception):
+    """A model-level failure (bad shape, d² ≠ 0, unstable ideal, ...)."""
+
+
 @dataclass(frozen=True)
 class Provenance:
     """Records how a generator arose.
@@ -69,7 +73,13 @@ class GradedAlgebra:
         if degree < 1:
             raise ValueError(f"generator {name!r} has degree {degree} < 1")
         if name in self._by_name:
-            raise ValueError(f"duplicate generator name {name!r}")
+            source = ("" if prov.origin in (None, name)
+                      else f" (derived from {prov.origin!r})")
+            raise ModelError(
+                f"generator name {name!r}{source} collides with another "
+                "generator; model generator names must not look like derived "
+                "ones (s<k>_NAME, NAME@L, NAME@R)"
+            )
         g = Generator(len(self._gens), name, degree, prov)
         self._gens.append(g)
         self._by_name[name] = g

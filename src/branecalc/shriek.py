@@ -246,6 +246,18 @@ def shriek_gamma_pure(V: DgaModel) -> ModuleMap:
 # δ! — the diagonal shriek
 
 
+def delta_cutoff(V: DgaModel, max_degree: int) -> int:
+    """The δ! solve's cutoff for tables through max_degree.
+
+    δ! has degree r and leading fiber monomial Π s1_x; the solve covers one
+    fiber degree past both the table and that monomial, so that every
+    D(f) = 0 equation the table depends on is written.
+    """
+    lead = sum(g.degree - 1 for g in V.algebra.generators if not g.is_odd)
+    r = sum(g.degree for g in V.algebra.generators if g.is_odd) - lead
+    return max(r, 0) + max(max_degree, lead) + 1
+
+
 def shriek_delta_semipure(V: DgaModel, cutoff: int) -> ModuleMap:
     """δ! from the path model to ∧V⊗², solved from D(f) = 0 up to cutoff."""
     from .dga_models import is_minimal

@@ -139,11 +139,13 @@ def test_brane_product_tsv_is_byte_identical(s3_file, capsys):
 
 
 @pytest.mark.parametrize(
-    "op", ["product-s3-d8", "coproduct-s3-d8", "product-s4-d6", "coproduct-s4-d6"]
+    "op", ["product-s3-d8", "coproduct-s3-d8", "product-s4-d6", "coproduct-s4-d6",
+           "coproduct-s4-d14", "product-s3xs3-d10", "product-s4-d10"]
 )
 def test_table_ops_match_benchmark_references(op, capsys, monkeypatch):
     # the exit code and stdout digest that branebench/references.json
-    # recorded for the benchmark's fast table commands
+    # recorded for the benchmark's table commands, the timed headline ones
+    # included
     with open(ROOT / "branebench" / "references.json", encoding="utf-8") as fh:
         ref = json.load(fh)[op]
     monkeypatch.chdir(ROOT)
@@ -179,6 +181,32 @@ def test_verify_suites_pass(s3_file, s4_file, capsys):
         code, out, _ = run(argv, capsys)
         assert code == 0, argv
         assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("model", ["s3", "s4", "s3xs3"])
+def test_verify_signs_passes_at_every_max_degree(model, capsys, monkeypatch):
+    # the δ! cutoff is sized from δ!'s degree and leading fiber monomial,
+    # so small --max-degree values do not starve the solve
+    monkeypatch.chdir(ROOT)
+    for d in range(8):
+        argv = ["verify", f"models/{model}.model", "--suite", "signs",
+                "--max-degree", str(d)]
+        code, out, err = run(argv, capsys)
+        assert code == 0 and "PASS" in out, (d, err)
+
+
+@pytest.mark.parametrize("text, command, name", [
+    ("gen x 4\ngen s1_x 3\n", "brane-product", "s1_x"),
+    ("gen x 3\ngen x@L 3\n", "brane-coproduct", "x@L"),
+], ids=["product-s1_x", "coproduct-x@L"])
+def test_generator_name_collisions_exit_2(text, command, name, tmp_path, capsys):
+    # a model generator named like a derived one (s<k>_NAME, NAME@L) is a
+    # model error, not a traceback
+    path = tmp_path / "clash.model"
+    path.write_text(text)
+    code, out, err = run([command, str(path), "--max-degree", "4"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: generator name") and repr(name) in err
 
 
 def test_verify_suite_fails_on_wrong_model(s3_file, capsys):

@@ -112,3 +112,16 @@ def test_map_onto_zero_cohomology_is_not_invertible(s3):
     with pytest.raises(ModelError, match="0×1"):
         invert_on_cohomology(f, s3, cone, 3)
     assert not is_quasi_iso(f, 3)
+
+
+def test_cohomology_cache_follows_new_generators():
+    M = make_model([("x", 3)])
+    assert cohomology_basis(M, 3).dimension == 1
+    M.algebra.add_generator("y", 3)
+    assert cohomology_basis(M, 3).dimension == 2
+    assert sorted(reps(M, 3)) == ["x", "y"]
+    # the kept reduction data must index the new basis too
+    h = cohomology_basis(M, 3)
+    for i, rep in enumerate(h.representatives):
+        assert class_vector(M, 3, rep) == [int(i == j) for j in range(2)]
+    assert cohomology_basis(M, 6).dimension == 1

@@ -1,0 +1,145 @@
+"""The sparse elimination kernel against sympy's exact linear algebra.
+
+Matrices are seeded random sparse rationals, plus the shapes where an
+eliminator tends to slip: empty, 0×k, all-zero and rank-deficient.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from branecalc import _linalg as la
+
+sympy = pytest.importorskip("sympy")
+
+
+def to_fraction(x) -> Fraction:
+    return Fraction(int(x.p), int(x.q))
+
+
+def to_sympy(rows, ncols):
+    return sympy.Matrix(len(rows), ncols, [sympy.Rational(x.numerator, x.denominator)
+                                           for row in rows for x in row])
+
+
+def random_matrix(rng, nrows, ncols, density=0.2):
+    return [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < density
+             else Fraction(0) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def low_rank(rng, nrows, ncols, rank):
+    left = random_matrix(rng, nrows, rank, 0.5)
+    right = random_matrix(rng, rank, ncols, 0.5)
+    return la.mat_mul(left, right) if rank else [[Fraction(0)] * ncols
+                                                 for _ in range(nrows)]
+
+
+def cases():
+    rng = random.Random(20180213)
+    out = [("empty", [], 0), ("0x4", [], 4), ("zero 3x5", [[Fraction(0)] * 5] * 3, 5),
+           ("1x1", [[Fraction(3, 2)]], 1)]
+    for i in range(30):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+        out.append((f"sparse {i}", random_matrix(rng, nrows, ncols), ncols))
+    for i in range(15):
+        nrows, ncols = rng.randint(2, 10), rng.randint(2, 10)
+        rank = rng.randint(0, min(nrows, ncols) - 1)
+        out.append((f"rank-deficient {i}", low_rank(rng, nrows, ncols, rank), ncols))
+    return out
+
+
+CASES = cases()
+IDS = [name for name, _, _ in CASES]
+
+
+@pytest.mark.parametrize("name, rows, ncols", CASES, ids=IDS)
+def test_rref_and_rank_match_sympy(name, rows, ncols):
+    red, pivots = la.rref(rows, ncols)
+    want, want_pivots = to_sympy(rows, ncols).rref()
+    assert pivots == list(want_pivots)
+    assert len(pivots) == to_sympy(rows, ncols).rank()
+    assert red == [[to_fraction(want[i, j]) for j in range(ncols)]
+                   for i in range(len(pivots))]
+
+
+@pytest.mark.parametrize("name, rows, ncols", CASES, ids=IDS)
+def test_rref_does_not_depend_on_row_order(name, rows, ncols):
+    shuffled = list(rows)
+    random.Random(len(rows) * 31 + ncols).shuffle(shuffled)
+    assert la.rref(shuffled, ncols) == la.rref(rows, ncols)
+
+
+@pytest.mark.parametrize("name, rows, ncols", CASES, ids=IDS)
+def test_nullspace_matches_sympy(name, rows, ncols):
+    got = la.nullspace(rows, ncols)
+    want = to_sympy(rows, ncols).nullspace()
+    assert got == [[to_fraction(x) for x in v] for v in want]
+    for v in got:
+        assert la.mat_vec(rows, v) == [0] * len(rows)
+
+
+@pytest.mark.parametrize("name, rows, ncols", CASES, ids=IDS)
+def test_solve_recovers_consistent_systems(name, rows, ncols):
+    rng = random.Random(ncols * 97 + len(rows))
+    x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols)]
+    b = la.mat_vec(rows, x)
+    sol = la.solve(rows, b)
+    assert sol is not None and la.mat_vec(rows, sol) == b
+    if len(la.rref(rows, ncols)[1]) == ncols:  # full column rank: x is the only solution
+        assert sol == x
+
+
+@pytest.mark.parametrize("name, rows, ncols", CASES, ids=IDS)
+def test_solve_rejects_inconsistent_systems(name, rows, ncols):
+    rng = random.Random(ncols * 89 + len(rows))
+    for _ in range(5):
+        b = [Fraction(rng.randint(-3, 3)) for _ in rows]
+        aug = [list(row) + [c] for row, c in zip(rows, b)]
+        consistent = (to_sympy(aug, ncols + 1).rank() == to_sympy(rows, ncols).rank()
+                      if rows else True)
+        sol = la.solve(rows, b)
+        assert (sol is not None) == consistent
+        if sol is not None:
+            assert la.mat_vec(rows, sol) == b
+
+
+def test_solve_on_a_zero_row_with_nonzero_right_side():
+    assert la.solve([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]], [1, 1]) is None
+
+
+def test_inverse_matches_sympy():
+    rng = random.Random(7)
+    checked = 0
+    while checked < 15:
+        n = rng.randint(1, 8)
+        a = random_matrix(rng, n, n, 0.4)
+        m = to_sympy(a, n)
+        if m.det() == 0:
+            with pytest.raises(ValueError, match="singular"):
+                la.inverse(a)
+            continue
+        inv = la.inverse(a)
+        assert inv == [[to_fraction(x) for x in m.inv().row(i)] for i in range(n)]
+        checked += 1
+    assert la.inverse([]) == []
+
+
+@pytest.mark.parametrize("a", [
+    [[Fraction(0)]],
+    [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]],
+    [[Fraction(0)] * 3] * 3,
+])
+def test_inverse_rejects_singular_matrices(a):
+    with pytest.raises(ValueError, match="singular"):
+        la.inverse(a)
+
+
+@pytest.mark.parametrize("a", [
+    [[Fraction(1), Fraction(2)]],
+    [[Fraction(1)], [Fraction(2)]],
+    [[Fraction(1), Fraction(0)], [Fraction(0)]],
+])
+def test_inverse_rejects_non_square_matrices(a):
+    with pytest.raises(ValueError, match="not square"):
+        la.inverse(a)
