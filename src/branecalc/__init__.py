@@ -71,7 +71,20 @@ from .brane_ops import (
     coproduct_double_composite,
     dualize_to_homology,
 )
-from .cli import ModelFile, ParseError, main, parse_model, print_model
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The cli module loads on first use, so that `python -m branecalc.cli` runs
+# it once, as __main__, rather than after an import through the package.
+_CLI_NAMES = ("cli", "ModelFile", "ParseError", "main", "parse_model", "print_model")
+
+
+def __getattr__(name: str):
+    if name in _CLI_NAMES:
+        from importlib import import_module
+
+        cli = import_module(".cli", __name__)
+        return cli if name == "cli" else getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_CLI_NAMES)
 __version__ = "0.1.0"

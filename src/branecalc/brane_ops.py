@@ -188,7 +188,6 @@ def _gluing_map(src: DgaModel, dst: DgaModel, top: int, tops: dict) -> DgaMorphi
     s^top v go where tops says; every other suspension (lower shifts, the
     path model's sV, a fresh disk's s^top V) goes to 0.
     """
-    by_prov = {g.prov: g.gid for g in dst.algebra.generators}
     images: dict[int, Element] = {}
     for g in src.algebra.generators:
         p = g.prov
@@ -200,7 +199,7 @@ def _gluing_map(src: DgaModel, dst: DgaModel, top: int, tops: dict) -> DgaMorphi
         else:
             images[g.gid] = dst.algebra.zero()
             continue
-        images[g.gid] = dst.algebra.generator_element(by_prov[target]) * sign
+        images[g.gid] = dst.algebra.generator_element(target) * sign
     f = DgaMorphism(src, dst, images)
     f.check_chain()
     return f

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .gca_core import Element, GradedAlgebra, Provenance
+from .gca_core import Element, GradedAlgebra
 from .cohomology import cohomology_basis
 from .dga_models import (
     Derivation,
@@ -164,7 +164,7 @@ def parse_model(text: str) -> ModelFile:
                                  lineno, toks[2][1])
             if alg.has_gen(nm):
                 raise ParseError(f"duplicate generator {nm!r}", lineno, toks[1][1])
-            alg.add_generator(nm, deg, Provenance("base", 0, nm, None))
+            alg.add_generator(nm, deg)
             gens.append((nm, deg))
         elif head == "d":
             if len(toks) < 4 or toks[2][0] != "=":

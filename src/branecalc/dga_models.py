@@ -11,23 +11,27 @@ The constructors build, on top of a minimal Sullivan algebra (∧V, d):
   d(sv) = 1⊗v - v⊗1 - Σ_{i≥1} (sd)^i/i! (v⊗1),
   the s-derivation sending both v⊗1 and 1⊗v to sv and sv to 0.
 
-Suspended generators are named "s{shift}_{name}"; the two halves of a
-tensor square are suffixed "@L"/"@R".
+Every generator carries a Provenance (kind, shift, origin, factor), by which
+the constructors and the shriek builders find it; its name is only the
+label Provenance.name derives from that, e.g. "s1_x" for s¹x and "x@L" for
+the left copy of x when the two copies of a tensor square would clash.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import ClassVar, Iterable, Sequence
 
 from .gca_core import (
     Element,
+    Generator,
     GradedAlgebra,
     ModelError,
     Monomial,
     Provenance,
+    add_tagged,
     tensor,
     translate,
 )
@@ -44,10 +48,6 @@ class Derivation:
     algebra: GradedAlgebra
     degree: int
     images: dict[int, Element]
-
-    def on_generator(self, gid: int) -> Element:
-        img = self.images.get(gid)
-        return img if img is not None else self.algebra.zero()
 
     def __call__(self, e: Element) -> Element:
         alg = self.algebra
@@ -194,7 +194,7 @@ def make_model(
     """Convenience constructor for a base Sullivan algebra (∧V, d)."""
     alg = GradedAlgebra(name)
     for nm, deg in gens:
-        alg.add_generator(nm, deg, Provenance("base", 0, nm, None))
+        alg.add_generator(nm, deg)
     images: dict[int, Element] = {}
     for nm, terms in (diffs or {}).items():
         images[alg.gen(nm).gid] = alg.element(terms)
@@ -202,11 +202,29 @@ def make_model(
     return model
 
 
-def _copy_generators(src: GradedAlgebra, dst: GradedAlgebra) -> dict[int, int]:
-    out = {}
-    for g in src.generators:
-        out[g.gid] = dst.add_generator(g.name, g.degree, g.prov).gid
-    return out
+def _copy_generators(gens: Iterable[Generator], dst: GradedAlgebra) -> dict[int, int]:
+    return {g.gid: dst.add_generator(g.prov, g.degree).gid for g in gens}
+
+
+def _suspension(
+    V: DgaModel, alg: GradedAlgebra, base_map: dict[int, int], shift: int
+) -> tuple[dict[int, int], Derivation]:
+    """Add s^shift V to alg, whose copy of V is base_map.
+
+    Returns the map from V's generator ids to those of the s^shift v, and
+    the degree -shift derivation s^shift sending each copied v to s^shift v
+    and every other generator to 0.
+    """
+    susp = {
+        g.gid: alg.add_generator(
+            Provenance("susp", shift, g.name), g.degree - shift
+        ).gid
+        for g in V.algebra.generators
+    }
+    s = Derivation(alg, -shift, {
+        base_map[v]: alg.generator_element(sv) for v, sv in susp.items()
+    })
+    return susp, s
 
 
 def is_minimal(V: DgaModel) -> bool:
@@ -226,18 +244,8 @@ def sphere_model(V: DgaModel, k: int) -> DgaModel:
         raise ModelError(f"sphere model needs all generator degrees ≥ k={k}")
     shift = k - 1
     alg = GradedAlgebra(f"sphere[{shift}]({V.algebra.name})")
-    base_map = _copy_generators(V.algebra, alg)
-    susp: dict[int, int] = {}
-    for g in V.algebra.generators:
-        susp[g.gid] = alg.add_generator(
-            f"s{shift}_{g.name}", g.degree - shift,
-            Provenance("susp", shift, g.name, g.prov.factor),
-        ).gid
-    s_der = Derivation(
-        alg, -shift,
-        {base_map[g.gid]: alg.generator_element(susp[g.gid])
-         for g in V.algebra.generators},
-    )
+    base_map = _copy_generators(V.algebra.generators, alg)
+    susp, s_der = _suspension(V, alg, base_map, shift)
     sign = -1 if shift % 2 else 1
     images: dict[int, Element] = {}
     for g in V.algebra.generators:
@@ -260,29 +268,9 @@ def disk_model(V: DgaModel, k: int) -> DgaModel:
     if any(g.degree < k + 1 for g in V.algebra.generators):
         raise ModelError(f"disk model needs all generator degrees ≥ k+1={k + 1}")
     alg = GradedAlgebra(f"disk[{k}]({V.algebra.name})")
-    base_map = _copy_generators(V.algebra, alg)
-    susp_lo: dict[int, int] = {}
-    susp_hi: dict[int, int] = {}
-    for g in V.algebra.generators:
-        susp_lo[g.gid] = alg.add_generator(
-            f"s{k - 1}_{g.name}", g.degree - (k - 1),
-            Provenance("susp", k - 1, g.name, g.prov.factor),
-        ).gid
-    for g in V.algebra.generators:
-        susp_hi[g.gid] = alg.add_generator(
-            f"s{k}_{g.name}", g.degree - k,
-            Provenance("susp", k, g.name, g.prov.factor),
-        ).gid
-    s_lo = Derivation(
-        alg, -(k - 1),
-        {base_map[g.gid]: alg.generator_element(susp_lo[g.gid])
-         for g in V.algebra.generators},
-    )
-    s_hi = Derivation(
-        alg, -k,
-        {base_map[g.gid]: alg.generator_element(susp_hi[g.gid])
-         for g in V.algebra.generators},
-    )
+    base_map = _copy_generators(V.algebra.generators, alg)
+    susp_lo, s_lo = _suspension(V, alg, base_map, k - 1)
+    susp_hi, s_hi = _suspension(V, alg, base_map, k)
     images: dict[int, Element] = {}
     for g in V.algebra.generators:
         dv = translate(V.d(V.algebra.generator_element(g.gid)), alg, base_map)
@@ -309,27 +297,9 @@ def path_model(V: DgaModel, max_series_iterations: int = 64) -> DgaModel:
     if not is_minimal(V):
         raise ModelError("path model needs a minimal input (no linear part)")
     alg = GradedAlgebra(f"path({V.algebra.name})")
-    left: dict[int, int] = {}
-    right: dict[int, int] = {}
-    susp: dict[int, int] = {}
-    for g in V.algebra.generators:
-        left[g.gid] = alg.add_generator(
-            g.name + "@L", g.degree, Provenance("base", 0, g.name, "L")
-        ).gid
-    for g in V.algebra.generators:
-        right[g.gid] = alg.add_generator(
-            g.name + "@R", g.degree, Provenance("base", 0, g.name, "R")
-        ).gid
-    for g in V.algebra.generators:
-        susp[g.gid] = alg.add_generator(
-            f"s1_{g.name}", g.degree - 1, Provenance("susp", 1, g.name, None)
-        ).gid
-    s_images = {}
-    for g in V.algebra.generators:
-        sv = alg.generator_element(susp[g.gid])
-        s_images[left[g.gid]] = sv
-        s_images[right[g.gid]] = sv
-    s_der = Derivation(alg, -1, s_images)
+    left, right = add_tagged(alg, V.algebra.generators, V.algebra.generators)
+    susp, s_der = _suspension(V, alg, left, 1)
+    s_der.images.update({right[v]: alg.generator_element(sv) for v, sv in susp.items()})
 
     images: dict[int, Element] = {}
     d_partial = Derivation(alg, 1, images)  # shares the dict being filled
@@ -379,10 +349,7 @@ def sub_model(M: DgaModel, gids: Iterable[int], name: str = "") -> tuple[DgaMode
     keep = list(gids)
     keep_set = set(keep)
     alg = GradedAlgebra(name or f"sub({M.algebra.name})")
-    gid_map: dict[int, int] = {}
-    for gid in keep:
-        g = M.algebra.gen(gid)
-        gid_map[gid] = alg.add_generator(g.name, g.degree, g.prov).gid
+    gid_map = _copy_generators(map(M.algebra.gen, keep), alg)
     images: dict[int, Element] = {}
     for gid in keep:
         img = M.d(M.algebra.generator_element(gid))
@@ -402,33 +369,23 @@ def base_model(M: DgaModel) -> tuple[DgaModel, dict[int, int]]:
     return sub_model(M, M.base_gids, name=f"base({M.algebra.name})")
 
 
-def morphism_phi(sphere: DgaModel) -> DgaMorphism:
-    """φ: sphere model → ∧V; identity on V, zero on suspensions."""
-    target, gid_map = base_model(sphere)
+def morphism_phi(M: DgaModel) -> DgaMorphism:
+    """φ: sphere model → ∧V, or ε̃: disk model → ∧V; identity on V, zero on
+    every suspension."""
+    keep = [g.gid for g in M.algebra.generators if g.prov.kind == "base"]
+    target, gid_map = sub_model(M, keep, name=f"base({M.algebra.name})")
     images: dict[int, Element] = {}
-    for g in sphere.algebra.generators:
+    for g in M.algebra.generators:
         if g.gid in gid_map:
             images[g.gid] = target.algebra.generator_element(gid_map[g.gid])
         else:
             images[g.gid] = target.algebra.zero()
-    f = DgaMorphism(sphere, target, images)
+    f = DgaMorphism(M, target, images)
     f.check_chain()
     return f
 
 
-def morphism_eps_tilde(disk: DgaModel) -> DgaMorphism:
-    """ε̃: disk model → ∧V; identity on V, zero on both suspensions."""
-    keep = [g.gid for g in disk.algebra.generators if g.prov.kind == "base"]
-    target, gid_map = sub_model(disk, keep, name=f"base({disk.algebra.name})")
-    images: dict[int, Element] = {}
-    for g in disk.algebra.generators:
-        if g.gid in gid_map:
-            images[g.gid] = target.algebra.generator_element(gid_map[g.gid])
-        else:
-            images[g.gid] = target.algebra.zero()
-    f = DgaMorphism(disk, target, images)
-    f.check_chain()
-    return f
+morphism_eps_tilde = morphism_phi
 
 
 def base_change(M: DgaModel, f: DgaMorphism) -> tuple[DgaModel, DgaMorphism]:
@@ -438,23 +395,17 @@ def base_change(M: DgaModel, f: DgaMorphism) -> tuple[DgaModel, DgaMorphism]:
     differential is rewritten through f.  Returns the model and the induced
     map M → A ⊗_B M.
     """
-    base_names = {M.algebra.gen(gid).name for gid in M.base_gids}
-    f_names = {g.name for g in f.source.algebra.generators}
-    if base_names != f_names:
+    base_provs = {M.algebra.gen(gid).prov for gid in M.base_gids}
+    if base_provs != {g.prov for g in f.source.algebra.generators}:
         raise ModelError("morphism source does not match the base of M")
     alg = GradedAlgebra(f"({f.target.algebra.name})⊗({M.algebra.name})")
-    a_map = _copy_generators(f.target.algebra, alg)
-    fiber_map: dict[int, int] = {}
-    for gid in M.fiber_gids:
-        g = M.algebra.gen(gid)
-        nm = g.name if not alg.has_gen(g.name) else g.name + "'"
-        fiber_map[gid] = alg.add_generator(nm, g.degree, g.prov).gid
+    a_map = _copy_generators(f.target.algebra.generators, alg)
+    fiber_map = _copy_generators(map(M.algebra.gen, M.fiber_gids), alg)
     # the algebra map ρ: M → result (base through f, fiber to itself)
     rho: dict[int, Element] = {}
     for gid in M.base_gids:
         g = M.algebra.gen(gid)
-        src_gid = f.source.algebra.gen(g.name).gid
-        img = f.images.get(src_gid)
+        img = f.images.get(f.source.algebra.gen(g.prov).gid)
         if img is None:
             raise ModelError(f"morphism lacks an image for base generator {g.name}")
         rho[gid] = translate(img, alg, a_map)
@@ -487,43 +438,36 @@ def relative_tensor(
 ) -> tuple[DgaModel, DgaMorphism, DgaMorphism]:
     """M ⊗_B N for two semifree models over the same base B.
 
-    Fiber generators whose names collide get "@L"/"@R" suffixes.  Returns
-    the glued model and the two inclusion morphisms.
+    The bases are matched by provenance; fiber generators whose labels
+    collide are tagged with their factor (see add_tagged).  Returns the
+    glued model and the two inclusion morphisms.
     """
     m_base = [M.algebra.gen(g) for g in M.base_gids]
-    n_base = {N.algebra.gen(g).name: g for g in N.base_gids}
-    if {g.name for g in m_base} != set(n_base):
-        raise ModelError("relative tensor: base generator names differ")
+    n_base = {N.algebra.gen(g).prov: g for g in N.base_gids}
+    if {g.prov for g in m_base} != set(n_base):
+        raise ModelError("relative tensor: base generators differ")
     alg = GradedAlgebra(f"({M.algebra.name})⊗_B({N.algebra.name})")
     m_map: dict[int, int] = {}
     n_map: dict[int, int] = {}
     for g in m_base:
-        other = N.algebra.gen(n_base[g.name])
+        other = N.algebra.gen(n_base[g.prov])
         if other.degree != g.degree:
             raise ModelError(f"base generator {g.name} has mismatched degrees")
-        new = alg.add_generator(g.name, g.degree, g.prov).gid
+        new = alg.add_generator(g.prov, g.degree).gid
         m_map[g.gid] = new
         n_map[other.gid] = new
-    m_fiber_names = {M.algebra.gen(g).name for g in M.fiber_gids}
-    n_fiber_names = {N.algebra.gen(g).name for g in N.fiber_gids}
-    clash = m_fiber_names & n_fiber_names
-    for gid in M.fiber_gids:
-        g = M.algebra.gen(gid)
-        nm = g.name + "@L" if g.name in clash else g.name
-        prov = Provenance(g.prov.kind, g.prov.shift, g.prov.origin,
-                          "L" if g.name in clash else g.prov.factor)
-        m_map[gid] = alg.add_generator(nm, g.degree, prov).gid
-    for gid in N.fiber_gids:
-        g = N.algebra.gen(gid)
-        nm = g.name + "@R" if g.name in clash else g.name
-        prov = Provenance(g.prov.kind, g.prov.shift, g.prov.origin,
-                          "R" if g.name in clash else g.prov.factor)
-        n_map[gid] = alg.add_generator(nm, g.degree, prov).gid
+    m_fiber, n_fiber = add_tagged(
+        alg,
+        [M.algebra.gen(g) for g in M.fiber_gids],
+        [N.algebra.gen(g) for g in N.fiber_gids],
+    )
+    m_map.update(m_fiber)
+    n_map.update(n_fiber)
     images: dict[int, Element] = {}
     for g in m_base:
         img_m = translate(M.d(M.algebra.generator_element(g.gid)), alg, m_map)
         img_n = translate(
-            N.d(N.algebra.generator_element(n_base[g.name])), alg, n_map
+            N.d(N.algebra.generator_element(n_base[g.prov])), alg, n_map
         )
         if img_m != img_n:
             raise ModelError(
@@ -578,15 +522,16 @@ def tensor_model(M: DgaModel, N: DgaModel) -> tuple[DgaModel, DgaMorphism, DgaMo
     return result, inc_m, inc_n
 
 
-def quotient(M: DgaModel, kill_names: Sequence[str]) -> tuple[DgaModel, DgaMorphism]:
-    """Quotient by the ideal generated by a set of generators.
+def quotient(
+    M: DgaModel, kill_keys: Sequence[int | str | Provenance]
+) -> tuple[DgaModel, DgaMorphism]:
+    """Quotient by the ideal generated by a set of generators, each given
+    by id, label or provenance.
 
     Requires the ideal to be d-stable: every monomial of d(g) for a killed
     generator must itself contain a killed generator.
     """
-    kill = set()
-    for nm in kill_names:
-        kill.add(M.algebra.gen(nm).gid)
+    kill = {M.algebra.gen(key).gid for key in kill_keys}
     for gid in kill:
         dg = M.d(M.algebra.generator_element(gid))
         for mono in dg.terms:
@@ -598,10 +543,7 @@ def quotient(M: DgaModel, kill_names: Sequence[str]) -> tuple[DgaModel, DgaMorph
                 )
     keep = [g.gid for g in M.algebra.generators if g.gid not in kill]
     alg = GradedAlgebra(f"({M.algebra.name})/I")
-    gid_map: dict[int, int] = {}
-    for gid in keep:
-        g = M.algebra.gen(gid)
-        gid_map[gid] = alg.add_generator(g.name, g.degree, g.prov).gid
+    gid_map = _copy_generators(map(M.algebra.gen, keep), alg)
     images: dict[int, Element] = {}
     for gid in keep:
         dg = M.d(M.algebra.generator_element(gid))
@@ -631,21 +573,18 @@ def quotient(M: DgaModel, kill_names: Sequence[str]) -> tuple[DgaModel, DgaMorph
 # transpositions
 
 
-def _partner_name(name: str) -> str:
-    if name.endswith("@L"):
-        return name[:-2] + "@R"
-    if name.endswith("@R"):
-        return name[:-2] + "@L"
-    raise ModelError(f"generator {name!r} has no tensor-factor tag")
+def _factor_swap(alg: GradedAlgebra, g: Generator) -> Element:
+    """The copy of g in the other tensor factor."""
+    other = {"L": "R", "R": "L"}.get(g.prov.factor)
+    if other is None:
+        raise ModelError(f"generator {g.name!r} has no tensor-factor tag")
+    return alg.generator_element(replace(g.prov, factor=other))
 
 
 def square_transposition(square: DgaModel) -> DgaMorphism:
     """The factor swap a⊗b ↦ (-1)^(|a||b|) b⊗a on a tensor square."""
     alg = square.algebra
-    images = {
-        g.gid: alg.generator_element(_partner_name(g.name))
-        for g in alg.generators
-    }
+    images = {g.gid: _factor_swap(alg, g) for g in alg.generators}
     t = DgaMorphism(square, square, images)
     t.check_chain()
     return t
@@ -659,7 +598,7 @@ def loop_transposition(path: DgaModel) -> DgaMorphism:
         if g.prov.kind == "susp":
             images[g.gid] = -alg.generator_element(g.gid)
         else:
-            images[g.gid] = alg.generator_element(_partner_name(g.name))
+            images[g.gid] = _factor_swap(alg, g)
     t = DgaMorphism(path, path, images)
     t.check_chain()
     return t

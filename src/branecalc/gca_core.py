@@ -12,7 +12,7 @@ when an algebra is extended with new generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -29,12 +29,12 @@ class ModelError(Exception):
 
 @dataclass(frozen=True)
 class Provenance:
-    """Records how a generator arose.
+    """How a generator arose; within an algebra it identifies the generator.
 
     kind is "base" for generators of the underlying algebra V and "susp"
     for suspended copies; shift is the suspension amount (s^shift); origin
-    is the name of the generator of V being suspended; factor tags the
-    tensor factor ("L"/"R") when two copies of an algebra are glued.
+    is the name of the generator of V being suspended or copied; factor
+    tags the tensor factor ("L"/"R") of a copy whose label would clash.
     """
 
     kind: str = "base"
@@ -42,13 +42,25 @@ class Provenance:
     origin: str | None = None
     factor: str | None = None
 
+    @property
+    def name(self) -> str:
+        """The generator's label: origin or s<shift>_origin, then @factor."""
+        name = self.origin if self.kind == "base" else f"s{self.shift}_{self.origin}"
+        return name if self.factor is None else f"{name}@{self.factor}"
+
+    def tagged(self, factor: str) -> "Provenance":
+        """The copy in tensor factor factor; an earlier tag joins the origin."""
+        if self.factor is None:
+            return replace(self, factor=factor)
+        return replace(self, origin=f"{self.origin}@{self.factor}", factor=factor)
+
 
 @dataclass(frozen=True)
 class Generator:
     gid: int
     name: str
     degree: int
-    prov: Provenance = Provenance()
+    prov: Provenance
 
     @property
     def is_odd(self) -> bool:
@@ -61,19 +73,21 @@ class GradedAlgebra:
     def __init__(self, name: str = ""):
         self.name = name
         self._gens: list[Generator] = []
-        self._by_name: dict[str, Generator] = {}
+        # each generator under its label and under its provenance
+        self._by_key: dict[str | Provenance, Generator] = {}
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
 
     # ------------------------------------------------------------------
     # construction
 
-    def add_generator(
-        self, name: str, degree: int, prov: Provenance = Provenance()
-    ) -> Generator:
+    def add_generator(self, key: str | Provenance, degree: int) -> Generator:
+        """Add the generator with provenance key; a str names a base one."""
+        prov = Provenance("base", 0, key) if isinstance(key, str) else key
+        name = prov.name
         if degree < 1:
             raise ValueError(f"generator {name!r} has degree {degree} < 1")
-        if name in self._by_name:
-            source = ("" if prov.origin in (None, name)
+        if name in self._by_key:
+            source = ("" if prov.origin == name
                       else f" (derived from {prov.origin!r})")
             raise ModelError(
                 f"generator name {name!r}{source} collides with another "
@@ -82,7 +96,8 @@ class GradedAlgebra:
             )
         g = Generator(len(self._gens), name, degree, prov)
         self._gens.append(g)
-        self._by_name[name] = g
+        self._by_key[name] = g
+        self._by_key[prov] = g
         self._basis_cache.clear()
         return g
 
@@ -90,16 +105,17 @@ class GradedAlgebra:
     def generators(self) -> tuple[Generator, ...]:
         return tuple(self._gens)
 
-    def gen(self, key: Union[str, int]) -> Generator:
+    def gen(self, key: str | int | Provenance) -> Generator:
+        """The generator with this id, label or provenance."""
         if isinstance(key, int):
             return self._gens[key]
         try:
-            return self._by_name[key]
+            return self._by_key[key]
         except KeyError:
             raise KeyError(f"unknown generator {key!r}") from None
 
-    def has_gen(self, name: str) -> bool:
-        return name in self._by_name
+    def has_gen(self, key: str | Provenance) -> bool:
+        return key in self._by_key
 
     # ------------------------------------------------------------------
     # monomial arithmetic
@@ -221,7 +237,7 @@ class GradedAlgebra:
         c = Fraction(c)
         return Element(self, {ONE: c} if c else {})
 
-    def generator_element(self, key: Union[str, int]) -> "Element":
+    def generator_element(self, key: str | int | Provenance) -> "Element":
         g = self.gen(key)
         return Element(self, {((g.gid, 1),): Fraction(1)})
 
@@ -352,27 +368,39 @@ class Element:
         return out.replace("+ -", "- ")
 
 
+def add_tagged(
+    out: GradedAlgebra, left: Sequence[Generator], right: Sequence[Generator]
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Add copies of two generator families to out, left then right.
+
+    Copies whose labels clash get the factor tags "L" and "R" (see
+    Provenance.tagged); the others keep their provenance.  Returns the
+    generator-id maps of the two families into out.
+    """
+    clash = {g.name for g in left} & {g.name for g in right}
+
+    def copy(gens: Sequence[Generator], factor: str) -> dict[int, int]:
+        return {
+            g.gid: out.add_generator(
+                g.prov.tagged(factor) if g.name in clash else g.prov, g.degree
+            ).gid
+            for g in gens
+        }
+
+    return copy(left, "L"), copy(right, "R")
+
+
 def tensor(
     a: GradedAlgebra, b: GradedAlgebra, name: str = ""
 ) -> tuple[GradedAlgebra, dict[int, int], dict[int, int]]:
     """Tensor product of free GCAs.
 
     Returns the product algebra together with generator-id translation maps
-    for the two inclusions a -> a(x)b and b -> a(x)b.  Name collisions are
-    resolved by the factor-qualified suffixes "@L" and "@R".
+    for the two inclusions a -> a(x)b and b -> a(x)b.  Generators whose
+    labels collide are tagged with their factor (see add_tagged).
     """
     out = GradedAlgebra(name or f"{a.name}(x){b.name}")
-    clash = {g.name for g in a.generators} & {g.name for g in b.generators}
-    left: dict[int, int] = {}
-    right: dict[int, int] = {}
-    for g in a.generators:
-        nm = g.name + "@L" if g.name in clash else g.name
-        prov = Provenance(g.prov.kind, g.prov.shift, g.prov.origin, "L")
-        left[g.gid] = out.add_generator(nm, g.degree, prov).gid
-    for g in b.generators:
-        nm = g.name + "@R" if g.name in clash else g.name
-        prov = Provenance(g.prov.kind, g.prov.shift, g.prov.origin, "R")
-        right[g.gid] = out.add_generator(nm, g.degree, prov).gid
+    left, right = add_tagged(out, a.generators, b.generators)
     return out, left, right
 
 

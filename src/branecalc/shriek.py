@@ -19,7 +19,7 @@ Two shrieks are constructed:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -226,17 +226,17 @@ def shriek_gamma_pure(V: DgaModel) -> ModuleMap:
     sphere = sphere_model(V, 2)
     evens = [g for g in V.algebra.generators if not g.is_odd]
     odds = [g for g in V.algebra.generators if g.is_odd]
-    key_raw = [(disk.algebra.gen(f"s2_{g.name}").gid, 1) for g in odds]
+    key_raw = [(disk.algebra.gen(Provenance("susp", 2, g.name)).gid, 1) for g in odds]
     sign, key = disk.algebra.normalize(key_raw)
     assert sign == 1
     value = sphere.algebra.one()
     for g in evens:
-        value = value * sphere.algebra.generator_element(f"s1_{g.name}")
+        value = value * sphere.algebra.generator_element(Provenance("susp", 1, g.name))
     degree = (
         sum(g.degree - 1 for g in evens) - sum(g.degree - 2 for g in odds)
     )
     base_images = {
-        gid: sphere.algebra.generator_element(disk.algebra.gen(gid).name)
+        gid: sphere.algebra.generator_element(disk.algebra.gen(gid).prov)
         for gid in disk.base_gids
     }
     return ModuleMap(disk, sphere, degree, base_images, {key: value})
@@ -274,23 +274,24 @@ def shriek_delta_semipure(V: DgaModel, cutoff: int) -> ModuleMap:
     odds = [g for g in V.algebra.generators if g.is_odd]
     r = sum(g.degree for g in odds) - sum(g.degree - 1 for g in evens)
 
-    lead_raw = [(alg.gen(f"s1_{g.name}").gid, 1) for g in evens]
+    lead_raw = [(alg.gen(Provenance("susp", 1, g.name)).gid, 1) for g in evens]
     sign, lead = alg.normalize(lead_raw)
     assert sign == 1
+    # the two copies y⊗1 and 1⊗y of each odd y in ∧V⊗²
+    odd_copies = [
+        (sq.gen(g.prov.tagged("L")).gid, sq.gen(g.prov.tagged("R")).gid)
+        for g in odds
+    ]
     known = sq.one()
-    for g in odds:
-        known = known * (
-            sq.generator_element(g.name + "@R") - sq.generator_element(g.name + "@L")
-        )
+    for left, right in odd_copies:
+        known = known * (sq.generator_element(right) - sq.generator_element(left))
+
     def in_correction_ideal(mono: Monomial) -> bool:
         gids = {g for g, _ in mono}
-        for g in odds:
-            if sq.gen(g.name + "@L").gid in gids and sq.gen(g.name + "@R").gid in gids:
-                return True
-        return False
+        return any(left in gids and right in gids for left, right in odd_copies)
 
     base_images = {
-        gid: sq.generator_element(alg.gen(gid).name) for gid in path.base_gids
+        gid: sq.generator_element(alg.gen(gid).prov) for gid in path.base_gids
     }
 
     fiber_cut = max(cutoff - max(r, 0), 0)
@@ -437,32 +438,28 @@ def evaluation_pairing(
 def gamma_evaluation(V: DgaModel) -> tuple[Element, list[Fraction], DgaModel]:
     """Pair γ! against [Π s2_y_j ⊗ 1] in ∧s1V^even = sphere/(V, s1V^odd)."""
     gs = shriek_gamma_pure(V)
-    evens = [g.name for g in V.algebra.generators if not g.is_odd]
     odds = [g.name for g in V.algebra.generators if g.is_odd]
-    kill = evens + odds + [f"s1_{nm}" for nm in odds]
+    kill = [g.prov for g in V.algebra.generators]
+    kill += [Provenance("susp", 1, nm) for nm in odds]
     Q, proj = quotient(gs.target, kill)
     z = gs.source.algebra.one()
     for nm in odds:
-        z = z * gs.source.algebra.generator_element(f"s2_{nm}")
+        z = z * gs.source.algebra.generator_element(Provenance("susp", 2, nm))
     ev, vec = evaluation_pairing(gs, z, proj, Q)
     return ev, vec, Q
 
 
 def _square_to_quotient(square: DgaModel, V: DgaModel) -> tuple[DgaMorphism, DgaModel]:
     """ε ⊗ pr: ∧V⊗² → ∧V/(V^even)."""
-    evens = [g.name for g in V.algebra.generators if not g.is_odd]
-    VQ, _ = quotient(V, evens)
+    VQ, _ = quotient(V, [g.prov for g in V.algebra.generators if not g.is_odd])
     images: dict[int, Element] = {}
     for g in square.algebra.generators:
-        if g.name.endswith("@L"):
-            images[g.gid] = VQ.algebra.zero()
-        else:
-            nm = g.name[:-2]
-            images[g.gid] = (
-                VQ.algebra.generator_element(nm)
-                if VQ.algebra.has_gen(nm)
-                else VQ.algebra.zero()
-            )
+        v = replace(g.prov, factor=None)
+        images[g.gid] = (
+            VQ.algebra.generator_element(v)
+            if g.prov.factor == "R" and VQ.algebra.has_gen(v)
+            else VQ.algebra.zero()
+        )
     to_q = DgaMorphism(square, VQ, images)
     to_q.check_chain()
     return to_q, VQ
@@ -478,7 +475,7 @@ def delta_evaluation(
     z = f.source.algebra.one()
     for g in V.algebra.generators:
         if not g.is_odd:
-            z = z * f.source.algebra.generator_element(f"s1_{g.name}")
+            z = z * f.source.algebra.generator_element(Provenance("susp", 1, g.name))
     ev, vec = evaluation_pairing(f, z, to_q, VQ)
     return ev, vec, VQ
 
@@ -532,13 +529,13 @@ def one_generator_ext_sign(gen_degree: int, k: int) -> int:
     deg_a = gen_degree - (k - 1)
     deg_b = gen_degree - k
     alg = GradedAlgebra("one-generator")
-    a = alg.add_generator(f"s{k - 1}_v", deg_a, Provenance("susp", k - 1, "v"))
-    b = alg.add_generator(f"s{k}_v", deg_b, Provenance("susp", k, "v"))
+    a = alg.add_generator(Provenance("susp", k - 1, "v"), deg_a)
+    b = alg.add_generator(Provenance("susp", k, "v"), deg_b)
     d = Derivation(alg, 1, {b.gid: alg.generator_element(a.gid)})
     M = DgaModel(alg, d, (a.gid,))
     M.check()
     talg = GradedAlgebra("target")
-    ta = talg.add_generator(a.name, deg_a, a.prov)
+    ta = talg.add_generator(a.prov, deg_a)
     T = DgaModel(talg, Derivation(talg, 1, {}), (ta.gid,))
     base_images = {a.gid: talg.generator_element(ta.gid)}
     if deg_a % 2:

@@ -141,11 +141,13 @@ def test_brane_product_tsv_is_byte_identical(s3_file, capsys):
 @pytest.mark.parametrize(
     "op", ["product-s3-d8", "coproduct-s3-d8", "product-s4-d6", "coproduct-s4-d6",
            "coproduct-s4-d14", "product-s3xs3-d10", "product-s4-d10"]
+    + [f"{kind}-model-{m}" for kind in ("sphere", "disk", "path")
+       for m in ("s3", "s4", "s3xs3")]
 )
 def test_table_ops_match_benchmark_references(op, capsys, monkeypatch):
     # the exit code and stdout digest that branebench/references.json
     # recorded for the benchmark's table commands, the timed headline ones
-    # included
+    # included; the model tables pin every derived generator label
     with open(ROOT / "branebench" / "references.json", encoding="utf-8") as fh:
         ref = json.load(fh)[op]
     monkeypatch.chdir(ROOT)
@@ -223,6 +225,8 @@ def test_console_script_runs(s3_file):
     )
     assert proc.returncode == 0
     assert "OK" in proc.stdout
+    # the package does not import cli ahead of runpy, so no RuntimeWarning
+    assert proc.stderr == ""
 
 
 def test_usage_error_exits_2():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from branecalc import (
@@ -17,10 +19,12 @@ from branecalc import (
     sphere_model,
     tensor_model,
 )
+from branecalc.cli import parse_model
 
 from conftest import build_s3, build_s3xs3, build_s4
 
 CORPUS = [build_s3, build_s4, build_s3xs3]
+MODEL_FILES = sorted((Path(__file__).resolve().parent.parent / "models").glob("*.model"))
 
 
 @pytest.mark.parametrize("build", CORPUS)
@@ -57,6 +61,34 @@ def test_sphere_fiber_degrees_and_provenance(s4, k):
         origin = M.algebra.gen(g.prov.origin)
         assert g.degree == origin.degree - (k - 1)
         assert g.name == f"s{k - 1}_{g.prov.origin}"
+
+
+def _constructions(V):
+    """Each model constructor applied to V (all of whose degrees are ≥ 3)."""
+    sphere, disk, path = sphere_model(V, 2), disk_model(V, 2), path_model(V)
+    out = {f"sphere_model k={k}": sphere_model(V, k) for k in (1, 2, 3)}
+    out.update({f"disk_model k={k}": disk_model(V, k) for k in (1, 2)})
+    out["path_model"] = path
+    out["tensor_model"] = tensor_model(sphere, sphere)[0]
+    out["relative_tensor of disks"] = relative_tensor(disk, disk)[0]
+    out["relative_tensor of path and square"] = relative_tensor(
+        path, tensor_model(V, V)[0])[0]
+    out["base_change"] = base_change(disk, morphism_phi(sphere))[0]
+    out["quotient"] = quotient(sphere, [g.prov for g in V.algebra.generators])[0]
+    return out
+
+
+@pytest.mark.parametrize("path", MODEL_FILES, ids=lambda p: p.stem)
+def test_every_constructor_keys_generators_by_provenance(path):
+    # a generator's provenance identifies it, and its name is the label
+    # derived from that provenance
+    V = parse_model(path.read_text(encoding="utf-8")).model
+    for what, M in _constructions(V).items():
+        gens = M.algebra.generators
+        assert len({g.prov for g in gens}) == len(gens), what
+        for g in gens:
+            assert M.algebra.gen(g.prov) is g, (what, g)
+            assert g.name == g.prov.name, (what, g)
 
 
 def test_disk_differential_links_the_two_suspensions(s3):
