@@ -86,6 +86,17 @@ class Echelon:
                 _sub_multiple(other, f, red)
         self.rows[p] = red
 
+    def kernel(self) -> list[Row]:
+        """Basis of the vectors over columns below ncols that every row
+        kills, one per free column f: v[f] = 1, v[p] = -row_p[f]."""
+        basis = {f: {f: F1} for f in range(self.ncols) if f not in self.rows}
+        for p, row in self.rows.items():
+            for f, x in row.items():
+                v = basis.get(f)
+                if v is not None:
+                    v[p] = -x
+        return list(basis.values())
+
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     if not a or not b:
@@ -123,19 +134,10 @@ def rref(rows: Mat, ncols: int | None = None) -> tuple[Mat, list[int]]:
 
 def nullspace(rows: Mat, ncols: int) -> list[Vec]:
     """Basis of the kernel of the matrix (rows act on column vectors)."""
-    red, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
-    basis: list[Vec] = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [F0] * ncols
-        v[f] = F1
-        for row, p in zip(red, pivots):
-            if row[f]:
-                v[p] = -row[f]
-        basis.append(v)
-    return basis
+    ech = Echelon(ncols)
+    for r in rows:
+        ech.insert(sparse(r))
+    return [[v.get(j, F0) for j in range(ncols)] for v in ech.kernel()]
 
 
 def solve(a: Mat, b: Vec) -> Vec | None:

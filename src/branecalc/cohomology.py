@@ -1,11 +1,17 @@
 """Degreewise exact cohomology: bases, class vectors, induced maps.
 
-Cochains are sparse rows over the canonical monomial basis of a degree, and
-all elimination goes through ``_linalg.Echelon``.  ``cohomology_basis``
-makes one pass: it inserts the coboundaries, then reduces each cocycle of
-the kernel basis modulo the coboundaries and the representatives chosen so
-far; a nonzero normal form, scaled to lead with 1, is the next
-representative and is inserted in turn.  Normal forms are unique, so the
+Cochains are sparse rows {position: coefficient} over the canonical
+monomial basis of a degree, found through a cached {monomial: position}
+map, and all elimination goes through ``_linalg.Echelon``.  Per model, d is
+applied once to each basis monomial of each degree, and the rows of d on
+degree n serve twice: transposed, they are the matrix whose kernel
+(``Echelon.kernel``, in free-column form) gives the cocycles of Hⁿ; as they
+are, they are the coboundaries of Hⁿ⁺¹.
+
+``cohomology_basis`` inserts the coboundaries, then reduces each kernel
+cocycle modulo the coboundaries and the representatives chosen so far; a
+nonzero normal form, scaled to lead with 1, is the next representative and
+is inserted in turn.  Kernel bases and normal forms are unique, so the
 representatives are deterministic (echelon pivots in monomial order) and
 reproducible bit-for-bit.
 
@@ -27,30 +33,28 @@ from .dga_models import DgaModel, ModelError
 F0 = Fraction(0)
 
 
-def element_vector(M: DgaModel, n: int, e: Element) -> list[Fraction]:
-    basis = M.algebra.basis(n)
-    index = {m: i for i, m in enumerate(basis)}
-    v = [F0] * len(basis)
-    for mono, c in e.terms.items():
-        if M.algebra.monomial_degree(mono) != n:
-            raise ValueError("element has terms outside the requested degree")
-        v[index[mono]] = c
-    return v
+def _cached(M: DgaModel, key: tuple, make: Callable):
+    """M.cohomology_cache[key], made on first use.  add_generator changes
+    every cochain space, so the key gets the generator count too."""
+    key = (*key, len(M.algebra.generators))
+    if key not in M.cohomology_cache:
+        M.cohomology_cache[key] = make()
+    return M.cohomology_cache[key]
 
 
-def d_matrix(M: DgaModel, n: int) -> list[list[Fraction]]:
-    """Matrix of d: degree n -> degree n+1 (rows: target basis)."""
-    src = M.algebra.basis(n)
-    tgt = M.algebra.basis(n + 1)
-    index = {m: i for i, m in enumerate(tgt)}
-    cols = []
-    for mono in src:
-        img = M.d(M.algebra.monomial_element(mono))
-        col = [F0] * len(tgt)
-        for m, c in img.terms.items():
-            col[index[m]] = c
-        cols.append(col)
-    return [[cols[j][i] for j in range(len(src))] for i in range(len(tgt))]
+def _index(M: DgaModel, n: int) -> dict:
+    """{monomial: position} over the degree-n basis."""
+    return _cached(M, ("index", n),
+                   lambda: {m: i for i, m in enumerate(M.algebra.basis(n))})
+
+
+def _d_rows(M: DgaModel, n: int) -> list[la.Row]:
+    """d of each degree-n basis monomial, as a sparse row over basis(n+1)."""
+    def make():
+        alg, index = M.algebra, _index(M, n + 1)
+        return [{index[m]: c for m, c in M.d(alg.monomial_element(mono)).terms.items()}
+                for mono in alg.basis(n)]
+    return _cached(M, ("d", n), make)
 
 
 @dataclass
@@ -68,38 +72,38 @@ class CohomologyBasis:
 
 
 def cohomology_basis(M: DgaModel, n: int) -> CohomologyBasis:
-    # add_generator changes every cochain space, so entries are keyed on the
-    # generator count too
-    key = (n, len(M.algebra.generators))
-    cached = M.cohomology_cache.get(key)
-    if cached is not None:
-        return cached
+    return _cached(M, (n,), lambda: _cohomology_basis(M, n))
+
+
+def _cohomology_basis(M: DgaModel, n: int) -> CohomologyBasis:
     basis = M.algebra.basis(n)
     dim = len(basis)
-    cocycles = la.nullspace(d_matrix(M, n), dim) if dim else []
+    # the cocycles: the kernel of d_n, whose matrix rows are the transposed
+    # d rows of the degree-n monomials
+    matrix: dict[int, la.Row] = {}
+    for j, row in enumerate(_d_rows(M, n)):
+        for i, c in row.items():
+            matrix.setdefault(i, {})[j] = c
+    d_n = la.Echelon(dim)
+    for i in sorted(matrix):
+        d_n.insert(matrix[i])
     ech = la.Echelon(dim)
-    if n >= 1 and dim:
-        for mono in M.algebra.basis(n - 1):
-            img = M.d(M.algebra.monomial_element(mono))
-            ech.insert(la.sparse(element_vector(M, n, img)))
+    if dim:
+        for row in _d_rows(M, n - 1):  # the coboundaries
+            ech.insert(row)
     # a cocycle's normal form modulo coboundaries + earlier representatives,
     # scaled to lead with 1, is the next representative
     reps: list[la.Row] = []
-    for z in cocycles:
-        red = ech.reduce(la.sparse(z))
+    for z in d_n.kernel():
+        red = ech.reduce(z)
         head = [j for j in red if j < dim]
         if head:
             lead = red[min(head)]
             rep = {j: red[j] / lead for j in head}
             ech.insert({**rep, dim + len(reps): la.F1})
             reps.append(rep)
-    h = CohomologyBasis(
-        n,
-        [Element(M.algebra, {basis[j]: r[j] for j in sorted(r)}) for r in reps],
-        ech,
-    )
-    M.cohomology_cache[key] = h
-    return h
+    elements = [Element(M.algebra, {basis[j]: r[j] for j in sorted(r)}) for r in reps]
+    return CohomologyBasis(n, elements, ech)
 
 
 def class_vector(M: DgaModel, n: int, e: Element) -> list[Fraction]:
@@ -107,11 +111,14 @@ def class_vector(M: DgaModel, n: int, e: Element) -> list[Fraction]:
     if not M.d(e).is_zero():
         raise ModelError(f"element is not a cocycle in degree {n}: {e!r}")
     h = cohomology_basis(M, n)
-    dim = h._echelon.ncols
+    dim, index = h._echelon.ncols, _index(M, n)
+    try:
+        row = {index[m]: c for m, c in e.terms.items()}
+    except KeyError:
+        raise ValueError("element has terms outside the requested degree") from None
     # e - Σ c_p row_p leaves 0 below dim and -(coordinates of e) in the tail
-    red = h._echelon.reduce(la.sparse(element_vector(M, n, e)))
     coords = [F0] * h.dimension
-    for j, c in red.items():
+    for j, c in h._echelon.reduce(row).items():
         if j < dim:
             raise ModelError("cocycle does not lie in boundaries + representatives span")
         coords[j - dim] = -c

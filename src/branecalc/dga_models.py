@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from types import MappingProxyType
 from typing import ClassVar, Iterable, Sequence
 
 from .gca_core import (
@@ -35,6 +36,8 @@ from .gca_core import (
     tensor,
     translate,
 )
+
+F0 = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -53,25 +56,25 @@ class Derivation:
         alg = self.algebra
         if e.algebra is not alg:
             raise ValueError("element not in this derivation's algebra")
-        out = alg.zero()
+        terms: dict[Monomial, Fraction] = {}
         for mono, coeff in e.terms.items():
-            word: list[int] = []
-            for gid, exp in mono:
-                word.extend([gid] * exp)
-            prefix_deg = 0
-            for pos, gid in enumerate(word):
+            pre_deg = 0
+            for i, (gid, exp) in enumerate(mono):
+                deg = alg.gen(gid).degree
                 img = self.images.get(gid)
-                if img is not None and not img.is_zero():
-                    sign = -1 if (self.degree * prefix_deg) % 2 else 1
-                    # slices of a sorted word are sorted: sign +1, exponents
-                    # just need collapsing
-                    _, pre_m = alg.normalize([(g, 1) for g in word[:pos]])
-                    _, suf_m = alg.normalize([(g, 1) for g in word[pos + 1:]])
-                    pre = alg.monomial_element(pre_m)
-                    suf = alg.monomial_element(suf_m)
-                    out = out + pre * img * suf * (coeff * sign)
-                prefix_deg += alg.gen(gid).degree
-        return out
+                if img is not None:
+                    # d(pre·g^e·suf) = (-1)^(r|pre|) e·pre·dg·g^(e-1)·suf; as
+                    # |dg| = |g| + r, moving dg's terms m to the front turns
+                    # the sign into (-1)^(|pre||g|) times that of m·rest
+                    kept = ((gid, exp - 1),) if exp > 1 else ()
+                    rest = mono[:i] + kept + mono[i + 1:]
+                    c0 = coeff * exp if pre_deg * deg % 2 == 0 else -coeff * exp
+                    for m, c in img.terms.items():
+                        sign, prod = alg.mul_monomials(m, rest)
+                        if sign:
+                            terms[prod] = terms.get(prod, F0) + sign * c0 * c
+                pre_deg += deg * exp
+        return Element(alg, {m: c for m, c in terms.items() if c})
 
 
 def _apply_algebra_map(
@@ -152,6 +155,10 @@ class DgaModel:
     d: Derivation
     base_gids: tuple[int, ...] = ()
     cohomology_cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # the cached d rows and cohomology bases are only valid for this d
+        self.d.images = MappingProxyType(dict(self.d.images))
 
     @property
     def fiber_gids(self) -> tuple[int, ...]:

@@ -125,3 +125,20 @@ def test_cohomology_cache_follows_new_generators():
     for i, rep in enumerate(h.representatives):
         assert class_vector(M, 3, rep) == [int(i == j) for j in range(2)]
     assert cohomology_basis(M, 6).dimension == 1
+
+
+def test_cohomology_applies_d_once_per_monomial(s4):
+    M = sphere_model(s4, 2)
+    d, seen = M.d, []
+
+    def counting_d(e):
+        if len(e.terms) == 1:
+            seen.append(next(iter(e.terms)))
+        return d(e)
+
+    M.d = counting_d
+    top = 14
+    for n in range(top + 1):
+        cohomology_basis(M, n)
+    cochains = sum(len(M.algebra.basis(n)) for n in range(top + 1))
+    assert len(seen) == len(set(seen)) == cochains

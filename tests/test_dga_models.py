@@ -1,8 +1,14 @@
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branecalc import (
+    DgaModel,
+    Derivation,
+    GradedAlgebra,
     ModelError,
     base_change,
     base_model,
@@ -200,8 +206,6 @@ def test_base_model_extracts_the_base(s4):
 
 
 def test_non_square_zero_differential_is_reported():
-    from fractions import Fraction
-
     M = make_model(
         [("a", 1), ("b", 2)],
         {"a": {((1, 1),): Fraction(1)}, "b": {((0, 1), (1, 1)): Fraction(1)}},
@@ -209,3 +213,58 @@ def test_non_square_zero_differential_is_reported():
     assert M.d_squared_witnesses() == ["a", "b"]
     with pytest.raises(ModelError):
         M.check()
+
+
+def random_element(draw, alg, degree):
+    """A random nonzero combination of degree-`degree` monomials."""
+    monos = draw(st.lists(st.sampled_from(alg.basis(degree)), min_size=1,
+                          max_size=3, unique=True))
+    coeffs = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+    return alg.element({m: draw(coeffs) for m in monos})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_derivation_obeys_the_leibniz_rule(data):
+    """d(g) = images[g] and d(ab) = d(a)·b + (-1)^(r|a|) a·d(b), both sides
+    through Element products: these laws fix a derivation uniquely, so they
+    check the monomial-wise application independently."""
+    draw = data.draw
+    odd = draw(st.lists(st.sampled_from([1, 3, 5]), min_size=2, max_size=3))
+    even = draw(st.lists(st.sampled_from([2, 4]), min_size=1, max_size=2))
+    alg = GradedAlgebra("leibniz")
+    for i, deg in enumerate(draw(st.permutations(odd + even))):
+        alg.add_generator(f"g{i}", deg)
+    r = draw(st.sampled_from([1, -1, -2]))  # a differential, the suspensions
+    images = {}
+    for g in alg.generators:
+        if alg.basis(g.degree + r) and draw(st.integers(0, 3)) < 3:
+            images[g.gid] = random_element(draw, alg, g.degree + r)
+    d = Derivation(alg, r, images)
+    for g in alg.generators:
+        assert d(alg.generator_element(g.gid)) == images.get(g.gid, alg.zero())
+    # every monomial times every generator, then random combinations
+    pairs = [(alg.monomial_element(m), alg.generator_element(g.gid))
+             for n in range(7) for m in alg.basis(n) for g in alg.generators]
+    degrees = st.sampled_from([n for n in range(9) if alg.basis(n)])
+    for _ in range(3):
+        pairs.append((random_element(draw, alg, draw(degrees)),
+                      random_element(draw, alg, draw(degrees))))
+    for a, b in pairs:
+        sign = -1 if r * a.degree() % 2 else 1
+        assert d(a * b) == d(a) * b + a * d(b) * sign
+
+
+def test_building_a_model_freezes_its_differential():
+    alg = GradedAlgebra("frozen")
+    x = alg.add_generator("x", 4)
+    y = alg.add_generator("y", 7)
+    images = {y.gid: alg.generator_element(x.gid) * alg.generator_element(x.gid)}
+    M = DgaModel(alg, Derivation(alg, 1, images))
+    with pytest.raises(TypeError):
+        M.d.images[x.gid] = alg.generator_element(x.gid)
+    with pytest.raises(TypeError):
+        del M.d.images[y.gid]
+    # the dict the model was built from no longer reaches its differential
+    images[x.gid] = alg.generator_element(x.gid)
+    assert M.d(alg.generator_element(x.gid)).is_zero()
