@@ -1,11 +1,11 @@
 """Fingerprint the CLI's output over a fixed matrix of commands.
 
-Runs 177 commands in-process through ``branecalc.cli.main`` and prints one
+Runs 225 commands in-process through ``branecalc.cli.main`` and prints one
 line per command: exit code, sha256 of stdout, sha256 of stderr, argv.  The
 commands, each on models/s3.model, models/s4.model and models/s3xs3.model:
 
 * ``brane-product`` and ``brane-coproduct`` with ``--format tsv``, with and
-  without ``--homology``, at ``--max-degree`` 0 to 10;
+  without ``--homology``, at ``--max-degree`` 0 to 14;
 * the model dumps ``sphere-model`` and ``disk-model`` at ``--k`` 1, 2, 3 and
   ``path-model``;
 * ``cohomology --max-degree 12``;
@@ -39,7 +39,7 @@ def commands() -> list[list[str]]:
     for model in MODELS:
         for op in ("brane-product", "brane-coproduct"):
             for homology in ([], ["--homology"]):
-                for d in range(11):
+                for d in range(15):
                     out.append([op, model, "--max-degree", str(d),
                                 "--format", "tsv", *homology])
         for kind in ("sphere", "disk"):

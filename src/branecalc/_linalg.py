@@ -1,16 +1,26 @@
-"""Exact sparse Gaussian elimination over fractions.Fraction.
+"""Exact sparse Gaussian elimination, fraction-free, on integer rows.
 
-A sparse row is a dict {column: nonzero Fraction}.  The one elimination
-routine is ``Echelon``: a pivot map {pivot column: row} of a row space,
-grown one row at a time.  Every row in it has 1 at its pivot and 0 at every
-other pivot column (the rows are fully reduced), so
+A sparse row is a dict {column: nonzero coefficient}.  Rows go in and come
+out with ``fractions.Fraction`` coefficients; inside, the one elimination
+routine, ``Echelon``, keeps a pivot map {pivot column: row} of a row space
+whose rows are primitive integer rows: integer entries with gcd 1, positive
+at the pivot, and 0 at every other pivot column.  Such a row is the reduced
+row echelon form's row times the lcm of that row's denominators, so the
+pivots and every result are those of exact rational elimination, while the
+arithmetic runs on plain ints (which stay small on branecalc's models)
+rather than on ``Fraction`` objects, each of which takes a gcd to build.
+The elimination is fraction-free in the sense of Bareiss (1968); dividing
+each row by its content keeps the entries from growing.
 
-* ``reduce`` gives a row's normal form modulo the space: zero at every pivot
-  column, and unique, because two such forms differ by a vector of the space
-  that vanishes on all pivot columns;
+* ``reduce`` brings a row to integers over one common denominator, clears
+  each pivot column with out ← b·out − a·row_p (a/b = out[p]/row_p[p] in
+  lowest terms) and gives the normal form modulo the space as Fractions:
+  zero at every pivot column, and unique, because two such forms differ by
+  a vector of the space that vanishes on all pivot columns;
 * ``insert`` reduces a row and, when something is left, makes its first
-  nonzero column a new pivot, scales it to 1 and clears that column from the
-  other rows.
+  nonzero column a new pivot, divides the row by its content, makes the
+  pivot entry positive and clears that column from the other rows the same
+  way, keeping each of them primitive.
 
 Only columns below ``ncols`` may become pivots.  Columns from ``ncols`` on
 ride along as a tail: an augmented row [a | b] records b for every
@@ -25,6 +35,7 @@ column-by-column reduction would, whatever order the rows arrive in.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 Vec = list
 Mat = list
@@ -38,63 +49,96 @@ def sparse(v: Vec) -> Row:
     return {j: Fraction(x) for j, x in enumerate(v) if x}
 
 
-def _sub_multiple(out: Row, f: Fraction, row: Row) -> None:
-    """out -= f * row, in place, keeping out free of zeros."""
+def _integral(row: Row) -> tuple[dict[int, int], int]:
+    """(out, den) with out an integer row and row = out / den."""
+    den = 1
+    for x in row.values():
+        q = x.denominator
+        if den % q:
+            den = den // gcd(den, q) * q
+    return {j: x.numerator * (den // x.denominator) for j, x in row.items()}, den
+
+
+def _clear(out: dict[int, int], p: int, row: dict[int, int]) -> int:
+    """out ← b·out − a·row in place, with a/b = out[p]/row[p] in lowest
+    terms and b > 0 (row[p] > 0), which clears column p; returns b."""
+    a, b = out[p], row[p]
+    g = gcd(a, b)
+    if g != 1:
+        a //= g
+        b //= g
+    if b != 1:
+        for j in out:
+            out[j] *= b
     for j, x in row.items():
-        cur = out.get(j)
-        if cur is None:
-            out[j] = -f * x
+        v = out.get(j, 0) - a * x
+        if v:
+            out[j] = v
         else:
-            v = cur - f * x
-            if v:
-                out[j] = v
-            else:
-                del out[j]
+            del out[j]
+    return b
+
+
+def _primitive(row: dict[int, int], p: int) -> dict[int, int]:
+    """row divided by its content, signed so that row[p] > 0."""
+    g = gcd(*row.values())
+    if row[p] < 0:
+        g = -g
+    return row if g == 1 else {j: x // g for j, x in row.items()}
 
 
 class Echelon:
-    """A row space as a pivot map {pivot column: fully reduced row}."""
+    """A row space as a pivot map {pivot column: primitive integer row}."""
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: dict[int, Row] = {}
+        self.rows: dict[int, dict[int, int]] = {}
+
+    def _reduce(self, row: Row) -> tuple[dict[int, int], int]:
+        out, den = _integral(row)
+        rows = self.rows
+        # clearing a pivot column touches no other pivot column (each row is
+        # 0 there), so one pass over the pivot columns row starts with is
+        # enough
+        for p in [j for j in out if j in rows]:
+            den *= _clear(out, p, rows[p])
+        return out, den
 
     def reduce(self, row: Row) -> Row:
         """The normal form of row modulo the space, as a new row."""
-        out = dict(row)
-        rows = self.rows
-        # subtracting a fully reduced row touches no other pivot column, so
-        # one pass over the pivot columns row starts with is enough
-        for p in [j for j in row if j in rows]:
-            _sub_multiple(out, out[p], rows[p])
-        return out
+        out, den = self._reduce(row)
+        return {j: Fraction(x, den) for j, x in out.items()}
 
     def insert(self, row: Row) -> None:
         """Add row to the space; a row that reduces to zero in the columns
         below ncols adds no pivot."""
-        red = self.reduce(row)
-        head = [j for j in red if j < self.ncols]
+        out, _ = self._reduce(row)
+        head = [j for j in out if j < self.ncols]
         if not head:
             return
         p = min(head)
-        inv = F1 / red[p]
-        if inv != F1:
-            red = {j: x * inv for j, x in red.items()}
-        for other in self.rows.values():
-            f = other.get(p)
-            if f:
-                _sub_multiple(other, f, red)
-        self.rows[p] = red
+        new = _primitive(out, p)
+        rows = self.rows
+        for q, other in rows.items():
+            if p in other:
+                _clear(other, p, new)
+                rows[q] = _primitive(other, q)
+        rows[p] = new
+
+    def fraction_rows(self) -> dict[int, Row]:
+        """The rows scaled to 1 at their pivots: the space's RREF rows."""
+        return {p: {j: Fraction(x, row[p]) for j, x in row.items()}
+                for p, row in self.rows.items()}
 
     def kernel(self) -> list[Row]:
         """Basis of the vectors over columns below ncols that every row
-        kills, one per free column f: v[f] = 1, v[p] = -row_p[f]."""
+        kills, one per free column f: v[f] = 1, v[p] = -row_p[f] / row_p[p]."""
         basis = {f: {f: F1} for f in range(self.ncols) if f not in self.rows}
         for p, row in self.rows.items():
             for f, x in row.items():
                 v = basis.get(f)
                 if v is not None:
-                    v[p] = -x
+                    v[p] = Fraction(-x, row[p])
         return list(basis.values())
 
 
@@ -128,8 +172,9 @@ def rref(rows: Mat, ncols: int | None = None) -> tuple[Mat, list[int]]:
     ech = Echelon(width if ncols is None else ncols)
     for r in rows:
         ech.insert(sparse(r))
-    pivots = sorted(ech.rows)
-    return [[ech.rows[p].get(j, F0) for j in range(width)] for p in pivots], pivots
+    view = ech.fraction_rows()
+    pivots = sorted(view)
+    return [[view[p].get(j, F0) for j in range(width)] for p in pivots], pivots
 
 
 def nullspace(rows: Mat, ncols: int) -> list[Vec]:
@@ -148,7 +193,7 @@ def solve(a: Mat, b: Vec) -> Vec | None:
     for eq, rhs in zip(eqs, b):
         ech.insert({**eq, ncols: Fraction(rhs)} if rhs else eq)
     x = [F0] * ncols
-    for p, row in ech.rows.items():
+    for p, row in ech.fraction_rows().items():
         x[p] = row.get(ncols, F0)
     # pivots stop at column ncols, so an inconsistent system shows up only
     # when the candidate is substituted back
@@ -167,4 +212,5 @@ def inverse(a: Mat) -> Mat:
         ech.insert({**sparse(row), n + i: F1})
     if len(ech.rows) != n:
         raise ValueError("singular matrix")
-    return [[ech.rows[p].get(n + j, F0) for j in range(n)] for p in range(n)]
+    view = ech.fraction_rows()
+    return [[view[p].get(n + j, F0) for j in range(n)] for p in range(n)]

@@ -105,7 +105,11 @@ class _ExprParser:
         coeff = Fraction(1)
         tok = self.peek()
         if tok is not None and (tok.isdigit() or "/" in tok and tok[0].isdigit()):
-            coeff = Fraction(self.next()[0])
+            tok, col = self.next()
+            try:
+                coeff = Fraction(tok)
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {tok!r}", self.line, col) from None
             if self.peek() == "*":
                 self.next()
             elif self.peek() is None or self.peek() in "+-":
@@ -122,18 +126,18 @@ class _ExprParser:
             raise ParseError(f"expected a generator name, got {tok!r}", self.line, col)
         if not self.alg.has_gen(tok):
             raise ParseError(f"unknown generator {tok!r}", self.line, col)
-        out = self.alg.generator_element(tok)
-        if self.peek() == "^":
-            self.next()
-            etok, ecol = self.next()
-            if not etok.isdigit():
-                raise ParseError(f"expected an integer exponent, got {etok!r}",
-                                 self.line, ecol)
-            base = out
-            out = self.alg.one()
-            for _ in range(int(etok)):
-                out = out * base
-        return out
+        if self.peek() != "^":
+            return self.alg.generator_element(tok)
+        self.next()
+        etok, ecol = self.next()
+        if not etok.isdigit():
+            raise ParseError(f"expected an integer exponent, got {etok!r}",
+                             self.line, ecol)
+        # g^e as one monomial, so a huge exponent costs no e products
+        g, e = self.alg.gen(tok), int(etok)
+        if g.is_odd and e > 1:
+            return self.alg.zero()
+        return self.alg.monomial_element(((g.gid, e),) if e else ())
 
 
 def parse_model(text: str) -> ModelFile:

@@ -80,20 +80,30 @@ class Derivation:
 def _apply_algebra_map(
     e: Element, images: dict[int, Element], target: GradedAlgebra
 ) -> Element:
-    out = target.zero()
+    """The algebra map given by images on generators, applied monomial by
+    monomial: each factor's image is multiplied into the term dict."""
+    mul = target.mul_monomials
+    terms: dict[Monomial, Fraction] = {}
     for mono, coeff in e.terms.items():
-        term = target.one() * coeff
+        acc: dict[Monomial, Fraction] = {(): coeff}
         for gid, exp in mono:
             try:
-                img = images[gid]
+                img = images[gid].terms
             except KeyError:
                 raise ModelError(f"no image for generator id {gid}") from None
             for _ in range(exp):
-                term = term * img
-            if term.is_zero():
+                nxt: dict[Monomial, Fraction] = {}
+                for m, c in acc.items():
+                    for m2, c2 in img.items():
+                        sign, prod = mul(m, m2)
+                        if sign:
+                            nxt[prod] = nxt.get(prod, F0) + sign * c * c2
+                acc = {m: c for m, c in nxt.items() if c}
+            if not acc:
                 break
-        out = out + term
-    return out
+        for m, c in acc.items():
+            terms[m] = terms.get(m, F0) + c
+    return Element(target, {m: c for m, c in terms.items() if c})
 
 
 @dataclass

@@ -1,12 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from branecalc.cli import ParseError, main, parse_model, print_model
+from branecalc import GradedAlgebra
+from branecalc.cli import ModelFile, ParseError, main, parse_model, print_model
 
 ROOT = Path(__file__).resolve().parent.parent
 S3 = "algebra S3\ngen x 3\n"
@@ -73,6 +80,79 @@ def test_parse_accepts_comments_and_rationals():
 def test_parse_negative_info_value():
     mf = parse_model("gen x 3\ninfo mbar = -1\n")
     assert mf.info == {"mbar": -1}
+
+
+@st.composite
+def model_files(draw):
+    """A random small model file: 1–4 generators (some named like keywords),
+    random homogeneous differentials, optional name and info."""
+    names = draw(st.lists(st.sampled_from(["a", "x", "y2", "w_1", "u'", "d", "gen"]),
+                          min_size=1, max_size=4, unique=True))
+    gens = [(nm, draw(st.integers(1, 6))) for nm in names]
+    alg = GradedAlgebra()
+    for nm, deg in gens:
+        alg.add_generator(nm, deg)
+    coeffs = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 5)])
+    diffs = {}
+    for g in alg.generators:
+        basis = alg.basis(g.degree + 1)
+        if basis and draw(st.booleans()):
+            monos = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=3,
+                                  unique=True))
+            diffs[g.name] = alg.element({m: draw(coeffs) for m in monos})
+    info = draw(st.dictionaries(st.sampled_from(["m", "mbar"]), st.integers(-9, 9)))
+    return ModelFile(draw(st.sampled_from([None, "M", "S4"])), gens, diffs, info)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_files())
+def test_parse_inverts_print_on_random_models(mf):
+    back = parse_model(print_model(mf))
+    assert (back.name, back.gens, back.info) == (mf.name, mf.gens, mf.info)
+    want = {nm: e.terms for nm, e in mf.diffs.items()}
+    assert {nm: e.terms for nm, e in back.diffs.items()} == want
+    alg = back.model.algebra
+    assert [(g.name, g.degree) for g in alg.generators] == mf.gens
+    assert {alg.gen(gid).name: e.terms for gid, e in back.model.d.images.items()} == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_files(), st.lists(st.tuples(st.integers(0, 10**4), st.sampled_from(
+    ["", "^", "*", "/", "0", "9", "(", "=", "-", "+", "#", "@", "$", "\n", " ",
+     "gen", "d", "info", "x"])), min_size=1, max_size=4))
+def test_malformed_text_exits_2_without_a_traceback(mf, edits):
+    """Random edits of a printed model ("" deletes a character): text the
+    parser rejects exits 2 with a located message, the rest exits 0 or 1."""
+    text = print_model(mf)
+    for pos, junk in edits:
+        pos %= len(text) + 1
+        text = text[:pos] + junk + text[pos + (not junk):]
+    try:
+        parse_model(text)
+        malformed = False
+    except ParseError:
+        malformed = True
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.model"
+        path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["check-dga", str(path)])
+    if malformed:
+        assert code == 2 and err.getvalue().startswith("error: line "), text
+    else:
+        assert code in (0, 1), text
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("1/0*x^2", "zero denominator in '1/0'"),
+    ("x^99999999", "got degree 399999996"),
+], ids=["zero-denominator", "huge-exponent"])
+def test_bad_coefficients_and_exponents_exit_2(expr, message, tmp_path, capsys):
+    path = tmp_path / "bad.model"
+    path.write_text(f"gen x 4\ngen y 7\nd y = {expr}\n")
+    code, _, err = run(["check-dga", str(path)], capsys)
+    assert code == 2 and err.startswith("error: line 3") and message in err
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from branecalc import (
     DgaModel,
+    DgaMorphism,
     Derivation,
     GradedAlgebra,
     ModelError,
@@ -253,6 +254,46 @@ def test_derivation_obeys_the_leibniz_rule(data):
     for a, b in pairs:
         sign = -1 if r * a.degree() % 2 else 1
         assert d(a * b) == d(a) * b + a * d(b) * sign
+
+
+def random_algebra(draw, name):
+    alg = GradedAlgebra(name)
+    degrees = draw(st.lists(st.sampled_from([1, 2, 3, 4, 5]), min_size=2, max_size=4))
+    for i, deg in enumerate(degrees):
+        alg.add_generator(f"g{i}", deg)
+    return alg
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_morphism_is_multiplicative(data):
+    """f(g) = images[g], f(1) = 1 and f(ab) = f(a)·f(b), the products through
+    Element products: these laws fix an algebra map uniquely, so they check
+    the monomial-wise application independently."""
+    draw = data.draw
+    src, tgt = random_algebra(draw, "source"), random_algebra(draw, "target")
+    images = {g.gid: random_element(draw, tgt, g.degree)
+              if tgt.basis(g.degree) and draw(st.integers(0, 3)) < 3 else tgt.zero()
+              for g in src.generators}
+    f = DgaMorphism(DgaModel(src, Derivation(src, 1, {})),
+                    DgaModel(tgt, Derivation(tgt, 1, {})), images)
+    assert f(src.one()) == tgt.one()
+    for g in src.generators:
+        assert f(src.generator_element(g.gid)) == images[g.gid]
+    pairs = [(src.monomial_element(m), src.generator_element(g.gid))
+             for n in range(7) for m in src.basis(n) for g in src.generators]
+    degrees = st.sampled_from([n for n in range(9) if src.basis(n)])
+    for _ in range(3):
+        pairs.append((random_element(draw, src, draw(degrees)),
+                      random_element(draw, src, draw(degrees))))
+    for a, b in pairs:
+        assert f(a * b) == f(a) * f(b)
+
+
+def test_morphism_without_an_image_is_a_model_error(s3):
+    f = DgaMorphism(s3, s3, {})
+    with pytest.raises(ModelError, match="no image for generator id"):
+        f(s3.algebra.generator_element(0))
 
 
 def test_building_a_model_freezes_its_differential():

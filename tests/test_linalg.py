@@ -1,11 +1,14 @@
 """The sparse elimination kernel against sympy's exact linear algebra.
 
 Matrices are seeded random sparse rationals, plus the shapes where an
-eliminator tends to slip: empty, 0×k, all-zero and rank-deficient.
+eliminator tends to slip: empty, 0×k, all-zero and rank-deficient, entries
+whose numerators and denominators pass 2**70, and rows whose denominators
+share no factor.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -46,7 +49,37 @@ def cases():
         nrows, ncols = rng.randint(2, 10), rng.randint(2, 10)
         rank = rng.randint(0, min(nrows, ncols) - 1)
         out.append((f"rank-deficient {i}", low_rank(rng, nrows, ncols, rank), ncols))
+    rng = random.Random(1968)
+    for i in range(6):
+        nrows, ncols = rng.randint(2, 6), rng.randint(2, 6)
+        out.append((f"huge {i}", huge_matrix(rng, nrows, ncols), ncols))
+    for i in range(4):
+        nrows, ncols = rng.randint(2, 7), rng.randint(2, 7)
+        out.append((f"coprime denominators {i}", coprime_matrix(rng, nrows, ncols), ncols))
     return out
+
+
+def huge_matrix(rng, nrows, ncols):
+    """Entries with numerators and denominators above 2**70; every third
+    row is a combination of two earlier ones, so elimination must cancel."""
+    def big():
+        return rng.choice([-1, 1]) * rng.randint(2**70, 2**80)
+    rows = []
+    for i in range(nrows):
+        if i >= 2 and i % 3 == 2:
+            a, b = Fraction(big(), big()), Fraction(big(), big())
+            rows.append([a * x + b * y for x, y in zip(rows[i - 2], rows[i - 1])])
+        else:
+            rows.append([Fraction(big(), big()) if rng.random() < 0.6 else Fraction(0)
+                         for _ in range(ncols)])
+    return rows
+
+
+def coprime_matrix(rng, nrows, ncols):
+    """Every entry over its own prime: no two denominators share a factor."""
+    primes = iter(rng.sample(list(sympy.primerange(2, 230)), nrows * ncols))
+    return [[Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), next(primes))
+             for _ in range(ncols)] for _ in range(nrows)]
 
 
 CASES = cases()
@@ -68,6 +101,44 @@ def test_rref_does_not_depend_on_row_order(name, rows, ncols):
     shuffled = list(rows)
     random.Random(len(rows) * 31 + ncols).shuffle(shuffled)
     assert la.rref(shuffled, ncols) == la.rref(rows, ncols)
+
+
+@pytest.mark.parametrize("name, rows, ncols", CASES, ids=IDS)
+def test_echelon_rows_are_primitive_and_order_free(name, rows, ncols):
+    """Each stored row is a primitive integer row, positive at its pivot, its
+    first column, and 0 at every other pivot column; the Fraction view is
+    the same whatever order the rows arrive in."""
+    rng = random.Random(len(rows) * 13 + ncols)
+    views = []
+    for _ in range(3):
+        order = list(rows)
+        rng.shuffle(order)
+        ech = la.Echelon(ncols)
+        for r in order:
+            ech.insert(la.sparse(r))
+        for p, row in ech.rows.items():
+            assert all(type(x) is int and x for x in row.values())
+            assert gcd(*row.values()) == 1 and row[p] > 0 and min(row) == p
+            assert not any(q in row for q in ech.rows if q != p)
+        views.append(ech.fraction_rows())
+    assert views[0] == views[1] == views[2]
+
+
+@pytest.mark.parametrize("name, rows, ncols", CASES, ids=IDS)
+def test_reduce_is_the_projection_off_the_pivot_columns(name, rows, ncols):
+    """reduce(v) = v − Σ_p v[p]·R_p over sympy's RREF rows R_p: zero at every
+    pivot column, and equal to v modulo the row space."""
+    ech = la.Echelon(ncols)
+    for r in rows:
+        ech.insert(la.sparse(r))
+    rng = random.Random(ncols * 7 + len(rows))
+    red, pivots = to_sympy(rows, ncols).rref() if rows else (None, ())
+    for v in random_matrix(rng, 3, ncols, 0.7) + rows[:1]:
+        want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in v]])
+        for i, p in enumerate(pivots):
+            want -= want[0, p] * red[i, :]
+        got = ech.reduce(la.sparse(v))
+        assert got == {j: to_fraction(x) for j, x in enumerate(want) if x}
 
 
 @pytest.mark.parametrize("name, rows, ncols", CASES, ids=IDS)
