@@ -1,6 +1,6 @@
 """Fingerprint the CLI's output over a fixed matrix of commands.
 
-Runs 225 commands in-process through ``branecalc.cli.main`` and prints one
+Runs 277 commands in-process through ``branecalc.cli.main`` and prints one
 line per command: exit code, sha256 of stdout, sha256 of stderr, argv.  The
 commands, each on models/s3.model, models/s4.model and models/s3xs3.model:
 
@@ -9,7 +9,12 @@ commands, each on models/s3.model, models/s4.model and models/s3xs3.model:
 * the model dumps ``sphere-model`` and ``disk-model`` at ``--k`` 1, 2, 3 and
   ``path-model``;
 * ``cohomology --max-degree 12``;
-* the six ``verify`` suites, and ``brane-product --k 3``.
+* the six ``verify`` suites, and ``brane-product --k 3``;
+
+and, on the S³×S⁴ model below, read from stdin (``-``) so that it needs no
+model file and a parent checkout runs it unchanged, ``brane-product`` and
+``brane-coproduct`` with and without ``--homology`` at ``--max-degree`` 0 to
+12: a model with generators of both parities.
 
 Two checkouts give the same tables exactly when their outputs are equal::
 
@@ -32,16 +37,20 @@ from pathlib import Path
 
 MODELS = ("models/s3.model", "models/s4.model", "models/s3xs3.model")
 SUITES = ("assoc", "comm", "frobenius", "golden", "signs", "vanishing")
+S3XS4 = "algebra S3xS4\ngen a 3\ngen x 4\ngen y 7\nd y = x^2\n"
+
+
+def _tables(model: str, top: int) -> list[list[str]]:
+    return [[op, model, "--max-degree", str(d), "--format", "tsv", *homology]
+            for op in ("brane-product", "brane-coproduct")
+            for homology in ([], ["--homology"])
+            for d in range(top + 1)]
 
 
 def commands() -> list[list[str]]:
     out = []
     for model in MODELS:
-        for op in ("brane-product", "brane-coproduct"):
-            for homology in ([], ["--homology"]):
-                for d in range(15):
-                    out.append([op, model, "--max-degree", str(d),
-                                "--format", "tsv", *homology])
+        out.extend(_tables(model, 14))
         for kind in ("sphere", "disk"):
             for k in (1, 2, 3):
                 out.append([f"{kind}-model", model, "--k", str(k), "--format", "tsv"])
@@ -50,11 +59,12 @@ def commands() -> list[list[str]]:
         for suite in SUITES:
             out.append(["verify", model, "--suite", suite])
         out.append(["brane-product", model, "--k", "3", "--format", "tsv"])
-    return out
+    return out + _tables("-", 12)
 
 
 def run(main, argv: list[str]) -> tuple[int, bytes, bytes]:
     stdout, stderr = io.StringIO(), io.StringIO()
+    sys.stdin = io.StringIO(S3XS4)  # what the "-" commands read
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             code = main(argv)

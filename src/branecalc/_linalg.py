@@ -130,16 +130,16 @@ class Echelon:
         return {p: {j: Fraction(x, row[p]) for j, x in row.items()}
                 for p, row in self.rows.items()}
 
-    def kernel(self) -> list[Row]:
+    def kernel(self) -> dict[int, Row]:
         """Basis of the vectors over columns below ncols that every row
-        kills, one per free column f: v[f] = 1, v[p] = -row_p[f] / row_p[p]."""
+        kills, {free column f: v} with v[f] = 1, v[p] = -row_p[f] / row_p[p]."""
         basis = {f: {f: F1} for f in range(self.ncols) if f not in self.rows}
         for p, row in self.rows.items():
             for f, x in row.items():
                 v = basis.get(f)
                 if v is not None:
                     v[p] = Fraction(-x, row[p])
-        return list(basis.values())
+        return basis
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -182,7 +182,7 @@ def nullspace(rows: Mat, ncols: int) -> list[Vec]:
     ech = Echelon(ncols)
     for r in rows:
         ech.insert(sparse(r))
-    return [[v.get(j, F0) for j in range(ncols)] for v in ech.kernel()]
+    return [[v.get(j, F0) for j in range(ncols)] for v in ech.kernel().values()]
 
 
 def solve(a: Mat, b: Vec) -> Vec | None:

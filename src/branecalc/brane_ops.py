@@ -1,12 +1,12 @@
 """The brane product/coproduct pipelines and the diagram checkers.
 
-Each operation is a zigzag of maps between gluing models, declared as a list
-of steps and evaluated on cohomology degree by degree: a rightward step
-contributes its induced map, a leftward step is a quasi-isomorphism whose
-induced map is inverted, and one step is a shriek ⊗ id, which shifts the
-degree.  Write M_{S^k} for the sphere model, D for the k-disk model (semifree
-over M_{S^(k-1)}), G = D ⊗_{M_{S^(k-1)}} D for the glued double disk and P for
-the path model of ∧V over ∧V⊗².  Then, with ← marking the inverted steps,
+Each operation is a zigzag of maps between gluing models, evaluated on
+cohomology degree by degree: a rightward arrow contributes its induced map,
+a leftward one is a quasi-isomorphism whose induced map is inverted, and a
+shriek ⊗ id shifts the degree.  Write M_{S^k} for the sphere model, D for
+the k-disk model (semifree over M_{S^(k-1)}), G = D ⊗_{M_{S^(k-1)}} D for
+the glued double disk and P for the path model of ∧V over ∧V⊗².  Then, with
+← marking the inverted arrows,
 
 * product μ∨ (k ≥ 2):
   M_{S^k} ←glue G →identify M_{S^k} ⊗_{∧V} M_{S^k}
@@ -15,6 +15,11 @@ the path model of ∧V over ∧V⊗².  Then, with ← marking the inverted step
   M_{S^k}⊗² →identify ∧V ⊗_{M_{S^1}} G ←collapse D ⊗_{M_{S^1}} G
   →γ!⊗id G →glue M_{S^k},
   where γ! exists because M → M^{S^1} has finite codimension.
+
+The arrows between the two ends are Steps.  At the square end H(M_{S^k}⊗²)
+is H⊗H (Künneth), indexed by pairs of state classes, and never computed:
+the product reads each value of δ!⊗id off with π⊗π (Kunneth.coordinates),
+and the coproduct applies identify to the pair cocycles a⊗b.
 
 Every morphism is fixed by generator provenance alone (see _gluing_map).
 
@@ -34,7 +39,7 @@ golden tests):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import _linalg as la
@@ -44,6 +49,7 @@ from .cohomology import (
     cohomology_basis,
     induced_map,
     invert_on_cohomology,
+    projection,
 )
 from .dga_models import (
     DgaModel,
@@ -77,67 +83,51 @@ Pair = tuple[Label, Label]
 
 
 @dataclass
-class KunnethIndex:
-    """Per-degree translation between H(A⊗A) coordinates and pairs of
-    H(A)-classes, through the two inclusions A → A⊗A of tensor_model."""
+class Kunneth:
+    """Pairs of H(A)-classes as classes of (square, left, right) =
+    tensor_model(A, A), with coordinates = π⊗π for CohomologyBasis.projection
+    and no cohomology of the square.  tensor_model adds all left generators
+    before the right ones, each copy in A's order, so a square monomial is its
+    left part times its right part, both canonical, with no sign; π has
+    degree 0, so π⊗π adds no Koszul sign either.
+    """
 
+    state: DgaModel
+    square: DgaModel
     left: DgaMorphism
     right: DgaMorphism
-    _cache: dict[int, tuple[list[Pair], list[list[Fraction]]]] = field(
-        default_factory=dict
-    )
-    _columns: dict[Pair, list[Fraction]] = field(default_factory=dict)
 
-    @property
-    def state(self) -> DgaModel:
-        return self.left.source
+    def pairs(self, n: int) -> list[Pair]:
+        """The pairs of total degree n, in (left degree, indices) order."""
+        dims = [cohomology_basis(self.state, d).dimension for d in range(n + 1)]
+        return [((da, ia), (n - da, ib)) for da in range(n + 1)
+                for ia in range(dims[da]) for ib in range(dims[n - da])]
 
-    @property
-    def square(self) -> DgaModel:
-        return self.left.target
+    def element(self, pair: Pair) -> Element:
+        """The square cocycle a⊗b of the representatives of the pair."""
+        (da, ia), (db, ib) = pair
+        ra = cohomology_basis(self.state, da).representatives[ia]
+        rb = cohomology_basis(self.state, db).representatives[ib]
+        return self.left(ra) * self.right(rb)
 
-    def pairs(self, n: int) -> tuple[list[Pair], list[list[Fraction]]]:
-        """All Künneth pairs of total degree n plus the matrix taking
-        square-cohomology coordinates to pair coordinates."""
-        cached = self._cache.get(n)
-        if cached is not None:
-            return cached
-        labels: list[Pair] = []
-        hsq = cohomology_basis(self.square, n)
-        for da in range(n + 1):
-            ha = cohomology_basis(self.state, da)
-            hb = cohomology_basis(self.state, n - da)
-            for ia, ra in enumerate(ha.representatives):
-                for ib, rb in enumerate(hb.representatives):
-                    lab = ((da, ia), (n - da, ib))
-                    labels.append(lab)
-                    elem = self.left(ra) * self.right(rb)
-                    self._columns[lab] = class_vector(self.square, n, elem)
-        if len(labels) != hsq.dimension:
-            raise ModelError(
-                f"Künneth dimension mismatch in degree {n}: "
-                f"{len(labels)} pairs vs dim {hsq.dimension}"
-            )
-        if labels:
-            cols = [self._columns[lab] for lab in labels]
-            mat = [[col[i] for col in cols] for i in range(hsq.dimension)]
-            inv = la.inverse(mat)
-        else:
-            inv = []
-        result = (labels, inv)
-        self._cache[n] = result
-        return result
-
-    def to_pairs(self, n: int, vec: list[Fraction]) -> dict[Pair, Fraction]:
-        labels, inv = self.pairs(n)
-        coords = la.mat_vec(inv, vec) if labels else []
-        return {lab: c for lab, c in zip(labels, coords) if c}
-
-    def pair_vector(self, pair: Pair) -> list[Fraction]:
-        """The H(A⊗A) coordinates of the class of a⊗b."""
-        (da, _), (db, _) = pair
-        self.pairs(da + db)
-        return self._columns[pair]
+    def coordinates(self, z: Element) -> dict[Pair, Fraction]:
+        """(π⊗π)(z): the pair coordinates of the class of a square cocycle."""
+        if not self.square.d(z).is_zero():
+            raise ModelError(f"element is not a cocycle of the square: {z!r}")
+        side = {_gid(img): (half, g)
+                for half, f in enumerate((self.left, self.right))
+                for g, img in f.images.items()}
+        out: dict[Pair, Fraction] = {}
+        for mono, c in z.terms.items():
+            halves: tuple[list, list] = ([], [])
+            for gid, e in mono:
+                half, g = side[gid]
+                halves[half].append((g, e))
+            (da, pa), (db, pb) = (projection(self.state, tuple(h)) for h in halves)
+            for ia, ca in pa.items():
+                for ib, cb in pb.items():
+                    _add(out, ((da, ia), (db, ib)), c * ca * cb)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +233,12 @@ def _shriek_tensor_id(F: ModuleMap, N: DgaModel, max_degree: int) -> ModuleMap:
 
 def _sphere_and_double_disk(
     V: DgaModel, disk: DgaModel, k: int
-) -> tuple[KunnethIndex, DgaModel, DgaMorphism]:
-    """The Künneth index of M_{S^k}⊗², the double disk G and glue: G → M_{S^k}."""
+) -> tuple[Kunneth, DgaModel, DgaMorphism]:
+    """M_{S^k}⊗²'s Künneth helper, the double disk G and glue: G → M_{S^k}."""
     state = sphere_model(V, k + 1)
-    _, left, right = tensor_model(state, state)
     double, _, _ = relative_tensor(disk, disk)
-    return KunnethIndex(left, right), double, _gluing_map(double, state, k, _GLUE)
+    kun = Kunneth(state, *tensor_model(state, state))
+    return kun, double, _gluing_map(double, state, k, _GLUE)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +252,6 @@ class BraneOperation:
     shift: int
     max_degree: int
     state: DgaModel
-    square: DgaModel
-    kunneth: KunnethIndex
     # product-dual:  table[c][(a, b)] = coefficient of a⊗b in μ∨(c)
     # coproduct-dual: table[(a, b)][c] = coefficient of c in δ∨(a⊗b)
     table: dict
@@ -284,29 +272,33 @@ def brane_product_dual(
         raise ModelError("the product pipeline needs k ≥ 2")
     info = info or gorenstein_info(V, k)
     kun, double, glue = _sphere_and_double_disk(V, disk_model(V, k), k)
-    state, square = kun.state, kun.square
+    state = kun.state
     spheres, _, _ = relative_tensor(state, sphere_model(V, k + 1))
     delta = shriek_delta_semipure(V, delta_cutoff(V, max_degree))
-    r = delta.degree
-    shriek = _shriek_tensor_id(delta, square, max_degree)
+    shriek = _shriek_tensor_id(delta, kun.square, max_degree)
     steps = [
         Step("double disk vs sphere identification", glue, forward=False),
         Step("double disk vs sphere pair identification",
              _gluing_map(double, spheres, k, _IDENTIFY)),
         Step("path-model quasi-isomorphism",
              _gluing_map(shriek.source, spheres, k, _COLLAPSE), forward=False),
-        Step("δ! ⊗ id", shriek),
     ]
     table: dict[Label, dict[Pair, Fraction]] = {}
     for n in range(max_degree + 1):
         dim = cohomology_basis(state, n).dimension
         if dim == 0:
             continue
-        mu_n = evaluate_zigzag(steps, n)
+        to_path = evaluate_zigzag(steps, n)
+        images = [kun.coordinates(shriek(rep))
+                  for rep in cohomology_basis(shriek.source, n).representatives]
         for i in range(dim):
-            table[(n, i)] = kun.to_pairs(n + r, [row[i] for row in mu_n])
+            row: dict[Pair, Fraction] = {}
+            for coeffs, image in zip(to_path, images):
+                for lab, c in image.items():
+                    _add(row, lab, coeffs[i] * c)
+            table[(n, i)] = row
     return BraneOperation(
-        "product-dual", info, r, max_degree, state, square, kun, table
+        "product-dual", info, delta.degree, max_degree, state, table
     )
 
 
@@ -325,13 +317,12 @@ def brane_coproduct_dual(
     info = info or gorenstein_info(V, k)
     gamma = shriek_gamma_pure(V)
     kun, double, glue = _sphere_and_double_disk(V, gamma.source, k)
-    state, square = kun.state, kun.square
+    state = kun.state
     collapsed, _ = base_change(double, morphism_phi(gamma.target))
+    identify = _gluing_map(kun.square, collapsed, k, _IDENTIFY)
     shriek = _shriek_tensor_id(gamma, double, max_degree)
     r = gamma.degree
     steps = [
-        Step("sphere square vs double disk identification",
-             _gluing_map(square, collapsed, k, _IDENTIFY)),
         Step("disk-factor quasi-isomorphism",
              _gluing_map(shriek.source, collapsed, k, _COLLAPSE), forward=False),
         Step("γ! ⊗ id", shriek),
@@ -339,17 +330,19 @@ def brane_coproduct_dual(
     ]
     table: dict[Pair, dict[Label, Fraction]] = {}
     for n in range(max_degree + 1):
-        labels, _ = kun.pairs(n)
+        labels = kun.pairs(n)
         if not labels:
             continue
         # with nothing in the target degree, δ∨ vanishes without evaluation
         nonzero = cohomology_basis(state, n + r).dimension
         delta_n = evaluate_zigzag(steps, n) if nonzero else []
         for lab in labels:
-            out = la.mat_vec(delta_n, kun.pair_vector(lab))
+            out = la.mat_vec(
+                delta_n, class_vector(collapsed, n, identify(kun.element(lab)))
+            ) if delta_n else []
             table[lab] = {(n + r, i): c for i, c in enumerate(out) if c}
     return BraneOperation(
-        "coproduct-dual", info, r, max_degree, state, square, kun, table
+        "coproduct-dual", info, r, max_degree, state, table
     )
 
 

@@ -513,6 +513,13 @@ def _cmd_verify(args) -> int:
 # entry point
 
 
+def _max_degree(text: str) -> int:
+    """Every --max-degree: a negative bound is a usage error, not a vacuous PASS."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer ≥ 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="branecalc",
@@ -530,24 +537,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("check-dga", _cmd_check_dga, help="verify d² = 0")
     p = add("cohomology", _cmd_cohomology, help="cohomology table")
-    p.add_argument("--max-degree", type=int, default=8)
+    p.add_argument("--max-degree", type=_max_degree, default=8)
     for kind in ("sphere", "disk", "path"):
         p = add(f"{kind}-model", lambda a, k=kind: _cmd_model(k, a),
                 help=f"emit the {kind} mapping-space model")
         if kind != "path":
             p.add_argument("--k", type=int, default=2)
-    p = add("brane-product", _cmd_product, help="dual brane product μ∨")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--max-degree", type=int, default=8)
-    p.add_argument("--homology", action="store_true")
-    p = add("brane-coproduct", _cmd_coproduct, help="dual brane coproduct δ∨")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--max-degree", type=int, default=8)
-    p.add_argument("--homology", action="store_true")
+    for name, fn, op in (("brane-product", _cmd_product, "product μ∨"),
+                         ("brane-coproduct", _cmd_coproduct, "coproduct δ∨")):
+        p = add(name, fn, help=f"dual brane {op}")
+        p.add_argument("--k", type=int, default=2)
+        p.add_argument("--max-degree", type=_max_degree, default=8)
+        p.add_argument("--homology", action="store_true")
     p = add("verify", _cmd_verify, help="run a verification suite")
     p.add_argument("--suite", choices=sorted(_SUITES), required=True)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--max-degree", type=int, default=8)
+    p.add_argument("--max-degree", type=_max_degree, default=8)
     return ap
 
 

@@ -1,4 +1,4 @@
-"""Degreewise exact cohomology: bases, class vectors, induced maps.
+"""Degreewise exact cohomology: bases, class vectors, induced maps, π.
 
 Cochains are sparse rows {position: coefficient} over the canonical
 monomial basis of a degree, found through a cached {monomial: position}
@@ -18,6 +18,12 @@ reproducible bit-for-bit.
 The pivot map is kept in the ``CohomologyBasis``.  Each representative's row
 carries a coordinate column, so ``class_vector`` reduces a cocycle against
 it and reads the class's coordinates off what is left.
+
+The same reductions give a projection π: Cⁿ → Hⁿ.  A cocycle z is
+Σ_f z[f]·v_f over the kernel vectors (v_f is 1 at free column f, else only
+on pivot columns), so π sends the monomial at f to the class of v_f and each
+pivot-column monomial to 0: π is the class map on cocycles, kills
+coboundaries, and π⊗π reads Künneth pair coordinates off tensor products.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import _linalg as la
-from .gca_core import Element
+from .gca_core import Element, Monomial
 from .dga_models import DgaModel, ModelError
 
 F0 = Fraction(0)
@@ -65,6 +71,10 @@ class CohomologyBasis:
     # representative's row carries 1 in tail column dim + j, so every row's
     # tail holds its coordinates in the representatives
     _echelon: la.Echelon
+    # π as {position: {class index: coefficient}}, nonzero entries only: a
+    # free column of d_n goes to its kernel vector's class, a pivot column
+    # to 0, as those span a complement of the cocycles; so π∘d = 0
+    projection: dict[int, dict[int, Fraction]]
 
     @property
     def dimension(self) -> int:
@@ -92,18 +102,30 @@ def _cohomology_basis(M: DgaModel, n: int) -> CohomologyBasis:
         for row in _d_rows(M, n - 1):  # the coboundaries
             ech.insert(row)
     # a cocycle's normal form modulo coboundaries + earlier representatives,
-    # scaled to lead with 1, is the next representative
+    # scaled to lead with 1, is the next representative; minus the tail is
+    # the cocycle's class in the earlier ones
     reps: list[la.Row] = []
-    for z in d_n.kernel():
+    projection: dict[int, dict[int, Fraction]] = {}
+    for f, z in d_n.kernel().items():
         red = ech.reduce(z)
+        cls = {j - dim: -c for j, c in red.items() if j >= dim}
         head = [j for j in red if j < dim]
         if head:
             lead = red[min(head)]
             rep = {j: red[j] / lead for j in head}
             ech.insert({**rep, dim + len(reps): la.F1})
+            cls[len(reps)] = lead
             reps.append(rep)
+        if cls:
+            projection[f] = cls
     elements = [Element(M.algebra, {basis[j]: r[j] for j in sorted(r)}) for r in reps]
-    return CohomologyBasis(n, elements, ech)
+    return CohomologyBasis(n, elements, ech, projection)
+
+
+def projection(M: DgaModel, mono: Monomial) -> tuple[int, dict[int, Fraction]]:
+    """π of a monomial: its degree n and {class index: coefficient} in Hⁿ."""
+    n = M.algebra.monomial_degree(mono)
+    return n, cohomology_basis(M, n).projection.get(_index(M, n)[mono], {})
 
 
 def class_vector(M: DgaModel, n: int, e: Element) -> list[Fraction]:

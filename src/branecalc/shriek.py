@@ -31,7 +31,11 @@ from .dga_models import (
     DgaModel,
     DgaMorphism,
     ModelError,
+    _apply_algebra_map,
+    base_change,
+    base_model,
     disk_model,
+    is_minimal,
     loop_transposition,
     path_model,
     quotient,
@@ -121,27 +125,21 @@ class ModuleMap:
                 fiber_parity += deg * e
         return sign, tuple(b), tuple(f)
 
-    def _apply_base(self, b: Monomial) -> Element:
-        out = self.target.algebra.one()
-        for gid, e in b:
-            img = self.base_images[gid]
-            for _ in range(e):
-                out = out * img
-        return out
-
     def __call__(self, e: Element) -> Element:
-        out = self.target.algebra.zero()
-        alg = self.source.algebra
+        alg, tgt = self.source.algebra, self.target.algebra
+        terms: dict[Monomial, Fraction] = {}
         for mono, c in e.terms.items():
             sign, b, f = self.split(mono)
             img = self.images.get(f)
             if img is None or img.is_zero():
                 continue
-            bdeg = sum(alg.gen(g).degree * e_ for g, e_ in b)
-            if (self.degree * bdeg) % 2:
+            if (self.degree * alg.monomial_degree(b)) % 2:
                 sign = -sign
-            out = out + self._apply_base(b) * img * (c * sign)
-        return out
+            base = alg.monomial_element(b, c * sign)
+            value = _apply_algebra_map(base, self.base_images, tgt) * img
+            for m, x in value.terms.items():
+                terms[m] = terms.get(m, F0) + x
+        return Element(tgt, {m: x for m, x in terms.items() if x})
 
 
 def fiber_basis(M: DgaModel, n: int) -> tuple[Monomial, ...]:
@@ -216,8 +214,6 @@ def shriek_gamma_pure(V: DgaModel) -> ModuleMap:
     γ!(s2_y_1 ⋯ s2_y_q) = s1_x_1 ⋯ s1_x_p; fiber monomials containing any
     s2_x factor (or missing some s2_y) go to zero.
     """
-    from .dga_models import is_minimal
-
     if not is_pure(V):
         raise ModelError("γ! requires a pure model")
     if not is_minimal(V):
@@ -260,8 +256,6 @@ def delta_cutoff(V: DgaModel, max_degree: int) -> int:
 
 def shriek_delta_semipure(V: DgaModel, cutoff: int) -> ModuleMap:
     """δ! from the path model to ∧V⊗², solved from D(f) = 0 up to cutoff."""
-    from .dga_models import is_minimal
-
     if not is_semi_pure(V):
         raise ModelError("δ! requires a semi-pure model")
     if not is_minimal(V):
@@ -301,41 +295,29 @@ def shriek_delta_semipure(V: DgaModel, cutoff: int) -> ModuleMap:
     if lead not in fiber_monos:
         raise ModelError("cutoff too small to hold the leading fiber monomial")
 
-    # unknowns: (fiber mono, target mono) pairs
-    variables: list[tuple[Monomial, Monomial]] = []
-    var_index: dict[tuple[Monomial, Monomial], int] = {}
-    for mono in fiber_monos:
-        tdeg = alg.monomial_degree(mono) + r
-        for tmono in sq.basis(tdeg):
-            if mono == lead and not in_correction_ideal(tmono):
-                continue
-            var_index[(mono, tmono)] = len(variables)
-            variables.append((mono, tmono))
-
+    # f(mono) = fixed[mono] + Σ x_i·tmono over (i, tmono) in unknowns[mono]
     fixed: dict[Monomial, Element] = {lead: known}
+    unknowns: dict[Monomial, list[tuple[int, Monomial]]] = {}
+    n_vars = 0
+    for mono in fiber_monos:
+        for tmono in sq.basis(alg.monomial_degree(mono) + r):
+            if mono != lead or in_correction_ideal(tmono):
+                unknowns.setdefault(mono, []).append((n_vars, tmono))
+                n_vars += 1
 
     def image_as_linear(mono: Monomial):
-        """(constant Element, {var index: Fraction multiplier 1 on tmono})."""
-        const = fixed.get(mono, sq.zero())
-        var_list = [
-            (var_index[(mono, t)], t)
-            for t in sq.basis(alg.monomial_degree(mono) + r)
-            if (mono, t) in var_index
-        ]
-        return const, var_list
+        return fixed.get(mono, sq.zero()), unknowns.get(mono, [])
 
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     sgn_r = -1 if r % 2 else 1
+    helper = ModuleMap(path, square, r, base_images, {})
     for mono in fiber_monos:
         n = alg.monomial_degree(mono)
         if n + 1 > fiber_cut:
             # d(mono) can reach fiber degree n+1, beyond the table
             continue
-        out_deg = n + r + 1
-        tgt_basis = sq.basis(out_deg)
-        if not tgt_basis:
-            tgt_basis = ()
+        tgt_basis = sq.basis(n + r + 1)
         tgt_index = {t: i for i, t in enumerate(tgt_basis)}
         acc_const = [F0] * len(tgt_basis)
         acc_vars: dict[int, list[Fraction]] = {}
@@ -357,15 +339,14 @@ def shriek_delta_semipure(V: DgaModel, cutoff: int) -> ModuleMap:
             add_var(vi, square.d(sq.monomial_element(tmono)), Fraction(1))
         # -(-1)^r f ∘ d_source on mono
         dmono = path.d(alg.monomial_element(mono))
-        helper = ModuleMap(path, square, r, base_images, {})
         for smono, c in dmono.terms.items():
             ssign, b, f_part = helper.split(smono)
             if alg.monomial_degree(f_part) > fiber_cut:
                 # cannot happen: |f_part| <= n+1 <= fiber_cut by construction
                 raise ModelError("internal: fiber monomial outside the table")
-            bdeg = sum(alg.gen(g).degree * e for g, e in b)
-            scale = c * ssign * (-sgn_r) * (1 if (r * bdeg) % 2 == 0 else -1)
-            b_elem = helper._apply_base(b)
+            bsign = -1 if (r * alg.monomial_degree(b)) % 2 else 1
+            scale = c * ssign * (-sgn_r) * bsign
+            b_elem = _apply_algebra_map(alg.monomial_element(b), base_images, sq)
             const_f, vlist_f = image_as_linear(f_part)
             if not const_f.is_zero():
                 add_elem(b_elem * const_f, Fraction(scale))
@@ -373,7 +354,7 @@ def shriek_delta_semipure(V: DgaModel, cutoff: int) -> ModuleMap:
                 add_var(vi, b_elem * sq.monomial_element(tmono), Fraction(scale))
 
         for i in range(len(tgt_basis)):
-            row = [F0] * len(variables)
+            row = [F0] * n_vars
             nonzero = bool(acc_const[i])
             for vi, col in acc_vars.items():
                 if col[i]:
@@ -383,7 +364,7 @@ def shriek_delta_semipure(V: DgaModel, cutoff: int) -> ModuleMap:
                 rows.append(row)
                 rhs.append(-acc_const[i])
 
-    sol = la.solve(rows, rhs) if rows else [F0] * len(variables)
+    sol = la.solve(rows, rhs) if rows else [F0] * n_vars
     if sol is None:
         raise ModelError(
             "no cocycle with the prescribed leading term within the cutoff; "
@@ -392,9 +373,8 @@ def shriek_delta_semipure(V: DgaModel, cutoff: int) -> ModuleMap:
     images: dict[Monomial, Element] = {}
     for mono in fiber_monos:
         val = dict(fixed.get(mono, sq.zero()).terms)
-        for (m2, tmono), vi in var_index.items():
-            if m2 == mono and sol[vi]:
-                val[tmono] = val.get(tmono, F0) + sol[vi]
+        for vi, tmono in unknowns.get(mono, []):
+            val[tmono] = val.get(tmono, F0) + sol[vi]
         val = {t: c for t, c in val.items() if c}
         if val:
             images[mono] = Element(sq, val)
@@ -416,8 +396,6 @@ def evaluation_pairing(
     z must be a cocycle after base change along the composite
     base(F.source) → F.target → Q; this is verified.
     """
-    from .dga_models import base_change, base_model
-
     base, gid_map = base_model(F.source)
     images = {
         gid_map[gid]: to_quotient(F.base_images[gid]) for gid in F.source.base_gids

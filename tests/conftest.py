@@ -19,6 +19,10 @@ def build_s4():
     )
 
 
+# S³×S⁴: generators of both parities and a nonzero differential
+S3XS4 = "algebra S3xS4\ngen a 3\ngen x 4\ngen y 7\nd y = x^2\n"
+
+
 def build_s3xs3():
     return make_model([("x1", 3), ("x2", 3)], name="S3xS3")
 

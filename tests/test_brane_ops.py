@@ -6,18 +6,26 @@ import pytest
 
 from branecalc import (
     ModelError,
+    brane_ops,
     brane_coproduct_dual,
     brane_product_dual,
     check_associativity,
     check_commutativity,
     check_frobenius,
+    class_vector,
+    cohomology,
+    cohomology_basis,
     coproduct_double_composite,
     dualize_to_homology,
     gorenstein_info,
     parse_model,
+    shriek,
+    sphere_model,
+    tensor_model,
 )
+from branecalc.brane_ops import Kunneth
 
-from conftest import build_s3, coassociative, frobenius
+from conftest import S3XS4, build_s3, coassociative, frobenius
 
 F1 = Fraction(1)
 L1, LW, LX, LXW = (0, 0), (1, 0), (3, 0), (4, 0)
@@ -192,3 +200,56 @@ def test_truncated_tables_are_rows_of_the_reference_table(text):
         for d in range(REFERENCE_DEGREE):
             want = {key: row for key, row in ref.items() if degree(key) <= d}
             assert build(mf.model, 2, info, d).table == want, (build.__name__, d)
+
+
+# The Künneth helper reads pair coordinates off π⊗π and never computes the
+# square's cohomology; here the square's own cohomology is the oracle.
+KUNNETH_CASES = TRUNCATION_CASES[:-1] + [pytest.param(S3XS4, id="s3xs4")]
+
+
+@pytest.mark.parametrize("text", KUNNETH_CASES)
+def test_kunneth_coordinates_match_the_square_cohomology(text):
+    state = sphere_model(parse_model(text).model, 3)
+    kun = Kunneth(state, *tensor_model(state, state))
+    square = kun.square
+    for n in range(11):
+        labels = kun.pairs(n)
+        h = cohomology_basis(square, n)
+        assert len(labels) == h.dimension
+        for lab in labels:
+            assert kun.coordinates(kun.element(lab)) == {lab: F1}
+        for j, rep in enumerate(h.representatives):
+            back = square.algebra.zero()
+            for lab, c in kun.coordinates(rep).items():
+                back = back + kun.element(lab) * c
+            assert class_vector(square, n, back) == [int(i == j) for i in range(len(labels))]
+
+
+def test_kunneth_coordinates_require_a_cocycle():
+    state = sphere_model(parse_model(S3XS4).model, 3)
+    kun = Kunneth(state, *tensor_model(state, state))
+    y = kun.left(state.gen_elem("y"))  # d y = x² ≠ 0
+    with pytest.raises(ModelError, match="not a cocycle"):
+        kun.coordinates(y * kun.right(state.gen_elem("a")))
+
+
+def test_pipelines_never_compute_a_tensor_square_cohomology(monkeypatch):
+    # records every model tensor_model builds and every model whose
+    # cohomology basis is computed; the two sets must not meet
+    squares, computed = [], []
+
+    def recording_tensor_model(M, N):
+        out = tensor_model(M, N)
+        squares.append(out[0])
+        return out
+
+    real = cohomology._cohomology_basis
+    monkeypatch.setattr(brane_ops, "tensor_model", recording_tensor_model)
+    monkeypatch.setattr(shriek, "tensor_model", recording_tensor_model)
+    monkeypatch.setattr(cohomology, "_cohomology_basis",
+                        lambda M, n: computed.append(M) or real(M, n))
+    V = parse_model(S3XS4).model
+    brane_product_dual(V, 2, max_degree=6)
+    brane_coproduct_dual(V, 2, max_degree=6)
+    assert squares and computed
+    assert not any(M is S for M in computed for S in squares)

@@ -291,6 +291,23 @@ def test_generator_name_collisions_exit_2(text, command, name, tmp_path, capsys)
     assert err.startswith("error: generator name") and repr(name) in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "assoc"],
+    ["verify", "--suite", "frobenius"],
+    ["verify", "--suite", "vanishing"],
+    ["brane-product"],
+    ["brane-coproduct"],
+    ["cohomology"],
+], ids=lambda argv: "-".join(argv[::2]))
+def test_negative_max_degree_exits_2(argv, s4_file, capsys):
+    # a negative degree bound is bad input: no empty table, no vacuous PASS
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], s4_file, *argv[1:], "--max-degree", "-1"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "--max-degree" in out.err and "'-1'" in out.err
+
+
 def test_verify_suite_fails_on_wrong_model(s3_file, capsys):
     # the vanishing suite needs an even generator: S³ is rejected as a usage error
     code, _, err = run(["verify", s3_file, "--suite", "vanishing"], capsys)

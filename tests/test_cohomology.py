@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,11 +15,13 @@ from branecalc import (
     is_quasi_iso,
     make_model,
     morphism_eps_tilde,
+    parse_model,
     sphere_model,
 )
 from branecalc.brane_ops import Step, evaluate_zigzag
+from branecalc.cohomology import projection
 
-from conftest import build_s4
+from conftest import S3XS4, build_s4
 
 
 def reps(M, n):
@@ -142,3 +146,42 @@ def test_cohomology_applies_d_once_per_monomial(s4):
         cohomology_basis(M, n)
     cochains = sum(len(M.algebra.basis(n)) for n in range(top + 1))
     assert len(seen) == len(set(seen)) == cochains
+
+
+MODEL_TEXTS = [
+    pytest.param(p.read_text(), id=p.stem)
+    for p in sorted((Path(__file__).resolve().parent.parent / "models").glob("*.model"))
+] + [
+    pytest.param(S3XS4, id="s3xs4"),
+    # d z = x - y makes x and y cohomologous, so π sends a free column to
+    # an earlier class too, not only to the one its cocycle creates
+    pytest.param("gen x 4\ngen y 4\ngen z 3\nd z = x - y\n", id="linear-d"),
+]
+
+
+def _pi(M, e):
+    """π on an element, through cohomology.projection term by term."""
+    out = {}
+    for mono, c in e.terms.items():
+        for i, x in projection(M, mono)[1].items():
+            out[i] = out.get(i, 0) + c * x
+    return {i: x for i, x in out.items() if x}
+
+
+@pytest.mark.parametrize("text", MODEL_TEXTS)
+def test_projection_is_the_class_map_and_kills_coboundaries(text):
+    M = sphere_model(parse_model(text).model, 3)
+    rng = random.Random(text)
+    for n in range(11):
+        h = cohomology_basis(M, n)
+        below = [M.algebra.monomial_element(m) for m in M.algebra.basis(n - 1)]
+        for b in below:
+            assert _pi(M, M.d(b)) == {}
+        for i, rep in enumerate(h.representatives):
+            assert _pi(M, rep) == {i: 1}
+        for _ in range(3):
+            z = M.algebra.zero()
+            for e in h.representatives + [M.d(b) for b in below]:
+                z = z + e * rng.randint(-3, 3)
+            want = {i: c for i, c in enumerate(class_vector(M, n, z)) if c}
+            assert _pi(M, z) == want
