@@ -1,8 +1,9 @@
 """Fingerprint the CLI's output over a fixed matrix of commands.
 
-Runs 277 commands in-process through ``branecalc.cli.main`` and prints one
-line per command: exit code, sha256 of stdout, sha256 of stderr, argv.  The
-commands, each on models/s3.model, models/s4.model and models/s3xs3.model:
+Runs 381 commands in-process through ``branecalc.cli.main`` and prints one
+line per command: exit code, sha256 of stdout, sha256 of stderr, argv (and,
+for a model read from stdin, ``<`` and its name).  The commands, each on
+models/s3.model, models/s4.model and models/s3xs3.model:
 
 * ``brane-product`` and ``brane-coproduct`` with ``--format tsv``, with and
   without ``--homology``, at ``--max-degree`` 0 to 14;
@@ -11,10 +12,13 @@ commands, each on models/s3.model, models/s4.model and models/s3xs3.model:
 * ``cohomology --max-degree 12``;
 * the six ``verify`` suites, and ``brane-product --k 3``;
 
-and, on the S³×S⁴ model below, read from stdin (``-``) so that it needs no
-model file and a parent checkout runs it unchanged, ``brane-product`` and
-``brane-coproduct`` with and without ``--homology`` at ``--max-degree`` 0 to
-12: a model with generators of both parities.
+and, on the models in ``STDIN`` below, read from stdin (``-``) so that they
+need no model file and a parent checkout runs them unchanged,
+``brane-product`` and ``brane-coproduct`` with and without ``--homology``:
+S³×S⁴ at ``--max-degree`` 0 to 12, a model with generators of both
+parities; S⁴ with ``d y = 2/3*x^2`` at 0 to 14 and ``a 4, b 6, y 7, z 11``
+with ``d z = 1/2*b^2 - 3/5*a^3`` at 0 to 10, whose non-integral coefficients
+reach the path model, δ! and every zigzag.
 
 Two checkouts give the same tables exactly when their outputs are equal::
 
@@ -37,7 +41,12 @@ from pathlib import Path
 
 MODELS = ("models/s3.model", "models/s4.model", "models/s3xs3.model")
 SUITES = ("assoc", "comm", "frobenius", "golden", "signs", "vanishing")
-S3XS4 = "algebra S3xS4\ngen a 3\ngen x 4\ngen y 7\nd y = x^2\n"
+STDIN = {  # name: (model text, top --max-degree)
+    "s3xs4": ("algebra S3xS4\ngen a 3\ngen x 4\ngen y 7\nd y = x^2\n", 12),
+    "s4-rational": ("algebra S4q\ngen x 4\ngen y 7\nd y = 2/3*x^2\n", 14),
+    "a4b6-rational": ("algebra A4B6q\ngen a 4\ngen b 6\ngen y 7\ngen z 11\n"
+                      "d y = a^2\nd z = 1/2*b^2 - 3/5*a^3\n", 10),
+}
 
 
 def _tables(model: str, top: int) -> list[list[str]]:
@@ -47,7 +56,8 @@ def _tables(model: str, top: int) -> list[list[str]]:
             for d in range(top + 1)]
 
 
-def commands() -> list[list[str]]:
+def commands() -> list[tuple[list[str], str | None]]:
+    """(argv, name of the STDIN model the command reads, or None)."""
     out = []
     for model in MODELS:
         out.extend(_tables(model, 14))
@@ -59,12 +69,14 @@ def commands() -> list[list[str]]:
         for suite in SUITES:
             out.append(["verify", model, "--suite", suite])
         out.append(["brane-product", model, "--k", "3", "--format", "tsv"])
-    return out + _tables("-", 12)
+    return [(argv, None) for argv in out] + [
+        (argv, name) for name, (_, top) in STDIN.items() for argv in _tables("-", top)
+    ]
 
 
-def run(main, argv: list[str]) -> tuple[int, bytes, bytes]:
+def run(main, argv: list[str], stdin: str = "") -> tuple[int, bytes, bytes]:
     stdout, stderr = io.StringIO(), io.StringIO()
-    sys.stdin = io.StringIO(S3XS4)  # what the "-" commands read
+    sys.stdin = io.StringIO(stdin)
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             code = main(argv)
@@ -79,10 +91,11 @@ def main() -> None:
     sys.path.insert(0, str(root.resolve() / "src"))
     from branecalc.cli import main as cli_main
 
-    for argv in commands():
-        code, out, err = run(cli_main, argv)
+    for argv, name in commands():
+        code, out, err = run(cli_main, argv, STDIN[name][0] if name else "")
+        label = " ".join(argv) + (f" < {name}" if name else "")
         print(code, hashlib.sha256(out).hexdigest(), hashlib.sha256(err).hexdigest(),
-              " ".join(argv), sep="\t", flush=True)
+              label, sep="\t", flush=True)
 
 
 if __name__ == "__main__":

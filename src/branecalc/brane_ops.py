@@ -39,7 +39,7 @@ golden tests):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import _linalg as la
@@ -96,6 +96,13 @@ class Kunneth:
     square: DgaModel
     left: DgaMorphism
     right: DgaMorphism
+    # square gid -> (half, state gid): 0 for the left copy, 1 for the right
+    side: dict[int, tuple[int, int]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.side = {_gid(img): (half, g)
+                     for half, f in enumerate((self.left, self.right))
+                     for g, img in f.images.items()}
 
     def pairs(self, n: int) -> list[Pair]:
         """The pairs of total degree n, in (left degree, indices) order."""
@@ -114,9 +121,7 @@ class Kunneth:
         """(π⊗π)(z): the pair coordinates of the class of a square cocycle."""
         if not self.square.d(z).is_zero():
             raise ModelError(f"element is not a cocycle of the square: {z!r}")
-        side = {_gid(img): (half, g)
-                for half, f in enumerate((self.left, self.right))
-                for g, img in f.images.items()}
+        side = self.side
         out: dict[Pair, Fraction] = {}
         for mono, c in z.terms.items():
             halves: tuple[list, list] = ([], [])

@@ -10,7 +10,8 @@ Model files declare a minimal Sullivan algebra:
 
 Commands: check-dga, cohomology, sphere-model, disk-model, path-model,
 brane-product, brane-coproduct, verify.  Exit codes: 0 ok, 1 verification
-failure, 2 usage or model error.
+failure (or a suite that found nothing to check within --max-degree), 2 usage
+or model error.
 """
 
 from __future__ import annotations
@@ -504,8 +505,13 @@ def _cmd_verify(args) -> int:
     reports = _SUITES[args.suite](mf, args)
     ok = True
     for rep in reports:
-        print(rep)
-        ok = ok and rep.ok
+        if rep.checked:
+            print(rep)
+        else:
+            # a law checked on nothing has not passed
+            print(f"{rep.name}: NOTHING CHECKED (no identity lies within "
+                  f"--max-degree {args.max_degree})")
+        ok = ok and rep.ok and rep.checked > 0
     return 0 if ok else 1
 
 

@@ -3,10 +3,13 @@
 Cochains are sparse rows {position: coefficient} over the canonical
 monomial basis of a degree, found through a cached {monomial: position}
 map, and all elimination goes through ``_linalg.Echelon``.  Per model, d is
-applied once to each basis monomial of each degree, and the rows of d on
-degree n serve twice: transposed, they are the matrix whose kernel
-(``Echelon.kernel``, in free-column form) gives the cocycles of Hⁿ; as they
-are, they are the coboundaries of Hⁿ⁺¹.
+applied once to each basis monomial of each degree, by the integer Leibniz
+kernel ``Derivation.leibniz``: the rows are den·d, integer rows with den the
+common denominator of d's images, and go into ``Echelon`` as they are.  A
+common nonzero scale changes no kernel and no span, so nothing downstream
+sees den.  The rows of d on degree n serve twice: transposed, they are the
+matrix whose kernel (``Echelon.kernel``, in free-column form) gives the
+cocycles of Hⁿ; as they are, they are the coboundaries of Hⁿ⁺¹.
 
 ``cohomology_basis`` inserts the coboundaries, then reduces each kernel
 cocycle modulo the coboundaries and the representatives chosen so far; a
@@ -54,12 +57,18 @@ def _index(M: DgaModel, n: int) -> dict:
                    lambda: {m: i for i, m in enumerate(M.algebra.basis(n))})
 
 
-def _d_rows(M: DgaModel, n: int) -> list[la.Row]:
-    """d of each degree-n basis monomial, as a sparse row over basis(n+1)."""
+def _d_rows(M: DgaModel, n: int) -> list[dict[int, int]]:
+    """den·d of each degree-n basis monomial, as a sparse integer row over
+    basis(n+1), where den is M.d.den.
+
+    Every row of dₙ is scaled by the same nonzero den, which changes neither
+    the kernel nor the span of the coboundaries, and Echelon keeps primitive
+    rows, so the representatives, π and every table are those of d itself.
+    """
     def make():
-        alg, index = M.algebra, _index(M, n + 1)
-        return [{index[m]: c for m, c in M.d(alg.monomial_element(mono)).terms.items()}
-                for mono in alg.basis(n)]
+        index, leibniz = _index(M, n + 1), M.d.leibniz
+        return [{index[m]: c for m, c in leibniz(mono).items()}
+                for mono in M.algebra.basis(n)]
     return _cached(M, ("d", n), make)
 
 

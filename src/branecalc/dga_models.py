@@ -15,6 +15,16 @@ Every generator carries a Provenance (kind, shift, origin, factor), by which
 the constructors and the shriek builders find it; its name is only the
 label Provenance.name derives from that, e.g. "s1_x" for s¹x and "x@L" for
 the left copy of x when the two copies of a tensor square would clash.
+
+Applying d and applying algebra maps run on plain int coefficients.  A
+Derivation is fixed when it is built: it keeps a read-only copy of its
+images and stores them once as integer terms over one denominator den, and
+its per-monomial kernel ``Derivation.leibniz`` returns den·d(mono) as
+{monomial: int}.  ``_apply_algebra_map`` (behind ``DgaMorphism``,
+``base_change`` and the shriek module maps) makes each image it meets
+integral once per call.  Fractions are built only where an Element is made
+from the integer results, and read only where an Element's coefficients
+are turned into ints.
 """
 
 from __future__ import annotations
@@ -23,8 +33,9 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from types import MappingProxyType
-from typing import ClassVar, Iterable, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
+from ._linalg import _integral
 from .gca_core import (
     Element,
     Generator,
@@ -37,73 +48,134 @@ from .gca_core import (
     translate,
 )
 
-F0 = Fraction(0)
-
 
 # ---------------------------------------------------------------------------
 # derivations and morphisms
 
 
-@dataclass
+def _element(alg: GradedAlgebra, terms: dict[Monomial, int], den: int) -> Element:
+    """The Element Σ (c/den)·m of integer terms: where the integer kernels
+    hand their results back as Fractions."""
+    if den == 1:
+        return Element(alg, {m: Fraction(c) for m, c in terms.items() if c})
+    return Element(alg, {m: Fraction(c, den) for m, c in terms.items() if c})
+
+
+@dataclass(frozen=True)
 class Derivation:
-    """A degree-r map defined on generators, extended by the Leibniz rule."""
+    """A degree-r map defined on generators, extended by the Leibniz rule.
+
+    A Derivation is fixed when it is built: images is a read-only copy of
+    the dict it was given, and the images are also stored once as integer
+    terms over one common denominator den, the lcm of their coefficients'
+    denominators.  ``leibniz`` applies the rule to a monomial on those ints
+    and returns den·d(mono); calling the derivation on an Element does the
+    same per term and divides by den once per output term, so d does no
+    Fraction arithmetic inside.
+    """
 
     algebra: GradedAlgebra
     degree: int
-    images: dict[int, Element]
+    images: Mapping[int, Element]
+    #: the common denominator of the images
+    den: int = field(init=False, compare=False)
+    # gid -> den·images[gid] as {monomial: int}
+    _ints: dict[int, dict[Monomial, int]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        images = MappingProxyType(dict(self.images))
+        flat, den = _integral({(gid, m): c for gid, img in images.items()
+                               for m, c in img.terms.items()})
+        ints: dict[int, dict[Monomial, int]] = {}
+        for (gid, m), c in flat.items():
+            ints.setdefault(gid, {})[m] = c
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_ints", ints)
+
+    def leibniz(self, mono: Monomial) -> dict[Monomial, int]:
+        """den·d(mono), as {monomial: nonzero int}."""
+        alg = self.algebra
+        odd, mul, ints = alg.odd, alg.mul_monomials, self._ints
+        out: dict[Monomial, int] = {}
+        pre_odd = False  # the parity of the factors before position i
+        for i, (gid, exp) in enumerate(mono):
+            img = ints.get(gid)
+            if img is not None:
+                # d(pre·g^e·suf) = (-1)^(r|pre|) e·pre·dg·g^(e-1)·suf; as
+                # |dg| = |g| + r, moving dg's terms m to the front turns
+                # the sign into (-1)^(|pre||g|) times that of m·rest
+                kept = ((gid, exp - 1),) if exp > 1 else ()
+                rest = mono[:i] + kept + mono[i + 1:]
+                c0 = -exp if pre_odd and odd[gid] else exp
+                for m, c in img.items():
+                    sign, prod = mul(m, rest)
+                    if sign:
+                        out[prod] = out.get(prod, 0) + sign * c0 * c
+            if odd[gid] and exp % 2:
+                pre_odd = not pre_odd
+        return {m: c for m, c in out.items() if c}
 
     def __call__(self, e: Element) -> Element:
         alg = self.algebra
         if e.algebra is not alg:
             raise ValueError("element not in this derivation's algebra")
-        terms: dict[Monomial, Fraction] = {}
-        for mono, coeff in e.terms.items():
-            pre_deg = 0
-            for i, (gid, exp) in enumerate(mono):
-                deg = alg.gen(gid).degree
-                img = self.images.get(gid)
-                if img is not None:
-                    # d(pre·g^e·suf) = (-1)^(r|pre|) e·pre·dg·g^(e-1)·suf; as
-                    # |dg| = |g| + r, moving dg's terms m to the front turns
-                    # the sign into (-1)^(|pre||g|) times that of m·rest
-                    kept = ((gid, exp - 1),) if exp > 1 else ()
-                    rest = mono[:i] + kept + mono[i + 1:]
-                    c0 = coeff * exp if pre_deg * deg % 2 == 0 else -coeff * exp
-                    for m, c in img.terms.items():
-                        sign, prod = alg.mul_monomials(m, rest)
-                        if sign:
-                            terms[prod] = terms.get(prod, F0) + sign * c0 * c
-                pre_deg += deg * exp
-        return Element(alg, {m: c for m, c in terms.items() if c})
+        coeffs, den = _integral(e.terms)
+        terms: dict[Monomial, int] = {}
+        for mono, a in coeffs.items():
+            for m, c in self.leibniz(mono).items():
+                terms[m] = terms.get(m, 0) + a * c
+        return _element(alg, terms, den * self.den)
 
 
 def _apply_algebra_map(
-    e: Element, images: dict[int, Element], target: GradedAlgebra
+    e: Element, images: Mapping[int, Element], target: GradedAlgebra
 ) -> Element:
     """The algebra map given by images on generators, applied monomial by
-    monomial: each factor's image is multiplied into the term dict."""
+    monomial on integers.
+
+    Each image a monomial meets is made integral once per call, as int
+    terms over its own denominator; a monomial's product of images is taken
+    on those ints, and its scale (the product of the denominators met)
+    applies once, as the running sum is kept over the lcm of the scales.
+    """
     mul = target.mul_monomials
-    terms: dict[Monomial, Fraction] = {}
-    for mono, coeff in e.terms.items():
-        acc: dict[Monomial, Fraction] = {(): coeff}
+    ints: dict[int, tuple[dict[Monomial, int], int]] = {}
+    coeffs, den = _integral(e.terms)
+    top, total = 1, {}  # the sum so far is total / (den·top)
+    for mono, a in coeffs.items():
+        acc: dict[Monomial, int] = {(): a}
+        scale = 1
         for gid, exp in mono:
-            try:
-                img = images[gid].terms
-            except KeyError:
-                raise ModelError(f"no image for generator id {gid}") from None
+            img = ints.get(gid)
+            if img is None:
+                try:
+                    img = ints[gid] = _integral(images[gid].terms)
+                except KeyError:
+                    raise ModelError(f"no image for generator id {gid}") from None
+            terms, img_den = img
             for _ in range(exp):
-                nxt: dict[Monomial, Fraction] = {}
+                nxt: dict[Monomial, int] = {}
                 for m, c in acc.items():
-                    for m2, c2 in img.items():
+                    for m2, c2 in terms.items():
                         sign, prod = mul(m, m2)
                         if sign:
-                            nxt[prod] = nxt.get(prod, F0) + sign * c * c2
+                            nxt[prod] = nxt.get(prod, 0) + sign * c * c2
                 acc = {m: c for m, c in nxt.items() if c}
             if not acc:
                 break
-        for m, c in acc.items():
-            terms[m] = terms.get(m, F0) + c
-    return Element(target, {m: c for m, c in terms.items() if c})
+            scale *= img_den ** exp
+        else:
+            if top % scale:
+                k = math.lcm(top, scale) // top
+                total = {m: c * k for m, c in total.items()}
+                top *= k
+            k = top // scale
+            for m, c in acc.items():
+                total[m] = total.get(m, 0) + c * k
+    return _element(target, total, den * top)
 
 
 @dataclass
@@ -166,10 +238,6 @@ class DgaModel:
     base_gids: tuple[int, ...] = ()
     cohomology_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        # the cached d rows and cohomology bases are only valid for this d
-        self.d.images = MappingProxyType(dict(self.d.images))
-
     @property
     def fiber_gids(self) -> tuple[int, ...]:
         base = set(self.base_gids)
@@ -224,12 +292,12 @@ def _copy_generators(gens: Iterable[Generator], dst: GradedAlgebra) -> dict[int,
 
 
 def _suspension(
-    V: DgaModel, alg: GradedAlgebra, base_map: dict[int, int], shift: int
+    V: DgaModel, alg: GradedAlgebra, copies: Sequence[dict[int, int]], shift: int
 ) -> tuple[dict[int, int], Derivation]:
-    """Add s^shift V to alg, whose copy of V is base_map.
+    """Add s^shift V to alg, whose copies of V are the gid maps in copies.
 
     Returns the map from V's generator ids to those of the s^shift v, and
-    the degree -shift derivation s^shift sending each copied v to s^shift v
+    the degree -shift derivation s^shift sending each copy of v to s^shift v
     and every other generator to 0.
     """
     susp = {
@@ -239,7 +307,8 @@ def _suspension(
         for g in V.algebra.generators
     }
     s = Derivation(alg, -shift, {
-        base_map[v]: alg.generator_element(sv) for v, sv in susp.items()
+        copy[v]: alg.generator_element(sv)
+        for copy in copies for v, sv in susp.items()
     })
     return susp, s
 
@@ -262,7 +331,7 @@ def sphere_model(V: DgaModel, k: int) -> DgaModel:
     shift = k - 1
     alg = GradedAlgebra(f"sphere[{shift}]({V.algebra.name})")
     base_map = _copy_generators(V.algebra.generators, alg)
-    susp, s_der = _suspension(V, alg, base_map, shift)
+    susp, s_der = _suspension(V, alg, [base_map], shift)
     sign = -1 if shift % 2 else 1
     images: dict[int, Element] = {}
     for g in V.algebra.generators:
@@ -286,8 +355,8 @@ def disk_model(V: DgaModel, k: int) -> DgaModel:
         raise ModelError(f"disk model needs all generator degrees ≥ k+1={k + 1}")
     alg = GradedAlgebra(f"disk[{k}]({V.algebra.name})")
     base_map = _copy_generators(V.algebra.generators, alg)
-    susp_lo, s_lo = _suspension(V, alg, base_map, k - 1)
-    susp_hi, s_hi = _suspension(V, alg, base_map, k)
+    susp_lo, s_lo = _suspension(V, alg, [base_map], k - 1)
+    susp_hi, s_hi = _suspension(V, alg, [base_map], k)
     images: dict[int, Element] = {}
     for g in V.algebra.generators:
         dv = translate(V.d(V.algebra.generator_element(g.gid)), alg, base_map)
@@ -315,11 +384,9 @@ def path_model(V: DgaModel, max_series_iterations: int = 64) -> DgaModel:
         raise ModelError("path model needs a minimal input (no linear part)")
     alg = GradedAlgebra(f"path({V.algebra.name})")
     left, right = add_tagged(alg, V.algebra.generators, V.algebra.generators)
-    susp, s_der = _suspension(V, alg, left, 1)
-    s_der.images.update({right[v]: alg.generator_element(sv) for v, sv in susp.items()})
+    susp, s_der = _suspension(V, alg, [left, right], 1)
 
     images: dict[int, Element] = {}
-    d_partial = Derivation(alg, 1, images)  # shares the dict being filled
     for g in V.algebra.generators:
         dv = V.d(V.algebra.generator_element(g.gid))
         dl = translate(dv, alg, left)
@@ -328,8 +395,10 @@ def path_model(V: DgaModel, max_series_iterations: int = 64) -> DgaModel:
             images[left[g.gid]] = dl
         if not dr.is_zero():
             images[right[g.gid]] = dr
-    # d(sv) needs d on lower-degree suspensions: fill in ascending degree
+    # d(sv) needs d on lower-degree suspensions: fill in ascending degree,
+    # with d rebuilt from the images found so far
     for g in sorted(V.algebra.generators, key=lambda h: (h.degree, h.gid)):
+        d_partial = Derivation(alg, 1, images)
         total = (alg.generator_element(right[g.gid])
                  - alg.generator_element(left[g.gid]))
         u = alg.generator_element(left[g.gid])
@@ -346,7 +415,7 @@ def path_model(V: DgaModel, max_series_iterations: int = 64) -> DgaModel:
         if not total.is_zero():
             images[susp[g.gid]] = total
     model = DgaModel(
-        alg, d_partial,
+        alg, Derivation(alg, 1, images),
         tuple(left[g.gid] for g in V.algebra.generators)
         + tuple(right[g.gid] for g in V.algebra.generators),
     )

@@ -73,6 +73,8 @@ class GradedAlgebra:
     def __init__(self, name: str = ""):
         self.name = name
         self._gens: list[Generator] = []
+        #: the parity of each generator, by id (True for odd degree)
+        self.odd: list[bool] = []
         # each generator under its label and under its provenance
         self._by_key: dict[str | Provenance, Generator] = {}
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
@@ -96,6 +98,7 @@ class GradedAlgebra:
             )
         g = Generator(len(self._gens), name, degree, prov)
         self._gens.append(g)
+        self.odd.append(g.is_odd)
         self._by_key[name] = g
         self._by_key[prov] = g
         self._basis_cache.clear()
@@ -130,6 +133,7 @@ class GradedAlgebra:
         permutation, or 0 when an odd generator ends up with exponent >= 2
         (in which case the monomial slot is the unit and must be ignored).
         """
+        odd = self.odd
         word: list[int] = []
         for gid, e in raw:
             if not 0 <= gid < len(self._gens):
@@ -142,14 +146,14 @@ class GradedAlgebra:
         for i in range(1, len(word)):
             j = i
             while j > 0 and word[j - 1] > word[j]:
-                if self._gens[word[j - 1]].is_odd and self._gens[word[j]].is_odd:
+                if odd[word[j - 1]] and odd[word[j]]:
                     sign = -sign
                 word[j - 1], word[j] = word[j], word[j - 1]
                 j -= 1
         factors: list[tuple[int, int]] = []
         for gid in word:
             if factors and factors[-1][0] == gid:
-                if self._gens[gid].is_odd:
+                if odd[gid]:
                     return 0, ONE
                 factors[-1] = (gid, factors[-1][1] + 1)
             else:
@@ -163,12 +167,13 @@ class GradedAlgebra:
         if not b:
             return 1, a
         # a and b are each sorted; only count b-factors passing a-factors.
+        odd = self.odd
         sign = 1
         for gid_b, e_b in b:
-            if not self._gens[gid_b].is_odd:
+            if not (odd[gid_b] and e_b % 2):
                 continue
-            passed = sum(e for gid_a, e in a if gid_a > gid_b and self._gens[gid_a].is_odd)
-            if passed % 2 and e_b % 2:
+            passed = sum(e for gid_a, e in a if gid_a > gid_b and odd[gid_a])
+            if passed % 2:
                 sign = -sign
         merged: list[tuple[int, int]] = []
         ia = ib = 0
@@ -179,14 +184,14 @@ class GradedAlgebra:
                 merged.append(b[ib]); ib += 1
             else:
                 gid = a[ia][0]
-                if self._gens[gid].is_odd:
+                if odd[gid]:
                     return 0, ONE
                 merged.append((gid, a[ia][1] + b[ib][1]))
                 ia += 1; ib += 1
         merged.extend(a[ia:])
         merged.extend(b[ib:])
         for gid, e in merged:
-            if self._gens[gid].is_odd and e > 1:
+            if odd[gid] and e > 1:
                 return 0, ONE
         return sign, tuple(merged)
 
@@ -209,7 +214,7 @@ class GradedAlgebra:
             if idx >= len(self._gens):
                 return
             g = self._gens[idx]
-            max_e = 1 if g.is_odd else remaining // g.degree
+            max_e = 1 if self.odd[idx] else remaining // g.degree
             for e in range(0, max_e + 1):
                 if e * g.degree > remaining:
                     break

@@ -308,6 +308,18 @@ def test_negative_max_degree_exits_2(argv, s4_file, capsys):
     assert "--max-degree" in out.err and "'-1'" in out.err
 
 
+def test_verify_checking_nothing_does_not_pass(capsys, monkeypatch):
+    # with m = 10, every Frobenius identity needs a coproduct entry above the
+    # default --max-degree, so the suite has nothing to check
+    text = ("gen a 4\ngen b 6\ngen y 7\ngen z 11\n"
+            "d y = a^2\nd z = b^2 + a^3\n")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, _ = run(["verify", "-", "--suite", "frobenius"], capsys)
+    assert code == 1 and "PASS" not in out
+    assert out == ("Frobenius: NOTHING CHECKED (no identity lies within "
+                   "--max-degree 8)\n")
+
+
 def test_verify_suite_fails_on_wrong_model(s3_file, capsys):
     # the vanishing suite needs an even generator: S³ is rejected as a usage error
     code, _, err = run(["verify", s3_file, "--suite", "vanishing"], capsys)

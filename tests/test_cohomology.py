@@ -6,6 +6,7 @@ import pytest
 
 from branecalc import (
     DgaMorphism,
+    Derivation,
     ModelError,
     class_vector,
     cohomology_basis,
@@ -16,10 +17,11 @@ from branecalc import (
     make_model,
     morphism_eps_tilde,
     parse_model,
+    path_model,
     sphere_model,
 )
 from branecalc.brane_ops import Step, evaluate_zigzag
-from branecalc.cohomology import projection
+from branecalc.cohomology import _d_rows, projection
 
 from conftest import S3XS4, build_s4
 
@@ -131,16 +133,16 @@ def test_cohomology_cache_follows_new_generators():
     assert cohomology_basis(M, 6).dimension == 1
 
 
-def test_cohomology_applies_d_once_per_monomial(s4):
+def test_cohomology_applies_d_once_per_monomial(s4, monkeypatch):
     M = sphere_model(s4, 2)
-    d, seen = M.d, []
+    leibniz, seen = Derivation.leibniz, []
 
-    def counting_d(e):
-        if len(e.terms) == 1:
-            seen.append(next(iter(e.terms)))
-        return d(e)
+    def counting_leibniz(d, mono):
+        if d is M.d:
+            seen.append(mono)
+        return leibniz(d, mono)
 
-    M.d = counting_d
+    monkeypatch.setattr(Derivation, "leibniz", counting_leibniz)
     top = 14
     for n in range(top + 1):
         cohomology_basis(M, n)
@@ -148,14 +150,40 @@ def test_cohomology_applies_d_once_per_monomial(s4):
     assert len(seen) == len(set(seen)) == cochains
 
 
-MODEL_TEXTS = [
+S4_RATIONAL = "algebra S4q\ngen x 4\ngen y 7\nd y = 2/3*x^2\n"
+MODEL_FILES = [
     pytest.param(p.read_text(), id=p.stem)
     for p in sorted((Path(__file__).resolve().parent.parent / "models").glob("*.model"))
-] + [
+]
+
+
+@pytest.mark.parametrize("build", [
+    lambda V: sphere_model(V, 2), lambda V: disk_model(V, 2), path_model,
+], ids=["sphere", "disk", "path"])
+@pytest.mark.parametrize("text", MODEL_FILES + [
+    pytest.param(S4_RATIONAL, id="s4-rational"),
+])
+def test_d_rows_are_den_times_the_fraction_rows_of_d(text, build):
+    M = build(parse_model(text).model)
+    den = M.d.den
+    if text == S4_RATIONAL:
+        assert den == 3
+    for n in range(11):
+        index = {m: i for i, m in enumerate(M.algebra.basis(n + 1))}
+        for mono, row in zip(M.algebra.basis(n), _d_rows(M, n), strict=True):
+            assert all(type(c) is int for c in row.values())
+            d_mono = M.d(M.algebra.monomial_element(mono))
+            assert all(type(c) is Fraction for c in d_mono.terms.values())
+            assert row == {index[m]: c * den for m, c in d_mono.terms.items()}
+
+
+MODEL_TEXTS = MODEL_FILES + [
     pytest.param(S3XS4, id="s3xs4"),
     # d z = x - y makes x and y cohomologous, so π sends a free column to
     # an earlier class too, not only to the one its cocycle creates
     pytest.param("gen x 4\ngen y 4\ngen z 3\nd z = x - y\n", id="linear-d"),
+    # d's images have common denominator 3, so the d rows are 3·d
+    pytest.param(S4_RATIONAL, id="s4-rational"),
 ]
 
 

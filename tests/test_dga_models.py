@@ -309,3 +309,23 @@ def test_building_a_model_freezes_its_differential():
     # the dict the model was built from no longer reaches its differential
     images[x.gid] = alg.generator_element(x.gid)
     assert M.d(alg.generator_element(x.gid)).is_zero()
+
+
+def test_a_derivation_is_fixed_when_built():
+    alg = GradedAlgebra("fixed")
+    x = alg.add_generator("x", 4)
+    y = alg.add_generator("y", 7)
+    images = {y.gid: alg.element({((x.gid, 2),): Fraction(2, 3)})}
+    d = Derivation(alg, 1, images)
+    assert d.den == 3
+    with pytest.raises(TypeError):
+        d.images[x.gid] = alg.generator_element(x.gid)
+    with pytest.raises(TypeError):
+        del d.images[y.gid]
+    with pytest.raises(AttributeError):
+        d.images = {}
+    # the dict it was built from no longer reaches it
+    images[x.gid] = alg.generator_element(x.gid)
+    assert d(alg.generator_element(x.gid)).is_zero()
+    assert d.leibniz(((y.gid, 1),)) == {((x.gid, 2),): 2}
+    assert d(alg.generator_element(y.gid)) == images[y.gid]
