@@ -1,6 +1,6 @@
 """Fingerprint the CLI's output over a fixed matrix of commands.
 
-Runs 381 commands in-process through ``branecalc.cli.main`` and prints one
+Runs 493 commands in-process through ``branecalc.cli.main`` and prints one
 line per command: exit code, sha256 of stdout, sha256 of stderr, argv (and,
 for a model read from stdin, ``<`` and its name).  The commands, each on
 models/s3.model, models/s4.model and models/s3xs3.model:
@@ -18,7 +18,10 @@ need no model file and a parent checkout runs them unchanged,
 S³×S⁴ at ``--max-degree`` 0 to 12, a model with generators of both
 parities; S⁴ with ``d y = 2/3*x^2`` at 0 to 14 and ``a 4, b 6, y 7, z 11``
 with ``d z = 1/2*b^2 - 3/5*a^3`` at 0 to 10, whose non-integral coefficients
-reach the path model, δ! and every zigzag.
+reach the path model, δ! and every section; S³×S⁵×S⁷ at 0 to 14, whose
+coproducts are nonempty; and S³×S⁴ again at 0 to 12 with its generators
+listed out of degree order (``y 7``, ``x 4``, ``a 3``), which pins the
+order in which sections are solved: by degree, not by generator id.
 
 Two checkouts give the same tables exactly when their outputs are equal::
 
@@ -46,6 +49,8 @@ STDIN = {  # name: (model text, top --max-degree)
     "s4-rational": ("algebra S4q\ngen x 4\ngen y 7\nd y = 2/3*x^2\n", 14),
     "a4b6-rational": ("algebra A4B6q\ngen a 4\ngen b 6\ngen y 7\ngen z 11\n"
                       "d y = a^2\nd z = 1/2*b^2 - 3/5*a^3\n", 10),
+    "s3xs5xs7": ("algebra S3xS5xS7\ngen a 3\ngen b 5\ngen c 7\n", 14),
+    "s3xs4-reordered": ("algebra S3xS4r\ngen y 7\ngen x 4\ngen a 3\nd y = x^2\n", 12),
 }
 
 

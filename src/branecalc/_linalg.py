@@ -24,12 +24,15 @@ each row by its content keeps the entries from growing.
 
 Only columns below ``ncols`` may become pivots.  Columns from ``ncols`` on
 ride along as a tail: an augmented row [a | b] records b for every
-combination of rows, which is how ``solve`` and ``inverse`` read their
-answers and how the cohomology code records coordinates.
+combination of rows, which is how ``inverse`` reads its answer and how the
+cohomology code records coordinates.  ``solve`` instead lets its
+right-hand-side column, ``ncols``, be a pivot column too: its sparse
+equations go into ``Echelon(ncols + 1)``, a pivot there means 0 = 1, and
+otherwise each pivot row reads off one variable.
 
-The RREF of a row space is unique, so the dense interface below (lists of
-rows of Fraction, as the callers use it) returns exactly what a dense
-column-by-column reduction would, whatever order the rows arrive in.
+The RREF of a row space is unique, so ``solve`` and the dense wrappers below
+(lists of rows of Fraction) return exactly what a dense column-by-column
+reduction would, whatever order the rows arrive in.
 """
 
 from __future__ import annotations
@@ -142,28 +145,6 @@ class Echelon:
         return basis
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    if not a or not b:
-        return []
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[F0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j]:
-                        oi[j] += c * bt[j]
-    return out
-
-
-def mat_vec(a: Mat, v: Vec) -> Vec:
-    return [sum((c * x for c, x in zip(row, v) if c and x), F0) for row in a]
-
-
 def rref(rows: Mat, ncols: int | None = None) -> tuple[Mat, list[int]]:
     """Reduced row echelon form; returns (rref rows, pivot column list).
 
@@ -185,22 +166,22 @@ def nullspace(rows: Mat, ncols: int) -> list[Vec]:
     return [[v.get(j, F0) for j in range(ncols)] for v in ech.kernel().values()]
 
 
-def solve(a: Mat, b: Vec) -> Vec | None:
-    """One solution of A x = b with free variables set to 0; None if none."""
-    ncols = len(a[0]) if a else 0
-    eqs = [sparse(row) for row in a]
-    ech = Echelon(ncols)
-    for eq, rhs in zip(eqs, b):
-        ech.insert({**eq, ncols: Fraction(rhs)} if rhs else eq)
-    x = [F0] * ncols
-    for p, row in ech.fraction_rows().items():
-        x[p] = row.get(ncols, F0)
-    # pivots stop at column ncols, so an inconsistent system shows up only
-    # when the candidate is substituted back
-    for eq, rhs in zip(eqs, b):
-        if sum((c * x[j] for j, c in eq.items()), F0) != rhs:
-            return None
-    return x
+def solve(rows: list[Row], ncols: int) -> Row | None:
+    """One solution {column: nonzero value} of a system with free variables
+    set to 0, or None if there is none.
+
+    Each row is a sparse equation over columns below ncols, augmented by its
+    right-hand side in column ncols.  The system is inconsistent exactly
+    when that column becomes a pivot: some combination of the equations
+    reads 0 = 1.
+    """
+    ech = Echelon(ncols + 1)
+    for row in rows:
+        ech.insert(row)
+    if ncols in ech.rows:
+        return None
+    return {p: Fraction(row[ncols], row[p])
+            for p, row in ech.rows.items() if ncols in row}
 
 
 def inverse(a: Mat) -> Mat:

@@ -1,12 +1,9 @@
 """The brane product/coproduct pipelines and the diagram checkers.
 
-Each operation is a zigzag of maps between gluing models, evaluated on
-cohomology degree by degree: a rightward arrow contributes its induced map,
-a leftward one is a quasi-isomorphism whose induced map is inverted, and a
-shriek ⊗ id shifts the degree.  Write M_{S^k} for the sphere model, D for
-the k-disk model (semifree over M_{S^(k-1)}), G = D ⊗_{M_{S^(k-1)}} D for
-the glued double disk and P for the path model of ∧V over ∧V⊗².  Then, with
-← marking the inverted arrows,
+Each operation is a zigzag of maps between gluing models.  Write M_{S^k}
+for the sphere model, D for the k-disk model (semifree over M_{S^(k-1)}),
+G = D ⊗_{M_{S^(k-1)}} D for the glued double disk and P for the path model
+of ∧V over ∧V⊗².  Then, with ← marking the backward arrows,
 
 * product μ∨ (k ≥ 2):
   M_{S^k} ←glue G →identify M_{S^k} ⊗_{∧V} M_{S^k}
@@ -16,10 +13,17 @@ the glued double disk and P for the path model of ∧V over ∧V⊗².  Then, wi
   →γ!⊗id G →glue M_{S^k},
   where γ! exists because M → M^{S^1} has finite codimension.
 
-The arrows between the two ends are Steps.  At the square end H(M_{S^k}⊗²)
-is H⊗H (Künneth), indexed by pairs of state classes, and never computed:
-the product reads each value of δ!⊗id off with π⊗π (Kunneth.coordinates),
-and the coproduct applies identify to the pair cocycles a⊗b.
+Every backward arrow f is a surjective quasi-isomorphism onto a Sullivan
+algebra, so it has a section σ, a chain map with f∘σ = id
+(cohomology.section, the lifting lemma), and H(σ) = H(f)⁻¹.  With each
+backward arrow replaced by its section, an operation is one composite of
+chain maps, applied to cocycles, and classes are read only at its two
+ends: the state model's class basis, and at the square end pairs of state
+classes, as H(M_{S^k}⊗²) = H⊗H (Künneth) is never computed.  The product
+applies its composite to each state representative and reads the value of
+δ!⊗id off with π⊗π (Kunneth.coordinates); the coproduct applies its
+composite to the pair cocycles a⊗b and takes the class of the result in
+the state model.  No model in between gets a cohomology basis.
 
 Every morphism is fixed by generator provenance alone (see _gluing_map).
 
@@ -42,20 +46,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from . import _linalg as la
 from .gca_core import Element, translate
-from .cohomology import (
-    class_vector,
-    cohomology_basis,
-    induced_map,
-    invert_on_cohomology,
-    projection,
-)
+from .cohomology import class_vector, cohomology_basis, projection, section
 from .dga_models import (
     DgaModel,
     DgaMorphism,
     ModelError,
     base_change,
+    compose,
     disk_model,
     morphism_phi,
     relative_tensor,
@@ -136,35 +134,7 @@ class Kunneth:
 
 
 # ---------------------------------------------------------------------------
-# zigzags
-
-
-@dataclass(frozen=True)
-class Step:
-    """One arrow of a zigzag.  A forward step contributes the induced map
-    of map, shifted by map.degree; a backward step is a quasi-isomorphism
-    pointing the other way, whose induced map is inverted."""
-
-    stage: str
-    map: DgaMorphism | ModuleMap
-    forward: bool = True
-
-
-def evaluate_zigzag(steps: list[Step], n: int) -> list[list[Fraction]]:
-    """Matrix of the composite of the steps on H^n of the first model."""
-    out = None
-    for step in steps:
-        f = step.map
-        if step.forward:
-            m = induced_map(f, f.source, f.target, n, shift=f.degree)
-            n += f.degree
-        else:
-            try:
-                m = invert_on_cohomology(f, f.source, f.target, n)
-            except ModelError as exc:
-                raise ModelError(f"{step.stage}: {exc}") from None
-        out = m if out is None else la.mat_mul(m, out)
-    return out
+# zigzags as chain maps
 
 
 # Where _gluing_map sends the left ("L") and right ("R") copies of the top
@@ -281,27 +251,15 @@ def brane_product_dual(
     spheres, _, _ = relative_tensor(state, sphere_model(V, k + 1))
     delta = shriek_delta_semipure(V, delta_cutoff(V, max_degree))
     shriek = _shriek_tensor_id(delta, kun.square, max_degree)
-    steps = [
-        Step("double disk vs sphere identification", glue, forward=False),
-        Step("double disk vs sphere pair identification",
-             _gluing_map(double, spheres, k, _IDENTIFY)),
-        Step("path-model quasi-isomorphism",
-             _gluing_map(shriek.source, spheres, k, _COLLAPSE), forward=False),
-    ]
+    to_path = compose(
+        section(_gluing_map(shriek.source, spheres, k, _COLLAPSE),
+                "path-model quasi-isomorphism"),
+        compose(_gluing_map(double, spheres, k, _IDENTIFY),
+                section(glue, "double disk vs sphere identification")))
     table: dict[Label, dict[Pair, Fraction]] = {}
     for n in range(max_degree + 1):
-        dim = cohomology_basis(state, n).dimension
-        if dim == 0:
-            continue
-        to_path = evaluate_zigzag(steps, n)
-        images = [kun.coordinates(shriek(rep))
-                  for rep in cohomology_basis(shriek.source, n).representatives]
-        for i in range(dim):
-            row: dict[Pair, Fraction] = {}
-            for coeffs, image in zip(to_path, images):
-                for lab, c in image.items():
-                    _add(row, lab, coeffs[i] * c)
-            table[(n, i)] = row
+        for i, rep in enumerate(cohomology_basis(state, n).representatives):
+            table[(n, i)] = kun.coordinates(shriek(to_path(rep)))
     return BraneOperation(
         "product-dual", info, delta.degree, max_degree, state, table
     )
@@ -324,27 +282,21 @@ def brane_coproduct_dual(
     kun, double, glue = _sphere_and_double_disk(V, gamma.source, k)
     state = kun.state
     collapsed, _ = base_change(double, morphism_phi(gamma.target))
-    identify = _gluing_map(kun.square, collapsed, k, _IDENTIFY)
     shriek = _shriek_tensor_id(gamma, double, max_degree)
     r = gamma.degree
-    steps = [
-        Step("disk-factor quasi-isomorphism",
-             _gluing_map(shriek.source, collapsed, k, _COLLAPSE), forward=False),
-        Step("γ! ⊗ id", shriek),
-        Step("double disk vs sphere identification", glue),
-    ]
+    to_source = compose(
+        section(_gluing_map(shriek.source, collapsed, k, _COLLAPSE),
+                "disk-factor quasi-isomorphism"),
+        _gluing_map(kun.square, collapsed, k, _IDENTIFY))
     table: dict[Pair, dict[Label, Fraction]] = {}
     for n in range(max_degree + 1):
-        labels = kun.pairs(n)
-        if not labels:
-            continue
         # with nothing in the target degree, δ∨ vanishes without evaluation
-        nonzero = cohomology_basis(state, n + r).dimension
-        delta_n = evaluate_zigzag(steps, n) if nonzero else []
-        for lab in labels:
-            out = la.mat_vec(
-                delta_n, class_vector(collapsed, n, identify(kun.element(lab)))
-            ) if delta_n else []
+        if not cohomology_basis(state, n + r).dimension:
+            table.update((lab, {}) for lab in kun.pairs(n))
+            continue
+        for lab in kun.pairs(n):
+            z = glue(shriek(to_source(kun.element(lab))))
+            out = class_vector(state, n + r, z)
             table[lab] = {(n + r, i): c for i, c in enumerate(out) if c}
     return BraneOperation(
         "coproduct-dual", info, r, max_degree, state, table

@@ -1,4 +1,5 @@
-"""Degreewise exact cohomology: bases, class vectors, induced maps, π.
+"""Degreewise exact cohomology: bases, class vectors, induced maps, π, and
+sections of surjective quasi-isomorphisms.
 
 Cochains are sparse rows {position: coefficient} over the canonical
 monomial basis of a degree, found through a cached {monomial: position}
@@ -27,6 +28,15 @@ The same reductions give a projection π: Cⁿ → Hⁿ.  A cocycle z is
 on pivot columns), so π sends the monomial at f to the class of v_f and each
 pivot-column monomial to 0: π is the class map on cocycles, kills
 coboundaries, and π⊗π reads Künneth pair coordinates off tensor products.
+
+``section`` turns a backward arrow of a zigzag, a surjective
+quasi-isomorphism f, into a forward one: a chain map σ with f∘σ = id, so
+H(σ) = H(f)⁻¹ without the cohomology of either model.  Generator by
+generator, in degree order, σ(g) is one sparse solve (``_linalg.solve``)
+over the cached d rows of one degree of f.source and the images of f.
+``induced_map``, ``invert_on_cohomology`` and ``is_quasi_iso`` compute the
+same inverse degree by degree from both models' cohomology; the tests use
+them as the reference for every section the pipelines build.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ from typing import Callable
 
 from . import _linalg as la
 from .gca_core import Element, Monomial
-from .dga_models import DgaModel, ModelError
+from .dga_models import DgaModel, DgaMorphism, ModelError
 
 F0 = Fraction(0)
 
@@ -70,6 +80,60 @@ def _d_rows(M: DgaModel, n: int) -> list[dict[int, int]]:
         return [{index[m]: c for m, c in leibniz(mono).items()}
                 for mono in M.algebra.basis(n)]
     return _cached(M, ("d", n), make)
+
+
+def section(f: DgaMorphism, stage: str) -> DgaMorphism:
+    """A chain map σ: f.target → f.source with f∘σ = id, so H(σ) = H(f)⁻¹.
+
+    f must be a surjective quasi-isomorphism onto a Sullivan algebra; then
+    σ exists by the lifting lemma (Félix–Halperin–Thomas, GTM 205, §12).
+    It is solved generator by generator of f.target in (degree, gid) order,
+    so each dg lies in generators that already have images: σ(g) is the
+    solution w ∈ f.sourceⁿ (n = |g|) of d w = σ(dg) and f(w) = g with free
+    variables set to 0.  The d equations are the cached rows of den·d, so
+    their right side is den·σ(dg).  The result is checked when it is built;
+    every error names the stage.
+    """
+    A, B = f.source, f.target
+    images: dict[int, Element] = {}
+    sigma = DgaMorphism(B, A, images)  # filled in as the solve goes
+    systems: dict[int, tuple] = {}
+    for g in sorted(B.algebra.generators, key=lambda h: (h.degree, h.gid)):
+        n = g.degree
+        if n not in systems:
+            # the coefficient rows of degree n: d w over A^{n+1}, f(w) over B^n
+            basis = A.algebra.basis(n)
+            d_eqs: dict[int, la.Row] = {}
+            for j, row in enumerate(_d_rows(A, n)):
+                for i, c in row.items():
+                    d_eqs.setdefault(i, {})[j] = c
+            f_eqs: dict = {}
+            for j, mono in enumerate(basis):
+                for t, c in f(A.algebra.monomial_element(mono)).terms.items():
+                    f_eqs.setdefault(t, {})[j] = c
+            systems[n] = basis, d_eqs, f_eqs
+        basis, d_eqs, f_eqs = systems[n]
+        ncols, index = len(basis), _index(A, n + 1)
+        rhs = {index[m]: c * A.d.den
+               for m, c in sigma(B.d(B.algebra.generator_element(g.gid))).terms.items()}
+        rows = []
+        for eqs, right in ((d_eqs, rhs), (f_eqs, {((g.gid, 1),): la.F1})):
+            # an equation with a right side but no coefficients reads 0 = c
+            for key in [*eqs, *(k for k in right if k not in eqs)]:
+                row = eqs.get(key, {})
+                rows.append({**row, ncols: right[key]} if key in right else row)
+        sol = la.solve(rows, ncols)
+        if sol is None:
+            raise ModelError(f"{stage}: {g.name} has no lift; "
+                             "not a surjective quasi-isomorphism")
+        images[g.gid] = Element(A.algebra, {basis[j]: sol[j] for j in sorted(sol)})
+    bad = sigma.chain_defects() + [
+        g.name for g in B.algebra.generators
+        if f(images[g.gid]) != B.algebra.generator_element(g.gid)]
+    if bad:
+        raise ModelError(f"{stage}: the section is not a chain map with "
+                         f"f∘σ = id on generators {bad}")
+    return sigma
 
 
 @dataclass
@@ -161,12 +225,11 @@ def induced_map(
     src: DgaModel,
     tgt: DgaModel,
     n: int,
-    shift: int = 0,
 ) -> list[list[Fraction]]:
-    """Matrix of the induced map H^n(src) -> H^(n+shift)(tgt)."""
+    """Matrix of the induced map H^n(src) -> H^n(tgt)."""
     hs = cohomology_basis(src, n)
-    ht = cohomology_basis(tgt, n + shift)
-    cols = [class_vector(tgt, n + shift, apply(rep)) for rep in hs.representatives]
+    ht = cohomology_basis(tgt, n)
+    cols = [class_vector(tgt, n, apply(rep)) for rep in hs.representatives]
     return [
         [cols[j][i] for j in range(hs.dimension)] for i in range(ht.dimension)
     ]

@@ -308,8 +308,10 @@ def shriek_delta_semipure(V: DgaModel, cutoff: int) -> ModuleMap:
     def image_as_linear(mono: Monomial):
         return fixed.get(mono, sq.zero()), unknowns.get(mono, [])
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    # one sparse equation per fiber monomial and target monomial t: the
+    # coefficient of t in D(f)(mono), with the constant part moved to the
+    # right side, column n_vars
+    rows: list[la.Row] = []
     sgn_r = -1 if r % 2 else 1
     helper = ModuleMap(path, square, r, base_images, {})
     for mono in fiber_monos:
@@ -317,26 +319,19 @@ def shriek_delta_semipure(V: DgaModel, cutoff: int) -> ModuleMap:
         if n + 1 > fiber_cut:
             # d(mono) can reach fiber degree n+1, beyond the table
             continue
-        tgt_basis = sq.basis(n + r + 1)
-        tgt_index = {t: i for i, t in enumerate(tgt_basis)}
-        acc_const = [F0] * len(tgt_basis)
-        acc_vars: dict[int, list[Fraction]] = {}
+        eqs: dict[Monomial, la.Row] = {}
 
-        def add_elem(e: Element, scale: Fraction) -> None:
+        def add(col: int, e: Element, scale) -> None:
             for t, c in e.terms.items():
-                acc_const[tgt_index[t]] += c * scale
-
-        def add_var(vi: int, e: Element, scale: Fraction) -> None:
-            col = acc_vars.setdefault(vi, [F0] * len(tgt_basis))
-            for t, c in e.terms.items():
-                col[tgt_index[t]] += c * scale
+                row = eqs.setdefault(t, {})
+                row[col] = row.get(col, F0) + c * scale
 
         # d_target ∘ f on mono
         const, vlist = image_as_linear(mono)
         if not const.is_zero():
-            add_elem(square.d(const), Fraction(1))
+            add(n_vars, square.d(const), -1)
         for vi, tmono in vlist:
-            add_var(vi, square.d(sq.monomial_element(tmono)), Fraction(1))
+            add(vi, square.d(sq.monomial_element(tmono)), 1)
         # -(-1)^r f ∘ d_source on mono
         dmono = path.d(alg.monomial_element(mono))
         for smono, c in dmono.terms.items():
@@ -349,22 +344,15 @@ def shriek_delta_semipure(V: DgaModel, cutoff: int) -> ModuleMap:
             b_elem = _apply_algebra_map(alg.monomial_element(b), base_images, sq)
             const_f, vlist_f = image_as_linear(f_part)
             if not const_f.is_zero():
-                add_elem(b_elem * const_f, Fraction(scale))
+                add(n_vars, b_elem * const_f, -scale)
             for vi, tmono in vlist_f:
-                add_var(vi, b_elem * sq.monomial_element(tmono), Fraction(scale))
-
-        for i in range(len(tgt_basis)):
-            row = [F0] * n_vars
-            nonzero = bool(acc_const[i])
-            for vi, col in acc_vars.items():
-                if col[i]:
-                    row[vi] = col[i]
-                    nonzero = True
-            if nonzero:
+                add(vi, b_elem * sq.monomial_element(tmono), scale)
+        for row in eqs.values():
+            row = {j: c for j, c in row.items() if c}
+            if row:
                 rows.append(row)
-                rhs.append(-acc_const[i])
 
-    sol = la.solve(rows, rhs) if rows else [F0] * n_vars
+    sol = la.solve(rows, n_vars)
     if sol is None:
         raise ModelError(
             "no cocycle with the prescribed leading term within the cutoff; "
@@ -374,7 +362,7 @@ def shriek_delta_semipure(V: DgaModel, cutoff: int) -> ModuleMap:
     for mono in fiber_monos:
         val = dict(fixed.get(mono, sq.zero()).terms)
         for vi, tmono in unknowns.get(mono, []):
-            val[tmono] = val.get(tmono, F0) + sol[vi]
+            val[tmono] = val.get(tmono, F0) + sol.get(vi, F0)
         val = {t: c for t, c in val.items() if c}
         if val:
             images[mono] = Element(sq, val)

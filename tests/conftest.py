@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,20 @@ def build_s4():
 
 # S³×S⁴: generators of both parities and a nonzero differential
 S3XS4 = "algebra S3xS4\ngen a 3\ngen x 4\ngen y 7\nd y = x^2\n"
+S4_RATIONAL = "algebra S4q\ngen x 4\ngen y 7\nd y = 2/3*x^2\n"
+MODEL_FILES = [
+    pytest.param(p.read_text(), id=p.stem)
+    for p in sorted((Path(__file__).resolve().parent.parent / "models").glob("*.model"))
+]
+# the models of models/ plus three stdin shapes, for the per-model tests
+MODEL_TEXTS = MODEL_FILES + [
+    pytest.param(S3XS4, id="s3xs4"),
+    # d z = x - y makes x and y cohomologous, so π sends a free column to
+    # an earlier class too, not only to the one its cocycle creates
+    pytest.param("gen x 4\ngen y 4\ngen z 3\nd z = x - y\n", id="linear-d"),
+    # d's images have common denominator 3, so the d rows are 3·d
+    pytest.param(S4_RATIONAL, id="s4-rational"),
+]
 
 
 def build_s3xs3():
