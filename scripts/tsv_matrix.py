@@ -23,6 +23,11 @@ coproducts are nonempty; and S³×S⁴ again at 0 to 12 with its generators
 listed out of degree order (``y 7``, ``x 4``, ``a 3``), which pins the
 order in which sections are solved: by degree, not by generator id.
 
+The output of the tables as they stand is committed next to this script,
+so a change that alters any table shows it in its own diff::
+
+    python3 scripts/tsv_matrix.py | diff scripts/tsv_matrix.expected -
+
 Two checkouts give the same tables exactly when their outputs are equal::
 
     python3 scripts/tsv_matrix.py /path/to/other/checkout > before.txt

@@ -24,15 +24,15 @@ each row by its content keeps the entries from growing.
 
 Only columns below ``ncols`` may become pivots.  Columns from ``ncols`` on
 ride along as a tail: an augmented row [a | b] records b for every
-combination of rows, which is how ``inverse`` reads its answer and how the
-cohomology code records coordinates.  ``solve`` instead lets its
-right-hand-side column, ``ncols``, be a pivot column too: its sparse
-equations go into ``Echelon(ncols + 1)``, a pivot there means 0 = 1, and
-otherwise each pivot row reads off one variable.
+combination of rows, which is how ``cohomology_basis`` records coordinates
+and ``invert_on_cohomology`` reads an inverse off [A | I].  ``solve``
+instead lets its right-hand-side column, ``ncols``, be a pivot column too:
+its sparse equations go into ``Echelon(ncols + 1)``, a pivot there means
+0 = 1, and otherwise each pivot row reads off one variable.
 
-The RREF of a row space is unique, so ``solve`` and the dense wrappers below
-(lists of rows of Fraction) return exactly what a dense column-by-column
-reduction would, whatever order the rows arrive in.
+The RREF of a row space is unique, so ``Echelon`` and ``solve`` return
+exactly what a dense column-by-column reduction would, whatever order the
+rows arrive in.
 """
 
 from __future__ import annotations
@@ -40,16 +40,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-Vec = list
-Mat = list
 Row = dict  # {column: nonzero Fraction}
 
-F0 = Fraction(0)
 F1 = Fraction(1)
-
-
-def sparse(v: Vec) -> Row:
-    return {j: Fraction(x) for j, x in enumerate(v) if x}
 
 
 def _integral(row: Row) -> tuple[dict[int, int], int]:
@@ -145,27 +138,6 @@ class Echelon:
         return basis
 
 
-def rref(rows: Mat, ncols: int | None = None) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form; returns (rref rows, pivot column list).
-
-    Pivots are sought in the first ncols columns only (default: all)."""
-    width = len(rows[0]) if rows else 0
-    ech = Echelon(width if ncols is None else ncols)
-    for r in rows:
-        ech.insert(sparse(r))
-    view = ech.fraction_rows()
-    pivots = sorted(view)
-    return [[view[p].get(j, F0) for j in range(width)] for p in pivots], pivots
-
-
-def nullspace(rows: Mat, ncols: int) -> list[Vec]:
-    """Basis of the kernel of the matrix (rows act on column vectors)."""
-    ech = Echelon(ncols)
-    for r in rows:
-        ech.insert(sparse(r))
-    return [[v.get(j, F0) for j in range(ncols)] for v in ech.kernel().values()]
-
-
 def solve(rows: list[Row], ncols: int) -> Row | None:
     """One solution {column: nonzero value} of a system with free variables
     set to 0, or None if there is none.
@@ -182,16 +154,3 @@ def solve(rows: list[Row], ncols: int) -> Row | None:
         return None
     return {p: Fraction(row[ncols], row[p])
             for p, row in ech.rows.items() if ncols in row}
-
-
-def inverse(a: Mat) -> Mat:
-    n = len(a)
-    if any(len(r) != n for r in a):
-        raise ValueError("not square")
-    ech = Echelon(n)
-    for i, row in enumerate(a):
-        ech.insert({**sparse(row), n + i: F1})
-    if len(ech.rows) != n:
-        raise ValueError("singular matrix")
-    view = ech.fraction_rows()
-    return [[view[p].get(n + j, F0) for j in range(n)] for p in range(n)]

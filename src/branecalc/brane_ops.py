@@ -64,7 +64,6 @@ from .shriek import (
     GorensteinInfo,
     ModuleMap,
     delta_cutoff,
-    fiber_basis,
     gorenstein_info,
     shriek_delta_semipure,
     shriek_gamma_pure,
@@ -175,34 +174,27 @@ def _gid(e: Element) -> int:
     return next(iter(e.terms))[0][0]
 
 
-def _shriek_tensor_id(F: ModuleMap, N: DgaModel, max_degree: int) -> ModuleMap:
-    """F ⊗ id: F.source ⊗_B N → N, on fiber monomials of degree ≤ max_degree.
+def _shriek_tensor_id(F: ModuleMap, N: DgaModel) -> ModuleMap:
+    """F ⊗ id: F.source ⊗_B N → N, linear over all of N.
 
     F is a shriek over its base B: F.base_images sends each base generator
     of F.source to a generator of F.target, and N is semifree over a copy of
     F.target.  The inclusions of relative_tensor carry each base generator
     into the glued model and into N, which fixes the translation
-    F.target → N.
+    F.target → N.  The base (base_images' keys) is every generator from N,
+    so the images are F's own values: (F ⊗ id)(a·b) = F(a)·b.
     """
     glued, inc_f, inc_n = relative_tensor(F.source, N)
     f_gid = {g: _gid(img) for g, img in inc_f.images.items()}
-    n_gid = {g: _gid(img) for g, img in inc_n.images.items()}
-    glued_to_n = {new: g for g, new in n_gid.items()}
+    glued_to_n = {_gid(img): g for g, img in inc_n.images.items()}
     to_n = {
         _gid(F.base_images[b]): glued_to_n[f_gid[b]] for b in F.source.base_gids
     }
-    base_images = {
-        g: N.algebra.generator_element(glued_to_n[g]) for g in glued.base_gids
-    }
+    base_images = {new: N.algebra.generator_element(g) for new, g in glued_to_n.items()}
     images = {}
     for a, value in F.images.items():
-        value_n = translate(value, N.algebra, to_n)
-        for d in range(max_degree - F.source.algebra.monomial_degree(a) + 1):
-            for b in fiber_basis(N, d):
-                sign, mono = glued.algebra.normalize(
-                    [(f_gid[g], e) for g, e in a] + [(n_gid[g], e) for g, e in b]
-                )
-                images[mono] = value_n * N.algebra.monomial_element(b, sign)
+        sign, mono = glued.algebra.normalize([(f_gid[g], e) for g, e in a])
+        images[mono] = translate(value, N.algebra, to_n) * sign
     return ModuleMap(glued, N, F.degree, base_images, images)
 
 
@@ -250,7 +242,7 @@ def brane_product_dual(
     state = kun.state
     spheres, _, _ = relative_tensor(state, sphere_model(V, k + 1))
     delta = shriek_delta_semipure(V, delta_cutoff(V, max_degree))
-    shriek = _shriek_tensor_id(delta, kun.square, max_degree)
+    shriek = _shriek_tensor_id(delta, kun.square)
     to_path = compose(
         section(_gluing_map(shriek.source, spheres, k, _COLLAPSE),
                 "path-model quasi-isomorphism"),
@@ -282,7 +274,7 @@ def brane_coproduct_dual(
     kun, double, glue = _sphere_and_double_disk(V, gamma.source, k)
     state = kun.state
     collapsed, _ = base_change(double, morphism_phi(gamma.target))
-    shriek = _shriek_tensor_id(gamma, double, max_degree)
+    shriek = _shriek_tensor_id(gamma, double)
     r = gamma.degree
     to_source = compose(
         section(_gluing_map(shriek.source, collapsed, k, _COLLAPSE),

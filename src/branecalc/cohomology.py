@@ -35,8 +35,9 @@ H(σ) = H(f)⁻¹ without the cohomology of either model.  Generator by
 generator, in degree order, σ(g) is one sparse solve (``_linalg.solve``)
 over the cached d rows of one degree of f.source and the images of f.
 ``induced_map``, ``invert_on_cohomology`` and ``is_quasi_iso`` compute the
-same inverse degree by degree from both models' cohomology; the tests use
-them as the reference for every section the pipelines build.
+same inverse degree by degree from both models' cohomology, the inverse
+read off the tail of one ``Echelon`` fed [H(f) | I]; the tests use them as
+the reference for every section the pipelines build.
 """
 
 from __future__ import annotations
@@ -249,12 +250,14 @@ def invert_on_cohomology(
     m = induced_map(apply, src, tgt, n)
     rows = cohomology_basis(tgt, n).dimension
     cols = cohomology_basis(src, n).dimension
-    if rows == cols:
-        try:
-            return la.inverse(m)
-        except ValueError:
-            pass
-    rank = len(la.rref(m, cols)[1])
+    # for an invertible m the RREF of [m | I] is [I | m⁻¹]
+    ech = la.Echelon(cols)
+    for i, row in enumerate(m):
+        ech.insert({**{j: x for j, x in enumerate(row) if x}, cols + i: la.F1})
+    rank = len(ech.rows)
+    if rows == cols == rank:
+        view = ech.fraction_rows()
+        return [[view[p].get(cols + j, F0) for j in range(rows)] for p in range(cols)]
     raise ModelError(
         f"induced map on H^{n} is not invertible (shape {rows}×{cols}, "
         f"rank {rank}); not a quasi-isomorphism"

@@ -376,7 +376,10 @@ def disk_model(V: DgaModel, k: int) -> DgaModel:
     return model
 
 
-def path_model(V: DgaModel, max_series_iterations: int = 64) -> DgaModel:
+MAX_SERIES_ITERATIONS = 64  # path_model's bound on a twisting series
+
+
+def path_model(V: DgaModel) -> DgaModel:
     """Relative model ∧V⊗² ⊗ ∧sV of the multiplication ∧V⊗² → ∧V."""
     if any(g.degree < 2 for g in V.algebra.generators):
         raise ModelError("path model needs all generator degrees ≥ 2")
@@ -402,7 +405,7 @@ def path_model(V: DgaModel, max_series_iterations: int = 64) -> DgaModel:
         total = (alg.generator_element(right[g.gid])
                  - alg.generator_element(left[g.gid]))
         u = alg.generator_element(left[g.gid])
-        for i in range(1, max_series_iterations + 1):
+        for i in range(1, MAX_SERIES_ITERATIONS + 1):
             u = s_der(d_partial(u))
             if u.is_zero():
                 break
@@ -410,7 +413,7 @@ def path_model(V: DgaModel, max_series_iterations: int = 64) -> DgaModel:
         else:
             raise ModelError(
                 f"path-model twisting series for {g.name} did not terminate "
-                f"within {max_series_iterations} iterations"
+                f"within {MAX_SERIES_ITERATIONS} iterations"
             )
         if not total.is_zero():
             images[susp[g.gid]] = total

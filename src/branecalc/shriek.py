@@ -98,7 +98,9 @@ def gorenstein_info(
 @dataclass
 class ModuleMap:
     """A base-linear map from a semifree model into a module (a model whose
-    algebra receives the base through base_images)."""
+    algebra receives the base through base_images).  The base is the set of
+    base_images' keys: source.base_gids for a shriek, and for F⊗id
+    (brane_ops._shriek_tensor_id) also every generator of its second factor."""
 
     source: DgaModel
     target: DgaModel
@@ -108,7 +110,6 @@ class ModuleMap:
 
     def split(self, mono: Monomial) -> tuple[int, Monomial, Monomial]:
         """Unshuffle a monomial into (sign, base part, fiber part)."""
-        base = set(self.source.base_gids)
         alg = self.source.algebra
         b: list[tuple[int, int]] = []
         f: list[tuple[int, int]] = []
@@ -116,7 +117,7 @@ class ModuleMap:
         fiber_parity = 0
         for gid, e in mono:
             deg = alg.gen(gid).degree
-            if gid in base:
+            if gid in self.base_images:
                 b.append((gid, e))
                 if fiber_parity % 2 and (deg * e) % 2:
                     sign = -sign

@@ -118,6 +118,15 @@ def test_map_onto_zero_cohomology_is_not_invertible(s3):
     assert not is_quasi_iso(f, 3)
 
 
+def test_full_rank_map_of_unequal_dimensions_is_not_invertible(s3, s3xs3):
+    # x ↦ x1 is injective on H^3 (rank 1) but H^3 goes from dim 1 to dim 2
+    f = DgaMorphism(s3, s3xs3, {s3.algebra.gen("x").gid: s3xs3.gen_elem("x1")})
+    f.check_chain()
+    with pytest.raises(ModelError, match="shape 2×1, rank 1"):
+        invert_on_cohomology(f, s3, s3xs3, 3)
+    assert not is_quasi_iso(f, 3)
+
+
 def test_cohomology_cache_follows_new_generators():
     M = make_model([("x", 3)])
     assert cohomology_basis(M, 3).dimension == 1

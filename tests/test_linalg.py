@@ -1,9 +1,11 @@
 """The sparse elimination kernel against sympy's exact linear algebra.
 
-Matrices are seeded random sparse rationals, plus the shapes where an
-eliminator tends to slip: empty, 0×k, all-zero and rank-deficient, entries
-whose numerators and denominators pass 2**70, and rows whose denominators
-share no factor.
+``Echelon`` and the sparse ``solve`` are the whole interface: the RREF is
+``fraction_rows()``, the nullspace ``kernel()``, and an inverse the tail of
+an ``Echelon`` fed [A | I].  Matrices are seeded random sparse rationals,
+plus the shapes where an eliminator tends to slip: empty, 0×k, all-zero and
+rank-deficient, entries whose numerators and denominators pass 2**70, and
+rows whose denominators share no factor.
 """
 
 import random
@@ -26,6 +28,38 @@ def to_sympy(rows, ncols):
                                            for row in rows for x in row])
 
 
+def sparse(v):
+    """A dense row as a sparse row {column: nonzero Fraction}."""
+    return {j: Fraction(x) for j, x in enumerate(v) if x}
+
+
+def echelon(rows, ncols):
+    ech = la.Echelon(ncols)
+    for r in rows:
+        ech.insert(sparse(r))
+    return ech
+
+
+def rref(rows, ncols):
+    """(RREF rows as dense lists, pivot columns), read off fraction_rows()."""
+    view = echelon(rows, ncols).fraction_rows()
+    pivots = sorted(view)
+    return [[view[p].get(j, Fraction(0)) for j in range(ncols)] for p in pivots], pivots
+
+
+def inverse(a):
+    """A⁻¹ off the tail of an Echelon fed [A | I], or None when A is singular:
+    then fewer than n columns of A become pivots."""
+    n = len(a)
+    ech = la.Echelon(n)
+    for i, row in enumerate(a):
+        ech.insert({**sparse(row), n + i: Fraction(1)})
+    if len(ech.rows) != n:
+        return None
+    view = ech.fraction_rows()
+    return [[view[p].get(n + j, Fraction(0)) for j in range(n)] for p in range(n)]
+
+
 def mat_mul(a, b):
     if not a or not b:
         return []
@@ -40,7 +74,7 @@ def mat_vec(a, v):
 def solve(rows, b, ncols):
     """la.solve on the dense system A x = b, as sparse rows with the right
     side in column ncols; the solution comes back as a dense vector."""
-    aug = [{**la.sparse(row), ncols: Fraction(c)} if c else la.sparse(row)
+    aug = [{**sparse(row), ncols: Fraction(c)} if c else sparse(row)
            for row, c in zip(rows, b)]
     sol = la.solve(aug, ncols)
     if sol is None:
@@ -111,7 +145,7 @@ IDS = [name for name, _, _ in CASES]
 
 @pytest.mark.parametrize("name, rows, ncols", CASES, ids=IDS)
 def test_rref_and_rank_match_sympy(name, rows, ncols):
-    red, pivots = la.rref(rows, ncols)
+    red, pivots = rref(rows, ncols)
     want, want_pivots = to_sympy(rows, ncols).rref()
     assert pivots == list(want_pivots)
     assert len(pivots) == to_sympy(rows, ncols).rank()
@@ -123,7 +157,7 @@ def test_rref_and_rank_match_sympy(name, rows, ncols):
 def test_rref_does_not_depend_on_row_order(name, rows, ncols):
     shuffled = list(rows)
     random.Random(len(rows) * 31 + ncols).shuffle(shuffled)
-    assert la.rref(shuffled, ncols) == la.rref(rows, ncols)
+    assert rref(shuffled, ncols) == rref(rows, ncols)
 
 
 @pytest.mark.parametrize("name, rows, ncols", CASES, ids=IDS)
@@ -136,9 +170,7 @@ def test_echelon_rows_are_primitive_and_order_free(name, rows, ncols):
     for _ in range(3):
         order = list(rows)
         rng.shuffle(order)
-        ech = la.Echelon(ncols)
-        for r in order:
-            ech.insert(la.sparse(r))
+        ech = echelon(order, ncols)
         for p, row in ech.rows.items():
             assert all(type(x) is int and x for x in row.values())
             assert gcd(*row.values()) == 1 and row[p] > 0 and min(row) == p
@@ -151,22 +183,21 @@ def test_echelon_rows_are_primitive_and_order_free(name, rows, ncols):
 def test_reduce_is_the_projection_off_the_pivot_columns(name, rows, ncols):
     """reduce(v) = v − Σ_p v[p]·R_p over sympy's RREF rows R_p: zero at every
     pivot column, and equal to v modulo the row space."""
-    ech = la.Echelon(ncols)
-    for r in rows:
-        ech.insert(la.sparse(r))
+    ech = echelon(rows, ncols)
     rng = random.Random(ncols * 7 + len(rows))
     red, pivots = to_sympy(rows, ncols).rref() if rows else (None, ())
     for v in random_matrix(rng, 3, ncols, 0.7) + rows[:1]:
         want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in v]])
         for i, p in enumerate(pivots):
             want -= want[0, p] * red[i, :]
-        got = ech.reduce(la.sparse(v))
+        got = ech.reduce(sparse(v))
         assert got == {j: to_fraction(x) for j, x in enumerate(want) if x}
 
 
 @pytest.mark.parametrize("name, rows, ncols", CASES, ids=IDS)
 def test_nullspace_matches_sympy(name, rows, ncols):
-    got = la.nullspace(rows, ncols)
+    kernel = echelon(rows, ncols).kernel()
+    got = [[kernel[f].get(j, Fraction(0)) for j in range(ncols)] for f in sorted(kernel)]
     want = to_sympy(rows, ncols).nullspace()
     assert got == [[to_fraction(x) for x in v] for v in want]
     for v in got:
@@ -180,7 +211,7 @@ def test_solve_recovers_consistent_systems(name, rows, ncols):
     b = mat_vec(rows, x)
     sol = solve(rows, b, ncols)
     assert sol is not None and mat_vec(rows, sol) == b
-    if len(la.rref(rows, ncols)[1]) == ncols:  # full column rank: x is the only solution
+    if len(echelon(rows, ncols).rows) == ncols:  # full column rank: x is the only solution
         assert sol == x
 
 
@@ -210,13 +241,12 @@ def test_inverse_matches_sympy():
         a = random_matrix(rng, n, n, 0.4)
         m = to_sympy(a, n)
         if m.det() == 0:
-            with pytest.raises(ValueError, match="singular"):
-                la.inverse(a)
+            assert inverse(a) is None
             continue
-        inv = la.inverse(a)
+        inv = inverse(a)
         assert inv == [[to_fraction(x) for x in m.inv().row(i)] for i in range(n)]
         checked += 1
-    assert la.inverse([]) == []
+    assert inverse([]) == []
 
 
 @pytest.mark.parametrize("a", [
@@ -225,15 +255,4 @@ def test_inverse_matches_sympy():
     [[Fraction(0)] * 3] * 3,
 ])
 def test_inverse_rejects_singular_matrices(a):
-    with pytest.raises(ValueError, match="singular"):
-        la.inverse(a)
-
-
-@pytest.mark.parametrize("a", [
-    [[Fraction(1), Fraction(2)]],
-    [[Fraction(1)], [Fraction(2)]],
-    [[Fraction(1), Fraction(0)], [Fraction(0)]],
-])
-def test_inverse_rejects_non_square_matrices(a):
-    with pytest.raises(ValueError, match="not square"):
-        la.inverse(a)
+    assert inverse(a) is None
