@@ -84,6 +84,11 @@ def commands() -> list[tuple[list[str], str | None]]:
     ]
 
 
+def label(argv: list[str], name: str | None) -> str:
+    """A command's label in the output: argv, then ``< name`` for stdin."""
+    return " ".join(argv) + (f" < {name}" if name else "")
+
+
 def run(main, argv: list[str], stdin: str = "") -> tuple[int, bytes, bytes]:
     stdout, stderr = io.StringIO(), io.StringIO()
     sys.stdin = io.StringIO(stdin)
@@ -103,9 +108,8 @@ def main() -> None:
 
     for argv, name in commands():
         code, out, err = run(cli_main, argv, STDIN[name][0] if name else "")
-        label = " ".join(argv) + (f" < {name}" if name else "")
         print(code, hashlib.sha256(out).hexdigest(), hashlib.sha256(err).hexdigest(),
-              label, sep="\t", flush=True)
+              label(argv, name), sep="\t", flush=True)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Exact sparse Gaussian elimination, fraction-free, on integer rows.
 
-A sparse row is a dict {column: nonzero coefficient}.  Rows go in and come
-out with ``fractions.Fraction`` coefficients; inside, the one elimination
-routine, ``Echelon``, keeps a pivot map {pivot column: row} of a row space
-whose rows are primitive integer rows: integer entries with gcd 1, positive
-at the pivot, and 0 at every other pivot column.  Such a row is the reduced
+A sparse row is a dict {column: nonzero coefficient}.  Rows go in with
+``int`` or ``fractions.Fraction`` coefficients and come out with Fraction
+ones; inside, the one elimination routine, ``Echelon``, keeps a pivot map
+{pivot column: row} of a row space whose rows are primitive integer rows:
+integer entries with gcd 1, positive at the pivot, and 0 at every other
+pivot column.  Such a row is the reduced
 row echelon form's row times the lcm of that row's denominators, so the
 pivots and every result are those of exact rational elimination, while the
 arithmetic runs on plain ints (which stay small on branecalc's models)
@@ -91,7 +92,12 @@ class Echelon:
         self.rows: dict[int, dict[int, int]] = {}
 
     def _reduce(self, row: Row) -> tuple[dict[int, int], int]:
-        out, den = _integral(row)
+        # a row of ints (the d rows) is copied, not rebuilt; a copy, as
+        # _clear edits out in place and the d rows are cached
+        if all(type(x) is int for x in row.values()):
+            out, den = dict(row), 1
+        else:
+            out, den = _integral(row)
         rows = self.rows
         # clearing a pivot column touches no other pivot column (each row is
         # 0 there), so one pass over the pivot columns row starts with is

@@ -21,9 +21,14 @@ chain maps, applied to cocycles, and classes are read only at its two
 ends: the state model's class basis, and at the square end pairs of state
 classes, as H(M_{S^k}⊗²) = H⊗H (Künneth) is never computed.  The product
 applies its composite to each state representative and reads the value of
-δ!⊗id off with π⊗π (Kunneth.coordinates); the coproduct applies its
-composite to the pair cocycles a⊗b and takes the class of the result in
-the state model.  No model in between gets a cohomology basis.
+δ!⊗id off with π⊗π (Kunneth.coordinates).  The coproduct takes the class in
+the state model of the image of each pair cocycle a⊗b.  It reads each pair
+off two per-class images and one folded module map: identify and the
+collapse section are algebra maps, so their composite sends a⊗b to the
+product of the images of a⊗1 and 1⊗b, each computed once per class; glue
+is an algebra map too, so glue∘(γ!⊗id) is one module map
+(shriek.compose_module), built once.  No model in between gets a
+cohomology basis.
 
 Every morphism is fixed by generator provenance alone (see _gluing_map).
 
@@ -45,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import Callable
 
 from .gca_core import Element, translate
 from .cohomology import class_vector, cohomology_basis, projection, section
@@ -63,6 +69,7 @@ from .dga_models import (
 from .shriek import (
     GorensteinInfo,
     ModuleMap,
+    compose_module,
     delta_cutoff,
     gorenstein_info,
     shriek_delta_semipure,
@@ -108,7 +115,9 @@ class Kunneth:
                 for ia in range(dims[da]) for ib in range(dims[n - da])]
 
     def element(self, pair: Pair) -> Element:
-        """The square cocycle a⊗b of the representatives of the pair."""
+        """The square cocycle a⊗b of the representatives of the pair.  The
+        coproduct builds its image from per-class images instead; this is
+        the per-pair reference the tests check it against."""
         (da, ia), (db, ib) = pair
         ra = cohomology_basis(self.state, da).representatives[ia]
         rb = cohomology_basis(self.state, db).representatives[ib]
@@ -257,6 +266,34 @@ def brane_product_dual(
     )
 
 
+def _coproduct_maps(
+    V: DgaModel, k: int
+) -> tuple[Kunneth, DgaMorphism, ModuleMap, DgaMorphism]:
+    """(kun, to_source, γ!⊗id, glue): δ∨(a⊗b) is the class of
+    glue(γ!⊗id(to_source(a⊗b))) for the pair cocycles a⊗b of kun."""
+    gamma = shriek_gamma_pure(V)
+    kun, double, glue = _sphere_and_double_disk(V, gamma.source, k)
+    collapsed, _ = base_change(double, morphism_phi(gamma.target))
+    shriek = _shriek_tensor_id(gamma, double)
+    to_source = compose(
+        section(_gluing_map(shriek.source, collapsed, k, _COLLAPSE),
+                "disk-factor quasi-isomorphism"),
+        _gluing_map(kun.square, collapsed, k, _IDENTIFY))
+    return kun, to_source, shriek, glue
+
+
+def _class_images(f: DgaMorphism, state: DgaModel) -> Callable[[Label], Element]:
+    """label ↦ f(representative of label), each computed on first use."""
+    memo: dict[Label, Element] = {}
+
+    def image(label: Label) -> Element:
+        if label not in memo:
+            n, i = label
+            memo[label] = f(cohomology_basis(state, n).representatives[i])
+        return memo[label]
+    return image
+
+
 def brane_coproduct_dual(
     V: DgaModel,
     k: int,
@@ -270,26 +307,22 @@ def brane_coproduct_dual(
             "(closed-form constant-maps shriek)"
         )
     info = info or gorenstein_info(V, k)
-    gamma = shriek_gamma_pure(V)
-    kun, double, glue = _sphere_and_double_disk(V, gamma.source, k)
-    state = kun.state
-    collapsed, _ = base_change(double, morphism_phi(gamma.target))
-    shriek = _shriek_tensor_id(gamma, double)
-    r = gamma.degree
-    to_source = compose(
-        section(_gluing_map(shriek.source, collapsed, k, _COLLAPSE),
-                "disk-factor quasi-isomorphism"),
-        _gluing_map(kun.square, collapsed, k, _IDENTIFY))
+    kun, to_source, shriek, glue = _coproduct_maps(V, k)
+    state, r = kun.state, shriek.degree
+    # to_source(a⊗b) = to_source(a⊗1)·to_source(1⊗b), and glue∘(γ!⊗id) is
+    # one module map
+    left = _class_images(compose(to_source, kun.left), state)
+    right = _class_images(compose(to_source, kun.right), state)
+    folded = compose_module(glue, shriek)
     table: dict[Pair, dict[Label, Fraction]] = {}
     for n in range(max_degree + 1):
         # with nothing in the target degree, δ∨ vanishes without evaluation
         if not cohomology_basis(state, n + r).dimension:
             table.update((lab, {}) for lab in kun.pairs(n))
             continue
-        for lab in kun.pairs(n):
-            z = glue(shriek(to_source(kun.element(lab))))
-            out = class_vector(state, n + r, z)
-            table[lab] = {(n + r, i): c for i, c in enumerate(out) if c}
+        for a, b in kun.pairs(n):
+            out = class_vector(state, n + r, folded(left(a) * right(b)))
+            table[(a, b)] = {(n + r, i): c for i, c in enumerate(out) if c}
     return BraneOperation(
         "coproduct-dual", info, r, max_degree, state, table
     )

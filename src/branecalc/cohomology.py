@@ -48,7 +48,8 @@ from typing import Callable
 
 from . import _linalg as la
 from .gca_core import Element, Monomial
-from .dga_models import DgaModel, DgaMorphism, ModelError
+from .dga_models import (
+    DgaModel, DgaMorphism, IntImages, ModelError, _apply_algebra_map)
 
 F0 = Fraction(0)
 
@@ -92,12 +93,13 @@ def section(f: DgaMorphism, stage: str) -> DgaMorphism:
     so each dg lies in generators that already have images: σ(g) is the
     solution w ∈ f.sourceⁿ (n = |g|) of d w = σ(dg) and f(w) = g with free
     variables set to 0.  The d equations are the cached rows of den·d, so
-    their right side is den·σ(dg).  The result is checked when it is built;
-    every error names the stage.
+    their right side is den·σ(dg), where σ is the partial map of the images
+    found so far, applied in integral form.  σ is built once the solve is
+    done and checked then; every error names the stage.
     """
     A, B = f.source, f.target
     images: dict[int, Element] = {}
-    sigma = DgaMorphism(B, A, images)  # filled in as the solve goes
+    ints: IntImages = {}  # the images so far, as _apply_algebra_map takes them
     systems: dict[int, tuple] = {}
     for g in sorted(B.algebra.generators, key=lambda h: (h.degree, h.gid)):
         n = g.degree
@@ -115,8 +117,9 @@ def section(f: DgaMorphism, stage: str) -> DgaMorphism:
             systems[n] = basis, d_eqs, f_eqs
         basis, d_eqs, f_eqs = systems[n]
         ncols, index = len(basis), _index(A, n + 1)
+        dg = B.d(B.algebra.generator_element(g.gid))
         rhs = {index[m]: c * A.d.den
-               for m, c in sigma(B.d(B.algebra.generator_element(g.gid))).terms.items()}
+               for m, c in _apply_algebra_map(dg, ints, A.algebra).terms.items()}
         rows = []
         for eqs, right in ((d_eqs, rhs), (f_eqs, {((g.gid, 1),): la.F1})):
             # an equation with a right side but no coefficients reads 0 = c
@@ -128,6 +131,8 @@ def section(f: DgaMorphism, stage: str) -> DgaMorphism:
             raise ModelError(f"{stage}: {g.name} has no lift; "
                              "not a surjective quasi-isomorphism")
         images[g.gid] = Element(A.algebra, {basis[j]: sol[j] for j in sorted(sol)})
+        ints[g.gid] = la._integral(images[g.gid].terms)
+    sigma = DgaMorphism(B, A, images)
     bad = sigma.chain_defects() + [
         g.name for g in B.algebra.generators
         if f(images[g.gid]) != B.algebra.generator_element(g.gid)]

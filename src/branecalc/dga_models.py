@@ -20,11 +20,14 @@ Applying d and applying algebra maps run on plain int coefficients.  A
 Derivation is fixed when it is built: it keeps a read-only copy of its
 images and stores them once as integer terms over one denominator den, and
 its per-monomial kernel ``Derivation.leibniz`` returns den·d(mono) as
-{monomial: int}.  ``_apply_algebra_map`` (behind ``DgaMorphism``,
-``base_change`` and the shriek module maps) makes each image it meets
-integral once per call.  Fractions are built only where an Element is made
-from the integer results, and read only where an Element's coefficients
-are turned into ints.
+{monomial: int}.  A DgaMorphism is fixed the same way, with each image
+stored once as int terms over its own denominator (``_integral_images``),
+so the images are made integral once per map, not once per call: that
+integral form is what ``_apply_algebra_map`` takes, from ``DgaMorphism``,
+from the base images of a shriek's ``ModuleMap``, from ``base_change`` and
+from ``cohomology.section`` while it solves.  Fractions are built only
+where an Element is made from the integer results, and read only where an
+Element's coefficients are turned into ints.
 """
 
 from __future__ import annotations
@@ -43,22 +46,19 @@ from .gca_core import (
     ModelError,
     Monomial,
     Provenance,
+    _element,
     add_tagged,
     tensor,
     translate,
 )
 
+#: generator id -> (int terms, den): an image as den·image over its own
+#: denominator, the form _apply_algebra_map takes
+IntImages = dict[int, tuple[dict[Monomial, int], int]]
+
 
 # ---------------------------------------------------------------------------
 # derivations and morphisms
-
-
-def _element(alg: GradedAlgebra, terms: dict[Monomial, int], den: int) -> Element:
-    """The Element Σ (c/den)·m of integer terms: where the integer kernels
-    hand their results back as Fractions."""
-    if den == 1:
-        return Element(alg, {m: Fraction(c) for m, c in terms.items() if c})
-    return Element(alg, {m: Fraction(c, den) for m, c in terms.items() if c})
 
 
 @dataclass(frozen=True)
@@ -130,32 +130,30 @@ class Derivation:
         return _element(alg, terms, den * self.den)
 
 
-def _apply_algebra_map(
-    e: Element, images: Mapping[int, Element], target: GradedAlgebra
-) -> Element:
-    """The algebra map given by images on generators, applied monomial by
-    monomial on integers.
+def _integral_images(images: Mapping[int, Element]) -> IntImages:
+    """Each image as int terms over its own denominator."""
+    return {gid: _integral(img.terms) for gid, img in images.items()}
 
-    Each image a monomial meets is made integral once per call, as int
-    terms over its own denominator; a monomial's product of images is taken
-    on those ints, and its scale (the product of the denominators met)
-    applies once, as the running sum is kept over the lcm of the scales.
+
+def _apply_algebra_map(e: Element, ints: IntImages, target: GradedAlgebra) -> Element:
+    """The algebra map with generator images ints (see _integral_images),
+    applied monomial by monomial on integers.
+
+    A monomial's product of images is taken on the int terms, and its scale
+    (the product of the denominators met) applies once, as the running sum
+    is kept over the lcm of the scales.
     """
     mul = target.mul_monomials
-    ints: dict[int, tuple[dict[Monomial, int], int]] = {}
     coeffs, den = _integral(e.terms)
     top, total = 1, {}  # the sum so far is total / (den·top)
     for mono, a in coeffs.items():
         acc: dict[Monomial, int] = {(): a}
         scale = 1
         for gid, exp in mono:
-            img = ints.get(gid)
-            if img is None:
-                try:
-                    img = ints[gid] = _integral(images[gid].terms)
-                except KeyError:
-                    raise ModelError(f"no image for generator id {gid}") from None
-            terms, img_den = img
+            try:
+                terms, img_den = ints[gid]
+            except KeyError:
+                raise ModelError(f"no image for generator id {gid}") from None
             for _ in range(exp):
                 nxt: dict[Monomial, int] = {}
                 for m, c in acc.items():
@@ -178,17 +176,28 @@ def _apply_algebra_map(
     return _element(target, total, den * top)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DgaMorphism:
-    """A degree-0 multiplicative map between models, given on generators."""
+    """A degree-0 multiplicative map between models, given on generators.
+
+    A DgaMorphism is fixed when it is built, as a Derivation is: images is
+    a read-only copy of the dict it was given, and the images are also
+    stored once in the integral form _apply_algebra_map takes.
+    """
 
     source: "DgaModel"
     target: "DgaModel"
-    images: dict[int, Element]
+    images: Mapping[int, Element]
     degree: ClassVar[int] = 0
+    _ints: IntImages = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        images = MappingProxyType(dict(self.images))
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "_ints", _integral_images(images))
 
     def __call__(self, e: Element) -> Element:
-        return _apply_algebra_map(e, self.images, self.target.algebra)
+        return _apply_algebra_map(e, self._ints, self.target.algebra)
 
     def chain_defects(self) -> list[str]:
         """Generators where f∘d ≠ d∘f.
@@ -507,9 +516,10 @@ def base_change(M: DgaModel, f: DgaMorphism) -> tuple[DgaModel, DgaMorphism]:
         )
         if not img.is_zero():
             images[a_map[g.gid]] = img
+    rho_ints = _integral_images(rho)
     for gid in M.fiber_gids:
         img = _apply_algebra_map(
-            M.d(M.algebra.generator_element(gid)), rho, alg
+            M.d(M.algebra.generator_element(gid)), rho_ints, alg
         )
         if not img.is_zero():
             images[fiber_map[gid]] = img

@@ -5,6 +5,8 @@ Generators carry an integer degree >= 1.  A monomial is a sorted tuple of
 reordering factors accumulates the Koszul sign (-1)^(|a||b|) per
 transposition.  Elements are sparse rational linear combinations of
 canonical monomials, so equality of elements is equality of term maps.
+A product of elements is summed on ints, each factor taken as int terms
+over its own denominator, and builds one Fraction per output term.
 
 Monomials are ordered by generator id (creation order), which stays stable
 when an algebra is extended with new generators.
@@ -15,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence, Union
+
+from ._linalg import _integral
 
 Scalar = Union[int, Fraction]
 Monomial = tuple  # tuple[tuple[int, int], ...], sorted by generator id
@@ -326,20 +330,18 @@ class Element:
                 return self.algebra.zero()
             return Element(self.algebra, {m: k * c for m, k in self.terms.items()})
         self._check(other)
-        alg = self.algebra
-        terms: dict[Monomial, Fraction] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                sign, m = alg.mul_monomials(ma, mb)
-                if sign == 0:
-                    continue
-                c = ca * cb * sign
-                s = terms.get(m, Fraction(0)) + c
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
-        return Element(alg, terms)
+        # each factor as int terms over its denominator; the products are
+        # summed on ints, and each output coefficient is one Fraction
+        a, den_a = _integral(self.terms)
+        b, den_b = _integral(other.terms)
+        mul = self.algebra.mul_monomials
+        terms: dict[Monomial, int] = {}
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                sign, m = mul(ma, mb)
+                if sign:
+                    terms[m] = terms.get(m, 0) + sign * ca * cb
+        return _element(self.algebra, terms, den_a * den_b)
 
     def __rmul__(self, other: Scalar) -> "Element":
         return self.__mul__(other)
@@ -371,6 +373,14 @@ class Element:
                 parts.append(str(c))
         out = " + ".join(parts)
         return out.replace("+ -", "- ")
+
+
+def _element(alg: GradedAlgebra, terms: dict[Monomial, int], den: int) -> Element:
+    """The Element Σ (c/den)·m of integer terms: where the integer kernels
+    hand their results back as Fractions."""
+    if den == 1:
+        return Element(alg, {m: Fraction(c) for m, c in terms.items() if c})
+    return Element(alg, {m: Fraction(c, den) for m, c in terms.items() if c})
 
 
 def add_tagged(

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from . import _linalg as la
 from .gca_core import Element, GradedAlgebra, Monomial, ONE, Provenance
@@ -30,8 +31,10 @@ from .dga_models import (
     Derivation,
     DgaModel,
     DgaMorphism,
+    IntImages,
     ModelError,
     _apply_algebra_map,
+    _integral_images,
     base_change,
     base_model,
     disk_model,
@@ -100,13 +103,22 @@ class ModuleMap:
     """A base-linear map from a semifree model into a module (a model whose
     algebra receives the base through base_images).  The base is the set of
     base_images' keys: source.base_gids for a shriek, and for F⊗id
-    (brane_ops._shriek_tensor_id) also every generator of its second factor."""
+    (brane_ops._shriek_tensor_id) also every generator of its second factor.
+
+    base_images is fixed when the map is built: it is kept as a read-only
+    copy, and also stored once in the integral form _apply_algebra_map
+    takes."""
 
     source: DgaModel
     target: DgaModel
     degree: int
-    base_images: dict[int, Element]  # source base gid -> target element
+    base_images: Mapping[int, Element]  # source base gid -> target element
     images: dict[Monomial, Element] = field(default_factory=dict)
+    _base: IntImages = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.base_images = MappingProxyType(dict(self.base_images))
+        self._base = _integral_images(self.base_images)
 
     def split(self, mono: Monomial) -> tuple[int, Monomial, Monomial]:
         """Unshuffle a monomial into (sign, base part, fiber part)."""
@@ -137,10 +149,23 @@ class ModuleMap:
             if (self.degree * alg.monomial_degree(b)) % 2:
                 sign = -sign
             base = alg.monomial_element(b, c * sign)
-            value = _apply_algebra_map(base, self.base_images, tgt) * img
+            value = _apply_algebra_map(base, self._base, tgt) * img
             for m, x in value.terms.items():
                 terms[m] = terms.get(m, F0) + x
         return Element(tgt, {m: x for m, x in terms.items() if x})
+
+
+def compose_module(g: DgaMorphism, F: ModuleMap) -> ModuleMap:
+    """g∘F for an algebra map g out of F.target.
+
+    g is multiplicative, so g(F(b·m)) = ±g(F(b))·g(F(m)): g∘F is again
+    base-linear, with base images g(F.base_images) and values g(F.images).
+    """
+    if F.target is not g.source:
+        raise ModelError("composition mismatch")
+    return ModuleMap(F.source, g.target, F.degree,
+                     {b: g(img) for b, img in F.base_images.items()},
+                     {m: g(img) for m, img in F.images.items()})
 
 
 def fiber_basis(M: DgaModel, n: int) -> tuple[Monomial, ...]:
@@ -342,7 +367,7 @@ def shriek_delta_semipure(V: DgaModel, cutoff: int) -> ModuleMap:
                 raise ModelError("internal: fiber monomial outside the table")
             bsign = -1 if (r * alg.monomial_degree(b)) % 2 else 1
             scale = c * ssign * (-sgn_r) * bsign
-            b_elem = _apply_algebra_map(alg.monomial_element(b), base_images, sq)
+            b_elem = _apply_algebra_map(alg.monomial_element(b), helper._base, sq)
             const_f, vlist_f = image_as_linear(f_part)
             if not const_f.is_zero():
                 add(n_vars, b_elem * const_f, -scale)

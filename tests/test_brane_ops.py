@@ -25,7 +25,7 @@ from branecalc import (
 )
 from branecalc.brane_ops import Kunneth
 
-from conftest import S3XS4, build_s3, coassociative, frobenius
+from conftest import MODEL_TEXTS, S3XS4, build_s3, coassociative, frobenius
 
 F1 = Fraction(1)
 L1, LW, LX, LXW = (0, 0), (1, 0), (3, 0), (4, 0)
@@ -253,3 +253,54 @@ def test_pipelines_never_compute_a_tensor_square_cohomology(monkeypatch):
     brane_coproduct_dual(V, 2, max_degree=6)
     assert squares and computed
     assert not any(M is S for M in computed for S in squares)
+
+
+# The coproduct reads each pair off two per-class images and one folded
+# module map glue∘(γ!⊗id).  The oracle is the route it replaced: the whole
+# composite applied to each pair cocycle a⊗b (Kunneth.element), with glue
+# applied after γ!⊗id.  linear-d is not minimal, so no pipeline accepts it;
+# S³×S⁵×S⁷'s coproduct is nonzero from degree 10 on.
+S3XS5XS7 = "gen a 3\ngen b 5\ngen c 7\n"
+COPRODUCT_CASES = [p for p in MODEL_TEXTS if p.id != "linear-d"] + [
+    pytest.param(S3XS5XS7, id="s3xs5xs7")]
+ORACLE_DEGREE = 12
+FOLD_DEGREE = 10
+
+
+@pytest.mark.parametrize("text", COPRODUCT_CASES)
+def test_coproduct_matches_the_pair_by_pair_route(text):
+    V = parse_model(text).model
+    table = brane_coproduct_dual(V, 2, max_degree=ORACLE_DEGREE).table
+    kun, to_source, shriek_id, glue = brane_ops._coproduct_maps(V, 2)
+    r = shriek_id.degree
+    want = {}
+    for n in range(ORACLE_DEGREE + 1):
+        for pair in kun.pairs(n):
+            z = glue(shriek_id(to_source(kun.element(pair))))
+            out = class_vector(kun.state, n + r, z)
+            want[pair] = {(n + r, i): c for i, c in enumerate(out) if c}
+    assert table == want
+    if text == S3XS5XS7:
+        assert any(table.values())
+
+
+@pytest.mark.parametrize("text", COPRODUCT_CASES)
+def test_folded_glue_after_shriek_is_glue_applied_after_it(text):
+    # every monomial a·b of (γ!⊗id).source with a a fiber monomial where
+    # γ!⊗id has a value and b in its base, through degree FOLD_DEGREE
+    _, _, shriek_id, glue = brane_ops._coproduct_maps(parse_model(text).model, 2)
+    folded = shriek.compose_module(glue, shriek_id)
+    assert folded.source is shriek_id.source and folded.target is glue.target
+    alg = shriek_id.source.algebra
+    base = set(shriek_id.base_images)
+    checked = 0
+    for a in shriek_id.images:
+        for d in range(FOLD_DEGREE - alg.monomial_degree(a) + 1):
+            for b in alg.basis(d):
+                if any(g not in base for g, _ in b):
+                    continue
+                sign, mono = alg.normalize([*a, *b])
+                x = alg.monomial_element(mono, sign)
+                assert folded(x) == glue(shriek_id(x))
+                checked += 1
+    assert checked

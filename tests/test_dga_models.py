@@ -329,3 +329,24 @@ def test_a_derivation_is_fixed_when_built():
     assert d(alg.generator_element(x.gid)).is_zero()
     assert d.leibniz(((y.gid, 1),)) == {((x.gid, 2),): 2}
     assert d(alg.generator_element(y.gid)) == images[y.gid]
+
+
+def test_a_morphism_is_fixed_when_built():
+    src, tgt = GradedAlgebra("source"), GradedAlgebra("target")
+    x = src.add_generator("x", 4)
+    u = tgt.add_generator("u", 2)
+    v = tgt.add_generator("v", 4)
+    images = {x.gid: tgt.element({((u.gid, 2),): Fraction(2, 3)})}
+    f = DgaMorphism(DgaModel(src, Derivation(src, 1, {})),
+                    DgaModel(tgt, Derivation(tgt, 1, {})), images)
+    with pytest.raises(TypeError):
+        f.images[x.gid] = tgt.generator_element(v.gid)
+    with pytest.raises(TypeError):
+        del f.images[x.gid]
+    with pytest.raises(AttributeError):
+        f.images = {}
+    # the dict it was built from no longer reaches it
+    images[x.gid] = tgt.generator_element(v.gid)
+    x2 = src.monomial_element(((x.gid, 2),))
+    assert f(x2) == tgt.element({((u.gid, 4),): Fraction(4, 9)})
+    assert f.images[x.gid] != images[x.gid]

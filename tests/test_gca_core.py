@@ -155,3 +155,47 @@ def test_translate_preserves_products():
     e = left.generator_element("u") * left.generator_element("v") * 3
     t = translate(e, big, lmap)
     assert t == big.generator_element("u") * big.generator_element("v") * 3
+
+
+# Element.__mul__ works on ints over each factor's denominator; the
+# reference multiplies term by term on Fractions.  Coefficients run from
+# small integers to denominators above 2⁷⁰.
+coefficients = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-2**90, 2**90), st.integers(2**70, 2**80)),
+)
+rich_elements = st.dictionaries(
+    st.sampled_from(monomials), coefficients, max_size=5).map(ALG.element)
+# sums of odd-degree monomials: each squares to zero, its cross terms
+# cancelling in pairs
+odd_elements = st.dictionaries(
+    st.sampled_from([m for m in monomials if ALG.monomial_degree(m) % 2]),
+    coefficients, min_size=1, max_size=4).map(ALG.element)
+
+
+def fraction_product(x, y):
+    terms = {}
+    for ma, ca in x.terms.items():
+        for mb, cb in y.terms.items():
+            sign, m = ALG.mul_monomials(ma, mb)
+            if sign:
+                terms[m] = terms.get(m, Fraction(0)) + sign * ca * cb
+    return {m: c for m, c in terms.items() if c}
+
+
+@settings(max_examples=80, deadline=None)
+@given(rich_elements, rich_elements)
+def test_product_matches_the_fraction_reference(x, y):
+    got = x * y
+    assert got.terms == fraction_product(x, y)
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(odd_elements, rich_elements)
+def test_odd_squares_vanish_and_products_cancel_to_zero(x, y):
+    assert (x * x).is_zero() and fraction_product(x, x) == {}
+    # x·y·x = ±x·x·y on each homogeneous part of y
+    xy = x * y
+    assert xy.terms == fraction_product(x, y)
+    assert (xy * x).is_zero() and fraction_product(xy, x) == {}

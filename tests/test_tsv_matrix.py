@@ -1,0 +1,61 @@
+"""The top-degree table rows of the TSV matrix, replayed in-process.
+
+``scripts/tsv_matrix.py`` fingerprints 493 CLI commands, and its output as
+the tables stand is committed as ``scripts/tsv_matrix.expected``.  The
+``brane-product`` and ``brane-coproduct`` rows at each model's top
+``--max-degree``, with and without ``--homology``, are run again here
+through the script's own ``commands``, ``run`` and ``label``, so a change
+to any table fails the tests, not only the manual diff.  A table through
+degree n holds every table below it as rows, so the top rows stand for the
+rest.
+"""
+
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from branecalc.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "tsv_matrix.py"
+_spec = importlib.util.spec_from_file_location("tsv_matrix", SCRIPT)
+tsv_matrix = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tsv_matrix)
+
+
+def top_degree_tables():
+    """(argv, stdin model name) of the table commands at the top degree."""
+    top = {}
+    for argv, name in tsv_matrix.commands():
+        if argv[0] not in ("brane-product", "brane-coproduct") or "--max-degree" not in argv:
+            continue
+        key = (argv[0], argv[1], name, "--homology" in argv)
+        degree = int(argv[argv.index("--max-degree") + 1])
+        if key not in top or degree > top[key][0]:
+            top[key] = degree, argv, name
+    return [(argv, name) for _, argv, name in top.values()]
+
+
+EXPECTED = {}
+for line in (ROOT / "scripts" / "tsv_matrix.expected").read_text().splitlines():
+    code, out, err, lab = line.split("\t")
+    EXPECTED[lab] = int(code), out, err
+CASES = top_degree_tables()
+
+
+def test_every_model_is_replayed_with_and_without_homology():
+    assert len(CASES) == 2 * 2 * (len(tsv_matrix.MODELS) + len(tsv_matrix.STDIN))
+    assert all(tsv_matrix.label(argv, name) in EXPECTED for argv, name in CASES)
+
+
+@pytest.mark.parametrize("argv,name", CASES, ids=[tsv_matrix.label(*c) for c in CASES])
+def test_top_degree_table_matches_the_expected_digests(argv, name, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(sys, "stdin", sys.stdin)  # run replaces it
+    stdin = tsv_matrix.STDIN[name][0] if name else ""
+    code, out, err = tsv_matrix.run(main, argv, stdin)
+    got = code, hashlib.sha256(out).hexdigest(), hashlib.sha256(err).hexdigest()
+    assert got == EXPECTED[tsv_matrix.label(argv, name)]
