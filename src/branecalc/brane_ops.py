@@ -342,14 +342,14 @@ class HomologyOperation:
     source: BraneOperation
 
 
-def dualize_to_homology(op: BraneOperation, info: GorensteinInfo | None = None) -> HomologyOperation:
+def dualize_to_homology(op: BraneOperation) -> HomologyOperation:
     """Transpose a dual-level operation to the m-shifted homology.
 
     With the Koszul conventions in the module docstring, the signs work out
     to (-1)^(m|b| + |a||b| + m) per product entry and
     (-1)^(m̄|c| + |a||b| + m|a|) per coproduct entry.
     """
-    info = info or op.info
+    info = op.info
     m, mb = info.m, info.m_bar
     if op.kind == "product-dual":
         table: dict[Pair, dict[Label, Fraction]] = {}
@@ -425,9 +425,9 @@ def check_associativity(prod: BraneOperation, max_degree: int | None = None) -> 
     return Report("associativity", not failures, checked, failures)
 
 
-def check_commutativity(op: BraneOperation, info: GorensteinInfo | None = None) -> Report:
+def check_commutativity(op: BraneOperation) -> Report:
     """τ-equivariance: sign (-1)^m for the product, (-1)^m̄ for the coproduct."""
-    info = info or op.info
+    info = op.info
     checked = 0
     failures = []
     if op.kind == "product-dual":
@@ -460,12 +460,10 @@ def check_commutativity(op: BraneOperation, info: GorensteinInfo | None = None) 
 def check_frobenius(
     prod: BraneOperation,
     coprod: BraneOperation,
-    info: GorensteinInfo | None = None,
     max_degree: int | None = None,
 ) -> Report:
     """μ∨∘δ∨ = (-1)^(m·m̄) (δ∨⊗id)∘(id⊗̂μ∨) on the tensor square."""
-    info = info or prod.info
-    m, mb = info.m, info.m_bar
+    m, mb = prod.info.m, prod.info.m_bar
     top = max_degree if max_degree is not None else min(prod.max_degree, coprod.max_degree)
     sgn = -1 if (m * mb) % 2 else 1
     checked = 0

@@ -148,7 +148,7 @@ def parse_model(text: str) -> ModelFile:
     diffs: dict = {}
     info: dict = {}
     alg = GradedAlgebra()
-    raw_diffs: list = []
+    raw_diffs: dict = {}  # name -> (expression tokens, line)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -177,7 +177,10 @@ def parse_model(text: str) -> ModelFile:
             nm = toks[1][0]
             if not alg.has_gen(nm):
                 raise ParseError(f"unknown generator {nm!r}", lineno, toks[1][1])
-            raw_diffs.append((nm, toks[3:], lineno))
+            if nm in raw_diffs:
+                raise ParseError(f"d {nm} is already given on line {raw_diffs[nm][1]}",
+                                 lineno, toks[1][1])
+            raw_diffs[nm] = toks[3:], lineno
         elif head == "info":
             if len(toks) not in (4, 5) or toks[2][0] != "=":
                 raise ParseError("usage: info KEY = INT", lineno, col)
@@ -193,7 +196,7 @@ def parse_model(text: str) -> ModelFile:
                 raise ParseError("info value must be an integer", lineno, toks[3][1])
         else:
             raise ParseError(f"unknown declaration {head!r}", lineno, col)
-    for nm, toks, lineno in raw_diffs:
+    for nm, (toks, lineno) in raw_diffs.items():
         e = _ExprParser(toks, lineno, alg).expr()
         want = alg.gen(nm).degree + 1
         try:
@@ -251,7 +254,7 @@ def _emit(rows: list, headers: list, fmt: str) -> str:
 def _model_table(M: DgaModel, fmt: str) -> str:
     rows = []
     for g in M.algebra.generators:
-        img = M.d(M.algebra.generator_element(g.gid))
+        img = M.d.images.get(g.gid, M.algebra.zero())
         rows.append([g.name, g.degree, repr(img)])
     return _emit(rows, ["generator", "degree", "d"], fmt)
 
@@ -308,80 +311,35 @@ def _info(mf: ModelFile, k: int) -> shriek.GorensteinInfo:
     )
 
 
-def _operation_rows(op: brane_ops.BraneOperation) -> list:
+def _rows(table: dict, rep, degree: bool) -> list:
+    """The rows of a table {key: {key: coefficient}}, each key a class label
+    or a pair of labels: the key's degree (if degree), the representatives
+    rep(label) of the key and of the other side, then the coefficient."""
+    def labels(key):
+        return key if isinstance(key[0], tuple) else (key,)
+
     rows = []
-    if op.kind == "product-dual":
-        for c, row in sorted(op.table.items()):
-            for (a, b), coeff in sorted(row.items()):
-                rows.append([
-                    c[0], op.rep_string(c), op.rep_string(a), op.rep_string(b),
-                    str(coeff),
-                ])
-    else:
-        for (a, b), row in sorted(op.table.items()):
-            for c, coeff in sorted(row.items()):
-                rows.append([
-                    a[0] + b[0], op.rep_string(a), op.rep_string(b),
-                    op.rep_string(c), str(coeff),
-                ])
+    for key, row in sorted(table.items()):
+        head = [sum(c[0] for c in labels(key))] if degree else []
+        for other, coeff in sorted(row.items()):
+            reps = [rep(c) for c in (*labels(key), *labels(other))]
+            rows.append([*head, *reps, str(coeff)])
     return rows
 
 
-def _homology_rows(hop: brane_ops.HomologyOperation) -> list:
-    op = hop.source
-    rows = []
-    if hop.kind == "homology-product":
-        for (a, b), row in sorted(hop.table.items()):
-            for c, coeff in sorted(row.items()):
-                rows.append([
-                    f"σ({op.rep_string(a)})", f"σ({op.rep_string(b)})",
-                    f"σ({op.rep_string(c)})", str(coeff),
-                ])
-    else:
-        for c, row in sorted(hop.table.items()):
-            for (a, b), coeff in sorted(row.items()):
-                rows.append([
-                    f"σ({op.rep_string(c)})", f"σ({op.rep_string(a)})",
-                    f"σ({op.rep_string(b)})", str(coeff),
-                ])
-    return rows
-
-
-def _cmd_product(args) -> int:
+def _cmd_table(build, headers: tuple[list, list], args) -> int:
+    """brane-product or brane-coproduct: the dual table the operation build
+    returns, then with --homology its dualization."""
     mf = _load(args.model)
     mf.model.check()
-    info = _info(mf, args.k)
-    op = brane_ops.brane_product_dual(mf.model, args.k, info, args.max_degree)
-    sys.stdout.write(
-        _emit(_operation_rows(op),
-              ["degree", "class", "left", "right", "coefficient"], args.format)
-    )
+    op = build(mf.model, args.k, _info(mf, args.k), args.max_degree)
+    sys.stdout.write(_emit(_rows(op.table, op.rep_string, True), headers[0], args.format))
     if args.homology:
-        hop = brane_ops.dualize_to_homology(op, info)
+        hop = brane_ops.dualize_to_homology(op)
         sys.stdout.write("\n" if args.format != "tsv" else "")
-        sys.stdout.write(
-            _emit(_homology_rows(hop),
-                  ["left", "right", "value", "coefficient"], args.format)
-        )
-    return 0
-
-
-def _cmd_coproduct(args) -> int:
-    mf = _load(args.model)
-    mf.model.check()
-    info = _info(mf, args.k)
-    op = brane_ops.brane_coproduct_dual(mf.model, args.k, info, args.max_degree)
-    sys.stdout.write(
-        _emit(_operation_rows(op),
-              ["degree", "left", "right", "value", "coefficient"], args.format)
-    )
-    if args.homology:
-        hop = brane_ops.dualize_to_homology(op, info)
-        sys.stdout.write("\n" if args.format != "tsv" else "")
-        sys.stdout.write(
-            _emit(_homology_rows(hop),
-                  ["class", "left", "right", "coefficient"], args.format)
-        )
+        sys.stdout.write(_emit(
+            _rows(hop.table, lambda c: f"σ({op.rep_string(c)})", False),
+            headers[1], args.format))
     return 0
 
 
@@ -412,7 +370,7 @@ def _suite_frobenius(mf, args) -> list:
     info = _info(mf, args.k)
     prod = brane_ops.brane_product_dual(mf.model, args.k, info, args.max_degree)
     cop = brane_ops.brane_coproduct_dual(mf.model, args.k, info, args.max_degree)
-    return [brane_ops.check_frobenius(prod, cop, info, args.max_degree)]
+    return [brane_ops.check_frobenius(prod, cop, args.max_degree)]
 
 
 def _suite_golden(mf, args) -> list:
@@ -447,7 +405,7 @@ def _suite_golden(mf, args) -> list:
     expect(cop.table.get((lw, l1)), {l1: -one}, "δ∨(s2⊗1)")
     expect(cop.table.get((l1, lw)), {l1: one}, "δ∨(1⊗s2)")
     expect(cop.table.get((lw, lw)), {lw: -one}, "δ∨(s2⊗s2)")
-    hp = brane_ops.dualize_to_homology(prod, info)
+    hp = brane_ops.dualize_to_homology(prod)
     # unit σ(x)∨; generators y = σ(1)∨ (degree -D), z = -σ(x·s2)∨ (degree D-2)
     expect(hp.table.get((lx, lx)), {lx: one}, "unit squares to itself")
     expect(hp.table.get((l1, l1), {}), {}, "y^2 = 0")
@@ -549,9 +507,16 @@ def build_parser() -> argparse.ArgumentParser:
                 help=f"emit the {kind} mapping-space model")
         if kind != "path":
             p.add_argument("--k", type=int, default=2)
-    for name, fn, op in (("brane-product", _cmd_product, "product μ∨"),
-                         ("brane-coproduct", _cmd_coproduct, "coproduct δ∨")):
-        p = add(name, fn, help=f"dual brane {op}")
+    for name, build, op, headers in (
+        ("brane-product", brane_ops.brane_product_dual, "product μ∨",
+         (["degree", "class", "left", "right", "coefficient"],
+          ["left", "right", "value", "coefficient"])),
+        ("brane-coproduct", brane_ops.brane_coproduct_dual, "coproduct δ∨",
+         (["degree", "left", "right", "value", "coefficient"],
+          ["class", "left", "right", "coefficient"])),
+    ):
+        p = add(name, lambda a, b=build, h=headers: _cmd_table(b, h, a),
+                help=f"dual brane {op}")
         p.add_argument("--k", type=int, default=2)
         p.add_argument("--max-degree", type=_max_degree, default=8)
         p.add_argument("--homology", action="store_true")

@@ -117,7 +117,7 @@ def section(f: DgaMorphism, stage: str) -> DgaMorphism:
             systems[n] = basis, d_eqs, f_eqs
         basis, d_eqs, f_eqs = systems[n]
         ncols, index = len(basis), _index(A, n + 1)
-        dg = B.d(B.algebra.generator_element(g.gid))
+        dg = B.d.images.get(g.gid, B.algebra.zero())
         rhs = {index[m]: c * A.d.den
                for m, c in _apply_algebra_map(dg, ints, A.algebra).terms.items()}
         rows = []

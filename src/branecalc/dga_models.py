@@ -16,6 +16,13 @@ the constructors and the shriek builders find it; its name is only the
 label Provenance.name derives from that, e.g. "s1_x" for s¹x and "x@L" for
 the left copy of x when the two copies of a tensor square would clash.
 
+Every constructor but ``make_model`` assembles its model from parts by one
+copy-and-translate step: it copies the generators of its inputs, takes d on
+the copies from the inputs' d translated (``_d_images``), adds what is new
+(suspensions through ``_suspend``, a path model's twisting series), and
+builds and checks the model in ``_model``.  d on a generator is read from
+``d.images``; the Leibniz kernel runs only on products.
+
 Applying d and applying algebra maps run on plain int coefficients.  A
 Derivation is fixed when it is built: it keeps a read-only copy of its
 images and stores them once as integer terms over one denominator den, and
@@ -206,10 +213,10 @@ class DgaMorphism:
         agreement on generators is agreement everywhere.
         """
         bad = []
-        for g in self.source.algebra.generators:
-            ge = self.source.algebra.generator_element(g.gid)
-            lhs = self(self.source.d(ge))
-            rhs = self.target.d(self(ge))
+        src = self.source
+        for g in src.algebra.generators:
+            lhs = self(src.d.images.get(g.gid, src.algebra.zero()))
+            rhs = self.target.d(self(src.algebra.generator_element(g.gid)))
             if lhs != rhs:
                 bad.append(g.name)
         return bad
@@ -262,8 +269,9 @@ class DgaModel:
         vanishing on the whole algebra.
         """
         bad = []
+        zero = self.algebra.zero()
         for g in self.algebra.generators:
-            if not self.d(self.d(self.algebra.generator_element(g.gid))).is_zero():
+            if not self.d(self.d.images.get(g.gid, zero)).is_zero():
                 bad.append(g.name)
         return bad
 
@@ -274,8 +282,9 @@ class DgaModel:
 
     def signature(self) -> tuple:
         """Structural fingerprint: generators plus differential images."""
+        zero = self.algebra.zero()
         return tuple(
-            (g.name, g.degree, repr(self.d(self.algebra.generator_element(g.gid))))
+            (g.name, g.degree, repr(self.d.images.get(g.gid, zero)))
             for g in self.algebra.generators
         )
 
@@ -300,6 +309,34 @@ def _copy_generators(gens: Iterable[Generator], dst: GradedAlgebra) -> dict[int,
     return {g.gid: dst.add_generator(g.prov, g.degree).gid for g in gens}
 
 
+def _d_images(M: DgaModel, alg: GradedAlgebra, gid_map: dict[int, int]) -> dict[int, Element]:
+    """M's d on the generators copied into alg by gid_map: read from
+    M.d.images, translated, nonzero images only."""
+    images: dict[int, Element] = {}
+    for gid, new in gid_map.items():
+        img = M.d.images.get(gid)
+        if img is not None:
+            img = translate(img, alg, gid_map)
+            if not img.is_zero():
+                images[new] = img
+    return images
+
+
+def _model(alg: GradedAlgebra, images: dict[int, Element], base: Iterable[int]) -> DgaModel:
+    """The model (alg, d) with d given by images on generators, checked."""
+    model = DgaModel(alg, Derivation(alg, 1, images), tuple(base))
+    model.check()
+    return model
+
+
+def _inclusion(M: DgaModel, result: DgaModel, gid_map: dict[int, int]) -> DgaMorphism:
+    """The map M → result sending each generator to its copy under gid_map."""
+    alg = result.algebra
+    return DgaMorphism(
+        M, result, {gid: alg.generator_element(new) for gid, new in gid_map.items()}
+    )
+
+
 def _suspension(
     V: DgaModel, alg: GradedAlgebra, copies: Sequence[dict[int, int]], shift: int
 ) -> tuple[dict[int, int], Derivation]:
@@ -322,10 +359,30 @@ def _suspension(
     return susp, s
 
 
+def _suspend(
+    V: DgaModel, alg: GradedAlgebra, base_map: dict[int, int], shift: int,
+    images: dict[int, Element],
+) -> dict[int, int]:
+    """Add s^shift V over the copy base_map of V, whose d is in images, and
+    d(s^shift v) = (-1)^shift s^shift(dv) to images.
+
+    Returns the map from V's generator ids to those of the s^shift v.
+    """
+    susp, s = _suspension(V, alg, [base_map], shift)
+    sign = -1 if shift % 2 else 1
+    for v, sv in susp.items():
+        dv = images.get(base_map[v])
+        if dv is not None:
+            sdv = s(dv) * sign
+            if not sdv.is_zero():
+                images[sv] = sdv
+    return susp
+
+
 def is_minimal(V: DgaModel) -> bool:
     """No linear part: every monomial of every d(v) has word length ≥ 2."""
-    for g in V.algebra.generators:
-        for mono in V.d(V.algebra.generator_element(g.gid)).terms:
+    for img in V.d.images.values():
+        for mono in img.terms:
             if sum(e for _, e in mono) < 2:
                 return False
     return True
@@ -337,23 +394,11 @@ def sphere_model(V: DgaModel, k: int) -> DgaModel:
         raise ModelError("k must be ≥ 1")
     if any(g.degree < k for g in V.algebra.generators):
         raise ModelError(f"sphere model needs all generator degrees ≥ k={k}")
-    shift = k - 1
-    alg = GradedAlgebra(f"sphere[{shift}]({V.algebra.name})")
+    alg = GradedAlgebra(f"sphere[{k - 1}]({V.algebra.name})")
     base_map = _copy_generators(V.algebra.generators, alg)
-    susp, s_der = _suspension(V, alg, [base_map], shift)
-    sign = -1 if shift % 2 else 1
-    images: dict[int, Element] = {}
-    for g in V.algebra.generators:
-        dv = translate(V.d(V.algebra.generator_element(g.gid)), alg, base_map)
-        if not dv.is_zero():
-            images[base_map[g.gid]] = dv
-        sdv = s_der(dv) * sign
-        if not sdv.is_zero():
-            images[susp[g.gid]] = sdv
-    model = DgaModel(alg, Derivation(alg, 1, images),
-                     tuple(base_map[g.gid] for g in V.algebra.generators))
-    model.check()
-    return model
+    images = _d_images(V, alg, base_map)
+    _suspend(V, alg, base_map, k - 1, images)
+    return _model(alg, images, base_map.values())
 
 
 def disk_model(V: DgaModel, k: int) -> DgaModel:
@@ -364,25 +409,12 @@ def disk_model(V: DgaModel, k: int) -> DgaModel:
         raise ModelError(f"disk model needs all generator degrees ≥ k+1={k + 1}")
     alg = GradedAlgebra(f"disk[{k}]({V.algebra.name})")
     base_map = _copy_generators(V.algebra.generators, alg)
-    susp_lo, s_lo = _suspension(V, alg, [base_map], k - 1)
-    susp_hi, s_hi = _suspension(V, alg, [base_map], k)
-    images: dict[int, Element] = {}
-    for g in V.algebra.generators:
-        dv = translate(V.d(V.algebra.generator_element(g.gid)), alg, base_map)
-        if not dv.is_zero():
-            images[base_map[g.gid]] = dv
-        lo = s_lo(dv) * (-1 if (k - 1) % 2 else 1)
-        if not lo.is_zero():
-            images[susp_lo[g.gid]] = lo
-        hi = alg.generator_element(susp_lo[g.gid]) + s_hi(dv) * (-1 if k % 2 else 1)
-        images[susp_hi[g.gid]] = hi
-    model = DgaModel(
-        alg, Derivation(alg, 1, images),
-        tuple(base_map[g.gid] for g in V.algebra.generators)
-        + tuple(susp_lo[g.gid] for g in V.algebra.generators),
-    )
-    model.check()
-    return model
+    images = _d_images(V, alg, base_map)
+    susp_lo = _suspend(V, alg, base_map, k - 1, images)
+    susp_hi = _suspend(V, alg, base_map, k, images)
+    for v, sv in susp_hi.items():
+        images[sv] = alg.generator_element(susp_lo[v]) + images.get(sv, alg.zero())
+    return _model(alg, images, [*base_map.values(), *susp_lo.values()])
 
 
 MAX_SERIES_ITERATIONS = 64  # path_model's bound on a twisting series
@@ -397,16 +429,7 @@ def path_model(V: DgaModel) -> DgaModel:
     alg = GradedAlgebra(f"path({V.algebra.name})")
     left, right = add_tagged(alg, V.algebra.generators, V.algebra.generators)
     susp, s_der = _suspension(V, alg, [left, right], 1)
-
-    images: dict[int, Element] = {}
-    for g in V.algebra.generators:
-        dv = V.d(V.algebra.generator_element(g.gid))
-        dl = translate(dv, alg, left)
-        dr = translate(dv, alg, right)
-        if not dl.is_zero():
-            images[left[g.gid]] = dl
-        if not dr.is_zero():
-            images[right[g.gid]] = dr
+    images = {**_d_images(V, alg, left), **_d_images(V, alg, right)}
     # d(sv) needs d on lower-degree suspensions: fill in ascending degree,
     # with d rebuilt from the images found so far
     for g in sorted(V.algebra.generators, key=lambda h: (h.degree, h.gid)):
@@ -426,13 +449,7 @@ def path_model(V: DgaModel) -> DgaModel:
             )
         if not total.is_zero():
             images[susp[g.gid]] = total
-    model = DgaModel(
-        alg, Derivation(alg, 1, images),
-        tuple(left[g.gid] for g in V.algebra.generators)
-        + tuple(right[g.gid] for g in V.algebra.generators),
-    )
-    model.check()
-    return model
+    return _model(alg, images, [*left.values(), *right.values()])
 
 
 # ---------------------------------------------------------------------------
@@ -446,21 +463,17 @@ def sub_model(M: DgaModel, gids: Iterable[int], name: str = "") -> tuple[DgaMode
     """
     keep = list(gids)
     keep_set = set(keep)
-    alg = GradedAlgebra(name or f"sub({M.algebra.name})")
-    gid_map = _copy_generators(map(M.algebra.gen, keep), alg)
-    images: dict[int, Element] = {}
     for gid in keep:
-        img = M.d(M.algebra.generator_element(gid))
-        for mono in img.terms:
+        for mono in M.d.images.get(gid, M.algebra.zero()).terms:
             if any(f not in keep_set for f, _ in mono):
                 raise ModelError(
                     f"generators do not span a sub-DGA: d({M.algebra.gen(gid).name}) "
                     "leaves the span"
                 )
-        if not img.is_zero():
-            images[gid_map[gid]] = translate(img, alg, gid_map)
-    base = tuple(gid_map[g] for g in M.base_gids if g in keep_set)
-    return DgaModel(alg, Derivation(alg, 1, images), base), gid_map
+    alg = GradedAlgebra(name or f"sub({M.algebra.name})")
+    gid_map = _copy_generators(map(M.algebra.gen, keep), alg)
+    base = [gid_map[g] for g in M.base_gids if g in keep_set]
+    return _model(alg, _d_images(M, alg, gid_map), base), gid_map
 
 
 def base_model(M: DgaModel) -> tuple[DgaModel, dict[int, int]]:
@@ -469,16 +482,8 @@ def base_model(M: DgaModel) -> tuple[DgaModel, dict[int, int]]:
 
 def morphism_phi(M: DgaModel) -> DgaMorphism:
     """φ: sphere model → ∧V, or ε̃: disk model → ∧V; identity on V, zero on
-    every suspension."""
-    keep = [g.gid for g in M.algebra.generators if g.prov.kind == "base"]
-    target, gid_map = sub_model(M, keep, name=f"base({M.algebra.name})")
-    images: dict[int, Element] = {}
-    for g in M.algebra.generators:
-        if g.gid in gid_map:
-            images[g.gid] = target.algebra.generator_element(gid_map[g.gid])
-        else:
-            images[g.gid] = target.algebra.zero()
-    f = DgaMorphism(M, target, images)
+    every suspension: the projection onto the quotient by the suspensions."""
+    _, f = quotient(M, [g.gid for g in M.algebra.generators if g.prov.kind == "susp"])
     f.check_chain()
     return f
 
@@ -509,27 +514,14 @@ def base_change(M: DgaModel, f: DgaMorphism) -> tuple[DgaModel, DgaMorphism]:
         rho[gid] = translate(img, alg, a_map)
     for gid in M.fiber_gids:
         rho[gid] = alg.generator_element(fiber_map[gid])
-    images: dict[int, Element] = {}
-    for g in f.target.algebra.generators:
-        img = translate(
-            f.target.d(f.target.algebra.generator_element(g.gid)), alg, a_map
-        )
-        if not img.is_zero():
-            images[a_map[g.gid]] = img
+    images = _d_images(f.target, alg, a_map)
     rho_ints = _integral_images(rho)
     for gid in M.fiber_gids:
-        img = _apply_algebra_map(
-            M.d(M.algebra.generator_element(gid)), rho_ints, alg
-        )
+        img = _apply_algebra_map(M.d.images.get(gid, M.algebra.zero()), rho_ints, alg)
         if not img.is_zero():
             images[fiber_map[gid]] = img
-    result = DgaModel(
-        alg, Derivation(alg, 1, images),
-        tuple(a_map[g.gid] for g in f.target.algebra.generators),
-    )
-    result.check()
-    push = DgaMorphism(M, result, rho)
-    return result, push
+    result = _model(alg, images, a_map.values())
+    return result, DgaMorphism(M, result, rho)
 
 
 def relative_tensor(
@@ -562,63 +554,25 @@ def relative_tensor(
     )
     m_map.update(m_fiber)
     n_map.update(n_fiber)
-    images: dict[int, Element] = {}
+    m_images = _d_images(M, alg, m_map)
+    n_images = _d_images(N, alg, n_map)
     for g in m_base:
-        img_m = translate(M.d(M.algebra.generator_element(g.gid)), alg, m_map)
-        img_n = translate(
-            N.d(N.algebra.generator_element(n_base[g.prov])), alg, n_map
-        )
-        if img_m != img_n:
+        new = m_map[g.gid]
+        if m_images.get(new) != n_images.get(new):
             raise ModelError(
                 f"relative tensor: differentials disagree on base generator {g.name}"
             )
-        if not img_m.is_zero():
-            images[m_map[g.gid]] = img_m
-    for gid in M.fiber_gids:
-        img = translate(M.d(M.algebra.generator_element(gid)), alg, m_map)
-        if not img.is_zero():
-            images[m_map[gid]] = img
-    for gid in N.fiber_gids:
-        img = translate(N.d(N.algebra.generator_element(gid)), alg, n_map)
-        if not img.is_zero():
-            images[n_map[gid]] = img
-    result = DgaModel(
-        alg, Derivation(alg, 1, images),
-        tuple(m_map[g.gid] for g in m_base),
-    )
-    result.check()
-    inc_m = DgaMorphism(
-        M, result,
-        {gid: alg.generator_element(new) for gid, new in m_map.items()},
-    )
-    inc_n = DgaMorphism(
-        N, result,
-        {gid: alg.generator_element(new) for gid, new in n_map.items()},
-    )
-    return result, inc_m, inc_n
+    result = _model(alg, {**n_images, **m_images}, [m_map[g.gid] for g in m_base])
+    return result, _inclusion(M, result, m_map), _inclusion(N, result, n_map)
 
 
 def tensor_model(M: DgaModel, N: DgaModel) -> tuple[DgaModel, DgaMorphism, DgaMorphism]:
     """Plain tensor product of models (over the ground field)."""
     alg, left, right = tensor(M.algebra, N.algebra)
-    images: dict[int, Element] = {}
-    for g in M.algebra.generators:
-        img = translate(M.d(M.algebra.generator_element(g.gid)), alg, left)
-        if not img.is_zero():
-            images[left[g.gid]] = img
-    for g in N.algebra.generators:
-        img = translate(N.d(N.algebra.generator_element(g.gid)), alg, right)
-        if not img.is_zero():
-            images[right[g.gid]] = img
-    base = tuple(left[g] for g in M.base_gids) + tuple(right[g] for g in N.base_gids)
-    result = DgaModel(alg, Derivation(alg, 1, images), base)
-    inc_m = DgaMorphism(
-        M, result, {g: alg.generator_element(n) for g, n in left.items()}
-    )
-    inc_n = DgaMorphism(
-        N, result, {g: alg.generator_element(n) for g, n in right.items()}
-    )
-    return result, inc_m, inc_n
+    images = {**_d_images(M, alg, left), **_d_images(N, alg, right)}
+    base = [left[g] for g in M.base_gids] + [right[g] for g in N.base_gids]
+    result = _model(alg, images, base)
+    return result, _inclusion(M, result, left), _inclusion(N, result, right)
 
 
 def quotient(
@@ -632,7 +586,7 @@ def quotient(
     """
     kill = {M.algebra.gen(key).gid for key in kill_keys}
     for gid in kill:
-        dg = M.d(M.algebra.generator_element(gid))
+        dg = M.d.images.get(gid, M.algebra.zero())
         for mono in dg.terms:
             if not any(f in kill for f, _ in mono):
                 g = M.algebra.gen(gid)
@@ -645,7 +599,7 @@ def quotient(
     gid_map = _copy_generators(map(M.algebra.gen, keep), alg)
     images: dict[int, Element] = {}
     for gid in keep:
-        dg = M.d(M.algebra.generator_element(gid))
+        dg = M.d.images.get(gid, M.algebra.zero())
         kept_terms = {
             mono: c for mono, c in dg.terms.items()
             if not any(f in kill for f, _ in mono)
@@ -654,11 +608,7 @@ def quotient(
             images[gid_map[gid]] = translate(
                 Element(M.algebra, kept_terms), alg, gid_map
             )
-    result = DgaModel(
-        alg, Derivation(alg, 1, images),
-        tuple(gid_map[g] for g in M.base_gids if g in gid_map),
-    )
-    result.check()
+    result = _model(alg, images, [gid_map[g] for g in M.base_gids if g in gid_map])
     proj_images = {
         g.gid: (alg.generator_element(gid_map[g.gid]) if g.gid in gid_map
                 else alg.zero())

@@ -165,38 +165,38 @@ class GradedAlgebra:
         return sign, tuple(factors)
 
     def mul_monomials(self, a: Monomial, b: Monomial) -> tuple[int, Monomial]:
-        """Concatenate two canonical monomials and renormalize."""
+        """Concatenate two canonical monomials and renormalize.
+
+        a and b are each sorted, and an odd factor of either has exponent 1,
+        so the Koszul sign is counted while merging: an odd factor of b
+        passes the odd factors of a not merged yet.
+        """
         if not a:
             return 1, b
         if not b:
             return 1, a
-        # a and b are each sorted; only count b-factors passing a-factors.
         odd = self.odd
         sign = 1
-        for gid_b, e_b in b:
-            if not (odd[gid_b] and e_b % 2):
-                continue
-            passed = sum(e for gid_a, e in a if gid_a > gid_b and odd[gid_a])
-            if passed % 2:
-                sign = -sign
+        rest = sum(odd[gid] for gid, _ in a) % 2  # of a's odd factors not merged
         merged: list[tuple[int, int]] = []
         ia = ib = 0
         while ia < len(a) and ib < len(b):
-            if a[ia][0] < b[ib][0]:
+            ga, gb = a[ia][0], b[ib][0]
+            if ga < gb:
                 merged.append(a[ia]); ia += 1
-            elif a[ia][0] > b[ib][0]:
+                if odd[ga]:
+                    rest ^= 1
+            elif ga > gb:
                 merged.append(b[ib]); ib += 1
+                if rest and odd[gb]:
+                    sign = -sign
             else:
-                gid = a[ia][0]
-                if odd[gid]:
+                if odd[ga]:
                     return 0, ONE
-                merged.append((gid, a[ia][1] + b[ib][1]))
+                merged.append((ga, a[ia][1] + b[ib][1]))
                 ia += 1; ib += 1
         merged.extend(a[ia:])
         merged.extend(b[ib:])
-        for gid, e in merged:
-            if odd[gid] and e > 1:
-                return 0, ONE
         return sign, tuple(merged)
 
     # ------------------------------------------------------------------

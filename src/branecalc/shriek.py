@@ -205,7 +205,7 @@ def is_pure(V: DgaModel) -> bool:
     """d(V^even) = 0 and d(V^odd) ⊆ ∧V^even."""
     alg = V.algebra
     for g in alg.generators:
-        dg = V.d(alg.generator_element(g.gid))
+        dg = V.d.images.get(g.gid, alg.zero())
         if not g.is_odd:
             if not dg.is_zero():
                 return False
@@ -222,7 +222,7 @@ def is_semi_pure(V: DgaModel) -> bool:
     for g in alg.generators:
         if g.is_odd:
             continue
-        dg = V.d(alg.generator_element(g.gid))
+        dg = V.d.images.get(g.gid, alg.zero())
         for mono in dg.terms:
             if not any(not alg.gen(f).is_odd for f, _ in mono):
                 return False

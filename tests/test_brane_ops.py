@@ -176,7 +176,7 @@ def test_explicit_info_overrides_are_threaded(s3):
     info = gorenstein_info(s3, 2, m=5, m_bar=1)
     prod = brane_product_dual(s3, 2, info, max_degree=8)
     assert prod.info.m == 5
-    hop = dualize_to_homology(prod, info)
+    hop = dualize_to_homology(prod)
     assert hop.info.m_bar == 1
 
 

@@ -72,6 +72,18 @@ def test_parse_rejects_wrong_degree_differential():
         parse_model("gen x 4\ngen y 7\nd y = x\n")
 
 
+@pytest.mark.parametrize("second", ["d y = 2*x^2", "d y = 0"])
+def test_parse_rejects_a_repeated_differential(second, tmp_path, capsys):
+    text = f"gen x 4\ngen y 7\nd y = x^2\n{second}\n"
+    with pytest.raises(ParseError) as exc:
+        parse_model(text)
+    assert (exc.value.line, exc.value.col) == (4, 3)
+    p = tmp_path / "twice.model"
+    p.write_text(text)
+    code, _, err = run(["check-dga", str(p)], capsys)
+    assert code == 2 and "line 4, col 3" in err
+
+
 def test_parse_accepts_comments_and_rationals():
     mf = parse_model("# a comment\ngen a 2\ngen b 5  # trailing\nd b = 1/3*a^3\n")
     assert mf.gens == [("a", 2), ("b", 5)]

@@ -133,6 +133,16 @@ def test_normalize_is_idempotent_up_to_sign(mono, rng):
     assert sign2 == 1 and out2 == mono
 
 
+canonical = [m for n in range(13) for m in ALG.basis(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(canonical), st.sampled_from(canonical))
+def test_mul_monomials_matches_normalize(m1, m2):
+    # normalize's insertion sort counts every transposition on its own
+    assert ALG.mul_monomials(m1, m2) == ALG.normalize([*m1, *m2])
+
+
 def test_tensor_qualifies_colliding_names():
     left = GradedAlgebra("L")
     left.add_generator("x", 3)

@@ -7,7 +7,10 @@ the tables stand is committed as ``scripts/tsv_matrix.expected``.  The
 through the script's own ``commands``, ``run`` and ``label``, so a change
 to any table fails the tests, not only the manual diff.  A table through
 degree n holds every table below it as rows, so the top rows stand for the
-rest.
+rest.  The model dumps (``sphere-model``, ``disk-model``, ``path-model``)
+and the ``cohomology`` tables are replayed too, all of them, including the
+``disk-model --k 3`` rows whose exit code 2 and stderr digest pin the error
+message.
 """
 
 import hashlib
@@ -44,6 +47,8 @@ for line in (ROOT / "scripts" / "tsv_matrix.expected").read_text().splitlines():
     code, out, err, lab = line.split("\t")
     EXPECTED[lab] = int(code), out, err
 CASES = top_degree_tables()
+DUMPS = [(argv, name) for argv, name in tsv_matrix.commands()
+         if argv[0] in ("sphere-model", "disk-model", "path-model", "cohomology")]
 
 
 def test_every_model_is_replayed_with_and_without_homology():
@@ -51,11 +56,26 @@ def test_every_model_is_replayed_with_and_without_homology():
     assert all(tsv_matrix.label(argv, name) in EXPECTED for argv, name in CASES)
 
 
-@pytest.mark.parametrize("argv,name", CASES, ids=[tsv_matrix.label(*c) for c in CASES])
-def test_top_degree_table_matches_the_expected_digests(argv, name, monkeypatch):
+def test_every_model_dump_is_replayed():
+    per_model = 2 * 3 + 2  # sphere and disk at --k 1, 2, 3; path; cohomology
+    assert len(DUMPS) == per_model * len(tsv_matrix.MODELS)
+    assert all(tsv_matrix.label(argv, name) in EXPECTED for argv, name in DUMPS)
+
+
+def replay(argv, name, monkeypatch):
     monkeypatch.chdir(ROOT)
     monkeypatch.setattr(sys, "stdin", sys.stdin)  # run replaces it
     stdin = tsv_matrix.STDIN[name][0] if name else ""
     code, out, err = tsv_matrix.run(main, argv, stdin)
     got = code, hashlib.sha256(out).hexdigest(), hashlib.sha256(err).hexdigest()
     assert got == EXPECTED[tsv_matrix.label(argv, name)]
+
+
+@pytest.mark.parametrize("argv,name", CASES, ids=[tsv_matrix.label(*c) for c in CASES])
+def test_top_degree_table_matches_the_expected_digests(argv, name, monkeypatch):
+    replay(argv, name, monkeypatch)
+
+
+@pytest.mark.parametrize("argv,name", DUMPS, ids=[tsv_matrix.label(*c) for c in DUMPS])
+def test_model_dump_matches_the_expected_digests(argv, name, monkeypatch):
+    replay(argv, name, monkeypatch)
