@@ -135,6 +135,7 @@ class Kunneth:
                 half, g = side[gid]
                 halves[half].append((g, e))
             (da, pa), (db, pb) = (projection(self.state, tuple(h)) for h in halves)
+            c = Fraction(c, z.den)
             for ia, ca in pa.items():
                 for ib, cb in pb.items():
                     _add(out, ((da, ia), (db, ib)), c * ca * cb)

@@ -60,8 +60,10 @@ def _tokenize(text: str, line: int):
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos]!r}", line, pos + 1)
+            rest = text[pos:].lstrip()
+            if rest:
+                col = len(text) - len(rest) + 1
+                raise ParseError(f"unexpected character {rest[0]!r}", line, col)
             break
         out.append((m.group(1), m.start(1) + 1))
         pos = m.end()
@@ -150,8 +152,9 @@ def parse_model(text: str) -> ModelFile:
     alg = GradedAlgebra()
     raw_diffs: dict = {}  # name -> (expression tokens, line)
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        # columns count from the start of the raw line
+        line = raw.split("#", 1)[0]
+        if not line.strip():
             continue
         toks = _tokenize(line, lineno)
         head, col = toks[0]

@@ -48,8 +48,7 @@ from typing import Callable
 
 from . import _linalg as la
 from .gca_core import Element, Monomial
-from .dga_models import (
-    DgaModel, DgaMorphism, IntImages, ModelError, _apply_algebra_map)
+from .dga_models import DgaModel, DgaMorphism, ModelError, _apply_algebra_map
 
 F0 = Fraction(0)
 
@@ -84,6 +83,15 @@ def _d_rows(M: DgaModel, n: int) -> list[dict[int, int]]:
     return _cached(M, ("d", n), make)
 
 
+def _transpose(rows) -> dict:
+    """The columns {i: {j: c}} of the sparse rows {i: c}, j counting rows."""
+    cols: dict = {}
+    for j, row in enumerate(rows):
+        for i, c in row.items():
+            cols.setdefault(i, {})[j] = c
+    return cols
+
+
 def section(f: DgaMorphism, stage: str) -> DgaMorphism:
     """A chain map σ: f.target → f.source with f∘σ = id, so H(σ) = H(f)⁻¹.
 
@@ -94,32 +102,25 @@ def section(f: DgaMorphism, stage: str) -> DgaMorphism:
     solution w ∈ f.sourceⁿ (n = |g|) of d w = σ(dg) and f(w) = g with free
     variables set to 0.  The d equations are the cached rows of den·d, so
     their right side is den·σ(dg), where σ is the partial map of the images
-    found so far, applied in integral form.  σ is built once the solve is
-    done and checked then; every error names the stage.
+    found so far.  σ is built once the solve is done and checked then;
+    every error names the stage.
     """
     A, B = f.source, f.target
     images: dict[int, Element] = {}
-    ints: IntImages = {}  # the images so far, as _apply_algebra_map takes them
     systems: dict[int, tuple] = {}
     for g in sorted(B.algebra.generators, key=lambda h: (h.degree, h.gid)):
         n = g.degree
         if n not in systems:
             # the coefficient rows of degree n: d w over A^{n+1}, f(w) over B^n
             basis = A.algebra.basis(n)
-            d_eqs: dict[int, la.Row] = {}
-            for j, row in enumerate(_d_rows(A, n)):
-                for i, c in row.items():
-                    d_eqs.setdefault(i, {})[j] = c
-            f_eqs: dict = {}
-            for j, mono in enumerate(basis):
-                for t, c in f(A.algebra.monomial_element(mono)).terms.items():
-                    f_eqs.setdefault(t, {})[j] = c
-            systems[n] = basis, d_eqs, f_eqs
+            f_rows = ({t: Fraction(c, v.den) for t, c in v.terms.items()}
+                      for v in map(f, map(A.algebra.monomial_element, basis)))
+            systems[n] = basis, _transpose(_d_rows(A, n)), _transpose(f_rows)
         basis, d_eqs, f_eqs = systems[n]
         ncols, index = len(basis), _index(A, n + 1)
         dg = B.d.images.get(g.gid, B.algebra.zero())
-        rhs = {index[m]: c * A.d.den
-               for m, c in _apply_algebra_map(dg, ints, A.algebra).terms.items()}
+        s = _apply_algebra_map(dg, images, A.algebra)
+        rhs = {index[m]: Fraction(c * A.d.den, s.den) for m, c in s.terms.items()}
         rows = []
         for eqs, right in ((d_eqs, rhs), (f_eqs, {((g.gid, 1),): la.F1})):
             # an equation with a right side but no coefficients reads 0 = c
@@ -130,8 +131,7 @@ def section(f: DgaMorphism, stage: str) -> DgaMorphism:
         if sol is None:
             raise ModelError(f"{stage}: {g.name} has no lift; "
                              "not a surjective quasi-isomorphism")
-        images[g.gid] = Element(A.algebra, {basis[j]: sol[j] for j in sorted(sol)})
-        ints[g.gid] = la._integral(images[g.gid].terms)
+        images[g.gid] = A.algebra.element({basis[j]: sol[j] for j in sorted(sol)})
     sigma = DgaMorphism(B, A, images)
     bad = sigma.chain_defects() + [
         g.name for g in B.algebra.generators
@@ -169,10 +169,7 @@ def _cohomology_basis(M: DgaModel, n: int) -> CohomologyBasis:
     dim = len(basis)
     # the cocycles: the kernel of d_n, whose matrix rows are the transposed
     # d rows of the degree-n monomials
-    matrix: dict[int, la.Row] = {}
-    for j, row in enumerate(_d_rows(M, n)):
-        for i, c in row.items():
-            matrix.setdefault(i, {})[j] = c
+    matrix = _transpose(_d_rows(M, n))
     d_n = la.Echelon(dim)
     for i in sorted(matrix):
         d_n.insert(matrix[i])
@@ -197,7 +194,7 @@ def _cohomology_basis(M: DgaModel, n: int) -> CohomologyBasis:
             reps.append(rep)
         if cls:
             projection[f] = cls
-    elements = [Element(M.algebra, {basis[j]: r[j] for j in sorted(r)}) for r in reps]
+    elements = [M.algebra.element({basis[j]: r[j] for j in sorted(r)}) for r in reps]
     return CohomologyBasis(n, elements, ech, projection)
 
 
@@ -217,12 +214,13 @@ def class_vector(M: DgaModel, n: int, e: Element) -> list[Fraction]:
         row = {index[m]: c for m, c in e.terms.items()}
     except KeyError:
         raise ValueError("element has terms outside the requested degree") from None
-    # e - Σ c_p row_p leaves 0 below dim and -(coordinates of e) in the tail
+    # row is den·e, and den·e - Σ c_p row_p leaves 0 below dim and
+    # -den·(coordinates of e) in the tail
     coords = [F0] * h.dimension
     for j, c in h._echelon.reduce(row).items():
         if j < dim:
             raise ModelError("cocycle does not lie in boundaries + representatives span")
-        coords[j - dim] = -c
+        coords[j - dim] = -c / e.den
     return coords
 
 

@@ -22,19 +22,6 @@ the copies from the inputs' d translated (``_d_images``), adds what is new
 (suspensions through ``_suspend``, a path model's twisting series), and
 builds and checks the model in ``_model``.  d on a generator is read from
 ``d.images``; the Leibniz kernel runs only on products.
-
-Applying d and applying algebra maps run on plain int coefficients.  A
-Derivation is fixed when it is built: it keeps a read-only copy of its
-images and stores them once as integer terms over one denominator den, and
-its per-monomial kernel ``Derivation.leibniz`` returns den·d(mono) as
-{monomial: int}.  A DgaMorphism is fixed the same way, with each image
-stored once as int terms over its own denominator (``_integral_images``),
-so the images are made integral once per map, not once per call: that
-integral form is what ``_apply_algebra_map`` takes, from ``DgaMorphism``,
-from the base images of a shriek's ``ModuleMap``, from ``base_change`` and
-from ``cohomology.section`` while it solves.  Fractions are built only
-where an Element is made from the integer results, and read only where an
-Element's coefficients are turned into ints.
 """
 
 from __future__ import annotations
@@ -45,7 +32,6 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import ClassVar, Iterable, Mapping, Sequence
 
-from ._linalg import _integral
 from .gca_core import (
     Element,
     Generator,
@@ -53,15 +39,11 @@ from .gca_core import (
     ModelError,
     Monomial,
     Provenance,
-    _element,
     add_tagged,
+    linear_combination,
     tensor,
     translate,
 )
-
-#: generator id -> (int terms, den): an image as den·image over its own
-#: denominator, the form _apply_algebra_map takes
-IntImages = dict[int, tuple[dict[Monomial, int], int]]
 
 
 # ---------------------------------------------------------------------------
@@ -73,12 +55,10 @@ class Derivation:
     """A degree-r map defined on generators, extended by the Leibniz rule.
 
     A Derivation is fixed when it is built: images is a read-only copy of
-    the dict it was given, and the images are also stored once as integer
-    terms over one common denominator den, the lcm of their coefficients'
-    denominators.  ``leibniz`` applies the rule to a monomial on those ints
-    and returns den·d(mono); calling the derivation on an Element does the
-    same per term and divides by den once per output term, so d does no
-    Fraction arithmetic inside.
+    the dict it was given.  ``leibniz`` works on the images' numerators over
+    one common denominator den, the lcm of the images' denominators, and
+    returns den·d(mono) as int terms: the rows ``cohomology._d_rows`` feeds
+    to elimination.
     """
 
     algebra: GradedAlgebra
@@ -86,18 +66,16 @@ class Derivation:
     images: Mapping[int, Element]
     #: the common denominator of the images
     den: int = field(init=False, compare=False)
-    # gid -> den·images[gid] as {monomial: int}
+    # gid -> den·images[gid] as {monomial: int}, nonzero images only
     _ints: dict[int, dict[Monomial, int]] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
         images = MappingProxyType(dict(self.images))
-        flat, den = _integral({(gid, m): c for gid, img in images.items()
-                               for m, c in img.terms.items()})
-        ints: dict[int, dict[Monomial, int]] = {}
-        for (gid, m), c in flat.items():
-            ints.setdefault(gid, {})[m] = c
+        den = math.lcm(*(img.den for img in images.values()))
+        ints = {gid: {m: c * (den // img.den) for m, c in img.terms.items()}
+                for gid, img in images.items() if img.terms}
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_ints", ints)
@@ -129,58 +107,35 @@ class Derivation:
         alg = self.algebra
         if e.algebra is not alg:
             raise ValueError("element not in this derivation's algebra")
-        coeffs, den = _integral(e.terms)
         terms: dict[Monomial, int] = {}
-        for mono, a in coeffs.items():
+        for mono, a in e.terms.items():
             for m, c in self.leibniz(mono).items():
                 terms[m] = terms.get(m, 0) + a * c
-        return _element(alg, terms, den * self.den)
+        return Element(alg, terms, e.den * self.den)
 
 
-def _integral_images(images: Mapping[int, Element]) -> IntImages:
-    """Each image as int terms over its own denominator."""
-    return {gid: _integral(img.terms) for gid, img in images.items()}
+def _apply_algebra_map(
+    e: Element, images: Mapping[int, Element], target: GradedAlgebra
+) -> Element:
+    """The algebra map with generator images images, applied to e: each
+    monomial goes to the product of its factors' images."""
+    one = target.one()
 
-
-def _apply_algebra_map(e: Element, ints: IntImages, target: GradedAlgebra) -> Element:
-    """The algebra map with generator images ints (see _integral_images),
-    applied monomial by monomial on integers.
-
-    A monomial's product of images is taken on the int terms, and its scale
-    (the product of the denominators met) applies once, as the running sum
-    is kept over the lcm of the scales.
-    """
-    mul = target.mul_monomials
-    coeffs, den = _integral(e.terms)
-    top, total = 1, {}  # the sum so far is total / (den·top)
-    for mono, a in coeffs.items():
-        acc: dict[Monomial, int] = {(): a}
-        scale = 1
+    def image(mono: Monomial) -> Element:
+        out = one
         for gid, exp in mono:
             try:
-                terms, img_den = ints[gid]
+                img = images[gid]
             except KeyError:
                 raise ModelError(f"no image for generator id {gid}") from None
             for _ in range(exp):
-                nxt: dict[Monomial, int] = {}
-                for m, c in acc.items():
-                    for m2, c2 in terms.items():
-                        sign, prod = mul(m, m2)
-                        if sign:
-                            nxt[prod] = nxt.get(prod, 0) + sign * c * c2
-                acc = {m: c for m, c in nxt.items() if c}
-            if not acc:
+                out = out * img
+            if not out.terms:
                 break
-            scale *= img_den ** exp
-        else:
-            if top % scale:
-                k = math.lcm(top, scale) // top
-                total = {m: c * k for m, c in total.items()}
-                top *= k
-            k = top // scale
-            for m, c in acc.items():
-                total[m] = total.get(m, 0) + c * k
-    return _element(target, total, den * top)
+        return out
+
+    return linear_combination(
+        target, ((c, image(m)) for m, c in e.terms.items()), e.den)
 
 
 @dataclass(frozen=True)
@@ -188,23 +143,19 @@ class DgaMorphism:
     """A degree-0 multiplicative map between models, given on generators.
 
     A DgaMorphism is fixed when it is built, as a Derivation is: images is
-    a read-only copy of the dict it was given, and the images are also
-    stored once in the integral form _apply_algebra_map takes.
+    a read-only copy of the dict it was given.
     """
 
     source: "DgaModel"
     target: "DgaModel"
     images: Mapping[int, Element]
     degree: ClassVar[int] = 0
-    _ints: IntImages = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        images = MappingProxyType(dict(self.images))
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "_ints", _integral_images(images))
+        object.__setattr__(self, "images", MappingProxyType(dict(self.images)))
 
     def __call__(self, e: Element) -> Element:
-        return _apply_algebra_map(e, self._ints, self.target.algebra)
+        return _apply_algebra_map(e, self.images, self.target.algebra)
 
     def chain_defects(self) -> list[str]:
         """Generators where f∘d ≠ d∘f.
@@ -515,9 +466,8 @@ def base_change(M: DgaModel, f: DgaMorphism) -> tuple[DgaModel, DgaMorphism]:
     for gid in M.fiber_gids:
         rho[gid] = alg.generator_element(fiber_map[gid])
     images = _d_images(f.target, alg, a_map)
-    rho_ints = _integral_images(rho)
     for gid in M.fiber_gids:
-        img = _apply_algebra_map(M.d.images.get(gid, M.algebra.zero()), rho_ints, alg)
+        img = _apply_algebra_map(M.d.images.get(gid, M.algebra.zero()), rho, alg)
         if not img.is_zero():
             images[fiber_map[gid]] = img
     result = _model(alg, images, a_map.values())
@@ -606,7 +556,7 @@ def quotient(
         }
         if kept_terms:
             images[gid_map[gid]] = translate(
-                Element(M.algebra, kept_terms), alg, gid_map
+                Element(M.algebra, kept_terms, dg.den), alg, gid_map
             )
     result = _model(alg, images, [gid_map[g] for g in M.base_gids if g in gid_map])
     proj_images = {

@@ -3,10 +3,12 @@
 Generators carry an integer degree >= 1.  A monomial is a sorted tuple of
 (generator id, exponent) pairs; odd-degree generators square to zero and
 reordering factors accumulates the Koszul sign (-1)^(|a||b|) per
-transposition.  Elements are sparse rational linear combinations of
-canonical monomials, so equality of elements is equality of term maps.
-A product of elements is summed on ints, each factor taken as int terms
-over its own denominator, and builds one Fraction per output term.
+transposition.  An element is a sparse rational linear combination of
+canonical monomials, held as nonzero int numerators over one denominator
+in lowest terms, so equality of elements is equality of those fields and
+all arithmetic runs on ints.  A Fraction is built only where a coefficient
+enters (``GradedAlgebra.element``, ``scalar``, scalar factors) or leaves
+(``Element.coefficient``, ``repr``).
 
 Monomials are ordered by generator id (creation order), which stays stable
 when an algebra is extended with new generators.
@@ -16,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence, Union
-
-from ._linalg import _integral
+from math import gcd, lcm
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Monomial = tuple  # tuple[tuple[int, int], ...], sorted by generator id
@@ -240,22 +241,23 @@ class GradedAlgebra:
         return Element(self, {})
 
     def one(self) -> "Element":
-        return Element(self, {ONE: Fraction(1)})
+        return Element(self, {ONE: 1})
 
     def scalar(self, c: Scalar) -> "Element":
-        c = Fraction(c)
-        return Element(self, {ONE: c} if c else {})
+        return self.monomial_element(ONE, c)
 
     def generator_element(self, key: str | int | Provenance) -> "Element":
         g = self.gen(key)
-        return Element(self, {((g.gid, 1),): Fraction(1)})
+        return Element(self, {((g.gid, 1),): 1})
 
     def element(self, terms: dict[Monomial, Scalar]) -> "Element":
-        return Element(self, {m: Fraction(c) for m, c in terms.items() if c})
+        """The element Σ c·m of rational coefficients c."""
+        den = lcm(*(c.denominator for c in terms.values()))
+        return Element(self, {m: c.numerator * (den // c.denominator)
+                              for m, c in terms.items()}, den)
 
     def monomial_element(self, mono: Monomial, coeff: Scalar = 1) -> "Element":
-        c = Fraction(coeff)
-        return Element(self, {mono: c} if c else {})
+        return Element(self, {mono: coeff.numerator}, coeff.denominator)
 
     def monomial_string(self, mono: Monomial) -> str:
         if not mono:
@@ -272,13 +274,28 @@ class GradedAlgebra:
 
 
 class Element:
-    """A sparse rational combination of canonical monomials."""
+    """A sparse rational combination Σ (c/den)·m of canonical monomials.
 
-    __slots__ = ("algebra", "terms")
+    terms maps each monomial to its nonzero int numerator c over the one
+    denominator den > 0, and gcd(den, every c) = 1, so zero is {} over 1
+    and two equal elements have equal fields.  The constructor brings any
+    int terms over any nonzero den to that form.
+    """
 
-    def __init__(self, algebra: GradedAlgebra, terms: dict[Monomial, Fraction]):
+    __slots__ = ("algebra", "terms", "den")
+
+    def __init__(self, algebra: GradedAlgebra, terms: dict[Monomial, int], den: int = 1):
+        terms = {m: c for m, c in terms.items() if c}
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if den < 0:
+                g = -g
+            if g != 1:
+                terms = {m: c // g for m, c in terms.items()}
+                den //= g
         self.algebra = algebra
         self.terms = terms
+        self.den = den
 
     # -- predicates ----------------------------------------------------
 
@@ -295,10 +312,7 @@ class Element:
         return degs.pop()
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
-
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items())
+        return Fraction(self.terms.get(mono, 0), self.den)
 
     # -- ring operations -----------------------------------------------
 
@@ -308,60 +322,49 @@ class Element:
 
     def __add__(self, other: "Element") -> "Element":
         self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, Fraction(0)) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return Element(self.algebra, terms)
+        return linear_combination(self.algebra, ((1, self), (1, other)))
 
     def __neg__(self) -> "Element":
-        return Element(self.algebra, {m: -c for m, c in self.terms.items()})
+        return Element(self.algebra, {m: -c for m, c in self.terms.items()}, self.den)
 
     def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
+        self._check(other)
+        return linear_combination(self.algebra, ((1, self), (-1, other)))
 
     def __mul__(self, other: Union["Element", Scalar]) -> "Element":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return self.algebra.zero()
-            return Element(self.algebra, {m: k * c for m, k in self.terms.items()})
+            k = other.numerator
+            return Element(self.algebra, {m: c * k for m, c in self.terms.items()},
+                           self.den * other.denominator)
         self._check(other)
-        # each factor as int terms over its denominator; the products are
-        # summed on ints, and each output coefficient is one Fraction
-        a, den_a = _integral(self.terms)
-        b, den_b = _integral(other.terms)
         mul = self.algebra.mul_monomials
         terms: dict[Monomial, int] = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
+        for ma, ca in self.terms.items():
+            for mb, cb in other.terms.items():
                 sign, m = mul(ma, mb)
                 if sign:
                     terms[m] = terms.get(m, 0) + sign * ca * cb
-        return _element(self.algebra, terms, den_a * den_b)
+        return Element(self.algebra, terms, self.den * other.den)
 
     def __rmul__(self, other: Scalar) -> "Element":
         return self.__mul__(other)
 
     def __truediv__(self, other: Scalar) -> "Element":
-        return self * (Fraction(1) / Fraction(other))
+        return self * (1 / Fraction(other))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Element):
             return NotImplemented
-        return self.algebra is other.algebra and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((id(self.algebra), tuple(sorted(self.terms.items()))))
+        return (self.algebra is other.algebra and self.den == other.den
+                and self.terms == other.terms)
 
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for m, c in self.sorted_terms():
+        for m, c in sorted(self.terms.items()):
+            if self.den != 1:
+                c = Fraction(c, self.den)
             ms = self.algebra.monomial_string(m)
             if c == 1 and m:
                 parts.append(ms)
@@ -375,12 +378,22 @@ class Element:
         return out.replace("+ -", "- ")
 
 
-def _element(alg: GradedAlgebra, terms: dict[Monomial, int], den: int) -> Element:
-    """The Element Σ (c/den)·m of integer terms: where the integer kernels
-    hand their results back as Fractions."""
-    if den == 1:
-        return Element(alg, {m: Fraction(c) for m, c in terms.items() if c})
-    return Element(alg, {m: Fraction(c, den) for m, c in terms.items() if c})
+def linear_combination(
+    alg: GradedAlgebra, parts: Iterable[tuple[int, Element]], den: int = 1
+) -> Element:
+    """Σ c·e / den over the (int c, element e) in parts, summed on ints over
+    the lcm of the e.den."""
+    terms: dict[Monomial, int] = {}
+    top = 1  # the sum so far is terms / top
+    for c, e in parts:
+        if top % e.den:
+            k = e.den // gcd(top, e.den)
+            terms = {m: x * k for m, x in terms.items()}
+            top *= k
+        k = c * (top // e.den)
+        for m, x in e.terms.items():
+            terms[m] = terms.get(m, 0) + k * x
+    return Element(alg, terms, top * den)
 
 
 def add_tagged(
@@ -421,15 +434,9 @@ def tensor(
 
 def translate(e: Element, target: GradedAlgebra, gid_map: dict[int, int]) -> Element:
     """Push an element through a generator-id translation (degree 0, 1:1)."""
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[Monomial, int] = {}
     for m, c in e.terms.items():
-        raw = [(gid_map[gid], exp) for gid, exp in m]
-        sign, mono = target.normalize(raw)
-        if sign == 0:
-            continue
-        s = terms.get(mono, Fraction(0)) + c * sign
-        if s:
-            terms[mono] = s
-        else:
-            terms.pop(mono, None)
-    return Element(target, terms)
+        sign, mono = target.normalize([(gid_map[gid], exp) for gid, exp in m])
+        if sign:
+            terms[mono] = terms.get(mono, 0) + c * sign
+    return Element(target, terms, e.den)

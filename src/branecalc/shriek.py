@@ -22,19 +22,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
 from . import _linalg as la
-from .gca_core import Element, GradedAlgebra, Monomial, ONE, Provenance
+from .gca_core import (
+    Element, GradedAlgebra, Monomial, ONE, Provenance, linear_combination)
 from .cohomology import class_vector
 from .dga_models import (
     Derivation,
     DgaModel,
     DgaMorphism,
-    IntImages,
     ModelError,
     _apply_algebra_map,
-    _integral_images,
     base_change,
     base_model,
     disk_model,
@@ -46,8 +45,6 @@ from .dga_models import (
     square_transposition,
     tensor_model,
 )
-
-F0 = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -105,54 +102,61 @@ class ModuleMap:
     base_images' keys: source.base_gids for a shriek, and for F⊗id
     (brane_ops._shriek_tensor_id) also every generator of its second factor.
 
-    base_images is fixed when the map is built: it is kept as a read-only
-    copy, and also stored once in the integral form _apply_algebra_map
-    takes."""
+    F(b·f) = (-1)^(deg F · |b|) ρ(b)·F(f) for a base monomial b and a fiber
+    monomial f, where ρ is the algebra map given by base_images (a read-only
+    copy, fixed when the map is built) and F(f) is images[f], 0 if absent.
+    ``by_fiber`` is where that rule is applied.
+    """
 
     source: DgaModel
     target: DgaModel
     degree: int
     base_images: Mapping[int, Element]  # source base gid -> target element
     images: dict[Monomial, Element] = field(default_factory=dict)
-    _base: IntImages = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.base_images = MappingProxyType(dict(self.base_images))
-        self._base = _integral_images(self.base_images)
 
-    def split(self, mono: Monomial) -> tuple[int, Monomial, Monomial]:
-        """Unshuffle a monomial into (sign, base part, fiber part)."""
-        alg = self.source.algebra
-        b: list[tuple[int, int]] = []
-        f: list[tuple[int, int]] = []
-        sign = 1
-        fiber_parity = 0
-        for gid, e in mono:
-            deg = alg.gen(gid).degree
-            if gid in self.base_images:
-                b.append((gid, e))
-                if fiber_parity % 2 and (deg * e) % 2:
-                    sign = -sign
-            else:
-                f.append((gid, e))
-                fiber_parity += deg * e
-        return sign, tuple(b), tuple(f)
+    def by_fiber(
+        self, e: Element, fibers: Container[Monomial] | None = None
+    ) -> dict[Monomial, Element]:
+        """{f: ρ(b_f)} over the fiber parts f of e's terms (those in fibers,
+        when given), where e's terms with fiber part f sum to ±b_f·f and
+        the signs make F(e) = Σ_f ρ(b_f)·F(f).
+
+        Each term is unshuffled into its base part b and fiber part f (the
+        Koszul sign of moving b's odd factors past f's), and F passes b,
+        (-1)^(deg F · |b|); parities are read from the algebra's odd.
+        """
+        odd, base = self.source.algebra.odd, self.base_images
+        parts: dict[Monomial, dict[Monomial, int]] = {}
+        for mono, c in e.terms.items():
+            b: list[tuple[int, int]] = []
+            f: list[tuple[int, int]] = []
+            b_odd = f_odd = False
+            for gid, exp in mono:
+                if gid in base:
+                    b.append((gid, exp))
+                    if odd[gid]:
+                        b_odd = not b_odd
+                        if f_odd:
+                            c = -c
+                else:
+                    f.append((gid, exp))
+                    if odd[gid]:
+                        f_odd = not f_odd
+            fiber = tuple(f)
+            if fibers is None or fiber in fibers:
+                parts.setdefault(fiber, {})[tuple(b)] = (
+                    -c if b_odd and self.degree % 2 else c)
+        src, tgt = self.source.algebra, self.target.algebra
+        return {f: _apply_algebra_map(Element(src, b, e.den), base, tgt)
+                for f, b in parts.items()}
 
     def __call__(self, e: Element) -> Element:
-        alg, tgt = self.source.algebra, self.target.algebra
-        terms: dict[Monomial, Fraction] = {}
-        for mono, c in e.terms.items():
-            sign, b, f = self.split(mono)
-            img = self.images.get(f)
-            if img is None or img.is_zero():
-                continue
-            if (self.degree * alg.monomial_degree(b)) % 2:
-                sign = -sign
-            base = alg.monomial_element(b, c * sign)
-            value = _apply_algebra_map(base, self._base, tgt) * img
-            for m, x in value.terms.items():
-                terms[m] = terms.get(m, F0) + x
-        return Element(tgt, {m: x for m, x in terms.items() if x})
+        return linear_combination(self.target.algebra, (
+            (1, b * self.images[f])
+            for f, b in self.by_fiber(e, self.images).items()))
 
 
 def compose_module(g: DgaMorphism, F: ModuleMap) -> ModuleMap:
@@ -339,7 +343,8 @@ def shriek_delta_semipure(V: DgaModel, cutoff: int) -> ModuleMap:
     # right side, column n_vars
     rows: list[la.Row] = []
     sgn_r = -1 if r % 2 else 1
-    helper = ModuleMap(path, square, r, base_images, {})
+    # f with no values yet: its base images and Koszul signs
+    unsolved = ModuleMap(path, square, r, base_images, {})
     for mono in fiber_monos:
         n = alg.monomial_degree(mono)
         if n + 1 > fiber_cut:
@@ -348,9 +353,11 @@ def shriek_delta_semipure(V: DgaModel, cutoff: int) -> ModuleMap:
         eqs: dict[Monomial, la.Row] = {}
 
         def add(col: int, e: Element, scale) -> None:
+            if e.den != 1:
+                scale = Fraction(scale, e.den)
             for t, c in e.terms.items():
                 row = eqs.setdefault(t, {})
-                row[col] = row.get(col, F0) + c * scale
+                row[col] = row.get(col, 0) + c * scale
 
         # d_target ∘ f on mono
         const, vlist = image_as_linear(mono)
@@ -360,19 +367,15 @@ def shriek_delta_semipure(V: DgaModel, cutoff: int) -> ModuleMap:
             add(vi, square.d(sq.monomial_element(tmono)), 1)
         # -(-1)^r f ∘ d_source on mono
         dmono = path.d(alg.monomial_element(mono))
-        for smono, c in dmono.terms.items():
-            ssign, b, f_part = helper.split(smono)
+        for f_part, b_elem in unsolved.by_fiber(dmono).items():
             if alg.monomial_degree(f_part) > fiber_cut:
                 # cannot happen: |f_part| <= n+1 <= fiber_cut by construction
                 raise ModelError("internal: fiber monomial outside the table")
-            bsign = -1 if (r * alg.monomial_degree(b)) % 2 else 1
-            scale = c * ssign * (-sgn_r) * bsign
-            b_elem = _apply_algebra_map(alg.monomial_element(b), helper._base, sq)
             const_f, vlist_f = image_as_linear(f_part)
             if not const_f.is_zero():
-                add(n_vars, b_elem * const_f, -scale)
+                add(n_vars, b_elem * const_f, sgn_r)
             for vi, tmono in vlist_f:
-                add(vi, b_elem * sq.monomial_element(tmono), scale)
+                add(vi, b_elem * sq.monomial_element(tmono), -sgn_r)
         for row in eqs.values():
             row = {j: c for j, c in row.items() if c}
             if row:
@@ -386,12 +389,10 @@ def shriek_delta_semipure(V: DgaModel, cutoff: int) -> ModuleMap:
         )
     images: dict[Monomial, Element] = {}
     for mono in fiber_monos:
-        val = dict(fixed.get(mono, sq.zero()).terms)
-        for vi, tmono in unknowns.get(mono, []):
-            val[tmono] = val.get(tmono, F0) + sol.get(vi, F0)
-        val = {t: c for t, c in val.items() if c}
-        if val:
-            images[mono] = Element(sq, val)
+        val = fixed.get(mono, sq.zero()) + sq.element(
+            {tmono: sol[vi] for vi, tmono in unknowns.get(mono, []) if vi in sol})
+        if not val.is_zero():
+            images[mono] = val
     return ModuleMap(path, square, r, base_images, images)
 
 
@@ -552,8 +553,8 @@ def one_generator_ext_sign(gen_degree: int, k: int) -> int:
                 continue
             if fv.is_zero():
                 raise ModelError("conjugate is not a scalar multiple of f")
-            m0, c0 = fv.sorted_terms()[0]
-            c = gv.terms.get(m0, F0) / c0
+            m0 = min(fv.terms)
+            c = gv.coefficient(m0) / fv.coefficient(m0)
             if gv != fv * c:
                 raise ModelError("conjugate is not a scalar multiple of f")
             ratios.append(c)

@@ -72,16 +72,25 @@ def test_parse_rejects_wrong_degree_differential():
         parse_model("gen x 4\ngen y 7\nd y = x\n")
 
 
-@pytest.mark.parametrize("second", ["d y = 2*x^2", "d y = 0"])
-def test_parse_rejects_a_repeated_differential(second, tmp_path, capsys):
+@pytest.mark.parametrize("second, col", [
+    ("d y = 2*x^2", 3), ("d y = 0", 3), ("  d y = x^2", 5),
+])
+def test_parse_rejects_a_repeated_differential(second, col, tmp_path, capsys):
     text = f"gen x 4\ngen y 7\nd y = x^2\n{second}\n"
     with pytest.raises(ParseError) as exc:
         parse_model(text)
-    assert (exc.value.line, exc.value.col) == (4, 3)
+    assert (exc.value.line, exc.value.col) == (4, col)
     p = tmp_path / "twice.model"
     p.write_text(text)
     code, _, err = run(["check-dga", str(p)], capsys)
-    assert code == 2 and "line 4, col 3" in err
+    assert code == 2 and f"line 4, col {col}" in err
+
+
+def test_parse_names_the_unexpected_character_and_its_column():
+    with pytest.raises(ParseError) as exc:
+        parse_model("gen x 4\ngen y 7\nd y = x^2 $\n")
+    assert (exc.value.line, exc.value.col) == (3, 11)
+    assert "unexpected character '$'" in str(exc.value)
 
 
 def test_parse_accepts_comments_and_rationals():
@@ -116,16 +125,21 @@ def model_files(draw):
     return ModelFile(draw(st.sampled_from([None, "M", "S4"])), gens, diffs, info)
 
 
+def values(e):
+    """{monomial: rational coefficient} of an element."""
+    return {m: e.coefficient(m) for m in e.terms}
+
+
 @settings(max_examples=60, deadline=None)
 @given(model_files())
 def test_parse_inverts_print_on_random_models(mf):
     back = parse_model(print_model(mf))
     assert (back.name, back.gens, back.info) == (mf.name, mf.gens, mf.info)
-    want = {nm: e.terms for nm, e in mf.diffs.items()}
-    assert {nm: e.terms for nm, e in back.diffs.items()} == want
+    want = {nm: values(e) for nm, e in mf.diffs.items()}
+    assert {nm: values(e) for nm, e in back.diffs.items()} == want
     alg = back.model.algebra
     assert [(g.name, g.degree) for g in alg.generators] == mf.gens
-    assert {alg.gen(gid).name: e.terms for gid, e in back.model.d.images.items()} == want
+    assert {alg.gen(gid).name: values(e) for gid, e in back.model.d.images.items()} == want
 
 
 @settings(max_examples=60, deadline=None)

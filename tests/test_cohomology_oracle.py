@@ -54,7 +54,9 @@ def rank_of_d(M, n):
     index = {m: i for i, m in enumerate(tgt)}
     mat = sympy.zeros(len(tgt), len(src))
     for j, mono in enumerate(src):
-        for m, c in M.d(M.algebra.monomial_element(mono)).terms.items():
+        d_mono = M.d(M.algebra.monomial_element(mono))
+        for m in d_mono.terms:
+            c = d_mono.coefficient(m)
             mat[index[m], j] = sympy.Rational(c.numerator, c.denominator)
     return mat.rank()
 

@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branecalc import GradedAlgebra, tensor, translate
+from branecalc import Derivation, GradedAlgebra, tensor, translate
 
 
 def mixed_algebra():
@@ -84,7 +85,7 @@ def test_element_arithmetic():
     a, b = gen("a"), gen("b")
     e = 2 * a + b
     assert e - b == 2 * a
-    assert (e / 2).coefficient(a.sorted_terms()[0][0]) == Fraction(1)
+    assert (e / 2).coefficient(next(iter(a.terms))) == Fraction(1)
     assert (a + b) * b == a * b + b * b
 
 
@@ -167,9 +168,9 @@ def test_translate_preserves_products():
     assert t == big.generator_element("u") * big.generator_element("v") * 3
 
 
-# Element.__mul__ works on ints over each factor's denominator; the
-# reference multiplies term by term on Fractions.  Coefficients run from
-# small integers to denominators above 2⁷⁰.
+# Element arithmetic runs on int numerators over one denominator; the
+# references below work term by term on Fraction coefficients.  Coefficients
+# run from small integers to denominators above 2⁷⁰.
 coefficients = st.one_of(
     st.integers(-3, 3).map(Fraction),
     st.builds(Fraction, st.integers(-2**90, 2**90), st.integers(2**70, 2**80)),
@@ -183,10 +184,29 @@ odd_elements = st.dictionaries(
     coefficients, min_size=1, max_size=4).map(ALG.element)
 
 
+def values(e):
+    """{monomial: Fraction} of an element, after checking its canonical
+    form: den > 0, nonzero int numerators, gcd(den, numerators) = 1."""
+    assert type(e.den) is int and e.den > 0
+    assert all(type(c) is int and c for c in e.terms.values())
+    assert math.gcd(e.den, *e.terms.values()) == 1
+    return {m: e.coefficient(m) for m in e.terms}
+
+
+def fraction_sum(*parts):
+    """Σ k·terms over the (Fraction k, term dict) in parts."""
+    out = {}
+    for k, terms in parts:
+        for m, c in terms.items():
+            out[m] = out.get(m, Fraction(0)) + k * c
+    return {m: c for m, c in out.items() if c}
+
+
 def fraction_product(x, y):
+    """The product of two term dicts."""
     terms = {}
-    for ma, ca in x.terms.items():
-        for mb, cb in y.terms.items():
+    for ma, ca in x.items():
+        for mb, cb in y.items():
             sign, m = ALG.mul_monomials(ma, mb)
             if sign:
                 terms[m] = terms.get(m, Fraction(0)) + sign * ca * cb
@@ -196,16 +216,98 @@ def fraction_product(x, y):
 @settings(max_examples=80, deadline=None)
 @given(rich_elements, rich_elements)
 def test_product_matches_the_fraction_reference(x, y):
-    got = x * y
-    assert got.terms == fraction_product(x, y)
-    assert all(type(c) is Fraction for c in got.terms.values())
+    assert values(x * y) == fraction_product(values(x), values(y))
 
 
 @settings(max_examples=40, deadline=None)
 @given(odd_elements, rich_elements)
 def test_odd_squares_vanish_and_products_cancel_to_zero(x, y):
-    assert (x * x).is_zero() and fraction_product(x, x) == {}
+    vx = values(x)
+    assert (x * x).is_zero() and fraction_product(vx, vx) == {}
     # x·y·x = ±x·x·y on each homogeneous part of y
     xy = x * y
-    assert xy.terms == fraction_product(x, y)
-    assert (xy * x).is_zero() and fraction_product(xy, x) == {}
+    assert values(xy) == fraction_product(vx, values(y))
+    assert (xy * x).is_zero() and fraction_product(values(xy), vx) == {}
+
+
+@settings(max_examples=80, deadline=None)
+@given(rich_elements, rich_elements)
+def test_sums_and_negation_match_the_fraction_reference(x, y):
+    vx, vy = values(x), values(y)
+    assert values(x + y) == fraction_sum((1, vx), (1, vy))
+    assert values(x - y) == fraction_sum((1, vx), (-1, vy))
+    assert values(-x) == fraction_sum((-1, vx))
+    zero = x - x
+    assert values(zero) == {} and zero.den == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(rich_elements, coefficients)
+def test_scalar_products_and_quotients_match_the_fraction_reference(x, c):
+    vx = values(x)
+    assert values(x * c) == values(c * x) == fraction_sum((c, vx))
+    assert values(x * int(c)) == fraction_sum((int(c), vx))
+    if c:
+        assert values(x / c) == fraction_sum((1 / c, vx))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(elements, rich_elements),
+       rich_elements.filter(lambda e: e.den > 1), st.sampled_from([3, Fraction(-2, 7)]))
+def test_a_value_built_two_ways_compares_equal(x, y, c):
+    assert x + y - y == x
+    assert y - x + x == y
+    assert (x * c) / c == x
+
+
+# a copy of ALG with its generators in reverse order, so that translating
+# into it reorders every monomial
+REVERSED = GradedAlgebra("reversed")
+for _g in reversed(ALG.generators):
+    REVERSED.add_generator(_g.name, _g.degree)
+TO_REVERSED = {g.gid: REVERSED.gen(g.name).gid for g in ALG.generators}
+
+
+@settings(max_examples=80, deadline=None)
+@given(rich_elements, rich_elements)
+def test_translate_matches_the_fraction_reference(x, y):
+    want = {}
+    for m, c in values(x).items():
+        sign, mono = REVERSED.normalize([(TO_REVERSED[g], e) for g, e in m])
+        want = fraction_sum((1, want), (sign, {mono: c}))
+    assert values(translate(x, REVERSED, TO_REVERSED)) == want
+    assert (translate(x * y, REVERSED, TO_REVERSED)
+            == translate(x, REVERSED, TO_REVERSED) * translate(y, REVERSED, TO_REVERSED))
+
+
+@st.composite
+def derivations(draw):
+    """A degree-r derivation of ALG with random rational images."""
+    r = draw(st.sampled_from([-1, 1, 2]))
+    images = {}
+    for g in ALG.generators:
+        basis = ALG.basis(g.degree + r)
+        images[g.gid] = ALG.element(draw(st.dictionaries(
+            st.sampled_from(basis), coefficients, max_size=3)) if basis else {})
+    return Derivation(ALG, r, images)
+
+
+def fraction_word(word):
+    """The term dict of the product of generator ids in word, in order."""
+    sign, mono = ALG.normalize([(g, 1) for g in word])
+    return {mono: Fraction(sign)} if sign else {}
+
+
+@settings(max_examples=80, deadline=None)
+@given(derivations(), rich_elements)
+def test_derivation_matches_the_fraction_reference(d, x):
+    # d(g_1⋯g_n) = Σ_i (-1)^(r·|g_1⋯g_(i-1)|) g_1⋯g_(i-1)·d(g_i)·g_(i+1)⋯g_n
+    # on the word of each monomial, one generator at a time
+    parts = []
+    for m, c in values(x).items():
+        word = [g for g, e in m for _ in range(e)]
+        for i, g in enumerate(word):
+            sign = -1 if d.degree * sum(ALG.gen(h).degree for h in word[:i]) % 2 else 1
+            left = fraction_product(fraction_word(word[:i]), values(d.images[g]))
+            parts.append((c * sign, fraction_product(left, fraction_word(word[i + 1:]))))
+    assert values(d(x)) == fraction_sum(*parts)
