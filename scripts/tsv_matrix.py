@@ -1,6 +1,6 @@
 """Fingerprint the CLI's output over a fixed matrix of commands.
 
-Runs 493 commands in-process through ``branecalc.cli.main`` and prints one
+Runs 503 commands in-process through ``branecalc.cli.main`` and prints one
 line per command: exit code, sha256 of stdout, sha256 of stderr, argv (and,
 for a model read from stdin, ``<`` and its name).  The commands, each on
 models/s3.model, models/s4.model and models/s3xs3.model:
@@ -22,6 +22,8 @@ reach the path model, δ! and every section; S³×S⁵×S⁷ at 0 to 14, whose
 coproducts are nonempty; and S³×S⁴ again at 0 to 12 with its generators
 listed out of degree order (``y 7``, ``x 4``, ``a 3``), which pins the
 order in which sections are solved: by degree, not by generator id.
+Each of these five also runs the ``verify`` suites ``signs`` and
+``assoc``, the suites that build δ!.
 
 The output of the tables as they stand is committed next to this script,
 so a change that alters any table shows it in its own diff::
@@ -49,6 +51,7 @@ from pathlib import Path
 
 MODELS = ("models/s3.model", "models/s4.model", "models/s3xs3.model")
 SUITES = ("assoc", "comm", "frobenius", "golden", "signs", "vanishing")
+STDIN_SUITES = ("signs", "assoc")  # the suites that build δ!
 STDIN = {  # name: (model text, top --max-degree)
     "s3xs4": ("algebra S3xS4\ngen a 3\ngen x 4\ngen y 7\nd y = x^2\n", 12),
     "s4-rational": ("algebra S4q\ngen x 4\ngen y 7\nd y = 2/3*x^2\n", 14),
@@ -79,8 +82,10 @@ def commands() -> list[tuple[list[str], str | None]]:
         for suite in SUITES:
             out.append(["verify", model, "--suite", suite])
         out.append(["brane-product", model, "--k", "3", "--format", "tsv"])
+    verify = [["verify", "-", "--suite", suite] for suite in STDIN_SUITES]
     return [(argv, None) for argv in out] + [
-        (argv, name) for name, (_, top) in STDIN.items() for argv in _tables("-", top)
+        (argv, name) for name, (_, top) in STDIN.items()
+        for argv in _tables("-", top) + verify
     ]
 
 

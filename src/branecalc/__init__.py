@@ -27,7 +27,6 @@ from .dga_models import (
     disk_model,
     is_minimal,
     make_model,
-    morphism_eps_tilde,
     morphism_phi,
     path_model,
     quotient,

@@ -70,7 +70,6 @@ from .shriek import (
     GorensteinInfo,
     ModuleMap,
     compose_module,
-    delta_cutoff,
     gorenstein_info,
     shriek_delta_semipure,
     shriek_gamma_pure,
@@ -251,7 +250,7 @@ def brane_product_dual(
     kun, double, glue = _sphere_and_double_disk(V, disk_model(V, k), k)
     state = kun.state
     spheres, _, _ = relative_tensor(state, sphere_model(V, k + 1))
-    delta = shriek_delta_semipure(V, delta_cutoff(V, max_degree))
+    delta = shriek_delta_semipure(V)
     shriek = _shriek_tensor_id(delta, kun.square)
     to_path = compose(
         section(_gluing_map(shriek.source, spheres, k, _COLLAPSE),

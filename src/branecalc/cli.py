@@ -439,9 +439,7 @@ def _suite_signs(mf, args) -> list:
     failures = []
     checked = 3
     expected = -1 if (info.p + info.q) % 2 else 1
-    got = shriek.transposition_sign_loop(
-        mf.model, shriek.delta_cutoff(mf.model, args.max_degree)
-    )
+    got = shriek.transposition_sign_loop(mf.model)
     if got != expected:
         failures.append(f"loop transposition sign {got}, expected {expected}")
     for deg in (args.k + 3, args.k + 4):  # one odd, one even suspension degree

@@ -439,9 +439,6 @@ def morphism_phi(M: DgaModel) -> DgaMorphism:
     return f
 
 
-morphism_eps_tilde = morphism_phi
-
-
 def base_change(M: DgaModel, f: DgaMorphism) -> tuple[DgaModel, DgaMorphism]:
     """A ⊗_B M for M semifree over B and f: B → A.
 

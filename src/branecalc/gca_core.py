@@ -178,19 +178,24 @@ class GradedAlgebra:
             return 1, a
         odd = self.odd
         sign = 1
-        rest = sum(odd[gid] for gid, _ in a) % 2  # of a's odd factors not merged
+        # parity of a's odd factors not merged yet, counted when b's first
+        # odd factor is merged
+        rest = None
         merged: list[tuple[int, int]] = []
         ia = ib = 0
         while ia < len(a) and ib < len(b):
             ga, gb = a[ia][0], b[ib][0]
             if ga < gb:
                 merged.append(a[ia]); ia += 1
-                if odd[ga]:
+                if rest is not None and odd[ga]:
                     rest ^= 1
             elif ga > gb:
                 merged.append(b[ib]); ib += 1
-                if rest and odd[gb]:
-                    sign = -sign
+                if odd[gb]:
+                    if rest is None:
+                        rest = sum(odd[g] for g, _ in a[ia:]) % 2
+                    if rest:
+                        sign = -sign
             else:
                 if odd[ga]:
                     return 0, ONE

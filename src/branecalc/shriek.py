@@ -13,8 +13,13 @@ Two shrieks are constructed:
 * the diagonal shriek δ! = f (path model over ∧V⊗²): leading value
   Π_j (1⊗y_j - y_j⊗1) + u on Π_i s_x_i with the correction u supported in
   the ideal (y_1⊗y_1, ..., y_q⊗y_q), every other value solved from
-  D(f) = 0 by a global exact linear solve (free variables pinned to 0 in
-  echelon order, which makes the table deterministic).
+  D(f) = 0 by one exact linear solve through fiber degree |Π s_x_i| + 1,
+  the smallest that holds the leading monomial (free variables pinned to
+  0 in echelon order, which makes the table deterministic).  The solve
+  depends on the model alone, and its result is certified a cocycle by
+  cocycle_defects, which checks D(f) wherever it can be nonzero.  The
+  brane product reads δ! only through its class, which the leading value
+  fixes.
 """
 
 from __future__ import annotations
@@ -196,9 +201,21 @@ def hom_differential(F: ModuleMap, max_fiber_degree: int) -> ModuleMap:
     return ModuleMap(F.source, F.target, r + 1, F.base_images, images)
 
 
-def cocycle_defects(F: ModuleMap, max_fiber_degree: int) -> list[str]:
-    D = hom_differential(F, max_fiber_degree)
-    return [F.source.algebra.monomial_string(m) for m in sorted(D.images)]
+def cocycle_defects(F: ModuleMap) -> list[str]:
+    """The fiber monomials on which D(F) ≠ 0, in order; [] proves D(F) = 0.
+
+    With L the largest fiber degree among F.images' keys and top the largest
+    fiber generator degree, D(F) vanishes on every fiber monomial of degree
+    above L + top: F is 0 there, and every fiber part of d(mono) has degree
+    at least |mono| - top > L.  So D(F) is checked through L + top only.
+    """
+    if not F.images:
+        return []
+    alg = F.source.algebra
+    base = set(F.source.base_gids)
+    top = max((g.degree for g in alg.generators if g.gid not in base), default=0)
+    D = hom_differential(F, max(map(alg.monomial_degree, F.images)) + top)
+    return [alg.monomial_string(m) for m in sorted(D.images)]
 
 
 # ---------------------------------------------------------------------------
@@ -272,20 +289,9 @@ def shriek_gamma_pure(V: DgaModel) -> ModuleMap:
 # δ! — the diagonal shriek
 
 
-def delta_cutoff(V: DgaModel, max_degree: int) -> int:
-    """The δ! solve's cutoff for tables through max_degree.
-
-    δ! has degree r and leading fiber monomial Π s1_x; the solve covers one
-    fiber degree past both the table and that monomial, so that every
-    D(f) = 0 equation the table depends on is written.
-    """
-    lead = sum(g.degree - 1 for g in V.algebra.generators if not g.is_odd)
-    r = sum(g.degree for g in V.algebra.generators if g.is_odd) - lead
-    return max(r, 0) + max(max_degree, lead) + 1
-
-
-def shriek_delta_semipure(V: DgaModel, cutoff: int) -> ModuleMap:
-    """δ! from the path model to ∧V⊗², solved from D(f) = 0 up to cutoff."""
+def shriek_delta_semipure(V: DgaModel) -> ModuleMap:
+    """δ! from the path model to ∧V⊗², solved from D(f) = 0 through fiber
+    degree |Π s1_x| + 1 and certified a cocycle by cocycle_defects."""
     if not is_semi_pure(V):
         raise ModelError("δ! requires a semi-pure model")
     if not is_minimal(V):
@@ -318,12 +324,12 @@ def shriek_delta_semipure(V: DgaModel, cutoff: int) -> ModuleMap:
         gid: sq.generator_element(alg.gen(gid).prov) for gid in path.base_gids
     }
 
-    fiber_cut = max(cutoff - max(r, 0), 0)
+    # D(f) = 0 is written on fiber monomials through |lead|, which reach
+    # f's values through |lead| + 1
+    fiber_cut = alg.monomial_degree(lead) + 1
     fiber_monos: list[Monomial] = []
     for n in range(fiber_cut + 1):
         fiber_monos.extend(fiber_basis(path, n))
-    if lead not in fiber_monos:
-        raise ModelError("cutoff too small to hold the leading fiber monomial")
 
     # f(mono) = fixed[mono] + Σ x_i·tmono over (i, tmono) in unknowns[mono]
     fixed: dict[Monomial, Element] = {lead: known}
@@ -346,9 +352,7 @@ def shriek_delta_semipure(V: DgaModel, cutoff: int) -> ModuleMap:
     # f with no values yet: its base images and Koszul signs
     unsolved = ModuleMap(path, square, r, base_images, {})
     for mono in fiber_monos:
-        n = alg.monomial_degree(mono)
-        if n + 1 > fiber_cut:
-            # d(mono) can reach fiber degree n+1, beyond the table
+        if alg.monomial_degree(mono) == fiber_cut:
             continue
         eqs: dict[Monomial, la.Row] = {}
 
@@ -368,9 +372,6 @@ def shriek_delta_semipure(V: DgaModel, cutoff: int) -> ModuleMap:
         # -(-1)^r f ∘ d_source on mono
         dmono = path.d(alg.monomial_element(mono))
         for f_part, b_elem in unsolved.by_fiber(dmono).items():
-            if alg.monomial_degree(f_part) > fiber_cut:
-                # cannot happen: |f_part| <= n+1 <= fiber_cut by construction
-                raise ModelError("internal: fiber monomial outside the table")
             const_f, vlist_f = image_as_linear(f_part)
             if not const_f.is_zero():
                 add(n_vars, b_elem * const_f, sgn_r)
@@ -383,17 +384,18 @@ def shriek_delta_semipure(V: DgaModel, cutoff: int) -> ModuleMap:
 
     sol = la.solve(rows, n_vars)
     if sol is None:
-        raise ModelError(
-            "no cocycle with the prescribed leading term within the cutoff; "
-            "either the model is not semi-pure/minimal or the cutoff is too small"
-        )
+        raise ModelError("no cocycle with the prescribed leading term")
     images: dict[Monomial, Element] = {}
     for mono in fiber_monos:
         val = fixed.get(mono, sq.zero()) + sq.element(
             {tmono: sol[vi] for vi, tmono in unknowns.get(mono, []) if vi in sol})
         if not val.is_zero():
             images[mono] = val
-    return ModuleMap(path, square, r, base_images, images)
+    f = ModuleMap(path, square, r, base_images, images)
+    defects = cocycle_defects(f)
+    if defects:
+        raise ModelError(f"the solved δ! is not a cocycle: D(δ!) ≠ 0 on {defects[0]}")
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -459,10 +461,10 @@ def _square_to_quotient(square: DgaModel, V: DgaModel) -> tuple[DgaMorphism, Dga
 
 
 def delta_evaluation(
-    V: DgaModel, cutoff: int, F: ModuleMap | None = None
+    V: DgaModel, F: ModuleMap | None = None
 ) -> tuple[Element, list[Fraction], DgaModel]:
     """Pair δ! against [Π s1_x_i]; expected class [y_1⋯y_q] ≠ 0."""
-    f = shriek_delta_semipure(V, cutoff) if F is None else F
+    f = shriek_delta_semipure(V) if F is None else F
     square = f.target
     to_q, VQ = _square_to_quotient(square, V)
     z = f.source.algebra.one()
@@ -488,9 +490,9 @@ def _ratio(v: Sequence[Fraction], w: Sequence[Fraction]) -> Fraction:
     return c
 
 
-def transposition_sign_loop(V: DgaModel, cutoff: int) -> int:
+def transposition_sign_loop(V: DgaModel) -> int:
     """ev([t∘f∘t̃] ⊗ [Π s_x_i]) / ev([f] ⊗ [Π s_x_i]); equals (-1)^(p+q)."""
-    f = shriek_delta_semipure(V, cutoff)
+    f = shriek_delta_semipure(V)
     t = square_transposition(f.target)
     t_tilde = loop_transposition(f.source)
     g_images = {
@@ -500,8 +502,8 @@ def transposition_sign_loop(V: DgaModel, cutoff: int) -> int:
     # conjugation by involutions covering each other keeps base-linearity
     # with the same identity base action
     g = ModuleMap(f.source, f.target, f.degree, f.base_images, g_images)
-    _, vec_f, _ = delta_evaluation(V, cutoff, F=f)
-    _, vec_g, _ = delta_evaluation(V, cutoff, F=g)
+    _, vec_f, _ = delta_evaluation(V, F=f)
+    _, vec_g, _ = delta_evaluation(V, F=g)
     c = _ratio(vec_f, vec_g)
     if c.denominator != 1 or abs(c.numerator) != 1:
         raise ModelError(f"transposition conjugate is not a sign multiple: {c}")
@@ -535,8 +537,7 @@ def one_generator_ext_sign(gen_degree: int, k: int) -> int:
         f = ModuleMap(M, T, deg_a, base_images, {ONE: talg.generator_element(ta.gid)})
     else:
         f = ModuleMap(M, T, -deg_b, base_images, {((b.gid, 1),): talg.one()})
-    bound = 4 * max(deg_b, 1)
-    if cocycle_defects(f, bound):
+    if cocycle_defects(f):
         raise ModelError("internal: the one-generator f is not a cocycle")
     t_bar = DgaMorphism(T, T, {ta.gid: -talg.generator_element(ta.gid)})
     t_hat = DgaMorphism(
@@ -544,23 +545,20 @@ def one_generator_ext_sign(gen_degree: int, k: int) -> int:
         {a.gid: -alg.generator_element(a.gid), b.gid: -alg.generator_element(b.gid)},
     )
     t_hat.check_chain()
-    ratios = []
-    for n in range(bound + 1):
-        for mono in fiber_basis(M, n):
-            fv = f(alg.monomial_element(mono))
-            gv = t_bar(f(t_hat(alg.monomial_element(mono))))
-            if fv.is_zero() and gv.is_zero():
-                continue
-            if fv.is_zero():
-                raise ModelError("conjugate is not a scalar multiple of f")
-            m0 = min(fv.terms)
-            c = gv.coefficient(m0) / fv.coefficient(m0)
-            if gv != fv * c:
-                raise ModelError("conjugate is not a scalar multiple of f")
-            ratios.append(c)
-    if len(set(ratios)) != 1:
+    # t̂ sends each monomial to ± itself, so the conjugate t̄∘f∘t̂ vanishes
+    # wherever f does, and the ratios are read on f's values alone
+    ratios = set()
+    for mono in f.images:
+        fv = f(alg.monomial_element(mono))
+        gv = t_bar(f(t_hat(alg.monomial_element(mono))))
+        m0 = min(fv.terms)
+        c = gv.coefficient(m0) / fv.coefficient(m0)
+        if gv != fv * c:
+            raise ModelError("conjugate is not a scalar multiple of f")
+        ratios.add(c)
+    if len(ratios) != 1:
         raise ModelError("conjugate is not a scalar multiple of f")
-    c = ratios[0]
+    c = ratios.pop()
     if c.denominator != 1 or abs(c.numerator) != 1:
         raise ModelError(f"conjugation scalar is not a sign: {c}")
     return int(c)

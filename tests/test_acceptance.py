@@ -29,7 +29,6 @@ from branecalc import (
     gamma_evaluation,
     gorenstein_info,
     is_quasi_iso,
-    morphism_eps_tilde,
     morphism_phi,
     path_model,
     shriek_delta_semipure,
@@ -170,7 +169,7 @@ def test_criterion_4_model_construction_suite():
         for M in (sphere_model(V, 2), disk_model(V, 2), path_model(V)):
             if M.d_squared_witnesses():
                 failures.append(f"d² ≠ 0 for {M.algebra.name}")
-        if not is_quasi_iso(morphism_eps_tilde(disk_model(V, 2)), 14):
+        if not is_quasi_iso(morphism_phi(disk_model(V, 2)), 14):
             failures.append(f"ε̃ not a quasi-iso for {name}")
         disk = disk_model(V, 2)
         collapsed, _ = base_change(disk, morphism_phi(sphere_model(V, 2)))
@@ -181,18 +180,18 @@ def test_criterion_4_model_construction_suite():
 
 def test_criterion_5_shriek_cocycles_and_evaluation():
     failures = []
-    for build, cut in ((build_s3, 10), (build_s4, 12)):
+    for build in (build_s3, build_s4):
         V = build()
         name = V.algebra.name
         gs = shriek_gamma_pure(V)
-        if cocycle_defects(gs, cut):
+        if cocycle_defects(gs):
             failures.append(f"D(γ!) ≠ 0 for {name}")
-        ds = shriek_delta_semipure(V, cut)
-        if cocycle_defects(ds, cut - max(ds.degree, 0)):
+        ds = shriek_delta_semipure(V)
+        if cocycle_defects(ds):
             failures.append(f"D(δ!) ≠ 0 for {name}")
         for label, (ev, vec, _) in (
             ("γ", gamma_evaluation(V)),
-            ("δ", delta_evaluation(V, cut)),
+            ("δ", delta_evaluation(V)),
         ):
             if ev.is_zero() or not any(vec):
                 failures.append(f"{label} evaluation trivial for {name}")
@@ -201,11 +200,11 @@ def test_criterion_5_shriek_cocycles_and_evaluation():
 
 def test_criterion_6_sign_laws():
     failures = []
-    for build, cut, want in ((build_s3, 10, -1), (build_s4, 12, 1)):
+    for build, want in ((build_s3, -1), (build_s4, 1)):
         V = build()
         info = gorenstein_info(V, 2)
         assert want == (-1) ** (info.p + info.q)
-        if transposition_sign_loop(V, cut) != want:
+        if transposition_sign_loop(V) != want:
             failures.append(f"loop transposition sign for {V.algebra.name}")
     if one_generator_ext_sign(3, 2) != -1:
         failures.append("odd one-generator sign")

@@ -293,8 +293,8 @@ def test_verify_suites_pass(s3_file, s4_file, capsys):
 
 @pytest.mark.parametrize("model", ["s3", "s4", "s3xs3"])
 def test_verify_signs_passes_at_every_max_degree(model, capsys, monkeypatch):
-    # the δ! cutoff is sized from δ!'s degree and leading fiber monomial,
-    # so small --max-degree values do not starve the solve
+    # δ! is solved from the model alone, so --max-degree does not reach the
+    # signs suite; every value, however small, still passes
     monkeypatch.chdir(ROOT)
     for d in range(8):
         argv = ["verify", f"models/{model}.model", "--suite", "signs",

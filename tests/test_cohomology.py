@@ -14,7 +14,7 @@ from branecalc import (
     invert_on_cohomology,
     is_quasi_iso,
     make_model,
-    morphism_eps_tilde,
+    morphism_phi,
     parse_model,
     path_model,
     sphere_model,
@@ -76,7 +76,7 @@ def test_class_vector_ignores_boundaries(s4):
 
 def test_induced_map_and_inverse_round_trip(s4):
     disk = disk_model(s4, 2)
-    eps = morphism_eps_tilde(disk)
+    eps = morphism_phi(disk)
     assert is_quasi_iso(eps, 12)
     for n in range(9):
         fwd = induced_map(eps, disk, eps.target, n)

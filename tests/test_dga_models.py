@@ -18,7 +18,6 @@ from branecalc import (
     is_minimal,
     is_quasi_iso,
     make_model,
-    morphism_eps_tilde,
     morphism_phi,
     path_model,
     quotient,
@@ -138,13 +137,13 @@ def test_base_change_of_disk_is_next_sphere(build, k):
 
 @pytest.mark.parametrize("build", CORPUS)
 def test_eps_tilde_is_quasi_iso(build):
-    f = morphism_eps_tilde(disk_model(build(), 2))
+    f = morphism_phi(disk_model(build(), 2))
     assert is_quasi_iso(f, 14)
 
 
 def test_phi_and_eps_tilde_are_chain_maps(s4):
     morphism_phi(sphere_model(s4, 2)).check_chain()
-    morphism_eps_tilde(disk_model(s4, 3)).check_chain()
+    morphism_phi(disk_model(s4, 3)).check_chain()
 
 
 def test_relative_tensor_glues_over_the_base(s3):

@@ -4,18 +4,44 @@ import pytest
 
 from branecalc import (
     ModelError,
+    ModuleMap,
     cocycle_defects,
     delta_evaluation,
     gamma_evaluation,
     gorenstein_info,
+    hom_differential,
     is_pure,
     is_semi_pure,
     make_model,
     one_generator_ext_sign,
+    parse_model,
+    shriek,
     shriek_delta_semipure,
     shriek_gamma_pure,
     transposition_sign_loop,
 )
+
+from conftest import MODEL_TEXTS
+
+AB = "gen a 4\ngen b 6\ngen y 7\ngen z 11\nd y = a^2\nd z = b^2 + a^3\n"
+DELTA_MODELS = [p for p in MODEL_TEXTS if p.id != "linear-d"] + [
+    pytest.param(AB, id="ab")]
+# δ!'s values as the solve through the table degree's cutoff gave them, the
+# same at table degrees 0, 8, 16 and 24: the class is fixed by the leading
+# value, and the values by the echelon order of the free variables
+DELTA_IMAGES = {
+    "s3": {"1": "-x@L + x@R"},
+    "s3xs3": {"1": "x1@L*x2@L - x1@L*x2@R + x2@L*x1@R + x1@R*x2@R"},
+    "s4": {"1": "x@L + x@R", "s1_x": "-y@L + y@R"},
+    "s3xs4": {"1": "-a@L*x@L - a@L*x@R + x@L*a@R + a@R*x@R",
+              "s1_x": "a@L*y@L - a@L*y@R + y@L*a@R + a@R*y@R"},
+    "s4-rational": {"1": "2/3*x@L + 2/3*x@R", "s1_x": "-y@L + y@R"},
+    "ab": {"1": "a@L*b@L + a@L*b@R + b@L*a@R + a@R*b@R",
+           "s1_a": "-b@L*y@L + b@L*y@R - y@L*b@R + b@R*y@R",
+           "s1_a*s1_b": "y@L*z@L - y@L*z@R + z@L*y@R + y@R*z@R",
+           "s1_b": "a@L*y@L*a@R - a@L*z@L - a@L*a@R*y@R + a@L*z@R + a@L^2*y@L"
+                   " - a@L^2*y@R + y@L*a@R^2 - z@L*a@R + a@R*z@R - a@R^2*y@R"},
+}
 
 
 def test_gorenstein_defaults_s3(s3):
@@ -48,7 +74,7 @@ def test_purity_classification(s3, s4):
 
 def test_gamma_shriek_is_a_cocycle(s4):
     gs = shriek_gamma_pure(s4)
-    assert cocycle_defects(gs, 10) == []
+    assert cocycle_defects(gs) == []
     # γ!(s2_y) = s1_x, and γ! vanishes on monomials containing s2_x
     s2y = gs.source.algebra.gen("s2_y").gid
     assert gs(gs.source.algebra.generator_element(s2y)) == gs.target.gen_elem(
@@ -76,7 +102,7 @@ def test_gamma_evaluation_is_nonzero(s3, s4):
 
 
 def test_delta_shriek_leading_term_s3(s3):
-    ds = shriek_delta_semipure(s3, 10)
+    ds = shriek_delta_semipure(s3)
     f1 = ds(ds.source.algebra.one())
     sq = ds.target
     assert f1 == sq.gen_elem("x@R") - sq.gen_elem("x@L")
@@ -85,13 +111,13 @@ def test_delta_shriek_leading_term_s3(s3):
 
 
 def test_delta_shriek_is_a_cocycle(s3, s4):
-    for V, cut in ((s3, 10), (s4, 12)):
-        ds = shriek_delta_semipure(V, cut)
-        assert cocycle_defects(ds, cut - max(ds.degree, 0)) == []
+    for V in (s3, s4):
+        ds = shriek_delta_semipure(V)
+        assert cocycle_defects(ds) == []
 
 
 def test_delta_shriek_leading_term_s4(s4):
-    ds = shriek_delta_semipure(s4, 12)
+    ds = shriek_delta_semipure(s4)
     sq = ds.target
     lead = ds(ds.source.gen_elem("s1_x"))
     diff = lead - (sq.gen_elem("y@R") - sq.gen_elem("y@L"))
@@ -102,19 +128,61 @@ def test_delta_shriek_leading_term_s4(s4):
 
 
 def test_delta_evaluation_is_nonzero(s3, s4):
-    for V, cut in ((s3, 10), (s4, 12)):
-        ev, vec, _ = delta_evaluation(V, cut)
+    for V in (s3, s4):
+        ev, vec, _ = delta_evaluation(V)
         assert not ev.is_zero()
         assert any(vec)
 
 
 def test_loop_transposition_sign(s3, s4, s3xs3):
     # (-1)^(p+q): one odd generator for S³, two generators otherwise
-    assert transposition_sign_loop(s3, 10) == -1
-    assert transposition_sign_loop(s4, 12) == 1
-    assert transposition_sign_loop(s3xs3, 10) == 1
+    assert transposition_sign_loop(s3) == -1
+    assert transposition_sign_loop(s4) == 1
+    assert transposition_sign_loop(s3xs3) == 1
 
 
 def test_one_generator_extension_sign_both_parities():
     assert one_generator_ext_sign(3, 2) == -1  # odd generator
     assert one_generator_ext_sign(4, 2) == -1  # even generator
+
+
+def test_certificate_names_the_perturbed_value(s4):
+    # S⁴ has an even generator, so δ! has a value on s1_x beside the one on
+    # 1; doubling either one alone breaks D(δ!) = 0
+    ds = shriek_delta_semipure(s4)
+    s1_x = ds.source.algebra.gen("s1_x").gid
+    lead = ((s1_x, 1),)
+    bad = ModuleMap(ds.source, ds.target, ds.degree, ds.base_images,
+                    {**ds.images, lead: ds.images[lead] * 2})
+    defects = cocycle_defects(bad)
+    assert defects[0] == "s1_x"
+    # the check through L + top finds every defect the full check finds
+    full = hom_differential(bad, 28).images
+    assert defects == [bad.source.algebra.monomial_string(m) for m in sorted(full)]
+
+
+def test_a_failed_certificate_raises_and_names_the_defect(s4, monkeypatch):
+    # a solve that doubles every solved value doubles δ!(1) and leaves the
+    # prescribed δ!(s1_x), so D(δ!) ≠ 0 first on s1_x
+    solve = shriek.la.solve
+
+    def doubled(rows, n_vars):
+        return {j: 2 * c for j, c in solve(rows, n_vars).items()}
+
+    monkeypatch.setattr(shriek.la, "solve", doubled)
+    with pytest.raises(ModelError, match=r"D\(δ!\) ≠ 0 on s1_x$"):
+        shriek_delta_semipure(s4)
+
+
+@pytest.mark.parametrize("text", DELTA_MODELS)
+def test_delta_is_a_cocycle_by_the_full_check(text):
+    ds = shriek_delta_semipure(parse_model(text).model)
+    assert hom_differential(ds, 28).images == {}
+
+
+@pytest.mark.parametrize("text", DELTA_MODELS)
+def test_delta_values_match_the_recorded_solve(text, request):
+    ds = shriek_delta_semipure(parse_model(text).model)
+    mono = ds.source.algebra.monomial_string
+    got = {mono(m): repr(v) for m, v in ds.images.items()}
+    assert got == DELTA_IMAGES[request.node.callspec.id]

@@ -1,6 +1,6 @@
 """The top-degree table rows of the TSV matrix, replayed in-process.
 
-``scripts/tsv_matrix.py`` fingerprints 493 CLI commands, and its output as
+``scripts/tsv_matrix.py`` fingerprints 503 CLI commands, and its output as
 the tables stand is committed as ``scripts/tsv_matrix.expected``.  The
 ``brane-product`` and ``brane-coproduct`` rows at each model's top
 ``--max-degree``, with and without ``--homology``, are run again here
