@@ -13,7 +13,6 @@ from .gca_core import (
     Monomial,
     ONE,
     Provenance,
-    tensor,
     translate,
 )
 from .dga_models import (

@@ -88,8 +88,9 @@ Pair = tuple[Label, Label]
 @dataclass
 class Kunneth:
     """Pairs of H(A)-classes as classes of (square, left, right) =
-    tensor_model(A, A), with coordinates = π⊗π for CohomologyBasis.projection
-    and no cohomology of the square.  tensor_model adds all left generators
+    tensor_model(A, A), with no cohomology of the square: coordinates reads
+    them as π⊗π, π the monomial-to-class map CohomologyBasis.projection of A
+    that class_vector reads too.  tensor_model adds all left generators
     before the right ones, each copy in A's order, so a square monomial is its
     left part times its right part, both canonical, with no sign; π has
     degree 0, so π⊗π adds no Koszul sign either.

@@ -45,10 +45,8 @@ class ParseError(Exception):
 @dataclass
 class ModelFile:
     name: str | None
-    gens: list  # [(name, degree)]
-    diffs: dict  # name -> Element (in the built algebra)
     info: dict  # key -> int
-    model: DgaModel = field(repr=False, default=None)
+    model: DgaModel = field(repr=False)
 
 
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_][A-Za-z0-9_@']*|[-+*^=()])")
@@ -146,8 +144,7 @@ class _ExprParser:
 def parse_model(text: str) -> ModelFile:
     """Parse a model file and build the underlying (∧V, d)."""
     name: str | None = None
-    gens: list = []
-    diffs: dict = {}
+    images: dict = {}  # gid -> nonzero d image
     info: dict = {}
     alg = GradedAlgebra()
     raw_diffs: dict = {}  # name -> (expression tokens, line)
@@ -173,7 +170,6 @@ def parse_model(text: str) -> ModelFile:
             if alg.has_gen(nm):
                 raise ParseError(f"duplicate generator {nm!r}", lineno, toks[1][1])
             alg.add_generator(nm, deg)
-            gens.append((nm, deg))
         elif head == "d":
             if len(toks) < 4 or toks[2][0] != "=":
                 raise ParseError("usage: d NAME = EXPR", lineno, col)
@@ -212,10 +208,9 @@ def parse_model(text: str) -> ModelFile:
                 lineno,
             )
         if got is not None:
-            diffs[nm] = e
-    images = {alg.gen(nm).gid: e for nm, e in diffs.items()}
-    model = DgaModel(alg, Derivation(alg, 1, images), tuple(range(len(gens))))
-    return ModelFile(name, gens, diffs, info, model)
+            images[alg.gen(nm).gid] = e
+    base = tuple(range(len(alg.generators)))
+    return ModelFile(name, info, DgaModel(alg, Derivation(alg, 1, images), base))
 
 
 def print_model(mf: ModelFile) -> str:
@@ -223,11 +218,9 @@ def print_model(mf: ModelFile) -> str:
     lines = []
     if mf.name:
         lines.append(f"algebra {mf.name}")
-    for nm, deg in mf.gens:
-        lines.append(f"gen {nm} {deg}")
-    for nm, _ in mf.gens:
-        if nm in mf.diffs:
-            lines.append(f"d {nm} = {mf.diffs[nm]!r}")
+    gens, images = mf.model.algebra.generators, mf.model.d.images
+    lines.extend(f"gen {g.name} {g.degree}" for g in gens)
+    lines.extend(f"d {g.name} = {images[g.gid]!r}" for g in gens if g.gid in images)
     for key in ("m", "mbar"):
         if key in mf.info:
             lines.append(f"info {key} = {mf.info[key]}")

@@ -19,15 +19,14 @@ is inserted in turn.  Kernel bases and normal forms are unique, so the
 representatives are deterministic (echelon pivots in monomial order) and
 reproducible bit-for-bit.
 
-The pivot map is kept in the ``CohomologyBasis``.  Each representative's row
-carries a coordinate column, so ``class_vector`` reduces a cocycle against
-it and reads the class's coordinates off what is left.
-
-The same reductions give a projection π: Cⁿ → Hⁿ.  A cocycle z is
-Σ_f z[f]·v_f over the kernel vectors (v_f is 1 at free column f, else only
-on pivot columns), so π sends the monomial at f to the class of v_f and each
-pivot-column monomial to 0: π is the class map on cocycles, kills
-coboundaries, and π⊗π reads Künneth pair coordinates off tensor products.
+The same reductions give a projection π: Cⁿ → Hⁿ, and the
+``CohomologyBasis`` keeps only the representatives and π, the one class
+map of this module.  A cocycle z is Σ_f z[f]·v_f over the kernel vectors
+(v_f is 1 at free column f, else only on pivot columns), so π sends the
+monomial at f to the class of v_f and each pivot-column monomial to 0: π is
+the class map on cocycles and kills coboundaries.  ``class_vector`` reads a
+cocycle's class as Σ_m z[m]·π(m), and π⊗π reads Künneth pair coordinates off
+tensor products.
 
 ``section`` turns a backward arrow of a zigzag, a surjective
 quasi-isomorphism f, into a forward one: a chain map σ with f∘σ = id, so
@@ -144,16 +143,11 @@ def section(f: DgaMorphism, stage: str) -> DgaMorphism:
 
 @dataclass
 class CohomologyBasis:
-    degree: int
     representatives: list[Element]
-    # pivot map of the coboundaries plus the representatives; a
-    # representative's row carries 1 in tail column dim + j, so every row's
-    # tail holds its coordinates in the representatives
-    _echelon: la.Echelon
-    # π as {position: {class index: coefficient}}, nonzero entries only: a
+    # π as {monomial: {class index: coefficient}}, nonzero entries only: a
     # free column of d_n goes to its kernel vector's class, a pivot column
     # to 0, as those span a complement of the cocycles; so π∘d = 0
-    projection: dict[int, dict[int, Fraction]]
+    projection: dict[Monomial, dict[int, Fraction]]
 
     @property
     def dimension(self) -> int:
@@ -178,10 +172,11 @@ def _cohomology_basis(M: DgaModel, n: int) -> CohomologyBasis:
         for row in _d_rows(M, n - 1):  # the coboundaries
             ech.insert(row)
     # a cocycle's normal form modulo coboundaries + earlier representatives,
-    # scaled to lead with 1, is the next representative; minus the tail is
-    # the cocycle's class in the earlier ones
+    # scaled to lead with 1, is the next representative j, inserted with 1 in
+    # tail column dim + j; minus the tail is the cocycle's class in the
+    # earlier ones
     reps: list[la.Row] = []
-    projection: dict[int, dict[int, Fraction]] = {}
+    projection: dict[Monomial, dict[int, Fraction]] = {}
     for f, z in d_n.kernel().items():
         red = ech.reduce(z)
         cls = {j - dim: -c for j, c in red.items() if j >= dim}
@@ -193,34 +188,35 @@ def _cohomology_basis(M: DgaModel, n: int) -> CohomologyBasis:
             cls[len(reps)] = lead
             reps.append(rep)
         if cls:
-            projection[f] = cls
+            projection[basis[f]] = cls
     elements = [M.algebra.element({basis[j]: r[j] for j in sorted(r)}) for r in reps]
-    return CohomologyBasis(n, elements, ech, projection)
+    return CohomologyBasis(elements, projection)
 
 
 def projection(M: DgaModel, mono: Monomial) -> tuple[int, dict[int, Fraction]]:
     """π of a monomial: its degree n and {class index: coefficient} in Hⁿ."""
     n = M.algebra.monomial_degree(mono)
-    return n, cohomology_basis(M, n).projection.get(_index(M, n)[mono], {})
+    return n, cohomology_basis(M, n).projection.get(mono, {})
 
 
 def class_vector(M: DgaModel, n: int, e: Element) -> list[Fraction]:
-    """Coordinates of a cocycle's class in the chosen representative basis."""
+    """Coordinates of a cocycle's class in the chosen representative basis:
+    Σ_m (c_m / den)·π(m) over e = Σ_m (c_m / den)·m."""
     if not M.d(e).is_zero():
         raise ModelError(f"element is not a cocycle in degree {n}: {e!r}")
+    index = _index(M, n)
+    if any(m not in index for m in e.terms):
+        raise ValueError("element has terms outside the requested degree")
     h = cohomology_basis(M, n)
-    dim, index = h._echelon.ncols, _index(M, n)
-    try:
-        row = {index[m]: c for m, c in e.terms.items()}
-    except KeyError:
-        raise ValueError("element has terms outside the requested degree") from None
-    # row is den·e, and den·e - Σ c_p row_p leaves 0 below dim and
-    # -den·(coordinates of e) in the tail
+    acc: dict[int, Fraction] = {}
+    for m, c in e.terms.items():
+        for i, x in h.projection.get(m, {}).items():
+            acc[i] = acc.get(i, 0) + c * x
+    # most coordinates are 0: divide only the others
     coords = [F0] * h.dimension
-    for j, c in h._echelon.reduce(row).items():
-        if j < dim:
-            raise ModelError("cocycle does not lie in boundaries + representatives span")
-        coords[j - dim] = -c / e.den
+    for i, x in acc.items():
+        if x:
+            coords[i] = x / e.den
     return coords
 
 

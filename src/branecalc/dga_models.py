@@ -41,7 +41,6 @@ from .gca_core import (
     Provenance,
     add_tagged,
     linear_combination,
-    tensor,
     translate,
 )
 
@@ -515,7 +514,8 @@ def relative_tensor(
 
 def tensor_model(M: DgaModel, N: DgaModel) -> tuple[DgaModel, DgaMorphism, DgaMorphism]:
     """Plain tensor product of models (over the ground field)."""
-    alg, left, right = tensor(M.algebra, N.algebra)
+    alg = GradedAlgebra(f"{M.algebra.name}(x){N.algebra.name}")
+    left, right = add_tagged(alg, M.algebra.generators, N.algebra.generators)
     images = {**_d_images(M, alg, left), **_d_images(N, alg, right)}
     base = [left[g] for g in M.base_gids] + [right[g] for g in N.base_gids]
     result = _model(alg, images, base)

@@ -423,20 +423,6 @@ def add_tagged(
     return copy(left, "L"), copy(right, "R")
 
 
-def tensor(
-    a: GradedAlgebra, b: GradedAlgebra, name: str = ""
-) -> tuple[GradedAlgebra, dict[int, int], dict[int, int]]:
-    """Tensor product of free GCAs.
-
-    Returns the product algebra together with generator-id translation maps
-    for the two inclusions a -> a(x)b and b -> a(x)b.  Generators whose
-    labels collide are tagged with their factor (see add_tagged).
-    """
-    out = GradedAlgebra(name or f"{a.name}(x){b.name}")
-    left, right = add_tagged(out, a.generators, b.generators)
-    return out, left, right
-
-
 def translate(e: Element, target: GradedAlgebra, gid_map: dict[int, int]) -> Element:
     """Push an element through a generator-id translation (degree 0, 1:1)."""
     terms: dict[Monomial, int] = {}

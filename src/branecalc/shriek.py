@@ -331,8 +331,8 @@ def shriek_delta_semipure(V: DgaModel) -> ModuleMap:
     for n in range(fiber_cut + 1):
         fiber_monos.extend(fiber_basis(path, n))
 
-    # f(mono) = fixed[mono] + Σ x_i·tmono over (i, tmono) in unknowns[mono]
-    fixed: dict[Monomial, Element] = {lead: known}
+    # f(mono) = Σ x_i·tmono over (i, tmono) in unknowns[mono], plus known
+    # at lead
     unknowns: dict[Monomial, list[tuple[int, Monomial]]] = {}
     n_vars = 0
     for mono in fiber_monos:
@@ -340,9 +340,6 @@ def shriek_delta_semipure(V: DgaModel) -> ModuleMap:
             if mono != lead or in_correction_ideal(tmono):
                 unknowns.setdefault(mono, []).append((n_vars, tmono))
                 n_vars += 1
-
-    def image_as_linear(mono: Monomial):
-        return fixed.get(mono, sq.zero()), unknowns.get(mono, [])
 
     # one sparse equation per fiber monomial and target monomial t: the
     # coefficient of t in D(f)(mono), with the constant part moved to the
@@ -364,18 +361,16 @@ def shriek_delta_semipure(V: DgaModel) -> ModuleMap:
                 row[col] = row.get(col, 0) + c * scale
 
         # d_target ∘ f on mono
-        const, vlist = image_as_linear(mono)
-        if not const.is_zero():
-            add(n_vars, square.d(const), -1)
-        for vi, tmono in vlist:
+        if mono == lead:
+            add(n_vars, square.d(known), -1)
+        for vi, tmono in unknowns.get(mono, ()):
             add(vi, square.d(sq.monomial_element(tmono)), 1)
         # -(-1)^r f ∘ d_source on mono
         dmono = path.d(alg.monomial_element(mono))
         for f_part, b_elem in unsolved.by_fiber(dmono).items():
-            const_f, vlist_f = image_as_linear(f_part)
-            if not const_f.is_zero():
-                add(n_vars, b_elem * const_f, sgn_r)
-            for vi, tmono in vlist_f:
+            if f_part == lead:
+                add(n_vars, b_elem * known, sgn_r)
+            for vi, tmono in unknowns.get(f_part, ()):
                 add(vi, b_elem * sq.monomial_element(tmono), -sgn_r)
         for row in eqs.values():
             row = {j: c for j, c in row.items() if c}
@@ -387,8 +382,10 @@ def shriek_delta_semipure(V: DgaModel) -> ModuleMap:
         raise ModelError("no cocycle with the prescribed leading term")
     images: dict[Monomial, Element] = {}
     for mono in fiber_monos:
-        val = fixed.get(mono, sq.zero()) + sq.element(
-            {tmono: sol[vi] for vi, tmono in unknowns.get(mono, []) if vi in sol})
+        val = sq.element(
+            {tmono: sol[vi] for vi, tmono in unknowns.get(mono, ()) if vi in sol})
+        if mono == lead:
+            val = val + known
         if not val.is_zero():
             images[mono] = val
     f = ModuleMap(path, square, r, base_images, images)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branecalc import GradedAlgebra
+from branecalc import Derivation, DgaModel, GradedAlgebra
 from branecalc.cli import ModelFile, ParseError, main, parse_model, print_model
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -95,7 +95,8 @@ def test_parse_names_the_unexpected_character_and_its_column():
 
 def test_parse_accepts_comments_and_rationals():
     mf = parse_model("# a comment\ngen a 2\ngen b 5  # trailing\nd b = 1/3*a^3\n")
-    assert mf.gens == [("a", 2), ("b", 5)]
+    assert generators(mf.model) == [("a", 2), ("b", 5)]
+    assert d_values(mf.model) == {"b": {((0, 3),): Fraction(1, 3)}}
 
 
 def test_parse_negative_info_value():
@@ -109,20 +110,25 @@ def model_files(draw):
     random homogeneous differentials, optional name and info."""
     names = draw(st.lists(st.sampled_from(["a", "x", "y2", "w_1", "u'", "d", "gen"]),
                           min_size=1, max_size=4, unique=True))
-    gens = [(nm, draw(st.integers(1, 6))) for nm in names]
     alg = GradedAlgebra()
-    for nm, deg in gens:
-        alg.add_generator(nm, deg)
+    for nm in names:
+        alg.add_generator(nm, draw(st.integers(1, 6)))
     coeffs = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 5)])
-    diffs = {}
+    images = {}
     for g in alg.generators:
         basis = alg.basis(g.degree + 1)
         if basis and draw(st.booleans()):
             monos = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=3,
                                   unique=True))
-            diffs[g.name] = alg.element({m: draw(coeffs) for m in monos})
+            images[g.gid] = alg.element({m: draw(coeffs) for m in monos})
     info = draw(st.dictionaries(st.sampled_from(["m", "mbar"]), st.integers(-9, 9)))
-    return ModelFile(draw(st.sampled_from([None, "M", "S4"])), gens, diffs, info)
+    model = DgaModel(alg, Derivation(alg, 1, images), tuple(range(len(names))))
+    return ModelFile(draw(st.sampled_from([None, "M", "S4"])), info, model)
+
+
+def generators(M):
+    """[(name, degree)] of a model's generators, in order."""
+    return [(g.name, g.degree) for g in M.algebra.generators]
 
 
 def values(e):
@@ -130,16 +136,18 @@ def values(e):
     return {m: e.coefficient(m) for m in e.terms}
 
 
+def d_values(M):
+    """{generator name: values of its d image} of a model."""
+    return {M.algebra.gen(gid).name: values(e) for gid, e in M.d.images.items()}
+
+
 @settings(max_examples=60, deadline=None)
 @given(model_files())
 def test_parse_inverts_print_on_random_models(mf):
     back = parse_model(print_model(mf))
-    assert (back.name, back.gens, back.info) == (mf.name, mf.gens, mf.info)
-    want = {nm: values(e) for nm, e in mf.diffs.items()}
-    assert {nm: values(e) for nm, e in back.diffs.items()} == want
-    alg = back.model.algebra
-    assert [(g.name, g.degree) for g in alg.generators] == mf.gens
-    assert {alg.gen(gid).name: values(e) for gid, e in back.model.d.images.items()} == want
+    assert (back.name, back.info) == (mf.name, mf.info)
+    assert generators(back.model) == generators(mf.model)
+    assert d_values(back.model) == d_values(mf.model)
 
 
 @settings(max_examples=60, deadline=None)

@@ -68,6 +68,11 @@ def test_class_vector_requires_a_cocycle(s4):
         class_vector(M, 3, s2x)  # d(s2_x) = s1_x ≠ 0
 
 
+def test_class_vector_rejects_terms_outside_the_degree(s4):
+    with pytest.raises(ValueError, match="outside the requested degree"):
+        class_vector(s4, 3, s4.gen_elem("x"))  # x is a cocycle of degree 4
+
+
 def test_class_vector_ignores_boundaries(s4):
     M = disk_model(s4, 2)
     z = M.gen_elem("x") + M.d(M.gen_elem("s2_x") * M.gen_elem("s1_x"))
@@ -196,9 +201,13 @@ def test_projection_is_the_class_map_and_kills_coboundaries(text):
             assert _pi(M, M.d(b)) == {}
         for i, rep in enumerate(h.representatives):
             assert _pi(M, rep) == {i: 1}
+        # z = Σ aᵢ·repᵢ + Σ bⱼ·d(belowⱼ) has class (aᵢ)
         for _ in range(3):
+            a = [rng.randint(-3, 3) for _ in h.representatives]
             z = M.algebra.zero()
-            for e in h.representatives + [M.d(b) for b in below]:
-                z = z + e * rng.randint(-3, 3)
-            want = {i: c for i, c in enumerate(class_vector(M, n, z)) if c}
-            assert _pi(M, z) == want
+            for c, rep in zip(a, h.representatives):
+                z = z + rep * c
+            for b in below:
+                z = z + M.d(b) * rng.randint(-3, 3)
+            assert _pi(M, z) == {i: c for i, c in enumerate(a) if c}
+            assert class_vector(M, n, z) == a

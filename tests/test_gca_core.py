@@ -4,7 +4,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branecalc import Derivation, GradedAlgebra, tensor, translate
+from branecalc import Derivation, GradedAlgebra, translate
+from branecalc.gca_core import add_tagged
 
 
 def mixed_algebra():
@@ -144,13 +145,14 @@ def test_mul_monomials_matches_normalize(m1, m2):
     assert ALG.mul_monomials(m1, m2) == ALG.normalize([*m1, *m2])
 
 
-def test_tensor_qualifies_colliding_names():
+def test_add_tagged_qualifies_colliding_names():
     left = GradedAlgebra("L")
     left.add_generator("x", 3)
     right = GradedAlgebra("R")
     right.add_generator("x", 3)
     right.add_generator("y", 4)
-    big, lmap, rmap = tensor(left, right)
+    big = GradedAlgebra()
+    lmap, rmap = add_tagged(big, left.generators, right.generators)
     names = {g.name for g in big.generators}
     assert names == {"x@L", "x@R", "y"}
     assert big.gen(lmap[0]).degree == 3
@@ -162,7 +164,8 @@ def test_translate_preserves_products():
     left.add_generator("v", 3)
     right = GradedAlgebra("R")
     right.add_generator("w", 5)
-    big, lmap, _ = tensor(left, right)
+    big = GradedAlgebra()
+    lmap, _ = add_tagged(big, left.generators, right.generators)
     e = left.generator_element("u") * left.generator_element("v") * 3
     t = translate(e, big, lmap)
     assert t == big.generator_element("u") * big.generator_element("v") * 3
