@@ -17,6 +17,7 @@ or model error.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from dataclasses import dataclass, field
@@ -198,14 +199,16 @@ def parse_model(text: str) -> ModelFile:
     for nm, (toks, lineno) in raw_diffs.items():
         e = _ExprParser(toks, lineno, alg).expr()
         want = alg.gen(nm).degree + 1
+        col = toks[0][1]  # the expression's first token
         try:
             got = e.degree()
         except ValueError:
-            raise ParseError(f"d {nm} must be homogeneous of degree {want}", lineno)
+            raise ParseError(f"d {nm} must be homogeneous of degree {want}",
+                             lineno, col)
         if got is not None and got != want:
             raise ParseError(
                 f"d {nm} must be homogeneous of degree {want}, got degree {got}",
-                lineno,
+                lineno, col,
             )
         if got is not None:
             images[alg.gen(nm).gid] = e
@@ -323,9 +326,23 @@ def _rows(table: dict, rep, degree: bool) -> list:
     return rows
 
 
-def _cmd_table(build, headers: tuple[list, list], args) -> int:
-    """brane-product or brane-coproduct: the dual table the operation build
-    returns, then with --homology its dualization."""
+# each table command's headers: the dual table's, then the homology table's
+_TABLE_HEADERS = {
+    "brane-product": (["degree", "class", "left", "right", "coefficient"],
+                      ["left", "right", "value", "coefficient"]),
+    "brane-coproduct": (["degree", "left", "right", "value", "coefficient"],
+                        ["class", "left", "right", "coefficient"]),
+}
+
+
+def _cmd_table(args) -> int:
+    """brane-product or brane-coproduct: the dual table its pipeline
+    returns, then with --homology its dualization.  The pipeline is looked
+    up in brane_ops on each call, not when the parser is built, so a wrapper
+    installed there after the first main call is still the one called."""
+    build = (brane_ops.brane_product_dual if args.command == "brane-product"
+             else brane_ops.brane_coproduct_dual)
+    headers = _TABLE_HEADERS[args.command]
     mf = _load(args.model)
     mf.model.check()
     op = build(mf.model, args.k, _info(mf, args.k), args.max_degree)
@@ -369,9 +386,16 @@ def _suite_frobenius(mf, args) -> list:
     return [brane_ops.check_frobenius(prod, cop, args.max_degree)]
 
 
+def _needs_k2(suite: str, args) -> None:
+    """A suite whose expected values are those of k = 2 rejects any other --k."""
+    if args.k != 2:
+        raise ModelError(f"the {suite} suite is defined for k = 2 only, got --k {args.k}")
+
+
 def _suite_golden(mf, args) -> list:
     """The odd-sphere worked example: dual-level values and the homology
     product structure (exterior algebra on two generators)."""
+    _needs_k2("golden", args)
     gens = mf.model.algebra.generators
     if len(gens) != 1 or not gens[0].is_odd or gens[0].degree < 3:
         raise ModelError("golden suite needs a single odd generator of degree ≥ 3")
@@ -414,6 +438,7 @@ def _suite_golden(mf, args) -> list:
 
 
 def _suite_vanishing(mf, args) -> list:
+    _needs_k2("vanishing", args)
     if not shriek.is_pure(mf.model):
         raise ModelError("vanishing suite needs a pure model")
     if all(g.is_odd for g in mf.model.algebra.generators):
@@ -478,7 +503,11 @@ def _max_degree(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one: parsing leaves no state in it, and each handler reads what it
+    needs at call time.  Importing the module builds nothing."""
     ap = argparse.ArgumentParser(
         prog="branecalc",
         description="Sullivan-model calculator for sphere mapping spaces: "
@@ -501,16 +530,9 @@ def build_parser() -> argparse.ArgumentParser:
                 help=f"emit the {kind} mapping-space model")
         if kind != "path":
             p.add_argument("--k", type=int, default=2)
-    for name, build, op, headers in (
-        ("brane-product", brane_ops.brane_product_dual, "product μ∨",
-         (["degree", "class", "left", "right", "coefficient"],
-          ["left", "right", "value", "coefficient"])),
-        ("brane-coproduct", brane_ops.brane_coproduct_dual, "coproduct δ∨",
-         (["degree", "left", "right", "value", "coefficient"],
-          ["class", "left", "right", "coefficient"])),
-    ):
-        p = add(name, lambda a, b=build, h=headers: _cmd_table(b, h, a),
-                help=f"dual brane {op}")
+    for name, op in (("brane-product", "product μ∨"),
+                     ("brane-coproduct", "coproduct δ∨")):
+        p = add(name, _cmd_table, help=f"dual brane {op}")
         p.add_argument("--k", type=int, default=2)
         p.add_argument("--max-degree", type=_max_degree, default=8)
         p.add_argument("--homology", action="store_true")
@@ -522,8 +544,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Run one command; main may be called any number of times in one
+    process, and all calls share one parser."""
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ParseError, ModelError, OSError) as exc:

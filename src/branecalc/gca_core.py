@@ -210,34 +210,38 @@ class GradedAlgebra:
 
     def basis(self, n: int) -> tuple[Monomial, ...]:
         """All canonical monomials of degree n, deterministically ordered."""
+        cached = self._basis_cache.get(n)
+        if cached is None:
+            cached = self._basis_cache[n] = self.monomials(range(len(self._gens)), n)
+        return cached
+
+    def monomials(self, gids: Sequence[int], n: int) -> tuple[Monomial, ...]:
+        """The canonical monomials of degree n in the generators gids alone
+        (ascending ids), in the order basis(n) lists them."""
         if n < 0:
             return ()
-        cached = self._basis_cache.get(n)
-        if cached is not None:
-            return cached
+        gens = [(gid, self._gens[gid].degree, self.odd[gid]) for gid in gids]
         out: list[Monomial] = []
 
         def rec(idx: int, remaining: int, acc: list[tuple[int, int]]) -> None:
             if remaining == 0:
                 out.append(tuple(acc))
                 return
-            if idx >= len(self._gens):
+            if idx >= len(gens):
                 return
-            g = self._gens[idx]
-            max_e = 1 if self.odd[idx] else remaining // g.degree
+            gid, degree, odd = gens[idx]
+            max_e = 1 if odd else remaining // degree
             for e in range(0, max_e + 1):
-                if e * g.degree > remaining:
+                if e * degree > remaining:
                     break
                 if e:
-                    acc.append((idx, e))
-                rec(idx + 1, remaining - e * g.degree, acc)
+                    acc.append((gid, e))
+                rec(idx + 1, remaining - e * degree, acc)
                 if e:
                     acc.pop()
 
         rec(0, n, [])
-        result = tuple(out)
-        self._basis_cache[n] = result
-        return result
+        return tuple(out)
 
     # ------------------------------------------------------------------
     # element factories

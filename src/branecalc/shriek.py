@@ -178,11 +178,8 @@ def compose_module(g: DgaMorphism, F: ModuleMap) -> ModuleMap:
 
 
 def fiber_basis(M: DgaModel, n: int) -> tuple[Monomial, ...]:
-    """Degree-n monomials in the fiber generators only."""
-    base = set(M.base_gids)
-    return tuple(
-        m for m in M.algebra.basis(n) if all(g not in base for g, _ in m)
-    )
+    """Degree-n monomials in the fiber generators only, in basis order."""
+    return M.algebra.monomials(M.fiber_gids, n)
 
 
 def hom_differential(F: ModuleMap, max_fiber_degree: int) -> ModuleMap:

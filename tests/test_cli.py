@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -12,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branecalc import Derivation, DgaModel, GradedAlgebra
-from branecalc.cli import ModelFile, ParseError, main, parse_model, print_model
+from branecalc import Derivation, DgaModel, GradedAlgebra, brane_ops
+from branecalc.cli import (
+    ModelFile, ParseError, build_parser, main, parse_model, print_model,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 S3 = "algebra S3\ngen x 3\n"
@@ -65,11 +68,24 @@ def test_parse_rejects_inhomogeneous_differential():
     with pytest.raises(ParseError) as exc:
         parse_model("gen x 4\ngen y 7\nd y = x^2 + x\n")
     assert "homogeneous" in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (3, 7)
 
 
 def test_parse_rejects_wrong_degree_differential():
     with pytest.raises(ParseError):
         parse_model("gen x 4\ngen y 7\nd y = x\n")
+
+
+@pytest.mark.parametrize("line, col", [
+    ("d b = a", 7), ("  d b =  2*a", 10), ("d b = a^2 + a", 7),
+])
+def test_inhomogeneous_differential_errors_point_at_the_expression(line, col):
+    # both "must be homogeneous" errors name the expression's first token,
+    # counted from the start of the raw line
+    with pytest.raises(ParseError) as exc:
+        parse_model(f"gen a 3\ngen b 5\n{line}\n")
+    assert "d b must be homogeneous of degree 6" in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (3, col)
 
 
 @pytest.mark.parametrize("second, col", [
@@ -354,6 +370,18 @@ def test_verify_checking_nothing_does_not_pass(capsys, monkeypatch):
                    "--max-degree 8)\n")
 
 
+@pytest.mark.parametrize("suite, model", [("golden", "s3"), ("vanishing", "s4")])
+@pytest.mark.parametrize("k", ["1", "3", "5"])
+def test_k2_suites_reject_other_k(suite, model, k, capsys, monkeypatch):
+    # golden and vanishing check values known at k = 2 only: any other --k
+    # is a usage error, not a PASS computed at k = 2
+    monkeypatch.chdir(ROOT)
+    code, out, err = run(
+        ["verify", f"models/{model}.model", "--suite", suite, "--k", k], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: the {suite} suite is defined for k = 2 only, got --k {k}\n"
+
+
 def test_verify_suite_fails_on_wrong_model(s3_file, capsys):
     # the vanishing suite needs an even generator: S³ is rejected as a usage error
     code, _, err = run(["verify", s3_file, "--suite", "vanishing"], capsys)
@@ -379,3 +407,100 @@ def test_usage_error_exits_2():
         text=True,
     )
     assert proc.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_main_builds_its_parser_once(s4_file, capsys, monkeypatch):
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
+    build_parser.cache_clear()
+    run(["check-dga", s4_file], capsys)
+    first = len(built)
+    assert first and built[0] == "branecalc"
+    for argv in (["check-dga", s4_file], ["cohomology", s4_file],
+                 ["brane-product", s4_file, "--max-degree", "2"]) * 3:
+        assert run(argv, capsys)[0] == 0
+    assert len(built) == first
+
+
+def test_importing_the_package_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "real = argparse.ArgumentParser.__init__\n"
+        "def init(self, *a, **kw):\n"
+        "    built.append(1)\n"
+        "    real(self, *a, **kw)\n"
+        "argparse.ArgumentParser.__init__ = init\n"
+        "import branecalc, branecalc.cli\n"
+        "print(len(built))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
+def outcome(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv), SystemExit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_a_shared_parser_keeps_no_state_between_calls(s3_file, s4_file, tmp_path,
+                                                      capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal
+    bad = tmp_path / "bad.model"
+    bad.write_text("gen x 4\nd x = q\n")
+    sequence = [
+        ["brane-product", s3_file, "--max-degree", "6", "--homology"],
+        ["verify", s4_file, "--suite", "vanishing", "--max-degree", "10"],
+        ["brane-coproduct", s3_file, "--format", "tsv", "--homology"],
+        ["verify", s3_file, "--suite", "golden"],
+        ["brane-product", s3_file, "--max-degree"],  # usage error
+        ["cohomology", s4_file, "-h"],
+        ["-h"],
+        ["check-dga", str(bad)],  # ParseError
+        ["check-dga", str(tmp_path / "missing.model")],  # OSError
+        ["verify", s3_file, "--suite", "signs", "--k", "3"],
+        ["brane-product", s3_file, "--max-degree", "6", "--homology"],
+    ]
+    # each command alone on a fresh parser, as if it ran in its own process
+    fresh = []
+    for argv in sequence:
+        build_parser.cache_clear()
+        fresh.append(outcome(argv, capsys))
+    assert [c for c, _, _ in fresh] == [0, 0, 0, 0, ("SystemExit", 2),
+                                        ("SystemExit", 0), ("SystemExit", 0),
+                                        2, 2, 0, 0]
+    assert "col 7" in fresh[7][2] and "missing.model" in fresh[8][2]
+    # the same commands twice over through one parser
+    shared = [outcome(argv, capsys) for argv in sequence + sequence]
+    assert shared == fresh + fresh
+
+
+def test_table_commands_call_the_pipeline_brane_ops_holds_now(s3_file, capsys,
+                                                              monkeypatch):
+    argv = ["brane-product", s3_file, "--max-degree", "4"]
+    assert run(argv, capsys)[0] == 0  # the parser is built by now
+    calls = []
+    real = brane_ops.brane_product_dual
+
+    def recorder(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(brane_ops, "brane_product_dual", recorder)
+    assert run(argv, capsys)[0] == 0
+    assert [(k, top) for k, _, top in calls] == [(2, 4)]

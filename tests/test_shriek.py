@@ -5,8 +5,12 @@ import pytest
 from branecalc import (
     ModelError,
     ModuleMap,
+    brane_coproduct_dual,
+    brane_ops,
+    brane_product_dual,
     cocycle_defects,
     delta_evaluation,
+    disk_model,
     gamma_evaluation,
     gorenstein_info,
     hom_differential,
@@ -15,6 +19,7 @@ from branecalc import (
     make_model,
     one_generator_ext_sign,
     parse_model,
+    path_model,
     shriek,
     shriek_delta_semipure,
     shriek_gamma_pure,
@@ -186,3 +191,63 @@ def test_delta_values_match_the_recorded_solve(text, request):
     mono = ds.source.algebra.monomial_string
     got = {mono(m): repr(v) for m, v in ds.images.items()}
     assert got == DELTA_IMAGES[request.node.callspec.id]
+
+
+# ---------------------------------------------------------------------------
+# fiber monomials
+
+
+# the stdin models of ROADMAP.md that DELTA_MODELS does not hold
+STDIN_MODELS = [
+    pytest.param("gen a 3\ngen b 3\ngen c 3\n", id="s3xs3xs3"),
+    pytest.param("gen a 3\ngen b 3\ngen c 3\ngen e 3\n", id="s3^4"),
+    pytest.param("gen a 3\ngen b 5\ngen c 7\n", id="s3xs5xs7"),
+    pytest.param("gen x 4\ngen w 6\ngen y 7\ngen z 11\nd y = x^2\nd z = w^2\n",
+                 id="s4xs6"),
+    pytest.param("gen x 4\ngen y 11\nd y = x^3\n", id="hp2"),
+]
+# the most monomials the reference filter may enumerate on one model
+FILTER_BUDGET = 60_000
+
+
+def semifree_models(text: str) -> dict:
+    """V's path and disk models and the sources of δ!⊗id and γ!⊗id as the
+    k = 2 pipelines build them."""
+    V = parse_model(text).model
+    seen = []
+    real = brane_ops._shriek_tensor_id
+
+    def recording(F, N):
+        seen.append(real(F, N))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(brane_ops, "_shriek_tensor_id", recording)
+        brane_product_dual(V, 2, max_degree=0)
+        brane_coproduct_dual(V, 2, max_degree=0)
+    delta_id, gamma_id = seen
+    return {"path": path_model(V), "disk": disk_model(V, 2),
+            "δ!⊗id": delta_id.source, "γ!⊗id": gamma_id.source}
+
+
+@pytest.mark.parametrize("text", DELTA_MODELS + STDIN_MODELS)
+def test_fiber_basis_is_the_filtered_basis(text):
+    # the reference is the filter fiber_basis replaced: the monomials of
+    # basis(n) with no base factor, in basis order (δ!'s equations follow
+    # it).  Through degree 20, or as far as the whole basis the filter
+    # enumerates stays within FILTER_BUDGET: the δ!⊗id and γ!⊗id sources
+    # stop at degrees 15 and 13 on (S³)³ and at 10 and 8 on (S³)⁴
+    reached = {}
+    for kind, M in semifree_models(text).items():
+        base = set(M.base_gids)
+        enumerated = 0
+        for n in range(21):
+            full = M.algebra.basis(n)
+            enumerated += len(full)
+            if enumerated > FILTER_BUDGET:
+                break
+            want = tuple(m for m in full if all(g not in base for g, _ in m))
+            assert shriek.fiber_basis(M, n) == want, (kind, n)
+            reached[kind] = n
+    assert reached["path"] == reached["disk"] == 20
+    assert min(reached.values()) >= 8, reached
