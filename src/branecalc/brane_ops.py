@@ -102,6 +102,9 @@ class Kunneth:
     right: DgaMorphism
     # square gid -> (half, state gid): 0 for the left copy, 1 for the right
     side: dict[int, tuple[int, int]] = field(init=False, repr=False)
+    # state monomial -> (degree, π of it), filled by _projection
+    _pi: dict[tuple, tuple[int, dict[int, Fraction]]] = field(
+        init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         self.side = {_gid(img): (half, g)
@@ -123,6 +126,13 @@ class Kunneth:
         rb = cohomology_basis(self.state, db).representatives[ib]
         return self.left(ra) * self.right(rb)
 
+    def _projection(self, half: tuple) -> tuple[int, dict[int, Fraction]]:
+        """projection(state, half), computed once per half on this object."""
+        out = self._pi.get(half)
+        if out is None:
+            out = self._pi[half] = projection(self.state, half)
+        return out
+
     def coordinates(self, z: Element) -> dict[Pair, Fraction]:
         """(π⊗π)(z): the pair coordinates of the class of a square cocycle."""
         if not self.square.d(z).is_zero():
@@ -134,7 +144,7 @@ class Kunneth:
             for gid, e in mono:
                 half, g = side[gid]
                 halves[half].append((g, e))
-            (da, pa), (db, pb) = (projection(self.state, tuple(h)) for h in halves)
+            (da, pa), (db, pb) = (self._projection(tuple(h)) for h in halves)
             c = Fraction(c, z.den)
             for ia, ca in pa.items():
                 for ib, cb in pb.items():

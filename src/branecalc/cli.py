@@ -81,7 +81,9 @@ class _ExprParser:
 
     def next(self):
         if self.i >= len(self.toks):
-            raise ParseError("unexpected end of expression", self.line)
+            # the column just past the last token; an expression has one
+            tok, col = self.toks[-1]
+            raise ParseError("unexpected end of expression", self.line, col + len(tok))
         t = self.toks[self.i]
         self.i += 1
         return t
@@ -313,10 +315,12 @@ def _info(mf: ModelFile, k: int) -> shriek.GorensteinInfo:
 def _rows(table: dict, rep, degree: bool) -> list:
     """The rows of a table {key: {key: coefficient}}, each key a class label
     or a pair of labels: the key's degree (if degree), the representatives
-    rep(label) of the key and of the other side, then the coefficient."""
+    rep(label) of the key and of the other side, then the coefficient.
+    rep is called once per label."""
     def labels(key):
         return key if isinstance(key[0], tuple) else (key,)
 
+    rep = functools.cache(rep)
     rows = []
     for key, row in sorted(table.items()):
         head = [sum(c[0] for c in labels(key))] if degree else []

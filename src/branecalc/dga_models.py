@@ -22,6 +22,11 @@ the copies from the inputs' d translated (``_d_images``), adds what is new
 (suspensions through ``_suspend``, a path model's twisting series), and
 builds and checks the model in ``_model``.  d on a generator is read from
 ``d.images``; the Leibniz kernel runs only on products.
+
+Both kernels work on int terms: ``Derivation.leibniz`` for d, and
+``_apply_algebra_map`` for every algebra map (DgaMorphism, section,
+base_change, ModuleMap's base action), which multiplies a monomial's factor
+images as int term dicts and sums into one accumulator per call.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from .gca_core import (
     Monomial,
     Provenance,
     add_tagged,
-    linear_combination,
     translate,
 )
 
@@ -117,24 +121,54 @@ def _apply_algebra_map(
     e: Element, images: Mapping[int, Element], target: GradedAlgebra
 ) -> Element:
     """The algebra map with generator images images, applied to e: each
-    monomial goes to the product of its factors' images."""
-    one = target.one()
+    monomial goes to the product of its factors' images.
 
-    def image(mono: Monomial) -> Element:
-        out = one
+    An int kernel, as ``Derivation.leibniz`` is: a monomial's factor images
+    are multiplied as int terms over the product of their denominators,
+    and each product is added into one int accumulator over the lcm of
+    those, as ``linear_combination`` sums; one Element is built per call.
+    Zero terms are dropped after every factor, so the terms come out in the
+    order that Element products from the unit give them.
+    """
+    mul = target.mul_monomials
+    acc: dict[Monomial, int] = {}
+    top = 1  # the sum so far is acc / top
+    for mono, a in e.terms.items():
+        # the product so far is terms / den; None before the first factor
+        terms, den = None, 1
         for gid, exp in mono:
             try:
                 img = images[gid]
             except KeyError:
                 raise ModelError(f"no image for generator id {gid}") from None
             for _ in range(exp):
-                out = out * img
-            if not out.terms:
+                if terms is None:
+                    terms = img.terms
+                else:
+                    prod: dict[Monomial, int] = {}
+                    for ma, ca in terms.items():
+                        for mb, cb in img.terms.items():
+                            sign, m = mul(ma, mb)
+                            if sign:
+                                prod[m] = prod.get(m, 0) + sign * ca * cb
+                    if 0 in prod.values():
+                        prod = {m: c for m, c in prod.items() if c}
+                    terms = prod
+                den *= img.den
+            if not terms:
                 break
-        return out
-
-    return linear_combination(
-        target, ((c, image(m)) for m, c in e.terms.items()), e.den)
+        if terms is None:  # the unit monomial
+            terms = {(): 1}
+        elif not terms:
+            continue
+        if top % den:
+            k = den // math.gcd(top, den)
+            acc = {m: x * k for m, x in acc.items()}
+            top *= k
+        k = a * (top // den)
+        for m, x in terms.items():
+            acc[m] = acc.get(m, 0) + k * x
+    return Element(target, acc, top * e.den)
 
 
 @dataclass(frozen=True)

@@ -225,6 +225,21 @@ def test_kunneth_coordinates_match_the_square_cohomology(text):
             assert class_vector(square, n, back) == [int(i == j) for i in range(len(labels))]
 
 
+def test_kunneth_projects_each_half_once(monkeypatch):
+    # coordinates looks π up once per distinct half-monomial of a Kunneth
+    halves = []
+    real = brane_ops.projection
+    monkeypatch.setattr(brane_ops, "projection",
+                        lambda M, half: halves.append(half) or real(M, half))
+    state = sphere_model(parse_model(S3XS4).model, 3)
+    kun = Kunneth(state, *tensor_model(state, state))
+    for _ in range(2):
+        for n in range(9):
+            for lab in kun.pairs(n):
+                assert kun.coordinates(kun.element(lab)) == {lab: F1}
+    assert halves and len(halves) == len(set(halves))
+
+
 def test_kunneth_coordinates_require_a_cocycle():
     state = sphere_model(parse_model(S3XS4).model, 3)
     kun = Kunneth(state, *tensor_model(state, state))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from branecalc import Derivation, DgaModel, GradedAlgebra, brane_ops
 from branecalc.cli import (
-    ModelFile, ParseError, build_parser, main, parse_model, print_model,
+    ModelFile, ParseError, _rows, build_parser, main, parse_model, print_model,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -107,6 +107,33 @@ def test_parse_names_the_unexpected_character_and_its_column():
         parse_model("gen x 4\ngen y 7\nd y = x^2 $\n")
     assert (exc.value.line, exc.value.col) == (3, 11)
     assert "unexpected character '$'" in str(exc.value)
+
+
+@pytest.mark.parametrize("line, col", [
+    ("d y = x^", 9), ("d y = x*", 9), ("d y = x +", 10),
+])
+def test_an_unfinished_expression_reports_the_column_past_its_end(line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_model(f"gen x 4\ngen y 7\n{line}\n")
+    assert "unexpected end of expression" in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (3, col)
+
+
+def test_rows_read_each_label_once():
+    calls = []
+
+    def rep(label):
+        calls.append(label)
+        return f"r{label[0]}.{label[1]}"
+
+    table = {(2, 0): {((0, 0), (2, 0)): 1, ((2, 0), (0, 0)): Fraction(-1, 2)},
+             (0, 0): {((0, 0), (0, 0)): 3}}
+    assert _rows(table, rep, True) == [
+        [0, "r0.0", "r0.0", "r0.0", "3"],
+        [2, "r2.0", "r0.0", "r2.0", "1"],
+        [2, "r2.0", "r2.0", "r0.0", "-1/2"],
+    ]
+    assert sorted(calls) == [(0, 0), (2, 0)]
 
 
 def test_parse_accepts_comments_and_rationals():

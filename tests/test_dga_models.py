@@ -26,6 +26,7 @@ from branecalc import (
     tensor_model,
 )
 from branecalc.cli import parse_model
+from branecalc.gca_core import linear_combination
 
 from conftest import build_s3, build_s3xs3, build_s4
 
@@ -263,12 +264,67 @@ def random_algebra(draw, name):
     return alg
 
 
+def per_factor_image(e, images, target):
+    """The reference for the int kernel of algebra maps: each monomial's
+    image is built as Element products from the unit, one factor at a time,
+    and the images are summed through linear_combination."""
+    one = target.one()
+
+    def image(mono):
+        out = one
+        for gid, exp in mono:
+            img = images[gid]
+            for _ in range(exp):
+                out = out * img
+            if not out.terms:
+                break
+        return out
+
+    return linear_combination(
+        target, ((c, image(m)) for m, c in e.terms.items()), e.den)
+
+
+def assert_per_factor(f, e):
+    """f(e) is the per-factor reference, with its terms in the same order."""
+    got, want = f(e), per_factor_image(e, f.images, f.target.algebra)
+    assert got == want
+    assert list(got.terms) == list(want.terms)
+
+
+def reference_cases():
+    """A map with fractional images and a zero image b between a and c, and
+    elements with even generators raised to powers ≥ 2, a zero factor inside
+    a monomial, a product c·p·q whose terms cancel to 0 ahead of a term a·c
+    with nonzero terms on the same monomials, and the zero element."""
+    src, tgt = GradedAlgebra("ref source"), GradedAlgebra("ref target")
+    a, b, c, p, q = (src.add_generator(n, d).gid for n, d in (
+        ("a", 2), ("b", 3), ("c", 2), ("p", 1), ("q", 1)))
+    u, v, w = (tgt.add_generator(n, d).gid for n, d in (("u", 1), ("v", 1), ("w", 2)))
+    u_plus_v = tgt.element({((u, 1),): 1, ((v, 1),): 1})
+    images = {a: tgt.element({((w, 1),): Fraction(1, 2), ((u, 1), (v, 1)): Fraction(-2, 3)}),
+              b: tgt.zero(),
+              c: tgt.element({((w, 1),): 1, ((u, 1), (v, 1)): 3}),
+              p: u_plus_v, q: u_plus_v}
+    f = DgaMorphism(DgaModel(src, Derivation(src, 1, {})),
+                    DgaModel(tgt, Derivation(tgt, 1, {})), images)
+    elements = [src.element(terms) for terms in (
+        {((a, 3),): 1}, {((a, 2), (c, 2)): Fraction(3, 4)},
+        {((a, 1), (b, 1), (c, 1)): 1},
+        {((a, 2), (c, 1)): Fraction(1, 3), ((a, 1), (b, 1), (c, 1)): Fraction(-5, 7),
+         ((c, 3),): 1, (): 2},
+        {((c, 1), (p, 1), (q, 1)): 1, ((a, 1), (c, 1)): 1},
+        {})]
+    return f, elements
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_morphism_is_multiplicative(data):
     """f(g) = images[g], f(1) = 1 and f(ab) = f(a)·f(b), the products through
     Element products: these laws fix an algebra map uniquely, so they check
-    the monomial-wise application independently."""
+    the monomial-wise application independently.  f also equals, term for
+    term and in the same order, the per-factor reference (per_factor_image),
+    on every product checked, the zero element and reference_cases()."""
     draw = data.draw
     src, tgt = random_algebra(draw, "source"), random_algebra(draw, "target")
     images = {g.gid: random_element(draw, tgt, g.degree)
@@ -287,6 +343,11 @@ def test_morphism_is_multiplicative(data):
                       random_element(draw, src, draw(degrees))))
     for a, b in pairs:
         assert f(a * b) == f(a) * f(b)
+        assert_per_factor(f, a * b)
+    assert_per_factor(f, src.zero())
+    ref, elements = reference_cases()
+    for e in elements:
+        assert_per_factor(ref, e)
 
 
 def test_morphism_without_an_image_is_a_model_error(s3):
