@@ -20,8 +20,6 @@ from .dga_models import (
     DgaModel,
     DgaMorphism,
     ModelError,
-    base_change,
-    base_model,
     compose,
     disk_model,
     is_minimal,
@@ -31,7 +29,6 @@ from .dga_models import (
     quotient,
     relative_tensor,
     sphere_model,
-    sub_model,
     tensor_model,
 )
 from .cohomology import (

@@ -9,9 +9,15 @@ of ∧V over ∧V⊗².  Then, with ← marking the backward arrows,
   M_{S^k} ←glue G →identify M_{S^k} ⊗_{∧V} M_{S^k}
   ←collapse P ⊗_{∧V⊗²} M_{S^k}⊗² →δ!⊗id M_{S^k}⊗²;
 * coproduct δ∨ (k = 2):
-  M_{S^k}⊗² →identify ∧V ⊗_{M_{S^1}} G ←collapse D ⊗_{M_{S^1}} G
+  M_{S^k}⊗² →identify M_{S^k} ⊗_{∧V} M_{S^k} ←collapse D ⊗_{M_{S^1}} G
   →γ!⊗id G →glue M_{S^k},
   where γ! exists because M → M^{S^1} has finite codimension.
+
+The coproduct's middle model is the double disk collapsed over ∧V,
+∧V ⊗_{M_{S^1}} G: base change along M_{S^1} → ∧V, which kills s¹V, is the
+quotient by s¹V, and that quotient is generator for generator the
+product's M_{S^k} ⊗_{∧V} M_{S^k}.  So both pipelines glue through one
+model, relative_tensor(state, state).
 
 Every backward arrow f is a surjective quasi-isomorphism onto a Sullivan
 algebra, so it has a section σ, a chain map with f∘σ = id
@@ -58,10 +64,8 @@ from .dga_models import (
     DgaModel,
     DgaMorphism,
     ModelError,
-    base_change,
     compose,
     disk_model,
-    morphism_phi,
     relative_tensor,
     sphere_model,
     tensor_model,
@@ -220,12 +224,14 @@ def _shriek_tensor_id(F: ModuleMap, N: DgaModel) -> ModuleMap:
 
 def _sphere_and_double_disk(
     V: DgaModel, disk: DgaModel, k: int
-) -> tuple[Kunneth, DgaModel, DgaMorphism]:
-    """M_{S^k}⊗²'s Künneth helper, the double disk G and glue: G → M_{S^k}."""
+) -> tuple[Kunneth, DgaModel, DgaMorphism, DgaModel]:
+    """M_{S^k}⊗²'s Künneth helper, the double disk G, glue: G → M_{S^k},
+    and the middle model M_{S^k} ⊗_{∧V} M_{S^k} of both pipelines."""
     state = sphere_model(V, k + 1)
     double, _, _ = relative_tensor(disk, disk)
+    spheres, _, _ = relative_tensor(state, state)
     kun = Kunneth(state, *tensor_model(state, state))
-    return kun, double, _gluing_map(double, state, k, _GLUE)
+    return kun, double, _gluing_map(double, state, k, _GLUE), spheres
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +264,8 @@ def brane_product_dual(
     if k < 2:
         raise ModelError("the product pipeline needs k ≥ 2")
     info = info or gorenstein_info(V, k)
-    kun, double, glue = _sphere_and_double_disk(V, disk_model(V, k), k)
+    kun, double, glue, spheres = _sphere_and_double_disk(V, disk_model(V, k), k)
     state = kun.state
-    spheres, _, _ = relative_tensor(state, sphere_model(V, k + 1))
     delta = shriek_delta_semipure(V)
     shriek = _shriek_tensor_id(delta, kun.square)
     to_path = compose(
@@ -283,13 +288,12 @@ def _coproduct_maps(
     """(kun, to_source, γ!⊗id, glue): δ∨(a⊗b) is the class of
     glue(γ!⊗id(to_source(a⊗b))) for the pair cocycles a⊗b of kun."""
     gamma = shriek_gamma_pure(V)
-    kun, double, glue = _sphere_and_double_disk(V, gamma.source, k)
-    collapsed, _ = base_change(double, morphism_phi(gamma.target))
+    kun, double, glue, spheres = _sphere_and_double_disk(V, gamma.source, k)
     shriek = _shriek_tensor_id(gamma, double)
     to_source = compose(
-        section(_gluing_map(shriek.source, collapsed, k, _COLLAPSE),
+        section(_gluing_map(shriek.source, spheres, k, _COLLAPSE),
                 "disk-factor quasi-isomorphism"),
-        _gluing_map(kun.square, collapsed, k, _IDENTIFY))
+        _gluing_map(kun.square, spheres, k, _IDENTIFY))
     return kun, to_source, shriek, glue
 
 

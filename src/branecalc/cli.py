@@ -260,11 +260,28 @@ def _model_table(M: DgaModel, fmt: str) -> str:
     return _emit(rows, ["generator", "degree", "d"], fmt)
 
 
+def _decode(data: bytes) -> str:
+    """data decoded as UTF-8; a byte that is not UTF-8 is a ParseError at
+    its line and column."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the text before the bad byte decodes; "?" stands in for the byte,
+        # so that a line break just before it opens the byte's own line
+        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        raise ParseError(f"invalid UTF-8 byte {data[exc.start]:#04x}",
+                         len(lines), len(lines[-1])) from None
+
+
 def _load(path: str) -> ModelFile:
+    """The model file at path, or on stdin for "-", decoded as UTF-8 here
+    rather than by the stream.  A stdin with no byte layer (an in-memory
+    text stream) is read as the text it already is."""
     if path == "-":
-        return parse_model(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+        raw = getattr(sys.stdin, "buffer", None)
+        return parse_model(sys.stdin.read() if raw is None else _decode(raw.read()))
+    with open(path, "rb") as fh:
+        return parse_model(_decode(fh.read()))
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,14 @@ the copies from the inputs' d translated (``_d_images``), adds what is new
 builds and checks the model in ``_model``.  d on a generator is read from
 ``d.images``; the Leibniz kernel runs only on products.
 
+Models are glued by ``relative_tensor`` (M ⊗_B N over a shared base) and
+collapsed by ``quotient``: base change along a map that kills generators
+is a quotient, so no general base change is kept.
+
 Both kernels work on int terms: ``Derivation.leibniz`` for d, and
 ``_apply_algebra_map`` for every algebra map (DgaMorphism, section,
-base_change, ModuleMap's base action), which multiplies a monomial's factor
-images as int term dicts and sums into one accumulator per call.
+ModuleMap's base action), which multiplies a monomial's factor images as
+int term dicts and sums into one accumulator per call.
 """
 
 from __future__ import annotations
@@ -437,71 +441,13 @@ def path_model(V: DgaModel) -> DgaModel:
 
 
 # ---------------------------------------------------------------------------
-# sub-models and canonical morphisms
-
-
-def sub_model(M: DgaModel, gids: Iterable[int], name: str = "") -> tuple[DgaModel, dict[int, int]]:
-    """The sub-DGA on a d-closed subset of generators.
-
-    Returns the model and the gid translation from M into it.
-    """
-    keep = list(gids)
-    keep_set = set(keep)
-    for gid in keep:
-        for mono in M.d.images.get(gid, M.algebra.zero()).terms:
-            if any(f not in keep_set for f, _ in mono):
-                raise ModelError(
-                    f"generators do not span a sub-DGA: d({M.algebra.gen(gid).name}) "
-                    "leaves the span"
-                )
-    alg = GradedAlgebra(name or f"sub({M.algebra.name})")
-    gid_map = _copy_generators(map(M.algebra.gen, keep), alg)
-    base = [gid_map[g] for g in M.base_gids if g in keep_set]
-    return _model(alg, _d_images(M, alg, gid_map), base), gid_map
-
-
-def base_model(M: DgaModel) -> tuple[DgaModel, dict[int, int]]:
-    return sub_model(M, M.base_gids, name=f"base({M.algebra.name})")
+# gluing, quotients and canonical morphisms
 
 
 def morphism_phi(M: DgaModel) -> DgaMorphism:
     """φ: sphere model → ∧V, or ε̃: disk model → ∧V; identity on V, zero on
     every suspension: the projection onto the quotient by the suspensions."""
-    _, f = quotient(M, [g.gid for g in M.algebra.generators if g.prov.kind == "susp"])
-    f.check_chain()
-    return f
-
-
-def base_change(M: DgaModel, f: DgaMorphism) -> tuple[DgaModel, DgaMorphism]:
-    """A ⊗_B M for M semifree over B and f: B → A.
-
-    The result is free on A's generators plus M's fiber generators; M's
-    differential is rewritten through f.  Returns the model and the induced
-    map M → A ⊗_B M.
-    """
-    base_provs = {M.algebra.gen(gid).prov for gid in M.base_gids}
-    if base_provs != {g.prov for g in f.source.algebra.generators}:
-        raise ModelError("morphism source does not match the base of M")
-    alg = GradedAlgebra(f"({f.target.algebra.name})⊗({M.algebra.name})")
-    a_map = _copy_generators(f.target.algebra.generators, alg)
-    fiber_map = _copy_generators(map(M.algebra.gen, M.fiber_gids), alg)
-    # the algebra map ρ: M → result (base through f, fiber to itself)
-    rho: dict[int, Element] = {}
-    for gid in M.base_gids:
-        g = M.algebra.gen(gid)
-        img = f.images.get(f.source.algebra.gen(g.prov).gid)
-        if img is None:
-            raise ModelError(f"morphism lacks an image for base generator {g.name}")
-        rho[gid] = translate(img, alg, a_map)
-    for gid in M.fiber_gids:
-        rho[gid] = alg.generator_element(fiber_map[gid])
-    images = _d_images(f.target, alg, a_map)
-    for gid in M.fiber_gids:
-        img = _apply_algebra_map(M.d.images.get(gid, M.algebra.zero()), rho, alg)
-        if not img.is_zero():
-            images[fiber_map[gid]] = img
-    result = _model(alg, images, a_map.values())
-    return result, DgaMorphism(M, result, rho)
+    return quotient(M, [g.gid for g in M.algebra.generators if g.prov.kind == "susp"])[1]
 
 
 def relative_tensor(

@@ -24,7 +24,7 @@ Two shrieks are constructed:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Container, Mapping, Sequence
@@ -34,13 +34,11 @@ from .gca_core import (
     Element, GradedAlgebra, Monomial, ONE, Provenance, linear_combination)
 from .cohomology import class_vector
 from .dga_models import (
-    Derivation,
     DgaModel,
     DgaMorphism,
     ModelError,
     _apply_algebra_map,
-    base_change,
-    base_model,
+    _model,
     disk_model,
     is_minimal,
     loop_transposition,
@@ -397,27 +395,28 @@ def shriek_delta_semipure(V: DgaModel) -> ModuleMap:
 
 
 def evaluation_pairing(
-    F: ModuleMap,
-    z: Element,
-    to_quotient: DgaMorphism,
-    Q: DgaModel,
+    F: ModuleMap, z: Element, to_quotient: DgaMorphism
 ) -> tuple[Element, list[Fraction]]:
-    """Class of (F ⊗_B id)(z) in H(Q), certifying nontriviality of [F].
+    """The value G(z) of G = to_quotient∘F and its class in H(Q), Q the
+    target of to_quotient, certifying nontriviality of [F].
 
-    z must be a cocycle after base change along the composite
-    base(F.source) → F.target → Q; this is verified.
+    Two certificates are checked, each raising ModelError:
+
+    * ρ, the composite base → F.target → Q (G's base action), is a chain
+      map: ρ∘d = d∘ρ on every base generator;
+    * z is a cocycle after base change along ρ: with dz = Σ_f ±b_f·f over
+      its fiber parts f, every ρ(b_f) is 0.
     """
-    base, gid_map = base_model(F.source)
-    images = {
-        gid_map[gid]: to_quotient(F.base_images[gid]) for gid in F.source.base_gids
-    }
-    to_q = DgaMorphism(base, Q, images)
-    to_q.check_chain()
-    changed, push = base_change(F.source, to_q)
-    zbar = push(z)
-    if not changed.d(zbar).is_zero():
+    G = compose_module(to_quotient, F)
+    src, Q, rho = F.source, to_quotient.target, G.base_images
+    for b, img in rho.items():
+        db = src.d.images.get(b, src.algebra.zero())
+        if _apply_algebra_map(db, rho, Q.algebra) != Q.d(img):
+            raise ModelError(
+                f"base action is not a chain map on {src.algebra.gen(b).name}")
+    if any(not v.is_zero() for v in G.by_fiber(src.d(z)).values()):
         raise ModelError("evaluation cycle is not a cocycle after base change")
-    ev = to_quotient(F(z))
+    ev = G(z)
     n = ev.degree()
     if n is None:
         return ev, []
@@ -434,24 +433,15 @@ def gamma_evaluation(V: DgaModel) -> tuple[Element, list[Fraction], DgaModel]:
     z = gs.source.algebra.one()
     for nm in odds:
         z = z * gs.source.algebra.generator_element(Provenance("susp", 2, nm))
-    ev, vec = evaluation_pairing(gs, z, proj, Q)
+    ev, vec = evaluation_pairing(gs, z, proj)
     return ev, vec, Q
 
 
-def _square_to_quotient(square: DgaModel, V: DgaModel) -> tuple[DgaMorphism, DgaModel]:
-    """ε ⊗ pr: ∧V⊗² → ∧V/(V^even)."""
-    VQ, _ = quotient(V, [g.prov for g in V.algebra.generators if not g.is_odd])
-    images: dict[int, Element] = {}
-    for g in square.algebra.generators:
-        v = replace(g.prov, factor=None)
-        images[g.gid] = (
-            VQ.algebra.generator_element(v)
-            if g.prov.factor == "R" and VQ.algebra.has_gen(v)
-            else VQ.algebra.zero()
-        )
-    to_q = DgaMorphism(square, VQ, images)
-    to_q.check_chain()
-    return to_q, VQ
+def _square_to_quotient(square: DgaModel) -> tuple[DgaModel, DgaMorphism]:
+    """ε ⊗ pr: ∧V⊗² → ∧V/(V^even), the quotient by the left copy of V and
+    the right copy's even generators."""
+    return quotient(square, [g.gid for g in square.algebra.generators
+                             if g.prov.factor == "L" or not g.is_odd])
 
 
 def delta_evaluation(
@@ -459,13 +449,12 @@ def delta_evaluation(
 ) -> tuple[Element, list[Fraction], DgaModel]:
     """Pair δ! against [Π s1_x_i]; expected class [y_1⋯y_q] ≠ 0."""
     f = shriek_delta_semipure(V) if F is None else F
-    square = f.target
-    to_q, VQ = _square_to_quotient(square, V)
+    VQ, to_q = _square_to_quotient(f.target)
     z = f.source.algebra.one()
     for g in V.algebra.generators:
         if not g.is_odd:
             z = z * f.source.algebra.generator_element(Provenance("susp", 1, g.name))
-    ev, vec = evaluation_pairing(f, z, to_q, VQ)
+    ev, vec = evaluation_pairing(f, z, to_q)
     return ev, vec, VQ
 
 
@@ -520,12 +509,10 @@ def one_generator_ext_sign(gen_degree: int, k: int) -> int:
     alg = GradedAlgebra("one-generator")
     a = alg.add_generator(Provenance("susp", k - 1, "v"), deg_a)
     b = alg.add_generator(Provenance("susp", k, "v"), deg_b)
-    d = Derivation(alg, 1, {b.gid: alg.generator_element(a.gid)})
-    M = DgaModel(alg, d, (a.gid,))
-    M.check()
+    M = _model(alg, {b.gid: alg.generator_element(a.gid)}, (a.gid,))
     talg = GradedAlgebra("target")
     ta = talg.add_generator(a.prov, deg_a)
-    T = DgaModel(talg, Derivation(talg, 1, {}), (ta.gid,))
+    T = _model(talg, {}, (ta.gid,))
     base_images = {a.gid: talg.generator_element(ta.gid)}
     if deg_a % 2:
         f = ModuleMap(M, T, deg_a, base_images, {ONE: talg.generator_element(ta.gid)})

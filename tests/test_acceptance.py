@@ -28,13 +28,14 @@ from branecalc import (
     dualize_to_homology,
     gamma_evaluation,
     gorenstein_info,
+    Provenance,
     is_quasi_iso,
     morphism_phi,
     path_model,
+    quotient,
     shriek_delta_semipure,
     shriek_gamma_pure,
     sphere_model,
-    base_change,
     one_generator_ext_sign,
     transposition_sign_loop,
 )
@@ -172,7 +173,8 @@ def test_criterion_4_model_construction_suite():
         if not is_quasi_iso(morphism_phi(disk_model(V, 2)), 14):
             failures.append(f"ε̃ not a quasi-iso for {name}")
         disk = disk_model(V, 2)
-        collapsed, _ = base_change(disk, morphism_phi(sphere_model(V, 2)))
+        collapsed, _ = quotient(
+            disk, [Provenance("susp", 1, g.name) for g in V.algebra.generators])
         if collapsed.signature() != sphere_model(V, 3).signature():
             failures.append(f"base change mismatch for {name}")
     report(4, not failures, "; ".join(failures))

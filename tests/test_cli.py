@@ -261,6 +261,40 @@ def test_missing_file_exits_2(capsys):
     assert code == 2 and "error:" in err
 
 
+def _model_source(how, data, tmp_path, monkeypatch):
+    """The check-dga argument that reads data from a file or from a stdin
+    whose decoding is strict."""
+    if how == "file":
+        path = tmp_path / "m.model"
+        path.write_bytes(data)
+        return str(path)
+    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stdin", stream)
+    return "-"
+
+
+@pytest.mark.parametrize("how", ["file", "stdin"])
+@pytest.mark.parametrize("data, where", [
+    (b"gen x 4\ngen y 7\xff\n", "line 2, col 8: invalid UTF-8 byte 0xff"),
+    (b"gen x 4\r\ngen y 7\r\n\xe9\r\n", "line 3, col 1: invalid UTF-8 byte 0xe9"),
+], ids=["lf", "crlf"])
+def test_a_model_that_is_not_utf8_exits_2_at_the_bad_byte(
+        how, data, where, tmp_path, capsys, monkeypatch):
+    source = _model_source(how, data, tmp_path, monkeypatch)
+    code, out, err = run(["check-dga", source], capsys)
+    assert (code, out, err) == (2, "", f"error: {where}\n")
+
+
+@pytest.mark.parametrize("how", ["file", "stdin"])
+def test_crlf_line_endings_parse_as_lf_ones(how, tmp_path, capsys, monkeypatch):
+    source = _model_source(how, S4.replace("\n", "\r\n").encode(), tmp_path,
+                           monkeypatch)
+    code, out, _ = run(["sphere-model", source, "--format", "tsv"], capsys)
+    assert code == 0
+    assert out == run(["sphere-model", str(ROOT / "models" / "s4.model"),
+                       "--format", "tsv"], capsys)[1]
+
+
 def test_cohomology_table(s4_file, capsys):
     code, out, _ = run(
         ["cohomology", s4_file, "--max-degree", "8", "--format", "tsv"], capsys

@@ -14,6 +14,7 @@ import pytest
 
 from branecalc import (
     ModelError,
+    Provenance,
     brane_coproduct_dual,
     brane_ops,
     brane_product_dual,
@@ -21,8 +22,12 @@ from branecalc import (
     cohomology,
     cohomology_basis,
     invert_on_cohomology,
+    disk_model,
     is_quasi_iso,
     parse_model,
+    quotient,
+    relative_tensor,
+    sphere_model,
 )
 from branecalc.cohomology import section
 
@@ -71,6 +76,26 @@ def test_section_inverts_the_backward_map_on_cohomology(text, stage):
                 for rep in cohomology_basis(f.target, n).representatives]
         assert [list(row) for row in zip(*cols)] == invert_on_cohomology(
             f, f.source, f.target, n)
+
+
+@pytest.mark.parametrize("text", ACCEPTED + [
+    pytest.param(S3XS4_REORDERED, id="s3xs4-reordered")])
+def test_the_collapsed_double_disk_is_the_glued_sphere_square(text):
+    # base change of G = D ⊗_{M_{S^1}} D along M_{S^1} → ∧V, which kills
+    # s¹V, is the quotient by s¹V: generator for generator, that is
+    # M_{S^2} ⊗_{∧V} M_{S^2}, the model both collapse sections land in
+    V = parse_model(text).model
+    disk = disk_model(V, 2)
+    double, _, _ = relative_tensor(disk, disk)
+    collapsed, proj = quotient(
+        double, [Provenance("susp", 1, g.name) for g in V.algebra.generators])
+    state = sphere_model(V, 3)
+    want = relative_tensor(state, state)[0].signature()
+    assert collapsed.signature() == want
+    proj.check_chain()
+    maps = backward_maps(text)
+    for stage in ("path-model quasi-isomorphism", "disk-factor quasi-isomorphism"):
+        assert maps[stage][0].target.signature() == want
 
 
 def test_non_minimal_models_are_rejected():

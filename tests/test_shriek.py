@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from branecalc import (
+    DgaMorphism,
     ModelError,
     ModuleMap,
     brane_coproduct_dual,
@@ -137,6 +138,26 @@ def test_delta_evaluation_is_nonzero(s3, s4):
         ev, vec, _ = delta_evaluation(V)
         assert not ev.is_zero()
         assert any(vec)
+
+
+def test_pairing_rejects_a_cycle_that_base_change_leaves_open(s3):
+    # d(s1_x) = x@R - x@L, and x@R survives in ∧V/(V^even)
+    ds = shriek_delta_semipure(s3)
+    _, to_q = shriek._square_to_quotient(ds.target)
+    with pytest.raises(ModelError, match="not a cocycle after base change"):
+        shriek.evaluation_pairing(ds, ds.source.gen_elem("s1_x"), to_q)
+
+
+def test_pairing_rejects_a_base_action_that_is_not_a_chain_map(s4):
+    # x@R ↦ 0 and every other generator fixed: ρ(d y@R) = 0, but
+    # d ρ(y@R) = x@R²
+    ds = shriek_delta_semipure(s4)
+    sq = ds.target
+    images = {g.gid: sq.algebra.generator_element(g.gid) for g in sq.algebra.generators}
+    images[sq.algebra.gen("x@R").gid] = sq.algebra.zero()
+    to_q = DgaMorphism(sq, sq, images)
+    with pytest.raises(ModelError, match="not a chain map on y@R"):
+        shriek.evaluation_pairing(ds, ds.source.gen_elem("s1_x"), to_q)
 
 
 def test_loop_transposition_sign(s3, s4, s3xs3):

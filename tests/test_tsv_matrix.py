@@ -10,7 +10,8 @@ degree n holds every table below it as rows, so the top rows stand for the
 rest.  The model dumps (``sphere-model``, ``disk-model``, ``path-model``)
 and the ``cohomology`` tables are replayed too, all of them, including the
 ``disk-model --k 3`` rows whose exit code 2 and stderr digest pin the error
-message.
+message, and so are all the ``verify`` rows: ``verify --suite signs`` is
+the CLI's one path through ``shriek.evaluation_pairing``.
 """
 
 import hashlib
@@ -49,6 +50,7 @@ for line in (ROOT / "scripts" / "tsv_matrix.expected").read_text().splitlines():
 CASES = top_degree_tables()
 DUMPS = [(argv, name) for argv, name in tsv_matrix.commands()
          if argv[0] in ("sphere-model", "disk-model", "path-model", "cohomology")]
+VERIFY = [(argv, name) for argv, name in tsv_matrix.commands() if argv[0] == "verify"]
 
 
 def test_every_model_is_replayed_with_and_without_homology():
@@ -60,6 +62,12 @@ def test_every_model_dump_is_replayed():
     per_model = 2 * 3 + 2  # sphere and disk at --k 1, 2, 3; path; cohomology
     assert len(DUMPS) == per_model * len(tsv_matrix.MODELS)
     assert all(tsv_matrix.label(argv, name) in EXPECTED for argv, name in DUMPS)
+
+
+def test_every_verify_row_is_replayed():
+    assert len(VERIFY) == (len(tsv_matrix.SUITES) * len(tsv_matrix.MODELS)
+                           + len(tsv_matrix.STDIN_SUITES) * len(tsv_matrix.STDIN))
+    assert all(tsv_matrix.label(argv, name) in EXPECTED for argv, name in VERIFY)
 
 
 def replay(argv, name, monkeypatch):
@@ -78,4 +86,9 @@ def test_top_degree_table_matches_the_expected_digests(argv, name, monkeypatch):
 
 @pytest.mark.parametrize("argv,name", DUMPS, ids=[tsv_matrix.label(*c) for c in DUMPS])
 def test_model_dump_matches_the_expected_digests(argv, name, monkeypatch):
+    replay(argv, name, monkeypatch)
+
+
+@pytest.mark.parametrize("argv,name", VERIFY, ids=[tsv_matrix.label(*c) for c in VERIFY])
+def test_verify_row_matches_the_expected_digests(argv, name, monkeypatch):
     replay(argv, name, monkeypatch)
