@@ -8,10 +8,12 @@ of ∧V over ∧V⊗².  Then, with ← marking the backward arrows,
 * product μ∨ (k ≥ 2):
   M_{S^k} ←glue G →identify M_{S^k} ⊗_{∧V} M_{S^k}
   ←collapse P ⊗_{∧V⊗²} M_{S^k}⊗² →δ!⊗id M_{S^k}⊗²;
-* coproduct δ∨ (k = 2):
-  M_{S^k}⊗² →identify M_{S^k} ⊗_{∧V} M_{S^k} ←collapse D ⊗_{M_{S^1}} G
+* coproduct δ∨ (k = 2), on pairs a⊗b of state classes:
+  M_{S^k} ⇉left,right M_{S^k} ⊗_{∧V} M_{S^k} ←collapse D ⊗_{M_{S^1}} G
   →γ!⊗id G →glue M_{S^k},
-  where γ! exists because M → M^{S^1} has finite codimension.
+  where left and right are identify∘(the inclusions of M_{S^k}⊗²), so
+  a⊗b goes to left(a)·right(b) and the square is never built, and γ!
+  exists because M → M^{S^1} has finite codimension.
 
 The coproduct's middle model is the double disk collapsed over ∧V,
 ∧V ⊗_{M_{S^1}} G: base change along M_{S^1} → ∧V, which kills s¹V, is the
@@ -28,13 +30,15 @@ ends: the state model's class basis, and at the square end pairs of state
 classes, as H(M_{S^k}⊗²) = H⊗H (Künneth) is never computed.  The product
 applies its composite to each state representative and reads the value of
 δ!⊗id off with π⊗π (Kunneth.coordinates).  The coproduct takes the class in
-the state model of the image of each pair cocycle a⊗b.  It reads each pair
-off two per-class images and one folded module map: identify and the
-collapse section are algebra maps, so their composite sends a⊗b to the
-product of the images of a⊗1 and 1⊗b, each computed once per class; glue
-is an algebra map too, so glue∘(γ!⊗id) is one module map
-(shriek.compose_module), built once.  No model in between gets a
-cohomology basis.
+the state model of the image of each pair a⊗b, and forms no product per
+pair.  left, right and the collapse section are algebra maps, so a⊗b goes
+to the product of two per-class images; glue is an algebra map too, so
+glue∘(γ!⊗id) is one module map F (shriek.compose_module), built once.
+Each class image is split into its fiber parts once (ModuleMap.by_fiber),
+and F of the product is read off the pairs of parts whose product is a
+fiber monomial where F has a value (ModuleMap.on_product).  When ∧V has an
+even generator, glue kills γ!'s value Π s1_x, F has no value and δ∨ is 0
+without evaluation.  No model in between gets a cohomology basis.
 
 Every morphism is fixed by generator provenance alone (see _gluing_map).
 
@@ -56,6 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache
 from typing import Callable
 
 from .gca_core import Element, translate
@@ -115,16 +120,10 @@ class Kunneth:
                      for half, f in enumerate((self.left, self.right))
                      for g, img in f.images.items()}
 
-    def pairs(self, n: int) -> list[Pair]:
-        """The pairs of total degree n, in (left degree, indices) order."""
-        dims = [cohomology_basis(self.state, d).dimension for d in range(n + 1)]
-        return [((da, ia), (n - da, ib)) for da in range(n + 1)
-                for ia in range(dims[da]) for ib in range(dims[n - da])]
-
     def element(self, pair: Pair) -> Element:
         """The square cocycle a⊗b of the representatives of the pair.  The
-        coproduct builds its image from per-class images instead; this is
-        the per-pair reference the tests check it against."""
+        coproduct never forms it; this is the per-pair reference the tests
+        check it against."""
         (da, ia), (db, ib) = pair
         ra = cohomology_basis(self.state, da).representatives[ia]
         rb = cohomology_basis(self.state, db).representatives[ib]
@@ -154,6 +153,14 @@ class Kunneth:
                 for ib, cb in pb.items():
                     _add(out, ((da, ia), (db, ib)), c * ca * cb)
         return out
+
+
+def class_pairs(state: DgaModel, n: int) -> list[Pair]:
+    """The pairs of state classes of total degree n, in (left degree,
+    indices) order."""
+    dims = [cohomology_basis(state, d).dimension for d in range(n + 1)]
+    return [((da, ia), (n - da, ib)) for da in range(n + 1)
+            for ia in range(dims[da]) for ib in range(dims[n - da])]
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +231,13 @@ def _shriek_tensor_id(F: ModuleMap, N: DgaModel) -> ModuleMap:
 
 def _sphere_and_double_disk(
     V: DgaModel, disk: DgaModel, k: int
-) -> tuple[Kunneth, DgaModel, DgaMorphism, DgaModel]:
-    """M_{S^k}⊗²'s Künneth helper, the double disk G, glue: G → M_{S^k},
-    and the middle model M_{S^k} ⊗_{∧V} M_{S^k} of both pipelines."""
+) -> tuple[DgaModel, DgaModel, DgaMorphism, DgaModel]:
+    """The state model M_{S^k}, the double disk G, glue: G → M_{S^k}, and
+    the middle model M_{S^k} ⊗_{∧V} M_{S^k} of both pipelines."""
     state = sphere_model(V, k + 1)
     double, _, _ = relative_tensor(disk, disk)
     spheres, _, _ = relative_tensor(state, state)
-    kun = Kunneth(state, *tensor_model(state, state))
-    return kun, double, _gluing_map(double, state, k, _GLUE), spheres
+    return state, double, _gluing_map(double, state, k, _GLUE), spheres
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +270,8 @@ def brane_product_dual(
     if k < 2:
         raise ModelError("the product pipeline needs k ≥ 2")
     info = info or gorenstein_info(V, k)
-    kun, double, glue, spheres = _sphere_and_double_disk(V, disk_model(V, k), k)
-    state = kun.state
+    state, double, glue, spheres = _sphere_and_double_disk(V, disk_model(V, k), k)
+    kun = Kunneth(state, *tensor_model(state, state))
     delta = shriek_delta_semipure(V)
     shriek = _shriek_tensor_id(delta, kun.square)
     to_path = compose(
@@ -284,29 +290,32 @@ def brane_product_dual(
 
 def _coproduct_maps(
     V: DgaModel, k: int
-) -> tuple[Kunneth, DgaMorphism, ModuleMap, DgaMorphism]:
-    """(kun, to_source, γ!⊗id, glue): δ∨(a⊗b) is the class of
-    glue(γ!⊗id(to_source(a⊗b))) for the pair cocycles a⊗b of kun."""
+) -> tuple[DgaModel, DgaMorphism, DgaMorphism, ModuleMap]:
+    """(state, to_left, to_right, folded): δ∨(a⊗b) is the class of
+    folded(to_left(a)·to_right(b)), with folded = glue∘(γ!⊗id) and
+    to_left, to_right the collapse section after identify∘(left and right
+    inclusion of M_{S^k}⊗²).  Each of those is one gluing map out of the
+    state, the second hemisphere reversed, so the square is never built."""
     gamma = shriek_gamma_pure(V)
-    kun, double, glue, spheres = _sphere_and_double_disk(V, gamma.source, k)
+    state, double, glue, spheres = _sphere_and_double_disk(V, gamma.source, k)
     shriek = _shriek_tensor_id(gamma, double)
-    to_source = compose(
-        section(_gluing_map(shriek.source, spheres, k, _COLLAPSE),
-                "disk-factor quasi-isomorphism"),
-        _gluing_map(kun.square, spheres, k, _IDENTIFY))
-    return kun, to_source, shriek, glue
+    collapse = section(_gluing_map(shriek.source, spheres, k, _COLLAPSE),
+                       "disk-factor quasi-isomorphism")
+    to_left, to_right = (
+        compose(collapse, _gluing_map(state, spheres, k, {None: _IDENTIFY[h]}))
+        for h in "LR")
+    return state, to_left, to_right, compose_module(glue, shriek)
 
 
-def _class_images(f: DgaMorphism, state: DgaModel) -> Callable[[Label], Element]:
-    """label ↦ f(representative of label), each computed on first use."""
-    memo: dict[Label, Element] = {}
+def _class_parts(f: DgaMorphism, F: ModuleMap) -> Callable[[Label], dict]:
+    """label ↦ F.by_fiber(f(representative of label)), each computed on
+    first use."""
 
-    def image(label: Label) -> Element:
-        if label not in memo:
-            n, i = label
-            memo[label] = f(cohomology_basis(state, n).representatives[i])
-        return memo[label]
-    return image
+    @cache
+    def parts(label: Label) -> dict:
+        n, i = label
+        return F.by_fiber(f(cohomology_basis(f.source, n).representatives[i]))
+    return parts
 
 
 def brane_coproduct_dual(
@@ -322,21 +331,22 @@ def brane_coproduct_dual(
             "(closed-form constant-maps shriek)"
         )
     info = info or gorenstein_info(V, k)
-    kun, to_source, shriek, glue = _coproduct_maps(V, k)
-    state, r = kun.state, shriek.degree
-    # to_source(a⊗b) = to_source(a⊗1)·to_source(1⊗b), and glue∘(γ!⊗id) is
-    # one module map
-    left = _class_images(compose(to_source, kun.left), state)
-    right = _class_images(compose(to_source, kun.right), state)
-    folded = compose_module(glue, shriek)
+    state, to_left, to_right, folded = _coproduct_maps(V, k)
+    r = folded.degree
+    # each class image is split into fiber parts once, and a pair is read
+    # off the parts whose products are keys of folded.images
+    left = _class_parts(to_left, folded)
+    right = _class_parts(to_right, folded)
     table: dict[Pair, dict[Label, Fraction]] = {}
     for n in range(max_degree + 1):
-        # with nothing in the target degree, δ∨ vanishes without evaluation
-        if not cohomology_basis(state, n + r).dimension:
-            table.update((lab, {}) for lab in kun.pairs(n))
+        # with no value, or nothing in the target degree, δ∨ vanishes
+        # without evaluation
+        if not folded.images or not cohomology_basis(state, n + r).dimension:
+            table.update((lab, {}) for lab in class_pairs(state, n))
             continue
-        for a, b in kun.pairs(n):
-            out = class_vector(state, n + r, folded(left(a) * right(b)))
+        for a, b in class_pairs(state, n):
+            z = folded.on_product(left(a), right(b), b[0])
+            out = class_vector(state, n + r, z) if z.terms else []
             table[(a, b)] = {(n + r, i): c for i, c in enumerate(out) if c}
     return BraneOperation(
         "coproduct-dual", info, r, max_degree, state, table

@@ -108,7 +108,8 @@ class ModuleMap:
     F(b·f) = (-1)^(deg F · |b|) ρ(b)·F(f) for a base monomial b and a fiber
     monomial f, where ρ is the algebra map given by base_images (a read-only
     copy, fixed when the map is built) and F(f) is images[f], 0 if absent.
-    ``by_fiber`` is where that rule is applied.
+    ``by_fiber`` is where that rule is applied.  compose_module stores
+    nonzero values only, so a composite with no images is the zero map.
     """
 
     source: DgaModel
@@ -156,6 +157,36 @@ class ModuleMap:
         return {f: _apply_algebra_map(Element(src, b, e.den), base, tgt)
                 for f, b in parts.items()}
 
+    def on_product(
+        self, x: dict[Monomial, Element], y: dict[Monomial, Element], y_degree: int
+    ) -> Element:
+        """F(X·Y) from x = by_fiber(X) and y = by_fiber(Y), for Y homogeneous
+        of degree y_degree, with no product formed in the source.
+
+        With X = Σ ±b·f and Y = Σ ±b'·f' over their fiber parts,
+        X·Y = Σ ±(-1)^(|f|·|b'|) b·b'·f·f', so F(X·Y) is the sum of
+        ε·x[f]·y[f']·images[g] over the f, f' with f·f' = s·g, s ≠ 0 and g
+        a key of images, where ε = s·(-1)^(|f|·(y_degree - |f'|)); the
+        values of by_fiber carry the sign (-1)^(deg F · |b|).
+        """
+        alg, images = self.source.algebra, self.images
+        deg, mul = alg.monomial_degree, alg.mul_monomials
+        # f·f' can be a key of images only if its degree is a key's degree
+        degrees = {deg(g) for g in images}
+        y_parts = [(f, b, deg(f)) for f, b in y.items()]
+        terms = []
+        for f, b in x.items():
+            d = deg(f)
+            for f2, b2, d2 in y_parts:
+                if d + d2 not in degrees:
+                    continue
+                s, g = mul(f, f2)
+                if s and g in images:
+                    if d % 2 and (y_degree - d2) % 2:
+                        s = -s
+                    terms.append((s, b * b2 * images[g]))
+        return linear_combination(self.target.algebra, terms)
+
     def __call__(self, e: Element) -> Element:
         return linear_combination(self.target.algebra, (
             (1, b * self.images[f])
@@ -166,13 +197,15 @@ def compose_module(g: DgaMorphism, F: ModuleMap) -> ModuleMap:
     """g∘F for an algebra map g out of F.target.
 
     g is multiplicative, so g(F(b·m)) = ±g(F(b))·g(F(m)): g∘F is again
-    base-linear, with base images g(F.base_images) and values g(F.images).
+    base-linear, with base images g(F.base_images) and values g(F.images),
+    of which only the nonzero ones are stored.
     """
     if F.target is not g.source:
         raise ModelError("composition mismatch")
+    images = {m: g(img) for m, img in F.images.items()}
     return ModuleMap(F.source, g.target, F.degree,
                      {b: g(img) for b, img in F.base_images.items()},
-                     {m: g(img) for m, img in F.images.items()})
+                     {m: v for m, v in images.items() if v.terms})
 
 
 def fiber_basis(M: DgaModel, n: int) -> tuple[Monomial, ...]:

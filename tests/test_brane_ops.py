@@ -15,15 +15,18 @@ from branecalc import (
     class_vector,
     cohomology,
     cohomology_basis,
+    compose,
     coproduct_double_composite,
     dualize_to_homology,
     gorenstein_info,
     parse_model,
+    relative_tensor,
     shriek,
     sphere_model,
     tensor_model,
 )
 from branecalc.brane_ops import Kunneth
+from branecalc.cohomology import section
 
 from conftest import MODEL_TEXTS, S3XS4, build_s3, coassociative, frobenius
 
@@ -213,7 +216,7 @@ def test_kunneth_coordinates_match_the_square_cohomology(text):
     kun = Kunneth(state, *tensor_model(state, state))
     square = kun.square
     for n in range(11):
-        labels = kun.pairs(n)
+        labels = brane_ops.class_pairs(state, n)
         h = cohomology_basis(square, n)
         assert len(labels) == h.dimension
         for lab in labels:
@@ -235,7 +238,7 @@ def test_kunneth_projects_each_half_once(monkeypatch):
     kun = Kunneth(state, *tensor_model(state, state))
     for _ in range(2):
         for n in range(9):
-            for lab in kun.pairs(n):
+            for lab in brane_ops.class_pairs(state, n):
                 assert kun.coordinates(kun.element(lab)) == {lab: F1}
     assert halves and len(halves) == len(set(halves))
 
@@ -270,52 +273,136 @@ def test_pipelines_never_compute_a_tensor_square_cohomology(monkeypatch):
     assert not any(M is S for M in computed for S in squares)
 
 
-# The coproduct reads each pair off two per-class images and one folded
-# module map glue∘(γ!⊗id).  The oracle is the route it replaced: the whole
-# composite applied to each pair cocycle a⊗b (Kunneth.element), with glue
-# applied after γ!⊗id.  linear-d is not minimal, so no pipeline accepts it;
-# S³×S⁵×S⁷'s coproduct is nonzero from degree 10 on.
+# The coproduct reads each pair off the fiber parts of two per-class images
+# and one folded module map glue∘(γ!⊗id), and never builds the tensor
+# square.  The oracle is the route it replaced, built here from its pieces:
+# the whole composite through M_{S^k}⊗² applied to each pair cocycle a⊗b
+# (Kunneth.element), with glue applied after γ!⊗id.  linear-d is not
+# minimal, so no pipeline accepts it; S³×S⁵×S⁷'s coproduct is nonzero from
+# degree 10 on, and (S³)⁴'s from degree 6 on.  ℍP², ab and S⁴×S⁵ have an
+# even generator, so their fold has no value.
 S3XS5XS7 = "gen a 3\ngen b 5\ngen c 7\n"
-COPRODUCT_CASES = [p for p in MODEL_TEXTS if p.id != "linear-d"] + [
-    pytest.param(S3XS5XS7, id="s3xs5xs7")]
+S3_4 = "gen a 3\ngen b 3\ngen c 3\ngen e 3\n"
+HP2 = "gen x 4\ngen y 11\nd y = x^3\n"
+AB = "gen a 4\ngen b 6\ngen y 7\ngen z 11\nd y = a^2\nd z = b^2 + a^3\n"
+S4XS5 = "gen x 4\ngen w 5\ngen y 7\nd y = x^2\n"
 ORACLE_DEGREE = 12
 FOLD_DEGREE = 10
+COPRODUCT_CASES = [pytest.param(p.values[0], ORACLE_DEGREE, id=p.id)
+                   for p in MODEL_TEXTS if p.id != "linear-d"] + [
+    pytest.param(text, ORACLE_DEGREE, id=name) for name, text in (
+        ("s3xs5xs7", S3XS5XS7), ("hp2", HP2), ("ab", AB), ("s4xs5", S4XS5))] + [
+    pytest.param(S3_4, 8, id="s3^4")]
 
 
-@pytest.mark.parametrize("text", COPRODUCT_CASES)
-def test_coproduct_matches_the_pair_by_pair_route(text):
+def _square_route(V):
+    """(kun, to_source, γ!⊗id, glue): δ∨(a⊗b) is the class of
+    glue(γ!⊗id(to_source(a⊗b))), to_source the collapse section after
+    identify: M_{S^k}⊗² → M_{S^k} ⊗_{∧V} M_{S^k}."""
+    gamma = shriek.shriek_gamma_pure(V)
+    state = sphere_model(V, 3)
+    double = relative_tensor(gamma.source, gamma.source)[0]
+    spheres = relative_tensor(state, state)[0]
+    shriek_id = brane_ops._shriek_tensor_id(gamma, double)
+    kun = Kunneth(state, *tensor_model(state, state))
+    identify = brane_ops._gluing_map(kun.square, spheres, 2, brane_ops._IDENTIFY)
+    collapse = section(
+        brane_ops._gluing_map(shriek_id.source, spheres, 2, brane_ops._COLLAPSE),
+        "collapse")
+    glue = brane_ops._gluing_map(double, state, 2, brane_ops._GLUE)
+    return kun, compose(collapse, identify), shriek_id, glue
+
+
+@pytest.mark.parametrize("text, degree", COPRODUCT_CASES)
+def test_coproduct_matches_the_pair_by_pair_route(text, degree):
     V = parse_model(text).model
-    table = brane_coproduct_dual(V, 2, max_degree=ORACLE_DEGREE).table
-    kun, to_source, shriek_id, glue = brane_ops._coproduct_maps(V, 2)
+    table = brane_coproduct_dual(V, 2, max_degree=degree).table
+    kun, to_source, shriek_id, glue = _square_route(V)
     r = shriek_id.degree
     want = {}
-    for n in range(ORACLE_DEGREE + 1):
-        for pair in kun.pairs(n):
+    for n in range(degree + 1):
+        for pair in brane_ops.class_pairs(kun.state, n):
             z = glue(shriek_id(to_source(kun.element(pair))))
             out = class_vector(kun.state, n + r, z)
             want[pair] = {(n + r, i): c for i, c in enumerate(out) if c}
     assert table == want
-    if text == S3XS5XS7:
+    if text in (S3XS5XS7, S3_4):
         assert any(table.values())
 
 
-@pytest.mark.parametrize("text", COPRODUCT_CASES)
-def test_folded_glue_after_shriek_is_glue_applied_after_it(text):
+@pytest.mark.parametrize("text, degree", COPRODUCT_CASES)
+def test_folded_glue_after_shriek_is_glue_applied_after_it(text, degree):
     # every monomial a·b of (γ!⊗id).source with a a fiber monomial where
-    # γ!⊗id has a value and b in its base, through degree FOLD_DEGREE
-    _, _, shriek_id, glue = brane_ops._coproduct_maps(parse_model(text).model, 2)
+    # γ!⊗id has a value and b a base monomial of degree through
+    # FOLD_DEGREE (the degree, for (S³)⁴)
+    _, _, shriek_id, glue = _square_route(parse_model(text).model)
     folded = shriek.compose_module(glue, shriek_id)
     assert folded.source is shriek_id.source and folded.target is glue.target
     alg = shriek_id.source.algebra
-    base = set(shriek_id.base_images)
+    base = sorted(shriek_id.base_images)
     checked = 0
     for a in shriek_id.images:
-        for d in range(FOLD_DEGREE - alg.monomial_degree(a) + 1):
-            for b in alg.basis(d):
-                if any(g not in base for g, _ in b):
-                    continue
+        for d in range(min(degree, FOLD_DEGREE) + 1):
+            for b in alg.monomials(base, d):
                 sign, mono = alg.normalize([*a, *b])
                 x = alg.monomial_element(mono, sign)
                 assert folded(x) == glue(shriek_id(x))
                 checked += 1
     assert checked
+
+
+# glue kills γ!'s value Π s1_x unless ∧V has no even generator, and
+# compose_module keeps nonzero values only
+@pytest.mark.parametrize("text, values", [
+    pytest.param(text, values, id=name) for name, text, values in (
+        ("s3", "gen x 3\n", 1), ("s3xs3", "gen a 3\ngen b 3\n", 1),
+        ("s3xs5xs7", S3XS5XS7, 1), ("s4", "gen x 4\ngen y 7\nd y = x^2\n", 0),
+        ("s3xs4", S3XS4, 0), ("hp2", HP2, 0), ("ab", AB, 0))])
+def test_the_fold_has_a_value_exactly_without_even_generators(text, values):
+    V = parse_model(text).model
+    folded = brane_ops._coproduct_maps(V, 2)[3]
+    assert len(folded.images) == values
+    assert all(v.terms for v in folded.images.values())
+    assert (values == 0) == any(not g.is_odd for g in V.algebra.generators)
+
+
+def _sample(alg, n):
+    """A sum of every degree-n monomial of alg, with distinct coefficients."""
+    return alg.element({m: Fraction((-1) ** i * (i + 1), i + 2)
+                        for i, m in enumerate(alg.basis(n))})
+
+
+# on_product reads F(x·y) off the fiber parts of x and y; δ! and δ!⊗id have
+# many values, in fiber monomials of both parities, and δ! on S³×S⁴ has odd
+# degree, so every sign of the product rule is exercised
+@pytest.mark.parametrize("text", [
+    pytest.param("gen x 4\ngen y 7\nd y = x^2\n", id="s4"),
+    pytest.param(S3XS4, id="s3xs4"), pytest.param(AB, id="ab")])
+def test_on_product_is_the_map_applied_to_the_product(text):
+    V = parse_model(text).model
+    delta = shriek.shriek_delta_semipure(V)
+    state = sphere_model(V, 3)
+    delta_id = brane_ops._shriek_tensor_id(delta, tensor_model(state, state)[0])
+    for F, top in ((delta, 12), (delta_id, 8)):
+        assert len(F.images) > 1
+        alg = F.source.algebra
+        for nx in range(top + 1):
+            x = _sample(alg, nx)
+            parts = F.by_fiber(x)
+            for ny in range(top + 1 - nx):
+                y = _sample(alg, ny)
+                assert F.on_product(parts, F.by_fiber(y), ny) == F(x * y)
+
+
+def test_coproduct_splits_each_class_image_once(monkeypatch):
+    calls = []
+    real = shriek.ModuleMap.by_fiber
+    monkeypatch.setattr(shriek.ModuleMap, "by_fiber",
+                        lambda F, e, fibers=None: calls.append(e) or real(F, e, fibers))
+    s4 = parse_model("gen x 4\ngen y 7\nd y = x^2\n").model
+    brane_coproduct_dual(s4, 2, max_degree=14)
+    assert calls == []  # the fold has no value
+    op = brane_coproduct_dual(parse_model("gen a 3\ngen b 3\ngen c 3\n").model,
+                              2, max_degree=12)
+    classes = sum(cohomology_basis(op.state, n).dimension for n in range(13))
+    assert 0 < len(calls) <= 2 * classes < len(op.table)
