@@ -281,6 +281,7 @@ def test_pipelines_never_compute_a_tensor_square_cohomology(monkeypatch):
 # minimal, so no pipeline accepts it; S³×S⁵×S⁷'s coproduct is nonzero from
 # degree 10 on, and (S³)⁴'s from degree 6 on.  ℍP², ab and S⁴×S⁵ have an
 # even generator, so their fold has no value.
+S4 = "gen x 4\ngen y 7\nd y = x^2\n"
 S3XS5XS7 = "gen a 3\ngen b 5\ngen c 7\n"
 S3_4 = "gen a 3\ngen b 3\ngen c 3\ngen e 3\n"
 HP2 = "gen x 4\ngen y 11\nd y = x^3\n"
@@ -356,7 +357,7 @@ def test_folded_glue_after_shriek_is_glue_applied_after_it(text, degree):
 @pytest.mark.parametrize("text, values", [
     pytest.param(text, values, id=name) for name, text, values in (
         ("s3", "gen x 3\n", 1), ("s3xs3", "gen a 3\ngen b 3\n", 1),
-        ("s3xs5xs7", S3XS5XS7, 1), ("s4", "gen x 4\ngen y 7\nd y = x^2\n", 0),
+        ("s3xs5xs7", S3XS5XS7, 1), ("s4", S4, 0),
         ("s3xs4", S3XS4, 0), ("hp2", HP2, 0), ("ab", AB, 0))])
 def test_the_fold_has_a_value_exactly_without_even_generators(text, values):
     V = parse_model(text).model
@@ -376,7 +377,7 @@ def _sample(alg, n):
 # many values, in fiber monomials of both parities, and δ! on S³×S⁴ has odd
 # degree, so every sign of the product rule is exercised
 @pytest.mark.parametrize("text", [
-    pytest.param("gen x 4\ngen y 7\nd y = x^2\n", id="s4"),
+    pytest.param(S4, id="s4"),
     pytest.param(S3XS4, id="s3xs4"), pytest.param(AB, id="ab")])
 def test_on_product_is_the_map_applied_to_the_product(text):
     V = parse_model(text).model
@@ -399,8 +400,7 @@ def test_coproduct_splits_each_class_image_once(monkeypatch):
     real = shriek.ModuleMap.by_fiber
     monkeypatch.setattr(shriek.ModuleMap, "by_fiber",
                         lambda F, e, fibers=None: calls.append(e) or real(F, e, fibers))
-    s4 = parse_model("gen x 4\ngen y 7\nd y = x^2\n").model
-    brane_coproduct_dual(s4, 2, max_degree=14)
+    brane_coproduct_dual(parse_model(S4).model, 2, max_degree=14)
     assert calls == []  # the fold has no value
     op = brane_coproduct_dual(parse_model("gen a 3\ngen b 3\ngen c 3\n").model,
                               2, max_degree=12)
