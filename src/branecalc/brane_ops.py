@@ -1,13 +1,14 @@
 """The brane product/coproduct pipelines and the diagram checkers.
 
 Each operation is a zigzag of maps between gluing models.  Write M_{S^k}
-for the sphere model, D for the k-disk model (semifree over M_{S^(k-1)}),
-G = D ⊗_{M_{S^(k-1)}} D for the glued double disk and P for the path model
-of ∧V over ∧V⊗².  Then, with ← marking the backward arrows,
+for the sphere model, D for the 2-disk model (semifree over M_{S^1}),
+G = D ⊗_{M_{S^1}} D for the glued double disk and P for the path model of
+∧V over ∧V⊗².  Then, with ← marking the one backward arrow of each,
 
 * product μ∨ (k ≥ 2):
-  M_{S^k} ←glue G →identify M_{S^k} ⊗_{∧V} M_{S^k}
-  ←collapse P ⊗_{∧V⊗²} M_{S^k}⊗² →δ!⊗id M_{S^k}⊗²;
+  M_{S^k} →pinch M_{S^k} ⊗_{∧V} M_{S^k}
+  ←collapse P ⊗_{∧V⊗²} M_{S^k}⊗² →δ!⊗id M_{S^k}⊗²,
+  where the pinch S^k → S^k ∨ S^k sends v ↦ v and s^k v ↦ s^k v@L + s^k v@R;
 * coproduct δ∨ (k = 2), on pairs a⊗b of state classes:
   M_{S^k} ⇉left,right M_{S^k} ⊗_{∧V} M_{S^k} ←collapse D ⊗_{M_{S^1}} G
   →γ!⊗id G →glue M_{S^k},
@@ -15,26 +16,24 @@ of ∧V over ∧V⊗².  Then, with ← marking the backward arrows,
   a⊗b goes to left(a)·right(b) and the square is never built, and γ!
   exists because M → M^{S^1} has finite codimension.
 
-The coproduct's middle model is the double disk collapsed over ∧V,
-∧V ⊗_{M_{S^1}} G: base change along M_{S^1} → ∧V, which kills s¹V, is the
-quotient by s¹V, and that quotient is generator for generator the
-product's M_{S^k} ⊗_{∧V} M_{S^k}.  So both pipelines glue through one
-model, relative_tensor(state, state).
+The coproduct's middle model, ∧V ⊗_{M_{S^1}} G, is the quotient of G by
+s¹V, generator for generator the product's M_{S^k} ⊗_{∧V} M_{S^k}: both
+pipelines glue through one model, relative_tensor(state, state).
 
-Every backward arrow f is a surjective quasi-isomorphism onto a Sullivan
+The backward arrow f is a surjective quasi-isomorphism onto a Sullivan
 algebra, so it has a section σ, a chain map with f∘σ = id
-(cohomology.section, the lifting lemma), and H(σ) = H(f)⁻¹.  With each
-backward arrow replaced by its section, an operation is one composite of
-chain maps, applied to cocycles, and classes are read only at its two
-ends: the state model's class basis, and at the square end pairs of state
-classes, as H(M_{S^k}⊗²) = H⊗H (Künneth) is never computed.  The product
+(cohomology.section, the lifting lemma), and H(σ) = H(f)⁻¹.  With f
+replaced by σ, an operation is one composite of chain maps, applied to
+cocycles, and classes are read only at its two ends: the state model's
+class basis, and at the square end pairs of state classes, as
+H(M_{S^k}⊗²) = H⊗H (Künneth) is never computed.  The product
 applies its composite to each state representative and reads the value of
 δ!⊗id off with π⊗π (Kunneth.coordinates).  The coproduct takes the class in
 the state model of the image of each pair a⊗b, and forms no product per
 pair.  left, right and the collapse section are algebra maps, so a⊗b goes
 to the product of two per-class images; glue is an algebra map too, so
 glue∘(γ!⊗id) is one module map F (shriek.compose_module), built once.
-Each class image is split into its fiber parts once (ModuleMap.by_fiber),
+Each class image is split into its fiber parts once (ModuleMap.graded_parts),
 and F of the product is read off the pairs of parts whose product is a
 fiber monomial where F has a value (ModuleMap.on_product).  When ∧V has an
 even generator, glue kills γ!'s value Π s1_x, F has no value and δ∨ is 0
@@ -63,14 +62,13 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable
 
-from .gca_core import Element, translate
+from .gca_core import Element, linear_combination, translate
 from .cohomology import class_vector, cohomology_basis, projection, section
 from .dga_models import (
     DgaModel,
     DgaMorphism,
     ModelError,
     compose,
-    disk_model,
     relative_tensor,
     sphere_model,
     tensor_model,
@@ -167,34 +165,34 @@ def class_pairs(state: DgaModel, n: int) -> list[Pair]:
 # zigzags as chain maps
 
 
-# Where _gluing_map sends the left ("L") and right ("R") copies of the top
-# suspension s^k v: to (factor of the target generator, sign), or to 0 when
-# absent.  _IDENTIFY reverses the orientation of the second hemisphere.
-_IDENTIFY = {"L": ("L", 1), "R": ("R", -1)}
-_COLLAPSE = {"L": ("L", 1), "R": ("R", 1)}
-_GLUE = {"R": (None, -1)}
+# Where _gluing_map sends a copy of the top suspension s^k v, by its factor
+# ("L", "R", or None for a sphere's one copy): to the sum of the listed
+# target copies with their signs, or to 0 when absent.  _IDENTIFY reverses
+# the second hemisphere; _PINCH models the pinch S^k → S^k ∨ S^k.
+_IDENTIFY = {"L": (("L", 1),), "R": (("R", -1),)}
+_COLLAPSE = {"L": (("L", 1),), "R": (("R", 1),)}
+_GLUE = {"R": ((None, -1),)}
+_PINCH = {None: (("L", 1), ("R", 1))}
 
 
 def _gluing_map(src: DgaModel, dst: DgaModel, top: int, tops: dict) -> DgaMorphism:
     """The chain map src → dst fixed by generator provenance.
 
     A base generator goes to dst's base generator of the same origin, so
-    the two copies of ∧V in ∧V⊗² multiply together; the tensor copies of
-    s^top v go where tops says; every other suspension (lower shifts, the
-    path model's sV, a fresh disk's s^top V) goes to 0.
+    the two copies of ∧V in ∧V⊗² multiply together; the copies of s^top v
+    go where tops says; every other suspension (lower shifts, the path
+    model's sV, a fresh disk's s^top V) goes to 0.
     """
+    gen = dst.algebra.generator_element
     images: dict[int, Element] = {}
     for g in src.algebra.generators:
         p = g.prov
         if p.kind == "base":
-            target, sign = replace(p, factor=None), 1
-        elif p.shift == top and p.factor in tops:
-            factor, sign = tops[p.factor]
-            target = replace(p, factor=factor)
-        else:
-            images[g.gid] = dst.algebra.zero()
+            images[g.gid] = gen(replace(p, factor=None))
             continue
-        images[g.gid] = dst.algebra.generator_element(target) * sign
+        targets = tops.get(p.factor, ()) if p.shift == top else ()
+        images[g.gid] = linear_combination(dst.algebra, (
+            (sign, gen(replace(p, factor=factor))) for factor, sign in targets))
     f = DgaMorphism(src, dst, images)
     f.check_chain()
     return f
@@ -229,17 +227,6 @@ def _shriek_tensor_id(F: ModuleMap, N: DgaModel) -> ModuleMap:
     return ModuleMap(glued, N, F.degree, base_images, images)
 
 
-def _sphere_and_double_disk(
-    V: DgaModel, disk: DgaModel, k: int
-) -> tuple[DgaModel, DgaModel, DgaMorphism, DgaModel]:
-    """The state model M_{S^k}, the double disk G, glue: G → M_{S^k}, and
-    the middle model M_{S^k} ⊗_{∧V} M_{S^k} of both pipelines."""
-    state = sphere_model(V, k + 1)
-    double, _, _ = relative_tensor(disk, disk)
-    spheres, _, _ = relative_tensor(state, state)
-    return state, double, _gluing_map(double, state, k, _GLUE), spheres
-
-
 # ---------------------------------------------------------------------------
 # operations
 
@@ -269,16 +256,19 @@ def brane_product_dual(
     """The dual brane product μ∨: H^n(M_{S^k}) → H^(n+m)(M_{S^k}⊗²)."""
     if k < 2:
         raise ModelError("the product pipeline needs k ≥ 2")
+    if any(g.degree <= k for g in V.algebra.generators):
+        # sphere_model checks this too; the product names its k-disks' bound
+        raise ModelError(f"disk model needs all generator degrees ≥ k+1={k + 1}")
     info = info or gorenstein_info(V, k)
-    state, double, glue, spheres = _sphere_and_double_disk(V, disk_model(V, k), k)
+    state = sphere_model(V, k + 1)
+    spheres, _, _ = relative_tensor(state, state)
     kun = Kunneth(state, *tensor_model(state, state))
     delta = shriek_delta_semipure(V)
     shriek = _shriek_tensor_id(delta, kun.square)
     to_path = compose(
         section(_gluing_map(shriek.source, spheres, k, _COLLAPSE),
                 "path-model quasi-isomorphism"),
-        compose(_gluing_map(double, spheres, k, _IDENTIFY),
-                section(glue, "double disk vs sphere identification")))
+        _gluing_map(state, spheres, k, _PINCH))
     table: dict[Label, dict[Pair, Fraction]] = {}
     for n in range(max_degree + 1):
         for i, rep in enumerate(cohomology_basis(state, n).representatives):
@@ -297,24 +287,26 @@ def _coproduct_maps(
     inclusion of M_{S^k}⊗²).  Each of those is one gluing map out of the
     state, the second hemisphere reversed, so the square is never built."""
     gamma = shriek_gamma_pure(V)
-    state, double, glue, spheres = _sphere_and_double_disk(V, gamma.source, k)
+    state = sphere_model(V, k + 1)
+    double, _, _ = relative_tensor(gamma.source, gamma.source)
+    spheres, _, _ = relative_tensor(state, state)
     shriek = _shriek_tensor_id(gamma, double)
     collapse = section(_gluing_map(shriek.source, spheres, k, _COLLAPSE),
                        "disk-factor quasi-isomorphism")
     to_left, to_right = (
         compose(collapse, _gluing_map(state, spheres, k, {None: _IDENTIFY[h]}))
         for h in "LR")
+    glue = _gluing_map(double, state, k, _GLUE)
     return state, to_left, to_right, compose_module(glue, shriek)
 
 
-def _class_parts(f: DgaMorphism, F: ModuleMap) -> Callable[[Label], dict]:
-    """label ↦ F.by_fiber(f(representative of label)), each computed on
-    first use."""
+def _class_parts(f: DgaMorphism, F: ModuleMap) -> Callable[[Label], list]:
+    """label ↦ F.graded_parts(f(its representative)), computed on first use."""
 
     @cache
-    def parts(label: Label) -> dict:
+    def parts(label: Label) -> list:
         n, i = label
-        return F.by_fiber(f(cohomology_basis(f.source, n).representatives[i]))
+        return F.graded_parts(f(cohomology_basis(f.source, n).representatives[i]))
     return parts
 
 

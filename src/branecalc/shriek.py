@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 from typing import Container, Mapping, Sequence
 
@@ -157,11 +158,20 @@ class ModuleMap:
         return {f: _apply_algebra_map(Element(src, b, e.den), base, tgt)
                 for f, b in parts.items()}
 
-    def on_product(
-        self, x: dict[Monomial, Element], y: dict[Monomial, Element], y_degree: int
-    ) -> Element:
-        """F(X·Y) from x = by_fiber(X) and y = by_fiber(Y), for Y homogeneous
-        of degree y_degree, with no product formed in the source.
+    def graded_parts(self, e: Element) -> list[tuple[Monomial, int, Element]]:
+        """by_fiber(e) as (f, |f|, ρ(b_f)) over its fiber parts f."""
+        deg = self.source.algebra.monomial_degree
+        return [(f, deg(f), b) for f, b in self.by_fiber(e).items()]
+
+    @cached_property
+    def _key_degrees(self) -> frozenset[int]:
+        """The degrees of images' keys; f·f' is a key only if |f|+|f'| is one."""
+        return frozenset(map(self.source.algebra.monomial_degree, self.images))
+
+    def on_product(self, x: Sequence[tuple[Monomial, int, Element]],
+                   y: Sequence[tuple[Monomial, int, Element]], y_degree: int) -> Element:
+        """F(X·Y) from x = graded_parts(X) and y = graded_parts(Y), for Y
+        homogeneous of degree y_degree, with no product formed in the source.
 
         With X = Σ ±b·f and Y = Σ ±b'·f' over their fiber parts,
         X·Y = Σ ±(-1)^(|f|·|b'|) b·b'·f·f', so F(X·Y) is the sum of
@@ -169,15 +179,11 @@ class ModuleMap:
         a key of images, where ε = s·(-1)^(|f|·(y_degree - |f'|)); the
         values of by_fiber carry the sign (-1)^(deg F · |b|).
         """
-        alg, images = self.source.algebra, self.images
-        deg, mul = alg.monomial_degree, alg.mul_monomials
-        # f·f' can be a key of images only if its degree is a key's degree
-        degrees = {deg(g) for g in images}
-        y_parts = [(f, b, deg(f)) for f, b in y.items()]
+        images, degrees = self.images, self._key_degrees
+        mul = self.source.algebra.mul_monomials
         terms = []
-        for f, b in x.items():
-            d = deg(f)
-            for f2, b2, d2 in y_parts:
+        for f, d, b in x:
+            for f2, d2, b2 in y:
                 if d + d2 not in degrees:
                     continue
                 s, g = mul(f, f2)

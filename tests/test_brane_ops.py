@@ -389,10 +389,10 @@ def test_on_product_is_the_map_applied_to_the_product(text):
         alg = F.source.algebra
         for nx in range(top + 1):
             x = _sample(alg, nx)
-            parts = F.by_fiber(x)
+            parts = F.graded_parts(x)
             for ny in range(top + 1 - nx):
                 y = _sample(alg, ny)
-                assert F.on_product(parts, F.by_fiber(y), ny) == F(x * y)
+                assert F.on_product(parts, F.graded_parts(y), ny) == F(x * y)
 
 
 def test_coproduct_splits_each_class_image_once(monkeypatch):

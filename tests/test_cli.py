@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -388,10 +389,16 @@ def test_verify_signs_passes_at_every_max_degree(model, capsys, monkeypatch):
         assert code == 0 and "PASS" in out, (d, err)
 
 
+# S⁴ with y named s1_x: the product builds no k-disk, so no s¹x, while the
+# coproduct's γ! lives on the 2-disk, which has one
+S4_NAMED_S1_X = "gen x 4\ngen s1_x 7\nd s1_x = x^2\n"
+
+
 @pytest.mark.parametrize("text, command, name", [
-    ("gen x 4\ngen s1_x 3\n", "brane-product", "s1_x"),
+    ("gen x 4\ngen s2_x 3\n", "brane-product", "s2_x"),
     ("gen x 3\ngen x@L 3\n", "brane-coproduct", "x@L"),
-], ids=["product-s1_x", "coproduct-x@L"])
+    (S4_NAMED_S1_X, "brane-coproduct", "s1_x"),
+], ids=["product-s2_x", "coproduct-x@L", "coproduct-s1_x"])
 def test_generator_name_collisions_exit_2(text, command, name, tmp_path, capsys):
     # a model generator named like a derived one (s<k>_NAME, NAME@L) is a
     # model error, not a traceback
@@ -400,6 +407,19 @@ def test_generator_name_collisions_exit_2(text, command, name, tmp_path, capsys)
     code, out, err = run([command, str(path), "--max-degree", "4"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: generator name") and repr(name) in err
+
+
+def test_a_name_only_the_disk_derives_is_free_for_the_product(tmp_path, capsys):
+    path = tmp_path / "renamed.model"
+    path.write_text(S4_NAMED_S1_X)
+    argv = ["brane-product", "--max-degree", "10", "--homology", "--format", "tsv"]
+    code, out, err = run([argv[0], str(path), *argv[1:]], capsys)
+    assert code == 0 and err == ""
+    code, want, _ = run([argv[0], str(ROOT / "models" / "s4.model"), *argv[1:]], capsys)
+    assert code == 0
+    relabel = {"y": "s1_x", "s2_y": "s2_s1_x"}
+    want = re.sub(r"[\w@]+", lambda m: relabel.get(m[0], m[0]), want)
+    assert "s2_s1_x" in want and out == want
 
 
 @pytest.mark.parametrize("argv", [

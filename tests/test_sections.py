@@ -1,10 +1,15 @@
 """The pipelines' backward maps and the sections that replace their inverses.
 
-Each pipeline turns a backward map f of its zigzag, a surjective
+Each pipeline turns the one backward map f of its zigzag, a surjective
 quasi-isomorphism, into a forward one: a section σ with f∘σ = id
 (``cohomology.section``), so H(σ) = H(f)⁻¹ and no model between the two
-ends needs its cohomology.  The maps are recorded here as the pipelines
-build them and checked against the inverting evaluation they replace.
+ends needs its cohomology.  The two maps are recorded here as the
+pipelines build them and checked against the inverting evaluation they
+replace.  The product's forward arrow out of the state is the pinch
+M_{S^k} → M_{S^k} ⊗_{∧V} M_{S^k}; the pinch oracle checks it, generator
+for generator, against the route through the double disk
+G = D ⊗_{M_{S^(k-1)}} D that it replaces: identify∘σ_glue, with the same
+checks on σ_glue.
 """
 
 from functools import lru_cache
@@ -13,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from branecalc import (
+    GradedAlgebra,
     ModelError,
     Provenance,
     brane_coproduct_dual,
@@ -34,14 +40,24 @@ from branecalc.cohomology import section
 from conftest import MODEL_TEXTS, S3XS4
 
 TOP = 10
-STAGES = ["double disk vs sphere identification", "path-model quasi-isomorphism",
-          "disk-factor quasi-isomorphism"]
+STAGES = ["path-model quasi-isomorphism", "disk-factor quasi-isomorphism"]
 # linear-d is not minimal, so neither pipeline accepts it
 ACCEPTED = [p for p in MODEL_TEXTS if p.id != "linear-d"]
 S4 = (Path(__file__).resolve().parent.parent / "models" / "s4.model").read_text()
 # S³×S⁴ with its generators listed out of degree order: d y = x² names a
 # generator with a larger id, so a section must be solved in degree order
 S3XS4_REORDERED = "gen y 7\ngen x 4\ngen a 3\nd y = x^2\n"
+HP2 = "gen x 4\ngen y 11\nd y = x^3\n"
+AB = "gen a 4\ngen b 6\ngen y 7\ngen z 11\nd y = a^2\nd z = b^2 + a^3\n"
+S4XS6 = "gen x 4\ngen y 7\ngen u 6\ngen w 11\nd y = x^2\nd w = u^2\n"
+S3_4 = "gen a 3\ngen b 3\ngen c 3\ngen e 3\n"
+# every generator of the k = 3 models has degree ≥ 4
+PINCH_CASES = [pytest.param(p.values[0], 2, id=f"{p.id}-k2") for p in ACCEPTED] + [
+    pytest.param(text, 2, id=f"{name}-k2") for name, text in (
+        ("s3xs4-reordered", S3XS4_REORDERED), ("hp2", HP2), ("ab", AB),
+        ("s4xs6", S4XS6), ("s3^4", S3_4))] + [
+    pytest.param(text, 3, id=f"{name}-k3") for name, text in (
+        ("s4", S4), ("hp2", HP2), ("ab", AB), ("s4xs6", S4XS6))]
 
 
 @lru_cache(maxsize=None)
@@ -61,10 +77,8 @@ def backward_maps(text):
     return seen
 
 
-@pytest.mark.parametrize("stage", STAGES)
-@pytest.mark.parametrize("text", ACCEPTED)
-def test_section_inverts_the_backward_map_on_cohomology(text, stage):
-    f, sigma = backward_maps(text)[stage]
+def check_section(f, sigma):
+    """σ is a chain map with f∘σ = id on generators and H(σ) = H(f)⁻¹."""
     assert is_quasi_iso(f, TOP)
     assert sigma.source is f.target and sigma.target is f.source
     assert sigma.chain_defects() == []
@@ -76,6 +90,65 @@ def test_section_inverts_the_backward_map_on_cohomology(text, stage):
                 for rep in cohomology_basis(f.target, n).representatives]
         assert [list(row) for row in zip(*cols)] == invert_on_cohomology(
             f, f.source, f.target, n)
+
+
+@pytest.mark.parametrize("stage", STAGES)
+@pytest.mark.parametrize("text", ACCEPTED)
+def test_section_inverts_the_backward_map_on_cohomology(text, stage):
+    check_section(*backward_maps(text)[stage])
+
+
+@lru_cache(maxsize=None)
+def product_run(text, k):
+    """(op, the stages of its sections, its gluing maps, the names of the
+    algebras it built) for one brane_product_dual run."""
+    V = parse_model(text).model
+    stages, glued, names = [], [], []
+    real_gluing, real_init = brane_ops._gluing_map, GradedAlgebra.__init__
+
+    def recording_section(f, stage):
+        stages.append(stage)
+        return section(f, stage)
+
+    def recording_gluing(*args):
+        glued.append(real_gluing(*args))
+        return glued[-1]
+
+    def recording_init(alg, name=""):
+        names.append(name)
+        real_init(alg, name)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(brane_ops, "section", recording_section)
+        mp.setattr(brane_ops, "_gluing_map", recording_gluing)
+        mp.setattr(GradedAlgebra, "__init__", recording_init)
+        op = brane_product_dual(V, k, max_degree=2)
+    return op, stages, glued, names
+
+
+@pytest.mark.parametrize("text, k", PINCH_CASES)
+def test_the_product_builds_one_section_and_no_disk(text, k):
+    _, stages, _, names = product_run(text, k)
+    assert stages == ["path-model quasi-isomorphism"]
+    assert names and not any("disk[" in name for name in names)
+
+
+@pytest.mark.parametrize("text, k", PINCH_CASES)
+def test_the_pinch_is_identify_after_the_glue_section(text, k):
+    # the route the pinch replaces: M_{S^k} ←glue G →identify
+    # M_{S^k} ⊗_{∧V} M_{S^k}, with the backward arrow replaced by its section
+    op, _, glued, _ = product_run(text, k)
+    state = op.state
+    (pinch,) = [f for f in glued if f.source is state]
+    disk = disk_model(parse_model(text).model, k)
+    double, _, _ = relative_tensor(disk, disk)
+    glue = brane_ops._gluing_map(double, state, k, brane_ops._GLUE)
+    sigma = section(glue, "double disk vs sphere identification")
+    check_section(glue, sigma)
+    identify = brane_ops._gluing_map(double, pinch.target, k, brane_ops._IDENTIFY)
+    gen = state.algebra.generator_element
+    for g in state.algebra.generators:
+        assert identify(sigma(gen(g.gid))) == pinch.images[g.gid]
 
 
 @pytest.mark.parametrize("text", ACCEPTED + [

@@ -11,7 +11,10 @@ rest.  The model dumps (``sphere-model``, ``disk-model``, ``path-model``)
 and the ``cohomology`` tables are replayed too, all of them, including the
 ``disk-model --k 3`` rows whose exit code 2 and stderr digest pin the error
 message, and so are all the ``verify`` rows: ``verify --suite signs`` is
-the CLI's one path through ``shriek.evaluation_pairing``.
+the CLI's one path through ``shriek.evaluation_pairing``.  The
+``brane-product --k 3`` rows are replayed as well: S⁴'s k = 3 table, and
+the exit code 2 and stderr digest with which S³ and S³×S³, whose
+generators have degree 3, are rejected before any model is built.
 """
 
 import hashlib
@@ -51,6 +54,8 @@ CASES = top_degree_tables()
 DUMPS = [(argv, name) for argv, name in tsv_matrix.commands()
          if argv[0] in ("sphere-model", "disk-model", "path-model", "cohomology")]
 VERIFY = [(argv, name) for argv, name in tsv_matrix.commands() if argv[0] == "verify"]
+K3_PRODUCTS = [(argv, name) for argv, name in tsv_matrix.commands()
+               if argv[0] == "brane-product" and "--k" in argv]
 
 
 def test_every_model_is_replayed_with_and_without_homology():
@@ -68,6 +73,12 @@ def test_every_verify_row_is_replayed():
     assert len(VERIFY) == (len(tsv_matrix.SUITES) * len(tsv_matrix.MODELS)
                            + len(tsv_matrix.STDIN_SUITES) * len(tsv_matrix.STDIN))
     assert all(tsv_matrix.label(argv, name) in EXPECTED for argv, name in VERIFY)
+
+
+def test_every_k3_product_row_is_replayed():
+    assert len(K3_PRODUCTS) == len(tsv_matrix.MODELS)
+    assert all(argv[argv.index("--k") + 1] == "3" for argv, _ in K3_PRODUCTS)
+    assert sorted(EXPECTED[tsv_matrix.label(*c)][0] for c in K3_PRODUCTS) == [0, 2, 2]
 
 
 def replay(argv, name, monkeypatch):
@@ -91,4 +102,10 @@ def test_model_dump_matches_the_expected_digests(argv, name, monkeypatch):
 
 @pytest.mark.parametrize("argv,name", VERIFY, ids=[tsv_matrix.label(*c) for c in VERIFY])
 def test_verify_row_matches_the_expected_digests(argv, name, monkeypatch):
+    replay(argv, name, monkeypatch)
+
+
+@pytest.mark.parametrize("argv,name", K3_PRODUCTS,
+                         ids=[tsv_matrix.label(*c) for c in K3_PRODUCTS])
+def test_k3_product_row_matches_the_expected_digests(argv, name, monkeypatch):
     replay(argv, name, monkeypatch)
