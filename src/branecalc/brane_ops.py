@@ -57,10 +57,9 @@ golden tests):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .gca_core import Element, linear_combination, translate
 from .cohomology import class_vector, cohomology_basis, projection, section
@@ -92,7 +91,6 @@ Pair = tuple[Label, Label]
 # Künneth bookkeeping on the tensor square
 
 
-@dataclass
 class Kunneth:
     """Pairs of H(A)-classes as classes of (square, left, right) =
     tensor_model(A, A), with no cohomology of the square: coordinates reads
@@ -103,20 +101,20 @@ class Kunneth:
     degree 0, so π⊗π adds no Koszul sign either.
     """
 
-    state: DgaModel
-    square: DgaModel
-    left: DgaMorphism
-    right: DgaMorphism
-    # square gid -> (half, state gid): 0 for the left copy, 1 for the right
-    side: dict[int, tuple[int, int]] = field(init=False, repr=False)
-    # state monomial -> (degree, π of it), filled by _projection
-    _pi: dict[tuple, tuple[int, dict[int, Fraction]]] = field(
-        init=False, repr=False, default_factory=dict)
+    # side: square gid -> (half, state gid), 0 for the left copy, 1 for the
+    # right; _pi: state monomial -> (degree, π of it), filled by _projection
+    __slots__ = ("state", "square", "left", "right", "side", "_pi")
 
-    def __post_init__(self) -> None:
+    def __init__(self, state: DgaModel, square: DgaModel,
+                 left: DgaMorphism, right: DgaMorphism) -> None:
+        self.state = state
+        self.square = square
+        self.left = left
+        self.right = right
         self.side = {_gid(img): (half, g)
-                     for half, f in enumerate((self.left, self.right))
+                     for half, f in enumerate((left, right))
                      for g, img in f.images.items()}
+        self._pi = {}
 
     def element(self, pair: Pair) -> Element:
         """The square cocycle a⊗b of the representatives of the pair.  The
@@ -188,11 +186,11 @@ def _gluing_map(src: DgaModel, dst: DgaModel, top: int, tops: dict) -> DgaMorphi
     for g in src.algebra.generators:
         p = g.prov
         if p.kind == "base":
-            images[g.gid] = gen(replace(p, factor=None))
+            images[g.gid] = gen(p._replace(factor=None))
             continue
         targets = tops.get(p.factor, ()) if p.shift == top else ()
         images[g.gid] = linear_combination(dst.algebra, (
-            (sign, gen(replace(p, factor=factor))) for factor, sign in targets))
+            (sign, gen(p._replace(factor=factor))) for factor, sign in targets))
     f = DgaMorphism(src, dst, images)
     f.check_chain()
     return f
@@ -231,8 +229,7 @@ def _shriek_tensor_id(F: ModuleMap, N: DgaModel) -> ModuleMap:
 # operations
 
 
-@dataclass
-class BraneOperation:
+class BraneOperation(NamedTuple):
     kind: str  # "product-dual" | "coproduct-dual"
     info: GorensteinInfo
     shift: int
@@ -257,8 +254,8 @@ def brane_product_dual(
     if k < 2:
         raise ModelError("the product pipeline needs k ≥ 2")
     if any(g.degree <= k for g in V.algebra.generators):
-        # sphere_model checks this too; the product names its k-disks' bound
-        raise ModelError(f"disk model needs all generator degrees ≥ k+1={k + 1}")
+        # sphere_model checks this too; the product's message names k
+        raise ModelError(f"the product at k={k} needs every generator degree ≥ {k + 1}")
     info = info or gorenstein_info(V, k)
     state = sphere_model(V, k + 1)
     spheres, _, _ = relative_tensor(state, state)
@@ -349,8 +346,7 @@ def brane_coproduct_dual(
 # dualization to shifted homology
 
 
-@dataclass
-class HomologyOperation:
+class HomologyOperation(NamedTuple):
     kind: str  # "homology-product" | "homology-coproduct"
     info: GorensteinInfo
     # product: table[(a, b)][c] = coefficient of σc∨ in σa∨ · σb∨
@@ -391,8 +387,7 @@ def dualize_to_homology(op: BraneOperation) -> HomologyOperation:
 # diagram checkers
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     name: str
     ok: bool
     checked: int

@@ -20,8 +20,8 @@ import argparse
 import functools
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .gca_core import Element, GradedAlgebra
 from .cohomology import cohomology_basis
@@ -43,11 +43,10 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass
-class ModelFile:
+class ModelFile(NamedTuple):
     name: str | None
     info: dict  # key -> int
-    model: DgaModel = field(repr=False)
+    model: DgaModel
 
 
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_][A-Za-z0-9_@']*|[-+*^=()])")

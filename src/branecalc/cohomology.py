@@ -41,9 +41,8 @@ the reference for every section the pipelines build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import _linalg as la
 from .gca_core import Element, Monomial
@@ -141,8 +140,7 @@ def section(f: DgaMorphism, stage: str) -> DgaMorphism:
     return sigma
 
 
-@dataclass
-class CohomologyBasis:
+class CohomologyBasis(NamedTuple):
     representatives: list[Element]
     # π as {monomial: {class index: coefficient}}, nonzero entries only: a
     # free column of d_n goes to its kernel vector's class, a pivot column

@@ -36,10 +36,9 @@ int term dicts and sums into one accumulator per call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from types import MappingProxyType
-from typing import ClassVar, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .gca_core import (
     Element,
@@ -57,35 +56,39 @@ from .gca_core import (
 # derivations and morphisms
 
 
-@dataclass(frozen=True)
+def _fixed(self, name: str, *value) -> None:
+    """__setattr__ and __delattr__ of a class whose instances are fixed
+    when built; the attribute reads stay plain slot reads."""
+    raise AttributeError(f"{type(self).__name__}.{name} is fixed when built")
+
+
 class Derivation:
     """A degree-r map defined on generators, extended by the Leibniz rule.
 
     A Derivation is fixed when it is built: images is a read-only copy of
-    the dict it was given.  ``leibniz`` works on the images' numerators over
-    one common denominator den, the lcm of the images' denominators, and
+    the dict it was given, and assigning or deleting an attribute raises
+    AttributeError.  ``leibniz`` works on the images' numerators over one
+    common denominator den, the lcm of the images' denominators, and
     returns den·d(mono) as int terms: the rows ``cohomology._d_rows`` feeds
     to elimination.
     """
 
-    algebra: GradedAlgebra
-    degree: int
-    images: Mapping[int, Element]
-    #: the common denominator of the images
-    den: int = field(init=False, compare=False)
-    # gid -> den·images[gid] as {monomial: int}, nonzero images only
-    _ints: dict[int, dict[Monomial, int]] = field(
-        init=False, repr=False, compare=False
-    )
+    # _ints: gid -> den·images[gid] as {monomial: int}, nonzero images only
+    __slots__ = ("algebra", "degree", "images", "den", "_ints")
+    __setattr__ = __delattr__ = _fixed
 
-    def __post_init__(self) -> None:
-        images = MappingProxyType(dict(self.images))
+    def __init__(self, algebra: GradedAlgebra, degree: int,
+                 images: Mapping[int, Element]) -> None:
+        images = MappingProxyType(dict(images))
         den = math.lcm(*(img.den for img in images.values()))
         ints = {gid: {m: c * (den // img.den) for m, c in img.terms.items()}
                 for gid, img in images.items() if img.terms}
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_ints", ints)
+        init = object.__setattr__
+        init(self, "algebra", algebra)
+        init(self, "degree", degree)
+        init(self, "images", images)
+        init(self, "den", den)
+        init(self, "_ints", ints)
 
     def leibniz(self, mono: Monomial) -> dict[Monomial, int]:
         """den·d(mono), as {monomial: nonzero int}."""
@@ -175,21 +178,24 @@ def _apply_algebra_map(
     return Element(target, acc, top * e.den)
 
 
-@dataclass(frozen=True)
 class DgaMorphism:
     """A degree-0 multiplicative map between models, given on generators.
 
     A DgaMorphism is fixed when it is built, as a Derivation is: images is
-    a read-only copy of the dict it was given.
+    a read-only copy of the dict it was given, and assigning or deleting an
+    attribute raises AttributeError.
     """
 
-    source: "DgaModel"
-    target: "DgaModel"
-    images: Mapping[int, Element]
-    degree: ClassVar[int] = 0
+    __slots__ = ("source", "target", "images")
+    __setattr__ = __delattr__ = _fixed
+    degree = 0
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "images", MappingProxyType(dict(self.images)))
+    def __init__(self, source: DgaModel, target: DgaModel,
+                 images: Mapping[int, Element]) -> None:
+        init = object.__setattr__
+        init(self, "source", source)
+        init(self, "target", target)
+        init(self, "images", MappingProxyType(dict(images)))
 
     def __call__(self, e: Element) -> Element:
         return _apply_algebra_map(e, self.images, self.target.algebra)
@@ -229,18 +235,22 @@ def compose(g: DgaMorphism, f: DgaMorphism) -> DgaMorphism:
 # models
 
 
-@dataclass
 class DgaModel:
     """A free GCA with a square-zero degree +1 differential.
 
     base_gids marks the distinguished base subalgebra for semifree shapes
-    (e.g. the sphere model inside a disk model).
+    (e.g. the sphere model inside a disk model); cohomology_cache holds what
+    ``cohomology`` computes on the model.
     """
 
-    algebra: GradedAlgebra
-    d: Derivation
-    base_gids: tuple[int, ...] = ()
-    cohomology_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("algebra", "d", "base_gids", "cohomology_cache")
+
+    def __init__(self, algebra: GradedAlgebra, d: Derivation,
+                 base_gids: tuple[int, ...] = ()) -> None:
+        self.algebra = algebra
+        self.d = d
+        self.base_gids = base_gids
+        self.cohomology_cache = {}
 
     @property
     def fiber_gids(self) -> tuple[int, ...]:
@@ -554,7 +564,7 @@ def _factor_swap(alg: GradedAlgebra, g: Generator) -> Element:
     other = {"L": "R", "R": "L"}.get(g.prov.factor)
     if other is None:
         raise ModelError(f"generator {g.name!r} has no tensor-factor tag")
-    return alg.generator_element(replace(g.prov, factor=other))
+    return alg.generator_element(g.prov._replace(factor=other))
 
 
 def square_transposition(square: DgaModel) -> DgaMorphism:

@@ -16,10 +16,9 @@ when an algebra is extended with new generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Monomial = tuple  # tuple[tuple[int, int], ...], sorted by generator id
@@ -32,14 +31,15 @@ class ModelError(Exception):
     """A model-level failure (bad shape, d² ≠ 0, unstable ideal, ...)."""
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     """How a generator arose; within an algebra it identifies the generator.
 
     kind is "base" for generators of the underlying algebra V and "susp"
     for suspended copies; shift is the suspension amount (s^shift); origin
     is the name of the generator of V being suspended or copied; factor
     tags the tensor factor ("L"/"R") of a copy whose label would clash.
+    An immutable record, equal and hashed by value: the algebra keys its
+    generators by it.
     """
 
     kind: str = "base"
@@ -56,12 +56,14 @@ class Provenance:
     def tagged(self, factor: str) -> "Provenance":
         """The copy in tensor factor factor; an earlier tag joins the origin."""
         if self.factor is None:
-            return replace(self, factor=factor)
-        return replace(self, origin=f"{self.origin}@{self.factor}", factor=factor)
+            return self._replace(factor=factor)
+        return self._replace(origin=f"{self.origin}@{self.factor}", factor=factor)
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
+    """A generator of a GradedAlgebra: its id (creation order), label,
+    degree and provenance, as an immutable record."""
+
     gid: int
     name: str
     degree: int

@@ -24,11 +24,10 @@ Two shrieks are constructed:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Container, Mapping, Sequence
+from typing import Container, Mapping, NamedTuple, Sequence
 
 from . import _linalg as la
 from .gca_core import (
@@ -55,8 +54,7 @@ from .dga_models import (
 # Gorenstein bookkeeping
 
 
-@dataclass(frozen=True)
-class GorensteinInfo:
+class GorensteinInfo(NamedTuple):
     """Formal dimensions: p/q even/odd generator counts, m, and m̄."""
 
     p: int
@@ -99,7 +97,6 @@ def gorenstein_info(
 # module maps
 
 
-@dataclass
 class ModuleMap:
     """A base-linear map from a semifree model into a module (a model whose
     algebra receives the base through base_images).  The base is the set of
@@ -113,14 +110,14 @@ class ModuleMap:
     nonzero values only, so a composite with no images is the zero map.
     """
 
-    source: DgaModel
-    target: DgaModel
-    degree: int
-    base_images: Mapping[int, Element]  # source base gid -> target element
-    images: dict[Monomial, Element] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.base_images = MappingProxyType(dict(self.base_images))
+    def __init__(self, source: DgaModel, target: DgaModel, degree: int,
+                 base_images: Mapping[int, Element],  # source base gid -> target element
+                 images: dict[Monomial, Element] | None = None) -> None:
+        self.source = source
+        self.target = target
+        self.degree = degree
+        self.base_images = MappingProxyType(dict(base_images))
+        self.images = {} if images is None else images
 
     def by_fiber(
         self, e: Element, fibers: Container[Monomial] | None = None

@@ -11,7 +11,6 @@ Coassociativity on y gives the same sign.  An earlier reference entry,
 −yz⊗yz, breaks both laws; the criterion keeps it as a negative control.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -230,10 +229,10 @@ def test_criterion_7_structure_checkers_and_negative_controls(
 
     bad_prod_table = {c: dict(row) for c, row in s3_product.table.items()}
     bad_prod_table[LW][(LW, LX)] = -bad_prod_table[LW][(LW, LX)]
-    bad_prod = replace(s3_product, table=bad_prod_table)
+    bad_prod = s3_product._replace(table=bad_prod_table)
     bad_cop_table = {k: dict(row) for k, row in s3_coproduct.table.items()}
     bad_cop_table[(LW, L1)][L1] = -bad_cop_table[(LW, L1)][L1]
-    bad_cop = replace(s3_coproduct, table=bad_cop_table)
+    bad_cop = s3_coproduct._replace(table=bad_cop_table)
     for rep in (
         check_associativity(bad_prod, 8),
         check_commutativity(bad_prod),

@@ -365,6 +365,17 @@ def test_brane_coproduct_rejects_other_codimensions(s3_file, capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("model", ["s3", "s3xs3"])
+def test_brane_product_names_k_in_its_degree_bound(model, capsys, monkeypatch):
+    # the product builds no disk model, so its message names the product
+    monkeypatch.chdir(ROOT)
+    code, out, err = run(
+        ["brane-product", f"models/{model}.model", "--k", "3", "--format", "tsv"],
+        capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: the product at k=3 needs every generator degree ≥ 4\n"
+
+
 def test_verify_suites_pass(s3_file, s4_file, capsys):
     for argv in (
         ["verify", s3_file, "--suite", "golden"],
