@@ -1,4 +1,4 @@
-"""The runtime defines its records without generating code at import.
+"""The runtime defines its records without dataclasses.
 
 Each CLI command is its own process, so importing branecalc is part of
 every command's time.  A ``@dataclass`` exec-compiles its methods when its
