@@ -18,7 +18,8 @@ G = D ⊗_{M_{S^1}} D for the glued double disk and P for the path model of
 
 The coproduct's middle model, ∧V ⊗_{M_{S^1}} G, is the quotient of G by
 s¹V, generator for generator the product's M_{S^k} ⊗_{∧V} M_{S^k}: both
-pipelines glue through one model, relative_tensor(state, state).
+pipelines glue through one model, relative_tensor(state, state), which
+the coproduct builds only when it evaluates a pair.
 
 The backward arrow f is a surjective quasi-isomorphism onto a Sullivan
 algebra, so it has a section σ, a chain map with f∘σ = id
@@ -35,9 +36,14 @@ to the product of two per-class images; glue is an algebra map too, so
 glue∘(γ!⊗id) is one module map F (shriek.compose_module), built once.
 Each class image is split into its fiber parts once (ModuleMap.graded_parts),
 and F of the product is read off the pairs of parts whose product is a
-fiber monomial where F has a value (ModuleMap.on_product).  When ∧V has an
-even generator, glue kills γ!'s value Π s1_x, F has no value and δ∨ is 0
-without evaluation.  No model in between gets a cohomology basis.
+fiber monomial where F has a value (ModuleMap.on_product).  F, the fold,
+is always built; it fixes the shift r.  A pair of total degree n is
+evaluated only when F has a value and H^(n+r) of the state is nonzero, and
+the pair maps (the middle model, the collapse section, left and right) are
+built for the first pair evaluated.  When ∧V has an even generator, glue
+kills γ!'s value Π s1_x, F has no value, δ∨ is 0 without evaluation and
+the pair maps are never built.  No model in between gets a cohomology
+basis.
 
 Every morphism is fixed by generator provenance alone (see _gluing_map).
 
@@ -275,26 +281,33 @@ def brane_product_dual(
     )
 
 
-def _coproduct_maps(
-    V: DgaModel, k: int
-) -> tuple[DgaModel, DgaMorphism, DgaMorphism, ModuleMap]:
-    """(state, to_left, to_right, folded): δ∨(a⊗b) is the class of
-    folded(to_left(a)·to_right(b)), with folded = glue∘(γ!⊗id) and
-    to_left, to_right the collapse section after identify∘(left and right
-    inclusion of M_{S^k}⊗²).  Each of those is one gluing map out of the
-    state, the second hemisphere reversed, so the square is never built."""
+def _coproduct_fold(V: DgaModel, k: int) -> tuple[DgaModel, ModuleMap]:
+    """(state, folded): the state model and the fold glue∘(γ!⊗id), one
+    module map D ⊗_{M_{S^1}} G → M_{S^k}.  Its degree is the shift r of δ∨,
+    and it has a value only when ∧V has no even generator."""
     gamma = shriek_gamma_pure(V)
     state = sphere_model(V, k + 1)
     double, _, _ = relative_tensor(gamma.source, gamma.source)
-    spheres, _, _ = relative_tensor(state, state)
     shriek = _shriek_tensor_id(gamma, double)
-    collapse = section(_gluing_map(shriek.source, spheres, k, _COLLAPSE),
+    glue = _gluing_map(double, state, k, _GLUE)
+    return state, compose_module(glue, shriek)
+
+
+def _coproduct_pair_maps(
+    state: DgaModel, folded: ModuleMap, k: int
+) -> tuple[DgaMorphism, DgaMorphism]:
+    """(to_left, to_right): state → folded.source, so that δ∨(a⊗b) is the
+    class of folded(to_left(a)·to_right(b)).  They are the collapse section
+    after identify∘(left and right inclusion of M_{S^k}⊗²), each identify
+    one gluing map out of the state, the second hemisphere reversed, so the
+    square is never built."""
+    spheres, _, _ = relative_tensor(state, state)
+    collapse = section(_gluing_map(folded.source, spheres, k, _COLLAPSE),
                        "disk-factor quasi-isomorphism")
     to_left, to_right = (
         compose(collapse, _gluing_map(state, spheres, k, {None: _IDENTIFY[h]}))
         for h in "LR")
-    glue = _gluing_map(double, state, k, _GLUE)
-    return state, to_left, to_right, compose_module(glue, shriek)
+    return to_left, to_right
 
 
 def _class_parts(f: DgaMorphism, F: ModuleMap) -> Callable[[Label], list]:
@@ -320,12 +333,12 @@ def brane_coproduct_dual(
             "(closed-form constant-maps shriek)"
         )
     info = info or gorenstein_info(V, k)
-    state, to_left, to_right, folded = _coproduct_maps(V, k)
+    state, folded = _coproduct_fold(V, k)
     r = folded.degree
-    # each class image is split into fiber parts once, and a pair is read
-    # off the parts whose products are keys of folded.images
-    left = _class_parts(to_left, folded)
-    right = _class_parts(to_right, folded)
+    # the pair maps are built for the first pair evaluated; each class image
+    # is split into fiber parts once, and a pair is read off the parts whose
+    # products are keys of folded.images
+    left = right = None
     table: dict[Pair, dict[Label, Fraction]] = {}
     for n in range(max_degree + 1):
         # with no value, or nothing in the target degree, δ∨ vanishes
@@ -334,6 +347,9 @@ def brane_coproduct_dual(
             table.update((lab, {}) for lab in class_pairs(state, n))
             continue
         for a, b in class_pairs(state, n):
+            if left is None:
+                left, right = (_class_parts(f, folded)
+                               for f in _coproduct_pair_maps(state, folded, k))
             z = folded.on_product(left(a), right(b), b[0])
             out = class_vector(state, n + r, z) if z.terms else []
             table[(a, b)] = {(n + r, i): c for i, c in enumerate(out) if c}

@@ -360,7 +360,7 @@ def test_folded_glue_after_shriek_is_glue_applied_after_it(text, degree):
         ("s3xs4", S3XS4, 0), ("hp2", HP2, 0), ("ab", AB, 0))])
 def test_the_fold_has_a_value_exactly_without_even_generators(text, values):
     V = parse_model(text).model
-    folded = brane_ops._coproduct_maps(V, 2)[3]
+    folded = brane_ops._coproduct_fold(V, 2)[1]
     assert len(folded.images) == values
     assert all(v.terms for v in folded.images.values())
     assert (values == 0) == any(not g.is_odd for g in V.algebra.generators)

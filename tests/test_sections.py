@@ -73,7 +73,9 @@ def backward_maps(text):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(brane_ops, "section", recording)
         brane_product_dual(V, 2, max_degree=2)
-        brane_coproduct_dual(V, 2, max_degree=2)
+        # the coproduct builds its pair maps only when it evaluates a pair,
+        # which it never does when ∧V has an even generator
+        brane_ops._coproduct_pair_maps(*brane_ops._coproduct_fold(V, 2), 2)
     return seen
 
 
@@ -169,6 +171,61 @@ def test_the_collapsed_double_disk_is_the_glued_sphere_square(text):
     maps = backward_maps(text)
     for stage in ("path-model quasi-isomorphism", "disk-factor quasi-isomorphism"):
         assert maps[stage][0].target.signature() == want
+
+
+def eager_coproduct_table(V, degree):
+    """The coproduct table with the pair maps built up front and every pair
+    evaluated, by applying the fold to the pair's product."""
+    state, folded = brane_ops._coproduct_fold(V, 2)
+    to_left, to_right = brane_ops._coproduct_pair_maps(state, folded, 2)
+    r = folded.degree
+    table = {}
+    for n in range(degree + 1):
+        for a, b in brane_ops.class_pairs(state, n):
+            ra, rb = (cohomology_basis(state, d).representatives[i] for d, i in (a, b))
+            z = folded(to_left(ra) * to_right(rb))
+            out = class_vector(state, n + r, z) if z.terms else []
+            table[(a, b)] = {(n + r, i): c for i, c in enumerate(out) if c}
+    return table
+
+
+# The coproduct builds its pair maps, the collapse gluing map, its section
+# and the two identify maps, for the first pair it evaluates.  It evaluates
+# none when ∧V has an even generator, as then the fold has no value, nor on
+# S³ at degree 0, where no pair lands in a nonzero degree.
+@pytest.mark.parametrize("text, degree, evaluates", [
+    pytest.param(text, degree, evaluates, id=name)
+    for name, text, degree, evaluates in (
+        ("s4", S4, 14, False), ("s3xs4", S3XS4, 14, False),
+        ("hp2", HP2, 14, False), ("ab", AB, 14, False),
+        ("s3-d0", "gen x 3\n", 0, False), ("s3", "gen x 3\n", 8, True),
+        ("s3^3", "gen a 3\ngen b 3\ngen c 3\n", 8, True))])
+def test_the_coproduct_builds_its_pair_maps_only_to_evaluate_a_pair(
+        text, degree, evaluates, monkeypatch):
+    V = parse_model(text).model
+    stages, tops = [], []
+    real_gluing = brane_ops._gluing_map
+
+    def recording_section(f, stage):
+        stages.append(stage)
+        return section(f, stage)
+
+    def recording_gluing(src, dst, top, t):
+        tops.append(t)
+        return real_gluing(src, dst, top, t)
+
+    monkeypatch.setattr(brane_ops, "section", recording_section)
+    monkeypatch.setattr(brane_ops, "_gluing_map", recording_gluing)
+    op = brane_coproduct_dual(V, 2, max_degree=degree)
+    monkeypatch.undo()
+    assert stages == ["disk-factor quasi-isomorphism"] * evaluates
+    # the fold's glue map; then, if a pair is evaluated, the collapse and
+    # the two identify maps
+    assert tops[0] is brane_ops._GLUE
+    assert len(tops) == 1 + 3 * evaluates
+    assert (brane_ops._COLLAPSE in tops) == evaluates
+    assert op.table == eager_coproduct_table(V, degree)
+    assert any(op.table.values()) == evaluates
 
 
 def test_non_minimal_models_are_rejected():
