@@ -4,8 +4,9 @@ Each pipeline turns the one backward map f of its zigzag, a surjective
 quasi-isomorphism, into a forward one: a section σ with f∘σ = id
 (``cohomology.section``), so H(σ) = H(f)⁻¹ and no model between the two
 ends needs its cohomology.  The two maps are recorded here as the
-pipelines build them and checked against the inverting evaluation they
-replace.  The product's forward arrow out of the state is the pinch
+pipelines build them, the coproduct's by the helper that builds its pair
+maps, and checked against the inverting evaluation they replace.  The
+product's forward arrow out of the state is the pinch
 M_{S^k} → M_{S^k} ⊗_{∧V} M_{S^k}; the pinch oracle checks it, generator
 for generator, against the route through the double disk
 G = D ⊗_{M_{S^(k-1)}} D that it replaces: identify∘σ_glue, with the same
