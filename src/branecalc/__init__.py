@@ -33,6 +33,7 @@ from .dga_models import (
 )
 from .cohomology import (
     CohomologyBasis,
+    betti,
     class_vector,
     cohomology_basis,
     induced_map,

@@ -36,14 +36,16 @@ to the product of two per-class images; glue is an algebra map too, so
 glue∘(γ!⊗id) is one module map F (shriek.compose_module), built once.
 Each class image is split into its fiber parts once (ModuleMap.graded_parts),
 and F of the product is read off the pairs of parts whose product is a
-fiber monomial where F has a value (ModuleMap.on_product).  F, the fold,
-is always built; it fixes the shift r.  A pair of total degree n is
-evaluated only when F has a value and H^(n+r) of the state is nonzero, and
-the pair maps (the middle model, the collapse section, left and right) are
-built for the first pair evaluated.  When ∧V has an even generator, glue
-kills γ!'s value Π s1_x, F has no value, δ∨ is 0 without evaluation and
-the pair maps are never built.  No model in between gets a cohomology
-basis.
+fiber monomial where F has a value (ModuleMap.on_product).  The shift r is
+γ!'s degree.  As (γ!⊗id)(a·b) = γ!(a)·b, F has a value exactly when glue,
+restricted to γ!'s target M_{S^1}, keeps one of γ!'s values, and F is
+built only then.  When ∧V has an even generator, glue kills γ!'s value
+Π s1_x, so δ∨ is 0 without the fold, the pair maps or any cohomology
+basis: the table's keys come from the state's Betti numbers
+(cohomology.betti).  Otherwise a pair of total degree n is evaluated only
+when H^(n+r) of the state is nonzero, and the pair maps (the middle model,
+the collapse section, left and right) are built for the first pair
+evaluated.  No model in between gets a cohomology basis.
 
 Every morphism is fixed by generator provenance alone (see _gluing_map).
 
@@ -68,7 +70,7 @@ from functools import cache
 from typing import Callable, NamedTuple
 
 from .gca_core import Element, linear_combination, translate
-from .cohomology import class_vector, cohomology_basis, projection, section
+from .cohomology import betti, class_vector, cohomology_basis, projection, section
 from .dga_models import (
     DgaModel,
     DgaMorphism,
@@ -160,7 +162,7 @@ class Kunneth:
 def class_pairs(state: DgaModel, n: int) -> list[Pair]:
     """The pairs of state classes of total degree n, in (left degree,
     indices) order."""
-    dims = [cohomology_basis(state, d).dimension for d in range(n + 1)]
+    dims = [betti(state, d) for d in range(n + 1)]
     return [((da, ia), (n - da, ib)) for da in range(n + 1)
             for ia in range(dims[da]) for ib in range(dims[n - da])]
 
@@ -281,16 +283,14 @@ def brane_product_dual(
     )
 
 
-def _coproduct_fold(V: DgaModel, k: int) -> tuple[DgaModel, ModuleMap]:
-    """(state, folded): the state model and the fold glue∘(γ!⊗id), one
-    module map D ⊗_{M_{S^1}} G → M_{S^k}.  Its degree is the shift r of δ∨,
-    and it has a value only when ∧V has no even generator."""
-    gamma = shriek_gamma_pure(V)
-    state = sphere_model(V, k + 1)
+def _coproduct_fold(gamma: ModuleMap, state: DgaModel, k: int) -> ModuleMap:
+    """The fold glue∘(γ!⊗id), one module map D ⊗_{M_{S^1}} G → M_{S^k}
+    of γ!'s degree, the shift r of δ∨.  brane_coproduct_dual builds it only
+    when glue keeps a value of γ!, that is, when ∧V has no even generator."""
     double, _, _ = relative_tensor(gamma.source, gamma.source)
     shriek = _shriek_tensor_id(gamma, double)
     glue = _gluing_map(double, state, k, _GLUE)
-    return state, compose_module(glue, shriek)
+    return compose_module(glue, shriek)
 
 
 def _coproduct_pair_maps(
@@ -333,8 +333,14 @@ def brane_coproduct_dual(
             "(closed-form constant-maps shriek)"
         )
     info = info or gorenstein_info(V, k)
-    state, folded = _coproduct_fold(V, k)
-    r = folded.degree
+    gamma = shriek_gamma_pure(V)
+    state = sphere_model(V, k + 1)
+    r = gamma.degree
+    # (γ!⊗id)(a·b) = γ!(a)·b and glue is an algebra map, so the fold has a
+    # value exactly when glue, restricted to γ!'s target M_{S^1}, keeps one
+    # of γ!'s values; the fold is built only then
+    kept = compose_module(_gluing_map(gamma.target, state, k, _GLUE), gamma).images
+    folded = _coproduct_fold(gamma, state, k) if kept else None
     # the pair maps are built for the first pair evaluated; each class image
     # is split into fiber parts once, and a pair is read off the parts whose
     # products are keys of folded.images
@@ -343,7 +349,7 @@ def brane_coproduct_dual(
     for n in range(max_degree + 1):
         # with no value, or nothing in the target degree, δ∨ vanishes
         # without evaluation
-        if not folded.images or not cohomology_basis(state, n + r).dimension:
+        if not kept or not betti(state, n + r):
             table.update((lab, {}) for lab in class_pairs(state, n))
             continue
         for a, b in class_pairs(state, n):

@@ -26,7 +26,8 @@ map of this module.  A cocycle z is Σ_f z[f]·v_f over the kernel vectors
 monomial at f to the class of v_f and each pivot-column monomial to 0: π is
 the class map on cocycles and kills coboundaries.  ``class_vector`` reads a
 cocycle's class as Σ_m z[m]·π(m), and π⊗π reads Künneth pair coordinates off
-tensor products.
+tensor products.  ``betti`` gives dim Hⁿ alone, from the ranks of the d
+rows of degrees n and n − 1, for callers that need no representative.
 
 ``section`` turns a backward arrow of a zigzag, a surjective
 quasi-isomorphism f, into a forward one: a chain map σ with f∘σ = id, so
@@ -150,6 +151,22 @@ class CohomologyBasis(NamedTuple):
     @property
     def dimension(self) -> int:
         return len(self.representatives)
+
+
+def _rank(M: DgaModel, n: int) -> int:
+    """The rank of dₙ: Cⁿ → Cⁿ⁺¹, from one Echelon over its cached rows."""
+    def make():
+        ech = la.Echelon(len(M.algebra.basis(n + 1)))
+        for row in _d_rows(M, n):
+            ech.insert(row)
+        return len(ech.rows)
+    return _cached(M, ("rank", n), make)
+
+
+def betti(M: DgaModel, n: int) -> int:
+    """dim Hⁿ = dim Cⁿ − rank dₙ − rank dₙ₋₁, with no representative or π."""
+    return _cached(M, ("betti", n), lambda: (
+        len(M.algebra.basis(n)) - _rank(M, n) - _rank(M, n - 1)))
 
 
 def cohomology_basis(M: DgaModel, n: int) -> CohomologyBasis:

@@ -5,8 +5,11 @@ import pytest
 
 from branecalc import (
     brane_coproduct_dual,
+    brane_ops,
     brane_product_dual,
     make_model,
+    shriek_gamma_pure,
+    sphere_model,
 )
 
 
@@ -36,6 +39,15 @@ MODEL_TEXTS = MODEL_FILES + [
     # d's images have common denominator 3, so the d rows are 3·d
     pytest.param(S4_RATIONAL, id="s4-rational"),
 ]
+
+
+def coproduct_fold(V):
+    """(state, fold): the state model and the coproduct's full fold
+    glue∘(γ!⊗id), built as brane_coproduct_dual builds them, k = 2.  The
+    pipeline builds the fold only when ∧V has no even generator; the tests
+    build it on every pure minimal V."""
+    state = sphere_model(V, 3)
+    return state, brane_ops._coproduct_fold(shriek_gamma_pure(V), state, 2)
 
 
 def build_s3xs3():

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branecalc import Derivation, DgaModel, GradedAlgebra, brane_ops
+from branecalc import (
+    Derivation, DgaModel, GradedAlgebra, brane_ops, cohomology_basis, sphere_model,
+)
 from branecalc.cli import (
     ModelFile, ParseError, _rows, build_parser, main, parse_model, print_model,
 )
@@ -386,6 +388,19 @@ def test_verify_suites_pass(s3_file, s4_file, capsys):
         code, out, _ = run(argv, capsys)
         assert code == 0, argv
         assert "PASS" in out and "FAIL" not in out
+
+
+def test_vanishing_counts_one_identity_per_pair_of_classes(s4_file, capsys):
+    # the coproduct reads its pairs off Betti numbers; the count here comes
+    # from the state's cohomology bases
+    top = 14
+    state = sphere_model(parse_model(S4).model, 3)
+    dims = [cohomology_basis(state, n).dimension for n in range(top + 1)]
+    pairs = sum(dims[a] * dims[n - a] for n in range(top + 1) for a in range(n + 1))
+    code, out, _ = run(["verify", s4_file, "--suite", "vanishing",
+                        "--max-degree", str(top)], capsys)
+    assert code == 0
+    assert out == f"coproduct vanishing: PASS ({pairs} identities)\n"
 
 
 @pytest.mark.parametrize("model", ["s3", "s4", "s3xs3"])

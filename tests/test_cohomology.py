@@ -7,6 +7,7 @@ from branecalc import (
     DgaMorphism,
     Derivation,
     ModelError,
+    betti,
     class_vector,
     cohomology_basis,
     disk_model,
@@ -143,6 +144,52 @@ def test_cohomology_cache_follows_new_generators():
     for i, rep in enumerate(h.representatives):
         assert class_vector(M, 3, rep) == [int(i == j) for j in range(2)]
     assert cohomology_basis(M, 6).dimension == 1
+
+
+def test_betti_cache_follows_new_generators():
+    # on S⁴'s model, C⁹ = 0 until a generator u of degree 2 adds u·y, whose
+    # d = u·x² ≠ 0: a rank of d₉ kept from before would read H⁹ ≠ 0
+    M = build_s4()
+    assert betti(M, 9) == betti(M, 8) == 0
+    M.algebra.add_generator("u", 2)
+    assert betti(M, 9) == cohomology_basis(M, 9).dimension == 0
+    assert betti(M, 8) == cohomology_basis(M, 8).dimension == 2  # u⁴, x·u²
+    assert betti(M, 2) == 1
+
+
+# the stdin models of ROADMAP.md, beside MODEL_TEXTS
+BETTI_STDIN = [pytest.param(text, id=name) for name, text in (
+    ("hp2", "gen x 4\ngen y 11\nd y = x^3\n"),
+    ("ab", "gen a 4\ngen b 6\ngen y 7\ngen z 11\nd y = a^2\nd z = b^2 + a^3\n"),
+    ("s4xs6", "gen x 4\ngen y 7\ngen u 6\ngen w 11\nd y = x^2\nd w = u^2\n"),
+    ("s3^3", "gen a 3\ngen b 3\ngen c 3\n"),
+    ("s3xs5", "gen a 3\ngen b 5\n"))]
+
+
+BUILDS = {"state": lambda V: sphere_model(V, 3), "disk": lambda V: disk_model(V, 2),
+          "path": path_model}
+
+
+# linear-d is not minimal, so it has no path model
+@pytest.mark.parametrize("text, kind", [
+    pytest.param(*p.values, kind, id=f"{p.id}-{kind}")
+    for p in MODEL_TEXTS + BETTI_STDIN for kind in BUILDS
+    if (p.id, kind) != ("linear-d", "path")])
+def test_betti_is_the_dimension_of_the_cohomology_basis(text, kind):
+    M = BUILDS[kind](parse_model(text).model)
+    assert [betti(M, n) for n in range(-3, 0)] == [0, 0, 0]
+    for n in range(21):
+        assert betti(M, n) == cohomology_basis(M, n).dimension, n
+
+
+@pytest.mark.parametrize("text", ["gen x 4\ngen y 7\nd y = x^2\n", "gen x 3\n"],
+                         ids=["s4", "s3"])
+def test_betti_is_zero_on_degrees_without_cochains(text):
+    M = sphere_model(parse_model(text).model, 3)
+    empty = [n for n in range(21) if not M.algebra.basis(n)]
+    assert empty
+    for n in empty:
+        assert betti(M, n) == cohomology_basis(M, n).dimension == 0
 
 
 def test_cohomology_applies_d_once_per_monomial(s4, monkeypatch):

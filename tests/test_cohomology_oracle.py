@@ -2,7 +2,8 @@
 
 dim Hⁿ = dim Cⁿ − rank dₙ − rank dₙ₋₁, with the ranks taken by sympy from
 matrices built straight from ``M.d`` on each basis monomial, on the models
-the product and coproduct pipelines build.
+the product and coproduct pipelines build.  Both ``cohomology_basis`` and
+``betti``, which takes the same count with its own ranks, must match it.
 """
 
 from functools import lru_cache
@@ -10,6 +11,7 @@ from functools import lru_cache
 import pytest
 
 from branecalc import (
+    betti,
     cohomology_basis,
     disk_model,
     path_model,
@@ -72,3 +74,4 @@ def test_cohomology_dimensions_match_rank_count(base, name):
         dim = dims[n]
         want = dim - ranks[n] - (ranks[n - 1] if n else 0)
         assert cohomology_basis(M, n).dimension == want, f"H^{n}"
+        assert betti(M, n) == want, f"betti {n}"

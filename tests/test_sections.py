@@ -14,6 +14,7 @@ checks on σ_glue.
 """
 
 from functools import lru_cache
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -38,7 +39,7 @@ from branecalc import (
 )
 from branecalc.cohomology import section
 
-from conftest import MODEL_TEXTS, S3XS4
+from conftest import MODEL_TEXTS, S3XS4, coproduct_fold
 
 TOP = 10
 STAGES = ["path-model quasi-isomorphism", "disk-factor quasi-isomorphism"]
@@ -51,6 +52,7 @@ S3XS4_REORDERED = "gen y 7\ngen x 4\ngen a 3\nd y = x^2\n"
 HP2 = "gen x 4\ngen y 11\nd y = x^3\n"
 AB = "gen a 4\ngen b 6\ngen y 7\ngen z 11\nd y = a^2\nd z = b^2 + a^3\n"
 S4XS6 = "gen x 4\ngen y 7\ngen u 6\ngen w 11\nd y = x^2\nd w = u^2\n"
+S3_3 = "gen a 3\ngen b 3\ngen c 3\n"
 S3_4 = "gen a 3\ngen b 3\ngen c 3\ngen e 3\n"
 # every generator of the k = 3 models has degree ≥ 4
 PINCH_CASES = [pytest.param(p.values[0], 2, id=f"{p.id}-k2") for p in ACCEPTED] + [
@@ -74,9 +76,9 @@ def backward_maps(text):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(brane_ops, "section", recording)
         brane_product_dual(V, 2, max_degree=2)
-        # the coproduct builds its pair maps only when it evaluates a pair,
-        # which it never does when ∧V has an even generator
-        brane_ops._coproduct_pair_maps(*brane_ops._coproduct_fold(V, 2), 2)
+        # the coproduct builds its fold and pair maps only when it evaluates
+        # a pair, which it never does when ∧V has an even generator
+        brane_ops._coproduct_pair_maps(*coproduct_fold(V), 2)
     return seen
 
 
@@ -175,37 +177,68 @@ def test_the_collapsed_double_disk_is_the_glued_sphere_square(text):
 
 
 def eager_coproduct_table(V, degree):
-    """The coproduct table with the pair maps built up front and every pair
-    evaluated, by applying the fold to the pair's product."""
-    state, folded = brane_ops._coproduct_fold(V, 2)
+    """The coproduct table with the full fold and the pair maps built up
+    front and every pair evaluated, by applying the fold to the pair's
+    product.  The pairs come from the state's cohomology bases."""
+    state, folded = coproduct_fold(V)
     to_left, to_right = brane_ops._coproduct_pair_maps(state, folded, 2)
     r = folded.degree
+    reps = [cohomology_basis(state, n).representatives for n in range(degree + 1)]
     table = {}
     for n in range(degree + 1):
-        for a, b in brane_ops.class_pairs(state, n):
-            ra, rb = (cohomology_basis(state, d).representatives[i] for d, i in (a, b))
-            z = folded(to_left(ra) * to_right(rb))
-            out = class_vector(state, n + r, z) if z.terms else []
-            table[(a, b)] = {(n + r, i): c for i, c in enumerate(out) if c}
+        for da in range(n + 1):
+            for (ia, ra), (ib, rb) in product(enumerate(reps[da]),
+                                              enumerate(reps[n - da])):
+                z = folded(to_left(ra) * to_right(rb))
+                out = class_vector(state, n + r, z) if z.terms else []
+                table[((da, ia), (n - da, ib))] = {
+                    (n + r, i): c for i, c in enumerate(out) if c}
     return table
 
 
-# The coproduct builds its pair maps, the collapse gluing map, its section
-# and the two identify maps, for the first pair it evaluates.  It evaluates
-# none when ∧V has an even generator, as then the fold has no value, nor on
-# S³ at degree 0, where no pair lands in a nonzero degree.
-@pytest.mark.parametrize("text, degree, evaluates", [
-    pytest.param(text, degree, evaluates, id=name)
-    for name, text, degree, evaluates in (
-        ("s4", S4, 14, False), ("s3xs4", S3XS4, 14, False),
-        ("hp2", HP2, 14, False), ("ab", AB, 14, False),
-        ("s3-d0", "gen x 3\n", 0, False), ("s3", "gen x 3\n", 8, True),
-        ("s3^3", "gen a 3\ngen b 3\ngen c 3\n", 8, True))])
-def test_the_coproduct_builds_its_pair_maps_only_to_evaluate_a_pair(
-        text, degree, evaluates, monkeypatch):
+# The coproduct decides from γ! whether the fold has a value: glue,
+# restricted to γ!'s target M_{S^1}, composed with γ!.  That composite is
+# the first module map it composes, and the full fold, when built, the
+# second.  The oracle is the full fold, built on every model.
+VANISHING_CASES = ACCEPTED + [pytest.param(text, id=name) for name, text in (
+    ("hp2", HP2), ("ab", AB), ("s4xs6", S4XS6))]
+
+
+@pytest.mark.parametrize("text", VANISHING_CASES)
+def test_the_vanishing_decision_agrees_with_the_full_fold(text, monkeypatch):
     V = parse_model(text).model
-    stages, tops = [], []
-    real_gluing = brane_ops._gluing_map
+    composed = []
+    real = brane_ops.compose_module
+    monkeypatch.setattr(brane_ops, "compose_module",
+                        lambda g, F: composed.append(real(g, F)) or composed[-1])
+    op = brane_coproduct_dual(V, 2, max_degree=14)
+    monkeypatch.undo()
+    restricted, full = composed[0], coproduct_fold(V)[1]
+    assert len(composed) == 1 + bool(full.images)
+    assert bool(restricted.images) == bool(full.images)
+    assert restricted.degree == full.degree == op.shift
+    assert op.table == eager_coproduct_table(V, 14)
+
+
+# The coproduct builds its fold (the double disk, γ!⊗id and the full glue
+# map) only when glue keeps a value of γ!, which it does exactly when ∧V has
+# no even generator.  It builds its pair maps, the collapse gluing map, its
+# section and the two identify maps, for the first pair it evaluates: none
+# when the fold is not built, nor on S³ at degree 0, where no pair lands in
+# a nonzero degree.  Only an evaluated pair needs a cohomology basis.
+@pytest.mark.parametrize("text, degree, folds, evaluates", [
+    pytest.param(text, degree, folds, evaluates, id=name)
+    for name, text, degree, folds, evaluates in (
+        ("s4", S4, 14, False, False), ("s3xs4", S3XS4, 14, False, False),
+        ("hp2", HP2, 14, False, False), ("ab", AB, 14, False, False),
+        ("s3-d0", "gen x 3\n", 0, True, False), ("s3", "gen x 3\n", 8, True, True),
+        ("s3^3", S3_3, 8, True, True))])
+def test_the_coproduct_builds_its_pair_maps_only_to_evaluate_a_pair(
+        text, degree, folds, evaluates, monkeypatch):
+    V = parse_model(text).model
+    stages, tops, tensors, shrieks, computed = [], [], [], [], []
+    real_gluing, real_tensor = brane_ops._gluing_map, brane_ops.relative_tensor
+    real_shriek, real_basis = brane_ops._shriek_tensor_id, cohomology._cohomology_basis
 
     def recording_section(f, stage):
         stages.append(stage)
@@ -215,16 +248,34 @@ def test_the_coproduct_builds_its_pair_maps_only_to_evaluate_a_pair(
         tops.append(t)
         return real_gluing(src, dst, top, t)
 
+    def recording_tensor(M, N):
+        tensors.append(M)
+        return real_tensor(M, N)
+
+    def recording_shriek(F, N):
+        shrieks.append(F)
+        return real_shriek(F, N)
+
     monkeypatch.setattr(brane_ops, "section", recording_section)
     monkeypatch.setattr(brane_ops, "_gluing_map", recording_gluing)
+    monkeypatch.setattr(brane_ops, "relative_tensor", recording_tensor)
+    monkeypatch.setattr(brane_ops, "_shriek_tensor_id", recording_shriek)
+    monkeypatch.setattr(cohomology, "_cohomology_basis",
+                        lambda M, n: computed.append(M) or real_basis(M, n))
     op = brane_coproduct_dual(V, 2, max_degree=degree)
     monkeypatch.undo()
     assert stages == ["disk-factor quasi-isomorphism"] * evaluates
-    # the fold's glue map; then, if a pair is evaluated, the collapse and
-    # the two identify maps
-    assert tops[0] is brane_ops._GLUE
-    assert len(tops) == 1 + 3 * evaluates
+    # the restricted glue map; the fold's glue map, if it is built; then,
+    # if a pair is evaluated, the collapse and the two identify maps
+    assert tops[:1 + folds] == [brane_ops._GLUE] * (1 + folds)
+    assert len(tops) == 1 + folds + 3 * evaluates
     assert (brane_ops._COLLAPSE in tops) == evaluates
+    # the fold builds γ!⊗id, the double disk G = D ⊗ D and, inside γ!⊗id,
+    # D ⊗ G; the pair maps build the sphere square
+    assert len(shrieks) == folds
+    assert [M is op.state for M in tensors] == [False] * 2 * folds + [True] * evaluates
+    assert bool(computed) == evaluates
+    assert all(M is op.state for M in computed)
     assert op.table == eager_coproduct_table(V, degree)
     assert any(op.table.values()) == evaluates
 
@@ -236,8 +287,9 @@ def test_non_minimal_models_are_rejected():
             pipeline(V, 2, max_degree=2)
 
 
-@pytest.mark.parametrize("text", [S4, S3XS4, S3XS4_REORDERED],
-                         ids=["s4", "s3xs4", "s3xs4-reordered"])
+# the coproduct on a model with an even generator computes no basis at all
+@pytest.mark.parametrize("text", [S4, S3XS4, S3XS4_REORDERED, "gen x 3\n", S3_3],
+                         ids=["s4", "s3xs4", "s3xs4-reordered", "s3", "s3^3"])
 def test_only_the_state_model_gets_a_cohomology_basis(text, monkeypatch):
     V = parse_model(text).model
     seen = []
@@ -251,5 +303,8 @@ def test_only_the_state_model_gets_a_cohomology_basis(text, monkeypatch):
     for pipeline in (brane_product_dual, brane_coproduct_dual):
         seen.clear()
         op = pipeline(V, 2, max_degree=10)
-        assert seen and all(M is op.state for M in seen)
+        evaluates = (pipeline is brane_product_dual
+                     or all(g.is_odd for g in V.algebra.generators))
+        assert bool(seen) == evaluates
+        assert all(M is op.state for M in seen)
 

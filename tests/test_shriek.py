@@ -6,7 +6,6 @@ from branecalc import (
     DgaMorphism,
     ModelError,
     ModuleMap,
-    brane_coproduct_dual,
     brane_ops,
     brane_product_dual,
     cocycle_defects,
@@ -27,7 +26,7 @@ from branecalc import (
     transposition_sign_loop,
 )
 
-from conftest import MODEL_TEXTS
+from conftest import MODEL_TEXTS, coproduct_fold
 
 AB = "gen a 4\ngen b 6\ngen y 7\ngen z 11\nd y = a^2\nd z = b^2 + a^3\n"
 DELTA_MODELS = [p for p in MODEL_TEXTS if p.id != "linear-d"] + [
@@ -233,7 +232,7 @@ FILTER_BUDGET = 60_000
 
 def semifree_models(text: str) -> dict:
     """V's path and disk models and the sources of δ!⊗id and γ!⊗id as the
-    k = 2 pipelines build them."""
+    k = 2 product and the coproduct's full fold build them."""
     V = parse_model(text).model
     seen = []
     real = brane_ops._shriek_tensor_id
@@ -245,7 +244,7 @@ def semifree_models(text: str) -> dict:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(brane_ops, "_shriek_tensor_id", recording)
         brane_product_dual(V, 2, max_degree=0)
-        brane_coproduct_dual(V, 2, max_degree=0)
+        coproduct_fold(V)
     delta_id, gamma_id = seen
     return {"path": path_model(V), "disk": disk_model(V, 2),
             "δ!⊗id": delta_id.source, "γ!⊗id": gamma_id.source}

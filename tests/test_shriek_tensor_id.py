@@ -1,8 +1,8 @@
 """F ⊗ id, the shriek tensored with the identity on a relative tensor product.
 
-The product passes through δ! ⊗ id and the coproduct through γ! ⊗ id, each
-built by ``brane_ops._shriek_tensor_id`` from the shriek F and the model N
-it is tensored with.  F ⊗ id is linear over everything that comes from N,
+The product passes through δ! ⊗ id and the coproduct's full fold through
+γ! ⊗ id, each built by ``brane_ops._shriek_tensor_id`` from the shriek F
+and the model N it is tensored with.  F ⊗ id is linear over everything that comes from N,
 so it keeps F's own values only.  The reference here is the rule those
 values must reproduce on every fiber monomial a·b of F.source ⊗_B N:
 (F ⊗ id)(a·b) = F(a)·b, with F.target carried into N by provenance.
@@ -12,23 +12,25 @@ from functools import lru_cache
 
 import pytest
 
-from branecalc import brane_coproduct_dual, brane_ops, brane_product_dual, parse_model
+from branecalc import brane_ops, brane_product_dual, parse_model
 from branecalc.dga_models import relative_tensor
 from branecalc.gca_core import translate
 from branecalc.shriek import fiber_basis
 
-from conftest import MODEL_TEXTS
+from conftest import MODEL_TEXTS, coproduct_fold
 
 TOP = 10
 # linear-d is not minimal, so neither pipeline accepts it
 ACCEPTED = [p for p in MODEL_TEXTS if p.id != "linear-d"]
-# δ!⊗id on the product, γ!⊗id on the coproduct
-PIPELINES = {"delta": brane_product_dual, "gamma": brane_coproduct_dual}
+# δ!⊗id as the product builds it; γ!⊗id as the coproduct's full fold builds
+# it, which the coproduct itself builds only when ∧V has no even generator
+PIPELINES = {"delta": lambda V: brane_product_dual(V, 2, max_degree=TOP),
+             "gamma": coproduct_fold}
 
 
 @lru_cache(maxsize=None)
 def recorded(text, stage):
-    """(F, N, F ⊗ id) as the pipeline of stage builds it, k = 2."""
+    """(F, N, F ⊗ id) as the pipeline or fold of stage builds it, k = 2."""
     V = parse_model(text).model
     seen = []
     real = brane_ops._shriek_tensor_id
@@ -39,7 +41,7 @@ def recorded(text, stage):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(brane_ops, "_shriek_tensor_id", recording)
-        PIPELINES[stage](V, 2, max_degree=TOP)
+        PIPELINES[stage](V)
     (record,) = seen
     return record
 
