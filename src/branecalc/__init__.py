@@ -24,7 +24,6 @@ from .dga_models import (
     disk_model,
     is_minimal,
     make_model,
-    morphism_phi,
     path_model,
     quotient,
     relative_tensor,
@@ -36,16 +35,12 @@ from .cohomology import (
     betti,
     class_vector,
     cohomology_basis,
-    induced_map,
-    invert_on_cohomology,
-    is_quasi_iso,
 )
 from .shriek import (
     GorensteinInfo,
     ModuleMap,
     cocycle_defects,
     delta_evaluation,
-    gamma_evaluation,
     gorenstein_info,
     hom_differential,
     is_pure,
@@ -64,7 +59,6 @@ from .brane_ops import (
     check_associativity,
     check_commutativity,
     check_frobenius,
-    coproduct_double_composite,
     dualize_to_homology,
 )
 

@@ -25,11 +25,10 @@ each row by its content keeps the entries from growing.
 
 Only columns below ``ncols`` may become pivots.  Columns from ``ncols`` on
 ride along as a tail: an augmented row [a | b] records b for every
-combination of rows, which is how ``cohomology_basis`` records coordinates
-and ``invert_on_cohomology`` reads an inverse off [A | I].  ``solve``
-instead lets its right-hand-side column, ``ncols``, be a pivot column too:
-its sparse equations go into ``Echelon(ncols + 1)``, a pivot there means
-0 = 1, and otherwise each pivot row reads off one variable.
+combination of rows, which is how ``cohomology_basis`` records coordinates.
+``solve`` instead lets its right-hand-side column, ``ncols``, be a pivot
+column too: its sparse equations go into ``Echelon(ncols + 1)``, a pivot
+there means 0 = 1, and otherwise each pivot row reads off one variable.
 
 The RREF of a row space is unique, so ``Echelon`` and ``solve`` return
 exactly what a dense column-by-column reduction would, whatever order the
@@ -126,11 +125,6 @@ class Echelon:
                 _clear(other, p, new)
                 rows[q] = _primitive(other, q)
         rows[p] = new
-
-    def fraction_rows(self) -> dict[int, Row]:
-        """The rows scaled to 1 at their pivots: the space's RREF rows."""
-        return {p: {j: Fraction(x, row[p]) for j, x in row.items()}
-                for p, row in self.rows.items()}
 
     def kernel(self) -> dict[int, Row]:
         """Basis of the vectors over columns below ncols that every row

@@ -65,9 +65,10 @@ golden tests):
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .gca_core import Element, linear_combination, translate
 from .cohomology import betti, class_vector, cohomology_basis, projection, section
@@ -100,38 +101,29 @@ Pair = tuple[Label, Label]
 
 
 class Kunneth:
-    """Pairs of H(A)-classes as classes of (square, left, right) =
-    tensor_model(A, A), with no cohomology of the square: coordinates reads
-    them as π⊗π, π the monomial-to-class map CohomologyBasis.projection of A
-    that class_vector reads too.  tensor_model adds all left generators
-    before the right ones, each copy in A's order, so a square monomial is its
-    left part times its right part, both canonical, with no sign; π has
-    degree 0, so π⊗π adds no Koszul sign either.
+    """Pairs of H(A)-classes as classes of square, for (square, left, right)
+    = tensor_model(A, A), with no cohomology of the square: coordinates
+    reads them as π⊗π, π the monomial-to-class map CohomologyBasis.projection
+    of A that class_vector reads too.  left and right fix only the copy of A
+    each square generator comes from (side), so they are not kept.
+    tensor_model adds all left generators before the right ones, each copy
+    in A's order, so a square monomial is its left part times its right
+    part, both canonical, with no sign; π has degree 0, so π⊗π adds no
+    Koszul sign either.
     """
 
     # side: square gid -> (half, state gid), 0 for the left copy, 1 for the
     # right; _pi: state monomial -> (degree, π of it), filled by _projection
-    __slots__ = ("state", "square", "left", "right", "side", "_pi")
+    __slots__ = ("state", "square", "side", "_pi")
 
     def __init__(self, state: DgaModel, square: DgaModel,
                  left: DgaMorphism, right: DgaMorphism) -> None:
         self.state = state
         self.square = square
-        self.left = left
-        self.right = right
         self.side = {_gid(img): (half, g)
                      for half, f in enumerate((left, right))
                      for g, img in f.images.items()}
         self._pi = {}
-
-    def element(self, pair: Pair) -> Element:
-        """The square cocycle a⊗b of the representatives of the pair.  The
-        coproduct never forms it; this is the per-pair reference the tests
-        check it against."""
-        (da, ia), (db, ib) = pair
-        ra = cohomology_basis(self.state, da).representatives[ia]
-        rb = cohomology_basis(self.state, db).representatives[ib]
-        return self.left(ra) * self.right(rb)
 
     def _projection(self, half: tuple) -> tuple[int, dict[int, Fraction]]:
         """projection(state, half), computed once per half on this object."""
@@ -159,10 +151,9 @@ class Kunneth:
         return out
 
 
-def class_pairs(state: DgaModel, n: int) -> list[Pair]:
+def class_pairs(dims: list[int], n: int) -> list[Pair]:
     """The pairs of state classes of total degree n, in (left degree,
-    indices) order."""
-    dims = [betti(state, d) for d in range(n + 1)]
+    indices) order, with dims[d] = dim H^d of the state for d ≤ n."""
     return [((da, ia), (n - da, ib)) for da in range(n + 1)
             for ia in range(dims[da]) for ib in range(dims[n - da])]
 
@@ -237,15 +228,14 @@ def _shriek_tensor_id(F: ModuleMap, N: DgaModel) -> ModuleMap:
 # operations
 
 
-class BraneOperation(NamedTuple):
-    kind: str  # "product-dual" | "coproduct-dual"
-    info: GorensteinInfo
-    shift: int
-    max_degree: int
-    state: DgaModel
+class BraneOperation(namedtuple("BraneOperation", (
+    "kind",  # "product-dual" | "coproduct-dual"
+    "info", "shift", "max_degree", "state",
     # product-dual:  table[c][(a, b)] = coefficient of a⊗b in μ∨(c)
     # coproduct-dual: table[(a, b)][c] = coefficient of c in δ∨(a⊗b)
-    table: dict
+    "table",
+))):
+    __slots__ = ()
 
     def rep_string(self, label: Label) -> str:
         n, i = label
@@ -345,14 +335,15 @@ def brane_coproduct_dual(
     # is split into fiber parts once, and a pair is read off the parts whose
     # products are keys of folded.images
     left = right = None
+    dims = [betti(state, d) for d in range(max_degree + 1)]
     table: dict[Pair, dict[Label, Fraction]] = {}
     for n in range(max_degree + 1):
         # with no value, or nothing in the target degree, δ∨ vanishes
         # without evaluation
         if not kept or not betti(state, n + r):
-            table.update((lab, {}) for lab in class_pairs(state, n))
+            table.update((lab, {}) for lab in class_pairs(dims, n))
             continue
-        for a, b in class_pairs(state, n):
+        for a, b in class_pairs(dims, n):
             if left is None:
                 left, right = (_class_parts(f, folded)
                                for f in _coproduct_pair_maps(state, folded, k))
@@ -368,13 +359,14 @@ def brane_coproduct_dual(
 # dualization to shifted homology
 
 
-class HomologyOperation(NamedTuple):
-    kind: str  # "homology-product" | "homology-coproduct"
-    info: GorensteinInfo
+class HomologyOperation(namedtuple("HomologyOperation", (
+    "kind",  # "homology-product" | "homology-coproduct"
+    "info",
     # product: table[(a, b)][c] = coefficient of σc∨ in σa∨ · σb∨
     # coproduct: table[c][(a, b)] = coefficient of σa∨⊗σb∨ in δ(σc∨)
-    table: dict
-    source: BraneOperation
+    "table", "source",
+))):
+    __slots__ = ()
 
 
 def dualize_to_homology(op: BraneOperation) -> HomologyOperation:
@@ -409,11 +401,8 @@ def dualize_to_homology(op: BraneOperation) -> HomologyOperation:
 # diagram checkers
 
 
-class Report(NamedTuple):
-    name: str
-    ok: bool
-    checked: int
-    failures: list[str]
+class Report(namedtuple("Report", "name ok checked failures")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -530,16 +519,3 @@ def check_frobenius(
             failures.append(f"Frobenius fails on pair {a}⊗{b}")
     return Report("Frobenius", not failures, checked, failures)
 
-
-def coproduct_double_composite(coprod: BraneOperation) -> dict:
-    """δ∨ ∘ (δ∨⊗id) on triples; nonzero output witnesses (δ⊗1)∘δ ≠ 0."""
-    out: dict = {}
-    # triples (a, b, c): first δ∨ on a⊗b, then δ∨ on (result)⊗c
-    for (a, b), row in coprod.table.items():
-        for u, coeff in row.items():
-            for (u2, c), row2 in coprod.table.items():
-                if u2 != u:
-                    continue
-                for w, c2 in row2.items():
-                    _add(out, ((a, b, c), w), coeff * c2)
-    return out

@@ -20,8 +20,8 @@ import argparse
 import functools
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .gca_core import Element, GradedAlgebra
 from .cohomology import cohomology_basis
@@ -43,10 +43,12 @@ class ParseError(Exception):
         self.col = col
 
 
-class ModelFile(NamedTuple):
-    name: str | None
-    info: dict  # key -> int
-    model: DgaModel
+class ModelFile(namedtuple("ModelFile", (
+    "name",
+    "info",  # key -> int
+    "model",
+))):
+    __slots__ = ()
 
 
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_][A-Za-z0-9_@']*|[-+*^=()])")

@@ -1,5 +1,5 @@
-"""Degreewise exact cohomology: bases, class vectors, induced maps, π, and
-sections of surjective quasi-isomorphisms.
+"""Degreewise exact cohomology: bases, class vectors, π, and sections of
+surjective quasi-isomorphisms.
 
 Cochains are sparse rows {position: coefficient} over the canonical
 monomial basis of a degree, found through a cached {monomial: position}
@@ -34,16 +34,16 @@ quasi-isomorphism f, into a forward one: a chain map σ with f∘σ = id, so
 H(σ) = H(f)⁻¹ without the cohomology of either model.  Generator by
 generator, in degree order, σ(g) is one sparse solve (``_linalg.solve``)
 over the cached d rows of one degree of f.source and the images of f.
-``induced_map``, ``invert_on_cohomology`` and ``is_quasi_iso`` compute the
-same inverse degree by degree from both models' cohomology, the inverse
-read off the tail of one ``Echelon`` fed [H(f) | I]; the tests use them as
-the reference for every section the pipelines build.
+The tests check every section the pipelines build against an independent
+reference in ``tests/oracles.py``, which computes the same inverse degree
+by degree from both models' cohomology.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from . import _linalg as la
 from .gca_core import Element, Monomial
@@ -141,12 +141,14 @@ def section(f: DgaMorphism, stage: str) -> DgaMorphism:
     return sigma
 
 
-class CohomologyBasis(NamedTuple):
-    representatives: list[Element]
+class CohomologyBasis(namedtuple("CohomologyBasis", (
+    "representatives",
     # π as {monomial: {class index: coefficient}}, nonzero entries only: a
     # free column of d_n goes to its kernel vector's class, a pivot column
     # to 0, as those span a complement of the cocycles; so π∘d = 0
-    projection: dict[Monomial, dict[int, Fraction]]
+    "projection",
+))):
+    __slots__ = ()
 
     @property
     def dimension(self) -> int:
@@ -234,55 +236,3 @@ def class_vector(M: DgaModel, n: int, e: Element) -> list[Fraction]:
             coords[i] = x / e.den
     return coords
 
-
-def induced_map(
-    apply: Callable[[Element], Element],
-    src: DgaModel,
-    tgt: DgaModel,
-    n: int,
-) -> list[list[Fraction]]:
-    """Matrix of the induced map H^n(src) -> H^n(tgt)."""
-    hs = cohomology_basis(src, n)
-    ht = cohomology_basis(tgt, n)
-    cols = [class_vector(tgt, n, apply(rep)) for rep in hs.representatives]
-    return [
-        [cols[j][i] for j in range(hs.dimension)] for i in range(ht.dimension)
-    ]
-
-
-def invert_on_cohomology(
-    apply: Callable[[Element], Element],
-    src: DgaModel,
-    tgt: DgaModel,
-    n: int,
-) -> list[list[Fraction]]:
-    """Inverse of the induced map H^n(src) -> H^n(tgt) of a quasi-iso.
-
-    When the induced map is not invertible, the ModelError names the degree,
-    the matrix shape (dim H^n(tgt) × dim H^n(src)) and its rank.
-    """
-    m = induced_map(apply, src, tgt, n)
-    rows = cohomology_basis(tgt, n).dimension
-    cols = cohomology_basis(src, n).dimension
-    # for an invertible m the RREF of [m | I] is [I | m⁻¹]
-    ech = la.Echelon(cols)
-    for i, row in enumerate(m):
-        ech.insert({**{j: x for j, x in enumerate(row) if x}, cols + i: la.F1})
-    rank = len(ech.rows)
-    if rows == cols == rank:
-        view = ech.fraction_rows()
-        return [[view[p].get(cols + j, F0) for j in range(rows)] for p in range(cols)]
-    raise ModelError(
-        f"induced map on H^{n} is not invertible (shape {rows}×{cols}, "
-        f"rank {rank}); not a quasi-isomorphism"
-    )
-
-
-def is_quasi_iso(f, max_degree: int) -> bool:
-    """Check a DgaMorphism induces isomorphisms on H^n for n <= max_degree."""
-    try:
-        for n in range(max_degree + 1):
-            invert_on_cohomology(f, f.source, f.target, n)
-    except ModelError:
-        return False
-    return True

@@ -257,9 +257,6 @@ class DgaModel:
         base = set(self.base_gids)
         return tuple(g.gid for g in self.algebra.generators if g.gid not in base)
 
-    def gen_elem(self, name: str) -> Element:
-        return self.algebra.generator_element(name)
-
     def d_squared_witnesses(self) -> list[str]:
         """Generators with d(d(g)) ≠ 0; empty iff d² = 0 everywhere.
 
@@ -452,12 +449,6 @@ def path_model(V: DgaModel) -> DgaModel:
 
 # ---------------------------------------------------------------------------
 # gluing, quotients and canonical morphisms
-
-
-def morphism_phi(M: DgaModel) -> DgaMorphism:
-    """φ: sphere model → ∧V, or ε̃: disk model → ∧V; identity on V, zero on
-    every suspension: the projection onto the quotient by the suspensions."""
-    return quotient(M, [g.gid for g in M.algebra.generators if g.prov.kind == "susp"])[1]
 
 
 def relative_tensor(

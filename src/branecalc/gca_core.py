@@ -16,9 +16,10 @@ when an algebra is extended with new generators.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Monomial = tuple  # tuple[tuple[int, int], ...], sorted by generator id
@@ -31,7 +32,8 @@ class ModelError(Exception):
     """A model-level failure (bad shape, d² ≠ 0, unstable ideal, ...)."""
 
 
-class Provenance(NamedTuple):
+class Provenance(namedtuple("Provenance", "kind shift origin factor",
+                            defaults=("base", 0, None, None))):
     """How a generator arose; within an algebra it identifies the generator.
 
     kind is "base" for generators of the underlying algebra V and "susp"
@@ -42,10 +44,7 @@ class Provenance(NamedTuple):
     generators by it.
     """
 
-    kind: str = "base"
-    shift: int = 0
-    origin: str | None = None
-    factor: str | None = None
+    __slots__ = ()
 
     @property
     def name(self) -> str:
@@ -60,14 +59,11 @@ class Provenance(NamedTuple):
         return self._replace(origin=f"{self.origin}@{self.factor}", factor=factor)
 
 
-class Generator(NamedTuple):
+class Generator(namedtuple("Generator", "gid name degree prov")):
     """A generator of a GradedAlgebra: its id (creation order), label,
     degree and provenance, as an immutable record."""
 
-    gid: int
-    name: str
-    degree: int
-    prov: Provenance
+    __slots__ = ()
 
     @property
     def is_odd(self) -> bool:

@@ -24,10 +24,11 @@ Two shrieks are constructed:
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Container, Mapping, NamedTuple, Sequence
+from typing import Container, Mapping, Sequence
 
 from . import _linalg as la
 from .gca_core import (
@@ -54,13 +55,10 @@ from .dga_models import (
 # Gorenstein bookkeeping
 
 
-class GorensteinInfo(NamedTuple):
+class GorensteinInfo(namedtuple("GorensteinInfo", "p q m m_bar")):
     """Formal dimensions: p/q even/odd generator counts, m, and m̄."""
 
-    p: int
-    q: int
-    m: int
-    m_bar: int
+    __slots__ = ()
 
 
 def gorenstein_info(
@@ -457,20 +455,6 @@ def evaluation_pairing(
     if n is None:
         return ev, []
     return ev, class_vector(Q, n, ev)
-
-
-def gamma_evaluation(V: DgaModel) -> tuple[Element, list[Fraction], DgaModel]:
-    """Pair γ! against [Π s2_y_j ⊗ 1] in ∧s1V^even = sphere/(V, s1V^odd)."""
-    gs = shriek_gamma_pure(V)
-    odds = [g.name for g in V.algebra.generators if g.is_odd]
-    kill = [g.prov for g in V.algebra.generators]
-    kill += [Provenance("susp", 1, nm) for nm in odds]
-    Q, proj = quotient(gs.target, kill)
-    z = gs.source.algebra.one()
-    for nm in odds:
-        z = z * gs.source.algebra.generator_element(Provenance("susp", 2, nm))
-    ev, vec = evaluation_pairing(gs, z, proj)
-    return ev, vec, Q
 
 
 def _square_to_quotient(square: DgaModel) -> tuple[DgaModel, DgaMorphism]:

@@ -1,0 +1,152 @@
+"""Independent references the tests compare branecalc against.
+
+No branecalc command calls these; they compute, by a second route, what
+the runtime computes or checks another way:
+
+* ``induced_map``, ``invert_on_cohomology`` and ``is_quasi_iso`` compute
+  H(f) and its inverse degree by degree from both models' cohomology, the
+  inverse read off the tail of one ``Echelon`` fed [H(f) | I]; the tests use
+  them as the reference for every section the pipelines build;
+* ``rref_rows`` reads an ``Echelon``'s rows as the space's RREF rows;
+* ``morphism_phi`` is φ (or ε̃), the projection onto ∧V;
+* ``gamma_evaluation`` pairs γ! against a fixed cocycle, as
+  ``shriek.delta_evaluation`` does for δ!;
+* ``pair_cocycle`` is the square cocycle a⊗b that the coproduct never forms;
+* ``coproduct_double_composite`` is δ∨∘(δ∨⊗id) on triples.
+
+pytest does not collect this module; tests import it as they import
+``conftest``.
+"""
+
+from fractions import Fraction
+from typing import Callable
+
+from branecalc import (
+    BraneOperation,
+    DgaModel,
+    DgaMorphism,
+    Element,
+    ModelError,
+    Provenance,
+    class_vector,
+    cohomology_basis,
+    quotient,
+    shriek_gamma_pure,
+)
+from branecalc import _linalg as la
+from branecalc.shriek import evaluation_pairing
+
+F0 = Fraction(0)
+
+
+def rref_rows(ech: la.Echelon) -> dict[int, la.Row]:
+    """The rows scaled to 1 at their pivots: the space's RREF rows."""
+    return {p: {j: Fraction(x, row[p]) for j, x in row.items()}
+            for p, row in ech.rows.items()}
+
+
+def induced_map(
+    apply: Callable[[Element], Element],
+    src: DgaModel,
+    tgt: DgaModel,
+    n: int,
+) -> list[list[Fraction]]:
+    """Matrix of the induced map H^n(src) -> H^n(tgt)."""
+    hs = cohomology_basis(src, n)
+    ht = cohomology_basis(tgt, n)
+    cols = [class_vector(tgt, n, apply(rep)) for rep in hs.representatives]
+    return [
+        [cols[j][i] for j in range(hs.dimension)] for i in range(ht.dimension)
+    ]
+
+
+def invert_on_cohomology(
+    apply: Callable[[Element], Element],
+    src: DgaModel,
+    tgt: DgaModel,
+    n: int,
+) -> list[list[Fraction]]:
+    """Inverse of the induced map H^n(src) -> H^n(tgt) of a quasi-iso.
+
+    When the induced map is not invertible, the ModelError names the degree,
+    the matrix shape (dim H^n(tgt) × dim H^n(src)) and its rank.
+    """
+    m = induced_map(apply, src, tgt, n)
+    rows = cohomology_basis(tgt, n).dimension
+    cols = cohomology_basis(src, n).dimension
+    # for an invertible m the RREF of [m | I] is [I | m⁻¹]
+    ech = la.Echelon(cols)
+    for i, row in enumerate(m):
+        ech.insert({**{j: x for j, x in enumerate(row) if x}, cols + i: la.F1})
+    rank = len(ech.rows)
+    if rows == cols == rank:
+        view = rref_rows(ech)
+        return [[view[p].get(cols + j, F0) for j in range(rows)] for p in range(cols)]
+    raise ModelError(
+        f"induced map on H^{n} is not invertible (shape {rows}×{cols}, "
+        f"rank {rank}); not a quasi-isomorphism"
+    )
+
+
+def is_quasi_iso(f, max_degree: int) -> bool:
+    """Check a DgaMorphism induces isomorphisms on H^n for n <= max_degree."""
+    try:
+        for n in range(max_degree + 1):
+            invert_on_cohomology(f, f.source, f.target, n)
+    except ModelError:
+        return False
+    return True
+
+
+def morphism_phi(M: DgaModel) -> DgaMorphism:
+    """φ: sphere model → ∧V, or ε̃: disk model → ∧V; identity on V, zero on
+    every suspension: the projection onto the quotient by the suspensions."""
+    return quotient(M, [g.gid for g in M.algebra.generators if g.prov.kind == "susp"])[1]
+
+
+def gamma_evaluation(V: DgaModel) -> tuple[Element, list[Fraction], DgaModel]:
+    """Pair γ! against [Π s2_y_j ⊗ 1] in ∧s1V^even = sphere/(V, s1V^odd)."""
+    gs = shriek_gamma_pure(V)
+    odds = [g.name for g in V.algebra.generators if g.is_odd]
+    kill = [g.prov for g in V.algebra.generators]
+    kill += [Provenance("susp", 1, nm) for nm in odds]
+    Q, proj = quotient(gs.target, kill)
+    z = gs.source.algebra.one()
+    for nm in odds:
+        z = z * gs.source.algebra.generator_element(Provenance("susp", 2, nm))
+    ev, vec = evaluation_pairing(gs, z, proj)
+    return ev, vec, Q
+
+
+def pair_cocycle(state: DgaModel, left: DgaMorphism, right: DgaMorphism,
+                 pair) -> Element:
+    """The square cocycle a⊗b of the representatives of the pair, through
+    the inclusions left and right of tensor_model(state, state).  The
+    coproduct never forms it; this is the per-pair reference the tests
+    check it against."""
+    (da, ia), (db, ib) = pair
+    ra = cohomology_basis(state, da).representatives[ia]
+    rb = cohomology_basis(state, db).representatives[ib]
+    return left(ra) * right(rb)
+
+
+def _add(acc: dict, key, val: Fraction) -> None:
+    s = acc.get(key, F0) + val
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
+
+
+def coproduct_double_composite(coprod: BraneOperation) -> dict:
+    """δ∨ ∘ (δ∨⊗id) on triples; nonzero output witnesses (δ⊗1)∘δ ≠ 0."""
+    out: dict = {}
+    # triples (a, b, c): first δ∨ on a⊗b, then δ∨ on (result)⊗c
+    for (a, b), row in coprod.table.items():
+        for u, coeff in row.items():
+            for (u2, c), row2 in coprod.table.items():
+                if u2 != u:
+                    continue
+                for w, c2 in row2.items():
+                    _add(out, ((a, b, c), w), coeff * c2)
+    return out

@@ -21,15 +21,11 @@ from branecalc import (
     check_commutativity,
     check_frobenius,
     cocycle_defects,
-    coproduct_double_composite,
     delta_evaluation,
     disk_model,
     dualize_to_homology,
-    gamma_evaluation,
     gorenstein_info,
     Provenance,
-    is_quasi_iso,
-    morphism_phi,
     path_model,
     quotient,
     shriek_delta_semipure,
@@ -45,6 +41,12 @@ from conftest import (
     build_s4,
     coassociative,
     frobenius,
+)
+from oracles import (
+    coproduct_double_composite,
+    gamma_evaluation,
+    is_quasi_iso,
+    morphism_phi,
 )
 
 F1 = Fraction(1)

@@ -5,6 +5,7 @@ import pytest
 
 from branecalc import (
     ModelError,
+    betti,
     brane_ops,
     brane_coproduct_dual,
     brane_product_dual,
@@ -15,7 +16,6 @@ from branecalc import (
     cohomology,
     cohomology_basis,
     compose,
-    coproduct_double_composite,
     dualize_to_homology,
     gorenstein_info,
     parse_model,
@@ -29,6 +29,7 @@ from branecalc.cohomology import section
 
 from conftest import (
     MODEL_TEXTS, S3XS4, build_s3, coassociative, coproduct_fold, frobenius)
+from oracles import coproduct_double_composite, pair_cocycle
 
 F1 = Fraction(1)
 L1, LW, LX, LXW = (0, 0), (1, 0), (3, 0), (4, 0)
@@ -210,21 +211,26 @@ def test_truncated_tables_are_rows_of_the_reference_table(text):
 KUNNETH_CASES = TRUNCATION_CASES[:-1] + [pytest.param(S3XS4, id="s3xs4")]
 
 
+def class_pairs(state, n):
+    """brane_ops.class_pairs over the state's Betti numbers through degree n."""
+    return brane_ops.class_pairs([betti(state, d) for d in range(n + 1)], n)
+
+
 @pytest.mark.parametrize("text", KUNNETH_CASES)
 def test_kunneth_coordinates_match_the_square_cohomology(text):
     state = sphere_model(parse_model(text).model, 3)
-    kun = Kunneth(state, *tensor_model(state, state))
-    square = kun.square
+    square, left, right = tensor_model(state, state)
+    kun = Kunneth(state, square, left, right)
     for n in range(11):
-        labels = brane_ops.class_pairs(state, n)
+        labels = class_pairs(state, n)
         h = cohomology_basis(square, n)
         assert len(labels) == h.dimension
         for lab in labels:
-            assert kun.coordinates(kun.element(lab)) == {lab: F1}
+            assert kun.coordinates(pair_cocycle(state, left, right, lab)) == {lab: F1}
         for j, rep in enumerate(h.representatives):
             back = square.algebra.zero()
             for lab, c in kun.coordinates(rep).items():
-                back = back + kun.element(lab) * c
+                back = back + pair_cocycle(state, left, right, lab) * c
             assert class_vector(square, n, back) == [int(i == j) for i in range(len(labels))]
 
 
@@ -235,20 +241,22 @@ def test_kunneth_projects_each_half_once(monkeypatch):
     monkeypatch.setattr(brane_ops, "projection",
                         lambda M, half: halves.append(half) or real(M, half))
     state = sphere_model(parse_model(S3XS4).model, 3)
-    kun = Kunneth(state, *tensor_model(state, state))
+    square, left, right = tensor_model(state, state)
+    kun = Kunneth(state, square, left, right)
     for _ in range(2):
         for n in range(9):
-            for lab in brane_ops.class_pairs(state, n):
-                assert kun.coordinates(kun.element(lab)) == {lab: F1}
+            for lab in class_pairs(state, n):
+                assert kun.coordinates(pair_cocycle(state, left, right, lab)) == {lab: F1}
     assert halves and len(halves) == len(set(halves))
 
 
 def test_kunneth_coordinates_require_a_cocycle():
     state = sphere_model(parse_model(S3XS4).model, 3)
-    kun = Kunneth(state, *tensor_model(state, state))
-    y = kun.left(state.gen_elem("y"))  # d y = x² ≠ 0
+    square, left, right = tensor_model(state, state)
+    kun = Kunneth(state, square, left, right)
+    y = left(state.algebra.generator_element("y"))  # d y = x² ≠ 0
     with pytest.raises(ModelError, match="not a cocycle"):
-        kun.coordinates(y * kun.right(state.gen_elem("a")))
+        kun.coordinates(y * right(state.algebra.generator_element("a")))
 
 
 def test_pipelines_never_compute_a_tensor_square_cohomology(monkeypatch):
@@ -277,7 +285,7 @@ def test_pipelines_never_compute_a_tensor_square_cohomology(monkeypatch):
 # and one folded module map glue∘(γ!⊗id), and never builds the tensor
 # square.  The oracle is the route it replaced, built here from its pieces:
 # the whole composite through M_{S^k}⊗² applied to each pair cocycle a⊗b
-# (Kunneth.element), with glue applied after γ!⊗id.  linear-d is not
+# (oracles.pair_cocycle), with glue applied after γ!⊗id.  linear-d is not
 # minimal, so no pipeline accepts it; S³×S⁵×S⁷'s coproduct is nonzero from
 # degree 10 on, and (S³)⁴'s from degree 6 on.  ℍP², ab and S⁴×S⁵ have an
 # even generator, so their fold has no value.
@@ -297,34 +305,35 @@ COPRODUCT_CASES = [pytest.param(p.values[0], ORACLE_DEGREE, id=p.id)
 
 
 def _square_route(V):
-    """(kun, to_source, γ!⊗id, glue): δ∨(a⊗b) is the class of
-    glue(γ!⊗id(to_source(a⊗b))), to_source the collapse section after
-    identify: M_{S^k}⊗² → M_{S^k} ⊗_{∧V} M_{S^k}."""
+    """(state, left, right, to_source, γ!⊗id, glue): δ∨(a⊗b) is the class of
+    glue(γ!⊗id(to_source(a⊗b))), a⊗b formed through the inclusions left and
+    right of M_{S^k}⊗², to_source the collapse section after identify:
+    M_{S^k}⊗² → M_{S^k} ⊗_{∧V} M_{S^k}."""
     gamma = shriek.shriek_gamma_pure(V)
     state = sphere_model(V, 3)
     double = relative_tensor(gamma.source, gamma.source)[0]
     spheres = relative_tensor(state, state)[0]
     shriek_id = brane_ops._shriek_tensor_id(gamma, double)
-    kun = Kunneth(state, *tensor_model(state, state))
-    identify = brane_ops._gluing_map(kun.square, spheres, 2, brane_ops._IDENTIFY)
+    square, left, right = tensor_model(state, state)
+    identify = brane_ops._gluing_map(square, spheres, 2, brane_ops._IDENTIFY)
     collapse = section(
         brane_ops._gluing_map(shriek_id.source, spheres, 2, brane_ops._COLLAPSE),
         "collapse")
     glue = brane_ops._gluing_map(double, state, 2, brane_ops._GLUE)
-    return kun, compose(collapse, identify), shriek_id, glue
+    return state, left, right, compose(collapse, identify), shriek_id, glue
 
 
 @pytest.mark.parametrize("text, degree", COPRODUCT_CASES)
 def test_coproduct_matches_the_pair_by_pair_route(text, degree):
     V = parse_model(text).model
     table = brane_coproduct_dual(V, 2, max_degree=degree).table
-    kun, to_source, shriek_id, glue = _square_route(V)
+    state, left, right, to_source, shriek_id, glue = _square_route(V)
     r = shriek_id.degree
     want = {}
     for n in range(degree + 1):
-        for pair in brane_ops.class_pairs(kun.state, n):
-            z = glue(shriek_id(to_source(kun.element(pair))))
-            out = class_vector(kun.state, n + r, z)
+        for pair in class_pairs(state, n):
+            z = glue(shriek_id(to_source(pair_cocycle(state, left, right, pair))))
+            out = class_vector(state, n + r, z)
             want[pair] = {(n + r, i): c for i, c in enumerate(out) if c}
     assert table == want
     if text in (S3XS5XS7, S3_4):
@@ -336,7 +345,7 @@ def test_folded_glue_after_shriek_is_glue_applied_after_it(text, degree):
     # every monomial a·b of (γ!⊗id).source with a a fiber monomial where
     # γ!⊗id has a value and b a base monomial of degree through
     # FOLD_DEGREE (the degree, for (S³)⁴)
-    _, _, shriek_id, glue = _square_route(parse_model(text).model)
+    *_, shriek_id, glue = _square_route(parse_model(text).model)
     folded = shriek.compose_module(glue, shriek_id)
     assert folded.source is shriek_id.source and folded.target is glue.target
     alg = shriek_id.source.algebra

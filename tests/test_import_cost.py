@@ -3,9 +3,9 @@
 Each CLI command is its own process, so importing branecalc is part of
 every command's time.  A ``@dataclass`` exec-compiles its methods when its
 class is defined, and ``dataclasses`` pulls in ``inspect``; the records are
-NamedTuples and plain classes instead.  A fresh interpreter, started
-without site-packages (-S), imports the CLI and runs one product; neither
-module may then be loaded.
+``collections.namedtuple`` subclasses and plain classes instead.  A fresh
+interpreter, started without site-packages (-S), imports the CLI and runs
+one product; neither module may then be loaded.
 """
 
 import json

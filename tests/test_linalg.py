@@ -1,11 +1,12 @@
 """The sparse elimination kernel against sympy's exact linear algebra.
 
 ``Echelon`` and the sparse ``solve`` are the whole interface: the RREF is
-``fraction_rows()``, the nullspace ``kernel()``, and an inverse the tail of
-an ``Echelon`` fed [A | I].  Matrices are seeded random sparse rationals,
-plus the shapes where an eliminator tends to slip: empty, 0×k, all-zero and
-rank-deficient, entries whose numerators and denominators pass 2**70, and
-rows whose denominators share no factor.
+an ``Echelon``'s rows scaled by ``oracles.rref_rows``, the nullspace
+``kernel()``, and an inverse the tail of an ``Echelon`` fed [A | I].
+Matrices are seeded random sparse rationals, plus the shapes where an
+eliminator tends to slip: empty, 0×k, all-zero and rank-deficient, entries
+whose numerators and denominators pass 2**70, and rows whose denominators
+share no factor.
 """
 
 import random
@@ -15,6 +16,8 @@ from math import gcd
 import pytest
 
 from branecalc import _linalg as la
+
+from oracles import rref_rows
 
 sympy = pytest.importorskip("sympy")
 
@@ -41,8 +44,8 @@ def echelon(rows, ncols):
 
 
 def rref(rows, ncols):
-    """(RREF rows as dense lists, pivot columns), read off fraction_rows()."""
-    view = echelon(rows, ncols).fraction_rows()
+    """(RREF rows as dense lists, pivot columns), read off rref_rows."""
+    view = rref_rows(echelon(rows, ncols))
     pivots = sorted(view)
     return [[view[p].get(j, Fraction(0)) for j in range(ncols)] for p in pivots], pivots
 
@@ -56,7 +59,7 @@ def inverse(a):
         ech.insert({**sparse(row), n + i: Fraction(1)})
     if len(ech.rows) != n:
         return None
-    view = ech.fraction_rows()
+    view = rref_rows(ech)
     return [[view[p].get(n + j, Fraction(0)) for j in range(n)] for p in range(n)]
 
 
@@ -175,7 +178,7 @@ def test_echelon_rows_are_primitive_and_order_free(name, rows, ncols):
             assert all(type(x) is int and x for x in row.values())
             assert gcd(*row.values()) == 1 and row[p] > 0 and min(row) == p
             assert not any(q in row for q in ech.rows if q != p)
-        views.append(ech.fraction_rows())
+        views.append(rref_rows(ech))
     assert views[0] == views[1] == views[2]
 
 

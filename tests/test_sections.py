@@ -29,9 +29,7 @@ from branecalc import (
     class_vector,
     cohomology,
     cohomology_basis,
-    invert_on_cohomology,
     disk_model,
-    is_quasi_iso,
     parse_model,
     quotient,
     relative_tensor,
@@ -40,6 +38,7 @@ from branecalc import (
 from branecalc.cohomology import section
 
 from conftest import MODEL_TEXTS, S3XS4, coproduct_fold
+from oracles import invert_on_cohomology, is_quasi_iso
 
 TOP = 10
 STAGES = ["path-model quasi-isomorphism", "disk-factor quasi-isomorphism"]
