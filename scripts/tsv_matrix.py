@@ -1,6 +1,6 @@
 """Fingerprint the CLI's output over a fixed matrix of commands.
 
-Runs 503 commands in-process through ``branecalc.cli.main`` and prints one
+Runs 511 commands in-process through ``branecalc.cli.main`` and prints one
 line per command: exit code, sha256 of stdout, sha256 of stderr, argv (and,
 for a model read from stdin, ``<`` and its name).  The commands, each on
 models/s3.model, models/s4.model and models/s3xs3.model:
@@ -9,7 +9,7 @@ models/s3.model, models/s4.model and models/s3xs3.model:
   without ``--homology``, at ``--max-degree`` 0 to 14;
 * the model dumps ``sphere-model`` and ``disk-model`` at ``--k`` 1, 2, 3 and
   ``path-model``;
-* ``cohomology --max-degree 12``;
+* ``cohomology --max-degree 12`` and ``check-dga``;
 * the six ``verify`` suites, and ``brane-product --k 3``;
 
 and, on the models in ``STDIN`` below, read from stdin (``-``) so that they
@@ -23,7 +23,7 @@ coproducts are nonempty; and S³×S⁴ again at 0 to 12 with its generators
 listed out of degree order (``y 7``, ``x 4``, ``a 3``), which pins the
 order in which sections are solved: by degree, not by generator id.
 Each of these five also runs the ``verify`` suites ``signs`` and
-``assoc``, the suites that build δ!.
+``assoc``, the suites that build δ!, and ``check-dga``.
 
 The output of the tables as they stand is committed next to this script,
 so a change that alters any table shows it in its own diff::
@@ -79,13 +79,15 @@ def commands() -> list[tuple[list[str], str | None]]:
                 out.append([f"{kind}-model", model, "--k", str(k), "--format", "tsv"])
         out.append(["path-model", model, "--format", "tsv"])
         out.append(["cohomology", model, "--max-degree", "12", "--format", "tsv"])
+        out.append(["check-dga", model])
         for suite in SUITES:
             out.append(["verify", model, "--suite", suite])
         out.append(["brane-product", model, "--k", "3", "--format", "tsv"])
-    verify = [["verify", "-", "--suite", suite] for suite in STDIN_SUITES]
+    checks = [["verify", "-", "--suite", suite] for suite in STDIN_SUITES]
+    checks.append(["check-dga", "-"])
     return [(argv, None) for argv in out] + [
         (argv, name) for name, (_, top) in STDIN.items()
-        for argv in _tables("-", top) + verify
+        for argv in _tables("-", top) + checks
     ]
 
 

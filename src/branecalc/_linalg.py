@@ -1,27 +1,28 @@
 """Exact sparse Gaussian elimination, fraction-free, on integer rows.
 
 A sparse row is a dict {column: nonzero coefficient}.  Rows go in with
-``int`` or ``fractions.Fraction`` coefficients and come out with Fraction
-ones; inside, the one elimination routine, ``Echelon``, keeps a pivot map
-{pivot column: row} of a row space whose rows are primitive integer rows:
-integer entries with gcd 1, positive at the pivot, and 0 at every other
-pivot column.  Such a row is the reduced
-row echelon form's row times the lcm of that row's denominators, so the
-pivots and every result are those of exact rational elimination, while the
-arithmetic runs on plain ints (which stay small on branecalc's models)
-rather than on ``Fraction`` objects, each of which takes a gcd to build.
-The elimination is fraction-free in the sense of Bareiss (1968); dividing
-each row by its content keeps the entries from growing.
+``int`` or ``fractions.Fraction`` coefficients; inside, the one
+elimination routine, ``Echelon``, keeps a pivot map {pivot column: row} of
+a row space whose rows are primitive integer rows: integer entries with
+gcd 1, positive at the pivot, and 0 at every other pivot column.  Such a
+row is the reduced row echelon form's row times the lcm of that row's
+denominators, so the pivots and every result are those of exact rational
+elimination, while the arithmetic runs on plain ints (which stay small on
+branecalc's models) rather than on ``Fraction`` objects, each of which
+takes a gcd to build.  The elimination is fraction-free in the sense of
+Bareiss (1968); dividing each row by its content keeps the entries from
+growing.
 
-* ``reduce`` brings a row to integers over one common denominator, clears
+* ``_reduce`` brings a row to integers over one common denominator, clears
   each pivot column with out ← b·out − a·row_p (a/b = out[p]/row_p[p] in
-  lowest terms) and gives the normal form modulo the space as Fractions:
-  zero at every pivot column, and unique, because two such forms differ by
-  a vector of the space that vanishes on all pivot columns;
+  lowest terms) and gives the normal form modulo the space, zero at every
+  pivot column, and unique, because two such forms differ by a vector of
+  the space that vanishes on all pivot columns;
 * ``insert`` reduces a row and, when something is left, makes its first
   nonzero column a new pivot, divides the row by its content, makes the
   pivot entry positive and clears that column from the other rows the same
-  way, keeping each of them primitive.
+  way, keeping each of them primitive; ``kernel`` reads the nullspace off
+  the rows, one primitive integer row per free column.
 
 Only columns below ``ncols`` may become pivots.  Columns from ``ncols`` on
 ride along as a tail: an augmented row [a | b] records b for every
@@ -38,9 +39,9 @@ rows arrive in.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-Row = dict  # {column: nonzero Fraction}
+Row = dict  # {column: nonzero int or Fraction}
 
 F1 = Fraction(1)
 
@@ -91,8 +92,8 @@ class Echelon:
         self.rows: dict[int, dict[int, int]] = {}
 
     def _reduce(self, row: Row) -> tuple[dict[int, int], int]:
-        # a row of ints (the d rows) is copied, not rebuilt; a copy, as
-        # _clear edits out in place and the d rows are cached
+        """(out, den) with out / den the normal form of row modulo the space."""
+        # an int row is copied (d rows are cached; _clear edits out in place)
         if all(type(x) is int for x in row.values()):
             out, den = dict(row), 1
         else:
@@ -104,11 +105,6 @@ class Echelon:
         for p in [j for j in out if j in rows]:
             den *= _clear(out, p, rows[p])
         return out, den
-
-    def reduce(self, row: Row) -> Row:
-        """The normal form of row modulo the space, as a new row."""
-        out, den = self._reduce(row)
-        return {j: Fraction(x, den) for j, x in out.items()}
 
     def insert(self, row: Row) -> None:
         """Add row to the space; a row that reduces to zero in the columns
@@ -126,15 +122,20 @@ class Echelon:
                 rows[q] = _primitive(other, q)
         rows[p] = new
 
-    def kernel(self) -> dict[int, Row]:
+    def kernel(self) -> dict[int, tuple[dict[int, int], int]]:
         """Basis of the vectors over columns below ncols that every row
-        kills, {free column f: v} with v[f] = 1, v[p] = -row_p[f] / row_p[p]."""
-        basis = {f: {f: F1} for f in range(self.ncols) if f not in self.rows}
+        kills, {free column f: (w, den)}: w / den has 1 at f and
+        -row_p[f] / row_p[p] at each pivot p, and w is primitive."""
+        parts = {f: [] for f in range(self.ncols) if f not in self.rows}
         for p, row in self.rows.items():
             for f, x in row.items():
-                v = basis.get(f)
-                if v is not None:
-                    v[p] = Fraction(-x, row[p])
+                if f in parts:
+                    g = gcd(x, row[p])
+                    parts[f].append((p, -x // g, row[p] // g))
+        basis = {}
+        for f, entries in parts.items():
+            den = lcm(*(b for _, _, b in entries))
+            basis[f] = {f: den, **{p: x * (den // b) for p, x, b in entries}}, den
         return basis
 
 

@@ -113,7 +113,7 @@ class Kunneth:
     """
 
     # side: square gid -> (half, state gid), 0 for the left copy, 1 for the
-    # right; _pi: state monomial -> (degree, π of it), filled by _projection
+    # right; _pi: state monomial -> projection(state, it), cached
     __slots__ = ("state", "square", "side", "_pi")
 
     def __init__(self, state: DgaModel, square: DgaModel,
@@ -125,30 +125,30 @@ class Kunneth:
                      for g, img in f.images.items()}
         self._pi = {}
 
-    def _projection(self, half: tuple) -> tuple[int, dict[int, Fraction]]:
-        """projection(state, half), computed once per half on this object."""
-        out = self._pi.get(half)
-        if out is None:
-            out = self._pi[half] = projection(self.state, half)
-        return out
-
     def coordinates(self, z: Element) -> dict[Pair, Fraction]:
-        """(π⊗π)(z): the pair coordinates of the class of a square cocycle."""
+        """(π⊗π)(z): the pair coordinates of the class of a square cocycle,
+        summed on ints; a pair of degrees (da, db) has the denominator
+        z.den times those of π on H^da and H^db."""
         if not self.square.d(z).is_zero():
             raise ModelError(f"element is not a cocycle of the square: {z!r}")
-        side = self.side
-        out: dict[Pair, Fraction] = {}
+        side, pi, dens = self.side, self._pi, {}
+        acc: dict[Pair, int] = {}
         for mono, c in z.terms.items():
             halves: tuple[list, list] = ([], [])
             for gid, e in mono:
                 half, g = side[gid]
                 halves[half].append((g, e))
-            (da, pa), (db, pb) = (self._projection(tuple(h)) for h in halves)
-            c = Fraction(c, z.den)
+            (da, pa, qa), (db, pb, qb) = (
+                pi.get(h) or pi.setdefault(h, projection(self.state, h))
+                for h in map(tuple, halves))
+            dens[da], dens[db] = qa, qb
             for ia, ca in pa.items():
+                ca *= c
                 for ib, cb in pb.items():
-                    _add(out, ((da, ia), (db, ib)), c * ca * cb)
-        return out
+                    key = ((da, ia), (db, ib))
+                    acc[key] = acc.get(key, 0) + ca * cb
+        return {(a, b): Fraction(x, dens[a[0]] * dens[b[0]] * z.den)
+                for (a, b), x in acc.items() if x}
 
 
 def class_pairs(dims: list[int], n: int) -> list[Pair]:
@@ -383,16 +383,16 @@ def dualize_to_homology(op: BraneOperation) -> HomologyOperation:
         for c, row in op.table.items():
             for (a, b), coeff in row.items():
                 da, db = a[0], b[0]
-                sign = -1 if (m * db + da * db + m) % 2 else 1
-                table.setdefault((a, b), {})[c] = coeff * sign
+                table.setdefault((a, b), {})[c] = (
+                    -coeff if (m * db + da * db + m) % 2 else coeff)
         return HomologyOperation("homology-product", info, table, op)
     if op.kind == "coproduct-dual":
         table2: dict[Label, dict[Pair, Fraction]] = {}
         for (a, b), row in op.table.items():
             for c, coeff in row.items():
                 da, db, dc = a[0], b[0], c[0]
-                sign = -1 if (mb * dc + da * db + m * da) % 2 else 1
-                table2.setdefault(c, {})[(a, b)] = coeff * sign
+                table2.setdefault(c, {})[(a, b)] = (
+                    -coeff if (mb * dc + da * db + m * da) % 2 else coeff)
         return HomologyOperation("homology-coproduct", info, table2, op)
     raise ModelError(f"cannot dualize operation of kind {op.kind!r}")
 

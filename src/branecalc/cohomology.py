@@ -14,20 +14,21 @@ cocycles of Hⁿ; as they are, they are the coboundaries of Hⁿ⁺¹.
 
 ``cohomology_basis`` inserts the coboundaries, then reduces each kernel
 cocycle modulo the coboundaries and the representatives chosen so far; a
-nonzero normal form, scaled to lead with 1, is the next representative and
-is inserted in turn.  Kernel bases and normal forms are unique, so the
-representatives are deterministic (echelon pivots in monomial order) and
-reproducible bit-for-bit.
+nonzero normal form, an integer row, over its lead is the next
+representative and is inserted in turn.  Kernel bases and normal forms are
+unique, so the representatives are deterministic (echelon pivots in
+monomial order) and reproducible bit-for-bit.
 
 The same reductions give a projection π: Cⁿ → Hⁿ, and the
 ``CohomologyBasis`` keeps only the representatives and π, the one class
 map of this module.  A cocycle z is Σ_f z[f]·v_f over the kernel vectors
 (v_f is 1 at free column f, else only on pivot columns), so π sends the
 monomial at f to the class of v_f and each pivot-column monomial to 0: π is
-the class map on cocycles and kills coboundaries.  ``class_vector`` reads a
-cocycle's class as Σ_m z[m]·π(m), and π⊗π reads Künneth pair coordinates off
-tensor products.  ``betti`` gives dim Hⁿ alone, from the ranks of the d
-rows of degrees n and n − 1, for callers that need no representative.
+the class map on cocycles and kills coboundaries.  On π's int numerators
+over one denominator per degree, ``class_vector`` reads a cocycle's class
+as Σ_m z[m]·π(m) and π⊗π reads Künneth pair coordinates off tensor
+products.  ``betti`` gives dim Hⁿ alone, from the ranks of the d rows of
+degrees n and n − 1, for callers that need no representative.
 
 ``section`` turns a backward arrow of a zigzag, a surjective
 quasi-isomorphism f, into a forward one: a chain map σ with f∘σ = id, so
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 from . import _linalg as la
@@ -143,10 +145,10 @@ def section(f: DgaMorphism, stage: str) -> DgaMorphism:
 
 class CohomologyBasis(namedtuple("CohomologyBasis", (
     "representatives",
-    # π as {monomial: {class index: coefficient}}, nonzero entries only: a
-    # free column of d_n goes to its kernel vector's class, a pivot column
-    # to 0, as those span a complement of the cocycles; so π∘d = 0
-    "projection",
+    # π as {monomial: {class index: numerator}} over den, nonzero entries
+    # only: a free column of d_n goes to its kernel vector's class, a pivot
+    # column to 0, as those span a complement of the cocycles; so π∘d = 0
+    "projection", "den",
 ))):
     __slots__ = ()
 
@@ -189,50 +191,51 @@ def _cohomology_basis(M: DgaModel, n: int) -> CohomologyBasis:
         for row in _d_rows(M, n - 1):  # the coboundaries
             ech.insert(row)
     # a cocycle's normal form modulo coboundaries + earlier representatives,
-    # scaled to lead with 1, is the next representative j, inserted with 1 in
+    # over its lead, is the next representative j, inserted with its lead in
     # tail column dim + j; minus the tail is the cocycle's class in the
     # earlier ones
-    reps: list[la.Row] = []
-    projection: dict[Monomial, dict[int, Fraction]] = {}
-    for f, z in d_n.kernel().items():
-        red = ech.reduce(z)
+    reps: list[Element] = []
+    classes = []  # (monomial, its class numerators, their denominator)
+    for f, (z, den) in d_n.kernel().items():
+        red, rden = ech._reduce(z)  # z / den reduces to red / (den·rden)
         cls = {j - dim: -c for j, c in red.items() if j >= dim}
         head = [j for j in red if j < dim]
         if head:
             lead = red[min(head)]
-            rep = {j: red[j] / lead for j in head}
-            ech.insert({**rep, dim + len(reps): la.F1})
+            ech.insert({**{j: red[j] for j in head}, dim + len(reps): lead})
             cls[len(reps)] = lead
-            reps.append(rep)
+            reps.append(Element(M.algebra, {basis[j]: red[j] for j in sorted(head)}, lead))
         if cls:
-            projection[basis[f]] = cls
-    elements = [M.algebra.element({basis[j]: r[j] for j in sorted(r)}) for r in reps]
-    return CohomologyBasis(elements, projection)
+            classes.append((basis[f], cls, den * rden))
+    top = lcm(*(den for *_, den in classes))  # π's one denominator on Hⁿ
+    projection = {m: cls if den == top else {i: c * (top // den) for i, c in cls.items()}
+                  for m, cls, den in classes}
+    return CohomologyBasis(reps, projection, top)
 
 
-def projection(M: DgaModel, mono: Monomial) -> tuple[int, dict[int, Fraction]]:
-    """π of a monomial: its degree n and {class index: coefficient} in Hⁿ."""
+def projection(M: DgaModel, mono: Monomial) -> tuple[int, dict[int, int], int]:
+    """π of a monomial: its degree n, {class index: numerator}, denominator."""
     n = M.algebra.monomial_degree(mono)
-    return n, cohomology_basis(M, n).projection.get(mono, {})
+    h = cohomology_basis(M, n)
+    return n, h.projection.get(mono, {}), h.den
 
 
 def class_vector(M: DgaModel, n: int, e: Element) -> list[Fraction]:
     """Coordinates of a cocycle's class in the chosen representative basis:
-    Σ_m (c_m / den)·π(m) over e = Σ_m (c_m / den)·m."""
+    Σ_m (c_m / den)·π(m) over e = Σ_m (c_m / den)·m, summed on ints."""
     if not M.d(e).is_zero():
         raise ModelError(f"element is not a cocycle in degree {n}: {e!r}")
     index = _index(M, n)
     if any(m not in index for m in e.terms):
         raise ValueError("element has terms outside the requested degree")
     h = cohomology_basis(M, n)
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, int] = {}
     for m, c in e.terms.items():
         for i, x in h.projection.get(m, {}).items():
             acc[i] = acc.get(i, 0) + c * x
-    # most coordinates are 0: divide only the others
+    # most coordinates are 0: build a Fraction only for the others
     coords = [F0] * h.dimension
     for i, x in acc.items():
         if x:
-            coords[i] = x / e.den
+            coords[i] = Fraction(x, h.den * e.den)
     return coords
-

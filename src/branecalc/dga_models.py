@@ -28,9 +28,9 @@ collapsed by ``quotient``: base change along a map that kills generators
 is a quotient, so no general base change is kept.
 
 Both kernels work on int terms: ``Derivation.leibniz`` for d, and
-``_apply_algebra_map`` for every algebra map (DgaMorphism, section,
-ModuleMap's base action), which multiplies a monomial's factor images as
-int term dicts and sums into one accumulator per call.
+``_apply_algebra_map`` for every algebra map (DgaMorphism, section, the
+pairing's base-action check), which multiplies a monomial's factor images
+as int term dicts and sums into one accumulator per call.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ canonical monomials, held as nonzero int numerators over one denominator
 in lowest terms, so equality of elements is equality of those fields and
 all arithmetic runs on ints.  A Fraction is built only where a coefficient
 enters (``GradedAlgebra.element``, ``scalar``, scalar factors) or leaves
-(``Element.coefficient``, ``repr``).
+(``Element.coefficient``, ``repr``, class and table coordinates).
 
 Monomials are ordered by generator id (creation order), which stays stable
 when an algebra is extended with new generators.

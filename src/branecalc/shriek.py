@@ -104,8 +104,9 @@ class ModuleMap:
     F(b·f) = (-1)^(deg F · |b|) ρ(b)·F(f) for a base monomial b and a fiber
     monomial f, where ρ is the algebra map given by base_images (a read-only
     copy, fixed when the map is built) and F(f) is images[f], 0 if absent.
-    ``by_fiber`` is where that rule is applied.  compose_module stores
-    nonzero values only, so a composite with no images is the zero map.
+    ``by_fiber`` applies that rule, with ρ a relabelling: a base image that
+    is not ± one generator or 0 raises ModelError there.  compose_module
+    stores nonzero values only, so a composite with no images is zero.
     """
 
     def __init__(self, source: DgaModel, target: DgaModel, degree: int,
@@ -117,6 +118,17 @@ class ModuleMap:
         self.base_images = MappingProxyType(dict(base_images))
         self.images = {} if images is None else images
 
+    @cached_property
+    def _relabel(self) -> dict[int, tuple[int, int]]:
+        """ρ as {base gid: (s, g)} with ρ(b) = s·g, s = ±1, or s = 0 for 0."""
+        out = {}
+        for b, img in self.base_images.items():
+            s, g = out[b] = next(((c, m[0][0]) for m, c in img.terms.items() if m), (0, 0))
+            if img.terms and not (s * s == img.den == 1 and img.terms == {((g, 1),): s}):
+                raise ModelError(f"the base image of {self.source.algebra.gen(b).name}"
+                                 f" is {img!r}, not ± one generator or 0")
+        return out
+
     def by_fiber(
         self, e: Element, fibers: Container[Monomial] | None = None
     ) -> dict[Monomial, Element]:
@@ -126,32 +138,33 @@ class ModuleMap:
 
         Each term is unshuffled into its base part b and fiber part f (the
         Koszul sign of moving b's odd factors past f's), and F passes b,
-        (-1)^(deg F · |b|); parities are read from the algebra's odd.
+        (-1)^(deg F · |b|); parities are read from the algebra's odd.  ρ
+        relabels b, and one normalize gives its monomial and sign, or 0.
         """
-        odd, base = self.source.algebra.odd, self.base_images
+        odd, relabel = self.source.algebra.odd, self._relabel
+        normalize, flip = self.target.algebra.normalize, self.degree % 2
         parts: dict[Monomial, dict[Monomial, int]] = {}
         for mono, c in e.terms.items():
             b: list[tuple[int, int]] = []
             f: list[tuple[int, int]] = []
             b_odd = f_odd = False
             for gid, exp in mono:
-                if gid in base:
-                    b.append((gid, exp))
-                    if odd[gid]:
-                        b_odd = not b_odd
-                        if f_odd:
-                            c = -c
-                else:
+                r = relabel.get(gid)
+                if r is None:
                     f.append((gid, exp))
-                    if odd[gid]:
-                        f_odd = not f_odd
+                    f_odd ^= odd[gid]
+                else:
+                    s, g = r
+                    b.append((g, exp))
+                    c *= -s if odd[gid] and f_odd else s ** exp
+                    b_odd ^= odd[gid]
             fiber = tuple(f)
             if fibers is None or fiber in fibers:
-                parts.setdefault(fiber, {})[tuple(b)] = (
-                    -c if b_odd and self.degree % 2 else c)
-        src, tgt = self.source.algebra, self.target.algebra
-        return {f: _apply_algebra_map(Element(src, b, e.den), base, tgt)
-                for f, b in parts.items()}
+                terms = parts.setdefault(fiber, {})
+                s, t = normalize(b) if c else (0, ())
+                if s:
+                    terms[t] = terms.get(t, 0) + (-s * c if b_odd and flip else s * c)
+        return {f: Element(self.target.algebra, terms, e.den) for f, terms in parts.items()}
 
     def graded_parts(self, e: Element) -> list[tuple[Monomial, int, Element]]:
         """by_fiber(e) as (f, |f|, ρ(b_f)) over its fiber parts f."""
@@ -216,18 +229,15 @@ def fiber_basis(M: DgaModel, n: int) -> tuple[Monomial, ...]:
 
 def hom_differential(F: ModuleMap, max_fiber_degree: int) -> ModuleMap:
     """D(F) = d∘F - (-1)^deg F F∘d, tabulated on fiber monomials."""
-    r = F.degree
-    sgn = -1 if r % 2 else 1
+    sgn = -1 if F.degree % 2 else 1
     images: dict[Monomial, Element] = {}
     for n in range(max_fiber_degree + 1):
         for mono in fiber_basis(F.source, n):
-            val = (
-                F.target.d(F(F.source.algebra.monomial_element(mono)))
-                - F(F.source.d(F.source.algebra.monomial_element(mono))) * sgn
-            )
+            e = F.source.algebra.monomial_element(mono)
+            val = F.target.d(F(e)) - F(F.source.d(e)) * sgn
             if not val.is_zero():
                 images[mono] = val
-    return ModuleMap(F.source, F.target, r + 1, F.base_images, images)
+    return ModuleMap(F.source, F.target, F.degree + 1, F.base_images, images)
 
 
 def cocycle_defects(F: ModuleMap) -> list[str]:
@@ -253,30 +263,16 @@ def cocycle_defects(F: ModuleMap) -> list[str]:
 
 def is_pure(V: DgaModel) -> bool:
     """d(V^even) = 0 and d(V^odd) ⊆ ∧V^even."""
-    alg = V.algebra
-    for g in alg.generators:
-        dg = V.d.images.get(g.gid, alg.zero())
-        if not g.is_odd:
-            if not dg.is_zero():
-                return False
-        else:
-            for mono in dg.terms:
-                if any(alg.gen(f).is_odd for f, _ in mono):
-                    return False
-    return True
+    odd = V.algebra.odd
+    return all(odd[g] and not any(odd[f] for m in dg.terms for f, _ in m)
+               for g, dg in V.d.images.items() if dg.terms)
 
 
 def is_semi_pure(V: DgaModel) -> bool:
     """The ideal generated by V^even is d-stable."""
-    alg = V.algebra
-    for g in alg.generators:
-        if g.is_odd:
-            continue
-        dg = V.d.images.get(g.gid, alg.zero())
-        for mono in dg.terms:
-            if not any(not alg.gen(f).is_odd for f, _ in mono):
-                return False
-    return True
+    odd = V.algebra.odd
+    return all(any(not odd[f] for f, _ in m)
+               for g, dg in V.d.images.items() if not odd[g] for m in dg.terms)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,10 @@ def build_s4():
 # S³×S⁴: generators of both parities and a nonzero differential
 S3XS4 = "algebra S3xS4\ngen a 3\ngen x 4\ngen y 7\nd y = x^2\n"
 S4_RATIONAL = "algebra S4q\ngen x 4\ngen y 7\nd y = 2/3*x^2\n"
+# scripts/tsv_matrix.py's a4b6-rational: its state's representatives and π
+# have denominators other than 1
+A4B6_RATIONAL = ("algebra A4B6q\ngen a 4\ngen b 6\ngen y 7\ngen z 11\n"
+                 "d y = a^2\nd z = 1/2*b^2 - 3/5*a^3\n")
 MODEL_FILES = [
     pytest.param(p.read_text(), id=p.stem)
     for p in sorted((Path(__file__).resolve().parent.parent / "models").glob("*.model"))

@@ -8,6 +8,14 @@ the runtime computes or checks another way:
   inverse read off the tail of one ``Echelon`` fed [H(f) | I]; the tests use
   them as the reference for every section the pipelines build;
 * ``rref_rows`` reads an ``Echelon``'s rows as the space's RREF rows;
+* ``kernel``, ``reduce`` and ``fraction_cohomology_basis`` are the
+  Fraction route to the cohomology bases and π: free-column kernel vectors
+  with Fraction entries, normal forms read back as Fractions, and each
+  representative scaled to lead with 1 before it is inserted; the runtime
+  does the same on integer rows over one denominator;
+* ``by_fiber`` is ``ModuleMap.by_fiber`` with ρ applied to each base part
+  as a general algebra map (``_apply_algebra_map``), where the runtime
+  relabels generators;
 * ``morphism_phi`` is φ (or ε̃), the projection onto ∧V;
 * ``gamma_evaluation`` pairs γ! against a fixed cocycle, as
   ``shriek.delta_evaluation`` does for δ!;
@@ -19,7 +27,7 @@ pytest does not collect this module; tests import it as they import
 """
 
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Container
 
 from branecalc import (
     BraneOperation,
@@ -34,7 +42,9 @@ from branecalc import (
     shriek_gamma_pure,
 )
 from branecalc import _linalg as la
-from branecalc.shriek import evaluation_pairing
+from branecalc.cohomology import _d_rows, _transpose
+from branecalc.dga_models import _apply_algebra_map
+from branecalc.shriek import ModuleMap, evaluation_pairing
 
 F0 = Fraction(0)
 
@@ -43,6 +53,88 @@ def rref_rows(ech: la.Echelon) -> dict[int, la.Row]:
     """The rows scaled to 1 at their pivots: the space's RREF rows."""
     return {p: {j: Fraction(x, row[p]) for j, x in row.items()}
             for p, row in ech.rows.items()}
+
+
+def kernel(ech: la.Echelon) -> dict[int, la.Row]:
+    """Basis of the vectors over columns below ncols that every row kills,
+    {free column f: v} with v[f] = 1, v[p] = -row_p[f] / row_p[p]."""
+    basis = {f: {f: la.F1} for f in range(ech.ncols) if f not in ech.rows}
+    for p, row in ech.rows.items():
+        for f, x in row.items():
+            v = basis.get(f)
+            if v is not None:
+                v[p] = Fraction(-x, row[p])
+    return basis
+
+
+def reduce(ech: la.Echelon, row: la.Row) -> la.Row:
+    """The normal form of row modulo the space, as a new Fraction row."""
+    out, den = ech._reduce(row)
+    return {j: Fraction(x, den) for j, x in out.items()}
+
+
+def fraction_cohomology_basis(
+    M: DgaModel, n: int
+) -> tuple[list[Element], dict[tuple, dict[int, Fraction]]]:
+    """(representatives, π as {monomial: {class index: Fraction}}) of Hⁿ,
+    by the Fraction kernel and normal forms: each nonzero normal form,
+    scaled to lead with 1, is the next representative, inserted with 1 in
+    its tail column."""
+    basis = M.algebra.basis(n)
+    dim = len(basis)
+    matrix = _transpose(_d_rows(M, n))
+    d_n = la.Echelon(dim)
+    for i in sorted(matrix):
+        d_n.insert(matrix[i])
+    ech = la.Echelon(dim)
+    if dim:
+        for row in _d_rows(M, n - 1):
+            ech.insert(row)
+    reps: list[la.Row] = []
+    projection: dict[tuple, dict[int, Fraction]] = {}
+    for f, z in kernel(d_n).items():
+        red = reduce(ech, z)
+        cls = {j - dim: -c for j, c in red.items() if j >= dim}
+        head = [j for j in red if j < dim]
+        if head:
+            lead = red[min(head)]
+            rep = {j: red[j] / lead for j in head}
+            ech.insert({**rep, dim + len(reps): la.F1})
+            cls[len(reps)] = lead
+            reps.append(rep)
+        if cls:
+            projection[basis[f]] = cls
+    elements = [M.algebra.element({basis[j]: r[j] for j in sorted(r)}) for r in reps]
+    return elements, projection
+
+
+def by_fiber(F: ModuleMap, e: Element,
+             fibers: Container | None = None) -> dict[tuple, Element]:
+    """F.by_fiber(e), with ρ applied to each base part b_f as the algebra
+    map with generator images F.base_images."""
+    odd, base = F.source.algebra.odd, F.base_images
+    parts: dict[tuple, dict[tuple, int]] = {}
+    for mono, c in e.terms.items():
+        b, f = [], []
+        b_odd = f_odd = False
+        for gid, exp in mono:
+            if gid in base:
+                b.append((gid, exp))
+                if odd[gid]:
+                    b_odd = not b_odd
+                    if f_odd:
+                        c = -c
+            else:
+                f.append((gid, exp))
+                if odd[gid]:
+                    f_odd = not f_odd
+        fiber = tuple(f)
+        if fibers is None or fiber in fibers:
+            parts.setdefault(fiber, {})[tuple(b)] = (
+                -c if b_odd and F.degree % 2 else c)
+    src, tgt = F.source.algebra, F.target.algebra
+    return {f: _apply_algebra_map(Element(src, b, e.den), base, tgt)
+            for f, b in parts.items()}
 
 
 def induced_map(

@@ -18,8 +18,10 @@ from branecalc import (
 )
 from branecalc.cohomology import _d_rows, projection, section
 
-from conftest import MODEL_FILES, MODEL_TEXTS, S4_RATIONAL, build_s4
-from oracles import induced_map, invert_on_cohomology, is_quasi_iso, morphism_phi
+from conftest import A4B6_RATIONAL, MODEL_FILES, MODEL_TEXTS, S4_RATIONAL, build_s4
+from oracles import (
+    fraction_cohomology_basis, induced_map, invert_on_cohomology, is_quasi_iso,
+    morphism_phi)
 
 
 def reps(M, n):
@@ -226,12 +228,35 @@ def test_d_rows_are_den_times_the_fraction_rows_of_d(text, build):
 
 
 def _pi(M, e):
-    """π on an element, through cohomology.projection term by term."""
+    """π on an element, through cohomology.projection term by term, its
+    int numerators read back as Fractions over their denominator."""
     out = {}
     for mono in e.terms:
-        for i, x in projection(M, mono)[1].items():
-            out[i] = out.get(i, 0) + e.coefficient(mono) * x
+        _, nums, den = projection(M, mono)
+        for i, x in nums.items():
+            out[i] = out.get(i, 0) + e.coefficient(mono) * Fraction(x, den)
     return {i: x for i, x in out.items() if x}
+
+
+@pytest.mark.parametrize("text", MODEL_TEXTS + [
+    pytest.param(A4B6_RATIONAL, id="a4b6-rational")])
+@pytest.mark.parametrize("build", [lambda V: V, lambda V: sphere_model(V, 3)],
+                         ids=["model", "state"])
+def test_int_representatives_and_pi_match_the_fraction_route(text, build):
+    """The int kernel → _reduce → π route gives the representatives and π,
+    read back as Fractions, of oracles.fraction_cohomology_basis, with π
+    stored as nonzero int numerators over one positive denominator per
+    degree."""
+    M = build(parse_model(text).model)
+    for n in range(17):
+        h = cohomology_basis(M, n)
+        reps, pi = fraction_cohomology_basis(M, n)
+        assert h.representatives == reps
+        nums = [x for v in h.projection.values() for x in v.values()]
+        assert all(type(x) is int and x for x in nums) and all(h.projection.values())
+        assert type(h.den) is int and h.den > 0
+        assert {m: {i: Fraction(x, h.den) for i, x in v.items()}
+                for m, v in h.projection.items()} == pi
 
 
 @pytest.mark.parametrize("text", MODEL_TEXTS)

@@ -2,7 +2,9 @@
 
 ``Echelon`` and the sparse ``solve`` are the whole interface: the RREF is
 an ``Echelon``'s rows scaled by ``oracles.rref_rows``, the nullspace
-``kernel()``, and an inverse the tail of an ``Echelon`` fed [A | I].
+``kernel()`` (integer rows over their denominators, read back as
+Fractions), a normal form ``_reduce`` read back by ``oracles.reduce``, and
+an inverse the tail of an ``Echelon`` fed [A | I].
 Matrices are seeded random sparse rationals, plus the shapes where an
 eliminator tends to slip: empty, 0×k, all-zero and rank-deficient, entries
 whose numerators and denominators pass 2**70, and rows whose denominators
@@ -17,7 +19,7 @@ import pytest
 
 from branecalc import _linalg as la
 
-from oracles import rref_rows
+from oracles import kernel as fraction_kernel, reduce, rref_rows
 
 sympy = pytest.importorskip("sympy")
 
@@ -193,14 +195,21 @@ def test_reduce_is_the_projection_off_the_pivot_columns(name, rows, ncols):
         want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in v]])
         for i, p in enumerate(pivots):
             want -= want[0, p] * red[i, :]
-        got = ech.reduce(sparse(v))
+        got = reduce(ech, sparse(v))
         assert got == {j: to_fraction(x) for j, x in enumerate(want) if x}
 
 
 @pytest.mark.parametrize("name, rows, ncols", CASES, ids=IDS)
 def test_nullspace_matches_sympy(name, rows, ncols):
-    kernel = echelon(rows, ncols).kernel()
-    got = [[kernel[f].get(j, Fraction(0)) for j in range(ncols)] for f in sorted(kernel)]
+    ech = echelon(rows, ncols)
+    kernel = ech.kernel()
+    for f, (w, den) in kernel.items():  # primitive integer rows over w[f]
+        assert all(type(x) is int and x for x in w.values())
+        assert den == w[f] > 0 and gcd(*w.values()) == 1
+    got = [[Fraction(w.get(j, 0), den) for j in range(ncols)]
+           for w, den in (kernel[f] for f in sorted(kernel))]
+    assert got == [[v.get(j, Fraction(0)) for j in range(ncols)]
+                   for v in (fraction_kernel(ech)[f] for f in sorted(kernel))]
     want = to_sympy(rows, ncols).nullspace()
     assert got == [[to_fraction(x) for x in v] for v in want]
     for v in got:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from branecalc import (
     DgaMorphism,
     ModelError,
     ModuleMap,
+    brane_coproduct_dual,
     brane_ops,
     brane_product_dual,
     cocycle_defects,
@@ -24,9 +26,10 @@ from branecalc import (
     shriek_gamma_pure,
     transposition_sign_loop,
 )
+from branecalc.shriek import compose_module
 
 from conftest import MODEL_TEXTS, coproduct_fold
-from oracles import gamma_evaluation
+from oracles import by_fiber, gamma_evaluation
 
 AB = "gen a 4\ngen b 6\ngen y 7\ngen z 11\nd y = a^2\nd z = b^2 + a^3\n"
 DELTA_MODELS = [p for p in MODEL_TEXTS if p.id != "linear-d"] + [
@@ -271,3 +274,92 @@ def test_fiber_basis_is_the_filtered_basis(text):
             reached[kind] = n
     assert reached["path"] == reached["disk"] == 20
     assert min(reached.values()) >= 8, reached
+
+
+# ---------------------------------------------------------------------------
+# ρ as a relabelling
+
+
+# the source degrees on which by_fiber is compared with the reference
+RHO_TOP = 8
+
+
+def built_module_maps(text: str) -> list:
+    """Every ModuleMap built by the k = 2 product, the coproduct, the
+    coproduct's full fold and δ!'s evaluation pairing on V: δ! (with the
+    hom_differential its certificate builds), δ!⊗id, γ!, glue∘γ!, γ!⊗id
+    and the fold, whose glue carries -1 on the right copies."""
+    V = parse_model(text).model
+    seen = []
+    real = ModuleMap.__init__
+
+    def recording(self, *args):
+        real(self, *args)
+        seen.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ModuleMap, "__init__", recording)
+        brane_product_dual(V, 2, max_degree=RHO_TOP)
+        brane_coproduct_dual(V, 2, max_degree=RHO_TOP)
+        coproduct_fold(V)
+        delta_evaluation(V)
+    return seen
+
+
+def assert_by_fiber_matches_the_reference(F, rng) -> int:
+    """F.by_fiber against oracles.by_fiber, with and without the images as
+    the fiber filter, on every source monomial of degree ≤ RHO_TOP and on
+    one rational combination of each degree; returns the zero values."""
+    alg = F.source.algebra
+    zeros = 0
+    for n in range(RHO_TOP + 1):
+        monos = alg.basis(n)
+        elements = [alg.monomial_element(m) for m in monos]
+        elements.append(alg.element(
+            {m: Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 6)) for m in monos}))
+        for e in elements:
+            got = F.by_fiber(e)
+            assert got == by_fiber(F, e)
+            assert F.by_fiber(e, F.images) == by_fiber(F, e, F.images)
+            zeros += sum(v.is_zero() for v in got.values())
+    return zeros
+
+
+@pytest.mark.parametrize("text", DELTA_MODELS)
+def test_by_fiber_relabels_as_the_algebra_map_does(text):
+    maps = built_module_maps(text)
+    rng = random.Random(text)
+    for F in maps:
+        assert_by_fiber_matches_the_reference(F, rng)
+    signs = {c for F in maps for c, _ in F._relabel.values()}
+    assert signs == {-1, 0, 1}  # _GLUE's -1, and the base images glue kills
+    assert any(F.degree == F2.degree + 1 and F.source is F2.source
+               for F in maps for F2 in maps)  # hom_differential's D(δ!)
+
+
+def test_by_fiber_gives_zero_where_two_odd_generators_meet():
+    # δ! on S³ composed with the multiplication ∧V⊗² → ∧V: x@L and x@R both
+    # go to x, so the base monomial x@L·x@R goes to x·x = 0
+    V = parse_model("gen x 3\n").model
+    delta = shriek_delta_semipure(V)
+    mult = DgaMorphism(delta.target, V, {
+        g.gid: V.algebra.generator_element(g.prov.origin)
+        for g in delta.target.algebra.generators})
+    F = compose_module(mult, delta)
+    assert sorted(c for c, _ in F._relabel.values()) == [1, 1]
+    assert len({g for _, g in F._relabel.values()}) == 1
+    assert assert_by_fiber_matches_the_reference(F, random.Random(3)) > 0
+    src = F.source.algebra
+    both = src.monomial_element(tuple((b, 1) for b in sorted(F.base_images)))
+    assert F.by_fiber(both) == {(): V.algebra.zero()}
+
+
+@pytest.mark.parametrize("image", ["x + y", "2*x", "x/2", "x^2", "x*y"])
+def test_a_base_image_that_is_not_a_relabelling_is_rejected(image):
+    V = parse_model("gen x 4\ngen y 4\n").model
+    x, y = (V.algebra.generator_element(n) for n in "xy")
+    value = {"x + y": x + y, "2*x": x * 2, "x/2": x * Fraction(1, 2),
+             "x^2": x * x, "x*y": x * y}[image]
+    F = ModuleMap(V, V, 0, {0: value, 1: y}, {(): V.algebra.one()})
+    with pytest.raises(ModelError, match=r"base image of x is .* not ± one generator"):
+        F.by_fiber(V.algebra.one())

@@ -1,6 +1,6 @@
 """The top-degree table rows of the TSV matrix, replayed in-process.
 
-``scripts/tsv_matrix.py`` fingerprints 503 CLI commands, and its output as
+``scripts/tsv_matrix.py`` fingerprints 511 CLI commands, and its output as
 the tables stand is committed as ``scripts/tsv_matrix.expected``.  The
 ``brane-product`` and ``brane-coproduct`` rows at each model's top
 ``--max-degree``, with and without ``--homology``, are run again here
@@ -11,7 +11,8 @@ rest.  The model dumps (``sphere-model``, ``disk-model``, ``path-model``)
 and the ``cohomology`` tables are replayed too, all of them, including the
 ``disk-model --k 3`` rows whose exit code 2 and stderr digest pin the error
 message, and so are all the ``verify`` rows: ``verify --suite signs`` is
-the CLI's one path through ``shriek.evaluation_pairing``.  The
+the CLI's one path through ``shriek.evaluation_pairing``.  So are the
+``check-dga`` rows, one per model file and stdin model.  The
 ``brane-product --k 3`` rows are replayed as well: S⁴'s k = 3 table, and
 the exit code 2 and stderr digest with which S³ and S³×S³, whose
 generators have degree 3, are rejected before any model is built.
@@ -54,6 +55,8 @@ CASES = top_degree_tables()
 DUMPS = [(argv, name) for argv, name in tsv_matrix.commands()
          if argv[0] in ("sphere-model", "disk-model", "path-model", "cohomology")]
 VERIFY = [(argv, name) for argv, name in tsv_matrix.commands() if argv[0] == "verify"]
+CHECK_DGA = [(argv, name) for argv, name in tsv_matrix.commands()
+             if argv[0] == "check-dga"]
 K3_PRODUCTS = [(argv, name) for argv, name in tsv_matrix.commands()
                if argv[0] == "brane-product" and "--k" in argv]
 
@@ -73,6 +76,11 @@ def test_every_verify_row_is_replayed():
     assert len(VERIFY) == (len(tsv_matrix.SUITES) * len(tsv_matrix.MODELS)
                            + len(tsv_matrix.STDIN_SUITES) * len(tsv_matrix.STDIN))
     assert all(tsv_matrix.label(argv, name) in EXPECTED for argv, name in VERIFY)
+
+
+def test_every_check_dga_row_is_replayed():
+    assert len(CHECK_DGA) == len(tsv_matrix.MODELS) + len(tsv_matrix.STDIN)
+    assert all(EXPECTED[tsv_matrix.label(*c)][0] == 0 for c in CHECK_DGA)
 
 
 def test_every_k3_product_row_is_replayed():
@@ -108,4 +116,9 @@ def test_verify_row_matches_the_expected_digests(argv, name, monkeypatch):
 @pytest.mark.parametrize("argv,name", K3_PRODUCTS,
                          ids=[tsv_matrix.label(*c) for c in K3_PRODUCTS])
 def test_k3_product_row_matches_the_expected_digests(argv, name, monkeypatch):
+    replay(argv, name, monkeypatch)
+
+
+@pytest.mark.parametrize("argv,name", CHECK_DGA, ids=[tsv_matrix.label(*c) for c in CHECK_DGA])
+def test_check_dga_row_matches_the_expected_digests(argv, name, monkeypatch):
     replay(argv, name, monkeypatch)
