@@ -1,6 +1,6 @@
 """Fingerprint the CLI's output over a fixed matrix of commands.
 
-Runs 511 commands in-process through ``branecalc.cli.main`` and prints one
+Runs 514 commands in-process through ``branecalc.cli.main`` and prints one
 line per command: exit code, sha256 of stdout, sha256 of stderr, argv (and,
 for a model read from stdin, ``<`` and its name).  The commands, each on
 models/s3.model, models/s4.model and models/s3xs3.model:
@@ -23,7 +23,10 @@ coproducts are nonempty; and S³×S⁴ again at 0 to 12 with its generators
 listed out of degree order (``y 7``, ``x 4``, ``a 3``), which pins the
 order in which sections are solved: by degree, not by generator id.
 Each of these five also runs the ``verify`` suites ``signs`` and
-``assoc``, the suites that build δ!, and ``check-dga``.
+``assoc``, the suites that build δ!, and ``check-dga``.  Last,
+``brane-coproduct`` runs on the three stdin models in ``REJECTED``, which it
+rejects before it builds a model: their exit code 2 and stderr digest pin
+the messages.
 
 The output of the tables as they stand is committed next to this script,
 so a change that alters any table shows it in its own diff::
@@ -60,6 +63,15 @@ STDIN = {  # name: (model text, top --max-degree)
     "s3xs5xs7": ("algebra S3xS5xS7\ngen a 3\ngen b 5\ngen c 7\n", 14),
     "s3xs4-reordered": ("algebra S3xS4r\ngen y 7\ngen x 4\ngen a 3\nd y = x^2\n", 12),
 }
+REJECTED = {  # name: model text the coproduct rejects
+    # a generator of degree 2: the sphere model M_{S^1} takes it, γ!'s disk
+    # model does not
+    "x2": "gen x 2\n",
+    "x4-s2_x2": "gen x 4\ngen s2_x 2\n",
+    # a generator named like the suspension s1_x that M_{S^1} derives
+    "x4-s1_x7": "gen x 4\ngen s1_x 7\nd s1_x = x^2\n",
+}
+TEXTS = {name: text for name, (text, _) in STDIN.items()} | REJECTED
 
 
 def _tables(model: str, top: int) -> list[list[str]]:
@@ -88,7 +100,7 @@ def commands() -> list[tuple[list[str], str | None]]:
     return [(argv, None) for argv in out] + [
         (argv, name) for name, (_, top) in STDIN.items()
         for argv in _tables("-", top) + checks
-    ]
+    ] + [(["brane-coproduct", "-", "--format", "tsv"], name) for name in REJECTED]
 
 
 def label(argv: list[str], name: str | None) -> str:
@@ -114,7 +126,7 @@ def main() -> None:
     from branecalc.cli import main as cli_main
 
     for argv, name in commands():
-        code, out, err = run(cli_main, argv, STDIN[name][0] if name else "")
+        code, out, err = run(cli_main, argv, TEXTS[name] if name else "")
         print(code, hashlib.sha256(out).hexdigest(), hashlib.sha256(err).hexdigest(),
               label(argv, name), sep="\t", flush=True)
 

@@ -1,7 +1,7 @@
 """List the functions of ``src/branecalc`` that no command of the TSV matrix
 enters.
 
-Runs the 511 commands of ``scripts/tsv_matrix.py`` in-process, through its
+Runs the 514 commands of ``scripts/tsv_matrix.py`` in-process, through its
 own ``commands`` and ``run``, under ``sys.setprofile``, and records the code
 object of every Python call.  Then it prints each function and method
 defined in ``src/branecalc`` whose code was never entered, one per line, as
@@ -70,7 +70,7 @@ def main() -> None:
     sys.setprofile(profile)
     try:
         for argv, name in commands:
-            tsv_matrix.run(cli_main, argv, tsv_matrix.STDIN[name][0] if name else "")
+            tsv_matrix.run(cli_main, argv, tsv_matrix.TEXTS[name] if name else "")
     finally:
         sys.setprofile(None)
         sys.stdin = sys.__stdin__

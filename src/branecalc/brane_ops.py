@@ -38,9 +38,10 @@ Each class image is split into its fiber parts once (ModuleMap.graded_parts),
 and F of the product is read off the pairs of parts whose product is a
 fiber monomial where F has a value (ModuleMap.on_product).  The shift r is
 γ!'s degree.  As (γ!⊗id)(a·b) = γ!(a)·b, F has a value exactly when glue,
-restricted to γ!'s target M_{S^1}, keeps one of γ!'s values, and F is
-built only then.  When ∧V has an even generator, glue kills γ!'s value
-Π s1_x, so δ∨ is 0 without the fold, the pair maps or any cohomology
+restricted to γ!'s target M_{S^1}, keeps γ!'s one value Π s1_x, which
+shriek.gamma_value reads with r and M_{S^1} but no D; D, γ! and F are
+built only then.  When ∧V has an even generator, glue kills Π s1_x, so δ∨
+is 0 without a disk model, the fold, the pair maps or any cohomology
 basis: the table's keys come from the state's Betti numbers
 (cohomology.betti).  Otherwise a pair of total degree n is evaluated only
 when H^(n+r) of the state is nonzero, and the pair maps (the middle model,
@@ -85,6 +86,7 @@ from .shriek import (
     GorensteinInfo,
     ModuleMap,
     compose_module,
+    gamma_value,
     gorenstein_info,
     shriek_delta_semipure,
     shriek_gamma_pure,
@@ -273,6 +275,14 @@ def brane_product_dual(
     )
 
 
+def _glued_gamma_value(V: DgaModel, k: int) -> tuple[DgaModel, int, Element]:
+    """(M_{S^k}, r, kept): the state, γ!'s degree, and γ!'s value after glue
+    restricted to M_{S^1}, nonzero exactly when the fold has a value."""
+    target, r, value = gamma_value(V)
+    state = sphere_model(V, k + 1)
+    return state, r, _gluing_map(target, state, k, _GLUE)(value)
+
+
 def _coproduct_fold(gamma: ModuleMap, state: DgaModel, k: int) -> ModuleMap:
     """The fold glue∘(γ!⊗id), one module map D ⊗_{M_{S^1}} G → M_{S^k}
     of γ!'s degree, the shift r of δ∨.  brane_coproduct_dual builds it only
@@ -318,19 +328,11 @@ def brane_coproduct_dual(
 ) -> BraneOperation:
     """The dual brane coproduct δ∨: H^n(M_{S^k}⊗²) → H^(n+m̄)(M_{S^k})."""
     if k != 2:
-        raise ModelError(
-            "the coproduct pipeline is implemented for k = 2 only "
-            "(closed-form constant-maps shriek)"
-        )
+        raise ModelError("the coproduct pipeline is implemented for k = 2 only "
+                         "(closed-form constant-maps shriek)")
     info = info or gorenstein_info(V, k)
-    gamma = shriek_gamma_pure(V)
-    state = sphere_model(V, k + 1)
-    r = gamma.degree
-    # (γ!⊗id)(a·b) = γ!(a)·b and glue is an algebra map, so the fold has a
-    # value exactly when glue, restricted to γ!'s target M_{S^1}, keeps one
-    # of γ!'s values; the fold is built only then
-    kept = compose_module(_gluing_map(gamma.target, state, k, _GLUE), gamma).images
-    folded = _coproduct_fold(gamma, state, k) if kept else None
+    state, r, kept = _glued_gamma_value(V, k)
+    folded = _coproduct_fold(shriek_gamma_pure(V), state, k) if kept.terms else None
     # the pair maps are built for the first pair evaluated; each class image
     # is split into fiber parts once, and a pair is read off the parts whose
     # products are keys of folded.images
@@ -340,7 +342,7 @@ def brane_coproduct_dual(
     for n in range(max_degree + 1):
         # with no value, or nothing in the target degree, δ∨ vanishes
         # without evaluation
-        if not kept or not betti(state, n + r):
+        if folded is None or not betti(state, n + r):
             table.update((lab, {}) for lab in class_pairs(dims, n))
             continue
         for a, b in class_pairs(dims, n):
@@ -350,9 +352,7 @@ def brane_coproduct_dual(
             z = folded.on_product(left(a), right(b), b[0])
             out = class_vector(state, n + r, z) if z.terms else []
             table[(a, b)] = {(n + r, i): c for i, c in enumerate(out) if c}
-    return BraneOperation(
-        "coproduct-dual", info, r, max_degree, state, table
-    )
+    return BraneOperation("coproduct-dual", info, r, max_degree, state, table)
 
 
 # ---------------------------------------------------------------------------

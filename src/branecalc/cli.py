@@ -334,17 +334,18 @@ def _rows(table: dict, rep, degree: bool) -> list:
     """The rows of a table {key: {key: coefficient}}, each key a class label
     or a pair of labels: the key's degree (if degree), the representatives
     rep(label) of the key and of the other side, then the coefficient.
-    rep is called once per label."""
+    Empty rows emit nothing and are dropped before sorting; the key's part
+    of a row is made once per key, and rep is called once per label."""
     def labels(key):
         return key if isinstance(key[0], tuple) else (key,)
 
     rep = functools.cache(rep)
     rows = []
-    for key, row in sorted(table.items()):
+    for key, row in sorted(item for item in table.items() if item[1]):
         head = [sum(c[0] for c in labels(key))] if degree else []
+        head.extend(map(rep, labels(key)))
         for other, coeff in sorted(row.items()):
-            reps = [rep(c) for c in (*labels(key), *labels(other))]
-            rows.append([*head, *reps, str(coeff)])
+            rows.append([*head, *map(rep, labels(other)), str(coeff)])
     return rows
 
 

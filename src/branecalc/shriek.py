@@ -7,9 +7,9 @@ D(F) = d_target∘F - (-1)^(deg F) F∘d_source.
 
 Two shrieks are constructed:
 
-* the constant-maps shriek γ! (disk model over sphere model, k = 2):
+* the constant-maps shriek γ! (disk model D over sphere model, k = 2):
   value Π s1_x_i on the full product of the odd suspensions Π s2_y_j,
-  zero on every other fiber monomial;
+  zero elsewhere; gamma_value reads Π s1_x_i and γ!'s degree without D;
 * the diagonal shriek δ! = f (path model over ∧V⊗²): leading value
   Π_j (1⊗y_j - y_j⊗1) + u on Π_i s_x_i with the correction u supported in
   the ideal (y_1⊗y_1, ..., y_q⊗y_q), every other value solved from
@@ -71,15 +71,11 @@ def gorenstein_info(
     and 1 - a otherwise.  Only the parities of m and m̄ are pinned by the
     theory (m ≡ p+q, m̄ ≡ dim V mod 2), so both may be overridden.
     """
-    evens = [g for g in V.algebra.generators if not g.is_odd]
-    odds = [g for g in V.algebra.generators if g.is_odd]
-    p, q = len(evens), len(odds)
-    m_default = sum(g.degree for g in odds) - sum(g.degree - 1 for g in evens)
-    contrib = []
-    for g in V.algebra.generators:
-        a = g.degree - (k - 1)
-        contrib.append(a if a % 2 else 1 - a)
-    m_bar_default = sum(contrib)
+    gens = V.algebra.generators
+    q = sum(g.is_odd for g in gens)
+    p = len(gens) - q
+    m_default = sum(g.degree if g.is_odd else 1 - g.degree for g in gens)
+    m_bar_default = sum(a if a % 2 else 1 - a for a in (g.degree - (k - 1) for g in gens))
     if m is None:
         m = m_default
     elif (m - (p + q)) % 2:
@@ -279,34 +275,37 @@ def is_semi_pure(V: DgaModel) -> bool:
 # γ! — the constant-maps shriek (k = 2)
 
 
-def shriek_gamma_pure(V: DgaModel) -> ModuleMap:
-    """γ! from the disk model to the sphere model (k = 2 shape).
-
-    Nonzero only on the full product of the odd suspensions:
-    γ!(s2_y_1 ⋯ s2_y_q) = s1_x_1 ⋯ s1_x_p; fiber monomials containing any
-    s2_x factor (or missing some s2_y) go to zero.
-    """
+def gamma_value(V: DgaModel) -> tuple[DgaModel, int, Element]:
+    """(M_{S^1}, degree, Π s1_x_i): γ!'s target, degree and one value, read
+    without its source D after shriek_gamma_pure's checks, in its order, D's
+    degree bound among them (M_{S^1} would accept a generator of degree 2)."""
     if not is_pure(V):
         raise ModelError("γ! requires a pure model")
     if not is_minimal(V):
         raise ModelError("γ! requires a minimal model")
+    if any(g.degree < 3 for g in V.algebra.generators):
+        raise ModelError("disk model needs all generator degrees ≥ k+1=3")
+    sphere, gens = sphere_model(V, 2), V.algebra.generators
+    sign, mono = sphere.algebra.normalize(
+        [(sphere.algebra.gen(Provenance("susp", 1, g.name)).gid, 1) for g in gens if not g.is_odd])
+    return (sphere, sum(2 - g.degree if g.is_odd else g.degree - 1 for g in gens),
+            sphere.algebra.monomial_element(mono, sign))
+
+
+def shriek_gamma_pure(V: DgaModel) -> ModuleMap:
+    """γ! from the disk model D to the sphere model M_{S^1} (k = 2 shape).
+
+    Nonzero only on the full product of the odd suspensions:
+    γ!(s2_y_1 ⋯ s2_y_q) = s1_x_1 ⋯ s1_x_p, the value gamma_value reads;
+    fiber monomials with an s2_x factor (or missing some s2_y) go to zero.
+    """
+    sphere, degree, value = gamma_value(V)
     disk = disk_model(V, 2)
-    sphere = sphere_model(V, 2)
-    evens = [g for g in V.algebra.generators if not g.is_odd]
-    odds = [g for g in V.algebra.generators if g.is_odd]
-    key_raw = [(disk.algebra.gen(Provenance("susp", 2, g.name)).gid, 1) for g in odds]
-    sign, key = disk.algebra.normalize(key_raw)
+    sign, key = disk.algebra.normalize([(disk.algebra.gen(Provenance("susp", 2, g.name)).gid, 1)
+                                        for g in V.algebra.generators if g.is_odd])
     assert sign == 1
-    value = sphere.algebra.one()
-    for g in evens:
-        value = value * sphere.algebra.generator_element(Provenance("susp", 1, g.name))
-    degree = (
-        sum(g.degree - 1 for g in evens) - sum(g.degree - 2 for g in odds)
-    )
-    base_images = {
-        gid: sphere.algebra.generator_element(disk.algebra.gen(gid).prov)
-        for gid in disk.base_gids
-    }
+    base_images = {gid: sphere.algebra.generator_element(disk.algebra.gen(gid).prov)
+                   for gid in disk.base_gids}
     return ModuleMap(disk, sphere, degree, base_images, {key: value})
 
 

@@ -129,14 +129,16 @@ def test_rows_read_each_label_once():
         calls.append(label)
         return f"r{label[0]}.{label[1]}"
 
+    # (4, 0)'s row is empty: it emits nothing, and its label is not read
     table = {(2, 0): {((0, 0), (2, 0)): 1, ((2, 0), (0, 0)): Fraction(-1, 2)},
-             (0, 0): {((0, 0), (0, 0)): 3}}
-    assert _rows(table, rep, True) == [
+             (4, 0): {}, (0, 0): {((0, 0), (0, 0)): 3}}
+    rows = _rows(table, rep, True)
+    assert sorted(calls) == [(0, 0), (2, 0)]
+    assert rows == _rows({k: row for k, row in table.items() if row}, rep, True) == [
         [0, "r0.0", "r0.0", "r0.0", "3"],
         [2, "r2.0", "r0.0", "r2.0", "1"],
         [2, "r2.0", "r2.0", "r0.0", "-1/2"],
     ]
-    assert sorted(calls) == [(0, 0), (2, 0)]
 
 
 def test_parse_accepts_comments_and_rationals():

@@ -13,6 +13,7 @@ G = D ⊗_{M_{S^(k-1)}} D that it replaces: identify∘σ_glue, with the same
 checks on σ_glue.
 """
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
@@ -195,19 +196,29 @@ def eager_coproduct_table(V, degree):
     return table
 
 
-# The coproduct decides from γ! whether the fold has a value: glue,
-# restricted to γ!'s target M_{S^1}, composed with γ!.  That composite is
-# the first module map it composes, and the full fold, when built, the
-# second.  The oracle is the full fold, built on every model.
+# The coproduct decides from γ!'s one value whether the fold has a value:
+# glue, restricted to γ!'s target M_{S^1}, applied to Π s1_x, read with γ!'s
+# degree and no disk model (brane_ops._glued_gamma_value).  The recorder
+# notes that decision, as the terms glue keeps of the value and the degree,
+# and then the full fold, the one module map composed when it is built.
+# The oracle is the full fold, built on every model.
 VANISHING_CASES = ACCEPTED + [pytest.param(text, id=name) for name, text in (
     ("hp2", HP2), ("ab", AB), ("s4xs6", S4XS6))]
+Decision = namedtuple("Decision", "images degree")
 
 
 @pytest.mark.parametrize("text", VANISHING_CASES)
 def test_the_vanishing_decision_agrees_with_the_full_fold(text, monkeypatch):
     V = parse_model(text).model
     composed = []
-    real = brane_ops.compose_module
+    real, real_decision = brane_ops.compose_module, brane_ops._glued_gamma_value
+
+    def recording_decision(V, k):
+        state, r, kept = real_decision(V, k)
+        composed.append(Decision(kept.terms, r))
+        return state, r, kept
+
+    monkeypatch.setattr(brane_ops, "_glued_gamma_value", recording_decision)
     monkeypatch.setattr(brane_ops, "compose_module",
                         lambda g, F: composed.append(real(g, F)) or composed[-1])
     op = brane_coproduct_dual(V, 2, max_degree=14)
@@ -219,23 +230,26 @@ def test_the_vanishing_decision_agrees_with_the_full_fold(text, monkeypatch):
     assert op.table == eager_coproduct_table(V, 14)
 
 
-# The coproduct builds its fold (the double disk, γ!⊗id and the full glue
-# map) only when glue keeps a value of γ!, which it does exactly when ∧V has
-# no even generator.  It builds its pair maps, the collapse gluing map, its
-# section and the two identify maps, for the first pair it evaluates: none
-# when the fold is not built, nor on S³ at degree 0, where no pair lands in
-# a nonzero degree.  Only an evaluated pair needs a cohomology basis.
-@pytest.mark.parametrize("text, degree, folds, evaluates", [
-    pytest.param(text, degree, folds, evaluates, id=name)
-    for name, text, degree, folds, evaluates in (
-        ("s4", S4, 14, False, False), ("s3xs4", S3XS4, 14, False, False),
-        ("hp2", HP2, 14, False, False), ("ab", AB, 14, False, False),
-        ("s3-d0", "gen x 3\n", 0, True, False), ("s3", "gen x 3\n", 8, True, True),
-        ("s3^3", S3_3, 8, True, True))])
+# The coproduct builds its fold (γ! on its source, the disk model D, then
+# the double disk, γ!⊗id and the full glue map) only when glue keeps γ!'s
+# value, which it does exactly when ∧V has no even generator; otherwise it
+# builds no disk[…] algebra at all.  It builds its pair maps, the collapse
+# gluing map, its section and the two identify maps, for the first pair it
+# evaluates: none when the fold is not built, nor on S³ at degree 0, where
+# no pair lands in a nonzero degree.  Only an evaluated pair needs a
+# cohomology basis.
+@pytest.mark.parametrize("text, degree, folds, disks, evaluates", [
+    pytest.param(text, degree, folds, disks, evaluates, id=name)
+    for name, text, degree, folds, disks, evaluates in (
+        ("s4", S4, 14, False, 0, False), ("s3xs4", S3XS4, 14, False, 0, False),
+        ("hp2", HP2, 14, False, 0, False), ("ab", AB, 14, False, 0, False),
+        ("s4xs6", S4XS6, 14, False, 0, False),
+        ("s3-d0", "gen x 3\n", 0, True, 1, False),
+        ("s3", "gen x 3\n", 8, True, 1, True), ("s3^3", S3_3, 8, True, 1, True))])
 def test_the_coproduct_builds_its_pair_maps_only_to_evaluate_a_pair(
-        text, degree, folds, evaluates, monkeypatch):
+        text, degree, folds, disks, evaluates, monkeypatch):
     V = parse_model(text).model
-    stages, tops, tensors, shrieks, computed = [], [], [], [], []
+    stages, tops, tensors, shrieks, computed, algebras = [], [], [], [], [], []
     real_gluing, real_tensor = brane_ops._gluing_map, brane_ops.relative_tensor
     real_shriek, real_basis = brane_ops._shriek_tensor_id, cohomology._cohomology_basis
 
@@ -261,8 +275,14 @@ def test_the_coproduct_builds_its_pair_maps_only_to_evaluate_a_pair(
     monkeypatch.setattr(brane_ops, "_shriek_tensor_id", recording_shriek)
     monkeypatch.setattr(cohomology, "_cohomology_basis",
                         lambda M, n: computed.append(M) or real_basis(M, n))
+    real_init = GradedAlgebra.__init__
+    monkeypatch.setattr(GradedAlgebra, "__init__",
+                        lambda alg, name="": algebras.append(name) or real_init(alg, name))
     op = brane_coproduct_dual(V, 2, max_degree=degree)
     monkeypatch.undo()
+    # the disk models built: the fold's one D, or none
+    built = [name for name in algebras if name.startswith("disk[")]
+    assert built == [f"disk[2]({V.algebra.name})"] * disks
     assert stages == ["disk-factor quasi-isomorphism"] * evaluates
     # the restricted glue map; the fold's glue map, if it is built; then,
     # if a pair is evaluated, the collapse and the two identify maps

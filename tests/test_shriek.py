@@ -287,8 +287,8 @@ RHO_TOP = 8
 def built_module_maps(text: str) -> list:
     """Every ModuleMap built by the k = 2 product, the coproduct, the
     coproduct's full fold and δ!'s evaluation pairing on V: δ! (with the
-    hom_differential its certificate builds), δ!⊗id, γ!, glue∘γ!, γ!⊗id
-    and the fold, whose glue carries -1 on the right copies."""
+    hom_differential its certificate builds), δ!⊗id, γ!, γ!⊗id and the
+    fold, whose glue carries -1 on the right copies."""
     V = parse_model(text).model
     seen = []
     real = ModuleMap.__init__

@@ -1,6 +1,6 @@
 """The top-degree table rows of the TSV matrix, replayed in-process.
 
-``scripts/tsv_matrix.py`` fingerprints 511 CLI commands, and its output as
+``scripts/tsv_matrix.py`` fingerprints 514 CLI commands, and its output as
 the tables stand is committed as ``scripts/tsv_matrix.expected``.  The
 ``brane-product`` and ``brane-coproduct`` rows at each model's top
 ``--max-degree``, with and without ``--homology``, are run again here
@@ -15,7 +15,10 @@ the CLI's one path through ``shriek.evaluation_pairing``.  So are the
 ``check-dga`` rows, one per model file and stdin model.  The
 ``brane-product --k 3`` rows are replayed as well: S⁴'s k = 3 table, and
 the exit code 2 and stderr digest with which S³ and S³×S³, whose
-generators have degree 3, are rejected before any model is built.
+generators have degree 3, are rejected before any model is built.  So
+are the ``brane-coproduct`` rows on the models in ``REJECTED``, whose exit
+code 2 and stderr digest pin the messages with which the coproduct rejects
+a generator of degree 2 and a generator named like a derived s1_x.
 """
 
 import hashlib
@@ -59,6 +62,8 @@ CHECK_DGA = [(argv, name) for argv, name in tsv_matrix.commands()
              if argv[0] == "check-dga"]
 K3_PRODUCTS = [(argv, name) for argv, name in tsv_matrix.commands()
                if argv[0] == "brane-product" and "--k" in argv]
+REJECTED = [(argv, name) for argv, name in tsv_matrix.commands()
+            if name in tsv_matrix.REJECTED]
 
 
 def test_every_model_is_replayed_with_and_without_homology():
@@ -89,10 +94,16 @@ def test_every_k3_product_row_is_replayed():
     assert sorted(EXPECTED[tsv_matrix.label(*c)][0] for c in K3_PRODUCTS) == [0, 2, 2]
 
 
+def test_every_rejected_coproduct_row_is_replayed():
+    assert [name for _, name in REJECTED] == list(tsv_matrix.REJECTED)
+    assert all(argv[0] == "brane-coproduct" for argv, _ in REJECTED)
+    assert all(EXPECTED[tsv_matrix.label(*c)][0] == 2 for c in REJECTED)
+
+
 def replay(argv, name, monkeypatch):
     monkeypatch.chdir(ROOT)
     monkeypatch.setattr(sys, "stdin", sys.stdin)  # run replaces it
-    stdin = tsv_matrix.STDIN[name][0] if name else ""
+    stdin = tsv_matrix.TEXTS[name] if name else ""
     code, out, err = tsv_matrix.run(main, argv, stdin)
     got = code, hashlib.sha256(out).hexdigest(), hashlib.sha256(err).hexdigest()
     assert got == EXPECTED[tsv_matrix.label(argv, name)]
@@ -121,4 +132,9 @@ def test_k3_product_row_matches_the_expected_digests(argv, name, monkeypatch):
 
 @pytest.mark.parametrize("argv,name", CHECK_DGA, ids=[tsv_matrix.label(*c) for c in CHECK_DGA])
 def test_check_dga_row_matches_the_expected_digests(argv, name, monkeypatch):
+    replay(argv, name, monkeypatch)
+
+
+@pytest.mark.parametrize("argv,name", REJECTED, ids=[tsv_matrix.label(*c) for c in REJECTED])
+def test_rejected_coproduct_row_matches_the_expected_digests(argv, name, monkeypatch):
     replay(argv, name, monkeypatch)
