@@ -57,7 +57,7 @@ F0 = Fraction(0)
 def _cached(M: DgaModel, key: tuple, make: Callable):
     """M.cohomology_cache[key], made on first use.  add_generator changes
     every cochain space, so the key gets the generator count too."""
-    key = (*key, len(M.algebra.generators))
+    key = (*key, len(M.algebra.odd))
     if key not in M.cohomology_cache:
         M.cohomology_cache[key] = make()
     return M.cohomology_cache[key]

@@ -80,7 +80,8 @@ class GradedAlgebra:
         self.odd: list[bool] = []
         # each generator under its label and under its provenance
         self._by_key: dict[str | Provenance, Generator] = {}
-        self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
+        # basis(n) by n, and monomials' suffix tables by gids tuple
+        self._basis_cache: dict = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -207,39 +208,38 @@ class GradedAlgebra:
     # basis enumeration
 
     def basis(self, n: int) -> tuple[Monomial, ...]:
-        """All canonical monomials of degree n, deterministically ordered."""
+        """All canonical monomials of degree n, in lexicographic order of their
+        exponent vectors over all generators, as monomials lists them."""
         cached = self._basis_cache.get(n)
         if cached is None:
             cached = self._basis_cache[n] = self.monomials(range(len(self._gens)), n)
         return cached
 
     def monomials(self, gids: Sequence[int], n: int) -> tuple[Monomial, ...]:
-        """The canonical monomials of degree n in the generators gids alone
-        (ascending ids), in the order basis(n) lists them."""
+        """The degree-n monomials in the ascending generators gids alone, their
+        exponent vectors in lexicographic order: gids[0]'s outermost, each
+        ascending.  Suffix tables T_i[m], the degree-m monomials in gids[i:],
+        are cached per gids in _basis_cache (add_generator clears it) and grow
+        together: T_i[m] is T_{i+1}[m], then g_i^e·s for s in T_{i+1}[m - e|g_i|],
+        e = 1, 2, ... (e = 1 only if g_i is odd)."""
         if n < 0:
             return ()
-        gens = [(gid, self._gens[gid].degree, self.odd[gid]) for gid in gids]
-        out: list[Monomial] = []
-
-        def rec(idx: int, remaining: int, acc: list[tuple[int, int]]) -> None:
-            if remaining == 0:
-                out.append(tuple(acc))
-                return
-            if idx >= len(gens):
-                return
-            gid, degree, odd = gens[idx]
-            max_e = 1 if odd else remaining // degree
-            for e in range(0, max_e + 1):
-                if e * degree > remaining:
-                    break
-                if e:
-                    acc.append((gid, e))
-                rec(idx + 1, remaining - e * degree, acc)
-                if e:
-                    acc.pop()
-
-        rec(0, n, [])
-        return tuple(out)
+        key = tuple(gids)
+        tables = self._basis_cache.get(key)
+        if tables is None:
+            tables = self._basis_cache[key] = [[(ONE,)] for _ in range(len(key) + 1)]
+        top = len(tables[0])
+        if n >= top:
+            tables[-1].extend(() for _ in range(top, n + 1))
+            for i in range(len(key) - 1, -1, -1):
+                gid, step, rest = key[i], self._gens[key[i]].degree, tables[i + 1]
+                for m in range(top, n + 1):
+                    out = list(rest[m])
+                    for e in range(1, min(m // step, 1 if self.odd[gid] else m) + 1):
+                        head = ((gid, e),)
+                        out += [head + s for s in rest[m - e * step]]
+                    tables[i].append(tuple(out))
+        return tables[0][n]
 
     # ------------------------------------------------------------------
     # element factories

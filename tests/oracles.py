@@ -20,20 +20,24 @@ the runtime computes or checks another way:
 * ``gamma_evaluation`` pairs γ! against a fixed cocycle, as
   ``shriek.delta_evaluation`` does for δ!;
 * ``pair_cocycle`` is the square cocycle a⊗b that the coproduct never forms;
-* ``coproduct_double_composite`` is δ∨∘(δ∨⊗id) on triples.
+* ``coproduct_double_composite`` is δ∨∘(δ∨⊗id) on triples;
+* ``monomials`` lists a degree's monomials by the recursion over exponents
+  that ``GradedAlgebra.monomials`` ran before it built suffix tables, the
+  order reference for ``basis`` and ``monomials``.
 
 pytest does not collect this module; tests import it as they import
 ``conftest``.
 """
 
 from fractions import Fraction
-from typing import Callable, Container
+from typing import Callable, Container, Sequence
 
 from branecalc import (
     BraneOperation,
     DgaModel,
     DgaMorphism,
     Element,
+    GradedAlgebra,
     ModelError,
     Provenance,
     class_vector,
@@ -242,3 +246,33 @@ def coproduct_double_composite(coprod: BraneOperation) -> dict:
                 for w, c2 in row2.items():
                     _add(out, ((a, b, c), w), coeff * c2)
     return out
+
+
+def monomials(alg: GradedAlgebra, gids: Sequence[int], n: int) -> tuple:
+    """The canonical monomials of degree n in the generators gids alone
+    (ascending ids), each degree enumerated afresh by a recursion that picks
+    the first generator's exponent outermost, each exponent ascending."""
+    if n < 0:
+        return ()
+    gens = [(gid, alg.gen(gid).degree, alg.odd[gid]) for gid in gids]
+    out: list = []
+
+    def rec(idx: int, remaining: int, acc: list[tuple[int, int]]) -> None:
+        if remaining == 0:
+            out.append(tuple(acc))
+            return
+        if idx >= len(gens):
+            return
+        gid, degree, odd = gens[idx]
+        max_e = 1 if odd else remaining // degree
+        for e in range(0, max_e + 1):
+            if e * degree > remaining:
+                break
+            if e:
+                acc.append((gid, e))
+            rec(idx + 1, remaining - e * degree, acc)
+            if e:
+                acc.pop()
+
+    rec(0, n, [])
+    return tuple(out)

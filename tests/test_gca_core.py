@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from branecalc import Derivation, GradedAlgebra, translate
 from branecalc.gca_core import add_tagged
 
+from oracles import monomials as oracle_monomials
+
 
 def mixed_algebra():
     alg = GradedAlgebra("mixed")
@@ -80,6 +82,33 @@ def test_basis_counts_match_poincare_series():
     series = poincare_series(gens, 12)
     for n in range(13):
         assert len(ALG.basis(n)) == series[n], f"degree {n}"
+
+
+generator_degrees = st.lists(st.integers(1, 9), min_size=1, max_size=7)
+requested_degrees = st.lists(st.integers(-1, 30), min_size=1, max_size=8)
+# each mask picks an ascending gid subset, gid g when mask[g % 7]
+gid_masks = st.lists(st.lists(st.booleans(), min_size=7, max_size=7), max_size=3)
+added_degrees = st.lists(st.integers(1, 9), max_size=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_degrees, requested_degrees, gid_masks, added_degrees)
+def test_basis_and_monomials_match_the_recursion_oracle(degrees, requests, masks, added):
+    """basis(n) and monomials(gids, n) list the oracle's monomials in its
+    order, for degrees asked out of order, on ascending gid subsets, and
+    again after add_generator extends an algebra whose tables are filled."""
+    alg = GradedAlgebra("random")
+    for i, deg in enumerate(degrees):
+        alg.add_generator(f"g{i}", deg)
+    for extra in (None, *added):
+        if extra is not None:
+            alg.add_generator(f"g{len(alg.odd)}", extra)
+        everything = range(len(alg.odd))
+        subsets = [tuple(g for g in everything if mask[g % 7]) for mask in masks]
+        for n in requests:
+            assert alg.basis(n) == oracle_monomials(alg, everything, n)
+            for gids in subsets:
+                assert alg.monomials(gids, n) == oracle_monomials(alg, gids, n)
 
 
 def test_element_arithmetic():
