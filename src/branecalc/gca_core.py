@@ -230,7 +230,7 @@ class GradedAlgebra:
             tables = self._basis_cache[key] = [[(ONE,)] for _ in range(len(key) + 1)]
         top = len(tables[0])
         if n >= top:
-            tables[-1].extend(() for _ in range(top, n + 1))
+            tables[-1] += [()] * (n + 1 - top)
             for i in range(len(key) - 1, -1, -1):
                 gid, step, rest = key[i], self._gens[key[i]].degree, tables[i + 1]
                 for m in range(top, n + 1):
