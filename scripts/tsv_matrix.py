@@ -1,6 +1,6 @@
 """Fingerprint the CLI's output over a fixed matrix of commands.
 
-Runs 514 commands in-process through ``branecalc.cli.main`` and prints one
+Runs 529 commands in-process through ``branecalc.cli.main`` and prints one
 line per command: exit code, sha256 of stdout, sha256 of stderr, argv (and,
 for a model read from stdin, ``<`` and its name).  The commands, each on
 models/s3.model, models/s4.model and models/s3xs3.model:
@@ -11,6 +11,9 @@ models/s3.model, models/s4.model and models/s3xs3.model:
   ``path-model``;
 * ``cohomology --max-degree 12`` and ``check-dga``;
 * the six ``verify`` suites, and ``brane-product --k 3``;
+* in the default ``--format table``, ``brane-product`` and
+  ``brane-coproduct`` with ``--homology`` and ``cohomology``, each at
+  ``--max-degree 8`` (``TABLE_FORMAT``);
 
 and, on the models in ``STDIN`` below, read from stdin (``-``) so that they
 need no model file and a parent checkout runs them unchanged,
@@ -26,7 +29,10 @@ Each of these five also runs the ``verify`` suites ``signs`` and
 ``assoc``, the suites that build δ!, and ``check-dga``.  Last,
 ``brane-coproduct`` runs on the three stdin models in ``REJECTED``, which it
 rejects before it builds a model: their exit code 2 and stderr digest pin
-the messages.
+the messages.  The two models in ``INFO`` override the formal dimensions
+with ``info`` lines; each runs ``brane-product`` and ``brane-coproduct``
+with ``--homology`` and ``verify --suite assoc`` (``INFO_COMMANDS``), whose
+outputs read m and m̄.
 
 The output of the tables as they stand is committed next to this script,
 so a change that alters any table shows it in its own diff::
@@ -71,7 +77,14 @@ REJECTED = {  # name: model text the coproduct rejects
     # a generator named like the suspension s1_x that M_{S^1} derives
     "x4-s1_x7": "gen x 4\ngen s1_x 7\nd s1_x = x^2\n",
 }
-TEXTS = {name: text for name, (text, _) in STDIN.items()} | REJECTED
+INFO = {  # name: model text with info overrides of m and m̄
+    "s4-info": "algebra S4i\ngen x 4\ngen y 7\nd y = x^2\ninfo m = 2\n",
+    "s3-info": "algebra S3i\ngen x 3\ninfo m = 1\ninfo mbar = -3\n",
+}
+INFO_COMMANDS = [[op, "-", "--homology", "--format", "tsv"]
+                 for op in ("brane-product", "brane-coproduct")]
+INFO_COMMANDS.append(["verify", "-", "--suite", "assoc"])
+TEXTS = {name: text for name, (text, _) in STDIN.items()} | REJECTED | INFO
 
 
 def _tables(model: str, top: int) -> list[list[str]]:
@@ -79,6 +92,13 @@ def _tables(model: str, top: int) -> list[list[str]]:
             for op in ("brane-product", "brane-coproduct")
             for homology in ([], ["--homology"])
             for d in range(top + 1)]
+
+
+def table_format(model: str) -> list[list[str]]:
+    """The commands on a model file in the default --format table."""
+    return [[op, model, "--max-degree", "8", "--homology"]
+            for op in ("brane-product", "brane-coproduct")
+            ] + [["cohomology", model, "--max-degree", "8"]]
 
 
 def commands() -> list[tuple[list[str], str | None]]:
@@ -95,12 +115,14 @@ def commands() -> list[tuple[list[str], str | None]]:
         for suite in SUITES:
             out.append(["verify", model, "--suite", suite])
         out.append(["brane-product", model, "--k", "3", "--format", "tsv"])
+        out.extend(table_format(model))
     checks = [["verify", "-", "--suite", suite] for suite in STDIN_SUITES]
     checks.append(["check-dga", "-"])
     return [(argv, None) for argv in out] + [
         (argv, name) for name, (_, top) in STDIN.items()
         for argv in _tables("-", top) + checks
-    ] + [(["brane-coproduct", "-", "--format", "tsv"], name) for name in REJECTED]
+    ] + [(["brane-coproduct", "-", "--format", "tsv"], name) for name in REJECTED] + [
+        (argv, name) for name in INFO for argv in INFO_COMMANDS]
 
 
 def label(argv: list[str], name: str | None) -> str:

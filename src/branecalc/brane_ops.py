@@ -37,13 +37,13 @@ glue∘(γ!⊗id) is one module map F (shriek.compose_module), built once.
 Each class image is split into its fiber parts once (ModuleMap.graded_parts),
 and F of the product is read off the pairs of parts whose product is a
 fiber monomial where F has a value (ModuleMap.on_product).  The shift r is
-γ!'s degree.  As (γ!⊗id)(a·b) = γ!(a)·b, F has a value exactly when glue,
-restricted to γ!'s target M_{S^1}, keeps γ!'s one value Π s1_x, which
-shriek.gamma_value reads with r and M_{S^1} but no D; D, γ! and F are
-built only then.  When ∧V has an even generator, glue kills Π s1_x, so δ∨
-is 0 without a disk model, the fold, the pair maps or any cohomology
-basis: the table's keys come from the state's Betti numbers
-(cohomology.betti).  Otherwise a pair of total degree n is evaluated only
+γ!'s degree.  As (γ!⊗id)(a·b) = γ!(a)·b, F has a value exactly when glue
+keeps γ!'s one value Π s1_x, x over the even generators; glue sends every
+s¹ generator to 0, so that is when ∧V has no even generator, and only then
+are D, γ! and F built.  Otherwise δ∨ is 0: shriek.gamma_value reads r
+after γ!'s checks, and no disk model, fold, pair map or cohomology basis
+is built; the table's keys come from the state's Betti numbers
+(cohomology.betti).  With a fold, a pair of total degree n is evaluated only
 when H^(n+r) of the state is nonzero, and the pair maps (the middle model,
 the collapse section, left and right) are built for the first pair
 evaluated.  No model in between gets a cohomology basis.
@@ -106,8 +106,10 @@ class Kunneth:
     """Pairs of H(A)-classes as classes of square, for (square, left, right)
     = tensor_model(A, A), with no cohomology of the square: coordinates
     reads them as π⊗π, π the monomial-to-class map CohomologyBasis.projection
-    of A that class_vector reads too.  left and right fix only the copy of A
-    each square generator comes from (side), so they are not kept.
+    of A that class_vector reads too.  left and right are the gid maps of
+    the two copies of A into square; an element of A crosses either
+    inclusion by translate.  They fix only the copy of A each square
+    generator comes from (side), so they are not kept.
     tensor_model adds all left generators before the right ones, each copy
     in A's order, so a square monomial is its left part times its right
     part, both canonical, with no sign; π has degree 0, so π⊗π adds no
@@ -119,12 +121,12 @@ class Kunneth:
     __slots__ = ("state", "square", "side", "_pi")
 
     def __init__(self, state: DgaModel, square: DgaModel,
-                 left: DgaMorphism, right: DgaMorphism) -> None:
+                 left: dict[int, int], right: dict[int, int]) -> None:
         self.state = state
         self.square = square
-        self.side = {_gid(img): (half, g)
-                     for half, f in enumerate((left, right))
-                     for g, img in f.images.items()}
+        self.side = {new: (half, g)
+                     for half, gid_map in enumerate((left, right))
+                     for g, new in gid_map.items()}
         self._pi = {}
 
     def coordinates(self, z: Element) -> dict[Pair, Fraction]:
@@ -197,28 +199,17 @@ def _gluing_map(src: DgaModel, dst: DgaModel, top: int, tops: dict) -> DgaMorphi
     return f
 
 
-def _gid(e: Element) -> int:
-    """The generator id of a generator element."""
-    return next(iter(e.terms))[0][0]
-
-
 def _shriek_tensor_id(F: ModuleMap, N: DgaModel) -> ModuleMap:
     """F ⊗ id: F.source ⊗_B N → N, linear over all of N.
 
-    F is a shriek over its base B: F.base_images sends each base generator
-    of F.source to a generator of F.target, and N is semifree over a copy of
-    F.target.  The inclusions of relative_tensor carry each base generator
-    into the glued model and into N, which fixes the translation
-    F.target → N.  The base (base_images' keys) is every generator from N,
+    F is a shriek over its base B, and N is semifree over a copy of
+    F.target: each generator of F.target is the generator of N with its
+    provenance.  The base (base_images' keys) is every generator from N,
     so the images are F's own values: (F ⊗ id)(a·b) = F(a)·b.
     """
-    glued, inc_f, inc_n = relative_tensor(F.source, N)
-    f_gid = {g: _gid(img) for g, img in inc_f.images.items()}
-    glued_to_n = {_gid(img): g for g, img in inc_n.images.items()}
-    to_n = {
-        _gid(F.base_images[b]): glued_to_n[f_gid[b]] for b in F.source.base_gids
-    }
-    base_images = {new: N.algebra.generator_element(g) for new, g in glued_to_n.items()}
+    glued, f_gid, n_gid = relative_tensor(F.source, N)
+    to_n = {g.gid: N.algebra.gen(g.prov).gid for g in F.target.algebra.generators}
+    base_images = {new: N.algebra.generator_element(g) for g, new in n_gid.items()}
     images = {}
     for a, value in F.images.items():
         sign, mono = glued.algebra.normalize([(f_gid[g], e) for g, e in a])
@@ -275,18 +266,10 @@ def brane_product_dual(
     )
 
 
-def _glued_gamma_value(V: DgaModel, k: int) -> tuple[DgaModel, int, Element]:
-    """(M_{S^k}, r, kept): the state, γ!'s degree, and γ!'s value after glue
-    restricted to M_{S^1}, nonzero exactly when the fold has a value."""
-    target, r, value = gamma_value(V)
-    state = sphere_model(V, k + 1)
-    return state, r, _gluing_map(target, state, k, _GLUE)(value)
-
-
 def _coproduct_fold(gamma: ModuleMap, state: DgaModel, k: int) -> ModuleMap:
     """The fold glue∘(γ!⊗id), one module map D ⊗_{M_{S^1}} G → M_{S^k}
     of γ!'s degree, the shift r of δ∨.  brane_coproduct_dual builds it only
-    when glue keeps a value of γ!, that is, when ∧V has no even generator."""
+    when glue keeps γ!'s value, that is, when ∧V has no even generator."""
     double, _, _ = relative_tensor(gamma.source, gamma.source)
     shriek = _shriek_tensor_id(gamma, double)
     glue = _gluing_map(double, state, k, _GLUE)
@@ -331,8 +314,13 @@ def brane_coproduct_dual(
         raise ModelError("the coproduct pipeline is implemented for k = 2 only "
                          "(closed-form constant-maps shriek)")
     info = info or gorenstein_info(V, k)
-    state, r, kept = _glued_gamma_value(V, k)
-    folded = _coproduct_fold(shriek_gamma_pure(V), state, k) if kept.terms else None
+    if all(g.is_odd for g in V.algebra.generators):
+        gamma = shriek_gamma_pure(V)
+        r, state = gamma.degree, sphere_model(V, k + 1)
+        folded = _coproduct_fold(gamma, state, k)
+    else:  # glue kills γ!'s value Π s1_x
+        _, r, _ = gamma_value(V)
+        state, folded = sphere_model(V, k + 1), None
     # the pair maps are built for the first pair evaluated; each class image
     # is split into fiber parts once, and a pair is read off the parts whose
     # products are keys of folded.images

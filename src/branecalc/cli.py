@@ -11,13 +11,14 @@ Model files declare a minimal Sullivan algebra:
 Commands: check-dga, cohomology, sphere-model, disk-model, path-model,
 brane-product, brane-coproduct, verify.  Exit codes: 0 ok, 1 verification
 failure (or a suite that found nothing to check within --max-degree), 2 usage
-or model error.
+or model error, 141 (a shell's SIGPIPE status) stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 from collections import namedtuple
@@ -571,7 +572,14 @@ def main(argv: list[str] | None = None) -> int:
     process, and all calls share one parser."""
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # nothing is left to read the output: point stdout at devnull, so
+        # the flush at exit cannot fail again, and exit silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ParseError, ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

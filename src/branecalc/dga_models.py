@@ -324,14 +324,6 @@ def _model(alg: GradedAlgebra, images: dict[int, Element], base: Iterable[int]) 
     return model
 
 
-def _inclusion(M: DgaModel, result: DgaModel, gid_map: dict[int, int]) -> DgaMorphism:
-    """The map M → result sending each generator to its copy under gid_map."""
-    alg = result.algebra
-    return DgaMorphism(
-        M, result, {gid: alg.generator_element(new) for gid, new in gid_map.items()}
-    )
-
-
 def _suspension(
     V: DgaModel, alg: GradedAlgebra, copies: Sequence[dict[int, int]], shift: int
 ) -> tuple[dict[int, int], Derivation]:
@@ -453,12 +445,13 @@ def path_model(V: DgaModel) -> DgaModel:
 
 def relative_tensor(
     M: DgaModel, N: DgaModel
-) -> tuple[DgaModel, DgaMorphism, DgaMorphism]:
+) -> tuple[DgaModel, dict[int, int], dict[int, int]]:
     """M ⊗_B N for two semifree models over the same base B.
 
     The bases are matched by provenance; fiber generators whose labels
     collide are tagged with their factor (see add_tagged).  Returns the
-    glued model and the two inclusion morphisms.
+    glued model and the gid maps of M and N into it: an element crosses
+    an inclusion by ``translate(e, glued.algebra, gid_map)``.
     """
     m_base = [M.algebra.gen(g) for g in M.base_gids]
     n_base = {N.algebra.gen(g).prov: g for g in N.base_gids}
@@ -490,17 +483,18 @@ def relative_tensor(
                 f"relative tensor: differentials disagree on base generator {g.name}"
             )
     result = _model(alg, {**n_images, **m_images}, [m_map[g.gid] for g in m_base])
-    return result, _inclusion(M, result, m_map), _inclusion(N, result, n_map)
+    return result, m_map, n_map
 
 
-def tensor_model(M: DgaModel, N: DgaModel) -> tuple[DgaModel, DgaMorphism, DgaMorphism]:
-    """Plain tensor product of models (over the ground field)."""
+def tensor_model(M: DgaModel, N: DgaModel) -> tuple[DgaModel, dict[int, int], dict[int, int]]:
+    """Plain tensor product of models (over the ground field), with the gid
+    maps of M and N into it, applied by ``translate`` as relative_tensor's."""
     alg = GradedAlgebra(f"{M.algebra.name}(x){N.algebra.name}")
     left, right = add_tagged(alg, M.algebra.generators, N.algebra.generators)
     images = {**_d_images(M, alg, left), **_d_images(N, alg, right)}
     base = [left[g] for g in M.base_gids] + [right[g] for g in N.base_gids]
     result = _model(alg, images, base)
-    return result, _inclusion(M, result, left), _inclusion(N, result, right)
+    return result, left, right
 
 
 def quotient(

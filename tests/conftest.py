@@ -25,6 +25,13 @@ def build_s4():
 
 # S³×S⁴: generators of both parities and a nonzero differential
 S3XS4 = "algebra S3xS4\ngen a 3\ngen x 4\ngen y 7\nd y = x^2\n"
+# more pure minimal shapes, shared by the per-model tests: ℍP², the `ab`
+# model, S⁴×S⁶, S³×S³×S³ and (S³)⁴
+HP2 = "gen x 4\ngen y 11\nd y = x^3\n"
+AB = "gen a 4\ngen b 6\ngen y 7\ngen z 11\nd y = a^2\nd z = b^2 + a^3\n"
+S4XS6 = "gen x 4\ngen y 7\ngen u 6\ngen w 11\nd y = x^2\nd w = u^2\n"
+S3_3 = "gen a 3\ngen b 3\ngen c 3\n"
+S3_4 = "gen a 3\ngen b 3\ngen c 3\ngen e 3\n"
 S4_RATIONAL = "algebra S4q\ngen x 4\ngen y 7\nd y = 2/3*x^2\n"
 # scripts/tsv_matrix.py's a4b6-rational: its state's representatives and π
 # have denominators other than 1

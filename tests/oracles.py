@@ -48,6 +48,7 @@ from branecalc import (
 from branecalc import _linalg as la
 from branecalc.cohomology import _d_rows, _transpose
 from branecalc.dga_models import _apply_algebra_map
+from branecalc.gca_core import translate
 from branecalc.shriek import ModuleMap, evaluation_pairing
 
 F0 = Fraction(0)
@@ -214,16 +215,16 @@ def gamma_evaluation(V: DgaModel) -> tuple[Element, list[Fraction], DgaModel]:
     return ev, vec, Q
 
 
-def pair_cocycle(state: DgaModel, left: DgaMorphism, right: DgaMorphism,
-                 pair) -> Element:
-    """The square cocycle a⊗b of the representatives of the pair, through
-    the inclusions left and right of tensor_model(state, state).  The
-    coproduct never forms it; this is the per-pair reference the tests
-    check it against."""
+def pair_cocycle(state: DgaModel, square: DgaModel, left: dict[int, int],
+                 right: dict[int, int], pair) -> Element:
+    """The square cocycle a⊗b of the representatives of the pair, carried
+    into (square, left, right) = tensor_model(state, state) by translate
+    along the gid maps left and right.  The coproduct never forms it; this
+    is the per-pair reference the tests check it against."""
     (da, ia), (db, ib) = pair
     ra = cohomology_basis(state, da).representatives[ia]
     rb = cohomology_basis(state, db).representatives[ib]
-    return left(ra) * right(rb)
+    return translate(ra, square.algebra, left) * translate(rb, square.algebra, right)
 
 
 def _add(acc: dict, key, val: Fraction) -> None:

@@ -26,9 +26,11 @@ from branecalc import (
 )
 from branecalc.brane_ops import Kunneth
 from branecalc.cohomology import section
+from branecalc.gca_core import translate
 
 from conftest import (
-    MODEL_TEXTS, S3XS4, build_s3, coassociative, coproduct_fold, frobenius)
+    AB, HP2, MODEL_TEXTS, S3_3, S3_4, S3XS4, build_s3, coassociative,
+    coproduct_fold, frobenius)
 from oracles import coproduct_double_composite, pair_cocycle
 
 F1 = Fraction(1)
@@ -226,11 +228,11 @@ def test_kunneth_coordinates_match_the_square_cohomology(text):
         h = cohomology_basis(square, n)
         assert len(labels) == h.dimension
         for lab in labels:
-            assert kun.coordinates(pair_cocycle(state, left, right, lab)) == {lab: F1}
+            assert kun.coordinates(pair_cocycle(state, square, left, right, lab)) == {lab: F1}
         for j, rep in enumerate(h.representatives):
             back = square.algebra.zero()
             for lab, c in kun.coordinates(rep).items():
-                back = back + pair_cocycle(state, left, right, lab) * c
+                back = back + pair_cocycle(state, square, left, right, lab) * c
             assert class_vector(square, n, back) == [int(i == j) for i in range(len(labels))]
 
 
@@ -246,7 +248,8 @@ def test_kunneth_projects_each_half_once(monkeypatch):
     for _ in range(2):
         for n in range(9):
             for lab in class_pairs(state, n):
-                assert kun.coordinates(pair_cocycle(state, left, right, lab)) == {lab: F1}
+                assert kun.coordinates(
+                    pair_cocycle(state, square, left, right, lab)) == {lab: F1}
     assert halves and len(halves) == len(set(halves))
 
 
@@ -254,9 +257,10 @@ def test_kunneth_coordinates_require_a_cocycle():
     state = sphere_model(parse_model(S3XS4).model, 3)
     square, left, right = tensor_model(state, state)
     kun = Kunneth(state, square, left, right)
-    y = left(state.algebra.generator_element("y"))  # d y = x² ≠ 0
+    gen = state.algebra.generator_element
+    y = translate(gen("y"), square.algebra, left)  # d y = x² ≠ 0
     with pytest.raises(ModelError, match="not a cocycle"):
-        kun.coordinates(y * right(state.algebra.generator_element("a")))
+        kun.coordinates(y * translate(gen("a"), square.algebra, right))
 
 
 def test_pipelines_never_compute_a_tensor_square_cohomology(monkeypatch):
@@ -291,9 +295,6 @@ def test_pipelines_never_compute_a_tensor_square_cohomology(monkeypatch):
 # even generator, so their fold has no value.
 S4 = "gen x 4\ngen y 7\nd y = x^2\n"
 S3XS5XS7 = "gen a 3\ngen b 5\ngen c 7\n"
-S3_4 = "gen a 3\ngen b 3\ngen c 3\ngen e 3\n"
-HP2 = "gen x 4\ngen y 11\nd y = x^3\n"
-AB = "gen a 4\ngen b 6\ngen y 7\ngen z 11\nd y = a^2\nd z = b^2 + a^3\n"
 S4XS5 = "gen x 4\ngen w 5\ngen y 7\nd y = x^2\n"
 ORACLE_DEGREE = 12
 FOLD_DEGREE = 10
@@ -305,10 +306,10 @@ COPRODUCT_CASES = [pytest.param(p.values[0], ORACLE_DEGREE, id=p.id)
 
 
 def _square_route(V):
-    """(state, left, right, to_source, γ!⊗id, glue): δ∨(a⊗b) is the class of
-    glue(γ!⊗id(to_source(a⊗b))), a⊗b formed through the inclusions left and
-    right of M_{S^k}⊗², to_source the collapse section after identify:
-    M_{S^k}⊗² → M_{S^k} ⊗_{∧V} M_{S^k}."""
+    """(state, square, left, right, to_source, γ!⊗id, glue): δ∨(a⊗b) is the
+    class of glue(γ!⊗id(to_source(a⊗b))), a⊗b formed in square = M_{S^k}⊗²
+    through the gid maps left and right of its inclusions, to_source the
+    collapse section after identify: M_{S^k}⊗² → M_{S^k} ⊗_{∧V} M_{S^k}."""
     gamma = shriek.shriek_gamma_pure(V)
     state = sphere_model(V, 3)
     double = relative_tensor(gamma.source, gamma.source)[0]
@@ -320,19 +321,19 @@ def _square_route(V):
         brane_ops._gluing_map(shriek_id.source, spheres, 2, brane_ops._COLLAPSE),
         "collapse")
     glue = brane_ops._gluing_map(double, state, 2, brane_ops._GLUE)
-    return state, left, right, compose(collapse, identify), shriek_id, glue
+    return state, square, left, right, compose(collapse, identify), shriek_id, glue
 
 
 @pytest.mark.parametrize("text, degree", COPRODUCT_CASES)
 def test_coproduct_matches_the_pair_by_pair_route(text, degree):
     V = parse_model(text).model
     table = brane_coproduct_dual(V, 2, max_degree=degree).table
-    state, left, right, to_source, shriek_id, glue = _square_route(V)
+    state, square, left, right, to_source, shriek_id, glue = _square_route(V)
     r = shriek_id.degree
     want = {}
     for n in range(degree + 1):
         for pair in class_pairs(state, n):
-            z = glue(shriek_id(to_source(pair_cocycle(state, left, right, pair))))
+            z = glue(shriek_id(to_source(pair_cocycle(state, square, left, right, pair))))
             out = class_vector(state, n + r, z)
             want[pair] = {(n + r, i): c for i, c in enumerate(out) if c}
     assert table == want
@@ -412,7 +413,6 @@ def test_coproduct_splits_each_class_image_once(monkeypatch):
                         lambda F, e, fibers=None: calls.append(e) or real(F, e, fibers))
     brane_coproduct_dual(parse_model(S4).model, 2, max_degree=14)
     assert calls == []  # the fold has no value
-    op = brane_coproduct_dual(parse_model("gen a 3\ngen b 3\ngen c 3\n").model,
-                              2, max_degree=12)
+    op = brane_coproduct_dual(parse_model(S3_3).model, 2, max_degree=12)
     classes = sum(cohomology_basis(op.state, n).dimension for n in range(13))
     assert 0 < len(calls) <= 2 * classes < len(op.table)

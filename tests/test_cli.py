@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -507,6 +508,24 @@ def test_console_script_runs(s3_file):
     assert "OK" in proc.stdout
     # the package does not import cli ahead of runpy, so no RuntimeWarning
     assert proc.stderr == ""
+
+
+def test_a_closed_stdout_exits_141_with_no_message():
+    # the pipe's read end is closed before the child writes, so its first
+    # write or flush fails; a missing model still exits 2 with its message
+    argv = [sys.executable, "-m", "branecalc.cli"]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(argv + ["brane-product", str(ROOT / "models" / "s3.model")],
+                              stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+    proc = subprocess.run(argv + ["check-dga", str(ROOT / "models" / "missing.model")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "missing.model" in proc.stderr
 
 
 def test_usage_error_exits_2():

@@ -18,7 +18,9 @@ from branecalc import (
 )
 from branecalc.cohomology import _d_rows, projection, section
 
-from conftest import A4B6_RATIONAL, MODEL_FILES, MODEL_TEXTS, S4_RATIONAL, build_s4
+from conftest import (
+    A4B6_RATIONAL, AB, HP2, MODEL_FILES, MODEL_TEXTS, S3_3, S4_RATIONAL, S4XS6,
+    build_s4)
 from oracles import (
     fraction_cohomology_basis, induced_map, invert_on_cohomology, is_quasi_iso,
     morphism_phi)
@@ -158,10 +160,7 @@ def test_betti_cache_follows_new_generators():
 
 # the stdin models of ROADMAP.md, beside MODEL_TEXTS
 BETTI_STDIN = [pytest.param(text, id=name) for name, text in (
-    ("hp2", "gen x 4\ngen y 11\nd y = x^3\n"),
-    ("ab", "gen a 4\ngen b 6\ngen y 7\ngen z 11\nd y = a^2\nd z = b^2 + a^3\n"),
-    ("s4xs6", "gen x 4\ngen y 7\ngen u 6\ngen w 11\nd y = x^2\nd w = u^2\n"),
-    ("s3^3", "gen a 3\ngen b 3\ngen c 3\n"),
+    ("hp2", HP2), ("ab", AB), ("s4xs6", S4XS6), ("s3^3", S3_3),
     ("s3xs5", "gen a 3\ngen b 5\n"))]
 
 

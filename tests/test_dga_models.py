@@ -23,7 +23,7 @@ from branecalc import (
     tensor_model,
 )
 from branecalc.cli import parse_model
-from branecalc.gca_core import linear_combination
+from branecalc.gca_core import linear_combination, translate
 
 from conftest import build_s3, build_s3xs3, build_s4
 from oracles import is_quasi_iso, morphism_phi
@@ -158,8 +158,9 @@ def test_relative_tensor_glues_over_the_base(s3):
     names = {g.name for g in glued.algebra.generators}
     assert names == {"x", "s1_x", "s2_x@L", "s2_x@R"}
     # both inclusions restrict to the identity on the shared base
-    assert inc_l(disk.algebra.generator_element("x")) == glued.algebra.generator_element("x")
-    assert inc_r(disk.algebra.generator_element("s1_x")) == glued.algebra.generator_element("s1_x")
+    gen, alg = disk.algebra.generator_element, glued.algebra
+    assert translate(gen("x"), alg, inc_l) == alg.generator_element("x")
+    assert translate(gen("s1_x"), alg, inc_r) == alg.generator_element("s1_x")
 
 
 def test_relative_tensor_rejects_mismatched_bases(s3, s4):

@@ -13,7 +13,6 @@ G = D ⊗_{M_{S^(k-1)}} D that it replaces: identify∘σ_glue, with the same
 checks on σ_glue.
 """
 
-from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
@@ -37,8 +36,10 @@ from branecalc import (
     sphere_model,
 )
 from branecalc.cohomology import section
+from branecalc.shriek import gamma_value
 
-from conftest import MODEL_TEXTS, S3XS4, coproduct_fold
+from conftest import (
+    AB, HP2, MODEL_TEXTS, S3_3, S3_4, S3XS4, S4XS6, coproduct_fold)
 from oracles import invert_on_cohomology, is_quasi_iso
 
 TOP = 10
@@ -49,11 +50,6 @@ S4 = (Path(__file__).resolve().parent.parent / "models" / "s4.model").read_text(
 # S³×S⁴ with its generators listed out of degree order: d y = x² names a
 # generator with a larger id, so a section must be solved in degree order
 S3XS4_REORDERED = "gen y 7\ngen x 4\ngen a 3\nd y = x^2\n"
-HP2 = "gen x 4\ngen y 11\nd y = x^3\n"
-AB = "gen a 4\ngen b 6\ngen y 7\ngen z 11\nd y = a^2\nd z = b^2 + a^3\n"
-S4XS6 = "gen x 4\ngen y 7\ngen u 6\ngen w 11\nd y = x^2\nd w = u^2\n"
-S3_3 = "gen a 3\ngen b 3\ngen c 3\n"
-S3_4 = "gen a 3\ngen b 3\ngen c 3\ngen e 3\n"
 # every generator of the k = 3 models has degree ≥ 4
 PINCH_CASES = [pytest.param(p.values[0], 2, id=f"{p.id}-k2") for p in ACCEPTED] + [
     pytest.param(text, 2, id=f"{name}-k2") for name, text in (
@@ -196,58 +192,53 @@ def eager_coproduct_table(V, degree):
     return table
 
 
-# The coproduct decides from γ!'s one value whether the fold has a value:
-# glue, restricted to γ!'s target M_{S^1}, applied to Π s1_x, read with γ!'s
-# degree and no disk model (brane_ops._glued_gamma_value).  The recorder
-# notes that decision, as the terms glue keeps of the value and the degree,
-# and then the full fold, the one module map composed when it is built.
-# The oracle is the full fold, built on every model.
+# The coproduct builds its fold only when ∧V has no even generator, and
+# otherwise reads γ!'s degree alone (shriek.gamma_value), as glue sends
+# every s¹ generator to 0.  Here the decision is checked against glue,
+# restricted to γ!'s target M_{S^1}, applied to γ!'s one value Π s1_x, and
+# against the full fold, both built on every model; the recorder notes the
+# one module map composed, the fold, when it is built.
 VANISHING_CASES = ACCEPTED + [pytest.param(text, id=name) for name, text in (
     ("hp2", HP2), ("ab", AB), ("s4xs6", S4XS6))]
-Decision = namedtuple("Decision", "images degree")
 
 
 @pytest.mark.parametrize("text", VANISHING_CASES)
 def test_the_vanishing_decision_agrees_with_the_full_fold(text, monkeypatch):
     V = parse_model(text).model
     composed = []
-    real, real_decision = brane_ops.compose_module, brane_ops._glued_gamma_value
-
-    def recording_decision(V, k):
-        state, r, kept = real_decision(V, k)
-        composed.append(Decision(kept.terms, r))
-        return state, r, kept
-
-    monkeypatch.setattr(brane_ops, "_glued_gamma_value", recording_decision)
+    real = brane_ops.compose_module
     monkeypatch.setattr(brane_ops, "compose_module",
                         lambda g, F: composed.append(real(g, F)) or composed[-1])
     op = brane_coproduct_dual(V, 2, max_degree=14)
     monkeypatch.undo()
-    restricted, full = composed[0], coproduct_fold(V)[1]
-    assert len(composed) == 1 + bool(full.images)
-    assert bool(restricted.images) == bool(full.images)
-    assert restricted.degree == full.degree == op.shift
+    state, full = coproduct_fold(V)
+    target, r, value = gamma_value(V)
+    kept = brane_ops._gluing_map(target, state, 2, brane_ops._GLUE)(value)
+    assert len(composed) == bool(full.images)
+    assert bool(kept.terms) == bool(full.images)
+    assert r == full.degree == op.shift
     assert op.table == eager_coproduct_table(V, 14)
 
 
 # The coproduct builds its fold (γ! on its source, the disk model D, then
 # the double disk, γ!⊗id and the full glue map) only when glue keeps γ!'s
 # value, which it does exactly when ∧V has no even generator; otherwise it
-# builds no disk[…] algebra at all.  It builds its pair maps, the collapse
+# builds no disk[…] algebra at all.  Either way it reads γ! once, so γ!'s
+# target M_{S^1} is built once.  It builds its pair maps, the collapse
 # gluing map, its section and the two identify maps, for the first pair it
 # evaluates: none when the fold is not built, nor on S³ at degree 0, where
 # no pair lands in a nonzero degree.  Only an evaluated pair needs a
 # cohomology basis.
-@pytest.mark.parametrize("text, degree, folds, disks, evaluates", [
-    pytest.param(text, degree, folds, disks, evaluates, id=name)
-    for name, text, degree, folds, disks, evaluates in (
-        ("s4", S4, 14, False, 0, False), ("s3xs4", S3XS4, 14, False, 0, False),
-        ("hp2", HP2, 14, False, 0, False), ("ab", AB, 14, False, 0, False),
-        ("s4xs6", S4XS6, 14, False, 0, False),
-        ("s3-d0", "gen x 3\n", 0, True, 1, False),
-        ("s3", "gen x 3\n", 8, True, 1, True), ("s3^3", S3_3, 8, True, 1, True))])
+@pytest.mark.parametrize("text, degree, folds, disks, circles, evaluates", [
+    pytest.param(text, degree, folds, disks, circles, evaluates, id=name)
+    for name, text, degree, folds, disks, circles, evaluates in (
+        ("s4", S4, 14, False, 0, 1, False), ("s3xs4", S3XS4, 14, False, 0, 1, False),
+        ("hp2", HP2, 14, False, 0, 1, False), ("ab", AB, 14, False, 0, 1, False),
+        ("s4xs6", S4XS6, 14, False, 0, 1, False),
+        ("s3-d0", "gen x 3\n", 0, True, 1, 1, False),
+        ("s3", "gen x 3\n", 8, True, 1, 1, True), ("s3^3", S3_3, 8, True, 1, 1, True))])
 def test_the_coproduct_builds_its_pair_maps_only_to_evaluate_a_pair(
-        text, degree, folds, disks, evaluates, monkeypatch):
+        text, degree, folds, disks, circles, evaluates, monkeypatch):
     V = parse_model(text).model
     stages, tops, tensors, shrieks, computed, algebras = [], [], [], [], [], []
     real_gluing, real_tensor = brane_ops._gluing_map, brane_ops.relative_tensor
@@ -283,11 +274,14 @@ def test_the_coproduct_builds_its_pair_maps_only_to_evaluate_a_pair(
     # the disk models built: the fold's one D, or none
     built = [name for name in algebras if name.startswith("disk[")]
     assert built == [f"disk[2]({V.algebra.name})"] * disks
+    # γ!'s target M_{S^1}, built once
+    built = [name for name in algebras if name.startswith("sphere[1](")]
+    assert built == [f"sphere[1]({V.algebra.name})"] * circles
     assert stages == ["disk-factor quasi-isomorphism"] * evaluates
-    # the restricted glue map; the fold's glue map, if it is built; then,
-    # if a pair is evaluated, the collapse and the two identify maps
-    assert tops[:1 + folds] == [brane_ops._GLUE] * (1 + folds)
-    assert len(tops) == 1 + folds + 3 * evaluates
+    # the fold's glue map, if it is built; then, if a pair is evaluated,
+    # the collapse and the two identify maps
+    assert tops[:folds] == [brane_ops._GLUE] * folds
+    assert len(tops) == folds + 3 * evaluates
     assert (brane_ops._COLLAPSE in tops) == evaluates
     # the fold builds γ!⊗id, the double disk G = D ⊗ D and, inside γ!⊗id,
     # D ⊗ G; the pair maps build the sphere square

@@ -28,10 +28,9 @@ from branecalc import (
 )
 from branecalc.shriek import compose_module
 
-from conftest import MODEL_TEXTS, coproduct_fold
+from conftest import AB, HP2, MODEL_TEXTS, S3_3, S3_4, coproduct_fold
 from oracles import by_fiber, gamma_evaluation
 
-AB = "gen a 4\ngen b 6\ngen y 7\ngen z 11\nd y = a^2\nd z = b^2 + a^3\n"
 DELTA_MODELS = [p for p in MODEL_TEXTS if p.id != "linear-d"] + [
     pytest.param(AB, id="ab")]
 # δ!'s values as the solve through the table degree's cutoff gave them, the
@@ -222,12 +221,12 @@ def test_delta_values_match_the_recorded_solve(text, request):
 
 # the stdin models of ROADMAP.md that DELTA_MODELS does not hold
 STDIN_MODELS = [
-    pytest.param("gen a 3\ngen b 3\ngen c 3\n", id="s3xs3xs3"),
-    pytest.param("gen a 3\ngen b 3\ngen c 3\ngen e 3\n", id="s3^4"),
+    pytest.param(S3_3, id="s3xs3xs3"),
+    pytest.param(S3_4, id="s3^4"),
     pytest.param("gen a 3\ngen b 5\ngen c 7\n", id="s3xs5xs7"),
     pytest.param("gen x 4\ngen w 6\ngen y 7\ngen z 11\nd y = x^2\nd z = w^2\n",
                  id="s4xs6"),
-    pytest.param("gen x 4\ngen y 11\nd y = x^3\n", id="hp2"),
+    pytest.param(HP2, id="hp2"),
 ]
 # the most monomials the reference filter may enumerate on one model
 FILTER_BUDGET = 60_000

@@ -57,13 +57,17 @@ def test_shriek_tensor_id_keeps_one_image_per_value_of_the_shriek(text, stage):
 @pytest.mark.parametrize("text", ACCEPTED)
 def test_shriek_tensor_id_is_the_shriek_times_the_fiber_monomial(text, stage):
     F, N, shriek = recorded(text, stage)
-    glued, inc_f, inc_n = relative_tensor(F.source, N)
+    glued, f_gid, n_gid = relative_tensor(F.source, N)
     assert ([(g.prov, g.degree) for g in glued.algebra.generators]
             == [(g.prov, g.degree) for g in shriek.source.algebra.generators])
-    f_gid = {g: next(iter(img.terms))[0][0] for g, img in inc_f.images.items()}
-    n_gid = {g: next(iter(img.terms))[0][0] for g, img in inc_n.images.items()}
     to_n = {g.gid: N.algebra.gen(g.prov).gid for g in F.target.algebra.generators
             if N.algebra.has_gen(g.prov)}
+    # carried by provenance, F's base images are the generators of N that
+    # relative_tensor glues to F's base
+    from_glued = {new: g for g, new in n_gid.items()}
+    for b in F.source.base_gids:
+        assert (translate(F.base_images[b], N.algebra, to_n)
+                == N.algebra.generator_element(from_glued[f_gid[b]]))
     src, alg = F.source.algebra, shriek.source.algebra
     checked = 0
     for a in F.images:

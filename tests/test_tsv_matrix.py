@@ -1,6 +1,6 @@
 """The top-degree table rows of the TSV matrix, replayed in-process.
 
-``scripts/tsv_matrix.py`` fingerprints 514 CLI commands, and its output as
+``scripts/tsv_matrix.py`` fingerprints 529 CLI commands, and its output as
 the tables stand is committed as ``scripts/tsv_matrix.expected``.  The
 ``brane-product`` and ``brane-coproduct`` rows at each model's top
 ``--max-degree``, with and without ``--homology``, are run again here
@@ -18,7 +18,9 @@ the exit code 2 and stderr digest with which S³ and S³×S³, whose
 generators have degree 3, are rejected before any model is built.  So
 are the ``brane-coproduct`` rows on the models in ``REJECTED``, whose exit
 code 2 and stderr digest pin the messages with which the coproduct rejects
-a generator of degree 2 and a generator named like a derived s1_x.
+a generator of degree 2 and a generator named like a derived s1_x.  The
+rows in the default ``--format table`` are replayed, and so are the rows
+on the ``INFO`` models, whose ``info`` lines override m and m̄.
 """
 
 import hashlib
@@ -55,9 +57,14 @@ for line in (ROOT / "scripts" / "tsv_matrix.expected").read_text().splitlines():
     code, out, err, lab = line.split("\t")
     EXPECTED[lab] = int(code), out, err
 CASES = top_degree_tables()
+TABLE_FORMAT = [(argv, None) for model in tsv_matrix.MODELS
+                for argv in tsv_matrix.table_format(model)]
+INFO = [(argv, name) for argv, name in tsv_matrix.commands() if name in tsv_matrix.INFO]
 DUMPS = [(argv, name) for argv, name in tsv_matrix.commands()
-         if argv[0] in ("sphere-model", "disk-model", "path-model", "cohomology")]
-VERIFY = [(argv, name) for argv, name in tsv_matrix.commands() if argv[0] == "verify"]
+         if argv[0] in ("sphere-model", "disk-model", "path-model", "cohomology")
+         and (argv, name) not in TABLE_FORMAT]
+VERIFY = [(argv, name) for argv, name in tsv_matrix.commands()
+          if argv[0] == "verify" and name not in tsv_matrix.INFO]
 CHECK_DGA = [(argv, name) for argv, name in tsv_matrix.commands()
              if argv[0] == "check-dga"]
 K3_PRODUCTS = [(argv, name) for argv, name in tsv_matrix.commands()
@@ -100,6 +107,19 @@ def test_every_rejected_coproduct_row_is_replayed():
     assert all(EXPECTED[tsv_matrix.label(*c)][0] == 2 for c in REJECTED)
 
 
+def test_every_table_format_row_is_replayed():
+    commands = tsv_matrix.commands()
+    assert len(TABLE_FORMAT) == 3 * len(tsv_matrix.MODELS)
+    assert all(c in commands and "--format" not in c[0] for c in TABLE_FORMAT)
+    assert all(EXPECTED[tsv_matrix.label(*c)][0] == 0 for c in TABLE_FORMAT)
+
+
+def test_every_info_row_is_replayed():
+    assert len(INFO) == len(tsv_matrix.INFO_COMMANDS) * len(tsv_matrix.INFO)
+    assert all("\ninfo m" in tsv_matrix.TEXTS[name] for _, name in INFO)
+    assert all(EXPECTED[tsv_matrix.label(*c)][0] == 0 for c in INFO)
+
+
 def replay(argv, name, monkeypatch):
     monkeypatch.chdir(ROOT)
     monkeypatch.setattr(sys, "stdin", sys.stdin)  # run replaces it
@@ -137,4 +157,15 @@ def test_check_dga_row_matches_the_expected_digests(argv, name, monkeypatch):
 
 @pytest.mark.parametrize("argv,name", REJECTED, ids=[tsv_matrix.label(*c) for c in REJECTED])
 def test_rejected_coproduct_row_matches_the_expected_digests(argv, name, monkeypatch):
+    replay(argv, name, monkeypatch)
+
+
+@pytest.mark.parametrize("argv,name", TABLE_FORMAT,
+                         ids=[tsv_matrix.label(*c) for c in TABLE_FORMAT])
+def test_table_format_row_matches_the_expected_digests(argv, name, monkeypatch):
+    replay(argv, name, monkeypatch)
+
+
+@pytest.mark.parametrize("argv,name", INFO, ids=[tsv_matrix.label(*c) for c in INFO])
+def test_info_row_matches_the_expected_digests(argv, name, monkeypatch):
     replay(argv, name, monkeypatch)
