@@ -61,7 +61,10 @@ golden tests):
   identity on cohomology;
 * dualizing to (shifted) homology uses H_n = (H^n)^dual, the evaluation
   pairing <α⊗β, a⊗b> = (-1)^(|β||a|) α(a)β(b), dual maps with the sign
-  (-1)^(|f||ψ|) ψ∘f, and a degree shift by m.
+  (-1)^(|f||ψ|) ψ∘f, and a degree shift by m; _signed puts the sign on each
+  entry.  In the shifted degree ‖a‖ = |a| - m, μ has degree 0 (even under an
+  override of m) and δ degree -(m + r), even as r ≡ m (mod 2); so every law
+  on signed tables is sign-free but for the Koszul swap, _swap.
 """
 
 from __future__ import annotations
@@ -357,32 +360,38 @@ class HomologyOperation(namedtuple("HomologyOperation", (
     __slots__ = ()
 
 
-def dualize_to_homology(op: BraneOperation) -> HomologyOperation:
-    """Transpose a dual-level operation to the m-shifted homology.
+def _signed(op: BraneOperation) -> dict:
+    """op.table in its own layout, each entry times its dualization sign,
+    (-1)^(m|b| + |a||b| + m) on a⊗b in μ∨(c) and (-1)^(m̄|c| + |a||b| + m|a|)
+    on c in δ∨(a⊗b).  Empty rows are kept: each is an identity to check."""
+    m, mb = op.info.m, op.info.m_bar
+    product = op.kind == "product-dual"
+    out: dict = {}
+    for key, row in op.table.items():
+        out[key] = signed = {}
+        for other, coeff in row.items():
+            c, (a, b) = (key, other) if product else (other, key)
+            e = m * b[0] + m if product else mb * c[0] + m * a[0]
+            signed[other] = -coeff if (e + a[0] * b[0]) % 2 else coeff
+    return out
 
-    With the Koszul conventions in the module docstring, the signs work out
-    to (-1)^(m|b| + |a||b| + m) per product entry and
-    (-1)^(m̄|c| + |a||b| + m|a|) per coproduct entry.
-    """
-    info = op.info
-    m, mb = info.m, info.m_bar
-    if op.kind == "product-dual":
-        table: dict[Pair, dict[Label, Fraction]] = {}
-        for c, row in op.table.items():
-            for (a, b), coeff in row.items():
-                da, db = a[0], b[0]
-                table.setdefault((a, b), {})[c] = (
-                    -coeff if (m * db + da * db + m) % 2 else coeff)
-        return HomologyOperation("homology-product", info, table, op)
-    if op.kind == "coproduct-dual":
-        table2: dict[Label, dict[Pair, Fraction]] = {}
-        for (a, b), row in op.table.items():
-            for c, coeff in row.items():
-                da, db, dc = a[0], b[0], c[0]
-                table2.setdefault(c, {})[(a, b)] = (
-                    -coeff if (mb * dc + da * db + m * da) % 2 else coeff)
-        return HomologyOperation("homology-coproduct", info, table2, op)
-    raise ModelError(f"cannot dualize operation of kind {op.kind!r}")
+
+def _swap(a: Label, b: Label, m: int) -> int:
+    """The Koszul swap sign (-1)^(‖a‖‖b‖), ‖a‖ = |a| - m the shifted degree:
+    the one sign the laws carry on signed tables."""
+    return -1 if (a[0] - m) * (b[0] - m) % 2 else 1
+
+
+def dualize_to_homology(op: BraneOperation) -> HomologyOperation:
+    """The m-shifted homology operation: the transpose of _signed(op)."""
+    kinds = {"product-dual": "homology-product", "coproduct-dual": "homology-coproduct"}
+    if op.kind not in kinds:
+        raise ModelError(f"cannot dualize operation of kind {op.kind!r}")
+    table: dict = {}
+    for key, row in _signed(op).items():
+        for other, coeff in row.items():
+            table.setdefault(other, {})[key] = coeff
+    return HomologyOperation(kinds[op.kind], op.info, table, op)
 
 
 # ---------------------------------------------------------------------------
@@ -409,27 +418,25 @@ def _add(acc: dict, key, val: Fraction) -> None:
 
 
 def check_associativity(prod: BraneOperation, max_degree: int | None = None) -> Report:
-    """(μ∨⊗id)∘μ∨ = (-1)^m (id⊗̂μ∨)∘μ∨, with (id⊗̂F)(a⊗b) = (-1)^(m|a|) a⊗F(b)."""
-    m = prod.info.m
+    """μ(μ⊗1) = μ(1⊗μ) on the signed table: for each class c, the
+    coefficients of c in μ(μ(u⊗v)⊗b) and in μ(a⊗μ(u⊗v)) agree."""
+    table = _signed(prod)
     top = max_degree if max_degree is not None else prod.max_degree
     checked = 0
     failures = []
-    for c, row in sorted(prod.table.items()):
+    for c, row in sorted(table.items()):
         if c[0] > top:
             continue
         needed = {a for (a, _b) in row} | {b for (_a, b) in row}
-        if any(lab not in prod.table for lab in needed):
+        if any(lab not in table for lab in needed):
             continue  # outside the computed range
         lhs: dict = {}
         rhs: dict = {}
         for (a, b), coeff in row.items():
-            for (u, v), c2 in prod.table[a].items():
+            for (u, v), c2 in table[a].items():
                 _add(lhs, (u, v, b), coeff * c2)
-            s = -1 if (m * a[0]) % 2 else 1
-            for (u, v), c2 in prod.table[b].items():
-                _add(rhs, (a, u, v), coeff * c2 * s)
-        sgn = -1 if m % 2 else 1
-        rhs = {k: v * sgn for k, v in rhs.items()}
+            for (u, v), c2 in table[b].items():
+                _add(rhs, (a, u, v), coeff * c2)
         checked += 1
         if lhs != rhs:
             failures.append(f"associativity fails on H^{c[0]} class #{c[1]}")
@@ -437,32 +444,29 @@ def check_associativity(prod: BraneOperation, max_degree: int | None = None) -> 
 
 
 def check_commutativity(op: BraneOperation) -> Report:
-    """τ-equivariance: sign (-1)^m for the product, (-1)^m̄ for the coproduct."""
-    info = op.info
+    """τ-equivariance on the signed table, τ the Koszul swap _swap:
+    μ(b⊗a) = (-1)^(‖a‖‖b‖) μ(a⊗b) for the product, and the coefficients of
+    a⊗b and of b⊗a in δ(c) differ by the same sign for the coproduct."""
+    m = op.info.m
     checked = 0
     failures = []
     if op.kind == "product-dual":
-        sgn = -1 if info.m % 2 else 1
-        for c, row in sorted(op.table.items()):
+        for c, row in sorted(_signed(op).items()):
             swapped: dict = {}
             for (a, b), coeff in row.items():
-                s = -1 if (a[0] * b[0]) % 2 else 1
-                _add(swapped, (b, a), coeff * s)
-            expected = {k: v * sgn for k, v in row.items()}
+                _add(swapped, (b, a), coeff * _swap(a, b, m))
             checked += 1
-            if swapped != expected:
+            if swapped != row:
                 failures.append(f"commutativity fails on H^{c[0]} class #{c[1]}")
         return Report("commutativity (product)", not failures, checked, failures)
     if op.kind == "coproduct-dual":
-        sgn = -1 if info.m_bar % 2 else 1
-        for (a, b), row in sorted(op.table.items()):
-            if ((b, a)) not in op.table:
+        table = _signed(op)
+        for (a, b), row in sorted(table.items()):
+            if (b, a) not in table:
                 continue
-            s = -1 if (a[0] * b[0]) % 2 else 1
-            lhs = {k: v * s for k, v in op.table[(b, a)].items()}
-            rhs = {k: v * sgn for k, v in row.items()}
+            s = _swap(a, b, m)
             checked += 1
-            if lhs != rhs:
+            if {k: v * s for k, v in table[(b, a)].items()} != row:
                 failures.append(f"cocommutativity fails on pair {a}⊗{b}")
         return Report("commutativity (coproduct)", not failures, checked, failures)
     raise ModelError(f"cannot check commutativity of {op.kind!r}")
@@ -473,37 +477,32 @@ def check_frobenius(
     coprod: BraneOperation,
     max_degree: int | None = None,
 ) -> Report:
-    """μ∨∘δ∨ = (-1)^(m·m̄) (δ∨⊗id)∘(id⊗̂μ∨) on the tensor square."""
-    m, mb = prod.info.m, prod.info.m_bar
+    """δμ = (1⊗μ)(δ⊗1) on the signed tables: for each pair a⊗b, its
+    coefficients in δ(μ(u⊗v)) and in (1⊗μ)(δ(c)⊗v) agree."""
+    ptab, ctab = _signed(prod), _signed(coprod)
     top = max_degree if max_degree is not None else min(prod.max_degree, coprod.max_degree)
-    sgn = -1 if (m * mb) % 2 else 1
     checked = 0
     failures = []
-    for (a, b), row in sorted(coprod.table.items()):
+    for (a, b), row in sorted(ctab.items()):
         if a[0] + b[0] > top:
             continue
-        if any(c not in prod.table for c in row):
-            continue
-        if b not in prod.table:
+        if b not in ptab or any(c not in ptab for c in row):
             continue
         lhs: dict = {}
         for c, coeff in row.items():
-            for (u, v), c2 in prod.table[c].items():
+            for (u, v), c2 in ptab[c].items():
                 _add(lhs, (u, v), coeff * c2)
         rhs: dict = {}
-        s_a = -1 if (m * a[0]) % 2 else 1
         complete = True
-        for (u, v), c2 in prod.table[b].items():
-            if (a, u) not in coprod.table:
+        for (u, v), c2 in ptab[b].items():
+            if (a, u) not in ctab:
                 complete = False
                 break
-            for c, c3 in coprod.table[(a, u)].items():
-                _add(rhs, (c, v), c2 * c3 * s_a)
+            for c, c3 in ctab[(a, u)].items():
+                _add(rhs, (c, v), c2 * c3)
         if not complete:
             continue
-        rhs = {k: val * sgn for k, val in rhs.items()}
         checked += 1
         if lhs != rhs:
             failures.append(f"Frobenius fails on pair {a}⊗{b}")
     return Report("Frobenius", not failures, checked, failures)
-

@@ -385,12 +385,11 @@ def _cmd_table(args) -> int:
 
 
 def _suite_assoc(mf, args) -> list:
-    info = _info(mf, args.k)
-    top = args.max_degree
+    # μ∨'s shift is δ!'s degree, the default m, whatever an info line says
+    m = shriek.gorenstein_info(mf.model, args.k).m
     prod = brane_ops.brane_product_dual(
-        mf.model, args.k, info, top + max(info.m, 0)
-    )
-    return [brane_ops.check_associativity(prod, top)]
+        mf.model, args.k, _info(mf, args.k), args.max_degree + max(m, 0))
+    return [brane_ops.check_associativity(prod, args.max_degree)]
 
 
 def _suite_comm(mf, args) -> list:

@@ -94,9 +94,12 @@ def s3_coproduct(s3):
 # Structure laws on shifted homology, as plain arithmetic on sparse tables:
 # a product table maps (a, b) -> {c: coeff}, a coproduct table maps
 # c -> {(a, b): coeff}, and a missing entry is zero.  Neither law carries a
-# Koszul sign.  In the m-shifted grading δ has even degree (−2 for S³, m = 3),
-# so moving δ past a class costs nothing, and the unit has degree 0, so
-# (a1⊗a2)·(1⊗b) = a1⊗(a2·b) and (a⊗1)·(b1⊗b2) = (a·b1)⊗b2.
+# Koszul sign.  In the m-shifted grading ‖a‖ = |a| − m, μ has degree 0 and δ
+# degree −(m + r), r the coproduct's shift, and r ≡ m (mod 2) on every model
+# (tests/test_sign_rule.py); so δ has even degree (−2 on S³, where m = 3 and
+# r = −1, and −6 on (S³)³, where r is odd), moving μ or δ past a class costs
+# nothing, and the unit has degree 0, so (a1⊗a2)·(1⊗b) = a1⊗(a2·b) and
+# (a⊗1)·(b1⊗b2) = (a·b1)⊗b2.  README → Sign conventions has the derivation.
 
 
 def _add(acc, key, value):

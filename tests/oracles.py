@@ -24,6 +24,11 @@ the runtime computes or checks another way:
 * ``monomials`` lists a degree's monomials by the recursion over exponents
   that ``GradedAlgebra.monomials`` ran before it built suffix tables, the
   order reference for ``basis`` and ``monomials``.
+* ``check_associativity``, ``check_commutativity`` and ``check_frobenius``
+  are the diagram checkers as they were before one sign rule
+  (``brane_ops._signed`` and ``_swap``) replaced their own signs: each law
+  on the unsigned dual tables, with (-1)^m, (-1)^m̄, (-1)^(m·m̄) and
+  (-1)^(m|a|) written out where it needs them.
 
 pytest does not collect this module; tests import it as they import
 ``conftest``.
@@ -40,6 +45,7 @@ from branecalc import (
     GradedAlgebra,
     ModelError,
     Provenance,
+    Report,
     class_vector,
     cohomology_basis,
     quotient,
@@ -277,3 +283,103 @@ def monomials(alg: GradedAlgebra, gids: Sequence[int], n: int) -> tuple:
 
     rec(0, n, [])
     return tuple(out)
+
+
+def check_associativity(prod: BraneOperation, max_degree: int | None = None) -> Report:
+    """(μ∨⊗id)∘μ∨ = (-1)^m (id⊗̂μ∨)∘μ∨, with (id⊗̂F)(a⊗b) = (-1)^(m|a|) a⊗F(b)."""
+    m = prod.info.m
+    top = max_degree if max_degree is not None else prod.max_degree
+    checked = 0
+    failures = []
+    for c, row in sorted(prod.table.items()):
+        if c[0] > top:
+            continue
+        needed = {a for (a, _b) in row} | {b for (_a, b) in row}
+        if any(lab not in prod.table for lab in needed):
+            continue  # outside the computed range
+        lhs: dict = {}
+        rhs: dict = {}
+        for (a, b), coeff in row.items():
+            for (u, v), c2 in prod.table[a].items():
+                _add(lhs, (u, v, b), coeff * c2)
+            s = -1 if (m * a[0]) % 2 else 1
+            for (u, v), c2 in prod.table[b].items():
+                _add(rhs, (a, u, v), coeff * c2 * s)
+        sgn = -1 if m % 2 else 1
+        rhs = {k: v * sgn for k, v in rhs.items()}
+        checked += 1
+        if lhs != rhs:
+            failures.append(f"associativity fails on H^{c[0]} class #{c[1]}")
+    return Report("associativity", not failures, checked, failures)
+
+
+def check_commutativity(op: BraneOperation) -> Report:
+    """τ-equivariance: sign (-1)^m for the product, (-1)^m̄ for the coproduct."""
+    info = op.info
+    checked = 0
+    failures = []
+    if op.kind == "product-dual":
+        sgn = -1 if info.m % 2 else 1
+        for c, row in sorted(op.table.items()):
+            swapped: dict = {}
+            for (a, b), coeff in row.items():
+                s = -1 if (a[0] * b[0]) % 2 else 1
+                _add(swapped, (b, a), coeff * s)
+            expected = {k: v * sgn for k, v in row.items()}
+            checked += 1
+            if swapped != expected:
+                failures.append(f"commutativity fails on H^{c[0]} class #{c[1]}")
+        return Report("commutativity (product)", not failures, checked, failures)
+    if op.kind == "coproduct-dual":
+        sgn = -1 if info.m_bar % 2 else 1
+        for (a, b), row in sorted(op.table.items()):
+            if ((b, a)) not in op.table:
+                continue
+            s = -1 if (a[0] * b[0]) % 2 else 1
+            lhs = {k: v * s for k, v in op.table[(b, a)].items()}
+            rhs = {k: v * sgn for k, v in row.items()}
+            checked += 1
+            if lhs != rhs:
+                failures.append(f"cocommutativity fails on pair {a}⊗{b}")
+        return Report("commutativity (coproduct)", not failures, checked, failures)
+    raise ModelError(f"cannot check commutativity of {op.kind!r}")
+
+
+def check_frobenius(
+    prod: BraneOperation,
+    coprod: BraneOperation,
+    max_degree: int | None = None,
+) -> Report:
+    """μ∨∘δ∨ = (-1)^(m·m̄) (δ∨⊗id)∘(id⊗̂μ∨) on the tensor square."""
+    m, mb = prod.info.m, prod.info.m_bar
+    top = max_degree if max_degree is not None else min(prod.max_degree, coprod.max_degree)
+    sgn = -1 if (m * mb) % 2 else 1
+    checked = 0
+    failures = []
+    for (a, b), row in sorted(coprod.table.items()):
+        if a[0] + b[0] > top:
+            continue
+        if any(c not in prod.table for c in row):
+            continue
+        if b not in prod.table:
+            continue
+        lhs: dict = {}
+        for c, coeff in row.items():
+            for (u, v), c2 in prod.table[c].items():
+                _add(lhs, (u, v), coeff * c2)
+        rhs: dict = {}
+        s_a = -1 if (m * a[0]) % 2 else 1
+        complete = True
+        for (u, v), c2 in prod.table[b].items():
+            if (a, u) not in coprod.table:
+                complete = False
+                break
+            for c, c3 in coprod.table[(a, u)].items():
+                _add(rhs, (c, v), c2 * c3 * s_a)
+        if not complete:
+            continue
+        rhs = {k: val * sgn for k, val in rhs.items()}
+        checked += 1
+        if lhs != rhs:
+            failures.append(f"Frobenius fails on pair {a}⊗{b}")
+    return Report("Frobenius", not failures, checked, failures)

@@ -632,3 +632,31 @@ def test_table_commands_call_the_pipeline_brane_ops_holds_now(s3_file, capsys,
     monkeypatch.setattr(brane_ops, "brane_product_dual", recorder)
     assert run(argv, capsys)[0] == 0
     assert [(k, top) for k, _, top in calls] == [(2, 4)]
+
+
+S3XS4 = "gen a 3\ngen x 4\ngen y 7\nd y = x^2\n"
+
+
+@pytest.mark.parametrize("text, depth, out", [
+    # μ∨'s shift is δ!'s degree, 7, with or without the override m = 1
+    (S3XS4, 8 + 7, "associativity: PASS (19 identities)\n"),
+    (S3XS4 + "info m = 1\n", 8 + 7, "associativity: PASS (19 identities)\n"),
+    # an override of the right parity but huge size builds no deeper
+    ("gen x 3\ninfo m = 99999999999999999999\n", 8 + 3,
+     "associativity: PASS (4 identities)\n"),
+], ids=["s3xs4", "s3xs4-info", "s3-huge-m"])
+def test_assoc_suite_builds_to_the_depth_of_the_tables_own_shift(
+        text, depth, out, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "m.model"
+    path.write_text(text)
+    calls = []
+    real = brane_ops.brane_product_dual
+
+    def recorder(V, k, info, max_degree):
+        calls.append(max_degree)
+        assert max_degree < 100  # fail, not hang, on the override's depth
+        return real(V, k, info, max_degree)
+
+    monkeypatch.setattr(brane_ops, "brane_product_dual", recorder)
+    assert run(["verify", str(path), "--suite", "assoc"], capsys) == (0, out, "")
+    assert calls == [depth]

@@ -1,6 +1,6 @@
 """The top-degree table rows of the TSV matrix, replayed in-process.
 
-``scripts/tsv_matrix.py`` fingerprints 529 CLI commands, and its output as
+``scripts/tsv_matrix.py`` fingerprints 532 CLI commands, and its output as
 the tables stand is committed as ``scripts/tsv_matrix.expected``.  The
 ``brane-product`` and ``brane-coproduct`` rows at each model's top
 ``--max-degree``, with and without ``--homology``, are run again here
@@ -20,7 +20,9 @@ are the ``brane-coproduct`` rows on the models in ``REJECTED``, whose exit
 code 2 and stderr digest pin the messages with which the coproduct rejects
 a generator of degree 2 and a generator named like a derived s1_x.  The
 rows in the default ``--format table`` are replayed, and so are the rows
-on the ``INFO`` models, whose ``info`` lines override m and m̄.
+on the three ``INFO`` models, whose ``info`` lines override m and m̄; on
+``s3xs4-info`` (``info m = 1``, its own m is 7) the ``verify`` row pins that
+``verify --suite assoc`` builds to the depth of μ∨'s own shift.
 """
 
 import hashlib
@@ -115,7 +117,7 @@ def test_every_table_format_row_is_replayed():
 
 
 def test_every_info_row_is_replayed():
-    assert len(INFO) == len(tsv_matrix.INFO_COMMANDS) * len(tsv_matrix.INFO)
+    assert len(INFO) == len(tsv_matrix.INFO_COMMANDS) * len(tsv_matrix.INFO) == 9
     assert all("\ninfo m" in tsv_matrix.TEXTS[name] for _, name in INFO)
     assert all(EXPECTED[tsv_matrix.label(*c)][0] == 0 for c in INFO)
 
