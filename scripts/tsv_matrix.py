@@ -1,6 +1,6 @@
 """Fingerprint the CLI's output over a fixed matrix of commands.
 
-Runs 532 commands in-process through ``branecalc.cli.main`` and prints one
+Runs 563 commands in-process through ``branecalc.cli.main`` and prints one
 line per command: exit code, sha256 of stdout, sha256 of stderr, argv (and,
 for a model read from stdin, ``<`` and its name).  The commands, each on
 models/s3.model, models/s4.model and models/s3xs3.model:
@@ -29,12 +29,15 @@ Each of these five also runs the ``verify`` suites ``signs`` and
 ``assoc``, the suites that build δ!, and ``check-dga``.  Last,
 ``brane-coproduct`` runs on the three stdin models in ``REJECTED``, which it
 rejects before it builds a model: their exit code 2 and stderr digest pin
-the messages.  The three models in ``INFO`` override the formal dimensions
-with ``info`` lines; each runs ``brane-product`` and ``brane-coproduct``
-with ``--homology`` and ``verify --suite assoc`` (``INFO_COMMANDS``), whose
-outputs read m and m̄.  ``s3xs4-info`` is S³×S⁴ with ``info m = 1``, far
-from its own m = 7: its ``verify`` row pins that the suite builds μ∨ to
-the depth of the table's own shift, δ!'s degree, not of the override.
+the messages.  The five models in ``INFO`` carry ``info`` lines that give
+m or m̄; each runs ``brane-product`` and ``brane-coproduct`` with
+``--homology`` and the six ``verify`` suites (``INFO_COMMANDS``).  Three
+give a value of the right parity: ``s3xs4-info`` is S³×S⁴ with
+``info m = 1``, far from its own m = 7, and its ``verify --suite assoc``
+row pins that the suite builds μ∨ to the depth of the table's own shift,
+δ!'s degree, not of the line's value.  Two give the wrong parity:
+``s3-bad-m`` (S³ with ``info m = 2``) and ``s4-bad-mbar`` (S⁴ with
+``info mbar = 1``), whose exit code 2 and stderr digest pin the message.
 
 The output of the tables as they stand is committed next to this script,
 so a change that alters any table shows it in its own diff::
@@ -83,10 +86,13 @@ INFO = {  # name: model text with info overrides of m and m̄
     "s4-info": "algebra S4i\ngen x 4\ngen y 7\nd y = x^2\ninfo m = 2\n",
     "s3-info": "algebra S3i\ngen x 3\ninfo m = 1\ninfo mbar = -3\n",
     "s3xs4-info": "algebra S3xS4i\ngen a 3\ngen x 4\ngen y 7\nd y = x^2\ninfo m = 1\n",
+    # a wrong parity, m ≢ dim V and m̄ ≢ dim V (mod 2)
+    "s3-bad-m": "gen x 3\ninfo m = 2\n",
+    "s4-bad-mbar": "algebra S4\ngen x 4\ngen y 7\nd y = x^2\ninfo mbar = 1\n",
 }
 INFO_COMMANDS = [[op, "-", "--homology", "--format", "tsv"]
                  for op in ("brane-product", "brane-coproduct")]
-INFO_COMMANDS.append(["verify", "-", "--suite", "assoc"])
+INFO_COMMANDS.extend(["verify", "-", "--suite", suite] for suite in SUITES)
 TEXTS = {name: text for name, (text, _) in STDIN.items()} | REJECTED | INFO
 
 

@@ -44,7 +44,9 @@ _spec.loader.exec_module(tsv_matrix)
 # S³×S⁴'s generators with a last
 S4XS3 = "gen x 4\ngen y 7\nd y = x^2\ngen a 3\n"
 ACCEPTED = [p for p in MODEL_TEXTS if p.id != "linear-d"]
-INFO = [pytest.param(text, id=name) for name, text in tsv_matrix.INFO.items()]
+# the info models of the right parity; the CLI rejects the "-bad-" ones
+INFO = [pytest.param(text, id=name) for name, text in tsv_matrix.INFO.items()
+        if "-bad-" not in name]
 # (model text, check depth, seeds); (S³)³'s associativity check is the
 # slowest, so it runs shallower and on fewer seeds
 CHECKED = [pytest.param(p.values[0], 8, 12, id=p.id)

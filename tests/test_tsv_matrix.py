@@ -1,6 +1,6 @@
 """The top-degree table rows of the TSV matrix, replayed in-process.
 
-``scripts/tsv_matrix.py`` fingerprints 532 CLI commands, and its output as
+``scripts/tsv_matrix.py`` fingerprints 563 CLI commands, and its output as
 the tables stand is committed as ``scripts/tsv_matrix.expected``.  The
 ``brane-product`` and ``brane-coproduct`` rows at each model's top
 ``--max-degree``, with and without ``--homology``, are run again here
@@ -20,9 +20,11 @@ are the ``brane-coproduct`` rows on the models in ``REJECTED``, whose exit
 code 2 and stderr digest pin the messages with which the coproduct rejects
 a generator of degree 2 and a generator named like a derived s1_x.  The
 rows in the default ``--format table`` are replayed, and so are the rows
-on the three ``INFO`` models, whose ``info`` lines override m and m̄; on
-``s3xs4-info`` (``info m = 1``, its own m is 7) the ``verify`` row pins that
-``verify --suite assoc`` builds to the depth of μ∨'s own shift.
+on the five ``INFO`` models, whose ``info`` lines give m or m̄: on
+``s3xs4-info`` (``info m = 1``, its own m is 7) the ``verify --suite assoc``
+row pins that the suite builds to the depth of μ∨'s own shift, and on
+``s3-bad-m`` and ``s4-bad-mbar``, whose lines have the wrong parity, every
+row pins the exit code 2 and the message.
 """
 
 import hashlib
@@ -117,9 +119,15 @@ def test_every_table_format_row_is_replayed():
 
 
 def test_every_info_row_is_replayed():
-    assert len(INFO) == len(tsv_matrix.INFO_COMMANDS) * len(tsv_matrix.INFO) == 9
+    assert len(INFO) == len(tsv_matrix.INFO_COMMANDS) * len(tsv_matrix.INFO) == 40
     assert all("\ninfo m" in tsv_matrix.TEXTS[name] for _, name in INFO)
-    assert all(EXPECTED[tsv_matrix.label(*c)][0] == 0 for c in INFO)
+    # per model, in INFO_COMMANDS order: the two tables, then the suites
+    # assoc, comm, frobenius, golden, signs and vanishing
+    codes = {name: "".join(str(EXPECTED[tsv_matrix.label(argv, n)][0])
+                           for argv, n in INFO if n == name) for name in tsv_matrix.INFO}
+    assert codes == {"s4-info": "00000200", "s3-info": "00000002",
+                     "s3xs4-info": "00000200", "s3-bad-m": "22222222",
+                     "s4-bad-mbar": "22222222"}
 
 
 def replay(argv, name, monkeypatch):
