@@ -37,11 +37,9 @@ from .cohomology import (
     cohomology_basis,
 )
 from .shriek import (
-    GorensteinInfo,
     ModuleMap,
     cocycle_defects,
     delta_evaluation,
-    gorenstein_info,
     hom_differential,
     is_pure,
     is_semi_pure,

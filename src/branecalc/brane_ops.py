@@ -62,9 +62,10 @@ golden tests):
 * dualizing to (shifted) homology uses H_n = (H^n)^dual, the evaluation
   pairing <α⊗β, a⊗b> = (-1)^(|β||a|) α(a)β(b), dual maps with the sign
   (-1)^(|f||ψ|) ψ∘f, and a degree shift by m; _signed puts the sign on each
-  entry.  In the shifted degree ‖a‖ = |a| - m, μ has degree 0 (even under an
-  override of m) and δ degree -(m + r), even as r ≡ m (mod 2); so every law
-  on signed tables is sign-free but for the Koszul swap, _swap.
+  entry.  The shifts are the tables' own: m = δ!'s degree for μ∨ and
+  r = m̄ = γ!'s degree for δ∨.  In the shifted degree ‖a‖ = |a| - m, μ has
+  degree 0 and δ degree -(m + r), even as r ≡ m (mod 2); so every law on
+  signed tables is sign-free but for the Koszul swap, _swap.
 """
 
 from __future__ import annotations
@@ -86,11 +87,9 @@ from .dga_models import (
     tensor_model,
 )
 from .shriek import (
-    GorensteinInfo,
     ModuleMap,
     compose_module,
     gamma_value,
-    gorenstein_info,
     shriek_delta_semipure,
     shriek_gamma_pure,
 )
@@ -226,7 +225,7 @@ def _shriek_tensor_id(F: ModuleMap, N: DgaModel) -> ModuleMap:
 
 class BraneOperation(namedtuple("BraneOperation", (
     "kind",  # "product-dual" | "coproduct-dual"
-    "info", "shift", "max_degree", "state",
+    "shift", "max_degree", "state",
     # product-dual:  table[c][(a, b)] = coefficient of a⊗b in μ∨(c)
     # coproduct-dual: table[(a, b)][c] = coefficient of c in δ∨(a⊗b)
     "table",
@@ -238,19 +237,13 @@ class BraneOperation(namedtuple("BraneOperation", (
         return repr(cohomology_basis(self.state, n).representatives[i])
 
 
-def brane_product_dual(
-    V: DgaModel,
-    k: int,
-    info: GorensteinInfo | None = None,
-    max_degree: int = 8,
-) -> BraneOperation:
+def brane_product_dual(V: DgaModel, k: int, max_degree: int = 8) -> BraneOperation:
     """The dual brane product μ∨: H^n(M_{S^k}) → H^(n+m)(M_{S^k}⊗²)."""
     if k < 2:
         raise ModelError("the product pipeline needs k ≥ 2")
     if any(g.degree <= k for g in V.algebra.generators):
         # sphere_model checks this too; the product's message names k
         raise ModelError(f"the product at k={k} needs every generator degree ≥ {k + 1}")
-    info = info or gorenstein_info(V, k)
     state = sphere_model(V, k + 1)
     spheres, _, _ = relative_tensor(state, state)
     kun = Kunneth(state, *tensor_model(state, state))
@@ -264,9 +257,7 @@ def brane_product_dual(
     for n in range(max_degree + 1):
         for i, rep in enumerate(cohomology_basis(state, n).representatives):
             table[(n, i)] = kun.coordinates(shriek(to_path(rep)))
-    return BraneOperation(
-        "product-dual", info, delta.degree, max_degree, state, table
-    )
+    return BraneOperation("product-dual", delta.degree, max_degree, state, table)
 
 
 def _coproduct_fold(gamma: ModuleMap, state: DgaModel, k: int) -> ModuleMap:
@@ -306,17 +297,11 @@ def _class_parts(f: DgaMorphism, F: ModuleMap) -> Callable[[Label], list]:
     return parts
 
 
-def brane_coproduct_dual(
-    V: DgaModel,
-    k: int,
-    info: GorensteinInfo | None = None,
-    max_degree: int = 8,
-) -> BraneOperation:
+def brane_coproduct_dual(V: DgaModel, k: int, max_degree: int = 8) -> BraneOperation:
     """The dual brane coproduct δ∨: H^n(M_{S^k}⊗²) → H^(n+m̄)(M_{S^k})."""
     if k != 2:
         raise ModelError("the coproduct pipeline is implemented for k = 2 only "
                          "(closed-form constant-maps shriek)")
-    info = info or gorenstein_info(V, k)
     if all(g.is_odd for g in V.algebra.generators):
         gamma = shriek_gamma_pure(V)
         r, state = gamma.degree, sphere_model(V, k + 1)
@@ -343,7 +328,7 @@ def brane_coproduct_dual(
             z = folded.on_product(left(a), right(b), b[0])
             out = class_vector(state, n + r, z) if z.terms else []
             table[(a, b)] = {(n + r, i): c for i, c in enumerate(out) if c}
-    return BraneOperation("coproduct-dual", info, r, max_degree, state, table)
+    return BraneOperation("coproduct-dual", r, max_degree, state, table)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +337,6 @@ def brane_coproduct_dual(
 
 class HomologyOperation(namedtuple("HomologyOperation", (
     "kind",  # "homology-product" | "homology-coproduct"
-    "info",
     # product: table[(a, b)][c] = coefficient of σc∨ in σa∨ · σb∨
     # coproduct: table[c][(a, b)] = coefficient of σa∨⊗σb∨ in δ(σc∨)
     "table", "source",
@@ -363,15 +347,17 @@ class HomologyOperation(namedtuple("HomologyOperation", (
 def _signed(op: BraneOperation) -> dict:
     """op.table in its own layout, each entry times its dualization sign,
     (-1)^(m|b| + |a||b| + m) on a⊗b in μ∨(c) and (-1)^(m̄|c| + |a||b| + m|a|)
-    on c in δ∨(a⊗b).  Empty rows are kept: each is an identity to check."""
-    m, mb = op.info.m, op.info.m_bar
+    on c in δ∨(a⊗b), m and m̄ the shifts of μ∨ and δ∨.  A table carries its
+    own shift only, which is enough: m ≡ m̄ ≡ dim V (mod 2).  Empty rows are
+    kept: each is an identity to check."""
+    m = op.shift
     product = op.kind == "product-dual"
     out: dict = {}
     for key, row in op.table.items():
         out[key] = signed = {}
         for other, coeff in row.items():
             c, (a, b) = (key, other) if product else (other, key)
-            e = m * b[0] + m if product else mb * c[0] + m * a[0]
+            e = m * (b[0] + 1) if product else m * (c[0] + a[0])
             signed[other] = -coeff if (e + a[0] * b[0]) % 2 else coeff
     return out
 
@@ -391,7 +377,7 @@ def dualize_to_homology(op: BraneOperation) -> HomologyOperation:
     for key, row in _signed(op).items():
         for other, coeff in row.items():
             table.setdefault(other, {})[key] = coeff
-    return HomologyOperation(kinds[op.kind], op.info, table, op)
+    return HomologyOperation(kinds[op.kind], table, op)
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +432,9 @@ def check_associativity(prod: BraneOperation, max_degree: int | None = None) -> 
 def check_commutativity(op: BraneOperation) -> Report:
     """τ-equivariance on the signed table, τ the Koszul swap _swap:
     μ(b⊗a) = (-1)^(‖a‖‖b‖) μ(a⊗b) for the product, and the coefficients of
-    a⊗b and of b⊗a in δ(c) differ by the same sign for the coproduct."""
-    m = op.info.m
+    a⊗b and of b⊗a in δ(c) differ by the same sign for the coproduct; m is
+    the table's shift, whose parity is m's."""
+    m = op.shift
     checked = 0
     failures = []
     if op.kind == "product-dual":

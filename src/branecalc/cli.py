@@ -6,12 +6,16 @@ Model files declare a minimal Sullivan algebra:
     gen x 4             # generator, degree
     gen y 7
     d y = x^2           # differential assignment (default 0)
-    info m = 4          # optional formal-dimension overrides (m, mbar)
+    info m = 4          # optional m or mbar, checked for parity only
 
 Commands: check-dga, cohomology, sphere-model, disk-model, path-model,
 brane-product, brane-coproduct, verify.  Exit codes: 0 ok, 1 verification
 failure (or a suite that found nothing to check within --max-degree), 2 usage
 or model error, 141 (a shell's SIGPIPE status) stdout closed by its reader.
+
+An info line gives m or m̄ for the record; each table's shift is its own
+(δ!'s degree m, γ!'s degree m̄), so the table and verify commands only
+check that the value has the parity the theory fixes, dim V (mod 2).
 """
 
 from __future__ import annotations
@@ -151,6 +155,7 @@ def parse_model(text: str) -> ModelFile:
     name: str | None = None
     images: dict = {}  # gid -> nonzero d image
     info: dict = {}
+    info_lines: dict = {}  # key -> line
     alg = GradedAlgebra()
     raw_diffs: dict = {}  # name -> (expression tokens, line)
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -192,6 +197,10 @@ def parse_model(text: str) -> ModelFile:
             if key not in ("m", "mbar"):
                 raise ParseError(f"unknown info key {key!r} (expected m or mbar)",
                                  lineno, toks[1][1])
+            if key in info_lines:
+                raise ParseError(f"info {key} is already given on line {info_lines[key]}",
+                                 lineno, toks[1][1])
+            info_lines[key] = lineno
             if len(toks) == 5 and toks[3][0] == "-" and toks[4][0].isdigit():
                 info[key] = -int(toks[4][0])
             elif len(toks) == 4 and toks[3][0].isdigit():
@@ -325,10 +334,12 @@ def _cmd_model(kind: str, args) -> int:
     return 0
 
 
-def _info(mf: ModelFile, k: int) -> shriek.GorensteinInfo:
-    return shriek.gorenstein_info(
-        mf.model, k, m=mf.info.get("m"), m_bar=mf.info.get("mbar")
-    )
+def _check_info(mf: ModelFile) -> None:
+    """Reject an info value whose parity is not dim V's, m first."""
+    n = len(mf.model.algebra.generators)
+    for key, name, dim in (("m", "m", "p+q"), ("mbar", "m̄", "dim V")):
+        if (mf.info.get(key, n) - n) % 2:
+            raise ModelError(f"{name}={mf.info[key]} has the wrong parity ({dim}={n})")
 
 
 def _rows(table: dict, rep, degree: bool) -> list:
@@ -369,7 +380,8 @@ def _cmd_table(args) -> int:
     headers = _TABLE_HEADERS[args.command]
     mf = _load(args.model)
     mf.model.check()
-    op = build(mf.model, args.k, _info(mf, args.k), args.max_degree)
+    _check_info(mf)
+    op = build(mf.model, args.k, args.max_degree)
     sys.stdout.write(_emit(_rows(op.table, op.rep_string, True), headers[0], args.format))
     if args.homology:
         hop = brane_ops.dualize_to_homology(op)
@@ -385,27 +397,24 @@ def _cmd_table(args) -> int:
 
 
 def _suite_assoc(mf, args) -> list:
-    # μ∨'s shift is δ!'s degree, the default m, whatever an info line says
-    m = shriek.gorenstein_info(mf.model, args.k).m
-    prod = brane_ops.brane_product_dual(
-        mf.model, args.k, _info(mf, args.k), args.max_degree + max(m, 0))
+    # μ∨ is built m = δ!'s degree deeper, for the classes its rows reach
+    m = shriek.delta_degree(mf.model)
+    prod = brane_ops.brane_product_dual(mf.model, args.k, args.max_degree + max(m, 0))
     return [brane_ops.check_associativity(prod, args.max_degree)]
 
 
 def _suite_comm(mf, args) -> list:
-    info = _info(mf, args.k)
-    prod = brane_ops.brane_product_dual(mf.model, args.k, info, args.max_degree)
+    prod = brane_ops.brane_product_dual(mf.model, args.k, args.max_degree)
     reports = [brane_ops.check_commutativity(prod)]
     if args.k == 2 and shriek.is_pure(mf.model):
-        cop = brane_ops.brane_coproduct_dual(mf.model, args.k, info, args.max_degree)
+        cop = brane_ops.brane_coproduct_dual(mf.model, args.k, args.max_degree)
         reports.append(brane_ops.check_commutativity(cop))
     return reports
 
 
 def _suite_frobenius(mf, args) -> list:
-    info = _info(mf, args.k)
-    prod = brane_ops.brane_product_dual(mf.model, args.k, info, args.max_degree)
-    cop = brane_ops.brane_coproduct_dual(mf.model, args.k, info, args.max_degree)
+    prod = brane_ops.brane_product_dual(mf.model, args.k, args.max_degree)
+    cop = brane_ops.brane_coproduct_dual(mf.model, args.k, args.max_degree)
     return [brane_ops.check_frobenius(prod, cop, args.max_degree)]
 
 
@@ -423,10 +432,9 @@ def _suite_golden(mf, args) -> list:
     if len(gens) != 1 or not gens[0].is_odd or gens[0].degree < 3:
         raise ModelError("golden suite needs a single odd generator of degree ≥ 3")
     D = gens[0].degree
-    info = _info(mf, 2)
     top = max(2 * D - 2, 8)
-    prod = brane_ops.brane_product_dual(mf.model, 2, info, top)
-    cop = brane_ops.brane_coproduct_dual(mf.model, 2, info, top)
+    prod = brane_ops.brane_product_dual(mf.model, 2, top)
+    cop = brane_ops.brane_coproduct_dual(mf.model, 2, top)
     l1, lw, lx, lxw = (0, 0), (D - 2, 0), (D, 0), (2 * D - 2, 0)
     failures = []
     checked = 0
@@ -466,8 +474,7 @@ def _suite_vanishing(mf, args) -> list:
         raise ModelError("vanishing suite needs a pure model")
     if all(g.is_odd for g in mf.model.algebra.generators):
         raise ModelError("vanishing suite needs at least one even generator")
-    info = _info(mf, 2)
-    cop = brane_ops.brane_coproduct_dual(mf.model, 2, info, args.max_degree)
+    cop = brane_ops.brane_coproduct_dual(mf.model, 2, args.max_degree)
     bad = [
         f"δ∨({cop.rep_string(a)}⊗{cop.rep_string(b)}) ≠ 0"
         for (a, b), row in sorted(cop.table.items()) if row
@@ -476,10 +483,9 @@ def _suite_vanishing(mf, args) -> list:
 
 
 def _suite_signs(mf, args) -> list:
-    info = _info(mf, 2)
     failures = []
     checked = 3
-    expected = -1 if (info.p + info.q) % 2 else 1
+    expected = -1 if len(mf.model.algebra.generators) % 2 else 1
     got = shriek.transposition_sign_loop(mf.model)
     if got != expected:
         failures.append(f"loop transposition sign {got}, expected {expected}")
@@ -502,6 +508,7 @@ _SUITES = {
 def _cmd_verify(args) -> int:
     mf = _load(args.model)
     mf.model.check()
+    _check_info(mf)
     reports = _SUITES[args.suite](mf, args)
     ok = True
     for rep in reports:

@@ -24,7 +24,6 @@ Two shrieks are constructed:
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -49,42 +48,6 @@ from .dga_models import (
     square_transposition,
     tensor_model,
 )
-
-
-# ---------------------------------------------------------------------------
-# Gorenstein bookkeeping
-
-
-class GorensteinInfo(namedtuple("GorensteinInfo", "p q m m_bar")):
-    """Formal dimensions: p/q even/odd generator counts, m, and m̄."""
-
-    __slots__ = ()
-
-
-def gorenstein_info(
-    V: DgaModel, k: int, m: int | None = None, m_bar: int | None = None
-) -> GorensteinInfo:
-    """Derive (p, q, m, m̄) for ∧V, with parity checks on overrides.
-
-    Defaults: m = Σ|y_j| - Σ(|x_i| - 1) over odd generators y and even
-    generators x; m̄ = Σ_v c(v) with c(v) = a when a := |v| - (k-1) is odd
-    and 1 - a otherwise.  Only the parities of m and m̄ are pinned by the
-    theory (m ≡ p+q, m̄ ≡ dim V mod 2), so both may be overridden.
-    """
-    gens = V.algebra.generators
-    q = sum(g.is_odd for g in gens)
-    p = len(gens) - q
-    m_default = sum(g.degree if g.is_odd else 1 - g.degree for g in gens)
-    m_bar_default = sum(a if a % 2 else 1 - a for a in (g.degree - (k - 1) for g in gens))
-    if m is None:
-        m = m_default
-    elif (m - (p + q)) % 2:
-        raise ModelError(f"m={m} has the wrong parity (p+q={p + q})")
-    if m_bar is None:
-        m_bar = m_bar_default
-    elif (m_bar - (p + q)) % 2:
-        raise ModelError(f"m̄={m_bar} has the wrong parity (dim V={p + q})")
-    return GorensteinInfo(p, q, m, m_bar)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +276,12 @@ def shriek_gamma_pure(V: DgaModel) -> ModuleMap:
 # δ! — the diagonal shriek
 
 
+def delta_degree(V: DgaModel) -> int:
+    """δ!'s degree m = Σ|y_j| - Σ(|x_i| - 1), y odd and x even generators:
+    the formal dimension of ∧V and the brane product's shift."""
+    return sum(g.degree if g.is_odd else 1 - g.degree for g in V.algebra.generators)
+
+
 def shriek_delta_semipure(V: DgaModel) -> ModuleMap:
     """δ! from the path model to ∧V⊗², solved from D(f) = 0 through fiber
     degree |Π s1_x| + 1 and certified a cocycle by cocycle_defects."""
@@ -326,7 +295,7 @@ def shriek_delta_semipure(V: DgaModel) -> ModuleMap:
     sq = square.algebra
     evens = [g for g in V.algebra.generators if not g.is_odd]
     odds = [g for g in V.algebra.generators if g.is_odd]
-    r = sum(g.degree for g in odds) - sum(g.degree - 1 for g in evens)
+    r = delta_degree(V)
 
     lead_raw = [(alg.gen(Provenance("susp", 1, g.name)).gid, 1) for g in evens]
     sign, lead = alg.normalize(lead_raw)

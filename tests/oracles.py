@@ -28,7 +28,10 @@ the runtime computes or checks another way:
   are the diagram checkers as they were before one sign rule
   (``brane_ops._signed`` and ``_swap``) replaced their own signs: each law
   on the unsigned dual tables, with (-1)^m, (-1)^m̄, (-1)^(m·m̄) and
-  (-1)^(m|a|) written out where it needs them.
+  (-1)^(m|a|) written out where it needs them, m and m̄ the tables' shifts;
+* ``formal_m`` and ``formal_m_bar`` are the formal dimensions m and m̄ by
+  their generator-count formulas, the values the shifts of μ∨ and δ∨ must
+  take.
 
 pytest does not collect this module; tests import it as they import
 ``conftest``.
@@ -287,7 +290,7 @@ def monomials(alg: GradedAlgebra, gids: Sequence[int], n: int) -> tuple:
 
 def check_associativity(prod: BraneOperation, max_degree: int | None = None) -> Report:
     """(μ∨⊗id)∘μ∨ = (-1)^m (id⊗̂μ∨)∘μ∨, with (id⊗̂F)(a⊗b) = (-1)^(m|a|) a⊗F(b)."""
-    m = prod.info.m
+    m = prod.shift
     top = max_degree if max_degree is not None else prod.max_degree
     checked = 0
     failures = []
@@ -315,11 +318,10 @@ def check_associativity(prod: BraneOperation, max_degree: int | None = None) -> 
 
 def check_commutativity(op: BraneOperation) -> Report:
     """τ-equivariance: sign (-1)^m for the product, (-1)^m̄ for the coproduct."""
-    info = op.info
     checked = 0
     failures = []
     if op.kind == "product-dual":
-        sgn = -1 if info.m % 2 else 1
+        sgn = -1 if op.shift % 2 else 1
         for c, row in sorted(op.table.items()):
             swapped: dict = {}
             for (a, b), coeff in row.items():
@@ -331,7 +333,7 @@ def check_commutativity(op: BraneOperation) -> Report:
                 failures.append(f"commutativity fails on H^{c[0]} class #{c[1]}")
         return Report("commutativity (product)", not failures, checked, failures)
     if op.kind == "coproduct-dual":
-        sgn = -1 if info.m_bar % 2 else 1
+        sgn = -1 if op.shift % 2 else 1
         for (a, b), row in sorted(op.table.items()):
             if ((b, a)) not in op.table:
                 continue
@@ -351,7 +353,7 @@ def check_frobenius(
     max_degree: int | None = None,
 ) -> Report:
     """μ∨∘δ∨ = (-1)^(m·m̄) (δ∨⊗id)∘(id⊗̂μ∨) on the tensor square."""
-    m, mb = prod.info.m, prod.info.m_bar
+    m, mb = prod.shift, coprod.shift
     top = max_degree if max_degree is not None else min(prod.max_degree, coprod.max_degree)
     sgn = -1 if (m * mb) % 2 else 1
     checked = 0
@@ -383,3 +385,16 @@ def check_frobenius(
         if lhs != rhs:
             failures.append(f"Frobenius fails on pair {a}⊗{b}")
     return Report("Frobenius", not failures, checked, failures)
+
+
+def formal_m(V) -> int:
+    """m = Σ|y_j| - Σ(|x_i| - 1) over odd generators y and even generators x."""
+    gens = V.algebra.generators
+    return sum(g.degree if g.is_odd else 1 - g.degree for g in gens)
+
+
+def formal_m_bar(V, k: int = 2) -> int:
+    """m̄ = Σ_v c(v), with c(v) = a when a := |v| - (k-1) is odd and 1 - a
+    otherwise."""
+    gens = V.algebra.generators
+    return sum(a if a % 2 else 1 - a for a in (g.degree - (k - 1) for g in gens))

@@ -24,7 +24,6 @@ from branecalc import (
     delta_evaluation,
     disk_model,
     dualize_to_homology,
-    gorenstein_info,
     Provenance,
     path_model,
     quotient,
@@ -71,7 +70,7 @@ def homology_laws(product, coproduct):
 def test_criterion_1_shifted_homology_operations_match_reference_table(
     s3_product, s3_coproduct
 ):
-    m = s3_product.info.m
+    m = s3_product.shift
     hp = dualize_to_homology(s3_product)
     hc = dualize_to_homology(s3_coproduct)
     failures = []
@@ -205,8 +204,7 @@ def test_criterion_6_sign_laws():
     failures = []
     for build, want in ((build_s3, -1), (build_s4, 1)):
         V = build()
-        info = gorenstein_info(V, 2)
-        assert want == (-1) ** (info.p + info.q)
+        assert want == (-1) ** len(V.algebra.generators)
         if transposition_sign_loop(V) != want:
             failures.append(f"loop transposition sign for {V.algebra.name}")
     if one_generator_ext_sign(3, 2) != -1:

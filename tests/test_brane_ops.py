@@ -17,7 +17,6 @@ from branecalc import (
     cohomology_basis,
     compose,
     dualize_to_homology,
-    gorenstein_info,
     parse_model,
     relative_tensor,
     shriek,
@@ -178,39 +177,28 @@ def test_tables_are_deterministic_across_rebuilds():
     assert a.table == b.table
 
 
-def test_explicit_info_overrides_are_threaded(s3):
-    info = gorenstein_info(s3, 2, m=5, m_bar=1)
-    prod = brane_product_dual(s3, 2, info, max_degree=8)
-    assert prod.info.m == 5
-    hop = dualize_to_homology(prod)
-    assert hop.info.m_bar == 1
-
-
-# Every model file, plus S4 with an m override of the right parity (m enters
-# the dualization signs, never the dual-level tables).
+# Every model file.
 TRUNCATION_CASES = [
-    pytest.param(p.read_text(), id=p.stem) for p in sorted(MODELS.glob("*.model"))
-] + [pytest.param((MODELS / "s4.model").read_text() + "info m = 2\n", id="s4-m2")]
+    pytest.param(p.read_text(), id=p.stem) for p in sorted(MODELS.glob("*.model"))]
 REFERENCE_DEGREE = 4
 
 
 @pytest.mark.parametrize("text", TRUNCATION_CASES)
 def test_truncated_tables_are_rows_of_the_reference_table(text):
-    mf = parse_model(text)
-    info = gorenstein_info(mf.model, 2, m=mf.info.get("m"), m_bar=mf.info.get("mbar"))
+    V = parse_model(text).model
     for build, degree in (
         (brane_product_dual, lambda c: c[0]),
         (brane_coproduct_dual, lambda pair: pair[0][0] + pair[1][0]),
     ):
-        ref = build(mf.model, 2, info, REFERENCE_DEGREE).table
+        ref = build(V, 2, REFERENCE_DEGREE).table
         for d in range(REFERENCE_DEGREE):
             want = {key: row for key, row in ref.items() if degree(key) <= d}
-            assert build(mf.model, 2, info, d).table == want, (build.__name__, d)
+            assert build(V, 2, d).table == want, (build.__name__, d)
 
 
 # The Künneth helper reads pair coordinates off π⊗π and never computes the
 # square's cohomology; here the square's own cohomology is the oracle.
-KUNNETH_CASES = TRUNCATION_CASES[:-1] + [pytest.param(S3XS4, id="s3xs4")]
+KUNNETH_CASES = TRUNCATION_CASES + [pytest.param(S3XS4, id="s3xs4")]
 
 
 def class_pairs(state, n):

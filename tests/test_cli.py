@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -104,6 +105,18 @@ def test_parse_rejects_a_repeated_differential(second, col, tmp_path, capsys):
     p.write_text(text)
     code, _, err = run(["check-dga", str(p)], capsys)
     assert code == 2 and f"line 4, col {col}" in err
+
+
+@pytest.mark.parametrize("key", ["m", "mbar"])
+def test_parse_rejects_a_repeated_info_key(key, tmp_path, capsys):
+    # the second line would replace the first, whose parity goes unchecked
+    text = f"gen x 3\ninfo {key} = 2\n  info {key} = 1\n"
+    with pytest.raises(ParseError) as exc:
+        parse_model(text)
+    assert str(exc.value) == f"line 3, col 8: info {key} is already given on line 2"
+    p = tmp_path / "twice.model"
+    p.write_text(text)
+    assert run(["brane-product", str(p)], capsys) == (2, "", f"error: {exc.value}\n")
 
 
 def test_parse_names_the_unexpected_character_and_its_column():
@@ -631,7 +644,7 @@ def test_table_commands_call_the_pipeline_brane_ops_holds_now(s3_file, capsys,
 
     monkeypatch.setattr(brane_ops, "brane_product_dual", recorder)
     assert run(argv, capsys)[0] == 0
-    assert [(k, top) for k, _, top in calls] == [(2, 4)]
+    assert calls == [(2, 4)]
 
 
 S3XS4 = "gen a 3\ngen x 4\ngen y 7\nd y = x^2\n"
@@ -652,11 +665,67 @@ def test_assoc_suite_builds_to_the_depth_of_the_tables_own_shift(
     calls = []
     real = brane_ops.brane_product_dual
 
-    def recorder(V, k, info, max_degree):
+    def recorder(V, k, max_degree):
         calls.append(max_degree)
-        assert max_degree < 100  # fail, not hang, on the override's depth
-        return real(V, k, info, max_degree)
+        assert max_degree < 100  # fail, not hang, on the info line's depth
+        return real(V, k, max_degree)
 
     monkeypatch.setattr(brane_ops, "brane_product_dual", recorder)
     assert run(["verify", str(path), "--suite", "assoc"], capsys) == (0, out, "")
     assert calls == [depth]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("info m = 5", "m=5 has the wrong parity (p+q=2)"),
+    ("info mbar = 1", "m̄=1 has the wrong parity (dim V=2)"),
+    # m is checked first
+    ("info mbar = -3\ninfo m = 99999999999999999999",
+     "m=99999999999999999999 has the wrong parity (p+q=2)"),
+])
+def test_a_wrong_parity_info_line_fails_tables_and_verify_alike(
+        line, message, tmp_path, capsys):
+    path = tmp_path / "bad.model"
+    path.write_text(f"{S4}{line}\n")
+    for argv in (["brane-product", str(path)], ["brane-coproduct", str(path)],
+                 *(["verify", str(path), "--suite", suite] for suite in (
+                     "assoc", "comm", "frobenius", "golden", "signs", "vanishing"))):
+        assert run(argv, capsys) == (2, "", f"error: {message}\n"), argv
+
+
+INFO_MODELS = {"s3": S3, "s4": S4, "s3xs4": S3XS4}
+INFO_COMMANDS = (["brane-product", "-", "--homology"], ["brane-coproduct", "-", "--homology"],
+                 ["verify", "-", "--suite", "comm"], ["verify", "-", "--suite", "assoc"])
+
+
+def run_stdin(argv, text):
+    """(exit code, stdout, stderr) of main(argv) with text on stdin."""
+    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@functools.cache
+def without_info(name, argv):
+    return run_stdin(list(argv), INFO_MODELS[name])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(INFO_MODELS)), st.sampled_from(INFO_COMMANDS),
+       st.integers(0, 6), st.lists(st.sampled_from(["m", "mbar"]), min_size=1, max_size=2,
+                                   unique=True),
+       st.lists(st.one_of(st.integers(-20, 20), st.integers(-10**30, 10**30)),
+                min_size=2, max_size=2))
+def test_an_info_line_of_the_right_parity_moves_no_output(name, command, top, keys, halves):
+    """Each table's shift is its own m or m̄, so a value of dim V's parity,
+    however large, leaves exit code, stdout and stderr as they are without
+    the line."""
+    text = INFO_MODELS[name]
+    dim = len(parse_model(text).model.algebra.generators)
+    lines = "".join(f"info {key} = {2 * h + dim}\n" for key, h in zip(keys, halves))
+    argv = (*command, "--max-degree", str(top))
+    assert run_stdin(list(argv), text + lines) == without_info(name, argv)

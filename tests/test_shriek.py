@@ -13,7 +13,6 @@ from branecalc import (
     cocycle_defects,
     delta_evaluation,
     disk_model,
-    gorenstein_info,
     hom_differential,
     is_pure,
     is_semi_pure,
@@ -49,24 +48,6 @@ DELTA_IMAGES = {
            "s1_b": "a@L*y@L*a@R - a@L*z@L - a@L*a@R*y@R + a@L*z@R + a@L^2*y@L"
                    " - a@L^2*y@R + y@L*a@R^2 - z@L*a@R + a@R*z@R - a@R^2*y@R"},
 }
-
-
-def test_gorenstein_defaults_s3(s3):
-    info = gorenstein_info(s3, 2)
-    assert (info.p, info.q, info.m, info.m_bar) == (0, 1, 3, -1)
-
-
-def test_gorenstein_defaults_s4(s4):
-    info = gorenstein_info(s4, 2)
-    assert (info.p, info.q, info.m, info.m_bar) == (1, 1, 4, -2)
-
-
-def test_gorenstein_override_parity(s4):
-    assert gorenstein_info(s4, 2, m=6).m == 6
-    with pytest.raises(ModelError):
-        gorenstein_info(s4, 2, m=5)
-    with pytest.raises(ModelError):
-        gorenstein_info(s4, 2, m_bar=1)
 
 
 def test_purity_classification(s3, s4):

@@ -7,8 +7,9 @@ swap ``_swap`` as their only sign.  ``oracles.check_*`` are the checkers as
 they were, each law on the unsigned tables with its own signs.  The two
 agree on every table whose entries respect the degrees
 (|a| + |b| = |c| + shift) when the shifts of μ∨ and δ∨ have the parity of m
-and m ≡ m̄ (mod 2).  ``test_shifts_have_the_parity_of_m`` checks that
-condition on every model the per-model tests build, and
+and m ≡ m̄ (mod 2).  ``test_shifts_are_the_formal_dimensions`` checks that
+the shifts are m and m̄ by their formulas, both ≡ dim V (mod 2), on every
+model the per-model tests build, and
 ``test_reports_equal_the_old_checkers`` compares full Reports on seeded
 corruptions of the dual tables, each corruption keeping the degrees.  A
 sign common to every entry of a table moves no law; the golden tables and
@@ -30,10 +31,10 @@ from branecalc import (
     check_associativity,
     check_commutativity,
     check_frobenius,
-    gorenstein_info,
     parse_model,
 )
 from branecalc.brane_ops import class_pairs
+from branecalc.shriek import delta_degree
 from conftest import AB, HP2, MODEL_TEXTS, S3_3, S3_4, S4XS6
 
 _spec = importlib.util.spec_from_file_location(
@@ -55,13 +56,11 @@ CHECKED = [pytest.param(p.values[0], 8, 12, id=p.id)
 
 
 def build(text, depth):
-    """(product, coproduct) as the verify suites build them: with the
-    model's info overrides, the product built past depth by its own shift."""
-    mf = parse_model(text)
-    info = gorenstein_info(mf.model, 2, m=mf.info.get("m"), m_bar=mf.info.get("mbar"))
-    shift = gorenstein_info(mf.model, 2).m
-    return (brane_product_dual(mf.model, 2, info, depth + max(shift, 0)),
-            brane_coproduct_dual(mf.model, 2, info, depth))
+    """(product, coproduct) as the verify suites build them: the product
+    built past depth by its own shift."""
+    V = parse_model(text).model
+    return (brane_product_dual(V, 2, depth + max(delta_degree(V), 0)),
+            brane_coproduct_dual(V, 2, depth))
 
 
 def corrupt(op, rng):
@@ -127,10 +126,20 @@ PARITY_MODELS = ACCEPTED + [
 
 
 @pytest.mark.parametrize("text", PARITY_MODELS)
-def test_shifts_have_the_parity_of_m(text):
+def test_shifts_are_the_formal_dimensions(text):
+    V = parse_model(text).model
     prod, cop = build(text, 0)
-    info = prod.info
-    assert prod.shift == gorenstein_info(parse_model(text).model, 2).m
-    assert (prod.shift - info.m) % 2 == 0
-    assert (cop.shift - info.m_bar) % 2 == 0
-    assert (info.m_bar - info.m) % 2 == 0
+    assert prod.shift == delta_degree(V) == oracles.formal_m(V)
+    assert cop.shift == oracles.formal_m_bar(V, 2)
+    dim = len(V.algebra.generators)
+    assert (prod.shift - dim) % 2 == 0 and (cop.shift - dim) % 2 == 0
+
+
+@pytest.mark.parametrize("text, m, m_bar", [
+    ("gen x 3\n", 3, -1), ("gen x 4\ngen y 7\nd y = x^2\n", 4, -2),
+], ids=["s3", "s4"])
+def test_shifts_of_s3_and_s4(text, m, m_bar):
+    V = parse_model(text).model
+    prod, cop = build(text, 0)
+    assert (prod.shift, cop.shift) == (oracles.formal_m(V), oracles.formal_m_bar(V, 2))
+    assert (prod.shift, cop.shift) == (m, m_bar)
