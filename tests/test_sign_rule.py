@@ -139,7 +139,5 @@ def test_shifts_are_the_formal_dimensions(text):
     ("gen x 3\n", 3, -1), ("gen x 4\ngen y 7\nd y = x^2\n", 4, -2),
 ], ids=["s3", "s4"])
 def test_shifts_of_s3_and_s4(text, m, m_bar):
-    V = parse_model(text).model
     prod, cop = build(text, 0)
-    assert (prod.shift, cop.shift) == (oracles.formal_m(V), oracles.formal_m_bar(V, 2))
     assert (prod.shift, cop.shift) == (m, m_bar)
