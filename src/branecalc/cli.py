@@ -56,6 +56,9 @@ class ModelFile(namedtuple("ModelFile", (
     __slots__ = ()
 
 
+# the largest generator degree a model file may give: the tables pad their
+# degree-indexed lookups to every degree up to the largest they ask for
+MAX_GENERATOR_DEGREE = 10_000
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_][A-Za-z0-9_@']*|[-+*^=()])")
 
 
@@ -177,6 +180,9 @@ def parse_model(text: str) -> ModelFile:
             if deg < 1:
                 raise ParseError(f"generator degree must be ≥ 1, got {deg}",
                                  lineno, toks[2][1])
+            if deg > MAX_GENERATOR_DEGREE:
+                raise ParseError(f"generator degree must be ≤ {MAX_GENERATOR_DEGREE}, "
+                                 f"got {deg}", lineno, toks[2][1])
             if alg.has_gen(nm):
                 raise ParseError(f"duplicate generator {nm!r}", lineno, toks[1][1])
             alg.add_generator(nm, deg)

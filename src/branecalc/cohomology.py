@@ -33,8 +33,10 @@ degrees n and n − 1, for callers that need no representative.
 ``section`` turns a backward arrow of a zigzag, a surjective
 quasi-isomorphism f, into a forward one: a chain map σ with f∘σ = id, so
 H(σ) = H(f)⁻¹ without the cohomology of either model.  Generator by
-generator, in degree order, σ(g) is one sparse solve (``_linalg.solve``)
-over the cached d rows of one degree of f.source and the images of f.
+generator, in degree order, σ(g) is g's generator preimage under f, which
+is a gluing map, plus a correction; the correction is one sparse solve
+(``_linalg.solve``) over the cached d rows of one degree of f.source and
+the images of f, made only where the preimage is not already a lift.
 The tests check every section the pipelines build against an independent
 reference in ``tests/oracles.py``, which computes the same inverse degree
 by degree from both models' cohomology.
@@ -98,41 +100,56 @@ def section(f: DgaMorphism, stage: str) -> DgaMorphism:
 
     f must be a surjective quasi-isomorphism onto a Sullivan algebra; then
     σ exists by the lifting lemma (Félix–Halperin–Thomas, GTM 205, §12).
-    It is solved generator by generator of f.target in (degree, gid) order,
-    so each dg lies in generators that already have images: σ(g) is the
-    solution w ∈ f.sourceⁿ (n = |g|) of d w = σ(dg) and f(w) = g with free
-    variables set to 0.  The d equations are the cached rows of den·d, so
-    their right side is den·σ(dg), where σ is the partial map of the images
-    found so far.  σ is built once the solve is done and checked then;
-    every error names the stage.
+    It is built generator by generator of f.target in (degree, gid) order,
+    so each dg lies in generators that already have images.  σ(g) starts
+    from the preimage w₀: ±h for the first generator h of f.source, in gid
+    order, that f sends to ±g, else 0.  When the residuals s = σ(dg) − d w₀
+    and t = g − f(w₀) are both 0, σ(g) = w₀; otherwise σ(g) = w₀ + c, with
+    c ∈ f.sourceⁿ (n = |g|) the solution of d c = s and f(c) = t with free
+    variables set to 0.  Each degree's system is built on its first
+    correction, and its d equations are the cached rows of den·d, so their
+    right side is den·s.  σ is built once the lifts are done and checked
+    then; every error names the stage.
     """
     A, B = f.source, f.target
+    preimage: dict[int, Element] = {}
+    for h in A.algebra.generators:
+        image = f.images[h.gid]
+        if image.den == 1 and len(image.terms) == 1:
+            [(mono, c)] = image.terms.items()
+            if len(mono) == 1 and mono[0][1] == 1 and c in (1, -1):
+                preimage.setdefault(mono[0][0], A.algebra.monomial_element(((h.gid, 1),), c))
     images: dict[int, Element] = {}
     systems: dict[int, tuple] = {}
     for g in sorted(B.algebra.generators, key=lambda h: (h.degree, h.gid)):
         n = g.degree
-        if n not in systems:
-            # the coefficient rows of degree n: d w over A^{n+1}, f(w) over B^n
-            basis = A.algebra.basis(n)
-            f_rows = ({t: Fraction(c, v.den) for t, c in v.terms.items()}
-                      for v in map(f, map(A.algebra.monomial_element, basis)))
-            systems[n] = basis, _transpose(_d_rows(A, n)), _transpose(f_rows)
-        basis, d_eqs, f_eqs = systems[n]
-        ncols, index = len(basis), _index(A, n + 1)
+        w = preimage.get(g.gid, A.algebra.zero())
         dg = B.d.images.get(g.gid, B.algebra.zero())
-        s = _apply_algebra_map(dg, images, A.algebra)
-        rhs = {index[m]: Fraction(c * A.d.den, s.den) for m, c in s.terms.items()}
-        rows = []
-        for eqs, right in ((d_eqs, rhs), (f_eqs, {((g.gid, 1),): la.F1})):
-            # an equation with a right side but no coefficients reads 0 = c
-            for key in [*eqs, *(k for k in right if k not in eqs)]:
-                row = eqs.get(key, {})
-                rows.append({**row, ncols: right[key]} if key in right else row)
-        sol = la.solve(rows, ncols)
-        if sol is None:
-            raise ModelError(f"{stage}: {g.name} has no lift; "
-                             "not a surjective quasi-isomorphism")
-        images[g.gid] = A.algebra.element({basis[j]: sol[j] for j in sorted(sol)})
+        s = _apply_algebra_map(dg, images, A.algebra) - A.d(w)
+        t = B.algebra.generator_element(g.gid) - f(w)
+        if s.terms or t.terms:
+            if n not in systems:
+                # the coefficient rows of degree n: d c over A^{n+1}, f(c) over B^n
+                basis = A.algebra.basis(n)
+                f_rows = ({m: Fraction(c, v.den) for m, c in v.terms.items()}
+                          for v in map(f, map(A.algebra.monomial_element, basis)))
+                systems[n] = basis, _transpose(_d_rows(A, n)), _transpose(f_rows)
+            basis, d_eqs, f_eqs = systems[n]
+            ncols, index = len(basis), _index(A, n + 1)
+            d_right = {index[m]: Fraction(c * A.d.den, s.den) for m, c in s.terms.items()}
+            f_right = {m: Fraction(c, t.den) for m, c in t.terms.items()}
+            rows = []
+            for eqs, right in ((d_eqs, d_right), (f_eqs, f_right)):
+                # an equation with a right side but no coefficients reads 0 = c
+                for key in [*eqs, *(k for k in right if k not in eqs)]:
+                    row = eqs.get(key, {})
+                    rows.append({**row, ncols: right[key]} if key in right else row)
+            sol = la.solve(rows, ncols)
+            if sol is None:
+                raise ModelError(f"{stage}: {g.name} has no lift; "
+                                 "not a surjective quasi-isomorphism")
+            w = w + A.algebra.element({basis[j]: sol[j] for j in sorted(sol)})
+        images[g.gid] = w
     sigma = DgaMorphism(B, A, images)
     bad = sigma.chain_defects() + [
         g.name for g in B.algebra.generators

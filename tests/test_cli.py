@@ -20,7 +20,8 @@ from branecalc import (
     Derivation, DgaModel, GradedAlgebra, brane_ops, cohomology_basis, sphere_model,
 )
 from branecalc.cli import (
-    ModelFile, ParseError, _rows, build_parser, main, parse_model, print_model,
+    MAX_GENERATOR_DEGREE, ModelFile, ParseError, _rows, build_parser, main, parse_model,
+    print_model,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -117,6 +118,23 @@ def test_parse_rejects_a_repeated_info_key(key, tmp_path, capsys):
     p = tmp_path / "twice.model"
     p.write_text(text)
     assert run(["brane-product", str(p)], capsys) == (2, "", f"error: {exc.value}\n")
+
+
+@pytest.mark.parametrize("degree", [MAX_GENERATOR_DEGREE + 1, 99999999999999999999])
+def test_parse_rejects_a_generator_degree_above_the_bound(degree, tmp_path, capsys):
+    # such a degree once reached GradedAlgebra.monomials through δ!'s solve
+    # and exited 1 with an OverflowError; only the rejection is run here
+    text = f"gen x 3\n  gen y {degree}\n"
+    with pytest.raises(ParseError) as exc:
+        parse_model(text)
+    assert str(exc.value) == (f"line 2, col 9: generator degree must be "
+                              f"≤ {MAX_GENERATOR_DEGREE}, got {degree}")
+    p = tmp_path / "huge.model"
+    p.write_text(text)
+    for command in (["brane-product", str(p)], ["verify", str(p), "--suite", "signs"]):
+        assert run(command, capsys) == (2, "", f"error: {exc.value}\n")
+    assert parse_model(f"gen y {MAX_GENERATOR_DEGREE}\n").model.algebra.gen("y").degree \
+        == MAX_GENERATOR_DEGREE
 
 
 def test_parse_names_the_unexpected_character_and_its_column():

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from branecalc import (
+    DgaMorphism,
     GradedAlgebra,
     ModelError,
     Provenance,
@@ -30,11 +31,13 @@ from branecalc import (
     cohomology,
     cohomology_basis,
     disk_model,
+    make_model,
     parse_model,
     quotient,
     relative_tensor,
     sphere_model,
 )
+from branecalc import _linalg as la
 from branecalc.cohomology import section
 from branecalc.shriek import gamma_value
 
@@ -46,7 +49,8 @@ TOP = 10
 STAGES = ["path-model quasi-isomorphism", "disk-factor quasi-isomorphism"]
 # linear-d is not minimal, so neither pipeline accepts it
 ACCEPTED = [p for p in MODEL_TEXTS if p.id != "linear-d"]
-S4 = (Path(__file__).resolve().parent.parent / "models" / "s4.model").read_text()
+MODELS = Path(__file__).resolve().parent.parent / "models"
+S3, S3XS3, S4 = ((MODELS / f"{name}.model").read_text() for name in ("s3", "s3xs3", "s4"))
 # S³×S⁴ with its generators listed out of degree order: d y = x² names a
 # generator with a larger id, so a section must be solved in degree order
 S3XS4_REORDERED = "gen y 7\ngen x 4\ngen a 3\nd y = x^2\n"
@@ -78,25 +82,102 @@ def backward_maps(text):
     return seen
 
 
-def check_section(f, sigma):
-    """σ is a chain map with f∘σ = id on generators and H(σ) = H(f)⁻¹."""
-    assert is_quasi_iso(f, TOP)
+def check_section(f, sigma, top=TOP):
+    """σ is a chain map with f∘σ = id on generators and H(σ) = H(f)⁻¹
+    through degree top."""
+    assert is_quasi_iso(f, top)
     assert sigma.source is f.target and sigma.target is f.source
     assert sigma.chain_defects() == []
     for g in f.target.algebra.generators:
         e = f.target.algebra.generator_element(g.gid)
         assert f(sigma(e)) == e
-    for n in range(TOP + 1):
+    for n in range(top + 1):
         cols = [class_vector(f.source, n, sigma(rep))
                 for rep in cohomology_basis(f.target, n).representatives]
         assert [list(row) for row in zip(*cols)] == invert_on_cohomology(
             f, f.source, f.target, n)
 
 
-@pytest.mark.parametrize("stage", STAGES)
-@pytest.mark.parametrize("text", ACCEPTED)
-def test_section_inverts_the_backward_map_on_cohomology(text, stage):
-    check_section(*backward_maps(text)[stage])
+# the accepted models, shapes whose sections correct more than one
+# generator's preimage, and the coproduct section of (S³)³, which corrects
+# six of its nine; its source has 6 105 monomials in degree 10, so its
+# classes are compared through degree 6, the products of two of its
+# degree-3 generators
+@pytest.mark.parametrize("text, stage, top", [
+    pytest.param(text, stage, TOP, id=f"{p.id}-{stage}")
+    for p in ACCEPTED + [pytest.param(text, id=name) for name, text in (
+        ("hp2", HP2), ("ab", AB), ("s4xs6", S4XS6))]
+    for text in p.values for stage in STAGES] + [
+    pytest.param(S3_3, STAGES[1], 6, id=f"s3^3-{STAGES[1]}")])
+def test_section_inverts_the_backward_map_on_cohomology(text, stage, top):
+    check_section(*backward_maps(text)[stage], top)
+
+
+def counted_section(f, stage):
+    """(section(f, stage), the number of systems it solved)."""
+    calls = []
+    real = la.solve
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(la, "solve",
+                   lambda rows, ncols: calls.append(ncols) or real(rows, ncols))
+        sigma = section(f, stage)
+    return sigma, len(calls)
+
+
+# A backward map is a gluing map: it sends generators to ±generators or 0,
+# so a section starts each lift from the generator preimage and solves a
+# degree's system only for the generators where that preimage is not
+# already a lift.
+@pytest.mark.parametrize("text, stage, solves", [
+    pytest.param(text, stage, solves, id=f"{name}-{stage.split('-')[0]}")
+    for name, text, stage, solves in (
+        ("s3", S3, STAGES[0], 0), ("s3xs3", S3XS3, STAGES[0], 0),
+        ("s4", S4, STAGES[0], 1), ("s3xs4", S3XS4, STAGES[0], 1),
+        ("hp2", HP2, STAGES[0], 1), ("ab", AB, STAGES[0], 2),
+        ("s3", S3, STAGES[1], 2), ("s3xs3", S3XS3, STAGES[1], 4))])
+def test_a_section_solves_only_where_the_preimage_is_no_lift(text, stage, solves):
+    f, sigma = backward_maps(text)[stage]
+    again, count = counted_section(f, stage)
+    assert (again.images, count) == (sigma.images, solves)
+
+
+@pytest.mark.parametrize("text", [S3, S3XS3], ids=["s3", "s3xs3"])
+def test_an_uncorrected_lift_is_the_first_generator_preimage(text):
+    # the product's collapse sends both copies x@L and x@R of a generator x
+    # to x; no lift there is corrected, so each is ± the first preimage in
+    # gid order
+    f, sigma = backward_maps(text)[STAGES[0]]
+    src, tgt = f.source.algebra, f.target.algebra
+    shared = 0
+    for g in tgt.generators:
+        e = tgt.generator_element(g.gid)
+        first, *rest = [h for h in src.generators if f.images[h.gid] in (e, -e)]
+        h = src.generator_element(first.gid)
+        assert sigma.images[g.gid] == (h if f.images[first.gid] == e else -h)
+        shared += bool(rest)
+    assert shared == len(parse_model(text).model.algebra.generators)
+
+
+def test_a_negative_generator_preimage_is_a_lift_with_its_sign():
+    # a ↦ −x: σ(x) = −a, with no system solved
+    source, target = make_model([("a", 3)]), make_model([("x", 3)])
+    f = DgaMorphism(source, target, {0: -target.algebra.generator_element("x")})
+    sigma, solves = counted_section(f, "negated")
+    assert solves == 0
+    assert sigma.images[0] == -source.algebra.generator_element("a")
+    check_section(f, sigma)
+
+
+def test_a_section_without_generator_preimages_solves_every_generator():
+    # a ↦ x + y, b ↦ x − y sends no generator to ±x or ±y, so each lift is
+    # the correction of w₀ = 0 alone
+    source = make_model([("a", 3), ("b", 3)])
+    target = make_model([("x", 3), ("y", 3)])
+    x, y = map(target.algebra.generator_element, "xy")
+    f = DgaMorphism(source, target, {0: x + y, 1: x - y})
+    sigma, solves = counted_section(f, "sum and difference")
+    assert solves == 2
+    check_section(f, sigma)
 
 
 @lru_cache(maxsize=None)
