@@ -6,8 +6,9 @@
 Each pair runs ``branebench/run.py --trace 0`` once in each checkout, one
 after the other; the side that runs first alternates from pair to pair, so
 a drift of the machine's speed falls on both sides alike.  At the end it
-prints, for every end-to-end metric, each side's median with its quartiles
-and the number of pairs the change won (by the metric's ``better`` in the
+prints, for every end-to-end metric, each side's median with its quartiles,
+the relative change of the medians (change / parent − 1, in per cent) and
+the number of pairs the change won (by the metric's ``better`` in the
 change's BENCHMARK.json; a tie wins for neither).  With --save, the last
 pair's two reports (``branebench/out/BENCH_<W>_trace0.json`` of each
 checkout) are merged into FILE under "parent" and "change", keyed by the
@@ -51,20 +52,24 @@ def directions(root: Path) -> dict[str, str]:
 
 
 def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> list[str]:
-    """One line per metric: medians [quartiles] of both sides, pairs won."""
+    """One line per metric: medians [quartiles] of both sides, the relative
+    change of the medians, pairs won."""
     lines = [f"{'metric':12s} {'parent median [q1, q3]':>36s} "
-             f"{'change median [q1, q3]':>36s}  won"]
+             f"{'change median [q1, q3]':>36s} {'change':>8s}  won"]
     for name, direction in better.items():
         values = {side: [r["metrics"][name]["value"] for r in runs[side]]
                   for side in SIDES}
-        cells = []
+        cells, medians = [], []
         for side in SIDES:
             xs = values[side]
             q1, _, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else (xs[0],) * 3
-            cells.append(f"{statistics.median(xs):.6g} [{q1:.6g}, {q3:.6g}]")
+            medians.append(statistics.median(xs))
+            cells.append(f"{medians[-1]:.6g} [{q1:.6g}, {q3:.6g}]")
+        before, after = medians
+        rel = f"{100 * (after / before - 1):+.1f}%" if before else "n/a"
         sign = 1 if direction == "lower" else -1
         won = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
-        lines.append(f"{name:12s} {cells[0]:>36s} {cells[1]:>36s}  "
+        lines.append(f"{name:12s} {cells[0]:>36s} {cells[1]:>36s} {rel:>8s}  "
                      f"{won} of {len(values['change'])}")
     return lines
 

@@ -109,6 +109,8 @@ class Echelon:
     def insert(self, row: Row) -> None:
         """Add row to the space; a row that reduces to zero in the columns
         below ncols adds no pivot."""
+        if not row:
+            return
         out, _ = self._reduce(row)
         head = [j for j in out if j < self.ncols]
         if not head:

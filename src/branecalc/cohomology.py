@@ -3,14 +3,15 @@ surjective quasi-isomorphisms.
 
 Cochains are sparse rows {position: coefficient} over the canonical
 monomial basis of a degree, found through a cached {monomial: position}
-map, and all elimination goes through ``_linalg.Echelon``.  Per model, d is
-applied once to each basis monomial of each degree, by the integer Leibniz
-kernel ``Derivation.leibniz``: the rows are den·d, integer rows with den the
-common denominator of d's images, and go into ``Echelon`` as they are.  A
-common nonzero scale changes no kernel and no span, so nothing downstream
-sees den.  The rows of d on degree n serve twice: transposed, they are the
-matrix whose kernel (``Echelon.kernel``, in free-column form) gives the
-cocycles of Hⁿ; as they are, they are the coboundaries of Hⁿ⁺¹.
+map, and all elimination goes through ``_linalg.Echelon``.  d is applied to
+a basis monomial by the integer Leibniz kernel ``Derivation.leibniz``: the
+rows are den·d, integer rows with den the common denominator of d's images,
+and go into ``Echelon`` as they are.  A common nonzero scale changes no
+kernel and no span, so nothing downstream sees den.  ``cohomology_basis``
+and ``section`` read the rows of d on degree n from one list, made once per
+model, and they serve twice: transposed, they are the matrix whose kernel
+(``Echelon.kernel``, in free-column form) gives the cocycles of Hⁿ; as they
+are, they are the coboundaries of Hⁿ⁺¹.
 
 ``cohomology_basis`` inserts the coboundaries, then reduces each kernel
 cocycle modulo the coboundaries and the representatives chosen so far; a
@@ -27,8 +28,11 @@ monomial at f to the class of v_f and each pivot-column monomial to 0: π is
 the class map on cocycles and kills coboundaries.  On π's int numerators
 over one denominator per degree, ``class_vector`` reads a cocycle's class
 as Σ_m z[m]·π(m) and π⊗π reads Künneth pair coordinates off tensor
-products.  ``betti`` gives dim Hⁿ alone, from the ranks of the d rows of
-degrees n and n − 1, for callers that need no representative.
+products.  ``betti`` gives dim Hⁿ alone, for callers that need no
+representative, from the ranks of dₙ and dₙ₋₁.  It streams its rows: each
+rank is one ``Echelon`` fed the rows as ``Derivation.leibniz`` makes them,
+and only the rank is kept, so a model asked for both Betti numbers and
+bases applies d at most twice per monomial.
 
 ``section`` turns a backward arrow of a zigzag, a surjective
 quasi-isomorphism f, into a forward one: a chain map σ with f∘σ = id, so
@@ -47,7 +51,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import _linalg as la
 from .gca_core import Element, Monomial
@@ -71,19 +75,23 @@ def _index(M: DgaModel, n: int) -> dict:
                    lambda: {m: i for i, m in enumerate(M.algebra.basis(n))})
 
 
-def _d_rows(M: DgaModel, n: int) -> list[dict[int, int]]:
+def _d_stream(M: DgaModel, n: int, index: dict) -> Iterator[dict[int, int]]:
     """den·d of each degree-n basis monomial, as a sparse integer row over
-    basis(n+1), where den is M.d.den.
+    basis(n+1) through its {monomial: position} map index, where den is
+    M.d.den; each row is made as it is asked for.
 
     Every row of dₙ is scaled by the same nonzero den, which changes neither
     the kernel nor the span of the coboundaries, and Echelon keeps primitive
     rows, so the representatives, π and every table are those of d itself.
     """
-    def make():
-        index, leibniz = _index(M, n + 1), M.d.leibniz
-        return [{index[m]: c for m, c in leibniz(mono).items()}
-                for mono in M.algebra.basis(n)]
-    return _cached(M, ("d", n), make)
+    leibniz = M.d.leibniz
+    return ({index[m]: c for m, c in leibniz(mono).items()}
+            for mono in M.algebra.basis(n))
+
+
+def _d_rows(M: DgaModel, n: int) -> list[dict[int, int]]:
+    """The rows of _d_stream, kept for cohomology_basis and section."""
+    return _cached(M, ("d", n), lambda: list(_d_stream(M, n, _index(M, n + 1))))
 
 
 def _transpose(rows) -> dict:
@@ -175,10 +183,12 @@ class CohomologyBasis(namedtuple("CohomologyBasis", (
 
 
 def _rank(M: DgaModel, n: int) -> int:
-    """The rank of dₙ: Cⁿ → Cⁿ⁺¹, from one Echelon over its cached rows."""
+    """The rank of dₙ: Cⁿ → Cⁿ⁺¹, from one Echelon fed the rows of dₙ as
+    they are made; only the rank is kept."""
     def make():
-        ech = la.Echelon(len(M.algebra.basis(n + 1)))
-        for row in _d_rows(M, n):
+        target = M.algebra.basis(n + 1)
+        ech = la.Echelon(len(target))
+        for row in _d_stream(M, n, {m: i for i, m in enumerate(target)}):
             ech.insert(row)
         return len(ech.rows)
     return _cached(M, ("rank", n), make)
@@ -186,8 +196,7 @@ def _rank(M: DgaModel, n: int) -> int:
 
 def betti(M: DgaModel, n: int) -> int:
     """dim Hⁿ = dim Cⁿ − rank dₙ − rank dₙ₋₁, with no representative or π."""
-    return _cached(M, ("betti", n), lambda: (
-        len(M.algebra.basis(n)) - _rank(M, n) - _rank(M, n - 1)))
+    return len(M.algebra.basis(n)) - _rank(M, n) - _rank(M, n - 1)
 
 
 def cohomology_basis(M: DgaModel, n: int) -> CohomologyBasis:

@@ -69,8 +69,8 @@ class Derivation:
     the dict it was given, and assigning or deleting an attribute raises
     AttributeError.  ``leibniz`` works on the images' numerators over one
     common denominator den, the lcm of the images' denominators, and
-    returns den·d(mono) as int terms: the rows ``cohomology._d_rows`` feeds
-    to elimination.
+    returns den·d(mono) as int terms: the rows ``cohomology._d_stream``
+    feeds to elimination.
     """
 
     # _ints: gid -> den·images[gid] as {monomial: int}, nonzero images only

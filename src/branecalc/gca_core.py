@@ -221,7 +221,7 @@ class GradedAlgebra:
         ascending.  Suffix tables T_i[m], the degree-m monomials in gids[i:],
         are cached per gids in _basis_cache (add_generator clears it) and grow
         together: T_i[m] is T_{i+1}[m], then g_i^e·s for s in T_{i+1}[m - e|g_i|],
-        e = 1, 2, ... (e = 1 only if g_i is odd)."""
+        e = 1, 2, ... (e = 1 only if g_i is odd), skipping the empty rows."""
         if n < 0:
             return ()
         key = tuple(gids)
@@ -236,8 +236,10 @@ class GradedAlgebra:
                 for m in range(top, n + 1):
                     out = list(rest[m])
                     for e in range(1, min(m // step, 1 if self.odd[gid] else m) + 1):
-                        head = ((gid, e),)
-                        out += [head + s for s in rest[m - e * step]]
+                        suffixes = rest[m - e * step]
+                        if suffixes:
+                            head = ((gid, e),)
+                            out += [head + s for s in suffixes]
                     tables[i].append(tuple(out))
         return tables[0][n]
 

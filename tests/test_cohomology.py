@@ -16,6 +16,7 @@ from branecalc import (
     path_model,
     sphere_model,
 )
+from branecalc import _linalg as la
 from branecalc.cohomology import _d_rows, projection, section
 
 from conftest import (
@@ -169,10 +170,13 @@ BUILDS = {"state": lambda V: sphere_model(V, 3), "disk": lambda V: disk_model(V,
 
 
 # linear-d is not minimal, so it has no path model
-@pytest.mark.parametrize("text, kind", [
+BETTI_MODELS = [
     pytest.param(*p.values, kind, id=f"{p.id}-{kind}")
     for p in MODEL_TEXTS + BETTI_STDIN for kind in BUILDS
-    if (p.id, kind) != ("linear-d", "path")])
+    if (p.id, kind) != ("linear-d", "path")]
+
+
+@pytest.mark.parametrize("text, kind", BETTI_MODELS)
 def test_betti_is_the_dimension_of_the_cohomology_basis(text, kind):
     M = BUILDS[kind](parse_model(text).model)
     assert [betti(M, n) for n in range(-3, 0)] == [0, 0, 0]
@@ -205,6 +209,45 @@ def test_cohomology_applies_d_once_per_monomial(s4, monkeypatch):
         cohomology_basis(M, n)
     cochains = sum(len(M.algebra.basis(n)) for n in range(top + 1))
     assert len(seen) == len(set(seen)) == cochains
+
+
+def test_betti_applies_d_once_per_monomial_and_one_echelon_per_rank(s4, monkeypatch):
+    # the ranks stream their rows into elimination: no row is made twice,
+    # and each rank dₙ (n = -1, ..., top) is one Echelon
+    M = sphere_model(s4, 3)
+    leibniz, seen, built = Derivation.leibniz, [], []
+
+    def counting_leibniz(d, mono):
+        if d is M.d:
+            seen.append(mono)
+        return leibniz(d, mono)
+
+    class CountingEchelon(la.Echelon):
+        def __init__(self, ncols):
+            built.append(ncols)
+            super().__init__(ncols)
+
+    monkeypatch.setattr(Derivation, "leibniz", counting_leibniz)
+    monkeypatch.setattr(la, "Echelon", CountingEchelon)
+    top = 14
+    for n in range(top + 1):
+        betti(M, n)
+    cochains = sum(len(M.algebra.basis(n)) for n in range(top + 1))
+    assert len(seen) == len(set(seen)) == cochains
+    assert sorted(built) == sorted(len(M.algebra.basis(n + 1)) for n in range(-1, top + 1))
+    # only the ranks are kept: no d rows and no index maps
+    assert {key[0] for key in M.cohomology_cache} == {"rank"}
+
+
+@pytest.mark.parametrize("text, kind", BETTI_MODELS)
+def test_betti_and_cohomology_basis_agree_in_either_order(text, kind):
+    V, degrees = parse_model(text).model, range(21)
+    M = BUILDS[kind](V)
+    first = [betti(M, n) for n in degrees]
+    assert [cohomology_basis(M, n).dimension for n in degrees] == first
+    M = BUILDS[kind](V)
+    dims = [cohomology_basis(M, n).dimension for n in degrees]
+    assert [betti(M, n) for n in degrees] == dims == first
 
 
 @pytest.mark.parametrize("build", [

@@ -94,6 +94,24 @@ added_degrees = st.lists(st.integers(1, 9), max_size=2)
 @settings(max_examples=200, deadline=None)
 @given(generator_degrees, requested_degrees, gid_masks, added_degrees)
 def test_basis_and_monomials_match_the_recursion_oracle(degrees, requests, masks, added):
+    check_against_the_recursion_oracle(degrees, requests, masks, added)
+
+
+# generator degrees up to 25 against requested degrees up to 60, where most
+# suffix rows T_{i+1}[m - e|g_i|] are empty; degrees from 6 keep each basis
+# small enough for the oracle
+sparse_generator_degrees = st.lists(st.integers(6, 25), min_size=1, max_size=5)
+sparse_requested_degrees = st.lists(st.integers(-1, 60), min_size=1, max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_generator_degrees, sparse_requested_degrees, gid_masks,
+       st.lists(st.integers(6, 25), max_size=1))
+def test_sparse_bases_match_the_recursion_oracle(degrees, requests, masks, added):
+    check_against_the_recursion_oracle(degrees, requests, masks, added)
+
+
+def check_against_the_recursion_oracle(degrees, requests, masks, added):
     """basis(n) and monomials(gids, n) list the oracle's monomials in its
     order, for degrees asked out of order, on ascending gid subsets, and
     again after add_generator extends an algebra whose tables are filled."""
