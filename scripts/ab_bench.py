@@ -1,18 +1,21 @@
 """Alternating A/B runs of the benchmark on two checkouts.
 
-    python3 scripts/ab_bench.py PARENT CHANGE --workload W --pairs N --seconds S
-        [--seed K] [--save FILE]
+    python3 scripts/ab_bench.py PARENT CHANGE --workload W[,W...] --pairs N
+        --seconds S [--seed K] [--save FILE]
 
-Each pair runs ``branebench/run.py --trace 0`` once in each checkout, one
-after the other; the side that runs first alternates from pair to pair, so
-a drift of the machine's speed falls on both sides alike.  At the end it
-prints, for every end-to-end metric, each side's median with its quartiles,
-the relative change of the medians (change / parent − 1, in per cent) and
-the number of pairs the change won (by the metric's ``better`` in the
-change's BENCHMARK.json; a tie wins for neither).  With --save, the last
-pair's two reports (``branebench/out/BENCH_<W>_trace0.json`` of each
-checkout) are merged into FILE under "parent" and "change", keyed by the
-workload, the layout of the committed ``BENCH_pr*.json`` files.
+--workload names one workload or a comma-separated list of them, such as
+``product-d10,cli-small,coproduct-s4-d14``; the workloads run in turn, each
+with its own N pairs.  Each pair runs ``branebench/run.py --trace 0`` once
+in each checkout, one after the other; the side that runs first alternates
+from pair to pair, so a drift of the machine's speed falls on both sides
+alike.  After each workload's pairs it prints, for every end-to-end
+metric, each side's median with its quartiles, the relative change of the
+medians (change / parent − 1, in per cent) and the number of pairs the
+change won (by the metric's ``better`` in the change's BENCHMARK.json; a
+tie wins for neither).  With --save, the last pair's two reports of each
+workload (``branebench/out/BENCH_<W>_trace0.json`` of each checkout) are
+merged into FILE under "parent" and "change", keyed by the workload, the
+layout of the committed ``BENCH_pr*.json`` files.
 
 Standard library only; it runs each checkout's own ``branebench/run.py`` in
 a child process with that checkout as its working directory.
@@ -84,11 +87,40 @@ def save(path: Path, workload: str, last: dict[str, dict]) -> None:
     path.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
 
 
+def workload_list(text: str) -> list[str]:
+    """The workloads of --workload: names separated by commas, each once."""
+    names = [name.strip() for name in text.split(",")]
+    if not all(names):
+        raise argparse.ArgumentTypeError(f"empty workload name in {text!r}")
+    if len(set(names)) < len(names):
+        raise argparse.ArgumentTypeError(f"a workload is named twice in {text!r}")
+    return names
+
+
+def run_pairs(roots: dict[str, Path], workload: str, pairs: int, seed: int,
+              seconds: float) -> dict[str, list[dict]]:
+    """pairs alternating pairs of runs of workload; each side's results."""
+    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+    for i in range(pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        for side in order:
+            result = run_once(roots[side], workload, seed, seconds)
+            runs[side].append(result)
+            if not result["correct"] or result["failed"]:
+                print(f"warning: {workload} pair {i + 1} {side}: {result['failed']} "
+                      f"of {result['attempted']} operations failed", file=sys.stderr)
+        p, c = (runs[s][-1]["metrics"]["pass_s"]["value"] for s in SIDES)
+        print(f"{workload} pair {i + 1}/{pairs} ({order[0]} first): pass_s "
+              f"{p:.6g} -> {c:.6g}", flush=True)
+    return runs
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
     ap.add_argument("change", type=Path, help="checkout of the change")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, type=workload_list,
+                    help="a workload, or a comma-separated list of them")
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--seed", type=int, default=1)
@@ -98,24 +130,14 @@ def main(argv=None) -> int:
         ap.error("--pairs must be at least 1")
 
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
-    for i in range(args.pairs):
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        for side in order:
-            result = run_once(roots[side], args.workload, args.seed, args.seconds)
-            runs[side].append(result)
-            if not result["correct"] or result["failed"]:
-                print(f"warning: pair {i + 1} {side}: {result['failed']} of "
-                      f"{result['attempted']} operations failed", file=sys.stderr)
-        p, c = (runs[s][-1]["metrics"]["pass_s"]["value"] for s in SIDES)
-        print(f"pair {i + 1}/{args.pairs} ({order[0]} first): pass_s "
-              f"{p:.6g} -> {c:.6g}", flush=True)
-
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of "
-          f"{args.seconds:g} s runs")
-    print("\n".join(summarize(runs, directions(roots["change"]))))
-    if args.save:
-        save(args.save, args.workload, {side: runs[side][-1] for side in SIDES})
+    better = directions(roots["change"])
+    for workload in args.workload:
+        runs = run_pairs(roots, workload, args.pairs, args.seed, args.seconds)
+        print(f"{workload}, seed {args.seed}, {args.pairs} pairs of "
+              f"{args.seconds:g} s runs")
+        print("\n".join(summarize(runs, better)), flush=True)
+        if args.save:
+            save(args.save, workload, {side: runs[side][-1] for side in SIDES})
     return 0
 
 

@@ -2,8 +2,9 @@
 
 A ModuleMap is linear over the base of a semifree model with the Koszul
 sign F(b·m) = (-1)^(deg F · |b|) b·F(m), and is recorded by its values on
-the fiber monomials.  The hom-complex differential is
-D(F) = d_target∘F - (-1)^(deg F) F∘d_source.
+the fiber monomials.  One unshuffle with that sign serves ``by_fiber``
+and F, which sums ρ(b_f)·F(f) into one int accumulator.  The hom-complex
+differential is D(F) = d_target∘F - (-1)^(deg F) F∘d_source.
 
 Two shrieks are constructed:
 
@@ -15,7 +16,8 @@ Two shrieks are constructed:
   the ideal (y_1⊗y_1, ..., y_q⊗y_q), every other value solved from
   D(f) = 0 by one exact linear solve through fiber degree |Π s_x_i| + 1,
   the smallest that holds the leading monomial (free variables pinned to
-  0 in echelon order, which makes the table deterministic).  The solve
+  0 in echelon order, which makes the table deterministic), whose
+  equations are built on int terms from the Leibniz rows.  The solve
   depends on the model alone, and its result is certified a cocycle by
   cocycle_defects, which checks D(f) wherever it can be nonzero.  The
   brane product reads δ! only through its class, which the leading value
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from types import MappingProxyType
 from typing import Container, Mapping, Sequence
 
@@ -88,12 +91,13 @@ class ModuleMap:
                                  f" is {img!r}, not ± one generator or 0")
         return out
 
-    def by_fiber(
-        self, e: Element, fibers: Container[Monomial] | None = None
-    ) -> dict[Monomial, Element]:
-        """{f: ρ(b_f)} over the fiber parts f of e's terms (those in fibers,
-        when given), where e's terms with fiber part f sum to ±b_f·f and
-        the signs make F(e) = Σ_f ρ(b_f)·F(f).
+    def _unshuffle(
+        self, terms: Mapping[Monomial, int], fibers: Container[Monomial] | None = None
+    ) -> dict[Monomial, dict[Monomial, int]]:
+        """{f: int terms of ρ(b_f)} over the fiber parts f of the monomials
+        of the int terms Σ c·mono (those in fibers, when given), where the
+        terms with fiber part f sum to ±b_f·f and the signs make
+        F(Σ c·mono) = Σ_f ρ(b_f)·F(f); a coefficient may be 0.
 
         Each term is unshuffled into its base part b and fiber part f (the
         Koszul sign of moving b's odd factors past f's), and F passes b,
@@ -103,7 +107,7 @@ class ModuleMap:
         odd, relabel = self.source.algebra.odd, self._relabel
         normalize, flip = self.target.algebra.normalize, self.degree % 2
         parts: dict[Monomial, dict[Monomial, int]] = {}
-        for mono, c in e.terms.items():
+        for mono, c in terms.items():
             b: list[tuple[int, int]] = []
             f: list[tuple[int, int]] = []
             b_odd = f_odd = False
@@ -119,11 +123,18 @@ class ModuleMap:
                     b_odd ^= odd[gid]
             fiber = tuple(f)
             if fibers is None or fiber in fibers:
-                terms = parts.setdefault(fiber, {})
+                part = parts.setdefault(fiber, {})
                 s, t = normalize(b) if c else (0, ())
                 if s:
-                    terms[t] = terms.get(t, 0) + (-s * c if b_odd and flip else s * c)
-        return {f: Element(self.target.algebra, terms, e.den) for f, terms in parts.items()}
+                    part[t] = part.get(t, 0) + (-s * c if b_odd and flip else s * c)
+        return parts
+
+    def by_fiber(
+        self, e: Element, fibers: Container[Monomial] | None = None
+    ) -> dict[Monomial, Element]:
+        """{f: ρ(b_f)}, with F(e) = Σ_f ρ(b_f)·F(f): _unshuffle over e.den."""
+        return {f: Element(self.target.algebra, part, e.den)
+                for f, part in self._unshuffle(e.terms, fibers).items()}
 
     def graded_parts(self, e: Element) -> list[tuple[Monomial, int, Element]]:
         """by_fiber(e) as (f, |f|, ρ(b_f)) over its fiber parts f."""
@@ -160,10 +171,27 @@ class ModuleMap:
                     terms.append((s, b * b2 * images[g]))
         return linear_combination(self.target.algebra, terms)
 
+    @cached_property
+    def _image_ints(self) -> tuple[dict[Monomial, dict[Monomial, int]], int]:
+        """(images as int terms over den, den): den is the lcm of theirs."""
+        den = lcm(*(v.den for v in self.images.values()))
+        return {f: {m: c * (den // v.den) for m, c in v.terms.items()}
+                for f, v in self.images.items()}, den
+
     def __call__(self, e: Element) -> Element:
-        return linear_combination(self.target.algebra, (
-            (1, b * self.images[f])
-            for f, b in self.by_fiber(e, self.images).items()))
+        """Σ_f ρ(b_f)·F(f), summed on ints into one accumulator over the
+        images' one denominator; one Element is built."""
+        ints, den = self._image_ints
+        mul = self.target.algebra.mul_monomials
+        acc: dict[Monomial, int] = {}
+        for f, part in self._unshuffle(e.terms, ints).items():
+            image = ints[f]
+            for t, c in part.items():
+                for m, x in image.items():
+                    s, p = mul(t, m)
+                    if s:
+                        acc[p] = acc.get(p, 0) + s * c * x
+        return Element(self.target.algebra, acc, den * e.den)
 
 
 def compose_module(g: DgaMorphism, F: ModuleMap) -> ModuleMap:
@@ -346,25 +374,28 @@ def shriek_delta_semipure(V: DgaModel) -> ModuleMap:
             continue
         eqs: dict[Monomial, la.Row] = {}
 
-        def add(col: int, e: Element, scale) -> None:
-            if e.den != 1:
-                scale = Fraction(scale, e.den)
-            for t, c in e.terms.items():
+        def add(col: int, terms: dict[Monomial, int], den: int, scale) -> None:
+            if den != 1:
+                scale = Fraction(scale, den)
+            for t, c in terms.items():
                 row = eqs.setdefault(t, {})
                 row[col] = row.get(col, 0) + c * scale
 
-        # d_target ∘ f on mono
+        # d_target ∘ f on mono, the Leibniz rows over square.d.den
         if mono == lead:
-            add(n_vars, square.d(known), -1)
+            dk = square.d(known)
+            add(n_vars, dk.terms, dk.den, -1)
         for vi, tmono in unknowns.get(mono, ()):
-            add(vi, square.d(sq.monomial_element(tmono)), 1)
-        # -(-1)^r f ∘ d_source on mono
-        dmono = path.d(alg.monomial_element(mono))
-        for f_part, b_elem in unsolved.by_fiber(dmono).items():
+            add(vi, square.d.leibniz(tmono), square.d.den, 1)
+        # -(-1)^r f ∘ d_source on mono, d_source over path.d.den
+        for f_part, b in unsolved._unshuffle(path.d.leibniz(mono)).items():
             if f_part == lead:
-                add(n_vars, b_elem * known, sgn_r)
+                bk = Element(sq, b, path.d.den) * known
+                add(n_vars, bk.terms, bk.den, sgn_r)
+            # b·tmono, one product per term of b, none of them equal
             for vi, tmono in unknowns.get(f_part, ()):
-                add(vi, b_elem * sq.monomial_element(tmono), -sgn_r)
+                add(vi, {m: s * c for t, c in b.items() if c
+                         for s, m in [sq.mul_monomials(t, tmono)] if s}, path.d.den, -sgn_r)
         for row in eqs.values():
             row = {j: c for j, c in row.items() if c}
             if row:

@@ -16,6 +16,16 @@ the runtime computes or checks another way:
 * ``by_fiber`` is ``ModuleMap.by_fiber`` with ρ applied to each base part
   as a general algebra map (``_apply_algebra_map``), where the runtime
   relabels generators;
+* ``module_map_value`` is F(e) as ``ModuleMap.__call__`` computed it before
+  it summed into one int accumulator: Element products ρ(b_f)·F(f) over
+  ``by_fiber``'s parts, summed by ``linear_combination``;
+* ``delta_equations`` builds δ!'s equations as ``shriek_delta_semipure``
+  did before it built them on int terms: d of a fresh monomial Element,
+  the parts of ``by_fiber`` and Element products; with the rows it gives
+  the values solved from them;
+* ``d_squared_witnesses`` finds the generators with d(dg) ≠ 0 by applying
+  d to each monomial of dg as a word of generator Elements, by the Leibniz
+  rule, where the runtime sums ``Derivation.leibniz`` rows on ints;
 * ``morphism_phi`` is φ (or ε̃), the projection onto ∧V;
 * ``gamma_evaluation`` pairs γ! against a fixed cocycle, as
   ``shriek.delta_evaluation`` does for δ!;
@@ -56,9 +66,10 @@ from branecalc import (
 )
 from branecalc import _linalg as la
 from branecalc.cohomology import _d_rows, _transpose
-from branecalc.dga_models import _apply_algebra_map
-from branecalc.gca_core import translate
-from branecalc.shriek import ModuleMap, evaluation_pairing
+from branecalc.dga_models import _apply_algebra_map, path_model, tensor_model
+from branecalc.gca_core import linear_combination, translate
+from branecalc.shriek import (
+    ModuleMap, delta_degree, evaluation_pairing, fiber_basis, is_semi_pure)
 
 F0 = Fraction(0)
 
@@ -149,6 +160,111 @@ def by_fiber(F: ModuleMap, e: Element,
     src, tgt = F.source.algebra, F.target.algebra
     return {f: _apply_algebra_map(Element(src, b, e.den), base, tgt)
             for f, b in parts.items()}
+
+
+def module_map_value(F: ModuleMap, e: Element) -> Element:
+    """F(e) = Σ_f ρ(b_f)·F(f) over the parts of by_fiber(F, e, F.images), one
+    Element product per part, summed by linear_combination."""
+    return linear_combination(F.target.algebra, (
+        (1, b * F.images[f]) for f, b in by_fiber(F, e, F.images).items()))
+
+
+def delta_equations(V: DgaModel) -> tuple[list[la.Row], int, dict[tuple, Element]]:
+    """(rows, number of unknowns, values) of δ!'s solve on the semi-pure
+    minimal V: the equations D(f) = 0 in shriek_delta_semipure's order, each
+    term from Element arithmetic, and the values f solved from them."""
+    assert is_semi_pure(V)
+    path = path_model(V)
+    square, _, _ = tensor_model(V, V)
+    alg, sq = path.algebra, square.algebra
+    r = delta_degree(V)
+    sign, lead = alg.normalize([(alg.gen(Provenance("susp", 1, g.name)).gid, 1)
+                                for g in V.algebra.generators if not g.is_odd])
+    assert sign == 1
+    odd_copies = [(sq.gen(g.prov.tagged("L")).gid, sq.gen(g.prov.tagged("R")).gid)
+                  for g in V.algebra.generators if g.is_odd]
+    known = sq.one()
+    for left, right in odd_copies:
+        known = known * (sq.generator_element(right) - sq.generator_element(left))
+
+    def in_correction_ideal(mono):
+        gids = {g for g, _ in mono}
+        return any(left in gids and right in gids for left, right in odd_copies)
+
+    base_images = {gid: sq.generator_element(alg.gen(gid).prov) for gid in path.base_gids}
+    fiber_cut = alg.monomial_degree(lead) + 1
+    fiber_monos = [m for n in range(fiber_cut + 1) for m in fiber_basis(path, n)]
+    unknowns: dict[tuple, list] = {}
+    n_vars = 0
+    for mono in fiber_monos:
+        for tmono in sq.basis(alg.monomial_degree(mono) + r):
+            if mono != lead or in_correction_ideal(tmono):
+                unknowns.setdefault(mono, []).append((n_vars, tmono))
+                n_vars += 1
+    rows: list[la.Row] = []
+    sgn_r = -1 if r % 2 else 1
+    unsolved = ModuleMap(path, square, r, base_images, {})
+    for mono in fiber_monos:
+        if alg.monomial_degree(mono) == fiber_cut:
+            continue
+        eqs: dict[tuple, la.Row] = {}
+
+        def add(col, e, scale):
+            if e.den != 1:
+                scale = Fraction(scale, e.den)
+            for t, c in e.terms.items():
+                row = eqs.setdefault(t, {})
+                row[col] = row.get(col, 0) + c * scale
+
+        if mono == lead:
+            add(n_vars, square.d(known), -1)
+        for vi, tmono in unknowns.get(mono, ()):
+            add(vi, square.d(sq.monomial_element(tmono)), 1)
+        dmono = path.d(alg.monomial_element(mono))
+        for f_part, b_elem in by_fiber(unsolved, dmono).items():
+            if f_part == lead:
+                add(n_vars, b_elem * known, sgn_r)
+            for vi, tmono in unknowns.get(f_part, ()):
+                add(vi, b_elem * sq.monomial_element(tmono), -sgn_r)
+        for row in eqs.values():
+            row = {j: c for j, c in row.items() if c}
+            if row:
+                rows.append(row)
+    sol = la.solve(rows, n_vars)
+    values = {}
+    for mono in fiber_monos:
+        val = sq.element({tmono: sol[vi] for vi, tmono in unknowns.get(mono, ()) if vi in sol})
+        if mono == lead:
+            val = val + known
+        if val.terms:
+            values[mono] = val
+    return rows, n_vars, values
+
+
+def d_squared_witnesses(M: DgaModel) -> list[str]:
+    """The names of the generators g with d(dg) ≠ 0, in gid order: d of each
+    monomial w₁⋯w_k of dg, a word of generators, is
+    Σ_i (-1)^(r·|w₁⋯w_(i-1)|) w₁⋯d(w_i)⋯w_k in Element products."""
+    alg, d = M.algebra, M.d
+    zero = alg.zero()
+
+    def d_monomial(mono) -> Element:
+        word = [gid for gid, e in mono for _ in range(e)]
+        total, pre, pre_degree = zero, alg.one(), 0
+        for i, gid in enumerate(word):
+            post = alg.one()
+            for later in word[i + 1:]:
+                post = post * alg.generator_element(later)
+            term = pre * d.images.get(gid, zero) * post
+            total = total + (-term if d.degree * pre_degree % 2 else term)
+            pre = pre * alg.generator_element(gid)
+            pre_degree += alg.gen(gid).degree
+        return total
+
+    def d_of(e: Element) -> Element:
+        return linear_combination(alg, ((1, d_monomial(m) * e.coefficient(m)) for m in e.terms))
+
+    return [g.name for g in alg.generators if d_of(d.images.get(g.gid, zero)).terms]
 
 
 def induced_map(

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -25,8 +26,8 @@ from branecalc import (
 from branecalc.cli import parse_model
 from branecalc.gca_core import linear_combination, translate
 
-from conftest import build_s3, build_s3xs3, build_s4
-from oracles import is_quasi_iso, morphism_phi
+from conftest import A4B6_RATIONAL, S4_RATIONAL, build_s3, build_s3xs3, build_s4
+from oracles import d_squared_witnesses, is_quasi_iso, morphism_phi
 
 CORPUS = [build_s3, build_s4, build_s3xs3]
 MODEL_FILES = sorted((Path(__file__).resolve().parent.parent / "models").glob("*.model"))
@@ -213,6 +214,52 @@ def test_non_square_zero_differential_is_reported():
     assert M.d_squared_witnesses() == ["a", "b"]
     with pytest.raises(ModelError):
         M.check()
+
+
+# d² cancels on w only once d(u·y) and d(x·v) are summed: each is x·y
+CANCELLING = "gen x 4\ngen y 4\ngen u 3\ngen v 3\ngen w 6\nd u = x\nd v = y\nd w = u*y - x*v\n"
+
+
+@lru_cache(maxsize=None)
+def square_zero_models() -> dict:
+    """Every model file, the two models with rational d coefficients and the
+    cancelling one, with each constructor applied to all but the last."""
+    texts = {p.stem: p.read_text(encoding="utf-8") for p in MODEL_FILES}
+    texts.update({"s4-rational": S4_RATIONAL, "a4b6-rational": A4B6_RATIONAL})
+    out = {"cancelling": parse_model(CANCELLING).model}
+    for name, text in texts.items():
+        V = parse_model(text).model
+        out[name] = V
+        out.update({f"{name}: {what}": M for what, M in _constructions(V).items()})
+    return out
+
+
+def test_d_squared_witnesses_match_the_element_route():
+    models = square_zero_models()
+    assert any(M.d.den != 1 for M in models.values())
+    for name, M in models.items():
+        assert M.d_squared_witnesses() == d_squared_witnesses(M) == [], name
+    # the cancelling model's d(u·y) and d(x·v) are each nonzero
+    M = models["cancelling"]
+    w = M.d.images[M.algebra.gen("w").gid]
+    assert all(M.d.leibniz(m) for m in w.terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_d_squared_witnesses_of_a_perturbed_image_match_the_element_route(data):
+    # one generator's d image plus a random combination of its degree
+    models = square_zero_models()
+    M = models[data.draw(st.sampled_from(sorted(
+        name for name, M in models.items()
+        if any(M.algebra.basis(g.degree + 1) for g in M.algebra.generators))))]
+    alg = M.algebra
+    g = data.draw(st.sampled_from([g for g in alg.generators if alg.basis(g.degree + 1)]))
+    extra = random_element(data.draw, alg, g.degree + 1)
+    images = dict(M.d.images)
+    images[g.gid] = images.get(g.gid, alg.zero()) + extra
+    bad = DgaModel(alg, Derivation(alg, 1, images))
+    assert bad.d_squared_witnesses() == d_squared_witnesses(bad)
 
 
 def random_element(draw, alg, degree):

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from branecalc import (
+    Derivation,
     DgaMorphism,
     GradedAlgebra,
     ModelError,
@@ -139,6 +140,52 @@ def test_a_section_solves_only_where_the_preimage_is_no_lift(text, stage, solves
     f, sigma = backward_maps(text)[stage]
     again, count = counted_section(f, stage)
     assert (again.images, count) == (sigma.images, solves)
+
+
+# σ(g) = w₀ is a lift exactly when the residuals s = σ(dg) − d w₀ and
+# t = g − f(w₀) are 0, and they are read over final images, so they are the
+# check of an uncorrected lift; only a corrected lift is checked again at
+# the end, where d is applied to σ(g) once more
+@pytest.mark.parametrize("text, stage, solves", [
+    pytest.param(text, stage, solves, id=f"{name}-{stage.split('-')[0]}")
+    for name, text, stage, solves in (
+        ("s3", S3, STAGES[0], 0), ("s3xs3", S3XS3, STAGES[0], 0),
+        ("s4", S4, STAGES[0], 1), ("s3xs4", S3XS4, STAGES[0], 1),
+        ("hp2", HP2, STAGES[0], 1), ("ab", AB, STAGES[0], 2),
+        ("s3", S3, STAGES[1], 2), ("s3xs3", S3XS3, STAGES[1], 4))])
+def test_a_section_checks_each_generator_once(text, stage, solves, monkeypatch):
+    f, sigma = backward_maps(text)[stage]
+    applied = []
+    real = Derivation.__call__
+    monkeypatch.setattr(Derivation, "__call__",
+                        lambda d, e: applied.append(d) or real(d, e))
+    again, count = counted_section(f, stage)
+    monkeypatch.undo()
+    assert (again.images, count) == (sigma.images, solves)
+    generators = len(f.target.algebra.generators)
+    assert sum(d is f.source.d for d in applied) == generators + solves
+
+
+def test_a_corrupted_correction_fails_the_certificate_on_its_generator(monkeypatch):
+    # S⁴'s product section corrects one lift, that of s2_y@R; one coordinate
+    # of its solution, off by one, must fail the final check on that
+    # generator alone
+    f, sigma = backward_maps(S4)[STAGES[0]]
+    tgt = f.target.algebra
+    lifts = {g.name: sigma.images[g.gid] for g in tgt.generators}
+    assert [name for name, w in lifts.items() if len(w.terms) > 1] == ["s2_y@R"]
+    real = cohomology.la.solve
+
+    def corrupted(rows, ncols):
+        sol = real(rows, ncols)
+        j = min(sol, default=0)
+        return {**sol, j: sol.get(j, 0) + 1}
+
+    monkeypatch.setattr(cohomology.la, "solve", corrupted)
+    with pytest.raises(ModelError) as exc:
+        section(f, STAGES[0])
+    assert str(exc.value) == (f"{STAGES[0]}: the section is not a chain map with "
+                              "f∘σ = id on generators ['s2_y@R']")
 
 
 @pytest.mark.parametrize("text", [S3, S3XS3], ids=["s3", "s3xs3"])

@@ -1,16 +1,21 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from branecalc import (
     DgaMorphism,
+    Element,
     ModelError,
     ModuleMap,
     brane_coproduct_dual,
     brane_ops,
     brane_product_dual,
     cocycle_defects,
+    cohomology_basis,
     delta_evaluation,
     disk_model,
     hom_differential,
@@ -27,8 +32,10 @@ from branecalc import (
 )
 from branecalc.shriek import compose_module
 
-from conftest import AB, HP2, MODEL_TEXTS, S3_3, S3_4, coproduct_fold
-from oracles import by_fiber, gamma_evaluation
+from conftest import (
+    A4B6_RATIONAL, AB, HP2, MODEL_TEXTS, S3_3, S3_4, S3XS4, S4_RATIONAL, S4XS6,
+    coproduct_fold)
+from oracles import by_fiber, delta_equations, gamma_evaluation, module_map_value
 
 DELTA_MODELS = [p for p in MODEL_TEXTS if p.id != "linear-d"] + [
     pytest.param(AB, id="ab")]
@@ -343,3 +350,119 @@ def test_a_base_image_that_is_not_a_relabelling_is_rejected(image):
     F = ModuleMap(V, V, 0, {0: value, 1: y}, {(): V.algebra.one()})
     with pytest.raises(ModelError, match=r"base image of x is .* not ± one generator"):
         F.by_fiber(V.algebra.one())
+
+
+# ---------------------------------------------------------------------------
+# module maps and δ!'s equations on int terms
+
+
+KERNEL_CASES = [pytest.param(p.values[0], id=p.id) for p in MODEL_TEXTS
+                if p.id in ("s3", "s4", "s3xs3")] + [
+    pytest.param(text, id=name) for name, text in (
+        ("s3xs4", S3XS4), ("hp2", HP2), ("ab", AB), ("s4xs6", S4XS6))]
+RATIONAL_CASES = [pytest.param(S4_RATIONAL, id="s4-rational"),
+                  pytest.param(A4B6_RATIONAL, id="a4b6-rational")]
+
+
+@lru_cache(maxsize=None)
+def product_maps(text):
+    """(δ!, δ!⊗id, σ∘pinch, the state) as the k = 2 product builds them."""
+    V = parse_model(text).model
+    seen = {}
+    real_shriek, real_compose = brane_ops._shriek_tensor_id, brane_ops.compose
+
+    def recording_shriek(F, N):
+        seen["delta"], seen["shriek"] = F, real_shriek(F, N)
+        return seen["shriek"]
+
+    def recording_compose(g, f):
+        seen["to_path"] = real_compose(g, f)
+        return seen["to_path"]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(brane_ops, "_shriek_tensor_id", recording_shriek)
+        mp.setattr(brane_ops, "compose", recording_compose)
+        op = brane_product_dual(V, 2, max_degree=0)
+    return seen["delta"], seen["shriek"], seen["to_path"], op.state
+
+
+def assert_the_element_route(F, e) -> Element:
+    """F(e), checked field for field against oracles.module_map_value."""
+    got, want = F(e), module_map_value(F, e)
+    assert (got.terms, got.den) == (want.terms, want.den)
+    return got
+
+
+@pytest.mark.parametrize("text", KERNEL_CASES + RATIONAL_CASES)
+def test_shriek_tensor_id_on_each_state_class_is_the_element_route(text):
+    # δ!⊗id of σ∘pinch of every state representative through degree 10,
+    # the values the product reads its table from
+    _, shriek_id, to_path, state = product_maps(text)
+    nonzero = 0
+    for n in range(11):
+        for rep in cohomology_basis(state, n).representatives:
+            nonzero += bool(assert_the_element_route(shriek_id, to_path(rep)).terms)
+    assert nonzero
+
+
+@pytest.mark.parametrize("text", KERNEL_CASES + RATIONAL_CASES)
+def test_delta_on_each_fiber_monomial_is_the_element_route(text):
+    # through L + top, the degrees cocycle_defects evaluates δ! on
+    delta = product_maps(text)[0]
+    alg, base = delta.source.algebra, set(delta.source.base_gids)
+    top = max(g.degree for g in alg.generators if g.gid not in base)
+    checked = 0
+    for n in range(max(map(alg.monomial_degree, delta.images)) + top + 1):
+        for mono in shriek.fiber_basis(delta.source, n):
+            assert_the_element_route(delta, alg.monomial_element(mono))
+            checked += 1
+    assert checked > len(delta.images)
+
+
+@lru_cache(maxsize=None)
+def every_module_map(text):
+    return [F for F in built_module_maps(text) if F.images]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_a_module_map_on_random_int_combinations_is_the_element_route(data):
+    # Σ c·mono / den with den ≠ 1, over monomials of one degree, most of
+    # them with a fiber part where F has a value; the maps are every one the
+    # product, the coproduct and its full fold build, so ρ's signs ±1 and 0
+    # all occur
+    F = data.draw(st.sampled_from(every_module_map(
+        data.draw(st.sampled_from([S3_3, S4_RATIONAL, AB, S3XS4])))))
+    alg, base = F.source.algebra, set(F.base_images)
+    n = data.draw(st.integers(0, 10))
+    keyed = [m for m in alg.basis(n)
+             if tuple((g, e) for g, e in m if g not in base) in F.images]
+    assume(keyed)
+    monos = data.draw(st.lists(st.sampled_from(keyed), min_size=1, max_size=6, unique=True))
+    monos += data.draw(st.lists(st.sampled_from(alg.basis(n)), max_size=2))
+    e = Element(alg, {m: data.draw(st.integers(-9, 9).filter(bool)) for m in monos},
+                data.draw(st.integers(2, 12)))
+    assume(e.den != 1)
+    assert_the_element_route(F, e)
+
+
+# on S³ and S³×S³, which have no even generator, the system is empty:
+# δ! is its leading value Π_j (1⊗y_j - y_j⊗1) on 1
+NONEMPTY_SYSTEMS = {"s4", "s3xs4", "hp2", "ab", "s4xs6", "s4-rational", "a4b6-rational"}
+
+
+@pytest.mark.parametrize("text", KERNEL_CASES + RATIONAL_CASES)
+def test_delta_solves_the_element_route_equations(text, monkeypatch, request):
+    V = parse_model(text).model
+    seen = []
+    real = shriek.la.solve
+    monkeypatch.setattr(shriek.la, "solve",
+                        lambda rows, ncols: seen.append((rows, ncols)) or real(rows, ncols))
+    delta = shriek_delta_semipure(V)
+    monkeypatch.undo()
+    rows, n_vars, values = delta_equations(V)
+    assert seen == [(rows, n_vars)]  # row for row, in order
+    assert bool(rows) == (request.node.callspec.id in NONEMPTY_SYSTEMS)
+    # the oracle builds its own path model and square, with the same gids
+    assert ({m: (v.terms, v.den) for m, v in delta.images.items()}
+            == {m: (v.terms, v.den) for m, v in values.items()})
