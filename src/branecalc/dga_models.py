@@ -30,9 +30,8 @@ is a quotient, so no general base change is kept.
 Both kernels work on int terms: ``Derivation.leibniz`` for d, and
 ``_apply_algebra_map`` for every algebra map (DgaMorphism, section, the
 pairing's base-action check), which multiplies a monomial's factor images
-as int term dicts and sums into one accumulator per call.  The d² check
-sums den·d(den·dg) from the Leibniz rows with no Element per generator,
-and the chain check applies d to each generator's image as it is stored.
+as int term dicts and sums into one accumulator per call; the d² check
+sums den·d(den·dg) from the Leibniz rows, with no Element per generator.
 """
 
 from __future__ import annotations
@@ -212,8 +211,13 @@ class DgaMorphism:
         agreement on generators is agreement everywhere.
         """
         src, d, zero = self.source, self.target.d, self.source.algebra.zero()
-        return [g.name for g in (src.algebra.generators if gens is None else gens)
-                if self(src.d.images.get(g.gid, zero)) != d(self.images[g.gid])]
+        bad = []
+        for g in src.algebra.generators if gens is None else gens:
+            if g.gid not in self.images:
+                raise ModelError(f"no image for generator id {g.gid}")
+            if self(src.d.images.get(g.gid, zero)) != d(self.images[g.gid]):
+                bad.append(g.name)
+        return bad
 
     def check_chain(self) -> None:
         bad = self.chain_defects()

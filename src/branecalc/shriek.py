@@ -94,10 +94,9 @@ class ModuleMap:
     def _unshuffle(
         self, terms: Mapping[Monomial, int], fibers: Container[Monomial] | None = None
     ) -> dict[Monomial, dict[Monomial, int]]:
-        """{f: int terms of ρ(b_f)} over the fiber parts f of the monomials
-        of the int terms Σ c·mono (those in fibers, when given), where the
-        terms with fiber part f sum to ±b_f·f and the signs make
-        F(Σ c·mono) = Σ_f ρ(b_f)·F(f); a coefficient may be 0.
+        """{f: ρ(b_f) as int terms, some maybe 0} over the fiber parts f of
+        the int terms Σ c·mono (those in fibers, when given): the terms with
+        fiber part f sum to ±b_f·f, and F(Σ c·mono) = Σ_f ρ(b_f)·F(f).
 
         Each term is unshuffled into its base part b and fiber part f (the
         Koszul sign of moving b's odd factors past f's), and F passes b,

@@ -400,6 +400,9 @@ def test_morphism_without_an_image_is_a_model_error(s3):
     f = DgaMorphism(s3, s3, {})
     with pytest.raises(ModelError, match="no image for generator id"):
         f(s3.algebra.generator_element(0))
+    # the chain check reads each generator's image as stored
+    with pytest.raises(ModelError, match="no image for generator id 0"):
+        f.chain_defects()
 
 
 def test_building_a_model_freezes_its_differential():
