@@ -1,6 +1,6 @@
 """Fingerprint the CLI's output over a fixed matrix of commands.
 
-Runs 563 commands in-process through ``branecalc.cli.main`` and prints one
+Runs 565 commands in-process through ``branecalc.cli.main`` and prints one
 line per command: exit code, sha256 of stdout, sha256 of stderr, argv (and,
 for a model read from stdin, ``<`` and its name).  The commands, each on
 models/s3.model, models/s4.model and models/s3xs3.model:
@@ -27,7 +27,7 @@ listed out of degree order (``y 7``, ``x 4``, ``a 3``), which pins the
 order in which sections are solved: by degree, not by generator id.
 Each of these five also runs the ``verify`` suites ``signs`` and
 ``assoc``, the suites that build δ!, and ``check-dga``.  Last,
-``brane-coproduct`` runs on the three stdin models in ``REJECTED``, which it
+``brane-coproduct`` runs on the five stdin models in ``REJECTED``, which it
 rejects before it builds a model: their exit code 2 and stderr digest pin
 the messages.  The five models in ``INFO`` carry ``info`` lines that give
 m or m̄; each runs ``brane-product`` and ``brane-coproduct`` with
@@ -81,6 +81,11 @@ REJECTED = {  # name: model text the coproduct rejects
     "x4-s2_x2": "gen x 4\ngen s2_x 2\n",
     # a generator named like the suspension s1_x that M_{S^1} derives
     "x4-s1_x7": "gen x 4\ngen s1_x 7\nd s1_x = x^2\n",
+    # two such clashes, s1_x and s1_y, with an even generator: the first
+    # suspension label in V's order that clashes is the one reported
+    "x4-y7-s1_y6-s1_x3": "gen x 4\ngen y 7\ngen s1_y 6\ngen s1_x 3\nd y = x^2\n",
+    # a clash on a model with no even generator, where γ! is built
+    "x3-s1_x5": "gen x 3\ngen s1_x 5\n",
 }
 INFO = {  # name: model text with info overrides of m and m̄
     "s4-info": "algebra S4i\ngen x 4\ngen y 7\nd y = x^2\ninfo m = 2\n",

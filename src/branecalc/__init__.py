@@ -40,7 +40,6 @@ from .shriek import (
     ModuleMap,
     cocycle_defects,
     delta_evaluation,
-    hom_differential,
     is_pure,
     is_semi_pure,
     one_generator_ext_sign,

@@ -38,15 +38,14 @@ Each class image is split into its fiber parts once (ModuleMap.graded_parts),
 and F of the product is read off the pairs of parts whose product is a
 fiber monomial where F has a value (ModuleMap.on_product).  The shift r is
 γ!'s degree.  As (γ!⊗id)(a·b) = γ!(a)·b, F has a value exactly when glue
-keeps γ!'s one value Π s1_x, x over the even generators; glue sends every
-s¹ generator to 0, so that is when ∧V has no even generator, and only then
-are D, γ! and F built.  Otherwise δ∨ is 0: shriek.gamma_value reads r
-after γ!'s checks, and no disk model, fold, pair map or cohomology basis
-is built; the table's keys come from the state's Betti numbers
-(cohomology.betti).  With a fold, a pair of total degree n is evaluated only
-when H^(n+r) of the state is nonzero, and the pair maps (the middle model,
-the collapse section, left and right) are built for the first pair
-evaluated.  No model in between gets a cohomology basis.
+keeps γ!'s one value Π s1_x, x over the even generators, which glue sends
+to 0: so only when ∧V has no even generator are M_{S^1}, D, γ! and F
+built.  Otherwise δ∨ is 0, shriek.gamma_value checks γ! and reads r, and
+the table's keys come from the state's Betti numbers (cohomology.betti).
+With a fold, a pair of total degree n is evaluated only when H^(n+r) of
+the state is nonzero, and the pair maps (the middle model, the collapse
+section, left and right) are built for the first pair evaluated.  No
+model in between gets a cohomology basis.
 
 Every morphism is fixed by generator provenance alone (see _gluing_map).
 
@@ -307,8 +306,7 @@ def brane_coproduct_dual(V: DgaModel, k: int, max_degree: int = 8) -> BraneOpera
         r, state = gamma.degree, sphere_model(V, k + 1)
         folded = _coproduct_fold(gamma, state, k)
     else:  # glue kills γ!'s value Π s1_x
-        _, r, _ = gamma_value(V)
-        state, folded = sphere_model(V, k + 1), None
+        r, state, folded = gamma_value(V), sphere_model(V, k + 1), None
     # the pair maps are built for the first pair evaluated; each class image
     # is split into fiber parts once, and a pair is read off the parts whose
     # products are keys of folded.images

@@ -30,8 +30,8 @@ is a quotient, so no general base change is kept.
 Both kernels work on int terms: ``Derivation.leibniz`` for d, and
 ``_apply_algebra_map`` for every algebra map (DgaMorphism, section, the
 pairing's base-action check), which multiplies a monomial's factor images
-as int term dicts and sums into one accumulator per call; the d² check
-sums den·d(den·dg) from the Leibniz rows, with no Element per generator.
+as int term dicts and sums into one accumulator per call.  The d² check
+and the path model's twisting series sum Leibniz rows, with no Element per step.
 """
 
 from __future__ import annotations
@@ -115,12 +115,12 @@ class Derivation:
         return {m: c for m, c in out.items() if c}
 
     def _sum(self, terms: Mapping[Monomial, int]) -> dict[Monomial, int]:
-        """den·d(Σ a·mono) over the int terms {mono: a}, zeros kept."""
+        """den·d(Σ a·mono) over the int terms {mono: a}, as {monomial: nonzero int}."""
         out: dict[Monomial, int] = {}
         for mono, a in terms.items():
             for m, c in self.leibniz(mono).items():
                 out[m] = out.get(m, 0) + a * c
-        return out
+        return {m: c for m, c in out.items() if c}
 
     def __call__(self, e: Element) -> Element:
         if e.algebra is not self.algebra:
@@ -269,7 +269,7 @@ class DgaModel:
         """
         d = self.d  # den·d(den·dg) on ints, from the Leibniz rows
         return [g.name for g in self.algebra.generators
-                if any(d._sum(d._ints.get(g.gid, {})).values())]
+                if d._sum(d._ints.get(g.gid, {}))]
 
     def check(self) -> None:
         bad = self.d_squared_witnesses()
@@ -419,24 +419,25 @@ def path_model(V: DgaModel) -> DgaModel:
     susp, s_der = _suspension(V, alg, [left, right], 1)
     images = {**_d_images(V, alg, left), **_d_images(V, alg, right)}
     # d(sv) needs d on lower-degree suspensions: fill in ascending degree,
-    # with d rebuilt from the images found so far
+    # with d rebuilt from the images found so far.  On int terms, (sd)^i (v⊗1)
+    # is u / d.den^i and the sum is total / top, top = d.den^i·i! (s.den = 1)
     for g in sorted(V.algebra.generators, key=lambda h: (h.degree, h.gid)):
         d_partial = Derivation(alg, 1, images)
-        total = (alg.generator_element(right[g.gid])
-                 - alg.generator_element(left[g.gid]))
-        u = alg.generator_element(left[g.gid])
+        total = {((right[g.gid], 1),): 1, ((left[g.gid], 1),): -1}
+        u, top = {((left[g.gid], 1),): 1}, 1
         for i in range(1, MAX_SERIES_ITERATIONS + 1):
-            u = s_der(d_partial(u))
-            if u.is_zero():
+            u = s_der._sum(d_partial._sum(u))
+            if not u:
                 break
-            total = total - u * Fraction(1, math.factorial(i))
+            scale = d_partial.den * i
+            top *= scale
+            # total·scale - u, its nonzero terms in the order Element sums keep
+            total = {m: c for m in {**total, **u} if (c := total.get(m, 0) * scale - u.get(m, 0))}
         else:
-            raise ModelError(
-                f"path-model twisting series for {g.name} did not terminate "
-                f"within {MAX_SERIES_ITERATIONS} iterations"
-            )
-        if not total.is_zero():
-            images[susp[g.gid]] = total
+            raise ModelError(f"path-model twisting series for {g.name} did not terminate "
+                             f"within {MAX_SERIES_ITERATIONS} iterations")
+        if total:
+            images[susp[g.gid]] = Element(alg, total, top)
     return _model(alg, images, [*left.values(), *right.values()])
 
 

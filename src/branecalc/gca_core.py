@@ -58,6 +58,13 @@ class Provenance(namedtuple("Provenance", "kind shift origin factor",
             return self._replace(factor=factor)
         return self._replace(origin=f"{self.origin}@{self.factor}", factor=factor)
 
+    def clash(self) -> ModelError:
+        """The error for adding a generator of this provenance whose label is taken."""
+        source = "" if self.origin == self.name else f" (derived from {self.origin!r})"
+        return ModelError(f"generator name {self.name!r}{source} collides with another "
+                          "generator; model generator names must not look like derived "
+                          "ones (s<k>_NAME, NAME@L, NAME@R)")
+
 
 class Generator(namedtuple("Generator", "gid name degree prov")):
     """A generator of a GradedAlgebra: its id (creation order), label,
@@ -93,13 +100,7 @@ class GradedAlgebra:
         if degree < 1:
             raise ValueError(f"generator {name!r} has degree {degree} < 1")
         if name in self._by_key:
-            source = ("" if prov.origin == name
-                      else f" (derived from {prov.origin!r})")
-            raise ModelError(
-                f"generator name {name!r}{source} collides with another "
-                "generator; model generator names must not look like derived "
-                "ones (s<k>_NAME, NAME@L, NAME@R)"
-            )
+            raise prov.clash()
         g = Generator(len(self._gens), name, degree, prov)
         self._gens.append(g)
         self.odd.append(g.is_odd)

@@ -4,13 +4,14 @@ A ModuleMap is linear over the base of a semifree model with the Koszul
 sign F(b·m) = (-1)^(deg F · |b|) b·F(m), and is recorded by its values on
 the fiber monomials.  One unshuffle with that sign serves ``by_fiber``
 and F, which sums ρ(b_f)·F(f) into one int accumulator.  The hom-complex
-differential is D(F) = d_target∘F - (-1)^(deg F) F∘d_source.
+differential is D(F) = d_target∘F - (-1)^(deg F) F∘d_source, summed into
+one such accumulator by cocycle_defects.
 
 Two shrieks are constructed:
 
 * the constant-maps shriek γ! (disk model D over sphere model, k = 2):
   value Π s1_x_i on the full product of the odd suspensions Π s2_y_j,
-  zero elsewhere; gamma_value reads Π s1_x_i and γ!'s degree without D;
+  zero elsewhere; gamma_value checks γ! and reads its degree alone;
 * the diagonal shriek δ! = f (path model over ∧V⊗²): leading value
   Π_j (1⊗y_j - y_j⊗1) + u on Π_i s_x_i with the correction u supported in
   the ideal (y_1⊗y_1, ..., y_q⊗y_q), every other value solved from
@@ -177,20 +178,25 @@ class ModuleMap:
         return {f: {m: c * (den // v.den) for m, c in v.terms.items()}
                 for f, v in self.images.items()}, den
 
-    def __call__(self, e: Element) -> Element:
-        """Σ_f ρ(b_f)·F(f), summed on ints into one accumulator over the
-        images' one denominator; one Element is built."""
-        ints, den = self._image_ints
+    def _add_value(self, acc: dict[Monomial, int], terms: Mapping[Monomial, int],
+                   scale: int = 1) -> dict[Monomial, int]:
+        """acc plus scale·den·F(Σ c·mono) over the int terms, den the images' one."""
+        ints, _ = self._image_ints
         mul = self.target.algebra.mul_monomials
-        acc: dict[Monomial, int] = {}
-        for f, part in self._unshuffle(e.terms, ints).items():
+        for f, part in self._unshuffle(terms, ints).items():
             image = ints[f]
             for t, c in part.items():
+                c *= scale
                 for m, x in image.items():
                     s, p = mul(t, m)
                     if s:
                         acc[p] = acc.get(p, 0) + s * c * x
-        return Element(self.target.algebra, acc, den * e.den)
+        return acc
+
+    def __call__(self, e: Element) -> Element:
+        """F(e) from _add_value over e.den; one Element is built."""
+        return Element(self.target.algebra, self._add_value({}, e.terms),
+                       self._image_ints[1] * e.den)
 
 
 def compose_module(g: DgaMorphism, F: ModuleMap) -> ModuleMap:
@@ -213,19 +219,6 @@ def fiber_basis(M: DgaModel, n: int) -> tuple[Monomial, ...]:
     return M.algebra.monomials(M.fiber_gids, n)
 
 
-def hom_differential(F: ModuleMap, max_fiber_degree: int) -> ModuleMap:
-    """D(F) = d∘F - (-1)^deg F F∘d, tabulated on fiber monomials."""
-    sgn = -1 if F.degree % 2 else 1
-    images: dict[Monomial, Element] = {}
-    for n in range(max_fiber_degree + 1):
-        for mono in fiber_basis(F.source, n):
-            e = F.source.algebra.monomial_element(mono)
-            val = F.target.d(F(e)) - F(F.source.d(e)) * sgn
-            if not val.is_zero():
-                images[mono] = val
-    return ModuleMap(F.source, F.target, F.degree + 1, F.base_images, images)
-
-
 def cocycle_defects(F: ModuleMap) -> list[str]:
     """The fiber monomials on which D(F) ≠ 0, in order; [] proves D(F) = 0.
 
@@ -236,11 +229,18 @@ def cocycle_defects(F: ModuleMap) -> list[str]:
     """
     if not F.images:
         return []
-    alg = F.source.algebra
-    base = set(F.source.base_gids)
-    top = max((g.degree for g in alg.generators if g.gid not in base), default=0)
-    D = hom_differential(F, max(map(alg.monomial_degree, F.images)) + top)
-    return [alg.monomial_string(m) for m in sorted(D.images)]
+    alg, d_source, d_target = F.source.algebra, F.source.d, F.target.d
+    top = max((alg.gen(g).degree for g in F.source.fiber_gids), default=0)
+    # acc: d_target∘F and F∘d_source on mono in one int accumulator, that is
+    # den·d_source.den·d_target.den·D(F)(mono), den that of F's values
+    scale = -d_target.den if F.degree % 2 == 0 else d_target.den
+    defects = []
+    for n in range(max(map(alg.monomial_degree, F.images)) + top + 1):
+        for mono in fiber_basis(F.source, n):
+            acc = d_target._sum(F._add_value({}, {mono: d_source.den}))
+            if any(F._add_value(acc, d_source.leibniz(mono), scale).values()):
+                defects.append(mono)
+    return [alg.monomial_string(m) for m in sorted(defects)]
 
 
 # ---------------------------------------------------------------------------
@@ -265,38 +265,39 @@ def is_semi_pure(V: DgaModel) -> bool:
 # γ! — the constant-maps shriek (k = 2)
 
 
-def gamma_value(V: DgaModel) -> tuple[DgaModel, int, Element]:
-    """(M_{S^1}, degree, Π s1_x_i): γ!'s target, degree and one value, read
-    without its source D after shriek_gamma_pure's checks, in its order, D's
-    degree bound among them (M_{S^1} would accept a generator of degree 2)."""
+def gamma_value(V: DgaModel) -> int:
+    """γ!'s degree after shriek_gamma_pure's checks in its order, D's degree
+    bound among them (M_{S^1} would accept a generator of degree 2), then the
+    name clash that building M_{S^1} would raise, read off s¹V's labels."""
     if not is_pure(V):
         raise ModelError("γ! requires a pure model")
     if not is_minimal(V):
         raise ModelError("γ! requires a minimal model")
     if any(g.degree < 3 for g in V.algebra.generators):
         raise ModelError("disk model needs all generator degrees ≥ k+1=3")
-    sphere, gens = sphere_model(V, 2), V.algebra.generators
-    sign, mono = sphere.algebra.normalize(
-        [(sphere.algebra.gen(Provenance("susp", 1, g.name)).gid, 1) for g in gens if not g.is_odd])
-    return (sphere, sum(2 - g.degree if g.is_odd else g.degree - 1 for g in gens),
-            sphere.algebra.monomial_element(mono, sign))
+    for prov in (Provenance("susp", 1, g.name) for g in V.algebra.generators):
+        if V.algebra.has_gen(prov.name):
+            raise prov.clash()
+    return sum(2 - g.degree if g.is_odd else g.degree - 1 for g in V.algebra.generators)
 
 
 def shriek_gamma_pure(V: DgaModel) -> ModuleMap:
-    """γ! from the disk model D to the sphere model M_{S^1} (k = 2 shape).
+    """γ! from the disk model D to the sphere model M_{S^1}, of degree gamma_value(V).
 
     Nonzero only on the full product of the odd suspensions:
-    γ!(s2_y_1 ⋯ s2_y_q) = s1_x_1 ⋯ s1_x_p, the value gamma_value reads;
-    fiber monomials with an s2_x factor (or missing some s2_y) go to zero.
+    γ!(s2_y_1 ⋯ s2_y_q) = s1_x_1 ⋯ s1_x_p; fiber monomials with an s2_x
+    factor (or missing some s2_y) go to zero.
     """
-    sphere, degree, value = gamma_value(V)
-    disk = disk_model(V, 2)
-    sign, key = disk.algebra.normalize([(disk.algebra.gen(Provenance("susp", 2, g.name)).gid, 1)
-                                        for g in V.algebra.generators if g.is_odd])
-    assert sign == 1
+    degree, gens = gamma_value(V), V.algebra.generators
+    sphere, disk = sphere_model(V, 2), disk_model(V, 2)
+    sign, value = sphere.algebra.normalize(
+        [(sphere.algebra.gen(Provenance("susp", 1, g.name)).gid, 1) for g in gens if not g.is_odd])
+    key_sign, key = disk.algebra.normalize(
+        [(disk.algebra.gen(Provenance("susp", 2, g.name)).gid, 1) for g in gens if g.is_odd])
+    assert sign == key_sign == 1  # each lists its generators in V's order
     base_images = {gid: sphere.algebra.generator_element(disk.algebra.gen(gid).prov)
                    for gid in disk.base_gids}
-    return ModuleMap(disk, sphere, degree, base_images, {key: value})
+    return ModuleMap(disk, sphere, degree, base_images, {key: Element(sphere.algebra, {value: 1})})
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,15 @@ the runtime computes or checks another way:
   did before it built them on int terms: d of a fresh monomial Element,
   the parts of ``by_fiber`` and Element products; with the rows it gives
   the values solved from them;
+* ``hom_differential`` tabulates D(F) = d∘F - (-1)^(deg F) F∘d on the
+  fiber monomials through a degree as ``Element``s, the route
+  ``shriek.cocycle_defects`` took before it summed den·D(F) on ints;
+  ``certificate_degree`` is the degree L + top that certificate checks
+  through;
+* ``path_images`` is ``path_model``'s d by the twisting series as it was
+  computed before it ran on int terms: ``Derivation.__call__`` and the
+  suspension derivation applied to ``Element``s, summed in ``Element``
+  arithmetic;
 * ``d_squared_witnesses`` finds the generators with d(dg) ≠ 0 by applying
   d to each monomial of dg as a word of generator Elements, by the Leibniz
   rule, where the runtime sums ``Derivation.leibniz`` rows on ints;
@@ -48,6 +57,8 @@ pytest does not collect this module; tests import it as they import
 """
 
 from fractions import Fraction
+from itertools import count
+from math import factorial
 from typing import Callable, Container, Sequence
 
 from branecalc import (
@@ -66,8 +77,9 @@ from branecalc import (
 )
 from branecalc import _linalg as la
 from branecalc.cohomology import _d_rows, _transpose
-from branecalc.dga_models import _apply_algebra_map, path_model, tensor_model
-from branecalc.gca_core import linear_combination, translate
+from branecalc.dga_models import (
+    Derivation, _apply_algebra_map, _d_images, _suspension, path_model, tensor_model)
+from branecalc.gca_core import add_tagged, linear_combination, translate
 from branecalc.shriek import (
     ModuleMap, delta_degree, evaluation_pairing, fiber_basis, is_semi_pure)
 
@@ -167,6 +179,49 @@ def module_map_value(F: ModuleMap, e: Element) -> Element:
     Element product per part, summed by linear_combination."""
     return linear_combination(F.target.algebra, (
         (1, b * F.images[f]) for f, b in by_fiber(F, e, F.images).items()))
+
+
+def hom_differential(F: ModuleMap, max_fiber_degree: int) -> ModuleMap:
+    """D(F) = d∘F - (-1)^deg F F∘d, tabulated on fiber monomials."""
+    sgn = -1 if F.degree % 2 else 1
+    images: dict[tuple, Element] = {}
+    for n in range(max_fiber_degree + 1):
+        for mono in fiber_basis(F.source, n):
+            e = F.source.algebra.monomial_element(mono)
+            val = F.target.d(F(e)) - F(F.source.d(e)) * sgn
+            if not val.is_zero():
+                images[mono] = val
+    return ModuleMap(F.source, F.target, F.degree + 1, F.base_images, images)
+
+
+def certificate_degree(F: ModuleMap) -> int:
+    """L + top: the largest fiber degree of F.images' keys plus the largest
+    fiber generator degree, the degree cocycle_defects checks through."""
+    alg, base = F.source.algebra, set(F.source.base_gids)
+    top = max((g.degree for g in alg.generators if g.gid not in base), default=0)
+    return max(map(alg.monomial_degree, F.images)) + top
+
+
+def path_images(V: DgaModel) -> dict[int, Element]:
+    """path_model(V).d.images by the Element series, in a path algebra of
+    its own whose generators have path_model's ids: d(sv) = 1⊗v - v⊗1 -
+    Σ_{i≥1} (sd)^i/i! (v⊗1), filled in ascending degree of v."""
+    alg = GradedAlgebra(f"path({V.algebra.name})")
+    left, right = add_tagged(alg, V.algebra.generators, V.algebra.generators)
+    susp, s_der = _suspension(V, alg, [left, right], 1)
+    images = {**_d_images(V, alg, left), **_d_images(V, alg, right)}
+    for g in sorted(V.algebra.generators, key=lambda h: (h.degree, h.gid)):
+        d_partial = Derivation(alg, 1, images)
+        total = alg.generator_element(right[g.gid]) - alg.generator_element(left[g.gid])
+        u = alg.generator_element(left[g.gid])
+        for i in count(1):
+            u = s_der(d_partial(u))
+            if u.is_zero():
+                break
+            total = total - u * Fraction(1, factorial(i))
+        if not total.is_zero():
+            images[susp[g.gid]] = total
+    return images
 
 
 def delta_equations(V: DgaModel) -> tuple[list[la.Row], int, dict[tuple, Element]]:

@@ -26,8 +26,10 @@ from branecalc import (
 from branecalc.cli import parse_model
 from branecalc.gca_core import linear_combination, translate
 
-from conftest import A4B6_RATIONAL, S4_RATIONAL, build_s3, build_s3xs3, build_s4
-from oracles import d_squared_witnesses, is_quasi_iso, morphism_phi
+from conftest import (
+    A4B6_RATIONAL, AB, HP2, MODEL_TEXTS, S3_3, S3_4, S4_RATIONAL, S4XS6, build_s3,
+    build_s3xs3, build_s4)
+from oracles import d_squared_witnesses, is_quasi_iso, morphism_phi, path_images
 
 CORPUS = [build_s3, build_s4, build_s3xs3]
 MODEL_FILES = sorted((Path(__file__).resolve().parent.parent / "models").glob("*.model"))
@@ -129,6 +131,23 @@ def test_path_model_twisting_series(s4):
         - P.algebra.generator_element("x@R") * P.algebra.generator_element("s1_x")
     )
     assert P.d(P.algebra.generator_element("s1_y")) == want
+
+
+# every models/*.model and conftest model that path_model accepts (linear-d
+# is not minimal), with both rational models, s4-rational and a4b6-rational
+PATH_SERIES_CASES = [p for p in MODEL_TEXTS if p.id != "linear-d"] + [
+    pytest.param(text, id=name) for name, text in (
+        ("hp2", HP2), ("ab", AB), ("s4xs6", S4XS6), ("s3^3", S3_3), ("s3^4", S3_4),
+        ("a4b6-rational", A4B6_RATIONAL))]
+
+
+@pytest.mark.parametrize("text", PATH_SERIES_CASES)
+def test_the_int_twisting_series_is_the_element_series(text):
+    # term for term and in term order, over the same denominator
+    V = parse_model(text).model
+    got, want = path_model(V).d.images, path_images(V)
+    assert ({gid: (list(e.terms.items()), e.den) for gid, e in got.items()}
+            == {gid: (list(e.terms.items()), e.den) for gid, e in want.items()})
 
 
 @pytest.mark.parametrize("build,k", DISK_CASES)

@@ -40,7 +40,7 @@ from branecalc import (
 )
 from branecalc import _linalg as la
 from branecalc.cohomology import section
-from branecalc.shriek import gamma_value
+from branecalc.shriek import gamma_value, shriek_gamma_pure
 
 from conftest import (
     AB, HP2, MODEL_TEXTS, S3_3, S3_4, S3XS4, S4XS6, coproduct_fold)
@@ -324,8 +324,8 @@ def eager_coproduct_table(V, degree):
 # otherwise reads γ!'s degree alone (shriek.gamma_value), as glue sends
 # every s¹ generator to 0.  Here the decision is checked against glue,
 # restricted to γ!'s target M_{S^1}, applied to γ!'s one value Π s1_x, and
-# against the full fold, both built on every model; the recorder notes the
-# one module map composed, the fold, when it is built.
+# against the full fold, both built on every model from shriek_gamma_pure;
+# the recorder notes the one module map composed, the fold, when it is built.
 VANISHING_CASES = ACCEPTED + [pytest.param(text, id=name) for name, text in (
     ("hp2", HP2), ("ab", AB), ("s4xs6", S4XS6))]
 
@@ -340,19 +340,20 @@ def test_the_vanishing_decision_agrees_with_the_full_fold(text, monkeypatch):
     op = brane_coproduct_dual(V, 2, max_degree=14)
     monkeypatch.undo()
     state, full = coproduct_fold(V)
-    target, r, value = gamma_value(V)
+    gamma = shriek_gamma_pure(V)
+    target, r, (value,) = gamma.target, gamma.degree, gamma.images.values()
     kept = brane_ops._gluing_map(target, state, 2, brane_ops._GLUE)(value)
     assert len(composed) == bool(full.images)
     assert bool(kept.terms) == bool(full.images)
-    assert r == full.degree == op.shift
+    assert r == gamma_value(V) == full.degree == op.shift
     assert op.table == eager_coproduct_table(V, 14)
 
 
 # The coproduct builds its fold (γ! on its source, the disk model D, then
 # the double disk, γ!⊗id and the full glue map) only when glue keeps γ!'s
 # value, which it does exactly when ∧V has no even generator; otherwise it
-# builds no disk[…] algebra at all.  Either way it reads γ! once, so γ!'s
-# target M_{S^1} is built once.  It builds its pair maps, the collapse
+# builds no disk[…] algebra at all, and no sphere[1](…) either: γ!'s target
+# M_{S^1} is built once with the fold, and not at all without.  It builds its pair maps, the collapse
 # gluing map, its section and the two identify maps, for the first pair it
 # evaluates: none when the fold is not built, nor on S³ at degree 0, where
 # no pair lands in a nonzero degree.  Only an evaluated pair needs a
@@ -360,9 +361,9 @@ def test_the_vanishing_decision_agrees_with_the_full_fold(text, monkeypatch):
 @pytest.mark.parametrize("text, degree, folds, disks, circles, evaluates", [
     pytest.param(text, degree, folds, disks, circles, evaluates, id=name)
     for name, text, degree, folds, disks, circles, evaluates in (
-        ("s4", S4, 14, False, 0, 1, False), ("s3xs4", S3XS4, 14, False, 0, 1, False),
-        ("hp2", HP2, 14, False, 0, 1, False), ("ab", AB, 14, False, 0, 1, False),
-        ("s4xs6", S4XS6, 14, False, 0, 1, False),
+        ("s4", S4, 14, False, 0, 0, False), ("s3xs4", S3XS4, 14, False, 0, 0, False),
+        ("hp2", HP2, 14, False, 0, 0, False), ("ab", AB, 14, False, 0, 0, False),
+        ("s4xs6", S4XS6, 14, False, 0, 0, False),
         ("s3-d0", "gen x 3\n", 0, True, 1, 1, False),
         ("s3", "gen x 3\n", 8, True, 1, 1, True), ("s3^3", S3_3, 8, True, 1, 1, True))])
 def test_the_coproduct_builds_its_pair_maps_only_to_evaluate_a_pair(
@@ -402,7 +403,7 @@ def test_the_coproduct_builds_its_pair_maps_only_to_evaluate_a_pair(
     # the disk models built: the fold's one D, or none
     built = [name for name in algebras if name.startswith("disk[")]
     assert built == [f"disk[2]({V.algebra.name})"] * disks
-    # γ!'s target M_{S^1}, built once
+    # γ!'s target M_{S^1}, built once with the fold
     built = [name for name in algebras if name.startswith("sphere[1](")]
     assert built == [f"sphere[1]({V.algebra.name})"] * circles
     assert stages == ["disk-factor quasi-isomorphism"] * evaluates

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from branecalc import (
     DgaMorphism,
     Element,
+    GradedAlgebra,
     ModelError,
     ModuleMap,
     brane_coproduct_dual,
@@ -18,7 +19,6 @@ from branecalc import (
     cohomology_basis,
     delta_evaluation,
     disk_model,
-    hom_differential,
     is_pure,
     is_semi_pure,
     make_model,
@@ -28,6 +28,7 @@ from branecalc import (
     shriek,
     shriek_delta_semipure,
     shriek_gamma_pure,
+    sphere_model,
     transposition_sign_loop,
 )
 from branecalc.shriek import compose_module
@@ -35,7 +36,9 @@ from branecalc.shriek import compose_module
 from conftest import (
     A4B6_RATIONAL, AB, HP2, MODEL_TEXTS, S3_3, S3_4, S3XS4, S4_RATIONAL, S4XS6,
     coproduct_fold)
-from oracles import by_fiber, delta_equations, gamma_evaluation, module_map_value
+from oracles import (
+    by_fiber, certificate_degree, delta_equations, gamma_evaluation, hom_differential,
+    module_map_value)
 
 DELTA_MODELS = [p for p in MODEL_TEXTS if p.id != "linear-d"] + [
     pytest.param(AB, id="ab")]
@@ -87,6 +90,28 @@ def test_gamma_shriek_rejects_impure_models():
     )
     with pytest.raises(ModelError):
         shriek_gamma_pure(impure)
+
+
+# scripts/tsv_matrix.py's REJECTED name clashes: with an even generator,
+# with two clashes of which s1_x is the first in V's order, and without
+@pytest.mark.parametrize("text", [
+    "gen x 4\ngen s1_x 7\nd s1_x = x^2\n",
+    "gen x 4\ngen y 7\ngen s1_y 6\ngen s1_x 3\nd y = x^2\n",
+    "gen x 3\ngen s1_x 5\n"])
+def test_gamma_value_raises_the_clash_that_building_the_circle_model_raises(
+        text, monkeypatch):
+    V = parse_model(text).model
+    with pytest.raises(ModelError) as built:
+        sphere_model(V, 2)
+    algebras = []
+    real = GradedAlgebra.__init__
+    monkeypatch.setattr(GradedAlgebra, "__init__",
+                        lambda alg, name="": algebras.append(name) or real(alg, name))
+    with pytest.raises(ModelError) as read:
+        shriek.gamma_value(V)
+    assert str(read.value) == str(built.value)
+    assert str(read.value).startswith("generator name 's1_x' (derived from 'x') collides")
+    assert algebras == []  # nothing is built
 
 
 def test_gamma_evaluation_is_nonzero(s3, s4):
@@ -174,6 +199,34 @@ def test_certificate_names_the_perturbed_value(s4):
     # the check through L + top finds every defect the full check finds
     full = hom_differential(bad, 28).images
     assert defects == [bad.source.algebra.monomial_string(m) for m in sorted(full)]
+
+
+@lru_cache(maxsize=None)
+def solved_delta(text):
+    return shriek_delta_semipure(parse_model(text).model)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_int_certificate_finds_what_the_element_route_finds(data):
+    # one δ! value perturbed, by a rational multiple or by an added target
+    # monomial of its degree: the certificate lists, sorted, the fiber
+    # monomials on which the Element route's D(δ!) is nonzero through L + top
+    text = data.draw(st.sampled_from([p.values[0] for p in DELTA_MODELS]))
+    ds = solved_delta(text)
+    mono = data.draw(st.sampled_from(sorted(ds.images)))
+    value = ds.images[mono]
+    scalar = Fraction(data.draw(st.integers(-5, 5).filter(bool)), data.draw(st.integers(1, 4)))
+    if data.draw(st.booleans()):
+        value = value * scalar
+    else:
+        sq = ds.target.algebra
+        t = data.draw(st.sampled_from(sq.basis(value.degree())))
+        value = value + sq.monomial_element(t, scalar)
+    bad = ModuleMap(ds.source, ds.target, ds.degree, ds.base_images,
+                    {**ds.images, mono: value})
+    full = hom_differential(bad, certificate_degree(bad)).images
+    assert cocycle_defects(bad) == [bad.source.algebra.monomial_string(m) for m in sorted(full)]
 
 
 def test_a_failed_certificate_raises_and_names_the_defect(s4, monkeypatch):
@@ -273,9 +326,10 @@ RHO_TOP = 8
 
 def built_module_maps(text: str) -> list:
     """Every ModuleMap built by the k = 2 product, the coproduct, the
-    coproduct's full fold and δ!'s evaluation pairing on V: δ! (with the
-    hom_differential its certificate builds), δ!⊗id, γ!, γ!⊗id and the
-    fold, whose glue carries -1 on the right copies."""
+    coproduct's full fold and δ!'s evaluation pairing on V: δ!, δ!⊗id, γ!,
+    γ!⊗id and the fold, whose glue carries -1 on the right copies; and
+    D(δ!) through L + top as oracles.hom_differential tabulates it, the
+    map whose vanishing δ!'s certificate checks."""
     V = parse_model(text).model
     seen = []
     real = ModuleMap.__init__
@@ -290,7 +344,9 @@ def built_module_maps(text: str) -> list:
         brane_coproduct_dual(V, 2, max_degree=RHO_TOP)
         coproduct_fold(V)
         delta_evaluation(V)
-    return seen
+    # the product's δ!: the first map out of a path model with values
+    delta = next(F for F in seen if F.images and F.source.algebra.name.startswith("path("))
+    return seen + [hom_differential(delta, certificate_degree(delta))]
 
 
 def assert_by_fiber_matches_the_reference(F, rng) -> int:
@@ -321,7 +377,7 @@ def test_by_fiber_relabels_as_the_algebra_map_does(text):
     signs = {c for F in maps for c, _ in F._relabel.values()}
     assert signs == {-1, 0, 1}  # _GLUE's -1, and the base images glue kills
     assert any(F.degree == F2.degree + 1 and F.source is F2.source
-               for F in maps for F2 in maps)  # hom_differential's D(δ!)
+               for F in maps for F2 in maps)  # D(δ!)
 
 
 def test_by_fiber_gives_zero_where_two_odd_generators_meet():
@@ -409,10 +465,9 @@ def test_shriek_tensor_id_on_each_state_class_is_the_element_route(text):
 def test_delta_on_each_fiber_monomial_is_the_element_route(text):
     # through L + top, the degrees cocycle_defects evaluates δ! on
     delta = product_maps(text)[0]
-    alg, base = delta.source.algebra, set(delta.source.base_gids)
-    top = max(g.degree for g in alg.generators if g.gid not in base)
+    alg = delta.source.algebra
     checked = 0
-    for n in range(max(map(alg.monomial_degree, delta.images)) + top + 1):
+    for n in range(certificate_degree(delta) + 1):
         for mono in shriek.fiber_basis(delta.source, n):
             assert_the_element_route(delta, alg.monomial_element(mono))
             checked += 1

@@ -1,6 +1,6 @@
 """The top-degree table rows of the TSV matrix, replayed in-process.
 
-``scripts/tsv_matrix.py`` fingerprints 563 CLI commands, and its output as
+``scripts/tsv_matrix.py`` fingerprints 565 CLI commands, and its output as
 the tables stand is committed as ``scripts/tsv_matrix.expected``.  The
 ``brane-product`` and ``brane-coproduct`` rows at each model's top
 ``--max-degree``, with and without ``--homology``, are run again here
@@ -18,8 +18,9 @@ the exit code 2 and stderr digest with which S³ and S³×S³, whose
 generators have degree 3, are rejected before any model is built.  So
 are the ``brane-coproduct`` rows on the models in ``REJECTED``, whose exit
 code 2 and stderr digest pin the messages with which the coproduct rejects
-a generator of degree 2 and a generator named like a derived s1_x.  The
-rows in the default ``--format table`` are replayed, and so are the rows
+a generator of degree 2 and generators named like a derived s1_x: with an
+even generator or without, and with two such clashes, where the first in
+V's order is the one reported.  The rows in the default ``--format table`` are replayed, and so are the rows
 on the five ``INFO`` models, whose ``info`` lines give m or m̄: on
 ``s3xs4-info`` (``info m = 1``, its own m is 7) the ``verify --suite assoc``
 row pins that the suite builds to the depth of μ∨'s own shift, and on
