@@ -34,9 +34,10 @@ the state model of the image of each pair a⊗b, and forms no product per
 pair.  left, right and the collapse section are algebra maps, so a⊗b goes
 to the product of two per-class images; glue is an algebra map too, so
 glue∘(γ!⊗id) is one module map F (shriek.compose_module), built once.
-Each class image is split into its fiber parts once (ModuleMap.graded_parts),
-and F of the product is read off the pairs of parts whose product is a
-fiber monomial where F has a value (ModuleMap.on_product).  The shift r is
+Each class image is split into its fiber parts, int terms over its
+denominator, once (ModuleMap.graded_parts), and F of the product is summed
+on ints off the pairs of parts whose product is a fiber monomial where F
+has a value (ModuleMap.on_product).  The shift r is
 γ!'s degree.  As (γ!⊗id)(a·b) = γ!(a)·b, F has a value exactly when glue
 keeps γ!'s one value Π s1_x, x over the even generators, which glue sends
 to 0: so only when ∧V has no even generator are M_{S^1}, D, γ! and F
@@ -286,11 +287,11 @@ def _coproduct_pair_maps(
     return to_left, to_right
 
 
-def _class_parts(f: DgaMorphism, F: ModuleMap) -> Callable[[Label], list]:
+def _class_parts(f: DgaMorphism, F: ModuleMap) -> Callable[[Label], tuple]:
     """label ↦ F.graded_parts(f(its representative)), computed on first use."""
 
     @cache
-    def parts(label: Label) -> list:
+    def parts(label: Label) -> tuple:
         n, i = label
         return F.graded_parts(f(cohomology_basis(f.source, n).representatives[i]))
     return parts

@@ -30,8 +30,11 @@ is a quotient, so no general base change is kept.
 Both kernels work on int terms: ``Derivation.leibniz`` for d, and
 ``_apply_algebra_map`` for every algebra map (DgaMorphism, section, the
 pairing's base-action check), which multiplies a monomial's factor images
-as int term dicts and sums into one accumulator per call.  The d² check
-and the path model's twisting series sum Leibniz rows, with no Element per step.
+by ``GradedAlgebra.mul_terms``, as Element and module-map products do, and
+sums into one accumulator per call.  Leibniz keeps its own loop, where each
+product has one monomial factor (mul_terms measured slower there).  The d²
+check and the path model's twisting series sum Leibniz rows, with no Element
+per step.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .gca_core import (
     Monomial,
     Provenance,
     add_tagged,
+    over_lcm,
     translate,
 )
 
@@ -81,9 +85,7 @@ class Derivation:
     def __init__(self, algebra: GradedAlgebra, degree: int,
                  images: Mapping[int, Element]) -> None:
         images = MappingProxyType(dict(images))
-        den = math.lcm(*(img.den for img in images.values()))
-        ints = {gid: {m: c * (den // img.den) for m, c in img.terms.items()}
-                for gid, img in images.items() if img.terms}
+        ints, den = over_lcm(images)
         init = object.__setattr__
         init(self, "algebra", algebra)
         init(self, "degree", degree)
@@ -135,13 +137,13 @@ def _apply_algebra_map(
     monomial goes to the product of its factors' images.
 
     An int kernel, as ``Derivation.leibniz`` is: a monomial's factor images
-    are multiplied as int terms over the product of their denominators,
+    are multiplied by mul_terms over the product of their denominators,
     and each product is added into one int accumulator over the lcm of
     those, as ``linear_combination`` sums; one Element is built per call.
     Zero terms are dropped after every factor, so the terms come out in the
     order that Element products from the unit give them.
     """
-    mul = target.mul_monomials
+    mul = target.mul_terms
     acc: dict[Monomial, int] = {}
     top = 1  # the sum so far is acc / top
     for mono, a in e.terms.items():
@@ -156,12 +158,7 @@ def _apply_algebra_map(
                 if terms is None:
                     terms = img.terms
                 else:
-                    prod: dict[Monomial, int] = {}
-                    for ma, ca in terms.items():
-                        for mb, cb in img.terms.items():
-                            sign, m = mul(ma, mb)
-                            if sign:
-                                prod[m] = prod.get(m, 0) + sign * ca * cb
+                    prod = mul({}, terms, img.terms)
                     if 0 in prod.values():
                         prod = {m: c for m, c in prod.items() if c}
                     terms = prod

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Monomial = tuple  # tuple[tuple[int, int], ...], sorted by generator id
@@ -205,6 +205,19 @@ class GradedAlgebra:
         merged.extend(b[ib:])
         return sign, tuple(merged)
 
+    def mul_terms(self, acc: dict[Monomial, int], a: Mapping[Monomial, int],
+                  b: Mapping[Monomial, int], scale: int = 1) -> dict[Monomial, int]:
+        """acc plus scale·a·b, for int terms a and b, summed into acc in
+        place: the one product of two term dicts, a's terms outermost."""
+        mul = self.mul_monomials
+        for ma, ca in a.items():
+            ca *= scale
+            for mb, cb in b.items():
+                sign, m = mul(ma, mb)
+                if sign:
+                    acc[m] = acc.get(m, 0) + sign * ca * cb
+        return acc
+
     # ------------------------------------------------------------------
     # basis enumeration
 
@@ -347,14 +360,8 @@ class Element:
             return Element(self.algebra, {m: c * k for m, c in self.terms.items()},
                            self.den * other.denominator)
         self._check(other)
-        mul = self.algebra.mul_monomials
-        terms: dict[Monomial, int] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                sign, m = mul(ma, mb)
-                if sign:
-                    terms[m] = terms.get(m, 0) + sign * ca * cb
-        return Element(self.algebra, terms, self.den * other.den)
+        return Element(self.algebra, self.algebra.mul_terms({}, self.terms, other.terms),
+                       self.den * other.den)
 
     def __rmul__(self, other: Scalar) -> "Element":
         return self.__mul__(other)
@@ -388,11 +395,9 @@ class Element:
         return out.replace("+ -", "- ")
 
 
-def linear_combination(
-    alg: GradedAlgebra, parts: Iterable[tuple[int, Element]], den: int = 1
-) -> Element:
-    """Σ c·e / den over the (int c, element e) in parts, summed on ints over
-    the lcm of the e.den."""
+def linear_combination(alg: GradedAlgebra, parts: Iterable[tuple[int, Element]]) -> Element:
+    """Σ c·e over the (int c, element e) in parts, summed on ints over the
+    lcm of the e.den."""
     terms: dict[Monomial, int] = {}
     top = 1  # the sum so far is terms / top
     for c, e in parts:
@@ -403,7 +408,15 @@ def linear_combination(
         k = c * (top // e.den)
         for m, x in e.terms.items():
             terms[m] = terms.get(m, 0) + k * x
-    return Element(alg, terms, top * den)
+    return Element(alg, terms, top)
+
+
+def over_lcm(values: Mapping[int | Monomial, Element]) -> tuple[dict, int]:
+    """({key: den·value as int terms} over the nonzero values, den), den the
+    lcm of the values' denominators."""
+    den = lcm(*(v.den for v in values.values()))
+    return {k: {m: c * (den // v.den) for m, c in v.terms.items()}
+            for k, v in values.items() if v.terms}, den
 
 
 def add_tagged(

@@ -2,8 +2,9 @@
 
 A ModuleMap is linear over the base of a semifree model with the Koszul
 sign F(b·m) = (-1)^(deg F · |b|) b·F(m), and is recorded by its values on
-the fiber monomials.  One unshuffle with that sign serves ``by_fiber``
-and F, which sums ρ(b_f)·F(f) into one int accumulator.  The hom-complex
+the fiber monomials.  One unshuffle with that sign serves F, which sums
+ρ(b_f)·F(f) into one int accumulator, the fold's ``graded_parts`` and
+``on_product``, and the evaluation pairing's cocycle check.  The hom-complex
 differential is D(F) = d_target∘F - (-1)^(deg F) F∘d_source, summed into
 one such accumulator by cocycle_defects.
 
@@ -29,13 +30,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from types import MappingProxyType
 from typing import Container, Mapping, Sequence
 
 from . import _linalg as la
-from .gca_core import (
-    Element, GradedAlgebra, Monomial, ONE, Provenance, linear_combination)
+from .gca_core import Element, GradedAlgebra, Monomial, ONE, Provenance, over_lcm
 from .cohomology import class_vector
 from .dga_models import (
     DgaModel,
@@ -67,8 +66,8 @@ class ModuleMap:
     F(b·f) = (-1)^(deg F · |b|) ρ(b)·F(f) for a base monomial b and a fiber
     monomial f, where ρ is the algebra map given by base_images (a read-only
     copy, fixed when the map is built) and F(f) is images[f], 0 if absent.
-    ``by_fiber`` applies that rule, with ρ a relabelling: a base image that
-    is not ± one generator or 0 raises ModelError there.  compose_module
+    ``_unshuffle`` applies that rule, with ρ a relabelling: a base image
+    that is not ± one generator or 0 raises ModelError there.  compose_module
     stores nonzero values only, so a composite with no images is zero.
     """
 
@@ -129,25 +128,18 @@ class ModuleMap:
                     part[t] = part.get(t, 0) + (-s * c if b_odd and flip else s * c)
         return parts
 
-    def by_fiber(
-        self, e: Element, fibers: Container[Monomial] | None = None
-    ) -> dict[Monomial, Element]:
-        """{f: ρ(b_f)}, with F(e) = Σ_f ρ(b_f)·F(f): _unshuffle over e.den."""
-        return {f: Element(self.target.algebra, part, e.den)
-                for f, part in self._unshuffle(e.terms, fibers).items()}
-
-    def graded_parts(self, e: Element) -> list[tuple[Monomial, int, Element]]:
-        """by_fiber(e) as (f, |f|, ρ(b_f)) over its fiber parts f."""
+    def graded_parts(self, e: Element) -> tuple[list, int]:
+        """([(f, |f|, den·ρ(b_f) as int terms) over e's fiber parts f], den),
+        den = e.den: _unshuffle's parts, with F(e) = Σ_f ρ(b_f)·F(f)."""
         deg = self.source.algebra.monomial_degree
-        return [(f, deg(f), b) for f, b in self.by_fiber(e).items()]
+        return [(f, deg(f), b) for f, b in self._unshuffle(e.terms).items()], e.den
 
     @cached_property
     def _key_degrees(self) -> frozenset[int]:
         """The degrees of images' keys; f·f' is a key only if |f|+|f'| is one."""
         return frozenset(map(self.source.algebra.monomial_degree, self.images))
 
-    def on_product(self, x: Sequence[tuple[Monomial, int, Element]],
-                   y: Sequence[tuple[Monomial, int, Element]], y_degree: int) -> Element:
+    def on_product(self, x: tuple[list, int], y: tuple[list, int], y_degree: int) -> Element:
         """F(X·Y) from x = graded_parts(X) and y = graded_parts(Y), for Y
         homogeneous of degree y_degree, with no product formed in the source.
 
@@ -155,42 +147,36 @@ class ModuleMap:
         X·Y = Σ ±(-1)^(|f|·|b'|) b·b'·f·f', so F(X·Y) is the sum of
         ε·x[f]·y[f']·images[g] over the f, f' with f·f' = s·g, s ≠ 0 and g
         a key of images, where ε = s·(-1)^(|f|·(y_degree - |f'|)); the
-        values of by_fiber carry the sign (-1)^(deg F · |b|).
+        parts of graded_parts carry the sign (-1)^(deg F · |b|).  The sum
+        runs on int terms, as __call__'s, and one Element is built.
         """
-        images, degrees = self.images, self._key_degrees
-        mul = self.source.algebra.mul_monomials
-        terms = []
+        (x, x_den), (y, y_den) = x, y
+        (ints, den), degrees = self._image_ints, self._key_degrees
+        mul, mul_terms = self.source.algebra.mul_monomials, self.target.algebra.mul_terms
+        acc: dict[Monomial, int] = {}
         for f, d, b in x:
             for f2, d2, b2 in y:
                 if d + d2 not in degrees:
                     continue
                 s, g = mul(f, f2)
-                if s and g in images:
+                if s and g in ints:
                     if d % 2 and (y_degree - d2) % 2:
                         s = -s
-                    terms.append((s, b * b2 * images[g]))
-        return linear_combination(self.target.algebra, terms)
+                    mul_terms(acc, mul_terms({}, b, b2), ints[g], s)
+        return Element(self.target.algebra, acc, den * x_den * y_den)
 
     @cached_property
     def _image_ints(self) -> tuple[dict[Monomial, dict[Monomial, int]], int]:
-        """(images as int terms over den, den): den is the lcm of theirs."""
-        den = lcm(*(v.den for v in self.images.values()))
-        return {f: {m: c * (den // v.den) for m, c in v.terms.items()}
-                for f, v in self.images.items()}, den
+        """(the nonzero images as int terms over den, den): over_lcm(images)."""
+        return over_lcm(self.images)
 
     def _add_value(self, acc: dict[Monomial, int], terms: Mapping[Monomial, int],
                    scale: int = 1) -> dict[Monomial, int]:
         """acc plus scale·den·F(Σ c·mono) over the int terms, den the images' one."""
         ints, _ = self._image_ints
-        mul = self.target.algebra.mul_monomials
+        mul_terms = self.target.algebra.mul_terms
         for f, part in self._unshuffle(terms, ints).items():
-            image = ints[f]
-            for t, c in part.items():
-                c *= scale
-                for m, x in image.items():
-                    s, p = mul(t, m)
-                    if s:
-                        acc[p] = acc.get(p, 0) + s * c * x
+            mul_terms(acc, part, ints[f], scale)
         return acc
 
     def __call__(self, e: Element) -> Element:
@@ -394,8 +380,7 @@ def shriek_delta_semipure(V: DgaModel) -> ModuleMap:
                 add(n_vars, bk.terms, bk.den, sgn_r)
             # b·tmono, one product per term of b, none of them equal
             for vi, tmono in unknowns.get(f_part, ()):
-                add(vi, {m: s * c for t, c in b.items() if c
-                         for s, m in [sq.mul_monomials(t, tmono)] if s}, path.d.den, -sgn_r)
+                add(vi, sq.mul_terms({}, b, {tmono: 1}), path.d.den, -sgn_r)
         for row in eqs.values():
             row = {j: c for j, c in row.items() if c}
             if row:
@@ -443,7 +428,7 @@ def evaluation_pairing(
         if _apply_algebra_map(db, rho, Q.algebra) != Q.d(img):
             raise ModelError(
                 f"base action is not a chain map on {src.algebra.gen(b).name}")
-    if any(not v.is_zero() for v in G.by_fiber(src.d(z)).values()):
+    if any(any(b.values()) for b in G._unshuffle(src.d(z).terms).values()):
         raise ModelError("evaluation cycle is not a cocycle after base change")
     ev = G(z)
     n = ev.degree()

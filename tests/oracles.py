@@ -13,8 +13,9 @@ the runtime computes or checks another way:
   with Fraction entries, normal forms read back as Fractions, and each
   representative scaled to lead with 1 before it is inserted; the runtime
   does the same on integer rows over one denominator;
-* ``by_fiber`` is ``ModuleMap.by_fiber`` with ρ applied to each base part
-  as a general algebra map (``_apply_algebra_map``), where the runtime
+* ``by_fiber`` is ``ModuleMap._unshuffle``'s parts as Elements over the
+  element's denominator, {f: ρ(b_f)}, with ρ applied to each base part as
+  a general algebra map (``_apply_algebra_map``), where the runtime
   relabels generators;
 * ``module_map_value`` is F(e) as ``ModuleMap.__call__`` computed it before
   it summed into one int accumulator: Element products ρ(b_f)·F(f) over
@@ -147,8 +148,9 @@ def fraction_cohomology_basis(
 
 def by_fiber(F: ModuleMap, e: Element,
              fibers: Container | None = None) -> dict[tuple, Element]:
-    """F.by_fiber(e), with ρ applied to each base part b_f as the algebra
-    map with generator images F.base_images."""
+    """{f: ρ(b_f)} over e's fiber parts f (those in fibers, when given),
+    with ρ applied to each base part b_f as the algebra map with generator
+    images F.base_images."""
     odd, base = F.source.algebra.odd, F.base_images
     parts: dict[tuple, dict[tuple, int]] = {}
     for mono, c in e.terms.items():

@@ -374,31 +374,44 @@ def _sample(alg, n):
 
 # on_product reads F(x·y) off the fiber parts of x and y; δ! and δ!⊗id have
 # many values, in fiber monomials of both parities, and δ! on S³×S⁴ has odd
-# degree, so every sign of the product rule is exercised
-@pytest.mark.parametrize("text", [
-    pytest.param(S4, id="s4"),
-    pytest.param(S3XS4, id="s3xs4"), pytest.param(AB, id="ab")])
-def test_on_product_is_the_map_applied_to_the_product(text):
+# degree, so every sign of the product rule is exercised.  The coproduct's
+# fold, the map on_product serves, has one value and a glue that carries -1
+# on the right copies.  nonzero counts the sample pairs with F(x·y) ≠ 0
+@pytest.mark.parametrize("text, fold, nonzero", [
+    pytest.param(S4, False, 55, id="s4"),
+    pytest.param(S3XS4, False, 73, id="s3xs4"), pytest.param(AB, False, 76, id="ab"),
+    pytest.param("gen x 3\n", True, 14, id="s3-fold"),
+    pytest.param("gen a 3\ngen b 3\n", True, 40, id="s3xs3-fold"),
+    pytest.param("gen a 3\ngen c 5\n", True, 25, id="s3xs5-fold")])
+def test_on_product_is_the_map_applied_to_the_product(text, fold, nonzero):
     V = parse_model(text).model
-    delta = shriek.shriek_delta_semipure(V)
-    state = sphere_model(V, 3)
-    delta_id = brane_ops._shriek_tensor_id(delta, tensor_model(state, state)[0])
-    for F, top in ((delta, 12), (delta_id, 8)):
-        assert len(F.images) > 1
+    if fold:
+        maps = ((coproduct_fold(V)[1], 8),)
+    else:
+        delta = shriek.shriek_delta_semipure(V)
+        state = sphere_model(V, 3)
+        delta_id = brane_ops._shriek_tensor_id(delta, tensor_model(state, state)[0])
+        maps = ((delta, 12), (delta_id, 8))
+    seen = 0
+    for F, top in maps:
+        assert len(F.images) > 1 or fold
         alg = F.source.algebra
         for nx in range(top + 1):
             x = _sample(alg, nx)
             parts = F.graded_parts(x)
             for ny in range(top + 1 - nx):
                 y = _sample(alg, ny)
-                assert F.on_product(parts, F.graded_parts(y), ny) == F(x * y)
+                z = F(x * y)
+                assert F.on_product(parts, F.graded_parts(y), ny) == z
+                seen += not z.is_zero()
+    assert seen == nonzero
 
 
 def test_coproduct_splits_each_class_image_once(monkeypatch):
     calls = []
-    real = shriek.ModuleMap.by_fiber
-    monkeypatch.setattr(shriek.ModuleMap, "by_fiber",
-                        lambda F, e, fibers=None: calls.append(e) or real(F, e, fibers))
+    real = shriek.ModuleMap.graded_parts
+    monkeypatch.setattr(shriek.ModuleMap, "graded_parts",
+                        lambda F, e: calls.append(e) or real(F, e))
     brane_coproduct_dual(parse_model(S4).model, 2, max_degree=14)
     assert calls == []  # the fold has no value
     op = brane_coproduct_dual(parse_model(S3_3).model, 2, max_degree=12)

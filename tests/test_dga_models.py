@@ -332,7 +332,8 @@ def random_algebra(draw, name):
 def per_factor_image(e, images, target):
     """The reference for the int kernel of algebra maps: each monomial's
     image is built as Element products from the unit, one factor at a time,
-    and the images are summed through linear_combination."""
+    and the images are summed through linear_combination and divided by
+    e.den."""
     one = target.one()
 
     def image(mono):
@@ -345,8 +346,7 @@ def per_factor_image(e, images, target):
                 break
         return out
 
-    return linear_combination(
-        target, ((c, image(m)) for m, c in e.terms.items()), e.den)
+    return linear_combination(target, ((c, image(m)) for m, c in e.terms.items())) / e.den
 
 
 def assert_per_factor(f, e):

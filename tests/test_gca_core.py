@@ -280,6 +280,20 @@ def test_odd_squares_vanish_and_products_cancel_to_zero(x, y):
     assert (xy * x).is_zero() and fraction_product(values(xy), vx) == {}
 
 
+# mul_terms on int numerators: acc gains scale·a·b in place; with same, b is
+# a, so an odd a's square cancels in acc's new terms
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(rich_elements, odd_elements), st.one_of(rich_elements, odd_elements),
+       rich_elements.filter(lambda e: e.terms),
+       st.integers(-4, 4).filter(lambda k: k != 1), st.booleans())
+def test_mul_terms_adds_the_scaled_product_to_the_accumulator(a, b, acc, scale, same):
+    b = a if same else b
+    out = dict(acc.terms)
+    assert ALG.mul_terms(out, a.terms, b.terms, scale) is out
+    assert {m: c for m, c in out.items() if c} == fraction_sum(
+        (1, acc.terms), (scale, fraction_product(a.terms, b.terms)))
+
+
 @settings(max_examples=80, deadline=None)
 @given(rich_elements, rich_elements)
 def test_sums_and_negation_match_the_fraction_reference(x, y):
