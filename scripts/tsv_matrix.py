@@ -1,6 +1,6 @@
 """Fingerprint the CLI's output over a fixed matrix of commands.
 
-Runs 565 commands in-process through ``branecalc.cli.main`` and prints one
+Runs 566 commands in-process through ``branecalc.cli.main`` and prints one
 line per command: exit code, sha256 of stdout, sha256 of stderr, argv (and,
 for a model read from stdin, ``<`` and its name).  The commands, each on
 models/s3.model, models/s4.model and models/s3xs3.model:
@@ -38,6 +38,8 @@ row pins that the suite builds μ∨ to the depth of the table's own shift,
 δ!'s degree, not of the line's value.  Two give the wrong parity:
 ``s3-bad-m`` (S³ with ``info m = 2``) and ``s4-bad-mbar`` (S⁴ with
 ``info mbar = 1``), whose exit code 2 and stderr digest pin the message.
+Last, ``cohomology --max-degree 300`` on ``WIDE``, one generator of degree
+2, prints x^150: an exponent that no 8-bit field holds.
 
 The output of the tables as they stand is committed next to this script,
 so a change that alters any table shows it in its own diff::
@@ -95,10 +97,12 @@ INFO = {  # name: model text with info overrides of m and m̄
     "s3-bad-m": "gen x 3\ninfo m = 2\n",
     "s4-bad-mbar": "algebra S4\ngen x 4\ngen y 7\nd y = x^2\ninfo mbar = 1\n",
 }
+WIDE = {"x2-wide": "gen x 2\n"}  # name: model text of the deep cohomology row
+WIDE_COMMAND = ["cohomology", "-", "--max-degree", "300", "--format", "tsv"]
 INFO_COMMANDS = [[op, "-", "--homology", "--format", "tsv"]
                  for op in ("brane-product", "brane-coproduct")]
 INFO_COMMANDS.extend(["verify", "-", "--suite", suite] for suite in SUITES)
-TEXTS = {name: text for name, (text, _) in STDIN.items()} | REJECTED | INFO
+TEXTS = {name: text for name, (text, _) in STDIN.items()} | REJECTED | INFO | WIDE
 
 
 def _tables(model: str, top: int) -> list[list[str]]:
@@ -136,7 +140,8 @@ def commands() -> list[tuple[list[str], str | None]]:
         (argv, name) for name, (_, top) in STDIN.items()
         for argv in _tables("-", top) + checks
     ] + [(["brane-coproduct", "-", "--format", "tsv"], name) for name in REJECTED] + [
-        (argv, name) for name in INFO for argv in INFO_COMMANDS]
+        (argv, name) for name in INFO for argv in INFO_COMMANDS] + [
+        (WIDE_COMMAND, name) for name in WIDE]
 
 
 def label(argv: list[str], name: str | None) -> str:

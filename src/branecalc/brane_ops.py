@@ -110,25 +110,28 @@ class Kunneth:
     reads them as π⊗π, π the monomial-to-class map CohomologyBasis.projection
     of A that class_vector reads too.  left and right are the gid maps of
     the two copies of A into square; an element of A crosses either
-    inclusion by translate.  They fix only the copy of A each square
-    generator comes from (side), so they are not kept.
+    inclusion by translate.  They are checked and not kept:
     tensor_model adds all left generators before the right ones, each copy
-    in A's order, so a square monomial is its left part times its right
-    part, both canonical, with no sign; π has degree 0, so π⊗π adds no
-    Koszul sign either.
+    in A's order, so the left copy of A's gid g is g and the right copy
+    n + g, n the number of A's generators: a square monomial's left half
+    is its low n fields and its right half the fields above, both
+    canonical, and it is their product with no sign; π has degree 0, so
+    π⊗π adds no Koszul sign either.
     """
 
-    # side: square gid -> (half, state gid), 0 for the left copy, 1 for the
-    # right; _pi: state monomial -> projection(state, it), cached
-    __slots__ = ("state", "square", "side", "_pi")
+    # shift: the bits of the left copy's fields, low: their mask; _pi: state
+    # monomial -> projection(state, it), cached
+    __slots__ = ("state", "square", "shift", "low", "_pi")
 
     def __init__(self, state: DgaModel, square: DgaModel,
                  left: dict[int, int], right: dict[int, int]) -> None:
+        n = len(state.algebra.odd)
+        if any(left[g] != g or right[g] != n + g for g in range(n)):
+            raise ModelError("the square's generators are not the left copy, then the right")
         self.state = state
         self.square = square
-        self.side = {new: (half, g)
-                     for half, gid_map in enumerate((left, right))
-                     for g, new in gid_map.items()}
+        self.shift = n * square.algebra.width
+        self.low = (1 << self.shift) - 1
         self._pi = {}
 
     def coordinates(self, z: Element) -> dict[Pair, Fraction]:
@@ -137,16 +140,12 @@ class Kunneth:
         z.den times those of π on H^da and H^db."""
         if not self.square.d(z).is_zero():
             raise ModelError(f"element is not a cocycle of the square: {z!r}")
-        side, pi, dens = self.side, self._pi, {}
+        low, shift, pi, dens = self.low, self.shift, self._pi, {}
         acc: dict[Pair, int] = {}
         for mono, c in z.terms.items():
-            halves: tuple[list, list] = ([], [])
-            for gid, e in mono:
-                half, g = side[gid]
-                halves[half].append((g, e))
             (da, pa, qa), (db, pb, qb) = (
                 pi.get(h) or pi.setdefault(h, projection(self.state, h))
-                for h in map(tuple, halves))
+                for h in (mono & low, mono >> shift))
             dens[da], dens[db] = qa, qb
             for ia, ca in pa.items():
                 ca *= c
@@ -214,7 +213,7 @@ def _shriek_tensor_id(F: ModuleMap, N: DgaModel) -> ModuleMap:
     base_images = {new: N.algebra.generator_element(g) for g, new in n_gid.items()}
     images = {}
     for a, value in F.images.items():
-        sign, mono = glued.algebra.normalize([(f_gid[g], e) for g, e in a])
+        sign, mono = glued.algebra.relabel(F.source.algebra, a, f_gid)
         images[mono] = translate(value, N.algebra, to_n) * sign
     return ModuleMap(glued, N, F.degree, base_images, images)
 

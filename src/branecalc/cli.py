@@ -28,7 +28,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .gca_core import Element, GradedAlgebra
+from .gca_core import GradedAlgebra
 from .cohomology import cohomology_basis
 from .dga_models import (
     Derivation,
@@ -97,25 +97,47 @@ class _ExprParser:
         self.i += 1
         return t
 
-    def expr(self) -> Element:
+    def expr(self) -> dict:
+        """{Factors: nonzero coefficient}, like terms summed in the order
+        Element sums keep; nothing is packed, so a term of any exponent
+        reaches the degree check."""
+        terms: dict = {}
         sign = 1
         if self.peek() == "-":
             self.next()
             sign = -1
         elif self.peek() == "+":
             self.next()
-        out = self.term() * sign
+        self.add(terms, sign)
         while self.peek() in ("+", "-"):
             op, _ = self.next()
-            t = self.term()
-            out = out + (t if op == "+" else -t)
+            self.add(terms, 1 if op == "+" else -1)
         if self.i != len(self.toks):
             tok, col = self.toks[self.i]
             raise ParseError(f"unexpected token {tok!r}", self.line, col)
-        return out
+        return terms
 
-    def term(self) -> Element:
-        coeff = Fraction(1)
+    def add(self, terms: dict, sign: int) -> None:
+        """Parse a term and add sign times it to terms, dropping a zero: its
+        factors sorted, each odd one passing the larger odd ones before it,
+        and an odd generator met twice makes it 0."""
+        coeff, raw = self.term()
+        odd, exps = self.alg.odd, {}
+        for gid, e in raw:
+            if e and odd[gid]:
+                if e > 1 or gid in exps:
+                    return
+                sign *= -1 if sum(odd[g] for g in exps if g > gid) % 2 else 1
+            if e:
+                exps[gid] = exps.get(gid, 0) + e
+        key = tuple(sorted(exps.items()))
+        terms[key] = terms.get(key, 0) + sign * coeff
+        if not terms[key]:
+            del terms[key]
+
+    def term(self) -> tuple[Fraction, list]:
+        """(coefficient, the (gid, exponent) factors in their order)."""
+        coeff: Fraction | int = 1
         tok = self.peek()
         if tok is not None and (tok.isdigit() or "/" in tok and tok[0].isdigit()):
             tok, col = self.next()
@@ -126,31 +148,28 @@ class _ExprParser:
             if self.peek() == "*":
                 self.next()
             elif self.peek() is None or self.peek() in "+-":
-                return self.alg.scalar(coeff)
-        out = self.factor()
+                return coeff, []
+        raw = [self.factor()]
         while self.peek() == "*":
             self.next()
-            out = out * self.factor()
-        return out * coeff
+            raw.append(self.factor())
+        return coeff, raw
 
-    def factor(self) -> Element:
+    def factor(self) -> tuple[int, int]:
         tok, col = self.next()
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_@']*", tok):
             raise ParseError(f"expected a generator name, got {tok!r}", self.line, col)
         if not self.alg.has_gen(tok):
             raise ParseError(f"unknown generator {tok!r}", self.line, col)
+        gid = self.alg.gen(tok).gid
         if self.peek() != "^":
-            return self.alg.generator_element(tok)
+            return gid, 1
         self.next()
         etok, ecol = self.next()
         if not etok.isdigit():
             raise ParseError(f"expected an integer exponent, got {etok!r}",
                              self.line, ecol)
-        # g^e as one monomial, so a huge exponent costs no e products
-        g, e = self.alg.gen(tok), int(etok)
-        if g.is_odd and e > 1:
-            return self.alg.zero()
-        return self.alg.monomial_element(((g.gid, e),) if e else ())
+        return gid, int(etok)
 
 
 def parse_model(text: str) -> ModelFile:
@@ -216,21 +235,21 @@ def parse_model(text: str) -> ModelFile:
         else:
             raise ParseError(f"unknown declaration {head!r}", lineno, col)
     for nm, (toks, lineno) in raw_diffs.items():
-        e = _ExprParser(toks, lineno, alg).expr()
+        terms = _ExprParser(toks, lineno, alg).expr()
         want = alg.gen(nm).degree + 1
         col = toks[0][1]  # the expression's first token
-        try:
-            got = e.degree()
-        except ValueError:
+        # each term's degree from its factors, before any is packed
+        degrees = {sum(alg.gen(g).degree * e for g, e in f) for f in terms}
+        if len(degrees) > 1:
             raise ParseError(f"d {nm} must be homogeneous of degree {want}",
                              lineno, col)
-        if got is not None and got != want:
+        if degrees and degrees != {want}:
             raise ParseError(
-                f"d {nm} must be homogeneous of degree {want}, got degree {got}",
+                f"d {nm} must be homogeneous of degree {want}, got degree {degrees.pop()}",
                 lineno, col,
             )
-        if got is not None:
-            images[alg.gen(nm).gid] = e
+        if terms:
+            images[alg.gen(nm).gid] = alg.element({alg.pack(f): c for f, c in terms.items()})
     base = tuple(range(len(alg.generators)))
     return ModelFile(name, info, DgaModel(alg, Derivation(alg, 1, images), base))
 

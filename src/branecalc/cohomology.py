@@ -127,8 +127,9 @@ def section(f: DgaMorphism, stage: str) -> DgaMorphism:
         image = f.images[h.gid]
         if image.den == 1 and len(image.terms) == 1:
             [(mono, c)] = image.terms.items()
-            if len(mono) == 1 and mono[0][1] == 1 and c in (1, -1):
-                preimage.setdefault(mono[0][0], A.algebra.monomial_element(((h.gid, 1),), c))
+            g = B.algebra.generator_of(mono)
+            if g is not None and c in (1, -1):
+                preimage.setdefault(g, A.algebra.monomial_element(A.algebra.units[h.gid], c))
     images: dict[int, Element] = {}
     systems: dict[int, tuple] = {}
     corrected: set[int] = set()

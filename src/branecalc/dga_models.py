@@ -45,7 +45,9 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .gca_core import (
+    ONE,
     Element,
+    Factors,
     Generator,
     GradedAlgebra,
     ModelError,
@@ -78,8 +80,9 @@ class Derivation:
     feeds to elimination.
     """
 
-    # _ints: gid -> den·images[gid] as {monomial: int}, nonzero images only
-    __slots__ = ("algebra", "degree", "images", "den", "_ints")
+    # _ints: gid -> den·images[gid] as {monomial: int}, nonzero images only;
+    # _rows: the items of _ints by ascending gid
+    __slots__ = ("algebra", "degree", "images", "den", "_ints", "_rows")
     __setattr__ = __delattr__ = _fixed
 
     def __init__(self, algebra: GradedAlgebra, degree: int,
@@ -92,28 +95,35 @@ class Derivation:
         init(self, "images", images)
         init(self, "den", den)
         init(self, "_ints", ints)
+        init(self, "_rows", sorted(ints.items()))
 
     def leibniz(self, mono: Monomial) -> dict[Monomial, int]:
         """den·d(mono), as {monomial: nonzero int}."""
         alg = self.algebra
-        odd, mul, ints = alg.odd, alg.mul_monomials, self._ints
+        width, oddmask, guard = alg.width, alg.oddmask, alg.guard
+        field = (1 << width) - 1
         out: dict[Monomial, int] = {}
-        pre_odd = False  # the parity of the factors before position i
-        for i, (gid, exp) in enumerate(mono):
-            img = ints.get(gid)
-            if img is not None:
-                # d(pre·g^e·suf) = (-1)^(r|pre|) e·pre·dg·g^(e-1)·suf; as
-                # |dg| = |g| + r, moving dg's terms m to the front turns
-                # the sign into (-1)^(|pre||g|) times that of m·rest
-                kept = ((gid, exp - 1),) if exp > 1 else ()
-                rest = mono[:i] + kept + mono[i + 1:]
-                c0 = -exp if pre_odd and odd[gid] else exp
-                for m, c in img.items():
-                    sign, prod = mul(m, rest)
-                    if sign:
-                        out[prod] = out.get(prod, 0) + sign * c0 * c
-            if odd[gid] and exp % 2:
-                pre_odd = not pre_odd
+        for gid, img in self._rows:
+            exp = mono >> gid * width & field
+            if not exp:
+                continue
+            unit, odd = alg.units[gid], alg.odd[gid]
+            # d(pre·g^e·suf) = (-1)^(r|pre|) e·pre·dg·g^(e-1)·suf; as
+            # |dg| = |g| + r, moving dg's terms m to the front turns the
+            # sign into (-1)^(|pre||g|) times that of m·rest
+            rest = mono - unit
+            c0 = -exp if odd and (mono & oddmask & unit - 1).bit_count() & 1 else exp
+            for m, c in img.items():
+                c *= c0
+                if m & oddmask:
+                    if rest & m & oddmask:
+                        continue
+                    if (rest & alg.koszul_mask(m)).bit_count() & 1:
+                        c = -c
+                prod = m + rest
+                if prod & guard:
+                    raise alg._overflow(prod & guard)
+                out[prod] = out.get(prod, 0) + c
         return {m: c for m, c in out.items() if c}
 
     def _sum(self, terms: Mapping[Monomial, int]) -> dict[Monomial, int]:
@@ -143,13 +153,13 @@ def _apply_algebra_map(
     Zero terms are dropped after every factor, so the terms come out in the
     order that Element products from the unit give them.
     """
-    mul = target.mul_terms
+    mul, unpack = target.mul_terms, e.algebra.unpack
     acc: dict[Monomial, int] = {}
     top = 1  # the sum so far is acc / top
     for mono, a in e.terms.items():
         # the product so far is terms / den; None before the first factor
         terms, den = None, 1
-        for gid, exp in mono:
+        for gid, exp in unpack(mono):
             try:
                 img = images[gid]
             except KeyError:
@@ -166,7 +176,7 @@ def _apply_algebra_map(
             if not terms:
                 break
         if terms is None:  # the unit monomial
-            terms = {(): 1}
+            terms = {ONE: 1}
         elif not terms:
             continue
         if top % den:
@@ -284,16 +294,17 @@ class DgaModel:
 
 def make_model(
     gens: Sequence[tuple[str, int]],
-    diffs: dict[str, dict[Monomial, Fraction]] | None = None,
+    diffs: dict[str, dict[Factors, Fraction]] | None = None,
     name: str = "",
 ) -> DgaModel:
-    """Convenience constructor for a base Sullivan algebra (∧V, d)."""
+    """Convenience constructor for a base Sullivan algebra (∧V, d), each
+    d given by its terms {Factors: coefficient}."""
     alg = GradedAlgebra(name)
     for nm, deg in gens:
         alg.add_generator(nm, deg)
     images: dict[int, Element] = {}
     for nm, terms in (diffs or {}).items():
-        images[alg.gen(nm).gid] = alg.element(terms)
+        images[alg.gen(nm).gid] = alg.element({alg.pack(m): c for m, c in terms.items()})
     model = DgaModel(alg, Derivation(alg, 1, images), tuple(range(len(gens))))
     return model
 
@@ -304,12 +315,17 @@ def _copy_generators(gens: Iterable[Generator], dst: GradedAlgebra) -> dict[int,
 
 def _d_images(M: DgaModel, alg: GradedAlgebra, gid_map: dict[int, int]) -> dict[int, Element]:
     """M's d on the generators copied into alg by gid_map: read from
-    M.d.images, translated, nonzero images only."""
+    M.d.images, translated, nonzero images only.  A map that adds one
+    offset to every gid keeps each monomial's order: it moves the fields."""
     images: dict[int, Element] = {}
+    offsets = {new - gid for gid, new in gid_map.items()}
+    shift = (offsets.pop() * alg.width
+             if len(offsets) == 1 and M.algebra.width == alg.width else -1)
     for gid, new in gid_map.items():
         img = M.d.images.get(gid)
         if img is not None:
-            img = translate(img, alg, gid_map)
+            img = (translate(img, alg, gid_map) if shift < 0 else
+                   Element(alg, {m << shift: c for m, c in img.terms.items()}, img.den))
             if not img.is_zero():
                 images[new] = img
     return images
@@ -366,11 +382,9 @@ def _suspend(
 
 def is_minimal(V: DgaModel) -> bool:
     """No linear part: every monomial of every d(v) has word length ≥ 2."""
-    for img in V.d.images.values():
-        for mono in img.terms:
-            if sum(e for _, e in mono) < 2:
-                return False
-    return True
+    alg = V.algebra
+    return not any(mono == ONE or alg.generator_of(mono) is not None
+                   for img in V.d.images.values() for mono in img.terms)
 
 
 def sphere_model(V: DgaModel, k: int) -> DgaModel:
@@ -420,8 +434,8 @@ def path_model(V: DgaModel) -> DgaModel:
     # is u / d.den^i and the sum is total / top, top = d.den^i·i! (s.den = 1)
     for g in sorted(V.algebra.generators, key=lambda h: (h.degree, h.gid)):
         d_partial = Derivation(alg, 1, images)
-        total = {((right[g.gid], 1),): 1, ((left[g.gid], 1),): -1}
-        u, top = {((left[g.gid], 1),): 1}, 1
+        total = {alg.units[right[g.gid]]: 1, alg.units[left[g.gid]]: -1}
+        u, top = {alg.units[left[g.gid]]: 1}, 1
         for i in range(1, MAX_SERIES_ITERATIONS + 1):
             u = s_der._sum(d_partial._sum(u))
             if not u:
@@ -506,10 +520,11 @@ def quotient(
     generator must itself contain a killed generator.
     """
     kill = {M.algebra.gen(key).gid for key in kill_keys}
+    killed = M.algebra.mask(kill)
     for gid in kill:
         dg = M.d.images.get(gid, M.algebra.zero())
         for mono in dg.terms:
-            if not any(f in kill for f, _ in mono):
+            if not mono & killed:
                 g = M.algebra.gen(gid)
                 raise ModelError(
                     f"ideal not d-stable: d({g.name}) has a term outside the "
@@ -521,10 +536,7 @@ def quotient(
     images: dict[int, Element] = {}
     for gid in keep:
         dg = M.d.images.get(gid, M.algebra.zero())
-        kept_terms = {
-            mono: c for mono, c in dg.terms.items()
-            if not any(f in kill for f, _ in mono)
-        }
+        kept_terms = {mono: c for mono, c in dg.terms.items() if not mono & killed}
         if kept_terms:
             images[gid_map[gid]] = translate(
                 Element(M.algebra, kept_terms, dg.den), alg, gid_map

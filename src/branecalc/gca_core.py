@@ -1,17 +1,24 @@
 """Free graded-commutative algebras over the rationals.
 
-Generators carry an integer degree >= 1.  A monomial is a sorted tuple of
-(generator id, exponent) pairs; odd-degree generators square to zero and
-reordering factors accumulates the Koszul sign (-1)^(|a||b|) per
-transposition.  An element is a sparse rational linear combination of
-canonical monomials, held as nonzero int numerators over one denominator
-in lowest terms, so equality of elements is equality of those fields and
-all arithmetic runs on ints.  A Fraction is built only where a coefficient
-enters (``GradedAlgebra.element``, ``scalar``, scalar factors) or leaves
-(``Element.coefficient``, ``repr``, class and table coordinates).
+Generators carry an integer degree >= 1.  A monomial is one int, a packed
+exponent vector (Monagan and Pearce, CASC 2007): the exponent of generator
+gid sits in the FIELD_BITS-wide field at bit gid·FIELD_BITS, gid 0 lowest,
+and the top bit of each field is a guard.  A product of two monomials is one
+integer addition; a guard bit set by it is an exponent that does not fit its
+field, a ModelError, never a wrap.  Odd-degree generators square to zero, so
+an odd clash is a & b & oddmask, and reordering factors accumulates the
+Koszul sign (-1)^(|a||b|) per transposition, one int.bit_count() per product
+(koszul_mask).  Adding a generator moves no monomial.  The edge form of a
+monomial is its Factors, the sorted tuple of (generator id, exponent) pairs,
+which pack and unpack convert; labels, the model parser and monomials built
+from provenance use it.
 
-Monomials are ordered by generator id (creation order), which stays stable
-when an algebra is extended with new generators.
+An element is a sparse rational linear combination of monomials, held as
+nonzero int numerators over one denominator in lowest terms, so equality of
+elements is equality of those fields and all arithmetic runs on ints.  A
+Fraction is built only where a coefficient enters (``GradedAlgebra.element``,
+``scalar``, scalar factors) or leaves (``Element.coefficient``, ``repr``,
+class and table coordinates).
 """
 
 from __future__ import annotations
@@ -22,10 +29,15 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
-Monomial = tuple  # tuple[tuple[int, int], ...], sorted by generator id
+Monomial = int  # a packed exponent vector
+Factors = tuple  # tuple[tuple[int, int], ...]: (gid, exponent) pairs by ascending gid
+
+#: The bits of each exponent field, the top one the guard; read when an
+#: algebra is built.
+FIELD_BITS = 16
 
 #: The empty monomial, i.e. the algebra unit.
-ONE: Monomial = ()
+ONE: Monomial = 0
 
 
 class ModelError(Exception):
@@ -85,10 +97,20 @@ class GradedAlgebra:
         self._gens: list[Generator] = []
         #: the parity of each generator, by id (True for odd degree)
         self.odd: list[bool] = []
+        #: the field width, the largest exponent a field holds, each
+        #: generator's monomial by id, and the bits of the odd generators'
+        #: monomials and of every field's guard
+        self.width = FIELD_BITS
+        self.max_exponent = (1 << FIELD_BITS - 1) - 1
+        self.units: list[Monomial] = []
+        self.oddmask = self.guard = 0
         # each generator under its label and under its provenance
         self._by_key: dict[str | Provenance, Generator] = {}
         # basis(n) by n, and monomials' suffix tables by gids tuple
         self._basis_cache: dict = {}
+        # unpack by monomial and koszul_mask by odd part, as made
+        self._factors: dict[Monomial, Factors] = {}
+        self._koszul: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -101,9 +123,15 @@ class GradedAlgebra:
             raise ValueError(f"generator {name!r} has degree {degree} < 1")
         if name in self._by_key:
             raise prov.clash()
-        g = Generator(len(self._gens), name, degree, prov)
+        gid = len(self._gens)
+        g = Generator(gid, name, degree, prov)
+        unit = 1 << gid * self.width
         self._gens.append(g)
-        self.odd.append(g.is_odd)
+        self.odd.append(degree % 2 == 1)
+        self.units.append(unit)
+        if degree % 2:
+            self.oddmask |= unit
+        self.guard |= unit << self.width - 1
         self._by_key[name] = g
         self._by_key[prov] = g
         self._basis_cache.clear()
@@ -128,94 +156,134 @@ class GradedAlgebra:
     # ------------------------------------------------------------------
     # monomial arithmetic
 
+    def pack(self, factors: Factors) -> Monomial:
+        """The monomial with these (gid, exponent) pairs, distinct gids."""
+        mono = 0
+        for gid, e in factors:
+            if e > self.max_exponent:
+                raise self._overflow(self.units[gid])
+            mono += e * self.units[gid]
+        return mono
+
+    def unpack(self, mono: Monomial) -> Factors:
+        """The (gid, exponent) pairs of mono, by ascending gid, kept once
+        made: a new generator changes no monomial's pairs."""
+        out = self._factors.get(mono)
+        if out is None:
+            width, field, out, rest = self.width, (1 << self.width) - 1, [], mono
+            while rest:
+                shift = ((rest & -rest).bit_length() - 1) // width * width
+                e = rest >> shift & field
+                out.append((shift // width, e))
+                rest ^= e << shift
+            out = self._factors[mono] = tuple(out)
+        return out
+
+    def mask(self, gids: Iterable[int]) -> int:
+        """The bits of the fields of the distinct gids."""
+        return sum(map(self.units.__getitem__, gids)) * ((1 << self.width) - 1)
+
+    def generator_of(self, mono: Monomial) -> int | None:
+        """The gid of g when mono is g to the first power, else None."""
+        gid, r = divmod(mono.bit_length() - 1, self.width)
+        return gid if not r and mono == 1 << mono.bit_length() - 1 else None
+
+    def _overflow(self, bits: int) -> ModelError:
+        """The error for an exponent past its field, bits in that field."""
+        g = self._gens[((bits & -bits).bit_length() - 1) // self.width]
+        return ModelError(f"the exponent of generator {g.name!r} exceeds "
+                          f"{self.max_exponent}, the largest its field holds")
+
     def monomial_degree(self, mono: Monomial) -> int:
-        return sum(self._gens[gid].degree * e for gid, e in mono)
+        return sum(self._gens[gid].degree * e for gid, e in self.unpack(mono))
 
-    def normalize(self, raw: Sequence[tuple[int, int]]) -> tuple[int, Monomial]:
-        """Sort a raw factor list into canonical form.
-
-        Returns (sign, monomial); the sign is the Koszul sign of the
-        permutation, or 0 when an odd generator ends up with exponent >= 2
-        (in which case the monomial slot is the unit and must be ignored).
-        """
-        odd = self.odd
-        word: list[int] = []
+    def normalize(self, raw: Iterable[tuple[int, int]]) -> tuple[int, Monomial]:
+        """The product of the raw (gid, exponent) factors, in their order, as
+        (sign, monomial): the sign is the Koszul sign of sorting them, or 0
+        when an odd generator ends up with exponent >= 2 (in which case the
+        monomial slot is the unit and must be ignored).  Each odd factor
+        passes the odd factors placed so far with a larger gid."""
+        odd, units, width, guard = self.odd, self.units, self.width, self.guard
+        sign = 1
+        mono = placed = 0  # placed: the odd factors' bits so far
         for gid, e in raw:
-            if not 0 <= gid < len(self._gens):
+            if not 0 <= gid < len(units):
                 raise KeyError(f"unknown generator id {gid}")
             if e < 0:
                 raise ValueError("negative exponent")
-            word.extend([gid] * e)
-        sign = 1
-        # insertion sort, counting odd-odd transpositions
-        for i in range(1, len(word)):
-            j = i
-            while j > 0 and word[j - 1] > word[j]:
-                if odd[word[j - 1]] and odd[word[j]]:
-                    sign = -sign
-                word[j - 1], word[j] = word[j], word[j - 1]
-                j -= 1
-        factors: list[tuple[int, int]] = []
-        for gid in word:
-            if factors and factors[-1][0] == gid:
-                if odd[gid]:
+            if e and odd[gid]:
+                if e > 1 or placed & units[gid]:
                     return 0, ONE
-                factors[-1] = (gid, factors[-1][1] + 1)
-            else:
-                factors.append((gid, 1))
-        return sign, tuple(factors)
+                if (placed >> gid * width).bit_count() & 1:
+                    sign = -sign
+                placed |= units[gid]
+            mono += min(e, self.max_exponent + 1) << gid * width
+            if mono & guard:
+                raise self._overflow(mono & guard)
+        return sign, mono
+
+    def relabel(self, source: GradedAlgebra, mono: Monomial,
+                gid_map: Mapping[int, int]) -> tuple[int, Monomial]:
+        """normalize's (sign, monomial) of source's monomial mono with each
+        generator id sent through gid_map, in one pass over its factors."""
+        width, field, guard = source.width, (1 << source.width) - 1, self.guard
+        odd, units, sign, out, placed = self.odd, self.units, 1, 0, 0
+        while mono:
+            shift = ((mono & -mono).bit_length() - 1) // width * width
+            e = mono >> shift & field
+            mono ^= e << shift
+            g = gid_map[shift // width]
+            if odd[g]:
+                if placed & units[g]:
+                    return 0, ONE
+                if (placed >> g * self.width).bit_count() & 1:
+                    sign = -sign
+                placed |= units[g]
+            out += e * units[g]
+            if out & guard:
+                raise self._overflow(out & guard)
+        return sign, out
+
+    def koszul_mask(self, mono: Monomial) -> int:
+        """The odd generators' bits below an odd number of mono's odd
+        factors: mono·m = (-1)^((m & koszul_mask(mono)).bit_count())·(mono + m)
+        for m with no odd factor of mono."""
+        odd = mono & self.oddmask
+        out = self._koszul.get(odd)
+        if out is None:
+            out, bits = 0, odd
+            while bits:
+                out ^= (bits & -bits) - 1
+                bits &= bits - 1
+            out = self._koszul[odd] = out & self.oddmask
+        return out
 
     def mul_monomials(self, a: Monomial, b: Monomial) -> tuple[int, Monomial]:
-        """Concatenate two canonical monomials and renormalize.
-
-        a and b are each sorted, and an odd factor of either has exponent 1,
-        so the Koszul sign is counted while merging: an odd factor of b
-        passes the odd factors of a not merged yet.
-        """
-        if not a:
-            return 1, b
-        if not b:
-            return 1, a
-        odd = self.odd
-        sign = 1
-        # parity of a's odd factors not merged yet, counted when b's first
-        # odd factor is merged
-        rest = None
-        merged: list[tuple[int, int]] = []
-        ia = ib = 0
-        while ia < len(a) and ib < len(b):
-            ga, gb = a[ia][0], b[ib][0]
-            if ga < gb:
-                merged.append(a[ia]); ia += 1
-                if rest is not None and odd[ga]:
-                    rest ^= 1
-            elif ga > gb:
-                merged.append(b[ib]); ib += 1
-                if odd[gb]:
-                    if rest is None:
-                        rest = sum(odd[g] for g, _ in a[ia:]) % 2
-                    if rest:
-                        sign = -sign
-            else:
-                if odd[ga]:
-                    return 0, ONE
-                merged.append((ga, a[ia][1] + b[ib][1]))
-                ia += 1; ib += 1
-        merged.extend(a[ia:])
-        merged.extend(b[ib:])
-        return sign, tuple(merged)
+        """(sign, a·b) with the Koszul sign, or (0, ONE) on an odd clash."""
+        if a & b & self.oddmask:
+            return 0, ONE
+        m = a + b
+        if m & self.guard:
+            raise self._overflow(m & self.guard)
+        return -1 if (b & self.koszul_mask(a)).bit_count() & 1 else 1, m
 
     def mul_terms(self, acc: dict[Monomial, int], a: Mapping[Monomial, int],
                   b: Mapping[Monomial, int], scale: int = 1) -> dict[Monomial, int]:
         """acc plus scale·a·b, for int terms a and b, summed into acc in
         place: the one product of two term dicts, a's terms outermost."""
-        mul = self.mul_monomials
+        oddmask, guard = self.oddmask, self.guard
         for ma, ca in a.items():
             ca *= scale
+            odd = ma & oddmask
+            k = self.koszul_mask(ma) if odd else 0
             for mb, cb in b.items():
-                sign, m = mul(ma, mb)
-                if sign:
-                    acc[m] = acc.get(m, 0) + sign * ca * cb
+                if mb & odd:
+                    continue
+                m = ma + mb
+                if m & guard:
+                    raise self._overflow(m & guard)
+                c = ca * cb
+                acc[m] = acc.get(m, 0) + (-c if k and (mb & k).bit_count() & 1 else c)
         return acc
 
     # ------------------------------------------------------------------
@@ -235,26 +303,30 @@ class GradedAlgebra:
         ascending.  Suffix tables T_i[m], the degree-m monomials in gids[i:],
         are cached per gids in _basis_cache (add_generator clears it) and grow
         together: T_i[m] is T_{i+1}[m], then g_i^e·s for s in T_{i+1}[m - e|g_i|],
-        e = 1, 2, ... (e = 1 only if g_i is odd), skipping the empty rows."""
+        e = 1, 2, ... (e = 1 only if g_i is odd).  For an even g_i those
+        g_i^e·s are g_i·t for t in T_i[m - |g_i|], and g_i·t is unit(g_i) + t."""
         if n < 0:
             return ()
         key = tuple(gids)
         tables = self._basis_cache.get(key)
         if tables is None:
             tables = self._basis_cache[key] = [[(ONE,)] for _ in range(len(key) + 1)]
-        top = len(tables[0])
+        top, emax = len(tables[0]), self.max_exponent
         if n >= top:
             tables[-1] += [()] * (n + 1 - top)
             for i in range(len(key) - 1, -1, -1):
                 gid, step, rest = key[i], self._gens[key[i]].degree, tables[i + 1]
+                unit, odd, row = self.units[gid], self.odd[gid], tables[i]
                 for m in range(top, n + 1):
-                    out = list(rest[m])
-                    for e in range(1, min(m // step, 1 if self.odd[gid] else m) + 1):
-                        suffixes = rest[m - e * step]
-                        if suffixes:
-                            head = ((gid, e),)
-                            out += [head + s for s in suffixes]
-                    tables[i].append(tuple(out))
+                    if m < step:
+                        row.append(rest[m])
+                        continue
+                    if m // step > emax and not odd and any(
+                            rest[m - e * step] for e in range(emax + 1, m // step + 1)):
+                        del self._basis_cache[key]  # with its half-grown tables
+                        raise self._overflow(unit)
+                    new = (rest if odd else row)[m - step]
+                    row.append(rest[m] + tuple([unit + t for t in new]) if new else rest[m])
         return tables[0][n]
 
     # ------------------------------------------------------------------
@@ -271,7 +343,7 @@ class GradedAlgebra:
 
     def generator_element(self, key: str | int | Provenance) -> "Element":
         g = self.gen(key)
-        return Element(self, {((g.gid, 1),): 1})
+        return Element(self, {self.units[g.gid]: 1})
 
     def element(self, terms: dict[Monomial, Scalar]) -> "Element":
         """The element Σ c·m of rational coefficients c."""
@@ -282,14 +354,12 @@ class GradedAlgebra:
     def monomial_element(self, mono: Monomial, coeff: Scalar = 1) -> "Element":
         return Element(self, {mono: coeff.numerator}, coeff.denominator)
 
-    def monomial_string(self, mono: Monomial) -> str:
-        if not mono:
-            return "1"
+    def monomial_string(self, mono: Monomial | Factors) -> str:
         parts = []
-        for gid, e in mono:
+        for gid, e in self.unpack(mono) if isinstance(mono, int) else mono:
             name = self._gens[gid].name
             parts.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(parts)
+        return "*".join(parts) or "1"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = self.name or "GCA"
@@ -379,7 +449,7 @@ class Element:
         if not self.terms:
             return "0"
         parts = []
-        for m, c in sorted(self.terms.items()):
+        for m, c in sorted(zip(map(self.algebra.unpack, self.terms), self.terms.values())):
             if self.den != 1:
                 c = Fraction(c, self.den)
             ms = self.algebra.monomial_string(m)
@@ -445,7 +515,7 @@ def translate(e: Element, target: GradedAlgebra, gid_map: dict[int, int]) -> Ele
     """Push an element through a generator-id translation (degree 0, 1:1)."""
     terms: dict[Monomial, int] = {}
     for m, c in e.terms.items():
-        sign, mono = target.normalize([(gid_map[gid], exp) for gid, exp in m])
+        sign, mono = target.relabel(e.algebra, m, gid_map)
         if sign:
             terms[mono] = terms.get(mono, 0) + c * sign
     return Element(target, terms, e.den)

@@ -81,15 +81,40 @@ class ModuleMap:
         self.images = {} if images is None else images
 
     @cached_property
-    def _relabel(self) -> dict[int, tuple[int, int]]:
+    def _relabel(self) -> dict[int, tuple[int, int | None]]:
         """ρ as {base gid: (s, g)} with ρ(b) = s·g, s = ±1, or s = 0 for 0."""
-        out = {}
+        out, tgt = {}, self.target.algebra
         for b, img in self.base_images.items():
-            s, g = out[b] = next(((c, m[0][0]) for m, c in img.terms.items() if m), (0, 0))
-            if img.terms and not (s * s == img.den == 1 and img.terms == {((g, 1),): s}):
+            m, s = next(iter(img.terms.items()), (ONE, 0))
+            g = tgt.generator_of(m)
+            if img.terms and not (s * s == img.den == len(img.terms) == 1 and g is not None):
                 raise ModelError(f"the base image of {self.source.algebra.gen(b).name}"
                                  f" is {img!r}, not ± one generator or 0")
+            out[b] = s, g
         return out
+
+    @cached_property
+    def _base(self) -> tuple[int, int, int, dict, dict[Monomial, tuple[int, Monomial, int]]]:
+        """(the bits of the base fields, of those ρ negates and of those it
+        kills, ρ's gid map, {b: (s, t, k)} filled by _unshuffle): for a base
+        part b, ρ(b) passed by F is s·t, and k = koszul_mask(b)."""
+        src, relabel = self.source.algebra, self._relabel
+        return (src.mask(relabel), sum(src.units[b] for b, (s, _) in relabel.items() if s < 0),
+                src.mask(b for b, (s, _) in relabel.items() if not s),
+                {b: g for b, (s, g) in relabel.items() if s}, {})
+
+    def _relabel_base(self, b: Monomial) -> tuple[int, Monomial, int]:
+        """_base's (s, t, k) of the base monomial b: ρ's signs are read off
+        the bits of b's fields, one relabel gives t and its sign, and F
+        passes b with (-1)^(deg F · |b|)."""
+        src, (_, neg, kill, gid_map, _) = self.source.algebra, self._base
+        odd = b & src.oddmask
+        if b & kill:
+            return 0, ONE, 0
+        s, t = self.target.algebra.relabel(src, b, gid_map)
+        if ((b & neg).bit_count() + odd.bit_count() * self.degree) % 2:
+            s = -s
+        return (s, t, odd and src.koszul_mask(b)) if s else (0, ONE, 0)
 
     def _unshuffle(
         self, terms: Mapping[Monomial, int], fibers: Container[Monomial] | None = None
@@ -98,34 +123,24 @@ class ModuleMap:
         the int terms Σ c·mono (those in fibers, when given): the terms with
         fiber part f sum to ±b_f·f, and F(Σ c·mono) = Σ_f ρ(b_f)·F(f).
 
-        Each term is unshuffled into its base part b and fiber part f (the
-        Koszul sign of moving b's odd factors past f's), and F passes b,
-        (-1)^(deg F · |b|); parities are read from the algebra's odd.  ρ
-        relabels b, and one normalize gives its monomial and sign, or 0.
+        Each term is split by the base fields' bits into its base part b and
+        fiber part f, with the Koszul sign of moving b's odd factors past
+        f's, one bit_count against koszul_mask(b); ρ(b) passed by F is read
+        from _base, made once per b by _relabel_base.
         """
-        odd, relabel = self.source.algebra.odd, self._relabel
-        normalize, flip = self.target.algebra.normalize, self.degree % 2
+        base, *_, rho = self._base
         parts: dict[Monomial, dict[Monomial, int]] = {}
         for mono, c in terms.items():
-            b: list[tuple[int, int]] = []
-            f: list[tuple[int, int]] = []
-            b_odd = f_odd = False
-            for gid, exp in mono:
-                r = relabel.get(gid)
+            b = mono & base
+            f = mono ^ b
+            if fibers is None or f in fibers:
+                part = parts.setdefault(f, {})
+                r = rho.get(b)
                 if r is None:
-                    f.append((gid, exp))
-                    f_odd ^= odd[gid]
-                else:
-                    s, g = r
-                    b.append((g, exp))
-                    c *= -s if odd[gid] and f_odd else s ** exp
-                    b_odd ^= odd[gid]
-            fiber = tuple(f)
-            if fibers is None or fiber in fibers:
-                part = parts.setdefault(fiber, {})
-                s, t = normalize(b) if c else (0, ())
+                    r = rho[b] = self._relabel_base(b)
+                s, t, k = r
                 if s:
-                    part[t] = part.get(t, 0) + (-s * c if b_odd and flip else s * c)
+                    part[t] = part.get(t, 0) + (-s * c if (f & k).bit_count() & 1 else s * c)
         return parts
 
     def graded_parts(self, e: Element) -> tuple[list, int]:
@@ -226,7 +241,7 @@ def cocycle_defects(F: ModuleMap) -> list[str]:
             acc = d_target._sum(F._add_value({}, {mono: d_source.den}))
             if any(F._add_value(acc, d_source.leibniz(mono), scale).values()):
                 defects.append(mono)
-    return [alg.monomial_string(m) for m in sorted(defects)]
+    return [alg.monomial_string(m) for m in sorted(defects, key=alg.unpack)]
 
 
 # ---------------------------------------------------------------------------
@@ -235,15 +250,15 @@ def cocycle_defects(F: ModuleMap) -> list[str]:
 
 def is_pure(V: DgaModel) -> bool:
     """d(V^even) = 0 and d(V^odd) ⊆ ∧V^even."""
-    odd = V.algebra.odd
-    return all(odd[g] and not any(odd[f] for m in dg.terms for f, _ in m)
+    odd, oddmask = V.algebra.odd, V.algebra.oddmask
+    return all(odd[g] and not any(m & oddmask for m in dg.terms)
                for g, dg in V.d.images.items() if dg.terms)
 
 
 def is_semi_pure(V: DgaModel) -> bool:
     """The ideal generated by V^even is d-stable."""
-    odd = V.algebra.odd
-    return all(any(not odd[f] for f, _ in m)
+    odd, oddmask = V.algebra.odd, V.algebra.oddmask
+    return all(m & ~oddmask
                for g, dg in V.d.images.items() if not odd[g] for m in dg.terms)
 
 
@@ -323,9 +338,10 @@ def shriek_delta_semipure(V: DgaModel) -> ModuleMap:
     for left, right in odd_copies:
         known = known * (sq.generator_element(right) - sq.generator_element(left))
 
+    pairs = [sq.units[left] | sq.units[right] for left, right in odd_copies]
+
     def in_correction_ideal(mono: Monomial) -> bool:
-        gids = {g for g, _ in mono}
-        return any(left in gids and right in gids for left, right in odd_copies)
+        return any(mono & both == both for both in pairs)
 
     base_images = {
         gid: sq.generator_element(alg.gen(gid).prov) for gid in path.base_gids
@@ -333,17 +349,15 @@ def shriek_delta_semipure(V: DgaModel) -> ModuleMap:
 
     # D(f) = 0 is written on fiber monomials through |lead|, which reach
     # f's values through |lead| + 1
-    fiber_cut = alg.monomial_degree(lead) + 1
-    fiber_monos: list[Monomial] = []
-    for n in range(fiber_cut + 1):
-        fiber_monos.extend(fiber_basis(path, n))
+    fiber_cut = sum(g.degree - 1 for g in evens) + 1
+    fiber_monos = [(n, mono) for n in range(fiber_cut + 1) for mono in fiber_basis(path, n)]
 
     # f(mono) = Σ x_i·tmono over (i, tmono) in unknowns[mono], plus known
     # at lead
     unknowns: dict[Monomial, list[tuple[int, Monomial]]] = {}
     n_vars = 0
-    for mono in fiber_monos:
-        for tmono in sq.basis(alg.monomial_degree(mono) + r):
+    for n, mono in fiber_monos:
+        for tmono in sq.basis(n + r):
             if mono != lead or in_correction_ideal(tmono):
                 unknowns.setdefault(mono, []).append((n_vars, tmono))
                 n_vars += 1
@@ -355,8 +369,8 @@ def shriek_delta_semipure(V: DgaModel) -> ModuleMap:
     sgn_r = -1 if r % 2 else 1
     # f with no values yet: its base images and Koszul signs
     unsolved = ModuleMap(path, square, r, base_images, {})
-    for mono in fiber_monos:
-        if alg.monomial_degree(mono) == fiber_cut:
+    for n, mono in fiber_monos:
+        if n == fiber_cut:
             continue
         eqs: dict[Monomial, la.Row] = {}
 
@@ -390,7 +404,7 @@ def shriek_delta_semipure(V: DgaModel) -> ModuleMap:
     if sol is None:
         raise ModelError("no cocycle with the prescribed leading term")
     images: dict[Monomial, Element] = {}
-    for mono in fiber_monos:
+    for _, mono in fiber_monos:
         val = sq.element(
             {tmono: sol[vi] for vi, tmono in unknowns.get(mono, ()) if vi in sol})
         if mono == lead:
@@ -517,7 +531,7 @@ def one_generator_ext_sign(gen_degree: int, k: int) -> int:
     if deg_a % 2:
         f = ModuleMap(M, T, deg_a, base_images, {ONE: talg.generator_element(ta.gid)})
     else:
-        f = ModuleMap(M, T, -deg_b, base_images, {((b.gid, 1),): talg.one()})
+        f = ModuleMap(M, T, -deg_b, base_images, {alg.units[b.gid]: talg.one()})
     if cocycle_defects(f):
         raise ModelError("internal: the one-generator f is not a cocycle")
     t_bar = DgaMorphism(T, T, {ta.gid: -talg.generator_element(ta.gid)})

@@ -151,12 +151,13 @@ def by_fiber(F: ModuleMap, e: Element,
     """{f: ρ(b_f)} over e's fiber parts f (those in fibers, when given),
     with ρ applied to each base part b_f as the algebra map with generator
     images F.base_images."""
-    odd, base = F.source.algebra.odd, F.base_images
-    parts: dict[tuple, dict[tuple, int]] = {}
+    src, tgt = F.source.algebra, F.target.algebra
+    odd, base = src.odd, F.base_images
+    parts: dict[int, dict[int, int]] = {}
     for mono, c in e.terms.items():
         b, f = [], []
         b_odd = f_odd = False
-        for gid, exp in mono:
+        for gid, exp in src.unpack(mono):
             if gid in base:
                 b.append((gid, exp))
                 if odd[gid]:
@@ -167,11 +168,10 @@ def by_fiber(F: ModuleMap, e: Element,
                 f.append((gid, exp))
                 if odd[gid]:
                     f_odd = not f_odd
-        fiber = tuple(f)
+        fiber = src.pack(f)
         if fibers is None or fiber in fibers:
-            parts.setdefault(fiber, {})[tuple(b)] = (
+            parts.setdefault(fiber, {})[src.pack(b)] = (
                 -c if b_odd and F.degree % 2 else c)
-    src, tgt = F.source.algebra, F.target.algebra
     return {f: _apply_algebra_map(Element(src, b, e.den), base, tgt)
             for f, b in parts.items()}
 
@@ -245,7 +245,7 @@ def delta_equations(V: DgaModel) -> tuple[list[la.Row], int, dict[tuple, Element
         known = known * (sq.generator_element(right) - sq.generator_element(left))
 
     def in_correction_ideal(mono):
-        gids = {g for g, _ in mono}
+        gids = {g for g, _ in sq.unpack(mono)}
         return any(left in gids and right in gids for left, right in odd_copies)
 
     base_images = {gid: sq.generator_element(alg.gen(gid).prov) for gid in path.base_gids}
@@ -306,7 +306,7 @@ def d_squared_witnesses(M: DgaModel) -> list[str]:
     zero = alg.zero()
 
     def d_monomial(mono) -> Element:
-        word = [gid for gid, e in mono for _ in range(e)]
+        word = [gid for gid, e in alg.unpack(mono) for _ in range(e)]
         total, pre, pre_degree = zero, alg.one(), 0
         for i, gid in enumerate(word):
             post = alg.one()

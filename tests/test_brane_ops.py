@@ -343,7 +343,7 @@ def test_folded_glue_after_shriek_is_glue_applied_after_it(text, degree):
     for a in shriek_id.images:
         for d in range(min(degree, FOLD_DEGREE) + 1):
             for b in alg.monomials(base, d):
-                sign, mono = alg.normalize([*a, *b])
+                sign, mono = alg.normalize([*alg.unpack(a), *alg.unpack(b)])
                 x = alg.monomial_element(mono, sign)
                 assert folded(x) == glue(shriek_id(x))
                 checked += 1

@@ -176,7 +176,7 @@ def test_rows_read_each_label_once():
 def test_parse_accepts_comments_and_rationals():
     mf = parse_model("# a comment\ngen a 2\ngen b 5  # trailing\nd b = 1/3*a^3\n")
     assert generators(mf.model) == [("a", 2), ("b", 5)]
-    assert d_values(mf.model) == {"b": {((0, 3),): Fraction(1, 3)}}
+    assert d_values(mf.model) == {"b": {mf.model.algebra.pack(((0, 3),)): Fraction(1, 3)}}
 
 
 def test_parse_negative_info_value():

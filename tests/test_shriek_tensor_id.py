@@ -74,8 +74,8 @@ def test_shriek_tensor_id_is_the_shriek_times_the_fiber_monomial(text, stage):
         value = translate(F(src.monomial_element(a)), N.algebra, to_n)
         for d in range(TOP - src.monomial_degree(a) + 1):
             for b in fiber_basis(N, d):
-                sign, mono = alg.normalize(
-                    [(f_gid[g], e) for g, e in a] + [(n_gid[g], e) for g, e in b])
+                sign, mono = alg.normalize([(f_gid[g], e) for g, e in src.unpack(a)]
+                                           + [(n_gid[g], e) for g, e in N.algebra.unpack(b)])
                 got = shriek(alg.monomial_element(mono, sign))
                 assert got == value * N.algebra.monomial_element(b)
                 checked += 1

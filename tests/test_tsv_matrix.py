@@ -1,6 +1,6 @@
 """The top-degree table rows of the TSV matrix, replayed in-process.
 
-``scripts/tsv_matrix.py`` fingerprints 565 CLI commands, and its output as
+``scripts/tsv_matrix.py`` fingerprints 566 CLI commands, and its output as
 the tables stand is committed as ``scripts/tsv_matrix.expected``.  The
 ``brane-product`` and ``brane-coproduct`` rows at each model's top
 ``--max-degree``, with and without ``--homology``, are run again here
@@ -67,7 +67,7 @@ TABLE_FORMAT = [(argv, None) for model in tsv_matrix.MODELS
 INFO = [(argv, name) for argv, name in tsv_matrix.commands() if name in tsv_matrix.INFO]
 DUMPS = [(argv, name) for argv, name in tsv_matrix.commands()
          if argv[0] in ("sphere-model", "disk-model", "path-model", "cohomology")
-         and (argv, name) not in TABLE_FORMAT]
+         and (argv, name) not in TABLE_FORMAT and name not in tsv_matrix.WIDE]
 VERIFY = [(argv, name) for argv, name in tsv_matrix.commands()
           if argv[0] == "verify" and name not in tsv_matrix.INFO]
 CHECK_DGA = [(argv, name) for argv, name in tsv_matrix.commands()
@@ -76,6 +76,7 @@ K3_PRODUCTS = [(argv, name) for argv, name in tsv_matrix.commands()
                if argv[0] == "brane-product" and "--k" in argv]
 REJECTED = [(argv, name) for argv, name in tsv_matrix.commands()
             if name in tsv_matrix.REJECTED]
+WIDE = [(argv, name) for argv, name in tsv_matrix.commands() if name in tsv_matrix.WIDE]
 
 
 def test_every_model_is_replayed_with_and_without_homology():
@@ -131,6 +132,11 @@ def test_every_info_row_is_replayed():
                      "s4-bad-mbar": "22222222"}
 
 
+def test_the_wide_row_is_replayed():
+    assert WIDE == [(tsv_matrix.WIDE_COMMAND, "x2-wide")]
+    assert EXPECTED[tsv_matrix.label(*WIDE[0])][0] == 0
+
+
 def replay(argv, name, monkeypatch):
     monkeypatch.chdir(ROOT)
     monkeypatch.setattr(sys, "stdin", sys.stdin)  # run replaces it
@@ -179,4 +185,9 @@ def test_table_format_row_matches_the_expected_digests(argv, name, monkeypatch):
 
 @pytest.mark.parametrize("argv,name", INFO, ids=[tsv_matrix.label(*c) for c in INFO])
 def test_info_row_matches_the_expected_digests(argv, name, monkeypatch):
+    replay(argv, name, monkeypatch)
+
+
+@pytest.mark.parametrize("argv,name", WIDE, ids=[tsv_matrix.label(*c) for c in WIDE])
+def test_wide_row_matches_the_expected_digests(argv, name, monkeypatch):
     replay(argv, name, monkeypatch)
