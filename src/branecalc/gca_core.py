@@ -372,13 +372,15 @@ class Element:
     terms maps each monomial to its nonzero int numerator c over the one
     denominator den > 0, and gcd(den, every c) = 1, so zero is {} over 1
     and two equal elements have equal fields.  The constructor brings any
-    int terms over any nonzero den to that form.
+    int terms over any nonzero den to that form; a dict with no zero and
+    nothing to cancel is kept, not copied, so it must not change after.
     """
 
     __slots__ = ("algebra", "terms", "den")
 
     def __init__(self, algebra: GradedAlgebra, terms: dict[Monomial, int], den: int = 1):
-        terms = {m: c for m, c in terms.items() if c}
+        if 0 in terms.values():
+            terms = {m: c for m, c in terms.items() if c}
         if den != 1:
             g = gcd(den, *terms.values())
             if den < 0:
