@@ -157,13 +157,8 @@ class GradedAlgebra:
     # monomial arithmetic
 
     def pack(self, factors: Factors) -> Monomial:
-        """The monomial with these (gid, exponent) pairs, distinct gids."""
-        mono = 0
-        for gid, e in factors:
-            if e > self.max_exponent:
-                raise self._overflow(self.units[gid])
-            mono += e * self.units[gid]
-        return mono
+        """The monomial with these canonical (gid, exponent) pairs."""
+        return self.normalize(factors)[1]
 
     def unpack(self, mono: Monomial) -> Factors:
         """The (gid, exponent) pairs of mono, by ascending gid, kept once
@@ -271,11 +266,11 @@ class GradedAlgebra:
                   b: Mapping[Monomial, int], scale: int = 1) -> dict[Monomial, int]:
         """acc plus scale·a·b, for int terms a and b, summed into acc in
         place: the one product of two term dicts, a's terms outermost."""
-        oddmask, guard = self.oddmask, self.guard
+        oddmask, guard, kz = self.oddmask, self.guard, self._koszul
         for ma, ca in a.items():
             ca *= scale
             odd = ma & oddmask
-            k = self.koszul_mask(ma) if odd else 0
+            k = odd and (kz.get(odd) or self.koszul_mask(ma))
             for mb, cb in b.items():
                 if mb & odd:
                     continue
