@@ -43,7 +43,15 @@ the runtime computes or checks another way:
 * ``coproduct_double_composite`` is δ∨∘(δ∨⊗id) on triples;
 * ``monomials`` lists a degree's monomials by the recursion over exponents
   that ``GradedAlgebra.monomials`` ran before it built suffix tables, the
-  order reference for ``basis`` and ``monomials``.
+  order reference for ``basis`` and ``monomials``;
+* the tuple kernels, as the runtime ran them before it packed each
+  monomial into one int: ``tuple_normalize`` (an insertion sort of the
+  factor pairs counting odd transpositions), ``tuple_mul`` (a merge of two sorted factor
+  tuples), ``tuple_leibniz`` (``Derivation.leibniz`` over factor tuples),
+  ``tuple_unshuffle`` (``ModuleMap._unshuffle`` factor by factor) and
+  ``tuple_halves`` (a square monomial's Künneth halves, each factor sent
+  to its copy of the state by the tensor square's gid maps); each takes
+  and gives monomials as (gid, exponent) tuples, with no width bound.
 * ``check_associativity``, ``check_commutativity`` and ``check_frobenius``
   are the diagram checkers as they were before one sign rule
   (``brane_ops._signed`` and ``_swap``) replaced their own signs: each law
@@ -571,3 +579,120 @@ def formal_m_bar(V, k: int = 2) -> int:
     otherwise."""
     gens = V.algebra.generators
     return sum(a if a % 2 else 1 - a for a in (g.degree - (k - 1) for g in gens))
+
+
+# ---------------------------------------------------------------------------
+# the tuple kernels
+
+
+def tuple_normalize(alg: GradedAlgebra, raw) -> tuple[int, tuple]:
+    """(sign, factors) of the raw (gid, exponent) factors multiplied in
+    their order: an insertion sort of the pairs, a transposition of g^a and
+    h^b costing (-1)^(a|g|·b|h|); (0, ()) when an odd generator meets
+    itself."""
+    odd = alg.odd
+    pairs = [(gid, e) for gid, e in raw if e]
+    sign = 1
+    for i in range(1, len(pairs)):
+        j = i
+        while j > 0 and pairs[j - 1][0] > pairs[j][0]:
+            (g, a), (h, b) = pairs[j - 1], pairs[j]
+            if odd[g] and odd[h] and a * b % 2:
+                sign = -sign
+            pairs[j - 1], pairs[j] = pairs[j], pairs[j - 1]
+            j -= 1
+    factors: list = []
+    for gid, e in pairs:
+        if factors and factors[-1][0] == gid:
+            factors[-1] = (gid, factors[-1][1] + e)
+        else:
+            factors.append((gid, e))
+    if any(odd[g] and e > 1 for g, e in factors):
+        return 0, ()
+    return sign, tuple(factors)
+
+
+def tuple_mul(alg: GradedAlgebra, a: tuple, b: tuple) -> tuple[int, tuple]:
+    """(sign, a·b) of two sorted factor tuples, merged: an odd factor of b
+    passes the odd factors of a not merged yet; (0, ()) on an odd clash."""
+    odd, sign, merged = alg.odd, 1, []
+    ia = ib = 0
+    while ia < len(a) and ib < len(b):
+        (ga, ea), (gb, eb) = a[ia], b[ib]
+        if ga < gb:
+            merged.append(a[ia])
+            ia += 1
+        elif ga > gb:
+            if odd[gb] and sum(odd[g] for g, _ in a[ia:]) % 2:
+                sign = -sign
+            merged.append(b[ib])
+            ib += 1
+        elif odd[ga]:
+            return 0, ()
+        else:
+            merged.append((ga, ea + eb))
+            ia += 1
+            ib += 1
+    return sign, tuple(merged + list(a[ia:]) + list(b[ib:]))
+
+
+def tuple_leibniz(d: Derivation, mono: tuple) -> dict[tuple, int]:
+    """d.den·d(mono) over factor tuples: for each factor g^e with an image,
+    e·pre·dg·g^(e-1)·suf with dg's terms moved to the front, the sign
+    (-1)^(|pre||g|) times that of the product; nonzero terms only."""
+    alg = d.algebra
+    out: dict[tuple, int] = {}
+    pre_odd = False
+    for i, (gid, exp) in enumerate(mono):
+        if gid in d._ints:
+            rest = mono[:i] + (((gid, exp - 1),) if exp > 1 else ()) + mono[i + 1:]
+            c0 = -exp if pre_odd and alg.odd[gid] else exp
+            for m, c in d._ints[gid].items():
+                sign, prod = tuple_mul(alg, alg.unpack(m), rest)
+                if sign:
+                    out[prod] = out.get(prod, 0) + sign * c0 * c
+        if alg.odd[gid] and exp % 2:
+            pre_odd = not pre_odd
+    return {m: c for m, c in out.items() if c}
+
+
+def tuple_unshuffle(F: ModuleMap, terms: dict[tuple, int],
+                    fibers: Container | None = None) -> dict[tuple, dict[tuple, int]]:
+    """F._unshuffle over factor tuples: each term's base factors go through
+    F._relabel with their sign, an odd base factor passes the odd fiber
+    factors before it, the relabelled base part is sorted by
+    tuple_normalize, and F passes it with (-1)^(deg F · |b|)."""
+    odd, relabel = F.source.algebra.odd, F._relabel
+    parts: dict[tuple, dict[tuple, int]] = {}
+    for mono, c in terms.items():
+        b, f = [], []
+        b_odd = f_odd = False
+        for gid, exp in mono:
+            if gid not in relabel:
+                f.append((gid, exp))
+                f_odd ^= odd[gid]
+            else:
+                s, g = relabel[gid]
+                b.append((g, exp))
+                c *= -s if odd[gid] and f_odd else s ** exp
+                b_odd ^= odd[gid]
+        fiber = tuple(f)
+        if fibers is None or fiber in fibers:
+            part = parts.setdefault(fiber, {})
+            s, t = tuple_normalize(F.target.algebra, b) if c else (0, ())
+            if s:
+                part[t] = part.get(t, 0) + (-s * c if b_odd and F.degree % 2 else s * c)
+    return parts
+
+
+def tuple_halves(left: dict[int, int], right: dict[int, int],
+                 mono: tuple) -> tuple[tuple, tuple]:
+    """The state factor tuples of a square monomial's left and right copies,
+    each square gid sent back by the gid maps of tensor_model."""
+    side = {new: (half, g) for half, gid_map in enumerate((left, right))
+            for g, new in gid_map.items()}
+    halves: tuple[list, list] = ([], [])
+    for gid, e in mono:
+        half, g = side[gid]
+        halves[half].append((g, e))
+    return tuple(halves[0]), tuple(halves[1])
