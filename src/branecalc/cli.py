@@ -98,42 +98,34 @@ class _ExprParser:
         return t
 
     def expr(self) -> dict:
-        """{Factors: nonzero coefficient}, like terms summed in the order
-        Element sums keep; nothing is packed, so a term of any exponent
-        reaches the degree check."""
+        """{Factors: nonzero coefficient}: each term's factors sorted, an odd
+        one passing the larger odd ones before it (an odd generator met twice
+        makes the term 0), like terms summed in the order Element sums keep.
+        Nothing is packed, so a term of any exponent reaches the degree check."""
         terms: dict = {}
-        sign = 1
-        if self.peek() == "-":
+        sign = -1 if self.peek() == "-" else 1
+        if self.peek() in ("+", "-"):
             self.next()
-            sign = -1
-        elif self.peek() == "+":
-            self.next()
-        self.add(terms, sign)
-        while self.peek() in ("+", "-"):
-            op, _ = self.next()
-            self.add(terms, 1 if op == "+" else -1)
+        while True:
+            coeff, raw = self.term()
+            odd, exps = self.alg.odd, {}
+            for gid, e in raw:
+                if e and odd[gid]:
+                    sign *= 0 if e > 1 or gid in exps else (
+                        -1 if sum(odd[g] for g in exps if g > gid) % 2 else 1)
+                if e:
+                    exps[gid] = exps.get(gid, 0) + e
+            key = tuple(sorted(exps.items()))
+            terms[key] = terms.get(key, 0) + sign * coeff
+            if not terms[key]:
+                del terms[key]
+            if self.peek() not in ("+", "-"):
+                break
+            sign = 1 if self.next()[0] == "+" else -1
         if self.i != len(self.toks):
             tok, col = self.toks[self.i]
             raise ParseError(f"unexpected token {tok!r}", self.line, col)
         return terms
-
-    def add(self, terms: dict, sign: int) -> None:
-        """Parse a term and add sign times it to terms, dropping a zero: its
-        factors sorted, each odd one passing the larger odd ones before it,
-        and an odd generator met twice makes it 0."""
-        coeff, raw = self.term()
-        odd, exps = self.alg.odd, {}
-        for gid, e in raw:
-            if e and odd[gid]:
-                if e > 1 or gid in exps:
-                    return
-                sign *= -1 if sum(odd[g] for g in exps if g > gid) % 2 else 1
-            if e:
-                exps[gid] = exps.get(gid, 0) + e
-        key = tuple(sorted(exps.items()))
-        terms[key] = terms.get(key, 0) + sign * coeff
-        if not terms[key]:
-            del terms[key]
 
     def term(self) -> tuple[Fraction, list]:
         """(coefficient, the (gid, exponent) factors in their order)."""

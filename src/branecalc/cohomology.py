@@ -3,11 +3,10 @@ surjective quasi-isomorphisms.
 
 Cochains are sparse rows {position: coefficient} over the canonical
 monomial basis of a degree, found through a cached {monomial: position}
-map, and all elimination goes through ``_linalg.Echelon``.  d is applied to
-a basis monomial by the integer Leibniz kernel ``Derivation.leibniz``: the
-rows are den·d, integer rows with den the common denominator of d's images,
-and go into ``Echelon`` as they are.  A common nonzero scale changes no
-kernel and no span, so nothing downstream sees den.  ``cohomology_basis``
+map, and all elimination goes through ``_linalg.Echelon``.  The rows of d
+are den·d (``Derivation.leibniz``), integer rows with den the common
+denominator of d's images; a common nonzero scale changes no kernel and no
+span, so nothing downstream sees den.  ``cohomology_basis``
 and ``section`` read the rows of d on degree n from one list, made once per
 model, and they serve twice: transposed, they are the matrix whose kernel
 (``Echelon.kernel``, in free-column form) gives the cocycles of Hⁿ; as they
@@ -36,14 +35,7 @@ bases applies d at most twice per monomial.
 
 ``section`` turns a backward arrow of a zigzag, a surjective
 quasi-isomorphism f, into a forward one: a chain map σ with f∘σ = id, so
-H(σ) = H(f)⁻¹ without the cohomology of either model.  Generator by
-generator, in degree order, σ(g) is g's generator preimage under f, which
-is a gluing map, plus a correction; the correction is one sparse solve
-(``_linalg.solve``) over the cached d rows of one degree of f.source and
-the images of f, made only where the preimage is not already a lift.
-Each lift is checked once.  The tests check every section the pipelines
-build against an independent reference in ``tests/oracles.py``, which
-computes the same inverse degree by degree from both models' cohomology.
+H(σ) = H(f)⁻¹ without the cohomology of either model.
 """
 
 from __future__ import annotations

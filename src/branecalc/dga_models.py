@@ -16,25 +16,19 @@ the constructors and the shriek builders find it; its name is only the
 label Provenance.name derives from that, e.g. "s1_x" for s¹x and "x@L" for
 the left copy of x when the two copies of a tensor square would clash.
 
-Every constructor but ``make_model`` assembles its model from parts by one
-copy-and-translate step: it copies the generators of its inputs, takes d on
-the copies from the inputs' d translated (``_d_images``), adds what is new
-(suspensions through ``_suspend``, a path model's twisting series), and
-builds and checks the model in ``_model``.  d on a generator is read from
-``d.images``; the Leibniz kernel runs only on products.
+Every constructor but ``make_model`` copies the generators of its inputs,
+takes d on the copies from the inputs' d translated (``_d_images``), adds
+what is new (suspensions through ``_suspend``, a path model's twisting
+series) and builds and checks the model in ``_model``.  Models are glued by
+``relative_tensor`` (M ⊗_B N over a shared base) and collapsed by
+``quotient``, which serves as base change along a map killing generators.
 
-Models are glued by ``relative_tensor`` (M ⊗_B N over a shared base) and
-collapsed by ``quotient``: base change along a map that kills generators
-is a quotient, so no general base change is kept.
-
-Both kernels work on int terms: ``Derivation.leibniz`` for d, and
-``_apply_algebra_map`` for every algebra map (DgaMorphism, section, the
-pairing's base-action check), which multiplies a monomial's factor images
-by ``GradedAlgebra.mul_terms``, as Element and module-map products do, and
-sums into one accumulator per call.  Leibniz keeps its own loop, where each
-product has one monomial factor (mul_terms measured slower there).  The d²
-check and the path model's twisting series sum Leibniz rows, with no Element
-per step.
+Both kernels work on int terms and packed monomials: ``Derivation.leibniz``
+for d, each product one integer addition, and ``_apply_algebra_map`` for
+every algebra map, which multiplies a monomial's factor images by
+``GradedAlgebra.mul_terms`` into one accumulator per call.  The d² check
+and the path model's twisting series sum Leibniz rows, with no Element per
+step.
 """
 
 from __future__ import annotations
@@ -80,9 +74,9 @@ class Derivation:
     feeds to elimination.
     """
 
-    # _ints: gid -> den·images[gid] as {monomial: int}, nonzero images only;
-    # _rows: the items of _ints by ascending gid
-    __slots__ = ("algebra", "degree", "images", "den", "_ints", "_rows")
+    # _ints: gid -> den·images[gid] as {monomial: int}, nonzero images
+    # only, by ascending gid
+    __slots__ = ("algebra", "degree", "images", "den", "_ints")
     __setattr__ = __delattr__ = _fixed
 
     def __init__(self, algebra: GradedAlgebra, degree: int,
@@ -94,17 +88,15 @@ class Derivation:
         init(self, "degree", degree)
         init(self, "images", images)
         init(self, "den", den)
-        init(self, "_ints", ints)
-        init(self, "_rows", sorted(ints.items()))
+        init(self, "_ints", dict(sorted(ints.items())))
 
     def leibniz(self, mono: Monomial) -> dict[Monomial, int]:
         """den·d(mono), as {monomial: nonzero int}."""
         alg = self.algebra
         width, oddmask, guard = alg.width, alg.oddmask, alg.guard
-        field = (1 << width) - 1
         out: dict[Monomial, int] = {}
-        for gid, img in self._rows:
-            exp = mono >> gid * width & field
+        for gid, img in self._ints.items():
+            exp = mono >> gid * width & (1 << width) - 1
             if not exp:
                 continue
             unit, odd = alg.units[gid], alg.odd[gid]
@@ -144,14 +136,10 @@ def _apply_algebra_map(
     e: Element, images: Mapping[int, Element], target: GradedAlgebra
 ) -> Element:
     """The algebra map with generator images images, applied to e: each
-    monomial goes to the product of its factors' images.
-
-    An int kernel, as ``Derivation.leibniz`` is: a monomial's factor images
-    are multiplied by mul_terms over the product of their denominators,
-    and each product is added into one int accumulator over the lcm of
-    those, as ``linear_combination`` sums; one Element is built per call.
-    Zero terms are dropped after every factor, so the terms come out in the
-    order that Element products from the unit give them.
+    monomial goes to the product of its factors' images, multiplied by
+    mul_terms over the product of their denominators and added into one int
+    accumulator over the lcm of those.  Zero terms are dropped after every
+    factor, so the terms come out in the order Element products give them.
     """
     mul, unpack = target.mul_terms, e.algebra.unpack
     acc: dict[Monomial, int] = {}

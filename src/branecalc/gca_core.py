@@ -1,24 +1,21 @@
 """Free graded-commutative algebras over the rationals.
 
 Generators carry an integer degree >= 1.  A monomial is one int, a packed
-exponent vector (Monagan and Pearce, CASC 2007): the exponent of generator
-gid sits in the FIELD_BITS-wide field at bit gid·FIELD_BITS, gid 0 lowest,
-and the top bit of each field is a guard.  A product of two monomials is one
-integer addition; a guard bit set by it is an exponent that does not fit its
-field, a ModelError, never a wrap.  Odd-degree generators square to zero, so
-an odd clash is a & b & oddmask, and reordering factors accumulates the
-Koszul sign (-1)^(|a||b|) per transposition, one int.bit_count() per product
-(koszul_mask).  Adding a generator moves no monomial.  The edge form of a
-monomial is its Factors, the sorted tuple of (generator id, exponent) pairs,
-which pack and unpack convert; labels, the model parser and monomials built
-from provenance use it.
+exponent vector (Monagan and Pearce, CASC 2007): generator gid's exponent
+sits in the FIELD_BITS-wide field at bit gid·FIELD_BITS, whose top bit is a
+guard, so adding a generator moves no monomial.  A product is one integer
+addition, and a guard bit it sets is an exponent past its field: a
+ModelError, never a wrap.  Odd generators square to zero, an odd clash is
+a & b & oddmask, and the Koszul sign is one int.bit_count() (koszul_mask).
+A monomial's edge form, its Factors, is the sorted tuple of its (gid,
+exponent) pairs (pack, unpack), as labels, the model parser and monomials
+built from provenance use it.
 
-An element is a sparse rational linear combination of monomials, held as
-nonzero int numerators over one denominator in lowest terms, so equality of
-elements is equality of those fields and all arithmetic runs on ints.  A
-Fraction is built only where a coefficient enters (``GradedAlgebra.element``,
-``scalar``, scalar factors) or leaves (``Element.coefficient``, ``repr``,
-class and table coordinates).
+An element holds nonzero int numerators over one denominator in lowest
+terms, so equal elements have equal fields and all arithmetic runs on ints;
+a Fraction is built only where a coefficient enters (``element``,
+``scalar``, scalar factors) or leaves (``coefficient``, ``repr``, class and
+table coordinates).
 """
 
 from __future__ import annotations
@@ -313,14 +310,11 @@ class GradedAlgebra:
                 gid, step, rest = key[i], self._gens[key[i]].degree, tables[i + 1]
                 unit, odd, row = self.units[gid], self.odd[gid], tables[i]
                 for m in range(top, n + 1):
-                    if m < step:
-                        row.append(rest[m])
-                        continue
                     if m // step > emax and not odd and any(
                             rest[m - e * step] for e in range(emax + 1, m // step + 1)):
                         del self._basis_cache[key]  # with its half-grown tables
                         raise self._overflow(unit)
-                    new = (rest if odd else row)[m - step]
+                    new = (rest if odd else row)[m - step] if m >= step else ()
                     row.append(rest[m] + tuple([unit + t for t in new]) if new else rest[m])
         return tables[0][n]
 

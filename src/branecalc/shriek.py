@@ -2,11 +2,10 @@
 
 A ModuleMap is linear over the base of a semifree model with the Koszul
 sign F(b·m) = (-1)^(deg F · |b|) b·F(m), and is recorded by its values on
-the fiber monomials.  One unshuffle with that sign serves F, which sums
-ρ(b_f)·F(f) into one int accumulator, the fold's ``graded_parts`` and
-``on_product``, and the evaluation pairing's cocycle check.  The hom-complex
-differential is D(F) = d_target∘F - (-1)^(deg F) F∘d_source, summed into
-one such accumulator by cocycle_defects.
+the fiber monomials.  One unshuffle, which splits each monomial by the base
+fields' bits, serves F, the fold's ``graded_parts`` and ``on_product``,
+and the evaluation pairing's cocycle check.  cocycle_defects sums the
+hom-complex differential D(F) = d_target∘F - (-1)^(deg F) F∘d_source.
 
 Two shrieks are constructed:
 
@@ -16,14 +15,10 @@ Two shrieks are constructed:
 * the diagonal shriek δ! = f (path model over ∧V⊗²): leading value
   Π_j (1⊗y_j - y_j⊗1) + u on Π_i s_x_i with the correction u supported in
   the ideal (y_1⊗y_1, ..., y_q⊗y_q), every other value solved from
-  D(f) = 0 by one exact linear solve through fiber degree |Π s_x_i| + 1,
-  the smallest that holds the leading monomial (free variables pinned to
-  0 in echelon order, which makes the table deterministic), whose
-  equations are built on int terms from the Leibniz rows.  The solve
-  depends on the model alone, and its result is certified a cocycle by
-  cocycle_defects, which checks D(f) wherever it can be nonzero.  The
-  brane product reads δ! only through its class, which the leading value
-  fixes.
+  D(f) = 0 by one exact linear solve through fiber degree |Π s_x_i| + 1
+  (free variables pinned to 0 in echelon order), certified a cocycle by
+  cocycle_defects.  The brane product reads δ! only through its class,
+  which the leading value fixes.
 """
 
 from __future__ import annotations
@@ -94,27 +89,14 @@ class ModuleMap:
         return out
 
     @cached_property
-    def _base(self) -> tuple[int, int, int, dict, dict[Monomial, tuple[int, Monomial, int]]]:
-        """(the bits of the base fields, of those ρ negates and of those it
-        kills, ρ's gid map, {b: (s, t, k)} filled by _unshuffle): for a base
-        part b, ρ(b) passed by F is s·t, and k = koszul_mask(b)."""
-        src, relabel = self.source.algebra, self._relabel
-        return (src.mask(relabel), sum(src.units[b] for b, (s, _) in relabel.items() if s < 0),
-                src.mask(b for b, (s, _) in relabel.items() if not s),
-                {b: g for b, (s, g) in relabel.items() if s}, {})
-
-    def _relabel_base(self, b: Monomial) -> tuple[int, Monomial, int]:
-        """_base's (s, t, k) of the base monomial b: ρ's signs are read off
-        the bits of b's fields, one relabel gives t and its sign, and F
-        passes b with (-1)^(deg F · |b|)."""
-        src, (_, neg, kill, gid_map, _) = self.source.algebra, self._base
-        odd = b & src.oddmask
-        if b & kill:
-            return 0, ONE, 0
-        s, t = self.target.algebra.relabel(src, b, gid_map)
-        if ((b & neg).bit_count() + odd.bit_count() * self.degree) % 2:
-            s = -s
-        return (s, t, odd and src.koszul_mask(b)) if s else (0, ONE, 0)
+    def _base(self) -> tuple[int, int, int, dict, dict]:
+        """(the bits of the base fields, of the fields ρ kills, the unit bits
+        of those it negates, ρ's gid map, {b: (s, t, k)} filled by
+        _unshuffle: ρ(b) passed by F is s·t, and k = koszul_mask(b))."""
+        src, rho = self.source.algebra, self._relabel
+        return (src.mask(rho), src.mask(b for b in rho if not rho[b][0]),
+                sum(src.units[b] for b in rho if rho[b][0] < 0),
+                {b: g for b, (s, g) in rho.items() if s}, {})
 
     def _unshuffle(
         self, terms: Mapping[Monomial, int], fibers: Container[Monomial] | None = None
@@ -123,21 +105,27 @@ class ModuleMap:
         the int terms Σ c·mono (those in fibers, when given): the terms with
         fiber part f sum to ±b_f·f, and F(Σ c·mono) = Σ_f ρ(b_f)·F(f).
 
-        Each term is split by the base fields' bits into its base part b and
-        fiber part f, with the Koszul sign of moving b's odd factors past
-        f's, one bit_count against koszul_mask(b); ρ(b) passed by F is read
-        from _base, made once per b by _relabel_base.
+        The base fields' bits split each term into its base part b and fiber
+        part f, with the Koszul sign of moving b's odd factors past f's, one
+        bit_count against koszul_mask(b).  ρ(b) passed by F, (-1)^(deg F·|b|),
+        is made once per b: ρ's signs are read off b's bits, and one relabel
+        gives its monomial and the sign of sorting it.
         """
-        base, *_, rho = self._base
+        base, kill, neg, gid_map, seen = self._base
+        src = self.source.algebra
         parts: dict[Monomial, dict[Monomial, int]] = {}
         for mono, c in terms.items():
             b = mono & base
             f = mono ^ b
             if fibers is None or f in fibers:
                 part = parts.setdefault(f, {})
-                r = rho.get(b)
+                r = seen.get(b)
                 if r is None:
-                    r = rho[b] = self._relabel_base(b)
+                    s, t = (0, ONE) if b & kill else self.target.algebra.relabel(src, b, gid_map)
+                    odd = b & src.oddmask
+                    if ((b & neg).bit_count() + odd.bit_count() * self.degree) % 2:
+                        s = -s
+                    r = seen[b] = s, t, odd and src.koszul_mask(b)
                 s, t, k = r
                 if s:
                     part[t] = part.get(t, 0) + (-s * c if (f & k).bit_count() & 1 else s * c)
