@@ -21,23 +21,12 @@ coproduct's middle model ∧V ⊗_{M_{S^1}} G is the quotient of G by s¹V,
 generator for generator the product's M_{S^k} ⊗_{∧V} M_{S^k}.
 
 The backward arrow f is a surjective quasi-isomorphism onto a Sullivan
-algebra, so it has a section σ with f∘σ = id (cohomology.section, the
-lifting lemma), and H(σ) = H(f)⁻¹.  With f replaced by σ, an operation is
-one composite of chain maps, applied to cocycles, and classes are read
-only at its ends: the state's class basis, and pairs of state classes at
-the square end, as H(M_{S^k}⊗²) = H⊗H (Künneth) is never computed.  The
-product reads δ!⊗id of each state representative off with π⊗π
-(Kunneth.coordinates).  The coproduct folds glue∘(γ!⊗id) into one module
-map F (shriek.compose_module); each class image is split into its fiber
-parts once (ModuleMap.graded_parts), and F of a pair's product is summed
-off the pairs of parts whose product is a key of F (ModuleMap.on_product).
-F has a value exactly when glue keeps γ!'s one value Π s1_x, x over the
-even generators, which glue sends to 0: so only when ∧V has no even
-generator are M_{S^1}, D, γ! and F built.  Otherwise δ∨ is 0,
-shriek.gamma_value reads the shift r, and the table's keys come from the
-state's Betti numbers.  With a fold, a pair of total degree n is evaluated
-only when H^(n+r) of the state is nonzero, and the pair maps are built for
-the first pair evaluated.  No model in between gets a cohomology basis.
+algebra, so it has a section σ with f∘σ = id (cohomology.section), and an
+operation is one composite of chain maps whose classes are read only at
+its ends: the state's class basis, and pairs of state classes at the
+square end through π⊗π (Kunneth.coordinates).  The coproduct folds
+glue∘(γ!⊗id) into one module map, built only when ∧V has no even
+generator; otherwise δ∨ is 0.  README → Library walks through both.
 Every morphism is fixed by generator provenance alone (see _gluing_map).
 
 Sign conventions fixed here (README → Sign conventions derives them, and

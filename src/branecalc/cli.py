@@ -232,14 +232,9 @@ def parse_model(text: str) -> ModelFile:
         col = toks[0][1]  # the expression's first token
         # each term's degree from its factors, before any is packed
         degrees = {sum(alg.gen(g).degree * e for g, e in f) for f in terms}
-        if len(degrees) > 1:
-            raise ParseError(f"d {nm} must be homogeneous of degree {want}",
-                             lineno, col)
         if degrees and degrees != {want}:
-            raise ParseError(
-                f"d {nm} must be homogeneous of degree {want}, got degree {degrees.pop()}",
-                lineno, col,
-            )
+            got = f", got degree {degrees.pop()}" if len(degrees) == 1 else ""
+            raise ParseError(f"d {nm} must be homogeneous of degree {want}{got}", lineno, col)
         if terms:
             images[alg.gen(nm).gid] = alg.element({alg.pack(f): c for f, c in terms.items()})
     base = tuple(range(len(alg.generators)))

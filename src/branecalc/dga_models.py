@@ -68,10 +68,8 @@ class Derivation:
 
     A Derivation is fixed when it is built: images is a read-only copy of
     the dict it was given, and assigning or deleting an attribute raises
-    AttributeError.  ``leibniz`` works on the images' numerators over one
-    common denominator den, the lcm of the images' denominators, and
-    returns den·d(mono) as int terms: the rows ``cohomology._d_stream``
-    feeds to elimination.
+    AttributeError.  ``leibniz`` returns den·d(mono) as int terms, den the
+    lcm of the images' denominators: the rows elimination is fed.
     """
 
     # _ints: gid -> den·images[gid] as {monomial: int}, nonzero images
@@ -290,11 +288,9 @@ def make_model(
     alg = GradedAlgebra(name)
     for nm, deg in gens:
         alg.add_generator(nm, deg)
-    images: dict[int, Element] = {}
-    for nm, terms in (diffs or {}).items():
-        images[alg.gen(nm).gid] = alg.element({alg.pack(m): c for m, c in terms.items()})
-    model = DgaModel(alg, Derivation(alg, 1, images), tuple(range(len(gens))))
-    return model
+    images = {alg.gen(nm).gid: alg.element({alg.pack(m): c for m, c in terms.items()})
+              for nm, terms in (diffs or {}).items()}
+    return DgaModel(alg, Derivation(alg, 1, images), tuple(range(len(gens))))
 
 
 def _copy_generators(gens: Iterable[Generator], dst: GradedAlgebra) -> dict[int, int]:

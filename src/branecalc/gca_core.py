@@ -94,9 +94,8 @@ class GradedAlgebra:
         self._gens: list[Generator] = []
         #: the parity of each generator, by id (True for odd degree)
         self.odd: list[bool] = []
-        #: the field width, the largest exponent a field holds, each
-        #: generator's monomial by id, and the bits of the odd generators'
-        #: monomials and of every field's guard
+        #: the field width, the largest exponent, each generator's monomial
+        #: by id, the odd generators' bits and every field's guard bit
         self.width = FIELD_BITS
         self.max_exponent = (1 << FIELD_BITS - 1) - 1
         self.units: list[Monomial] = []
@@ -492,12 +491,8 @@ def add_tagged(
     clash = {g.name for g in left} & {g.name for g in right}
 
     def copy(gens: Sequence[Generator], factor: str) -> dict[int, int]:
-        return {
-            g.gid: out.add_generator(
-                g.prov.tagged(factor) if g.name in clash else g.prov, g.degree
-            ).gid
-            for g in gens
-        }
+        return {g.gid: out.add_generator(g.prov.tagged(factor) if g.name in clash else g.prov,
+                                         g.degree).gid for g in gens}
 
     return copy(left, "L"), copy(right, "R")
 

@@ -103,14 +103,10 @@ class ModuleMap:
     ) -> dict[Monomial, dict[Monomial, int]]:
         """{f: ρ(b_f) as int terms, some maybe 0} over the fiber parts f of
         the int terms Σ c·mono (those in fibers, when given): the terms with
-        fiber part f sum to ±b_f·f, and F(Σ c·mono) = Σ_f ρ(b_f)·F(f).
-
-        The base fields' bits split each term into its base part b and fiber
-        part f, with the Koszul sign of moving b's odd factors past f's, one
-        bit_count against koszul_mask(b).  ρ(b) passed by F, (-1)^(deg F·|b|),
-        is made once per b: ρ's signs are read off b's bits, and one relabel
-        gives its monomial and the sign of sorting it.
-        """
+        fiber part f sum to ±b_f·f, and F(Σ c·mono) = Σ_f ρ(b_f)·F(f).  The
+        base fields' bits split off b, with the Koszul sign of moving b's odd
+        factors past f's; ρ(b) passed by F, (-1)^(deg F·|b|), is made once
+        per b, ρ's signs read off b's bits and one relabel sorting it."""
         base, kill, neg, gid_map, seen = self._base
         src = self.source.algebra
         parts: dict[Monomial, dict[Monomial, int]] = {}
@@ -149,9 +145,8 @@ class ModuleMap:
         With X = Σ ±b·f and Y = Σ ±b'·f' over their fiber parts,
         X·Y = Σ ±(-1)^(|f|·|b'|) b·b'·f·f', so F(X·Y) is the sum of
         ε·x[f]·y[f']·images[g] over the f, f' with f·f' = s·g, s ≠ 0 and g
-        a key of images, where ε = s·(-1)^(|f|·(y_degree - |f'|)); the
-        parts of graded_parts carry the sign (-1)^(deg F · |b|).  The sum
-        runs on int terms, as __call__'s, and one Element is built.
+        a key of images, where ε = s·(-1)^(|f|·(y_degree - |f'|)), summed on
+        int terms; the parts carry the sign (-1)^(deg F · |b|).
         """
         (x, x_den), (y, y_den) = x, y
         (ints, den), degrees = self._image_ints, self._key_degrees
@@ -314,26 +309,19 @@ def shriek_delta_semipure(V: DgaModel) -> ModuleMap:
     odds = [g for g in V.algebra.generators if g.is_odd]
     r = delta_degree(V)
 
-    lead_raw = [(alg.gen(Provenance("susp", 1, g.name)).gid, 1) for g in evens]
-    sign, lead = alg.normalize(lead_raw)
-    assert sign == 1
-    # the two copies y⊗1 and 1⊗y of each odd y in ∧V⊗²
-    odd_copies = [
-        (sq.gen(g.prov.tagged("L")).gid, sq.gen(g.prov.tagged("R")).gid)
-        for g in odds
-    ]
+    lead = sum(alg.units[alg.gen(Provenance("susp", 1, g.name)).gid] for g in evens)
+    # the two copies y⊗1 and 1⊗y of each odd y in ∧V⊗², and their product
+    odd_copies = [(sq.gen(g.prov.tagged("L")).gid, sq.gen(g.prov.tagged("R")).gid)
+                  for g in odds]
     known = sq.one()
     for left, right in odd_copies:
         known = known * (sq.generator_element(right) - sq.generator_element(left))
-
     pairs = [sq.units[left] | sq.units[right] for left, right in odd_copies]
 
     def in_correction_ideal(mono: Monomial) -> bool:
         return any(mono & both == both for both in pairs)
 
-    base_images = {
-        gid: sq.generator_element(alg.gen(gid).prov) for gid in path.base_gids
-    }
+    base_images = {gid: sq.generator_element(alg.gen(gid).prov) for gid in path.base_gids}
 
     # D(f) = 0 is written on fiber monomials through |lead|, which reach
     # f's values through |lead| + 1
