@@ -439,7 +439,8 @@ class Element:
         if not self.terms:
             return "0"
         parts = []
-        for m, c in sorted(zip(map(self.algebra.unpack, self.terms), self.terms.values())):
+        unpack = self.algebra.unpack
+        for m, c in sorted([(unpack(m), c) for m, c in self.terms.items()]):
             if self.den != 1:
                 c = Fraction(c, self.den)
             ms = self.algebra.monomial_string(m)
