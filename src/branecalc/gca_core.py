@@ -161,12 +161,12 @@ class GradedAlgebra:
         made: a new generator changes no monomial's pairs."""
         out = self._factors.get(mono)
         if out is None:
-            width, field, out, rest = self.width, (1 << self.width) - 1, [], mono
+            width, field, out, rest, gid = self.width, (1 << self.width) - 1, [], mono, 0
             while rest:
-                shift = ((rest & -rest).bit_length() - 1) // width * width
-                e = rest >> shift & field
-                out.append((shift // width, e))
-                rest ^= e << shift
+                if rest & field:
+                    out.append((gid, rest & field))
+                rest >>= width
+                gid += 1
             out = self._factors[mono] = tuple(out)
         return out
 
