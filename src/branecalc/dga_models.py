@@ -86,7 +86,7 @@ class Derivation:
         init(self, "degree", degree)
         init(self, "images", images)
         init(self, "den", den)
-        init(self, "_ints", dict(sorted(ints.items())))
+        init(self, "_ints", dict(sorted(ints.items())) if len(ints) > 1 else ints)
 
     def leibniz(self, mono: Monomial) -> dict[Monomial, int]:
         """den·d(mono), as {monomial: nonzero int}."""
@@ -302,7 +302,7 @@ def _d_images(M: DgaModel, alg: GradedAlgebra, gid_map: dict[int, int]) -> dict[
     M.d.images, translated, nonzero images only.  A map that adds one
     offset to every gid keeps each monomial's order: it moves the fields."""
     images: dict[int, Element] = {}
-    offsets = {new - gid for gid, new in gid_map.items()}
+    offsets = {new - gid for gid, new in gid_map.items()} if M.d.images else ()
     shift = (offsets.pop() * alg.width
              if len(offsets) == 1 and M.algebra.width == alg.width else -1)
     for gid, new in gid_map.items():

@@ -104,9 +104,6 @@ class GradedAlgebra:
         self._by_key: dict[str | Provenance, Generator] = {}
         # basis(n) by n, and monomials' suffix tables by gids tuple
         self._basis_cache: dict = {}
-        # unpack by monomial and koszul_mask by odd part, as made
-        self._factors: dict[Monomial, Factors] = {}
-        self._koszul: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -157,18 +154,14 @@ class GradedAlgebra:
         return self.normalize(factors)[1]
 
     def unpack(self, mono: Monomial) -> Factors:
-        """The (gid, exponent) pairs of mono, by ascending gid, kept once
-        made: a new generator changes no monomial's pairs."""
-        out = self._factors.get(mono)
-        if out is None:
-            width, field, out, rest, gid = self.width, (1 << self.width) - 1, [], mono, 0
-            while rest:
-                if rest & field:
-                    out.append((gid, rest & field))
-                rest >>= width
-                gid += 1
-            out = self._factors[mono] = tuple(out)
-        return out
+        """The (gid, exponent) pairs of mono, by ascending gid."""
+        width, field, out, gid = self.width, (1 << self.width) - 1, [], 0
+        while mono:
+            if mono & field:
+                out.append((gid, mono & field))
+            mono >>= width
+            gid += 1
+        return tuple(out)
 
     def mask(self, gids: Iterable[int]) -> int:
         """The bits of the fields of the distinct gids."""
@@ -239,15 +232,11 @@ class GradedAlgebra:
         """The odd generators' bits below an odd number of mono's odd
         factors: mono·m = (-1)^((m & koszul_mask(mono)).bit_count())·(mono + m)
         for m with no odd factor of mono."""
-        odd = mono & self.oddmask
-        out = self._koszul.get(odd)
-        if out is None:
-            out, bits = 0, odd
-            while bits:
-                out ^= (bits & -bits) - 1
-                bits &= bits - 1
-            out = self._koszul[odd] = out & self.oddmask
-        return out
+        out, bits = 0, mono & self.oddmask
+        while bits:
+            out ^= (bits & -bits) - 1
+            bits &= bits - 1
+        return out & self.oddmask
 
     def mul_monomials(self, a: Monomial, b: Monomial) -> tuple[int, Monomial]:
         """(sign, a·b) with the Koszul sign, or (0, ONE) on an odd clash."""
@@ -262,11 +251,11 @@ class GradedAlgebra:
                   b: Mapping[Monomial, int], scale: int = 1) -> dict[Monomial, int]:
         """acc plus scale·a·b, for int terms a and b, summed into acc in
         place: the one product of two term dicts, a's terms outermost."""
-        oddmask, guard, kz = self.oddmask, self.guard, self._koszul
+        oddmask, guard = self.oddmask, self.guard
         for ma, ca in a.items():
             ca *= scale
             odd = ma & oddmask
-            k = odd and (kz.get(odd) or self.koszul_mask(ma))
+            k = odd and self.koszul_mask(ma)
             for mb, cb in b.items():
                 if mb & odd:
                     continue
