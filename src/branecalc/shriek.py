@@ -89,14 +89,13 @@ class ModuleMap:
         return out
 
     @cached_property
-    def _base(self) -> tuple[int, int, int, dict, dict]:
+    def _base(self) -> tuple[int, int, int, dict]:
         """(the bits of the base fields, of the fields ρ kills, the unit bits
-        of those it negates, ρ's gid map, {b: (s, t, k)} filled by
-        _unshuffle: ρ(b) passed by F is s·t, and k = koszul_mask(b))."""
+        of those it negates, ρ's gid map on the others)."""
         src, rho = self.source.algebra, self._relabel
         return (src.mask(rho), src.mask(b for b in rho if not rho[b][0]),
                 sum(src.units[b] for b in rho if rho[b][0] < 0),
-                {b: g for b, (s, g) in rho.items() if s}, {})
+                {b: g for b, (s, g) in rho.items() if s})
 
     def _unshuffle(
         self, terms: Mapping[Monomial, int], fibers: Container[Monomial] | None = None
@@ -104,27 +103,26 @@ class ModuleMap:
         """{f: ρ(b_f) as int terms, some maybe 0} over the fiber parts f of
         the int terms Σ c·mono (those in fibers, when given): the terms with
         fiber part f sum to ±b_f·f, and F(Σ c·mono) = Σ_f ρ(b_f)·F(f).  The
-        base fields' bits split off b, with the Koszul sign of moving b's odd
-        factors past f's; ρ(b) passed by F, (-1)^(deg F·|b|), is made once
-        per b, ρ's signs read off b's bits and one relabel sorting it."""
-        base, kill, neg, gid_map, seen = self._base
-        src = self.source.algebra
+        base fields' bits split off b; ρ's signs are read off b's bits, one
+        relabel sorts ρ(b), F passes it with (-1)^(deg F·|b|), and b's odd
+        factors pass f's, one bit_count against koszul_mask(b)."""
+        base, kill, neg, gid_map = self._base
+        src, relabel = self.source.algebra, self.target.algebra.relabel
         parts: dict[Monomial, dict[Monomial, int]] = {}
         for mono, c in terms.items():
             b = mono & base
             f = mono ^ b
             if fibers is None or f in fibers:
                 part = parts.setdefault(f, {})
-                r = seen.get(b)
-                if r is None:
-                    s, t = (0, ONE) if b & kill else self.target.algebra.relabel(src, b, gid_map)
-                    odd = b & src.oddmask
-                    if ((b & neg).bit_count() + odd.bit_count() * self.degree) % 2:
-                        s = -s
-                    r = seen[b] = s, t, odd and src.koszul_mask(b)
-                s, t, k = r
+                if b & kill:
+                    continue
+                s, t = relabel(src, b, gid_map)
+                odd = b & src.oddmask
+                if ((b & neg).bit_count() + odd.bit_count() * self.degree
+                        + (odd and (f & src.koszul_mask(b)).bit_count())) % 2:
+                    s = -s
                 if s:
-                    part[t] = part.get(t, 0) + (-s * c if (f & k).bit_count() & 1 else s * c)
+                    part[t] = part.get(t, 0) + s * c
         return parts
 
     def graded_parts(self, e: Element) -> tuple[list, int]:
