@@ -1,7 +1,7 @@
 """List the functions of ``src/branecalc`` that no command of the TSV matrix
 enters.
 
-Runs the 565 commands of ``scripts/tsv_matrix.py`` in-process, through its
+Runs the 566 commands of ``scripts/tsv_matrix.py`` in-process, through its
 own ``commands`` and ``run``, under ``sys.setprofile``, and records the code
 object of every Python call.  Then it prints each function and method
 defined in ``src/branecalc`` whose code was never entered, one per line, as

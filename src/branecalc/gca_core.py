@@ -481,8 +481,12 @@ def add_tagged(
     clash = {g.name for g in left} & {g.name for g in right}
 
     def copy(gens: Sequence[Generator], factor: str) -> dict[int, int]:
-        return {g.gid: out.add_generator(g.prov.tagged(factor) if g.name in clash else g.prov,
-                                         g.degree).gid for g in gens}
+        return {
+            g.gid: out.add_generator(
+                g.prov.tagged(factor) if g.name in clash else g.prov, g.degree
+            ).gid
+            for g in gens
+        }
 
     return copy(left, "L"), copy(right, "R")
 
