@@ -331,12 +331,22 @@ class GradedAlgebra:
     def monomial_element(self, mono: Monomial, coeff: Scalar = 1) -> "Element":
         return Element(self, {mono: coeff.numerator}, coeff.denominator)
 
-    def monomial_string(self, mono: Monomial | Factors) -> str:
-        parts = []
-        for gid, e in self.unpack(mono) if isinstance(mono, int) else mono:
-            name = self._gens[gid].name
-            parts.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(parts) or "1"
+    def monomial_string(self, mono: Monomial) -> str:
+        return self._label(mono)[1]
+
+    def _label(self, mono: Monomial) -> tuple[Factors, str]:
+        """(mono's (gid, exponent) pairs, its string), in one pass over its
+        fields: the pairs order printed terms as the edge form does."""
+        factors, parts, width, field, gid = [], [], self.width, (1 << self.width) - 1, 0
+        while mono:
+            e = mono & field
+            if e:
+                name = self._gens[gid].name
+                factors.append((gid, e))
+                parts.append(name if e == 1 else f"{name}^{e}")
+            mono >>= width
+            gid += 1
+        return factors, "*".join(parts) or "1"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = self.name or "GCA"
@@ -428,11 +438,11 @@ class Element:
         if not self.terms:
             return "0"
         parts = []
-        unpack = self.algebra.unpack
-        for m, c in sorted([(unpack(m), c) for m, c in self.terms.items()]):
+        label = self.algebra._label
+        items = [(*label(m), m, c) for m, c in self.terms.items()]
+        for _, ms, m, c in sorted(items) if len(items) > 1 else items:
             if self.den != 1:
                 c = Fraction(c, self.den)
-            ms = self.algebra.monomial_string(m)
             if c == 1 and m:
                 parts.append(ms)
             elif c == -1 and m:
