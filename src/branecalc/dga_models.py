@@ -72,8 +72,7 @@ class Derivation:
     lcm of the images' denominators: the rows elimination is fed.
     """
 
-    # _ints: gid -> den·images[gid] as {monomial: int}, nonzero images
-    # only, by ascending gid
+    # _ints: gid -> den·images[gid] as {monomial: int}, nonzero ones, by gid
     __slots__ = ("algebra", "degree", "images", "den", "_ints")
     __setattr__ = __delattr__ = _fixed
 

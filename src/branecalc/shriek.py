@@ -103,9 +103,8 @@ class ModuleMap:
         """{f: ρ(b_f) as int terms, some maybe 0} over the fiber parts f of
         the int terms Σ c·mono (those in fibers, when given): the terms with
         fiber part f sum to ±b_f·f, and F(Σ c·mono) = Σ_f ρ(b_f)·F(f).  The
-        base fields' bits split off b; ρ's signs are read off b's bits, one
-        relabel sorts ρ(b), F passes it with (-1)^(deg F·|b|), and b's odd
-        factors pass f's, one bit_count against koszul_mask(b)."""
+        base fields' bits split off b, ρ's signs are read off its bits, one
+        relabel sorts ρ(b), and F and f's odd factors pass b by bit_counts."""
         base, kill, neg, gid_map = self._base
         src, relabel = self.source.algebra, self.target.algebra.relabel
         parts: dict[Monomial, dict[Monomial, int]] = {}
