@@ -16,21 +16,42 @@ G = D ⊗_{M_{S^1}} D for the glued double disk and P for the path model of
   a⊗b goes to left(a)·right(b) and the square is never built, and γ!
   exists because M → M^{S^1} has finite codimension.
 
-Both pipelines glue through one model, relative_tensor(state, state): the
-coproduct's middle model ∧V ⊗_{M_{S^1}} G is the quotient of G by s¹V,
-generator for generator the product's M_{S^k} ⊗_{∧V} M_{S^k}.
+The coproduct's middle model, ∧V ⊗_{M_{S^1}} G, is the quotient of G by
+s¹V, generator for generator the product's M_{S^k} ⊗_{∧V} M_{S^k}: both
+pipelines glue through one model, relative_tensor(state, state), which
+the coproduct builds only when it evaluates a pair.
 
 The backward arrow f is a surjective quasi-isomorphism onto a Sullivan
-algebra, so it has a section σ with f∘σ = id (cohomology.section), and an
-operation is one composite of chain maps whose classes are read only at
-its ends: the state's class basis, and pairs of state classes at the
-square end through π⊗π (Kunneth.coordinates).  The coproduct folds
-glue∘(γ!⊗id) into one module map, built only when ∧V has no even
-generator; otherwise δ∨ is 0.  README → Library walks through both.
+algebra, so it has a section σ, a chain map with f∘σ = id
+(cohomology.section, the lifting lemma), and H(σ) = H(f)⁻¹.  With f
+replaced by σ, an operation is one composite of chain maps, applied to
+cocycles, and classes are read only at its two ends: the state model's
+class basis, and at the square end pairs of state classes, as
+H(M_{S^k}⊗²) = H⊗H (Künneth) is never computed.  The product
+applies its composite to each state representative and reads the value of
+δ!⊗id off with π⊗π (Kunneth.coordinates).  The coproduct takes the class in
+the state model of the image of each pair a⊗b, and forms no product per
+pair.  left, right and the collapse section are algebra maps, so a⊗b goes
+to the product of two per-class images; glue is an algebra map too, so
+glue∘(γ!⊗id) is one module map F (shriek.compose_module), built once.
+Each class image is split into its fiber parts, int terms over its
+denominator, once (ModuleMap.graded_parts), and F of the product is summed
+on ints off the pairs of parts whose product is a fiber monomial where F
+has a value (ModuleMap.on_product).  The shift r is
+γ!'s degree.  As (γ!⊗id)(a·b) = γ!(a)·b, F has a value exactly when glue
+keeps γ!'s one value Π s1_x, x over the even generators, which glue sends
+to 0: so only when ∧V has no even generator are M_{S^1}, D, γ! and F
+built.  Otherwise δ∨ is 0, shriek.gamma_value checks γ! and reads r, and
+the table's keys come from the state's Betti numbers (cohomology.betti).
+With a fold, a pair of total degree n is evaluated only when H^(n+r) of
+the state is nonzero, and the pair maps (the middle model, the collapse
+section, left and right) are built for the first pair evaluated.  No
+model in between gets a cohomology basis.
+
 Every morphism is fixed by generator provenance alone (see _gluing_map).
 
-Sign conventions fixed here (README → Sign conventions derives them, and
-the chain-map checks and the golden tests verify them):
+Sign conventions fixed here (and verified by the chain-map checks and the
+golden tests):
 
 * every identification between the glued double-disk object and a standard
   sphere-type model reverses the orientation of the second hemisphere,
@@ -40,11 +61,11 @@ the chain-map checks and the golden tests verify them):
   identity on cohomology;
 * dualizing to (shifted) homology uses H_n = (H^n)^dual, the evaluation
   pairing <α⊗β, a⊗b> = (-1)^(|β||a|) α(a)β(b), dual maps with the sign
-  (-1)^(|f||ψ|) ψ∘f, and a degree shift by the table's own m (δ!'s degree
-  for μ∨, m̄ = γ!'s degree r for δ∨); _signed puts the sign on each entry.
-  In the shifted degree ‖a‖ = |a| - m, μ has degree 0 and δ degree -(m + r),
-  even as r ≡ m (mod 2); so every law on signed tables is sign-free but
-  for the Koszul swap, _swap.
+  (-1)^(|f||ψ|) ψ∘f, and a degree shift by m; _signed puts the sign on each
+  entry.  The shifts are the tables' own: m = δ!'s degree for μ∨ and
+  r = m̄ = γ!'s degree for δ∨.  In the shifted degree ‖a‖ = |a| - m, μ has
+  degree 0 and δ degree -(m + r), even as r ≡ m (mod 2); so every law on
+  signed tables is sign-free but for the Koszul swap, _swap.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .gca_core import GradedAlgebra
+from .gca_core import FIELD_BITS, GradedAlgebra
 from .cohomology import cohomology_basis
 from .dga_models import (
     Derivation,
@@ -538,6 +538,10 @@ def _cmd_verify(args) -> int:
 # entry point
 
 
+_MAX_DEGREE_HELP = ("the highest degree computed (default 8); a monomial with an "
+                    "exponent past {} is a model error (exit 2)")
+
+
 def _max_degree(text: str) -> int:
     """Every --max-degree: a negative bound is a usage error, not a vacuous PASS."""
     if not text.isdecimal():
@@ -556,6 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
         "brane product/coproduct on cohomology with exact signs.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    max_help = _MAX_DEGREE_HELP.format((1 << FIELD_BITS - 1) - 1)
 
     def add(name, fn, **kw):
         p = sub.add_parser(name, **kw)
@@ -566,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("check-dga", _cmd_check_dga, help="verify d² = 0")
     p = add("cohomology", _cmd_cohomology, help="cohomology table")
-    p.add_argument("--max-degree", type=_max_degree, default=8)
+    p.add_argument("--max-degree", type=_max_degree, default=8, help=max_help)
     for kind in ("sphere", "disk", "path"):
         p = add(f"{kind}-model", lambda a, k=kind: _cmd_model(k, a),
                 help=f"emit the {kind} mapping-space model")
@@ -576,12 +581,12 @@ def build_parser() -> argparse.ArgumentParser:
                      ("brane-coproduct", "coproduct δ∨")):
         p = add(name, _cmd_table, help=f"dual brane {op}")
         p.add_argument("--k", type=int, default=2)
-        p.add_argument("--max-degree", type=_max_degree, default=8)
+        p.add_argument("--max-degree", type=_max_degree, default=8, help=max_help)
         p.add_argument("--homology", action="store_true")
     p = add("verify", _cmd_verify, help="run a verification suite")
     p.add_argument("--suite", choices=sorted(_SUITES), required=True)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--max-degree", type=_max_degree, default=8)
+    p.add_argument("--max-degree", type=_max_degree, default=8, help=max_help)
     return ap
 
 

@@ -3,24 +3,47 @@ surjective quasi-isomorphisms.
 
 Cochains are sparse rows {position: coefficient} over the canonical
 monomial basis of a degree, found through a cached {monomial: position}
-map, and all elimination goes through ``_linalg.Echelon``.  The rows of d
-are den·d (``Derivation.leibniz``), den the common denominator of d's
-images, which changes no kernel and no span.  Made once per model and
-degree, they serve twice: transposed, their kernel (in free-column form)
-gives the cocycles of Hⁿ; as they are, they are the coboundaries of Hⁿ⁺¹.
+map, and all elimination goes through ``_linalg.Echelon``.  d is applied to
+a basis monomial by the integer Leibniz kernel ``Derivation.leibniz``: the
+rows are den·d, integer rows with den the common denominator of d's images,
+and go into ``Echelon`` as they are.  A common nonzero scale changes no
+kernel and no span, so nothing downstream sees den.  ``cohomology_basis``
+and ``section`` read the rows of d on degree n from one list, made once per
+model, and they serve twice: transposed, they are the matrix whose kernel
+(``Echelon.kernel``, in free-column form) gives the cocycles of Hⁿ; as they
+are, they are the coboundaries of Hⁿ⁺¹.
 
 ``cohomology_basis`` inserts the coboundaries, then reduces each kernel
 cocycle modulo the coboundaries and the representatives chosen so far; a
-nonzero normal form over its lead is the next representative.  Kernel
-bases and normal forms are unique, so the representatives are
-reproducible bit-for-bit.  The same reductions give π: Cⁿ → Hⁿ, which
-sends the monomial at a free column f to the class of its kernel vector
-and each pivot-column monomial to 0, so π is the class map on cocycles
-and kills coboundaries; ``class_vector`` reads a cocycle's class as
-Σ_m z[m]·π(m), and π⊗π reads Künneth pair coordinates.  ``betti`` gives
-dim Hⁿ alone from the ranks of dₙ and dₙ₋₁, each one ``Echelon`` fed the
-rows as they are made, and ``section`` turns a backward arrow of a zigzag
-into a forward one.
+nonzero normal form, an integer row, over its lead is the next
+representative and is inserted in turn.  Kernel bases and normal forms are
+unique, so the representatives are deterministic (echelon pivots in
+monomial order) and reproducible bit-for-bit.
+
+The same reductions give a projection π: Cⁿ → Hⁿ, and the
+``CohomologyBasis`` keeps only the representatives and π, the one class
+map of this module.  A cocycle z is Σ_f z[f]·v_f over the kernel vectors
+(v_f is 1 at free column f, else only on pivot columns), so π sends the
+monomial at f to the class of v_f and each pivot-column monomial to 0: π is
+the class map on cocycles and kills coboundaries.  On π's int numerators
+over one denominator per degree, ``class_vector`` reads a cocycle's class
+as Σ_m z[m]·π(m) and π⊗π reads Künneth pair coordinates off tensor
+products.  ``betti`` gives dim Hⁿ alone, for callers that need no
+representative, from the ranks of dₙ and dₙ₋₁.  It streams its rows: each
+rank is one ``Echelon`` fed the rows as ``Derivation.leibniz`` makes them,
+and only the rank is kept, so a model asked for both Betti numbers and
+bases applies d at most twice per monomial.
+
+``section`` turns a backward arrow of a zigzag, a surjective
+quasi-isomorphism f, into a forward one: a chain map σ with f∘σ = id, so
+H(σ) = H(f)⁻¹ without the cohomology of either model.  Generator by
+generator, in degree order, σ(g) is g's generator preimage under f, which
+is a gluing map, plus a correction; the correction is one sparse solve
+(``_linalg.solve``) over the cached d rows of one degree of f.source and
+the images of f, made only where the preimage is not already a lift.
+Each lift is checked once.  The tests check every section the pipelines
+build against an independent reference in ``tests/oracles.py``, which
+computes the same inverse degree by degree from both models' cohomology.
 """
 
 from __future__ import annotations
@@ -212,7 +235,7 @@ def _cohomology_basis(M: DgaModel, n: int) -> CohomologyBasis:
             lead = red[min(head)]
             ech.insert({**{j: red[j] for j in head}, dim + len(reps): lead})
             cls[len(reps)] = lead
-            reps.append(Element(M.algebra, {basis[j]: red[j] for j in sorted(head)}, lead))
+            reps.append(Element._adopt(M.algebra, {basis[j]: red[j] for j in sorted(head)}, lead))
         if cls:
             classes.append((basis[f], cls, den * rden))
     top = lcm(*(den for *_, den in classes))  # π's one denominator on Hⁿ

@@ -16,19 +16,26 @@ the constructors and the shriek builders find it; its name is only the
 label Provenance.name derives from that, e.g. "s1_x" for s¹x and "x@L" for
 the left copy of x when the two copies of a tensor square would clash.
 
-Every constructor but ``make_model`` copies the generators of its inputs,
-takes d on the copies from the inputs' d translated (``_d_images``), adds
-what is new (suspensions through ``_suspend``, a path model's twisting
-series) and builds and checks the model in ``_model``.  Models are glued by
-``relative_tensor`` (M ⊗_B N over a shared base) and collapsed by
-``quotient``, which serves as base change along a map killing generators.
+Every constructor but ``make_model`` assembles its model from parts by one
+copy-and-translate step: it copies the generators of its inputs, takes d on
+the copies from the inputs' d translated (``_d_images``), adds what is new
+(suspensions through ``_suspend``, a path model's twisting series), and
+builds and checks the model in ``_model``.  d on a generator is read from
+``d.images``; the Leibniz kernel runs only on products.
 
-Both kernels work on int terms and packed monomials: ``Derivation.leibniz``
-for d, each product one integer addition, and ``_apply_algebra_map`` for
-every algebra map, which multiplies a monomial's factor images by
-``GradedAlgebra.mul_terms`` into one accumulator per call.  The d² check
-and the path model's twisting series sum Leibniz rows, with no Element per
-step.
+Models are glued by ``relative_tensor`` (M ⊗_B N over a shared base) and
+collapsed by ``quotient``: base change along a map that kills generators
+is a quotient, so no general base change is kept.
+
+Both kernels work on int terms and packed monomials, where each product
+of two monomials is one integer addition: ``Derivation.leibniz`` for d, and
+``_apply_algebra_map`` for every algebra map (DgaMorphism, section, the
+pairing's base-action check), which multiplies a monomial's factor images
+by ``GradedAlgebra.mul_terms``, as Element and module-map products do, and
+sums into one accumulator per call.  Leibniz keeps its own loop, where each
+product has one monomial factor (mul_terms measured slower there).  The d²
+check and the path model's twisting series sum Leibniz rows, with no Element
+per step.
 """
 
 from __future__ import annotations
@@ -68,8 +75,10 @@ class Derivation:
 
     A Derivation is fixed when it is built: images is a read-only copy of
     the dict it was given, and assigning or deleting an attribute raises
-    AttributeError.  ``leibniz`` returns den·d(mono) as int terms, den the
-    lcm of the images' denominators: the rows elimination is fed.
+    AttributeError.  ``leibniz`` works on the images' numerators over one
+    common denominator den, the lcm of the images' denominators, and
+    returns den·d(mono) as int terms: the rows ``cohomology._d_stream``
+    feeds to elimination.
     """
 
     # _ints: gid -> den·images[gid] as {monomial: int}, nonzero ones, by gid
@@ -126,17 +135,21 @@ class Derivation:
     def __call__(self, e: Element) -> Element:
         if e.algebra is not self.algebra:
             raise ValueError("element not in this derivation's algebra")
-        return Element(self.algebra, self._sum(e.terms), e.den * self.den)
+        return Element._adopt(self.algebra, self._sum(e.terms), e.den * self.den)
 
 
 def _apply_algebra_map(
     e: Element, images: Mapping[int, Element], target: GradedAlgebra
 ) -> Element:
     """The algebra map with generator images images, applied to e: each
-    monomial goes to the product of its factors' images, multiplied by
-    mul_terms over the product of their denominators and added into one int
-    accumulator over the lcm of those.  Zero terms are dropped after every
-    factor, so the terms come out in the order Element products give them.
+    monomial goes to the product of its factors' images.
+
+    An int kernel, as ``Derivation.leibniz`` is: a monomial's factor images
+    are multiplied by mul_terms over the product of their denominators,
+    and each product is added into one int accumulator over the lcm of
+    those, as ``linear_combination`` sums; one Element is built per call.
+    Zero terms are dropped after every factor, so the terms come out in the
+    order that Element products from the unit give them.
     """
     mul, unpack = target.mul_terms, e.algebra.unpack
     acc: dict[Monomial, int] = {}
@@ -171,7 +184,7 @@ def _apply_algebra_map(
         k = a * (top // den)
         for m, x in terms.items():
             acc[m] = acc.get(m, 0) + k * x
-    return Element(target, acc, top * e.den)
+    return Element._adopt(target, acc, top * e.den)
 
 
 class DgaMorphism:
@@ -298,17 +311,12 @@ def _copy_generators(gens: Iterable[Generator], dst: GradedAlgebra) -> dict[int,
 
 def _d_images(M: DgaModel, alg: GradedAlgebra, gid_map: dict[int, int]) -> dict[int, Element]:
     """M's d on the generators copied into alg by gid_map: read from
-    M.d.images, translated, nonzero images only.  A map that adds one
-    offset to every gid keeps each monomial's order: it moves the fields."""
+    M.d.images, translated, nonzero images only."""
     images: dict[int, Element] = {}
-    offsets = {new - gid for gid, new in gid_map.items()} if M.d.images else ()
-    shift = (offsets.pop() * alg.width
-             if len(offsets) == 1 and M.algebra.width == alg.width else -1)
     for gid, new in gid_map.items():
         img = M.d.images.get(gid)
         if img is not None:
-            img = (translate(img, alg, gid_map) if shift < 0 else
-                   Element(alg, {m << shift: c for m, c in img.terms.items()}, img.den))
+            img = translate(img, alg, gid_map)
             if not img.is_zero():
                 images[new] = img
     return images
@@ -431,7 +439,7 @@ def path_model(V: DgaModel) -> DgaModel:
             raise ModelError(f"path-model twisting series for {g.name} did not terminate "
                              f"within {MAX_SERIES_ITERATIONS} iterations")
         if total:
-            images[susp[g.gid]] = Element(alg, total, top)
+            images[susp[g.gid]] = Element._adopt(alg, total, top)
     return _model(alg, images, [*left.values(), *right.values()])
 
 

@@ -310,26 +310,26 @@ class GradedAlgebra:
     # element factories
 
     def zero(self) -> "Element":
-        return Element(self, {})
+        return Element._adopt(self, {})
 
     def one(self) -> "Element":
-        return Element(self, {ONE: 1})
+        return Element._adopt(self, {ONE: 1})
 
     def scalar(self, c: Scalar) -> "Element":
         return self.monomial_element(ONE, c)
 
     def generator_element(self, key: str | int | Provenance) -> "Element":
         g = self.gen(key)
-        return Element(self, {self.units[g.gid]: 1})
+        return Element._adopt(self, {self.units[g.gid]: 1})
 
     def element(self, terms: dict[Monomial, Scalar]) -> "Element":
         """The element Σ c·m of rational coefficients c."""
         den = lcm(*(c.denominator for c in terms.values()))
-        return Element(self, {m: c.numerator * (den // c.denominator)
-                              for m, c in terms.items()}, den)
+        return Element._adopt(self, {m: c.numerator * (den // c.denominator)
+                                     for m, c in terms.items()}, den)
 
     def monomial_element(self, mono: Monomial, coeff: Scalar = 1) -> "Element":
-        return Element(self, {mono: coeff.numerator}, coeff.denominator)
+        return Element._adopt(self, {mono: coeff.numerator}, coeff.denominator)
 
     def monomial_string(self, mono: Monomial) -> str:
         return self._label(mono)[1]
@@ -359,25 +359,34 @@ class Element:
     terms maps each monomial to its nonzero int numerator c over the one
     denominator den > 0, and gcd(den, every c) = 1, so zero is {} over 1
     and two equal elements have equal fields.  The constructor brings any
-    int terms over any nonzero den to that form; a dict with no zero and
-    nothing to cancel is kept, not copied, so it must not change after.
+    int terms over any nonzero den to that form, in a dict of its own.
     """
 
     __slots__ = ("algebra", "terms", "den")
 
-    def __init__(self, algebra: GradedAlgebra, terms: dict[Monomial, int], den: int = 1):
-        if 0 in terms.values():
-            terms = {m: c for m, c in terms.items() if c}
+    def __init__(self, algebra: GradedAlgebra, terms: Mapping[Monomial, int], den: int = 1):
+        terms = {m: c for m, c in terms.items() if c}
         if den != 1:
-            g = gcd(den, *terms.values())
-            if den < 0:
-                g = -g
-            if g != 1:
-                terms = {m: c // g for m, c in terms.items()}
-                den //= g
+            terms, den = _lowest_terms(terms, den)
         self.algebra = algebra
         self.terms = terms
         self.den = den
+
+    @classmethod
+    def _adopt(cls, algebra: GradedAlgebra, terms: dict[Monomial, int],
+               den: int = 1) -> "Element":
+        """Element(algebra, terms, den) for a terms dict that no one else
+        holds, as the package's kernels make them: the dict is kept, not
+        copied, when it has no zero and nothing to cancel."""
+        if 0 in terms.values():
+            terms = {m: c for m, c in terms.items() if c}
+        if den != 1:
+            terms, den = _lowest_terms(terms, den)
+        e = object.__new__(cls)
+        e.algebra = algebra
+        e.terms = terms
+        e.den = den
+        return e
 
     # -- predicates ----------------------------------------------------
 
@@ -407,7 +416,7 @@ class Element:
         return linear_combination(self.algebra, ((1, self), (1, other)))
 
     def __neg__(self) -> "Element":
-        return Element(self.algebra, {m: -c for m, c in self.terms.items()}, self.den)
+        return Element._adopt(self.algebra, {m: -c for m, c in self.terms.items()}, self.den)
 
     def __sub__(self, other: "Element") -> "Element":
         self._check(other)
@@ -416,11 +425,11 @@ class Element:
     def __mul__(self, other: Union["Element", Scalar]) -> "Element":
         if isinstance(other, (int, Fraction)):
             k = other.numerator
-            return Element(self.algebra, {m: c * k for m, c in self.terms.items()},
-                           self.den * other.denominator)
+            return Element._adopt(self.algebra, {m: c * k for m, c in self.terms.items()},
+                                  self.den * other.denominator)
         self._check(other)
-        return Element(self.algebra, self.algebra.mul_terms({}, self.terms, other.terms),
-                       self.den * other.den)
+        return Element._adopt(self.algebra, self.algebra.mul_terms({}, self.terms, other.terms),
+                              self.den * other.den)
 
     def __rmul__(self, other: Scalar) -> "Element":
         return self.__mul__(other)
@@ -455,6 +464,17 @@ class Element:
         return out.replace("+ -", "- ")
 
 
+def _lowest_terms(terms: dict[Monomial, int], den: int) -> tuple[dict[Monomial, int], int]:
+    """terms over den (nonzero) as the same fraction over a positive den
+    coprime to every coefficient."""
+    g = gcd(den, *terms.values())
+    if den < 0:
+        g = -g
+    if g != 1:
+        return {m: c // g for m, c in terms.items()}, den // g
+    return terms, den
+
+
 def linear_combination(alg: GradedAlgebra, parts: Iterable[tuple[int, Element]]) -> Element:
     """Σ c·e over the (int c, element e) in parts, summed on ints over the
     lcm of the e.den."""
@@ -468,7 +488,7 @@ def linear_combination(alg: GradedAlgebra, parts: Iterable[tuple[int, Element]])
         k = c * (top // e.den)
         for m, x in e.terms.items():
             terms[m] = terms.get(m, 0) + k * x
-    return Element(alg, terms, top)
+    return Element._adopt(alg, terms, top)
 
 
 def over_lcm(values: Mapping[int | Monomial, Element]) -> tuple[dict, int]:
@@ -508,4 +528,4 @@ def translate(e: Element, target: GradedAlgebra, gid_map: dict[int, int]) -> Ele
         sign, mono = target.relabel(e.algebra, m, gid_map)
         if sign:
             terms[mono] = terms.get(mono, 0) + c * sign
-    return Element(target, terms, e.den)
+    return Element._adopt(target, terms, e.den)

@@ -2,10 +2,11 @@
 
 A ModuleMap is linear over the base of a semifree model with the Koszul
 sign F(b·m) = (-1)^(deg F · |b|) b·F(m), and is recorded by its values on
-the fiber monomials.  One unshuffle, which splits each monomial by the base
-fields' bits, serves F, the fold's ``graded_parts`` and ``on_product``,
-and the evaluation pairing's cocycle check.  cocycle_defects sums the
-hom-complex differential D(F) = d_target∘F - (-1)^(deg F) F∘d_source.
+the fiber monomials.  One unshuffle with that sign serves F, which sums
+ρ(b_f)·F(f) into one int accumulator, the fold's ``graded_parts`` and
+``on_product``, and the evaluation pairing's cocycle check.  The hom-complex
+differential is D(F) = d_target∘F - (-1)^(deg F) F∘d_source, summed into
+one such accumulator by cocycle_defects.
 
 Two shrieks are constructed:
 
@@ -15,10 +16,14 @@ Two shrieks are constructed:
 * the diagonal shriek δ! = f (path model over ∧V⊗²): leading value
   Π_j (1⊗y_j - y_j⊗1) + u on Π_i s_x_i with the correction u supported in
   the ideal (y_1⊗y_1, ..., y_q⊗y_q), every other value solved from
-  D(f) = 0 by one exact linear solve through fiber degree |Π s_x_i| + 1
-  (free variables pinned to 0 in echelon order), certified a cocycle by
-  cocycle_defects.  The brane product reads δ! only through its class,
-  which the leading value fixes.
+  D(f) = 0 by one exact linear solve through fiber degree |Π s_x_i| + 1,
+  the smallest that holds the leading monomial (free variables pinned to
+  0 in echelon order, which makes the table deterministic), whose
+  equations are built on int terms from the Leibniz rows.  The solve
+  depends on the model alone, and its result is certified a cocycle by
+  cocycle_defects, which checks D(f) wherever it can be nonzero.  The
+  brane product reads δ! only through its class, which the leading value
+  fixes.
 """
 
 from __future__ import annotations
@@ -102,9 +107,15 @@ class ModuleMap:
     ) -> dict[Monomial, dict[Monomial, int]]:
         """{f: ρ(b_f) as int terms, some maybe 0} over the fiber parts f of
         the int terms Σ c·mono (those in fibers, when given): the terms with
-        fiber part f sum to ±b_f·f, and F(Σ c·mono) = Σ_f ρ(b_f)·F(f).  The
-        base fields' bits split off b, ρ's signs are read off its bits, one
-        relabel sorts ρ(b), and F and f's odd factors pass b by bit_counts."""
+        fiber part f sum to ±b_f·f, and F(Σ c·mono) = Σ_f ρ(b_f)·F(f).
+
+        Each term is unshuffled into its base part b and fiber part f by the
+        base fields' bits, with the Koszul sign of moving b's odd factors
+        past f's, and F passes b, (-1)^(deg F · |b|); parities and that
+        Koszul sign are bit counts over the source's odd bits.  A b with a
+        factor that ρ kills is 0, the factors ρ negates give a sign of
+        their bit count, and one relabel gives ρ(b)'s monomial and sign.
+        """
         base, kill, neg, gid_map = self._base
         src, relabel = self.source.algebra, self.target.algebra.relabel
         parts: dict[Monomial, dict[Monomial, int]] = {}
@@ -142,8 +153,9 @@ class ModuleMap:
         With X = Σ ±b·f and Y = Σ ±b'·f' over their fiber parts,
         X·Y = Σ ±(-1)^(|f|·|b'|) b·b'·f·f', so F(X·Y) is the sum of
         ε·x[f]·y[f']·images[g] over the f, f' with f·f' = s·g, s ≠ 0 and g
-        a key of images, where ε = s·(-1)^(|f|·(y_degree - |f'|)), summed on
-        int terms; the parts carry the sign (-1)^(deg F · |b|).
+        a key of images, where ε = s·(-1)^(|f|·(y_degree - |f'|)); the
+        parts of graded_parts carry the sign (-1)^(deg F · |b|).  The sum
+        runs on int terms, as __call__'s, and one Element is built.
         """
         (x, x_den), (y, y_den) = x, y
         (ints, den), degrees = self._image_ints, self._key_degrees
@@ -158,7 +170,7 @@ class ModuleMap:
                     if d % 2 and (y_degree - d2) % 2:
                         s = -s
                     mul_terms(acc, mul_terms({}, b, b2), ints[g], s)
-        return Element(self.target.algebra, acc, den * x_den * y_den)
+        return Element._adopt(self.target.algebra, acc, den * x_den * y_den)
 
     @cached_property
     def _image_ints(self) -> tuple[dict[Monomial, dict[Monomial, int]], int]:
@@ -176,8 +188,8 @@ class ModuleMap:
 
     def __call__(self, e: Element) -> Element:
         """F(e) from _add_value over e.den; one Element is built."""
-        return Element(self.target.algebra, self._add_value({}, e.terms),
-                       self._image_ints[1] * e.den)
+        return Element._adopt(self.target.algebra, self._add_value({}, e.terms),
+                              self._image_ints[1] * e.den)
 
 
 def compose_module(g: DgaMorphism, F: ModuleMap) -> ModuleMap:

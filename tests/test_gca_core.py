@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branecalc import Derivation, GradedAlgebra, translate
+from branecalc import Derivation, Element, GradedAlgebra, translate
 from branecalc.gca_core import add_tagged
 
 from oracles import monomials as oracle_monomials
@@ -136,6 +136,17 @@ def test_element_arithmetic():
     assert e - b == 2 * a
     assert (e / 2).coefficient(next(iter(a.terms))) == Fraction(1)
     assert (a + b) * b == a * b + b * b
+
+
+def test_the_constructor_keeps_its_own_terms():
+    # a caller's dict with no zero and nothing to cancel, changed after
+    # the call, changes no Element
+    x, y = ALG.units[0], ALG.units[1]
+    terms = {x: 1, y: 2}
+    e = Element(ALG, terms)
+    terms[x] = 0
+    terms[ALG.units[2]] = 5
+    assert e.terms == {x: 1, y: 2}
 
 
 monomials = [m for n in range(8) for m in ALG.basis(n)]

@@ -208,3 +208,16 @@ def test_an_exponent_past_its_field_is_a_model_error(monkeypatch, tmp_path, caps
         path.write_text(text)
         assert main(["cohomology", str(path), "--max-degree", "16"]) == 2
         assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_a_deep_degree_reaches_the_real_field_limit():
+    # at the real width, gen x 2 holds x^32767 at degree 65534, and degree
+    # 65536 needs x^32768: the error `cohomology --max-degree 65535` exits 2 with
+    alg = GradedAlgebra("deep")
+    x = alg.add_generator("x", 2).gid
+    top = alg.max_exponent
+    assert top == (1 << gca_core.FIELD_BITS - 1) - 1 == 32767
+    assert [alg.unpack(m) for m in alg.basis(2 * top)] == [((x, top),)]
+    with pytest.raises(ModelError, match=re.escape(
+            f"the exponent of generator 'x' exceeds {top}, the largest its field holds")):
+        alg.basis(2 * (top + 1))
