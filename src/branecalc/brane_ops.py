@@ -240,14 +240,11 @@ def brane_product_dual(V: DgaModel, k: int, max_degree: int = 8) -> BraneOperati
         # sphere_model checks this too; the product's message names k
         raise ModelError(f"the product at k={k} needs every generator degree ≥ {k + 1}")
     state = sphere_model(V, k + 1)
-    spheres, _, _ = relative_tensor(state, state)
     kun = Kunneth(state, *tensor_model(state, state))
     delta = shriek_delta_semipure(V)
     shriek = _shriek_tensor_id(delta, kun.square)
-    to_path = compose(
-        section(_gluing_map(shriek.source, spheres, k, _COLLAPSE),
-                "path-model quasi-isomorphism"),
-        _gluing_map(state, spheres, k, _PINCH))
+    (to_path,) = _collapse_lifts(state, shriek.source, k, "path-model quasi-isomorphism",
+                                 [_PINCH])
     table: dict[Label, dict[Pair, Fraction]] = {}
     for n in range(max_degree + 1):
         for i, rep in enumerate(cohomology_basis(state, n).representatives):
@@ -265,21 +262,17 @@ def _coproduct_fold(gamma: ModuleMap, state: DgaModel, k: int) -> ModuleMap:
     return compose_module(glue, shriek)
 
 
-def _coproduct_pair_maps(
-    state: DgaModel, folded: ModuleMap, k: int
-) -> tuple[DgaMorphism, DgaMorphism]:
-    """(to_left, to_right): state → folded.source, so that δ∨(a⊗b) is the
-    class of folded(to_left(a)·to_right(b)).  They are the collapse section
-    after identify∘(left and right inclusion of M_{S^k}⊗²), each identify
-    one gluing map out of the state, the second hemisphere reversed, so the
-    square is never built."""
+def _collapse_lifts(state: DgaModel, source: DgaModel, k: int, stage: str,
+                    tables: list[dict]) -> list[DgaMorphism]:
+    """The lifts through the collapse, one per gluing table: the section of
+    the collapse source → M_{S^k} ⊗_{∧V} M_{S^k}, built once, after each
+    gluing map out of the state that a table fixes.  The product lifts the
+    pinch; the coproduct lifts left and right, each identify∘(an inclusion
+    of M_{S^k}⊗²), so that δ∨(a⊗b) is the class of folded(left(a)·right(b))
+    and the square is never built."""
     spheres, _, _ = relative_tensor(state, state)
-    collapse = section(_gluing_map(folded.source, spheres, k, _COLLAPSE),
-                       "disk-factor quasi-isomorphism")
-    to_left, to_right = (
-        compose(collapse, _gluing_map(state, spheres, k, {None: _IDENTIFY[h]}))
-        for h in "LR")
-    return to_left, to_right
+    collapse = section(_gluing_map(source, spheres, k, _COLLAPSE), stage)
+    return [compose(collapse, _gluing_map(state, spheres, k, table)) for table in tables]
 
 
 def _class_parts(f: DgaMorphism, F: ModuleMap) -> Callable[[Label], tuple]:
@@ -317,8 +310,9 @@ def brane_coproduct_dual(V: DgaModel, k: int, max_degree: int = 8) -> BraneOpera
             continue
         for a, b in class_pairs(dims, n):
             if left is None:
-                left, right = (_class_parts(f, folded)
-                               for f in _coproduct_pair_maps(state, folded, k))
+                left, right = (_class_parts(f, folded) for f in _collapse_lifts(
+                    state, folded.source, k, "disk-factor quasi-isomorphism",
+                    [{None: _IDENTIFY[h]} for h in "LR"]))
             z = folded.on_product(left(a), right(b), b[0])
             out = class_vector(state, n + r, z) if z.terms else []
             table[(a, b)] = {(n + r, i): c for i, c in enumerate(out) if c}

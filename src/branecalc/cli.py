@@ -28,7 +28,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .gca_core import FIELD_BITS, GradedAlgebra
+from .gca_core import GradedAlgebra
 from .cohomology import cohomology_basis
 from .dga_models import (
     Derivation,
@@ -97,28 +97,17 @@ class _ExprParser:
         self.i += 1
         return t
 
-    def expr(self) -> dict:
-        """{Factors: nonzero coefficient}: each term's factors sorted, an odd
-        one passing the larger odd ones before it (an odd generator met twice
-        makes the term 0), like terms summed in the order Element sums keep.
-        Nothing is packed, so a term of any exponent reaches the degree check."""
-        terms: dict = {}
+    def expr(self) -> list:
+        """[(signed coefficient, raw factors)], each term as written, its
+        (gid, exponent) factors in their order.  Nothing is sorted, summed
+        or packed, so every written term reaches the degree check."""
+        terms = []
         sign = -1 if self.peek() == "-" else 1
         if self.peek() in ("+", "-"):
             self.next()
         while True:
             coeff, raw = self.term()
-            odd, exps = self.alg.odd, {}
-            for gid, e in raw:
-                if e and odd[gid]:
-                    sign *= 0 if e > 1 or gid in exps else (
-                        -1 if sum(odd[g] for g in exps if g > gid) % 2 else 1)
-                if e:
-                    exps[gid] = exps.get(gid, 0) + e
-            key = tuple(sorted(exps.items()))
-            terms[key] = terms.get(key, 0) + sign * coeff
-            if not terms[key]:
-                del terms[key]
+            terms.append((sign * coeff, raw))
             if self.peek() not in ("+", "-"):
                 break
             sign = 1 if self.next()[0] == "+" else -1
@@ -230,13 +219,20 @@ def parse_model(text: str) -> ModelFile:
         terms = _ExprParser(toks, lineno, alg).expr()
         want = alg.gen(nm).degree + 1
         col = toks[0][1]  # the expression's first token
-        # each term's degree from its factors, before any is packed
-        degrees = {sum(alg.gen(g).degree * e for g, e in f) for f in terms}
+        # each written term's degree from its factors, before any is packed
+        # or summed; the literal 0, with no factor, is the zero differential
+        degrees = {sum(alg.gen(g).degree * e for g, e in raw) for c, raw in terms if raw or c}
         if degrees and degrees != {want}:
             got = f", got degree {degrees.pop()}" if len(degrees) == 1 else ""
             raise ParseError(f"d {nm} must be homogeneous of degree {want}{got}", lineno, col)
-        if terms:
-            images[alg.gen(nm).gid] = alg.element({alg.pack(f): c for f, c in terms.items()})
+        image: dict = {}  # packed monomial -> nonzero sum, by GradedAlgebra.normalize
+        for c, raw in terms:
+            sign, mono = alg.normalize(raw)
+            image[mono] = image.get(mono, 0) + sign * c
+            if not image[mono]:
+                del image[mono]
+        if image:
+            images[alg.gen(nm).gid] = alg.element(image)
     base = tuple(range(len(alg.generators)))
     return ModelFile(name, info, DgaModel(alg, Derivation(alg, 1, images), base))
 
@@ -560,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
         "brane product/coproduct on cohomology with exact signs.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    max_help = _MAX_DEGREE_HELP.format((1 << FIELD_BITS - 1) - 1)
+    max_help = _MAX_DEGREE_HELP.format(GradedAlgebra().max_exponent)
 
     def add(name, fn, **kw):
         p = sub.add_parser(name, **kw)

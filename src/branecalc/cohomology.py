@@ -124,12 +124,10 @@ def section(f: DgaMorphism, stage: str) -> DgaMorphism:
     A, B = f.source, f.target
     preimage: dict[int, Element] = {}
     for h in A.algebra.generators:
-        image = f.images[h.gid]
-        if image.den == 1 and len(image.terms) == 1:
-            [(mono, c)] = image.terms.items()
-            g = B.algebra.generator_of(mono)
-            if g is not None and c in (1, -1):
-                preimage.setdefault(g, A.algebra.monomial_element(A.algebra.units[h.gid], c))
+        signed = B.algebra.signed_generator(f.images[h.gid])
+        if signed is not None:
+            c, g = signed
+            preimage.setdefault(g, A.algebra.monomial_element(A.algebra.units[h.gid], c))
     images: dict[int, Element] = {}
     systems: dict[int, tuple] = {}
     corrected: set[int] = set()

@@ -17,11 +17,12 @@ label Provenance.name derives from that, e.g. "s1_x" for s¹x and "x@L" for
 the left copy of x when the two copies of a tensor square would clash.
 
 Every constructor but ``make_model`` assembles its model from parts by one
-copy-and-translate step: it copies the generators of its inputs, takes d on
-the copies from the inputs' d translated (``_d_images``), adds what is new
-(suspensions through ``_suspend``, a path model's twisting series), and
-builds and checks the model in ``_model``.  d on a generator is read from
-``d.images``; the Leibniz kernel runs only on products.
+copy-and-translate step: it copies the generators of its inputs by
+``add_tagged`` (one family alone as its left one, with no clash to tag),
+takes d on the copies from the inputs' d translated (``_d_images``), adds
+what is new (suspensions through ``_suspend``, a path model's twisting
+series), and builds and checks the model in ``_model``.  d on a generator
+is read from ``d.images``; the Leibniz kernel runs only on products.
 
 Models are glued by ``relative_tensor`` (M ⊗_B N over a shared base) and
 collapsed by ``quotient``: base change along a map that kills generators
@@ -305,10 +306,6 @@ def make_model(
     return DgaModel(alg, Derivation(alg, 1, images), tuple(range(len(gens))))
 
 
-def _copy_generators(gens: Iterable[Generator], dst: GradedAlgebra) -> dict[int, int]:
-    return {g.gid: dst.add_generator(g.prov, g.degree).gid for g in gens}
-
-
 def _d_images(M: DgaModel, alg: GradedAlgebra, gid_map: dict[int, int]) -> dict[int, Element]:
     """M's d on the generators copied into alg by gid_map: read from
     M.d.images, translated, nonzero images only."""
@@ -385,7 +382,7 @@ def sphere_model(V: DgaModel, k: int) -> DgaModel:
     if any(g.degree < k for g in V.algebra.generators):
         raise ModelError(f"sphere model needs all generator degrees ≥ k={k}")
     alg = GradedAlgebra(f"sphere[{k - 1}]({V.algebra.name})")
-    base_map = _copy_generators(V.algebra.generators, alg)
+    base_map, _ = add_tagged(alg, V.algebra.generators, ())
     images = _d_images(V, alg, base_map)
     _suspend(V, alg, base_map, k - 1, images)
     return _model(alg, images, base_map.values())
@@ -398,7 +395,7 @@ def disk_model(V: DgaModel, k: int) -> DgaModel:
     if any(g.degree < k + 1 for g in V.algebra.generators):
         raise ModelError(f"disk model needs all generator degrees ≥ k+1={k + 1}")
     alg = GradedAlgebra(f"disk[{k}]({V.algebra.name})")
-    base_map = _copy_generators(V.algebra.generators, alg)
+    base_map, _ = add_tagged(alg, V.algebra.generators, ())
     images = _d_images(V, alg, base_map)
     susp_lo = _suspend(V, alg, base_map, k - 1, images)
     susp_hi = _suspend(V, alg, base_map, k, images)
@@ -523,7 +520,7 @@ def quotient(
                 )
     keep = [g.gid for g in M.algebra.generators if g.gid not in kill]
     alg = GradedAlgebra(f"({M.algebra.name})/I")
-    gid_map = _copy_generators(map(M.algebra.gen, keep), alg)
+    gid_map, _ = add_tagged(alg, [M.algebra.gen(g) for g in keep], ())
     images: dict[int, Element] = {}
     for gid in keep:
         dg = M.d.images.get(gid, M.algebra.zero())

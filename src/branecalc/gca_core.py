@@ -13,9 +13,9 @@ built from provenance use it.
 
 An element holds nonzero int numerators over one denominator in lowest
 terms, so equal elements have equal fields and all arithmetic runs on ints;
-a Fraction is built only where a coefficient enters (``element``,
-``scalar``, scalar factors) or leaves (``coefficient``, ``repr``, class and
-table coordinates).
+a Fraction is built only where a coefficient enters (``element``, scalar
+factors) or leaves (``coefficient``, ``repr``, class and table
+coordinates).
 """
 
 from __future__ import annotations
@@ -172,6 +172,15 @@ class GradedAlgebra:
         gid, r = divmod(mono.bit_length() - 1, self.width)
         return gid if not r and mono == 1 << mono.bit_length() - 1 else None
 
+    def signed_generator(self, e: "Element") -> tuple[int, int] | None:
+        """(s, gid) when e is s·g for s = ±1 and g the generator gid, else None."""
+        if e.den == 1 and len(e.terms) == 1:
+            [(mono, s)] = e.terms.items()
+            gid = self.generator_of(mono)
+            if gid is not None and s in (1, -1):
+                return s, gid
+        return None
+
     def _overflow(self, bits: int) -> ModelError:
         """The error for an exponent past its field, bits in that field."""
         g = self._gens[((bits & -bits).bit_length() - 1) // self.width]
@@ -314,9 +323,6 @@ class GradedAlgebra:
 
     def one(self) -> "Element":
         return Element._adopt(self, {ONE: 1})
-
-    def scalar(self, c: Scalar) -> "Element":
-        return self.monomial_element(ONE, c)
 
     def generator_element(self, key: str | int | Provenance) -> "Element":
         g = self.gen(key)

@@ -19,7 +19,8 @@ Two shrieks are constructed:
   D(f) = 0 by one exact linear solve through fiber degree |Π s_x_i| + 1,
   the smallest that holds the leading monomial (free variables pinned to
   0 in echelon order, which makes the table deterministic), whose
-  equations are built on int terms from the Leibniz rows.  The solve
+  equations are built on int terms from the Leibniz rows, the leading
+  value's fixed part an unknown whose column is the right side.  The solve
   depends on the model alone, and its result is certified a cocycle by
   cocycle_defects, which checks D(f) wherever it can be nonzero.  The
   brane product reads δ! only through its class, which the leading value
@@ -40,7 +41,6 @@ from .dga_models import (
     DgaModel,
     DgaMorphism,
     ModelError,
-    _apply_algebra_map,
     _model,
     disk_model,
     is_minimal,
@@ -85,12 +85,11 @@ class ModuleMap:
         """ρ as {base gid: (s, g)} with ρ(b) = s·g, s = ±1, or s = 0 for 0."""
         out, tgt = {}, self.target.algebra
         for b, img in self.base_images.items():
-            m, s = next(iter(img.terms.items()), (ONE, 0))
-            g = tgt.generator_of(m)
-            if img.terms and not (s * s == img.den == len(img.terms) == 1 and g is not None):
+            signed = tgt.signed_generator(img)
+            if img.terms and signed is None:
                 raise ModelError(f"the base image of {self.source.algebra.gen(b).name}"
                                  f" is {img!r}, not ± one generator or 0")
-            out[b] = s, g
+            out[b] = signed or (0, None)
         return out
 
     @cached_property
@@ -254,6 +253,16 @@ def is_semi_pure(V: DgaModel) -> bool:
                for g, dg in V.d.images.items() if not odd[g] for m in dg.terms)
 
 
+def _suspension_product(alg: GradedAlgebra, V: DgaModel, shift: int, odd: bool) -> Monomial:
+    """Π s^shift g over V's generators g of parity odd, in V's order, as
+    alg's monomial: every model adds its suspensions in V's order, so that
+    product has sign +1."""
+    sign, mono = alg.normalize((alg.gen(Provenance("susp", shift, g.name)).gid, 1)
+                               for g in V.algebra.generators if g.is_odd == odd)
+    assert sign == 1
+    return mono
+
+
 # ---------------------------------------------------------------------------
 # γ! — the constant-maps shriek (k = 2)
 
@@ -281,13 +290,10 @@ def shriek_gamma_pure(V: DgaModel) -> ModuleMap:
     γ!(s2_y_1 ⋯ s2_y_q) = s1_x_1 ⋯ s1_x_p; fiber monomials with an s2_x
     factor (or missing some s2_y) go to zero.
     """
-    degree, gens = gamma_value(V), V.algebra.generators
+    degree = gamma_value(V)
     sphere, disk = sphere_model(V, 2), disk_model(V, 2)
-    sign, value = sphere.algebra.normalize(
-        [(sphere.algebra.gen(Provenance("susp", 1, g.name)).gid, 1) for g in gens if not g.is_odd])
-    key_sign, key = disk.algebra.normalize(
-        [(disk.algebra.gen(Provenance("susp", 2, g.name)).gid, 1) for g in gens if g.is_odd])
-    assert sign == key_sign == 1  # each lists its generators in V's order
+    value = _suspension_product(sphere.algebra, V, 1, False)
+    key = _suspension_product(disk.algebra, V, 2, True)
     base_images = {gid: sphere.algebra.generator_element(disk.algebra.gen(gid).prov)
                    for gid in disk.base_gids}
     return ModuleMap(disk, sphere, degree, base_images, {key: Element(sphere.algebra, {value: 1})})
@@ -314,17 +320,16 @@ def shriek_delta_semipure(V: DgaModel) -> ModuleMap:
     square, _, _ = tensor_model(V, V)
     alg = path.algebra
     sq = square.algebra
-    evens = [g for g in V.algebra.generators if not g.is_odd]
-    odds = [g for g in V.algebra.generators if g.is_odd]
     r = delta_degree(V)
 
-    lead = sum(alg.units[alg.gen(Provenance("susp", 1, g.name)).gid] for g in evens)
-    # the two copies y⊗1 and 1⊗y of each odd y in ∧V⊗², and their product
+    lead = _suspension_product(alg, V, 1, False)
+    # the two copies y⊗1 and 1⊗y of each odd y in ∧V⊗², and minus their
+    # product, -Π_j (1⊗y_j - y_j⊗1) as int terms
     odd_copies = [(sq.gen(g.prov.tagged("L")).gid, sq.gen(g.prov.tagged("R")).gid)
-                  for g in odds]
-    known = sq.one()
+                  for g in V.algebra.generators if g.is_odd]
+    known = {ONE: -1}
     for left, right in odd_copies:
-        known = known * (sq.generator_element(right) - sq.generator_element(left))
+        known = sq.mul_terms({}, known, {sq.units[right]: 1, sq.units[left]: -1})
     pairs = [sq.units[left] | sq.units[right] for left, right in odd_copies]
 
     def in_correction_ideal(mono: Monomial) -> bool:
@@ -334,18 +339,20 @@ def shriek_delta_semipure(V: DgaModel) -> ModuleMap:
 
     # D(f) = 0 is written on fiber monomials through |lead|, which reach
     # f's values through |lead| + 1
-    fiber_cut = sum(g.degree - 1 for g in evens) + 1
+    fiber_cut = alg.monomial_degree(lead) + 1
     fiber_monos = [(n, mono) for n in range(fiber_cut + 1) for mono in fiber_basis(path, n)]
 
-    # f(mono) = Σ x_i·tmono over (i, tmono) in unknowns[mono], plus known
-    # at lead
-    unknowns: dict[Monomial, list[tuple[int, Monomial]]] = {}
+    # f(mono) = Σ x_i·t_i over the (i, int terms t_i) in unknowns[mono],
+    # each t_i one target monomial, and f(lead) has Π_j (1⊗y_j - y_j⊗1) too:
+    # unknowns[lead] lists known = -Π first, in column n_vars, the right side
+    unknowns: dict[Monomial, list[tuple[int, dict[Monomial, int]]]] = {}
     n_vars = 0
     for n, mono in fiber_monos:
         for tmono in sq.basis(n + r):
             if mono != lead or in_correction_ideal(tmono):
-                unknowns.setdefault(mono, []).append((n_vars, tmono))
+                unknowns.setdefault(mono, []).append((n_vars, {tmono: 1}))
                 n_vars += 1
+    unknowns.setdefault(lead, []).insert(0, (n_vars, known))
 
     # one sparse equation per fiber monomial and target monomial t: the
     # coefficient of t in D(f)(mono), with the constant part moved to the
@@ -363,23 +370,17 @@ def shriek_delta_semipure(V: DgaModel) -> ModuleMap:
             if den != 1:
                 scale = Fraction(scale, den)
             for t, c in terms.items():
-                row = eqs.setdefault(t, {})
-                row[col] = row.get(col, 0) + c * scale
+                if c:  # b·known may cancel; a zero opens no equation
+                    row = eqs.setdefault(t, {})
+                    row[col] = row.get(col, 0) + c * scale
 
         # d_target ∘ f on mono, the Leibniz rows over square.d.den
-        if mono == lead:
-            dk = square.d(known)
-            add(n_vars, dk.terms, dk.den, -1)
-        for vi, tmono in unknowns.get(mono, ()):
-            add(vi, square.d.leibniz(tmono), square.d.den, 1)
+        for vi, t in unknowns.get(mono, ()):
+            add(vi, square.d._sum(t), square.d.den, 1)
         # -(-1)^r f ∘ d_source on mono, d_source over path.d.den
         for f_part, b in unsolved._unshuffle(path.d.leibniz(mono)).items():
-            if f_part == lead:
-                bk = Element(sq, b, path.d.den) * known
-                add(n_vars, bk.terms, bk.den, sgn_r)
-            # b·tmono, one product per term of b, none of them equal
-            for vi, tmono in unknowns.get(f_part, ()):
-                add(vi, sq.mul_terms({}, b, {tmono: 1}), path.d.den, -sgn_r)
+            for vi, t in unknowns.get(f_part, ()):
+                add(vi, sq.mul_terms({}, b, t), path.d.den, -sgn_r)
         for row in eqs.values():
             row = {j: c for j, c in row.items() if c}
             if row:
@@ -390,10 +391,10 @@ def shriek_delta_semipure(V: DgaModel) -> ModuleMap:
         raise ModelError("no cocycle with the prescribed leading term")
     images: dict[Monomial, Element] = {}
     for _, mono in fiber_monos:
-        val = sq.element(
-            {tmono: sol[vi] for vi, tmono in unknowns.get(mono, ()) if vi in sol})
+        val = sq.element({tmono: sol[vi] for vi, t in unknowns.get(mono, ())
+                          if vi in sol for tmono in t})
         if mono == lead:
-            val = val + known
+            val = val - Element(sq, known)
         if not val.is_zero():
             images[mono] = val
     f = ModuleMap(path, square, r, base_images, images)
@@ -422,11 +423,9 @@ def evaluation_pairing(
     """
     G = compose_module(to_quotient, F)
     src, Q, rho = F.source, to_quotient.target, G.base_images
-    for b, img in rho.items():
-        db = src.d.images.get(b, src.algebra.zero())
-        if _apply_algebra_map(db, rho, Q.algebra) != Q.d(img):
-            raise ModelError(
-                f"base action is not a chain map on {src.algebra.gen(b).name}")
+    bad = DgaMorphism(src, Q, rho).chain_defects(map(src.algebra.gen, rho))
+    if bad:
+        raise ModelError(f"base action is not a chain map on {bad[0]}")
     if any(any(b.values()) for b in G._unshuffle(src.d(z).terms).values()):
         raise ModelError("evaluation cycle is not a cocycle after base change")
     ev = G(z)
@@ -449,10 +448,7 @@ def delta_evaluation(
     """Pair δ! against [Π s1_x_i]; expected class [y_1⋯y_q] ≠ 0."""
     f = shriek_delta_semipure(V) if F is None else F
     VQ, to_q = _square_to_quotient(f.target)
-    z = f.source.algebra.one()
-    for g in V.algebra.generators:
-        if not g.is_odd:
-            z = z * f.source.algebra.generator_element(Provenance("susp", 1, g.name))
+    z = f.source.algebra.monomial_element(_suspension_product(f.source.algebra, V, 1, False))
     ev, vec = evaluation_pairing(f, z, to_q)
     return ev, vec, VQ
 
@@ -526,19 +522,15 @@ def one_generator_ext_sign(gen_degree: int, k: int) -> int:
     )
     t_hat.check_chain()
     # t̂ sends each monomial to ± itself, so the conjugate t̄∘f∘t̂ vanishes
-    # wherever f does, and the ratios are read on f's values alone
-    ratios = set()
+    # wherever f does, and the ratio is read on f's values alone
+    v, w = [], []
     for mono in f.images:
         fv = f(alg.monomial_element(mono))
         gv = t_bar(f(t_hat(alg.monomial_element(mono))))
-        m0 = min(fv.terms)
-        c = gv.coefficient(m0) / fv.coefficient(m0)
-        if gv != fv * c:
-            raise ModelError("conjugate is not a scalar multiple of f")
-        ratios.add(c)
-    if len(ratios) != 1:
-        raise ModelError("conjugate is not a scalar multiple of f")
-    c = ratios.pop()
+        for m in {**fv.terms, **gv.terms}:
+            v.append(fv.coefficient(m))
+            w.append(gv.coefficient(m))
+    c = _ratio(v, w)
     if c.denominator != 1 or abs(c.numerator) != 1:
         raise ModelError(f"conjugation scalar is not a sign: {c}")
     return int(c)

@@ -82,8 +82,12 @@ def test_parse_rejects_wrong_degree_differential():
         parse_model("gen x 4\ngen y 7\nd y = x\n")
 
 
+# each written term's degree is checked before like terms are summed, so a
+# term that cancels, has coefficient 0 or squares an odd generator counts
 @pytest.mark.parametrize("line, col", [
     ("d b = a", 7), ("  d b =  2*a", 10), ("d b = a^2 + a", 7),
+    ("d b = a^2 + a^3 - a^3", 7), ("d b = a^3 - a^3", 7), ("d b = 0*a^3", 7),
+    ("d b = b^2", 7),
 ])
 def test_inhomogeneous_differential_errors_point_at_the_expression(line, col):
     # both "must be homogeneous" errors name the expression's first token,
@@ -92,6 +96,19 @@ def test_inhomogeneous_differential_errors_point_at_the_expression(line, col):
         parse_model(f"gen a 3\ngen b 5\n{line}\n")
     assert "d b must be homogeneous of degree 6" in str(exc.value)
     assert (exc.value.line, exc.value.col) == (3, col)
+
+
+# the literal 0 is the zero differential and has no degree; an odd square
+# of the right degree is 0 too
+@pytest.mark.parametrize("text, image", [
+    ("gen x 4\ngen y 7\nd y = 0\n", None),
+    ("gen x 4\ngen y 7\nd y = x^2 + 0\n", "x^2"),
+    ("gen z 3\ngen y 5\nd y = z^2\n", None),
+], ids=["zero", "plus-zero", "odd-square"])
+def test_a_zero_term_of_no_degree_parses(text, image):
+    model = parse_model(text).model
+    images = {model.algebra.gen(g).name: repr(e) for g, e in model.d.images.items()}
+    assert images == ({"y": image} if image else {})
 
 
 @pytest.mark.parametrize("second, col", [

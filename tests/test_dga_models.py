@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -186,6 +187,40 @@ def test_relative_tensor_glues_over_the_base(s3):
 def test_relative_tensor_rejects_mismatched_bases(s3, s4):
     with pytest.raises(ModelError):
         relative_tensor(disk_model(s3, 2), disk_model(s4, 2))
+
+
+def identity(M):
+    return DgaMorphism(M, M, {g.gid: M.algebra.generator_element(g.gid)
+                              for g in M.algebra.generators})
+
+
+def y_to_zero(M):
+    """x ↦ x, y ↦ 0 on S⁴: not a chain map, as it sends dy = x² to x²."""
+    return DgaMorphism(M, M, {M.algebra.gen("x").gid: M.algebra.generator_element("x"),
+                              M.algebra.gen("y").gid: M.algebra.zero()})
+
+
+# the constructors' and maps' error paths, one rejection each
+@pytest.mark.parametrize("build, message", [
+    (lambda: relative_tensor(sphere_model(build_s3(), 2),
+                             sphere_model(parse_model("gen x 5\n").model, 2)),
+     "base generator x has mismatched degrees"),
+    (lambda: relative_tensor(sphere_model(build_s4(), 2),
+                             sphere_model(parse_model("gen x 4\ngen y 7\n").model, 2)),
+     "relative tensor: differentials disagree on base generator y"),
+    (lambda: path_model(parse_model("gen x 1\n").model),
+     "path model needs all generator degrees ≥ 2"),
+    (lambda: path_model(parse_model("gen y 4\ngen x 5\nd y = x\n").model),
+     "path model needs a minimal input (no linear part)"),
+    (lambda: sphere_model(build_s4(), 0), "k must be ≥ 1"),
+    (lambda: disk_model(build_s4(), 0), "k must be ≥ 1"),
+    (lambda: compose(identity(build_s4()), identity(build_s4())), "composition mismatch"),
+    (lambda: y_to_zero(build_s4()).check_chain(), "not a chain map on generators: ['y']"),
+], ids=["tensor-degrees", "tensor-differentials", "path-degree", "path-minimal",
+        "sphere-k", "disk-k", "compose", "check-chain"])
+def test_malformed_inputs_are_model_errors(build, message):
+    with pytest.raises(ModelError, match=re.escape(message)):
+        build()
 
 
 def test_tensor_model_square_zero(s3, s4):

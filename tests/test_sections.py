@@ -79,8 +79,15 @@ def backward_maps(text):
         brane_product_dual(V, 2, max_degree=2)
         # the coproduct builds its fold and pair maps only when it evaluates
         # a pair, which it never does when ∧V has an even generator
-        brane_ops._coproduct_pair_maps(*coproduct_fold(V), 2)
+        pair_maps(*coproduct_fold(V))
     return seen
+
+
+def pair_maps(state, folded):
+    """[to_left, to_right]: the lifts of left and right through the
+    coproduct's collapse, k = 2, as brane_coproduct_dual builds them."""
+    return brane_ops._collapse_lifts(state, folded.source, 2, "disk-factor quasi-isomorphism",
+                                     [{None: brane_ops._IDENTIFY[h]} for h in "LR"])
 
 
 def check_section(f, sigma, top=TOP):
@@ -305,7 +312,7 @@ def eager_coproduct_table(V, degree):
     front and every pair evaluated, by applying the fold to the pair's
     product.  The pairs come from the state's cohomology bases."""
     state, folded = coproduct_fold(V)
-    to_left, to_right = brane_ops._coproduct_pair_maps(state, folded, 2)
+    to_left, to_right = pair_maps(state, folded)
     r = folded.degree
     reps = [cohomology_basis(state, n).representatives for n in range(degree + 1)]
     table = {}

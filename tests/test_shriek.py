@@ -406,6 +406,13 @@ def test_by_fiber_gives_zero_where_two_odd_generators_meet():
     assert unshuffled(F, both) == {ONE: V.algebra.zero()}
 
 
+def test_a_module_map_composes_only_with_a_map_out_of_its_target():
+    V, W = (parse_model("gen x 3\n").model for _ in range(2))
+    g = DgaMorphism(W, W, {0: W.algebra.generator_element(0)})
+    with pytest.raises(ModelError, match="composition mismatch"):
+        compose_module(g, ModuleMap(V, V, 0, {}, {}))
+
+
 @pytest.mark.parametrize("image", ["x + y", "2*x", "x/2", "x^2", "x*y"])
 def test_a_base_image_that_is_not_a_relabelling_is_rejected(image):
     V = parse_model("gen x 4\ngen y 4\n").model
