@@ -46,6 +46,10 @@ so a change that alters any table shows it in its own diff::
 
     python3 scripts/tsv_matrix.py | diff scripts/tsv_matrix.expected -
 
+``tests/test_tsv_matrix.py`` replays every row of that file, one test per
+command, so the tests make the same comparison; this script stays for
+re-recording the file after a deliberate change.
+
 Two checkouts give the same tables exactly when their outputs are equal::
 
     python3 scripts/tsv_matrix.py /path/to/other/checkout > before.txt

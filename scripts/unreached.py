@@ -14,7 +14,7 @@ code that only tests call::
 
 The optional argument is the checkout whose ``src/`` and ``models/`` are
 used; it defaults to the one holding this script.  A run takes ~15 s.  At
-this version it lists 12 functions, 64 lines: library API that no command
+this version it lists 12 functions, 70 lines: library API that no command
 reaches (``make_model``, ``print_model``, ``GradedAlgebra.pack``, ...),
 error paths and debugging aids.
 """

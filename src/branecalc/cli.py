@@ -37,6 +37,7 @@ from .dga_models import (
     disk_model,
     path_model,
     sphere_model,
+    written_image,
 )
 from . import brane_ops, shriek
 
@@ -216,23 +217,11 @@ def parse_model(text: str) -> ModelFile:
         else:
             raise ParseError(f"unknown declaration {head!r}", lineno, col)
     for nm, (toks, lineno) in raw_diffs.items():
-        terms = _ExprParser(toks, lineno, alg).expr()
-        want = alg.gen(nm).degree + 1
-        col = toks[0][1]  # the expression's first token
-        # each written term's degree from its factors, before any is packed
-        # or summed; the literal 0, with no factor, is the zero differential
-        degrees = {sum(alg.gen(g).degree * e for g, e in raw) for c, raw in terms if raw or c}
-        if degrees and degrees != {want}:
-            got = f", got degree {degrees.pop()}" if len(degrees) == 1 else ""
-            raise ParseError(f"d {nm} must be homogeneous of degree {want}{got}", lineno, col)
-        image: dict = {}  # packed monomial -> nonzero sum, by GradedAlgebra.normalize
-        for c, raw in terms:
-            sign, mono = alg.normalize(raw)
-            image[mono] = image.get(mono, 0) + sign * c
-            if not image[mono]:
-                del image[mono]
-        if image:
-            images[alg.gen(nm).gid] = alg.element(image)
+        image, error = written_image(alg, nm, _ExprParser(toks, lineno, alg).expr())
+        if error:  # at the expression's first token
+            raise ParseError(error, lineno, toks[0][1])
+        if image is not None:
+            images[alg.gen(nm).gid] = image
     base = tuple(range(len(alg.generators)))
     return ModelFile(name, info, DgaModel(alg, Derivation(alg, 1, images), base))
 

@@ -297,13 +297,46 @@ def make_model(
     name: str = "",
 ) -> DgaModel:
     """Convenience constructor for a base Sullivan algebra (∧V, d), each
-    d given by its terms {Factors: coefficient}."""
+    d given by its terms {Factors: coefficient}, the factors in their
+    written order, read by the model file's rule (``written_image``)."""
     alg = GradedAlgebra(name)
     for nm, deg in gens:
         alg.add_generator(nm, deg)
-    images = {alg.gen(nm).gid: alg.element({alg.pack(m): c for m, c in terms.items()})
-              for nm, terms in (diffs or {}).items()}
+    images = {}
+    for nm, terms in (diffs or {}).items():
+        image, error = written_image(alg, nm, [(c, m) for m, c in terms.items()])
+        if error:
+            raise ModelError(error)
+        if image is not None:
+            images[alg.gen(nm).gid] = image
     return DgaModel(alg, Derivation(alg, 1, images), tuple(range(len(gens))))
+
+
+def written_image(alg: GradedAlgebra, name: str,
+                  terms: Sequence[tuple[Fraction, Factors]]) -> tuple[Element | None, str]:
+    """d name's image from its terms as written, each (coefficient, raw
+    (gid, exponent) factors in their order): the rule of model files and
+    ``make_model``.  Every term's degree is checked from its raw factors,
+    before any is packed or summed, so no stray term cancels or vanishes
+    unchecked; the literal 0, with no factor, is the zero differential and
+    has no degree.  Then each term is packed with its Koszul sign by
+    ``GradedAlgebra.normalize`` and like terms are summed.
+
+    Returns (the image, or None when it is zero, and ""), or (None, the
+    degree error), which the parser reports at the expression and
+    ``make_model`` raises as a ModelError."""
+    want = alg.gen(name).degree + 1
+    degrees = {sum(alg.gen(g).degree * e for g, e in raw) for c, raw in terms if raw or c}
+    if degrees and degrees != {want}:
+        got = f", got degree {degrees.pop()}" if len(degrees) == 1 else ""
+        return None, f"d {name} must be homogeneous of degree {want}{got}"
+    image: dict = {}  # packed monomial -> nonzero sum
+    for c, raw in terms:
+        sign, mono = alg.normalize(raw)
+        image[mono] = image.get(mono, 0) + sign * c
+        if not image[mono]:
+            del image[mono]
+    return (alg.element(image) if image else None), ""
 
 
 def _d_images(M: DgaModel, alg: GradedAlgebra, gid_map: dict[int, int]) -> dict[int, Element]:

@@ -24,7 +24,7 @@ from branecalc import (
     sphere_model,
     tensor_model,
 )
-from branecalc.cli import parse_model
+from branecalc.cli import ParseError, parse_model
 from branecalc.gca_core import linear_combination, translate
 
 from conftest import (
@@ -268,6 +268,23 @@ def test_non_square_zero_differential_is_reported():
     assert M.d_squared_witnesses() == ["a", "b"]
     with pytest.raises(ModelError):
         M.check()
+
+
+def test_make_model_reads_its_terms_as_the_parser_does():
+    gens, text = [("a", 3), ("b", 3), ("c", 5)], "gen a 3\ngen b 3\ngen c 5\n"
+    # d c = b·a carries the Koszul sign of sorting its factors
+    M = make_model(gens, {"c": {((1, 1), (0, 1)): 1}})
+    assert repr(M.d.images[2]) == "-a*b"
+    assert M.signature() == parse_model(text + "d c = b*a\n").model.signature()
+    # the square of an odd generator is zero, so d c = a^2 stores no image
+    assert make_model(gens, {"c": {((0, 2),): 1}}).d.images == {}
+    assert parse_model(text + "d c = a^2\n").model.d.images == {}
+    # the degree is checked: d y = x^3 has degree 12, not 8
+    message = "d y must be homogeneous of degree 8, got degree 12"
+    with pytest.raises(ModelError, match=re.escape(message)):
+        make_model([("x", 4), ("y", 7)], {"y": {((0, 3),): 1}})
+    with pytest.raises(ParseError, match=re.escape(f"line 3, col 7: {message}")):
+        parse_model("gen x 4\ngen y 7\nd y = x^3\n")
 
 
 # d² cancels on w only once d(u·y) and d(x·v) are summed: each is x·y
