@@ -290,12 +290,9 @@ def brane_coproduct_dual(V: DgaModel, k: int, max_degree: int = 8) -> BraneOpera
     if k != 2:
         raise ModelError("the coproduct pipeline is implemented for k = 2 only "
                          "(closed-form constant-maps shriek)")
-    if all(g.is_odd for g in V.algebra.generators):
-        gamma = shriek_gamma_pure(V)
-        r, state = gamma.degree, sphere_model(V, k + 1)
-        folded = _coproduct_fold(gamma, state, k)
-    else:  # glue kills γ!'s value Π s1_x
-        r, state, folded = gamma_value(V), sphere_model(V, k + 1), None
+    r, state, folded = gamma_value(V), sphere_model(V, k + 1), None
+    if all(g.is_odd for g in V.algebra.generators):  # else glue kills γ!'s value Π s1_x
+        folded = _coproduct_fold(shriek_gamma_pure(V), state, k)
     # the pair maps are built for the first pair evaluated; each class image
     # is split into fiber parts once, and a pair is read off the parts whose
     # products are keys of folded.images

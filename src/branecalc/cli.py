@@ -261,11 +261,7 @@ def _emit(rows: list, headers: list, fmt: str) -> str:
 
 
 def _model_table(M: DgaModel, fmt: str) -> str:
-    rows = []
-    for g in M.algebra.generators:
-        img = M.d.images.get(g.gid, M.algebra.zero())
-        rows.append([g.name, g.degree, repr(img)])
-    return _emit(rows, ["generator", "degree", "d"], fmt)
+    return _emit(list(M.signature()), ["generator", "degree", "d"], fmt)
 
 
 def _decode(data: bytes) -> str:

@@ -26,7 +26,8 @@ is read from ``d.images``; the Leibniz kernel runs only on products.
 
 Models are glued by ``relative_tensor`` (M ⊗_B N over a shared base) and
 collapsed by ``quotient``: base change along a map that kills generators
-is a quotient, so no general base change is kept.
+is a quotient, so no general base change is kept; d on a quotient is its
+projection applied to d.
 
 Both kernels work on int terms and packed monomials, where each product
 of two monomials is one integer addition: ``Derivation.leibniz`` for d, and
@@ -491,16 +492,12 @@ def relative_tensor(
     n_base = {N.algebra.gen(g).prov: g for g in N.base_gids}
     if {g.prov for g in m_base} != set(n_base):
         raise ModelError("relative tensor: base generators differ")
-    alg = GradedAlgebra(f"({M.algebra.name})⊗_B({N.algebra.name})")
-    m_map: dict[int, int] = {}
-    n_map: dict[int, int] = {}
     for g in m_base:
-        other = N.algebra.gen(n_base[g.prov])
-        if other.degree != g.degree:
+        if N.algebra.gen(n_base[g.prov]).degree != g.degree:
             raise ModelError(f"base generator {g.name} has mismatched degrees")
-        new = alg.add_generator(g.prov, g.degree).gid
-        m_map[g.gid] = new
-        n_map[other.gid] = new
+    alg = GradedAlgebra(f"({M.algebra.name})⊗_B({N.algebra.name})")
+    m_map, _ = add_tagged(alg, m_base, ())
+    n_map = {n_base[g.prov]: m_map[g.gid] for g in m_base}
     m_fiber, n_fiber = add_tagged(
         alg,
         [M.algebra.gen(g) for g in M.fiber_gids],
@@ -535,41 +532,31 @@ def quotient(
     M: DgaModel, kill_keys: Sequence[int | str | Provenance]
 ) -> tuple[DgaModel, DgaMorphism]:
     """Quotient by the ideal generated by a set of generators, each given
-    by id, label or provenance.
+    by id, label or provenance, and its projection.
 
     Requires the ideal to be d-stable: every monomial of d(g) for a killed
     generator must itself contain a killed generator.
     """
     kill = {M.algebra.gen(key).gid for key in kill_keys}
-    killed = M.algebra.mask(kill)
-    for gid in kill:
-        dg = M.d.images.get(gid, M.algebra.zero())
-        for mono in dg.terms:
-            if not mono & killed:
-                g = M.algebra.gen(gid)
-                raise ModelError(
-                    f"ideal not d-stable: d({g.name}) has a term outside the "
-                    f"ideal in degree {g.degree + 1}"
-                )
-    keep = [g.gid for g in M.algebra.generators if g.gid not in kill]
     alg = GradedAlgebra(f"({M.algebra.name})/I")
-    gid_map, _ = add_tagged(alg, [M.algebra.gen(g) for g in keep], ())
-    images: dict[int, Element] = {}
-    for gid in keep:
-        dg = M.d.images.get(gid, M.algebra.zero())
-        kept_terms = {mono: c for mono, c in dg.terms.items() if not mono & killed}
-        if kept_terms:
-            images[gid_map[gid]] = translate(
-                Element(M.algebra, kept_terms, dg.den), alg, gid_map
-            )
-    result = _model(alg, images, [gid_map[g] for g in M.base_gids if g in gid_map])
+    gid_map, _ = add_tagged(alg, [g for g in M.algebra.generators if g.gid not in kill], ())
     proj_images = {
         g.gid: (alg.generator_element(gid_map[g.gid]) if g.gid in gid_map
                 else alg.zero())
         for g in M.algebra.generators
     }
-    proj = DgaMorphism(M, result, proj_images)
-    return result, proj
+    images: dict[int, Element] = {}
+    for g in M.algebra.generators:
+        img = _apply_algebra_map(M.d.images.get(g.gid, M.algebra.zero()), proj_images, alg)
+        if img.terms:
+            if g.gid in kill:
+                raise ModelError(
+                    f"ideal not d-stable: d({g.name}) has a term outside the "
+                    f"ideal in degree {g.degree + 1}"
+                )
+            images[gid_map[g.gid]] = img
+    result = _model(alg, images, [gid_map[g] for g in M.base_gids if g in gid_map])
+    return result, DgaMorphism(M, result, proj_images)
 
 
 # ---------------------------------------------------------------------------

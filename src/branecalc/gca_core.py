@@ -137,7 +137,9 @@ class GradedAlgebra:
     def gen(self, key: str | int | Provenance) -> Generator:
         """The generator with this id, label or provenance."""
         if isinstance(key, int):
-            return self._gens[key]
+            if 0 <= key < len(self._gens):
+                return self._gens[key]
+            raise KeyError(f"unknown generator id {key}")
         try:
             return self._by_key[key]
         except KeyError:
@@ -191,28 +193,23 @@ class GradedAlgebra:
         return sum(self._gens[gid].degree * e for gid, e in self.unpack(mono))
 
     def normalize(self, raw: Iterable[tuple[int, int]]) -> tuple[int, Monomial]:
-        """The product of the raw (gid, exponent) factors, in their order, as
-        (sign, monomial): the sign is the Koszul sign of sorting them, or 0
-        when an odd generator ends up with exponent >= 2 (in which case the
-        monomial slot is the unit and must be ignored).  Each odd factor
-        passes the odd factors placed so far with a larger gid."""
-        odd, units, width, guard = self.odd, self.units, self.width, self.guard
-        sign = 1
-        mono = placed = 0  # placed: the odd factors' bits so far
+        """The product of the raw (gid, exponent) factors, in their order, by
+        mul_monomials, as (sign, monomial): the sign is the Koszul sign of
+        sorting them, or 0 when an odd generator ends up with exponent >= 2
+        (in which case the monomial slot is the unit and must be ignored)."""
+        odd, units, mul = self.odd, self.units, self.mul_monomials
+        sign, mono = 1, ONE
         for gid, e in raw:
             if not 0 <= gid < len(units):
                 raise KeyError(f"unknown generator id {gid}")
             if e < 0:
                 raise ValueError("negative exponent")
-            if e and odd[gid]:
-                if e > 1 or placed & units[gid]:
-                    return 0, ONE
-                if (placed >> gid * width).bit_count() & 1:
-                    sign = -sign
-                placed |= units[gid]
-            mono += min(e, self.max_exponent + 1) << gid * width
-            if mono & guard:
-                raise self._overflow(mono & guard)
+            if e > 1 and odd[gid]:
+                return 0, ONE
+            s, mono = mul(mono, min(e, self.max_exponent + 1) * units[gid])
+            if not s:
+                return 0, ONE
+            sign *= s
         return sign, mono
 
     def relabel(self, source: GradedAlgebra, mono: Monomial,

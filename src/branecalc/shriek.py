@@ -457,35 +457,35 @@ def delta_evaluation(
 # sign laws
 
 
-def _ratio(v: Sequence[Fraction], w: Sequence[Fraction]) -> Fraction:
-    """The scalar c with w = c v, for v ≠ 0 proportional vectors."""
+def _sign(v: Sequence[Fraction], w: Sequence[Fraction], what: str) -> int:
+    """The scalar c = ±1 with w = c v, for v ≠ 0 proportional vectors; a
+    c that is not a sign is the error "what: c"."""
     if not any(v):
         raise ModelError("reference evaluation vanishes; pairing degenerate")
     i = next(j for j, c in enumerate(v) if c)
     c = w[i] / v[i]
     if [c * x for x in v] != list(w):
         raise ModelError("evaluations are not proportional")
-    return c
+    if c.denominator != 1 or abs(c.numerator) != 1:
+        raise ModelError(f"{what}: {c}")
+    return int(c)
+
+
+def _conjugate(F: ModuleMap, t_source: DgaMorphism, t_target: DgaMorphism) -> ModuleMap:
+    """t_target∘F∘t_source on F's keys, with F's base action: conjugation by
+    involutions covering each other keeps base-linearity with that action."""
+    src = F.source.algebra
+    return ModuleMap(F.source, F.target, F.degree, F.base_images,
+                     {m: t_target(F(t_source(src.monomial_element(m)))) for m in F.images})
 
 
 def transposition_sign_loop(V: DgaModel) -> int:
     """ev([t∘f∘t̃] ⊗ [Π s_x_i]) / ev([f] ⊗ [Π s_x_i]); equals (-1)^(p+q)."""
     f = shriek_delta_semipure(V)
-    t = square_transposition(f.target)
-    t_tilde = loop_transposition(f.source)
-    g_images = {
-        mono: t(f(t_tilde(f.source.algebra.monomial_element(mono))))
-        for mono in f.images
-    }
-    # conjugation by involutions covering each other keeps base-linearity
-    # with the same identity base action
-    g = ModuleMap(f.source, f.target, f.degree, f.base_images, g_images)
+    g = _conjugate(f, loop_transposition(f.source), square_transposition(f.target))
     _, vec_f, _ = delta_evaluation(V, F=f)
     _, vec_g, _ = delta_evaluation(V, F=g)
-    c = _ratio(vec_f, vec_g)
-    if c.denominator != 1 or abs(c.numerator) != 1:
-        raise ModelError(f"transposition conjugate is not a sign multiple: {c}")
-    return int(c)
+    return _sign(vec_f, vec_g, "transposition conjugate is not a sign multiple")
 
 
 def one_generator_ext_sign(gen_degree: int, k: int) -> int:
@@ -521,16 +521,13 @@ def one_generator_ext_sign(gen_degree: int, k: int) -> int:
         {a.gid: -alg.generator_element(a.gid), b.gid: -alg.generator_element(b.gid)},
     )
     t_hat.check_chain()
+    g = _conjugate(f, t_hat, t_bar)
     # t̂ sends each monomial to ± itself, so the conjugate t̄∘f∘t̂ vanishes
     # wherever f does, and the ratio is read on f's values alone
     v, w = [], []
-    for mono in f.images:
-        fv = f(alg.monomial_element(mono))
-        gv = t_bar(f(t_hat(alg.monomial_element(mono))))
+    for mono, fv in f.images.items():
+        gv = g.images[mono]
         for m in {**fv.terms, **gv.terms}:
             v.append(fv.coefficient(m))
             w.append(gv.coefficient(m))
-    c = _ratio(v, w)
-    if c.denominator != 1 or abs(c.numerator) != 1:
-        raise ModelError(f"conjugation scalar is not a sign: {c}")
-    return int(c)
+    return _sign(v, w, "conjugation scalar is not a sign")

@@ -228,10 +228,16 @@ def test_tensor_model_square_zero(s3, s4):
     T.check()
 
 
-def test_quotient_requires_d_stable_kernel(s3, s4):
+def test_quotient_requires_d_stable_kernel(s3, s4, s3xs3):
     P = path_model(s3)
-    with pytest.raises(ModelError):
+    message = "ideal not d-stable: d(s1_x) has a term outside the ideal in degree 3"
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
         quotient(P, ["s1_x"])  # d(s1_x) = x@R - x@L escapes the ideal
+    # both d(s1_x1) and d(s1_x2) escape; the lower gid is named, in any key order
+    P2 = path_model(s3xs3)
+    assert P2.algebra.gen("s1_x1").gid < P2.algebra.gen("s1_x2").gid
+    with pytest.raises(ModelError, match=f"^{re.escape(message.replace('s1_x', 's1_x1'))}$"):
+        quotient(P2, ["s1_x2", "s1_x1"])
     M = sphere_model(s4, 2)
     Q, proj = quotient(M, ["x", "s1_x"])
     Q.check()
@@ -285,6 +291,10 @@ def test_make_model_reads_its_terms_as_the_parser_does():
         make_model([("x", 4), ("y", 7)], {"y": {((0, 3),): 1}})
     with pytest.raises(ParseError, match=re.escape(f"line 3, col 7: {message}")):
         parse_model("gen x 4\ngen y 7\nd y = x^3\n")
+    # a generator id outside the generators is unknown, as in normalize
+    for gid in (5, -1):
+        with pytest.raises(KeyError, match=f"unknown generator id {gid}"):
+            make_model([("x", 3), ("y", 3)], {"x": {((gid, 1),): 1}})
 
 
 # d² cancels on w only once d(u·y) and d(x·v) are summed: each is x·y

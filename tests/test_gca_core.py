@@ -200,7 +200,8 @@ canonical = [m for n in range(13) for m in ALG.basis(n)]
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(canonical), st.sampled_from(canonical))
 def test_mul_monomials_matches_normalize(m1, m2):
-    # normalize's insertion sort counts every transposition on its own
+    # one product against m2's factors multiplied on one at a time; the
+    # independent oracle is test_normalize_matches_the_insertion_sort
     assert ALG.mul_monomials(m1, m2) == ALG.normalize([*ALG.unpack(m1), *ALG.unpack(m2)])
 
 

@@ -21,7 +21,7 @@ from branecalc.brane_ops import Kunneth
 from branecalc.cli import main
 from branecalc.dga_models import tensor_model
 
-from oracles import tuple_halves, tuple_leibniz, tuple_mul, tuple_unshuffle
+from oracles import tuple_halves, tuple_leibniz, tuple_mul, tuple_normalize, tuple_unshuffle
 
 EMAX = (1 << gca_core.FIELD_BITS - 1) - 1
 # even exponents near 0 and near the field's limit
@@ -84,6 +84,31 @@ def test_products_match_the_merge(data):
     acc = alg.mul_terms({}, {alg.pack(x): c for x, c in xs.items()},
                         {alg.pack(y): c for y, c in ys.items()})
     assert [(alg.unpack(m), c) for m, c in acc.items()] == list(want.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_normalize_matches_the_insertion_sort(data):
+    # raw factor lists as written: repeated and unsorted gids, zero
+    # exponents, odd generators met twice or squared, exponents past the field
+    draw = data.draw
+    alg = algebra(draw, "g")
+    gids = draw(st.lists(st.integers(0, len(alg.odd) - 1), max_size=8))
+    raw = [(g, draw(st.integers(0, 2) if alg.odd[g] else st.one_of(EXPONENTS, st.just(1 << 40))))
+           for g in gids]
+    # the factors are multiplied in order, so the first prefix that clashes
+    # or passes a field decides
+    for i in range(1, len(raw) + 1):
+        sign, mono = tuple_normalize(alg, raw[:i])
+        name = past_limit(alg, mono)
+        if name:
+            raises_naming(name, alg.normalize, raw)
+            return
+        if not sign:
+            assert alg.normalize(raw) == (0, gca_core.ONE)
+            return
+    sign, mono = alg.normalize(raw)
+    assert (sign, alg.unpack(mono)) == tuple_normalize(alg, raw)
 
 
 @settings(max_examples=200, deadline=None)
