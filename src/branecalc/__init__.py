@@ -49,7 +49,6 @@ from .shriek import (
 )
 from .brane_ops import (
     BraneOperation,
-    HomologyOperation,
     Report,
     brane_coproduct_dual,
     brane_product_dual,

@@ -219,10 +219,13 @@ def _shriek_tensor_id(F: ModuleMap, N: DgaModel) -> ModuleMap:
 
 
 class BraneOperation(namedtuple("BraneOperation", (
-    "kind",  # "product-dual" | "coproduct-dual"
+    "kind",  # "product-dual" | "coproduct-dual", and dualize_to_homology's
+    # "homology-product" | "homology-coproduct"
     "shift", "max_degree", "state",
     # product-dual:  table[c][(a, b)] = coefficient of a⊗b in μ∨(c)
     # coproduct-dual: table[(a, b)][c] = coefficient of c in δ∨(a⊗b)
+    # homology-product: table[(a, b)][c] = coefficient of σc∨ in σa∨ · σb∨
+    # homology-coproduct: table[c][(a, b)] = coefficient of σa∨⊗σb∨ in δ(σc∨)
     "table",
 ))):
     __slots__ = ()
@@ -320,15 +323,6 @@ def brane_coproduct_dual(V: DgaModel, k: int, max_degree: int = 8) -> BraneOpera
 # dualization to shifted homology
 
 
-class HomologyOperation(namedtuple("HomologyOperation", (
-    "kind",  # "homology-product" | "homology-coproduct"
-    # product: table[(a, b)][c] = coefficient of σc∨ in σa∨ · σb∨
-    # coproduct: table[c][(a, b)] = coefficient of σa∨⊗σb∨ in δ(σc∨)
-    "table", "source",
-))):
-    __slots__ = ()
-
-
 def _signed(op: BraneOperation) -> dict:
     """op.table in its own layout, each entry times its dualization sign,
     (-1)^(m|b| + |a||b| + m) on a⊗b in μ∨(c) and (-1)^(m̄|c| + |a||b| + m|a|)
@@ -353,8 +347,9 @@ def _swap(a: Label, b: Label, m: int) -> int:
     return -1 if (a[0] - m) * (b[0] - m) % 2 else 1
 
 
-def dualize_to_homology(op: BraneOperation) -> HomologyOperation:
-    """The m-shifted homology operation: the transpose of _signed(op)."""
+def dualize_to_homology(op: BraneOperation) -> BraneOperation:
+    """The m-shifted homology operation: op of kind "homology-product" or
+    "homology-coproduct" whose table is the transpose of _signed(op)."""
     kinds = {"product-dual": "homology-product", "coproduct-dual": "homology-coproduct"}
     if op.kind not in kinds:
         raise ModelError(f"cannot dualize operation of kind {op.kind!r}")
@@ -362,15 +357,19 @@ def dualize_to_homology(op: BraneOperation) -> HomologyOperation:
     for key, row in _signed(op).items():
         for other, coeff in row.items():
             table.setdefault(other, {})[key] = coeff
-    return HomologyOperation(kinds[op.kind], table, op)
+    return op._replace(kind=kinds[op.kind], table=table)
 
 
 # ---------------------------------------------------------------------------
 # diagram checkers
 
 
-class Report(namedtuple("Report", "name ok checked failures")):
+class Report(namedtuple("Report", "name checked failures")):
     __slots__ = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
     def __str__(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -411,7 +410,7 @@ def check_associativity(prod: BraneOperation, max_degree: int | None = None) -> 
         checked += 1
         if lhs != rhs:
             failures.append(f"associativity fails on H^{c[0]} class #{c[1]}")
-    return Report("associativity", not failures, checked, failures)
+    return Report("associativity", checked, failures)
 
 
 def check_commutativity(op: BraneOperation) -> Report:
@@ -430,7 +429,7 @@ def check_commutativity(op: BraneOperation) -> Report:
             checked += 1
             if swapped != row:
                 failures.append(f"commutativity fails on H^{c[0]} class #{c[1]}")
-        return Report("commutativity (product)", not failures, checked, failures)
+        return Report("commutativity (product)", checked, failures)
     if op.kind == "coproduct-dual":
         table = _signed(op)
         for (a, b), row in sorted(table.items()):
@@ -440,7 +439,7 @@ def check_commutativity(op: BraneOperation) -> Report:
             checked += 1
             if {k: v * s for k, v in table[(b, a)].items()} != row:
                 failures.append(f"cocommutativity fails on pair {a}⊗{b}")
-        return Report("commutativity (coproduct)", not failures, checked, failures)
+        return Report("commutativity (coproduct)", checked, failures)
     raise ModelError(f"cannot check commutativity of {op.kind!r}")
 
 
@@ -477,4 +476,4 @@ def check_frobenius(
         checked += 1
         if lhs != rhs:
             failures.append(f"Frobenius fails on pair {a}⊗{b}")
-    return Report("Frobenius", not failures, checked, failures)
+    return Report("Frobenius", checked, failures)

@@ -199,7 +199,6 @@ class DgaMorphism:
 
     __slots__ = ("source", "target", "images")
     __setattr__ = __delattr__ = _fixed
-    degree = 0
 
     def __init__(self, source: DgaModel, target: DgaModel,
                  images: Mapping[int, Element]) -> None:
@@ -563,32 +562,21 @@ def quotient(
 # transpositions
 
 
-def _factor_swap(alg: GradedAlgebra, g: Generator) -> Element:
-    """The copy of g in the other tensor factor."""
-    other = {"L": "R", "R": "L"}.get(g.prov.factor)
-    if other is None:
-        raise ModelError(f"generator {g.name!r} has no tensor-factor tag")
-    return alg.generator_element(g.prov._replace(factor=other))
-
-
-def square_transposition(square: DgaModel) -> DgaMorphism:
-    """The factor swap a⊗b ↦ (-1)^(|a||b|) b⊗a on a tensor square."""
-    alg = square.algebra
-    images = {g.gid: _factor_swap(alg, g) for g in alg.generators}
-    t = DgaMorphism(square, square, images)
-    t.check_chain()
-    return t
-
-
-def loop_transposition(path: DgaModel) -> DgaMorphism:
-    """The swap on ∧V⊗² extended to the path model by sv ↦ -sv."""
-    alg = path.algebra
+def transposition(M: DgaModel) -> DgaMorphism:
+    """The factor swap on a tensor square or a path model, checked to be a
+    chain map: each generator tagged L or R goes to its copy in the other
+    factor, a⊗b ↦ (-1)^(|a||b|) b⊗a, and each untagged suspension sv of
+    the path model to -sv."""
+    alg = M.algebra
     images: dict[int, Element] = {}
     for g in alg.generators:
-        if g.prov.kind == "susp":
+        other = {"L": "R", "R": "L"}.get(g.prov.factor)
+        if other is not None:
+            images[g.gid] = alg.generator_element(g.prov._replace(factor=other))
+        elif g.prov.kind == "susp":
             images[g.gid] = -alg.generator_element(g.gid)
         else:
-            images[g.gid] = _factor_swap(alg, g)
-    t = DgaMorphism(path, path, images)
+            raise ModelError(f"generator {g.name!r} has no tensor-factor tag")
+    t = DgaMorphism(M, M, images)
     t.check_chain()
     return t

@@ -44,12 +44,11 @@ from .dga_models import (
     _model,
     disk_model,
     is_minimal,
-    loop_transposition,
     path_model,
     quotient,
     sphere_model,
-    square_transposition,
     tensor_model,
+    transposition,
 )
 
 
@@ -482,7 +481,7 @@ def _conjugate(F: ModuleMap, t_source: DgaMorphism, t_target: DgaMorphism) -> Mo
 def transposition_sign_loop(V: DgaModel) -> int:
     """ev([t∘f∘t̃] ⊗ [Π s_x_i]) / ev([f] ⊗ [Π s_x_i]); equals (-1)^(p+q)."""
     f = shriek_delta_semipure(V)
-    g = _conjugate(f, loop_transposition(f.source), square_transposition(f.target))
+    g = _conjugate(f, transposition(f.source), transposition(f.target))
     _, vec_f, _ = delta_evaluation(V, F=f)
     _, vec_g, _ = delta_evaluation(V, F=g)
     return _sign(vec_f, vec_g, "transposition conjugate is not a sign multiple")

@@ -494,7 +494,7 @@ def check_associativity(prod: BraneOperation, max_degree: int | None = None) -> 
         checked += 1
         if lhs != rhs:
             failures.append(f"associativity fails on H^{c[0]} class #{c[1]}")
-    return Report("associativity", not failures, checked, failures)
+    return Report("associativity", checked, failures)
 
 
 def check_commutativity(op: BraneOperation) -> Report:
@@ -512,7 +512,7 @@ def check_commutativity(op: BraneOperation) -> Report:
             checked += 1
             if swapped != expected:
                 failures.append(f"commutativity fails on H^{c[0]} class #{c[1]}")
-        return Report("commutativity (product)", not failures, checked, failures)
+        return Report("commutativity (product)", checked, failures)
     if op.kind == "coproduct-dual":
         sgn = -1 if op.shift % 2 else 1
         for (a, b), row in sorted(op.table.items()):
@@ -524,7 +524,7 @@ def check_commutativity(op: BraneOperation) -> Report:
             checked += 1
             if lhs != rhs:
                 failures.append(f"cocommutativity fails on pair {a}⊗{b}")
-        return Report("commutativity (coproduct)", not failures, checked, failures)
+        return Report("commutativity (coproduct)", checked, failures)
     raise ModelError(f"cannot check commutativity of {op.kind!r}")
 
 
@@ -565,7 +565,7 @@ def check_frobenius(
         checked += 1
         if lhs != rhs:
             failures.append(f"Frobenius fails on pair {a}⊗{b}")
-    return Report("Frobenius", not failures, checked, failures)
+    return Report("Frobenius", checked, failures)
 
 
 def formal_m(V) -> int:

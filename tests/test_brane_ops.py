@@ -118,6 +118,29 @@ def test_frobenius_check_rejects_perturbed_table(s3_product, s3_coproduct):
     assert not check_frobenius(s3_product, bad, max_degree=8).ok
 
 
+def test_a_report_prints_its_first_ten_failures():
+    rep = brane_ops.Report("law", 12, [f"identity {i} fails" for i in range(12)])
+    assert not rep.ok
+    assert str(rep) == "law: FAIL (12 identities)" + "".join(
+        f"\n  identity {i} fails" for i in range(10))
+    assert brane_ops.Report("law", 12, []).ok
+
+
+def test_associativity_drops_contributions_that_cancel():
+    # every label in degree 0 and shift 0, so the signed table is the table:
+    # μ∨(c) = a1⊗b + a2⊗b with μ∨(a1) = u⊗u = -μ∨(a2) and b, u without
+    # values, so μ(μ⊗1) on c sums u⊗u⊗b twice to 0, and μ(1⊗μ) has no term
+    c, a1, a2, b, u = ((0, i) for i in range(5))
+    table = {c: {(a1, b): F1, (a2, b): F1}, a1: {(u, u): F1}, a2: {(u, u): -F1},
+             b: {}, u: {}}
+    prod = brane_ops.BraneOperation("product-dual", 0, 0, None, table)
+    rep = check_associativity(prod)
+    assert rep.ok and rep.checked == 5
+    table[a2] = {(u, u): F1}
+    rep = check_associativity(prod)
+    assert rep.failures == ["associativity fails on H^0 class #0"]
+
+
 def test_homology_product_is_exterior_on_two_generators(s3_product):
     hop = dualize_to_homology(s3_product)
     t = hop.table

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branecalc import (
-    Derivation, DgaModel, GradedAlgebra, brane_ops, cohomology_basis, sphere_model,
+    Derivation, DgaModel, GradedAlgebra, brane_ops, cohomology_basis, shriek, sphere_model,
 )
 from branecalc.cli import (
     MAX_GENERATOR_DEGREE, ModelFile, ParseError, _rows, build_parser, main, parse_model,
@@ -464,6 +464,34 @@ def test_verify_signs_passes_at_every_max_degree(model, capsys, monkeypatch):
                 "--max-degree", str(d)]
         code, out, err = run(argv, capsys)
         assert code == 0 and "PASS" in out, (d, err)
+
+
+@pytest.mark.parametrize("law, lines", [
+    ("transposition_sign_loop", ["loop transposition sign 1, expected -1"]),
+    ("one_generator_ext_sign", [f"one-generator sign for degree {d} is not -1" for d in (5, 6)]),
+])
+def test_verify_signs_names_each_sign_that_fails(law, lines, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(shriek, law, lambda *args: 1)
+    code, out, err = run(["verify", "models/s3.model", "--suite", "signs"], capsys)
+    assert (code, err) == (1, "")
+    assert out == "sign laws: FAIL (3 identities)\n" + "".join(f"  {x}\n" for x in lines)
+
+
+def test_verify_golden_names_a_wrong_value(s3_file, capsys, monkeypatch):
+    build = brane_ops.brane_coproduct_dual
+
+    def flipped(*args):
+        # δ∨(s2⊗s2) = -[s2] becomes +[s2]
+        cop = build(*args)
+        return cop._replace(table={**cop.table, ((1, 0), (1, 0)): {(1, 0): Fraction(1)}})
+
+    monkeypatch.setattr(brane_ops, "brane_coproduct_dual", flipped)
+    code, out, err = run(["verify", s3_file, "--suite", "golden"], capsys)
+    assert (code, err) == (1, "")
+    assert out == ("golden example: FAIL (11 identities)\n"
+                   "  δ∨(s2⊗s2): got {(1, 0): Fraction(1, 1)}, "
+                   "expected {(1, 0): Fraction(-1, 1)}\n")
 
 
 # S⁴ with y named s1_x: the product builds no k-disk, so no s¹x, while the

@@ -245,25 +245,38 @@ def test_quotient_requires_d_stable_kernel(s3, s4, s3xs3):
 
 
 def test_transpositions_are_involutions(s4):
-    from branecalc.dga_models import loop_transposition, square_transposition
+    from branecalc.dga_models import transposition
 
     square, _, _ = tensor_model(s4, s4)
-    path = path_model(s4)
-    for t in (square_transposition(square), loop_transposition(path)):
+    # the path model of a sphere model has suspensions both tagged (the
+    # copies s1_y@L, s1_y@R of the input's s1_y) and untagged (s1_s1_y)
+    for M in (square, path_model(s4), path_model(sphere_model(s4, 2))):
+        t = transposition(M)
         round_trip = compose(t, t)
         for g in t.source.algebra.generators:
             e = t.source.algebra.generator_element(g.gid)
             assert round_trip(e) == e
+    P = t.source.algebra
+    assert t(P.generator_element("s1_y@L")) == P.generator_element("s1_y@R")
+    assert t(P.generator_element("s1_s1_y")) == -P.generator_element("s1_s1_y")
+    t.check_chain()
 
 
 def test_path_transposition_negates_suspensions(s3):
-    from branecalc.dga_models import loop_transposition
+    from branecalc.dga_models import transposition
 
     P = path_model(s3)
-    t = loop_transposition(P)
+    t = transposition(P)
     assert t(P.algebra.generator_element("x@L")) == P.algebra.generator_element("x@R")
     assert t(P.algebra.generator_element("s1_x")) == -P.algebra.generator_element("s1_x")
     t.check_chain()
+
+
+def test_transposition_needs_a_factor_tag_on_every_base_generator(s3):
+    from branecalc.dga_models import transposition
+
+    with pytest.raises(ModelError, match="^generator 'x' has no tensor-factor tag$"):
+        transposition(s3)
 
 
 def test_non_square_zero_differential_is_reported():

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +34,13 @@ def test_even_generators_do_not_square_to_zero():
     sq = gen("b") * gen("b")
     assert not sq.is_zero()
     assert sq.degree() == 4
+
+
+def test_degree_is_none_on_zero_and_an_error_on_a_mixed_element():
+    a, b = gen("a"), gen("b")
+    assert ALG.zero().degree() is None
+    with pytest.raises(ValueError, match=r"^element is not homogeneous: degrees \[1, 2\]$"):
+        (a + b).degree()
 
 
 def test_koszul_sign_on_odd_swap():

@@ -176,10 +176,13 @@ def test_pairing_rejects_a_base_action_that_is_not_a_chain_map(s4):
 
 
 def test_loop_transposition_sign(s3, s4, s3xs3):
-    # (-1)^(p+q): one odd generator for S³, two generators otherwise
+    # (-1)^(p+q): one odd generator for S³, two generators for S⁴ and S³×S³,
+    # four for the sphere model of S⁴, whose suspensions s1_x, s1_y come
+    # into the path model tagged L and R
     assert transposition_sign_loop(s3) == -1
     assert transposition_sign_loop(s4) == 1
     assert transposition_sign_loop(s3xs3) == 1
+    assert transposition_sign_loop(sphere_model(s4, 2)) == 1
 
 
 def test_one_generator_extension_sign_both_parities():
@@ -201,6 +204,11 @@ def test_certificate_names_the_perturbed_value(s4):
     full = hom_differential(bad, 28).images
     alg = bad.source.algebra
     assert defects == [alg.monomial_string(m) for m in sorted(full, key=alg.unpack)]
+
+
+def test_a_map_with_no_values_is_a_cocycle(s3):
+    ds = shriek_delta_semipure(s3)
+    assert cocycle_defects(ModuleMap(ds.source, ds.target, ds.degree, ds.base_images, {})) == []
 
 
 @lru_cache(maxsize=None)
