@@ -43,8 +43,6 @@ from math import gcd, lcm
 
 Row = dict  # {column: nonzero int or Fraction}
 
-F1 = Fraction(1)
-
 
 def _integral(row: Row) -> tuple[dict[int, int], int]:
     """(out, den) with out an integer row and row = out / den."""

@@ -81,6 +81,7 @@ from .dga_models import (
     DgaModel,
     DgaMorphism,
     ModelError,
+    base_copy,
     compose,
     relative_tensor,
     sphere_model,
@@ -237,6 +238,7 @@ class BraneOperation(namedtuple("BraneOperation", (
 
 def brane_product_dual(V: DgaModel, k: int, max_degree: int = 8) -> BraneOperation:
     """The dual brane product μ∨: H^n(M_{S^k}) → H^(n+m)(M_{S^k}⊗²)."""
+    V = base_copy(V)
     if k < 2:
         raise ModelError("the product pipeline needs k ≥ 2")
     if any(g.degree <= k for g in V.algebra.generators):
@@ -290,6 +292,7 @@ def _class_parts(f: DgaMorphism, F: ModuleMap) -> Callable[[Label], tuple]:
 
 def brane_coproduct_dual(V: DgaModel, k: int, max_degree: int = 8) -> BraneOperation:
     """The dual brane coproduct δ∨: H^n(M_{S^k}⊗²) → H^(n+m̄)(M_{S^k})."""
+    V = base_copy(V)
     if k != 2:
         raise ModelError("the coproduct pipeline is implemented for k = 2 only "
                          "(closed-form constant-maps shriek)")

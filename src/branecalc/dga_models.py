@@ -43,6 +43,7 @@ per step.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -66,44 +67,33 @@ from .gca_core import (
 # derivations and morphisms
 
 
-def _fixed(self, name: str, *value) -> None:
-    """__setattr__ and __delattr__ of a class whose instances are fixed
-    when built; the attribute reads stay plain slot reads."""
-    raise AttributeError(f"{type(self).__name__}.{name} is fixed when built")
-
-
-class Derivation:
+class Derivation(namedtuple("Derivation", "algebra degree images den ints")):
     """A degree-r map defined on generators, extended by the Leibniz rule.
 
-    A Derivation is fixed when it is built: images is a read-only copy of
-    the dict it was given, and assigning or deleting an attribute raises
-    AttributeError.  ``leibniz`` works on the images' numerators over one
-    common denominator den, the lcm of the images' denominators, and
-    returns den·d(mono) as int terms: the rows ``cohomology._d_stream``
-    feeds to elimination.
+    A record, fixed when it is built: images is a read-only copy of the
+    dict it was given, and assigning a field raises AttributeError.  Build
+    a new map to change one; ``_replace`` and ``_make`` skip ``__new__``,
+    which computes den, the lcm of the images' denominators, and ints,
+    {gid: den·images[gid] as {monomial: int}} over the nonzero images by
+    gid.  ``leibniz`` returns den·d(mono) from ints as int terms: the rows
+    ``cohomology._d_stream`` feeds to elimination.
     """
 
-    # _ints: gid -> den·images[gid] as {monomial: int}, nonzero ones, by gid
-    __slots__ = ("algebra", "degree", "images", "den", "_ints")
-    __setattr__ = __delattr__ = _fixed
+    __slots__ = ()
 
-    def __init__(self, algebra: GradedAlgebra, degree: int,
-                 images: Mapping[int, Element]) -> None:
+    def __new__(cls, algebra: GradedAlgebra, degree: int,
+                images: Mapping[int, Element]) -> "Derivation":
         images = MappingProxyType(dict(images))
         ints, den = over_lcm(images)
-        init = object.__setattr__
-        init(self, "algebra", algebra)
-        init(self, "degree", degree)
-        init(self, "images", images)
-        init(self, "den", den)
-        init(self, "_ints", dict(sorted(ints.items())) if len(ints) > 1 else ints)
+        return super().__new__(cls, algebra, degree, images, den,
+                               dict(sorted(ints.items())) if len(ints) > 1 else ints)
 
     def leibniz(self, mono: Monomial) -> dict[Monomial, int]:
         """den·d(mono), as {monomial: nonzero int}."""
         alg = self.algebra
         width, oddmask, guard = alg.width, alg.oddmask, alg.guard
         out: dict[Monomial, int] = {}
-        for gid, img in self._ints.items():
+        for gid, img in self.ints.items():
             exp = mono >> gid * width & (1 << width) - 1
             if not exp:
                 continue
@@ -189,23 +179,18 @@ def _apply_algebra_map(
     return Element._adopt(target, acc, top * e.den)
 
 
-class DgaMorphism:
+class DgaMorphism(namedtuple("DgaMorphism", "source target images")):
     """A degree-0 multiplicative map between models, given on generators.
 
-    A DgaMorphism is fixed when it is built, as a Derivation is: images is
-    a read-only copy of the dict it was given, and assigning or deleting an
-    attribute raises AttributeError.
+    A record, fixed when it is built as a Derivation is: images is a
+    read-only copy, and assigning a field raises AttributeError.
     """
 
-    __slots__ = ("source", "target", "images")
-    __setattr__ = __delattr__ = _fixed
+    __slots__ = ()
 
-    def __init__(self, source: DgaModel, target: DgaModel,
-                 images: Mapping[int, Element]) -> None:
-        init = object.__setattr__
-        init(self, "source", source)
-        init(self, "target", target)
-        init(self, "images", MappingProxyType(dict(images)))
+    def __new__(cls, source: DgaModel, target: DgaModel,
+                images: Mapping[int, Element]) -> "DgaMorphism":
+        return super().__new__(cls, source, target, MappingProxyType(dict(images)))
 
     def __call__(self, e: Element) -> Element:
         return _apply_algebra_map(e, self.images, self.target.algebra)
@@ -232,13 +217,10 @@ class DgaMorphism:
 
 
 def compose(g: DgaMorphism, f: DgaMorphism) -> DgaMorphism:
+    """g∘f, with images g(f.images): the rule of ``shriek.compose_module``."""
     if f.target is not g.source:
         raise ModelError("composition mismatch")
-    images = {
-        gen.gid: g(f(f.source.algebra.generator_element(gen.gid)))
-        for gen in f.source.algebra.generators
-    }
-    return DgaMorphism(f.source, g.target, images)
+    return DgaMorphism(f.source, g.target, {gid: g(img) for gid, img in f.images.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +257,7 @@ class DgaModel:
         """
         d = self.d  # den·d(den·dg) on ints, from the Leibniz rows
         return [g.name for g in self.algebra.generators
-                if d._sum(d._ints.get(g.gid, {}))]
+                if d._sum(d.ints.get(g.gid, {}))]
 
     def check(self) -> None:
         bad = self.d_squared_witnesses()
@@ -310,6 +292,19 @@ def make_model(
         if image is not None:
             images[alg.gen(nm).gid] = image
     return DgaModel(alg, Derivation(alg, 1, images), tuple(range(len(gens))))
+
+
+def base_copy(V: DgaModel) -> DgaModel:
+    """V with each generator a base generator of its label, degree and d,
+    as ``cli.parse_model`` reads ``cli.print_model`` of V; V itself when
+    each already is one.  A pipeline finds a generator's role by its
+    provenance, so a constructor's model enters it as this copy."""
+    gens = V.algebra.generators
+    if all(g.prov == Provenance("base", 0, g.name) for g in gens):
+        return V
+    alg = GradedAlgebra(V.algebra.name)
+    gid_map = {g.gid: alg.add_generator(g.name, g.degree).gid for g in gens}
+    return DgaModel(alg, Derivation(alg, 1, _d_images(V, alg, gid_map)), tuple(gid_map.values()))
 
 
 def written_image(alg: GradedAlgebra, name: str,

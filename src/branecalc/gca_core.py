@@ -25,6 +25,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
+from ._linalg import _integral
+
 Scalar = Union[int, Fraction]
 Monomial = int  # a packed exponent vector
 Factors = tuple  # tuple[tuple[int, int], ...]: (gid, exponent) pairs by ascending gid
@@ -327,9 +329,7 @@ class GradedAlgebra:
 
     def element(self, terms: dict[Monomial, Scalar]) -> "Element":
         """The element Σ c·m of rational coefficients c."""
-        den = lcm(*(c.denominator for c in terms.values()))
-        return Element._adopt(self, {m: c.numerator * (den // c.denominator)
-                                     for m, c in terms.items()}, den)
+        return Element._adopt(self, *_integral(terms))
 
     def monomial_element(self, mono: Monomial, coeff: Scalar = 1) -> "Element":
         return Element._adopt(self, {mono: coeff.numerator}, coeff.denominator)

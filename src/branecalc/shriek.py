@@ -29,6 +29,7 @@ Two shrieks are constructed:
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -56,28 +57,29 @@ from .dga_models import (
 # module maps
 
 
-class ModuleMap:
+class ModuleMap(namedtuple("ModuleMap", "source target degree base_images images")):
     """A base-linear map from a semifree model into a module (a model whose
     algebra receives the base through base_images).  The base is the set of
     base_images' keys: source.base_gids for a shriek, and for F⊗id
     (brane_ops._shriek_tensor_id) also every generator of its second factor.
 
     F(b·f) = (-1)^(deg F · |b|) ρ(b)·F(f) for a base monomial b and a fiber
-    monomial f, where ρ is the algebra map given by base_images (a read-only
-    copy, fixed when the map is built) and F(f) is images[f], 0 if absent.
-    ``_unshuffle`` applies that rule, with ρ a relabelling: a base image
-    that is not ± one generator or 0 raises ModelError there.  compose_module
-    stores nonzero values only, so a composite with no images is zero.
+    monomial f, where ρ is the algebra map given by base_images and F(f) is
+    images[f], 0 if absent.  ``_unshuffle`` applies that rule, with ρ a
+    relabelling: a base image that is not ± one generator or 0 raises
+    ModelError there.  compose_module stores nonzero values only, so a
+    composite with no images is zero.
+
+    A record, fixed when it is built as a DgaMorphism is: base_images and
+    images are read-only copies, and assigning a field raises
+    AttributeError, so the caches it fills on first use cannot go stale.
     """
 
-    def __init__(self, source: DgaModel, target: DgaModel, degree: int,
-                 base_images: Mapping[int, Element],  # source base gid -> target element
-                 images: dict[Monomial, Element] | None = None) -> None:
-        self.source = source
-        self.target = target
-        self.degree = degree
-        self.base_images = MappingProxyType(dict(base_images))
-        self.images = {} if images is None else images
+    def __new__(cls, source: DgaModel, target: DgaModel, degree: int,
+                base_images: Mapping[int, Element],  # source base gid -> target element
+                images: Mapping[Monomial, Element] | None = None) -> "ModuleMap":
+        return super().__new__(cls, source, target, degree, MappingProxyType(dict(base_images)),
+                               MappingProxyType(dict(images or {})))
 
     @cached_property
     def _relabel(self) -> dict[int, tuple[int, int | None]]:

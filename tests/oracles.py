@@ -92,7 +92,7 @@ from branecalc.gca_core import add_tagged, linear_combination, translate
 from branecalc.shriek import (
     ModuleMap, delta_degree, evaluation_pairing, fiber_basis, is_semi_pure)
 
-F0 = Fraction(0)
+F0, F1 = Fraction(0), Fraction(1)
 
 
 def rref_rows(ech: la.Echelon) -> dict[int, la.Row]:
@@ -104,7 +104,7 @@ def rref_rows(ech: la.Echelon) -> dict[int, la.Row]:
 def kernel(ech: la.Echelon) -> dict[int, la.Row]:
     """Basis of the vectors over columns below ncols that every row kills,
     {free column f: v} with v[f] = 1, v[p] = -row_p[f] / row_p[p]."""
-    basis = {f: {f: la.F1} for f in range(ech.ncols) if f not in ech.rows}
+    basis = {f: {f: F1} for f in range(ech.ncols) if f not in ech.rows}
     for p, row in ech.rows.items():
         for f, x in row.items():
             v = basis.get(f)
@@ -145,7 +145,7 @@ def fraction_cohomology_basis(
         if head:
             lead = red[min(head)]
             rep = {j: red[j] / lead for j in head}
-            ech.insert({**rep, dim + len(reps): la.F1})
+            ech.insert({**rep, dim + len(reps): F1})
             cls[len(reps)] = lead
             reps.append(rep)
         if cls:
@@ -364,7 +364,7 @@ def invert_on_cohomology(
     # for an invertible m the RREF of [m | I] is [I | m⁻¹]
     ech = la.Echelon(cols)
     for i, row in enumerate(m):
-        ech.insert({**{j: x for j, x in enumerate(row) if x}, cols + i: la.F1})
+        ech.insert({**{j: x for j, x in enumerate(row) if x}, cols + i: F1})
     rank = len(ech.rows)
     if rows == cols == rank:
         view = rref_rows(ech)
@@ -644,10 +644,10 @@ def tuple_leibniz(d: Derivation, mono: tuple) -> dict[tuple, int]:
     out: dict[tuple, int] = {}
     pre_odd = False
     for i, (gid, exp) in enumerate(mono):
-        if gid in d._ints:
+        if gid in d.ints:
             rest = mono[:i] + (((gid, exp - 1),) if exp > 1 else ()) + mono[i + 1:]
             c0 = -exp if pre_odd and alg.odd[gid] else exp
-            for m, c in d._ints[gid].items():
+            for m, c in d.ints[gid].items():
                 sign, prod = tuple_mul(alg, alg.unpack(m), rest)
                 if sign:
                     out[prod] = out.get(prod, 0) + sign * c0 * c

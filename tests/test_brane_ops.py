@@ -24,11 +24,13 @@ from branecalc import (
     tensor_model,
 )
 from branecalc.brane_ops import Kunneth
+from branecalc.cli import ModelFile, _rows, print_model
 from branecalc.cohomology import section
+from branecalc.dga_models import base_copy, make_model
 from branecalc.gca_core import translate
 
 from conftest import (
-    AB, HP2, MODEL_TEXTS, S3_3, S3_4, S3XS4, build_s3, coassociative,
+    AB, HP2, MODEL_TEXTS, S3_3, S3_4, S3XS4, build_s3, build_s4, coassociative,
     coproduct_fold, frobenius)
 from oracles import coproduct_double_composite, pair_cocycle
 
@@ -198,6 +200,32 @@ def test_tables_are_deterministic_across_rebuilds():
     a = brane_coproduct_dual(build_s3(), 2, max_degree=8)
     b = brane_coproduct_dual(build_s3(), 2, max_degree=8)
     assert a.table == b.table
+
+
+def _outcome(pipeline, V, top):
+    """The operation's shift, table and the rows the CLI prints, or the error."""
+    try:
+        op = pipeline(V, 2, max_degree=top)
+    except ModelError as e:
+        return str(e)
+    return op.shift, op.table, _rows(op.table, op.rep_string, True)
+
+
+# Models the constructors build, whose generators are not base generators.
+BUILT_MODELS = [
+    pytest.param(lambda: sphere_model(make_model([("x", 5)]), 2), 8, id="sphere-S5"),
+    pytest.param(lambda: sphere_model(build_s4(), 2), 12, id="sphere-S4"),
+    pytest.param(lambda: tensor_model(build_s3(), build_s3())[0], 8, id="S3xS3"),
+]
+
+
+@pytest.mark.parametrize("pipeline", [brane_product_dual, brane_coproduct_dual])
+@pytest.mark.parametrize("build, top", BUILT_MODELS)
+def test_a_built_model_gives_what_its_printed_form_gives(build, top, pipeline):
+    V = build()
+    parsed = parse_model(print_model(ModelFile("", {}, V))).model
+    assert base_copy(parsed) is parsed
+    assert _outcome(pipeline, V, top) == _outcome(pipeline, parsed, top)
 
 
 # Every model file.

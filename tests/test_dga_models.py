@@ -26,6 +26,7 @@ from branecalc import (
 )
 from branecalc.cli import ParseError, parse_model
 from branecalc.gca_core import linear_combination, translate
+from branecalc.shriek import ModuleMap
 
 from conftest import (
     A4B6_RATIONAL, AB, HP2, MODEL_TEXTS, S3_3, S3_4, S4_RATIONAL, S4XS6, build_s3,
@@ -558,3 +559,29 @@ def test_a_morphism_is_fixed_when_built():
     x2 = src.monomial_element(src.pack(((x.gid, 2),)))
     assert f(x2) == packed(tgt, {((u.gid, 4),): Fraction(4, 9)})
     assert f.images[x.gid] != images[x.gid]
+
+
+def test_a_module_map_is_fixed_when_built():
+    src, tgt = GradedAlgebra("source"), GradedAlgebra("target")
+    b = src.add_generator("b", 2)
+    s = src.add_generator("s", 3)
+    u = tgt.add_generator("u", 2)
+    v = tgt.add_generator("v", 4)
+    m = src.pack(((s.gid, 1),))
+    base_images = {b.gid: tgt.generator_element(u.gid)}
+    images = {m: packed(tgt, {((u.gid, 2),): Fraction(2, 3)})}
+    F = ModuleMap(DgaModel(src, Derivation(src, 1, {}), (b.gid,)),
+                  DgaModel(tgt, Derivation(tgt, 1, {})), 1, base_images, images)
+    for field in ("images", "base_images", "degree"):
+        with pytest.raises(AttributeError):
+            setattr(F, field, {})
+    with pytest.raises(TypeError):
+        F.images[m] = tgt.generator_element(v.gid)
+    with pytest.raises(TypeError):
+        del F.images[m]
+    # the dicts it was built from no longer reach it
+    images[m] = tgt.generator_element(v.gid)
+    base_images[b.gid] = tgt.zero()
+    bs = src.monomial_element(src.pack(((b.gid, 1), (s.gid, 1))))
+    assert F(bs) == packed(tgt, {((u.gid, 3),): Fraction(2, 3)})
+    assert F.images[m] != images[m]

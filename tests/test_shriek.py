@@ -343,14 +343,14 @@ def built_module_maps(text: str) -> list:
     map whose vanishing δ!'s certificate checks."""
     V = parse_model(text).model
     seen = []
-    real = ModuleMap.__init__
+    real = ModuleMap.__new__
 
-    def recording(self, *args):
-        real(self, *args)
-        seen.append(self)
+    def recording(cls, *args):
+        seen.append(real(cls, *args))
+        return seen[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ModuleMap, "__init__", recording)
+        mp.setattr(ModuleMap, "__new__", recording)
         brane_product_dual(V, 2, max_degree=RHO_TOP)
         brane_coproduct_dual(V, 2, max_degree=RHO_TOP)
         coproduct_fold(V)
